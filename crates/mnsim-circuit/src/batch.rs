@@ -29,9 +29,14 @@
 //! solve a circuit whose fingerprint differs with
 //! [`CircuitError::StalePreparedSystem`]. Fault overlays and variation
 //! resamples therefore cannot silently reuse a stale factorization; use
-//! [`prepare_or_reuse`] to rebuild on change. Non-linear circuits (sinh
-//! memristors) re-linearize per operating point, so they fall back to
-//! per-solve [`solve_dc`](crate::solve::solve_dc) internally.
+//! [`prepare_or_reuse`] to rebuild on change.
+//!
+//! Non-linear circuits (sinh memristors) re-linearize per operating point,
+//! so each read runs the Newton loop of
+//! [`solve_dc`](crate::solve::solve_dc) on a re-driven clone. The prepared
+//! system keeps that loop's sparse factorization across reads and across
+//! value-only overlays: every Jacobian of the structure shares one
+//! analysis, and each one only refactors it in place.
 
 use mnsim_obs as obs;
 use mnsim_tech::units::Voltage;
@@ -41,7 +46,10 @@ use crate::dense::{DenseMatrix, LuFactors};
 use crate::error::CircuitError;
 use crate::klu::SparseLu;
 use crate::mna::{Circuit, DcSolution, Element};
-use crate::solve::{auto_engine, finish, linearize, LinearEngine, Linearized, Method, SolveOptions};
+use crate::solve::{
+    auto_engine, finish, linearize, solve_dc_in, LinearEngine, Linearized, Method, SolveOptions,
+    SparseWorkspace,
+};
 use crate::sparse::{CsrMatrix, TripletMatrix};
 
 static BATCH_BUILDS: obs::Counter = obs::Counter::new("circuit.batch.prepared_builds");
@@ -174,7 +182,8 @@ pub enum EngineKind {
     Empty,
     /// Full modified nodal analysis (floating sources), cached dense LU.
     FullMna,
-    /// Non-linear circuit: per-solve Newton fallback.
+    /// Non-linear circuit: a Newton solve per read, sharing one cached
+    /// sparse factorization.
     Nonlinear,
 }
 
@@ -197,8 +206,9 @@ enum SystemKind {
         ops: Vec<BOp>,
         lu: LuFactors,
     },
-    /// Non-linear circuit: per-solve Newton fallback.
-    Nonlinear,
+    /// Non-linear circuit: a Newton solve per read. The workspace keeps
+    /// the Jacobian's analysis and factor from one read to the next.
+    Nonlinear { workspace: SparseWorkspace },
 }
 
 /// A DC system prepared once per conductance structure, able to solve many
@@ -258,7 +268,9 @@ impl PreparedSystem {
                 n_sources,
                 options,
                 lin: Vec::new(),
-                kind: SystemKind::Nonlinear,
+                kind: SystemKind::Nonlinear {
+                    workspace: SparseWorkspace::default(),
+                },
                 last_x: None,
                 last_iterations: Vec::new(),
                 cold_iterations: None,
@@ -319,7 +331,8 @@ impl PreparedSystem {
 
     /// Rough resident size of this prepared system in bytes — dominated
     /// by the cached factorization (dense LU: `unknowns²` doubles;
-    /// sparse LU: the factor non-zeros). Used by byte-budgeted artifact
+    /// sparse LU, including a non-linear system's Newton factor once it
+    /// has solved: the factor non-zeros). Used by byte-budgeted artifact
     /// caches to decide eviction; an estimate, not an allocator truth.
     pub fn approx_bytes(&self) -> usize {
         let mut bytes = std::mem::size_of::<Self>();
@@ -344,7 +357,7 @@ impl PreparedSystem {
                 structure + factors
             }
             SystemKind::FullMna { n, ops, .. } => n * n * 8 + n * 8 + ops.len() * 24,
-            SystemKind::Nonlinear => 0,
+            SystemKind::Nonlinear { workspace } => workspace.approx_bytes(),
         };
         bytes
     }
@@ -382,7 +395,7 @@ impl PreparedSystem {
     /// The concrete engine this system dispatches to.
     pub fn engine_kind(&self) -> EngineKind {
         match &self.kind {
-            SystemKind::Nonlinear => EngineKind::Nonlinear,
+            SystemKind::Nonlinear { .. } => EngineKind::Nonlinear,
             SystemKind::FullMna { .. } => EngineKind::FullMna,
             SystemKind::Reduced { engine, .. } => match engine {
                 ReducedEngine::Dense(_) => EngineKind::Dense,
@@ -401,10 +414,12 @@ impl PreparedSystem {
 
     /// Attempts to update this system in place for a circuit whose element
     /// *values* changed but whose structure did not (a fault overlay or
-    /// variation resample). Only the sparse-direct engine supports this: the
-    /// cached symbolic analysis and elimination program are replayed on the
-    /// new values via [`SparseLu::refresh`], which is much cheaper than a
-    /// full rebuild.
+    /// variation resample). Only the sparse-direct engine and non-linear
+    /// systems support this. The sparse engine replays its cached symbolic
+    /// analysis and elimination program on the new values via
+    /// [`SparseLu::refresh`], which is much cheaper than a full rebuild. A
+    /// non-linear system keeps its Newton workspace, whose next solve
+    /// refactors the held factorization for the new values.
     ///
     /// Returns `Ok(true)` when the refresh succeeded (the system now solves
     /// the new circuit), `Ok(false)` when this engine or structure cannot be
@@ -416,8 +431,16 @@ impl PreparedSystem {
     /// [`SparseLu::refresh`] (e.g. the new values made the matrix
     /// numerically singular).
     pub fn try_value_refresh(&mut self, circuit: &Circuit) -> Result<bool, CircuitError> {
-        if !self.matches_structure(circuit) || circuit.is_nonlinear() {
+        if !self.matches_structure(circuit) {
             return Ok(false);
+        }
+        if let SystemKind::Nonlinear { .. } = self.kind {
+            // The structure fingerprint covers the memristor I-V kinds, so
+            // the circuit is non-linear too; Newton linearizes it afresh on
+            // every solve and nothing but the fingerprint is stale.
+            self.fingerprint = circuit_fingerprint(circuit);
+            VALUE_REFRESHES.inc();
+            return Ok(true);
         }
         let SystemKind::Reduced {
             engine: ReducedEngine::Sparse(lu),
@@ -530,14 +553,14 @@ impl PreparedSystem {
         rhs: &Rhs,
         solved_this_batch: &mut Vec<(Vec<f64>, Vec<f64>)>,
     ) -> Result<DcSolution, CircuitError> {
-        match &self.kind {
-            SystemKind::Nonlinear => {
+        match &mut self.kind {
+            SystemKind::Nonlinear { workspace } => {
                 BATCH_FALLBACKS.inc();
                 self.last_iterations.push(0);
                 let voltages: Vec<Voltage> =
                     rhs.volts.iter().map(|&v| Voltage::from_volts(v)).collect();
                 let patched = circuit.with_source_voltages(&voltages)?;
-                crate::solve::solve_dc(&patched, &self.options.base)
+                solve_dc_in(&patched, &self.options.base, workspace)
             }
             SystemKind::FullMna { n_v, n, ops, lu } => {
                 let mut b = vec![0.0; *n];
@@ -689,9 +712,10 @@ pub fn solve_dc_batch(
 ///
 /// This is the invalidation idiom for call sites whose conductances change
 /// between batches (fault overlays, variation resamples): a value-only
-/// change on the sparse-direct engine replays the cached elimination
-/// program ([`SparseLu::refresh`] — the `solver.klu.refactor` fast path),
-/// and anything else drops the stale system and rebuilds.
+/// change on the sparse-direct engine or a non-linear system keeps the
+/// cached analysis and refactors in place
+/// ([`PreparedSystem::try_value_refresh`] — the `solver.klu.refactor` fast
+/// path), and anything else drops the stale system and rebuilds.
 ///
 /// # Errors
 ///
@@ -1192,6 +1216,7 @@ mod tests {
 
     #[test]
     fn value_only_change_refreshes_sparse_system_in_place() {
+        let _session = obs::session();
         let clean = spec(8, 8).build().unwrap(); // 128 unknowns → sparse
         let mut faulty_spec = spec(8, 8);
         faulty_spec.states[13] = Resistance::from_kilo_ohms(100.0);
@@ -1204,7 +1229,6 @@ mod tests {
             slot.as_ref().unwrap().engine_kind(),
             EngineKind::SparseDirect
         );
-        obs::set_enabled(true);
         let refreshes_before = VALUE_REFRESHES.get();
 
         // Same structure, different memristor value → refresh, not rebuild.
@@ -1303,6 +1327,38 @@ mod tests {
         let patched = xbar.circuit().with_source_voltages(&inputs).unwrap();
         let want = solve_dc(&patched, &SolveOptions::default()).unwrap();
         assert_eq!(got.voltages(), want.voltages());
+    }
+
+    #[test]
+    fn approx_bytes_counts_the_nonlinear_factorization() {
+        let _session = obs::session();
+        let linear = spec(8, 8).build().unwrap();
+        let mut sinh_spec = spec(8, 8);
+        sinh_spec.iv = IvModel::Sinh { alpha: 2.5 };
+        let nonlinear = sinh_spec.build().unwrap();
+
+        // The Jacobian has the linear system's pattern, so the linear
+        // system's sparse factor is the size to expect.
+        let linear_system = PreparedSystem::build(linear.circuit(), BatchOptions::default()).unwrap();
+        let factor_bytes = match &linear_system.kind {
+            SystemKind::Reduced {
+                engine: ReducedEngine::Sparse(lu),
+                ..
+            } => lu.lu_nnz() * 16,
+            other => panic!("expected the sparse engine, got {other:?}"),
+        };
+
+        let mut prepared =
+            PreparedSystem::build(nonlinear.circuit(), BatchOptions::default()).unwrap();
+        let before = prepared.approx_bytes();
+        prepared
+            .solve(nonlinear.circuit(), &Rhs::from_voltages(&ramp_inputs(8, 0)))
+            .unwrap();
+        let after = prepared.approx_bytes();
+        assert!(
+            after >= before + factor_bytes,
+            "{after} B after solving, {before} B before, factor alone {factor_bytes} B"
+        );
     }
 
     #[test]

@@ -13,21 +13,16 @@
 //! The factor pass records a *replay program* per column: the A-scatter
 //! list, the U-update list in topological order, and the L row list. A
 //! refactorization executes exactly that program — the same operations in
-//! the same order on new values — so unchanged values reproduce the fresh
-//! factorization bit for bit, and the only way it can diverge is the
-//! pivot-growth screen tripping, which reports [`RefactorFail`] and lets
-//! the caller fall back to a full factorization with fresh pivoting.
+//! the same order on new values — and accepts each replayed pivot only if
+//! fresh partial pivoting would pick the same one. A successful refactor
+//! is therefore bit-identical to a fresh factorization of the same values;
+//! a column where the choice would differ reports [`RefactorFail`] and
+//! lets the caller fall back to a full factorization with fresh pivoting.
 
 use crate::sparse::CscMatrix;
 
 /// Relative threshold for preferring the diagonal candidate as pivot.
 pub(crate) const PIVOT_TOL: f64 = 1e-3;
-
-/// Refactorization growth screen: the stored pivot must not fall below
-/// this fraction of its column maximum. Tripping it means partial pivoting
-/// would now choose a very different pivot — values moved too far for the
-/// cached pivot order to stay numerically safe.
-pub(crate) const GROWTH_TOL: f64 = 1e-8;
 
 const UNPIVOTED: usize = usize::MAX;
 
@@ -39,7 +34,9 @@ pub(crate) enum RefactorFail {
         /// Global permuted column index of the failing pivot.
         column: usize,
     },
-    /// The stored pivot shrank below [`GROWTH_TOL`] of its column maximum.
+    /// Fresh partial pivoting would pick a different pivot for the new
+    /// values (or could tie-break differently), so the replay would not
+    /// match a fresh factorization.
     PivotGrowth {
         /// Global permuted column index of the failing pivot.
         column: usize,
@@ -323,7 +320,7 @@ impl BlockFactor {
             if colmax == 0.0 || !colmax.is_finite() || piv_val == 0.0 {
                 return Err(RefactorFail::Singular { column: self.start + j });
             }
-            if piv_val.abs() < GROWTH_TOL * colmax {
+            if !self.fresh_pivot_agrees(j, &x, colmax) {
                 return Err(RefactorFail::PivotGrowth {
                     column: self.start + j,
                     ratio: piv_val.abs() / colmax,
@@ -344,6 +341,26 @@ impl BlockFactor {
             }
         }
         Ok(())
+    }
+
+    /// Whether [`BlockFactor::factor`]'s pivot rule, run on the work vector
+    /// `x` of local column `j`, would choose the recorded pivot. The
+    /// candidates are the pivot row plus column `j`'s L rows — the same set
+    /// the fresh pass sees, because every earlier pivot matched. The
+    /// diagonal wins whenever it is within [`PIVOT_TOL`] of `colmax`;
+    /// otherwise the fresh pass takes the first maximal candidate in reach
+    /// order, which the program does not record, so an off-diagonal pivot
+    /// is accepted only as the unique column maximum.
+    fn fresh_pivot_agrees(&self, j: usize, x: &[f64], colmax: f64) -> bool {
+        let diagonal_qualifies = x[j].abs() >= PIVOT_TOL * colmax;
+        let l_rows = &self.l_rows[self.l_ptr[j]..self.l_ptr[j + 1]];
+        if self.pivot_row[j] == j {
+            return diagonal_qualifies;
+        }
+        let diagonal_is_candidate = l_rows.contains(&j);
+        !(diagonal_is_candidate && diagonal_qualifies)
+            && x[self.pivot_row[j]].abs() == colmax
+            && l_rows.iter().all(|&r| x[r].abs() < colmax)
     }
 
     /// Solves the block system `B y = w` in place: `w` enters holding the

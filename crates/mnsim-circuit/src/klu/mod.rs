@@ -16,18 +16,21 @@
 //! Steps 1–2 plus the replay program are the *symbolic* work, done once
 //! per sparsity pattern ([`SymbolicAnalysis`] + the program cached inside
 //! [`SparseLu`]). When only values change — fault overlays, variation
-//! sweeps, weight reprogramming — [`SparseLu::refactor`] redoes only the
-//! numeric pass over the cached pivot order at a fraction of the cost, and
-//! [`SparseLu::refresh`] adds the contractual fallback: a pivot-growth or
-//! singularity failure triggers one full refactorization with fresh
-//! pivoting before giving up.
+//! sweeps, weight reprogramming, Newton re-linearization, transient steps
+//! — [`SparseLu::refactor`] redoes only the numeric pass over the cached
+//! pivot order at a fraction of the cost, and [`SparseLu::refresh`] adds
+//! the contractual fallback: a column where fresh pivoting would choose a
+//! different pivot, or a vanished pivot, triggers one full refactorization
+//! with fresh pivoting before giving up.
 //!
-//! On the symmetric diagonally-dominant systems crossbar stamping
-//! produces, diagonal preference always keeps the diagonal pivot, so
-//! `refactor` is **bit-identical** to a fresh `factor` on the same values
-//! — the property that lets the batched fault path cache factorizations
-//! without breaking the workspace-wide "bit-identical at any thread
-//! count" contract.
+//! A refactor accepts a replayed pivot only if fresh partial pivoting
+//! would choose it too, so a successful `refactor` is **bit-identical** to
+//! a fresh `factor` on the same values. On the symmetric
+//! diagonally-dominant systems crossbar stamping produces, diagonal
+//! preference always keeps the diagonal pivot and the fallback never
+//! fires. That identity lets Newton loops, transient runs and the batched
+//! fault path reuse one factorization without breaking the
+//! workspace-wide "bit-identical at any thread count" contract.
 //!
 //! Everything here is deterministic: no randomization, ties broken by
 //! index, identical inputs give identical factors on every run.
@@ -65,8 +68,9 @@ pub enum RefactorError {
         /// Permuted column index of the vanished pivot.
         at: usize,
     },
-    /// The stored pivot fell below the growth threshold relative to its
-    /// column maximum; fresh partial pivoting would choose differently.
+    /// Fresh partial pivoting would choose a different pivot for the new
+    /// values, so replaying the cached order would not reproduce a fresh
+    /// factorization.
     PivotGrowth {
         /// Permuted column index of the failing pivot.
         column: usize,
@@ -264,8 +268,8 @@ impl SparseLu {
     ///
     /// [`RefactorError::PatternChanged`] if `a` is not
     /// refactorization-compatible; [`RefactorError::Singular`] /
-    /// [`RefactorError::PivotGrowth`] when the new values defeat the
-    /// cached pivots.
+    /// [`RefactorError::PivotGrowth`] when fresh pivoting would choose
+    /// differently for the new values.
     pub fn refactor(&mut self, a: &CscMatrix) -> Result<(), RefactorError> {
         if !self.symbolic.compatible_with(a) {
             return Err(RefactorError::PatternChanged);
@@ -281,9 +285,10 @@ impl SparseLu {
     }
 
     /// Value refresh with the contractual fallback: try [`SparseLu::refactor`],
-    /// and on pivot-growth or numeric-singularity failure redo a full
-    /// factorization with fresh pivoting (same symbolic analysis). Returns
-    /// `true` when the fast path sufficed.
+    /// and on a pivot mismatch or numeric singularity redo a full
+    /// factorization with fresh pivoting (same symbolic analysis). Either
+    /// way the result is bit-identical to [`SparseLu::factor`] on `a`.
+    /// Returns `true` when the fast path sufficed.
     ///
     /// # Errors
     ///
@@ -516,6 +521,23 @@ mod tests {
         let x_ref = solve_dense_ref(&a2, &[1.0, 2.0]);
         for (xi, ri) in x.iter().zip(&x_ref) {
             assert!((xi - ri).abs() < 1e-9, "{xi} vs {ri}");
+        }
+    }
+
+    #[test]
+    fn refresh_matches_fresh_factor_when_the_pivot_choice_changes() {
+        // The diagonal of column 0 shrinks to 1e-5 of the column maximum:
+        // a value the old 1e-8 growth screen let through, but below the
+        // 1e-3 diagonal preference, so fresh pivoting swaps rows.
+        let a1 = csc(2, &[(0, 0, 4.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 4.0)]);
+        let a2 = csc(2, &[(0, 0, 1e-5), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 4.0)]);
+        let mut lu = SparseLu::factor(&a1).expect("factors");
+        assert!(matches!(lu.refactor(&a2), Err(RefactorError::PivotGrowth { .. })));
+        assert!(!lu.refresh(&a2).expect("fallback succeeds"));
+        let fresh = SparseLu::factor(&a2).expect("factors");
+        let b = [1.0, 2.0];
+        for (r, f) in lu.solve(&b).iter().zip(&fresh.solve(&b)) {
+            assert_eq!(r.to_bits(), f.to_bits());
         }
     }
 

@@ -12,7 +12,9 @@
 //!    by Newton-Raphson: each memristor is replaced by its companion model
 //!    (differential conductance + equivalent current source) at the present
 //!    operating point and the linear solve is repeated until the node
-//!    voltages stop moving.
+//!    voltages stop moving. Every iteration stamps the same sparsity
+//!    pattern, so the sparse-direct path analyzes it once and refactors
+//!    the cached factorization in place ([`SparseWorkspace`]).
 
 use std::collections::HashMap;
 
@@ -30,8 +32,9 @@ static LINEAR_FULL_MNA: obs::Counter = obs::Counter::new("circuit.solve.full_mna
 static NEWTON_ITERATIONS: obs::Counter = obs::Counter::new("circuit.solve.newton_iterations");
 use crate::dense::DenseMatrix;
 use crate::error::CircuitError;
+use crate::klu::SparseLu;
 use crate::mna::{Circuit, DcSolution, Element};
-use crate::sparse::TripletMatrix;
+use crate::sparse::{CscMatrix, TripletMatrix};
 
 /// Linear-solver selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -108,6 +111,60 @@ pub(crate) fn auto_engine(unknowns: usize) -> LinearEngine {
     }
 }
 
+/// The sparse-direct factorization one circuit structure carries from one
+/// linear solve to the next: across the Newton iterations of a DC solve,
+/// the steps of a transient run, and the reads of a nonlinear
+/// [`crate::batch::PreparedSystem`].
+///
+/// The first solve analyzes (BTF + AMD) and factors. A later matrix with
+/// the same sparsity pattern refreshes the factor in place through
+/// [`SparseLu::refresh`], or reuses it untouched when its values are
+/// bit-identical to the factored ones; a changed pattern is analyzed
+/// afresh. A refresh is bit-identical to a fresh factorization, so the
+/// solutions never depend on what the workspace solved before.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SparseWorkspace {
+    lu: Option<SparseLu>,
+    /// The values `lu` factors; empty while `lu` is absent or unusable.
+    values: Vec<f64>,
+}
+
+impl SparseWorkspace {
+    /// Solves `a x = b`, factoring `a` as cheaply as the cached state
+    /// allows.
+    pub(crate) fn solve(&mut self, a: &CscMatrix, b: &[f64]) -> Result<Vec<f64>, CircuitError> {
+        match &mut self.lu {
+            Some(lu) if lu.symbolic().compatible_with(a) => {
+                if self.values != a.values() {
+                    // A failed refresh leaves the factor unusable; the
+                    // cleared values make the next solve refresh again.
+                    self.values.clear();
+                    lu.refresh(a)?;
+                    self.values.extend_from_slice(a.values());
+                }
+                Ok(lu.solve(b))
+            }
+            slot => {
+                // Release the old factor before building its replacement.
+                *slot = None;
+                self.values.clear();
+                let lu = slot.insert(SparseLu::factor(a)?);
+                self.values.extend_from_slice(a.values());
+                Ok(lu.solve(b))
+            }
+        }
+    }
+
+    /// Rough resident size in bytes: the held factor plus the values it
+    /// factors.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        self.lu
+            .as_ref()
+            .map_or(0, |lu| lu.lu_nnz() * 16 + lu.n() * 24)
+            + self.values.len() * 8
+    }
+}
+
 /// One linearized conductive branch: `I(n1→n2) = g·(v1 − v2) + i_eq`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Linearized {
@@ -124,28 +181,42 @@ pub(crate) struct Linearized {
 /// [`CircuitError::NewtonNoConvergence`]) and topology errors (a node driven
 /// by two conflicting sources, CG requested for floating sources).
 pub fn solve_dc(circuit: &Circuit, options: &SolveOptions) -> Result<DcSolution, CircuitError> {
+    solve_dc_in(circuit, options, &mut SparseWorkspace::default())
+}
+
+/// [`solve_dc`] on a caller-held [`SparseWorkspace`], so repeated solves of
+/// one structure share its analysis.
+pub(crate) fn solve_dc_in(
+    circuit: &Circuit,
+    options: &SolveOptions,
+    workspace: &mut SparseWorkspace,
+) -> Result<DcSolution, CircuitError> {
     let _span = DC_SPAN.enter();
     let _trace_span = obs::trace::span("circuit.solve_dc", obs::trace::Level::Stage);
     DC_SOLVES.inc();
     if circuit.is_nonlinear() {
-        solve_newton(circuit, options)
+        solve_newton(circuit, options, workspace)
     } else {
         let lin = linearize(circuit, None);
-        let voltages = solve_linear(circuit, &lin, options)?;
+        let voltages = solve_linear(circuit, &lin, options, workspace)?;
         finish(circuit, &lin, voltages)
     }
 }
 
 /// Newton-Raphson outer loop for circuits with non-linear memristors.
-fn solve_newton(circuit: &Circuit, options: &SolveOptions) -> Result<DcSolution, CircuitError> {
+fn solve_newton(
+    circuit: &Circuit,
+    options: &SolveOptions,
+    workspace: &mut SparseWorkspace,
+) -> Result<DcSolution, CircuitError> {
     // Initial operating point: every memristor at its low-field resistance.
     let lin0 = linearize(circuit, None);
-    let mut voltages = solve_linear(circuit, &lin0, options)?;
+    let mut voltages = solve_linear(circuit, &lin0, options, workspace)?;
 
     for _ in 0..options.newton_max_iterations {
         NEWTON_ITERATIONS.inc();
         let lin = linearize(circuit, Some(&voltages));
-        let next = solve_linear(circuit, &lin, options)?;
+        let next = solve_linear(circuit, &lin, options, workspace)?;
         let max_update = voltages
             .iter()
             .zip(&next)
@@ -247,47 +318,29 @@ fn classify_sources(circuit: &Circuit) -> Result<SourceInfo, CircuitError> {
 }
 
 /// Solves the linearized circuit, returning the full node-voltage vector.
+/// The sparse-direct engine factors through `workspace`.
 pub(crate) fn solve_linear(
     circuit: &Circuit,
     lin: &[Option<Linearized>],
     options: &SolveOptions,
+    workspace: &mut SparseWorkspace,
 ) -> Result<Vec<f64>, CircuitError> {
     let sources = classify_sources(circuit)?;
-    let reduced_ok = sources.all_grounded;
-
-    match options.method {
-        Method::Cg => {
-            if !reduced_ok {
-                return Err(CircuitError::InvalidElement {
-                    reason: "conjugate-gradient path requires all voltage sources grounded"
-                        .into(),
-                });
-            }
-            solve_reduced(circuit, lin, &sources, options, LinearEngine::Cg)
+    if !sources.all_grounded {
+        if options.method == Method::Cg {
+            return Err(CircuitError::InvalidElement {
+                reason: "conjugate-gradient path requires all voltage sources grounded".into(),
+            });
         }
-        Method::DenseLu => {
-            if reduced_ok {
-                solve_reduced(circuit, lin, &sources, options, LinearEngine::Dense)
-            } else {
-                solve_full_mna(circuit, lin)
-            }
-        }
-        Method::SparseLu => {
-            if reduced_ok {
-                solve_reduced(circuit, lin, &sources, options, LinearEngine::Sparse)
-            } else {
-                solve_full_mna(circuit, lin)
-            }
-        }
-        Method::Auto => {
-            if reduced_ok {
-                let unknowns = circuit.node_count() - 1 - sources.driven.len();
-                solve_reduced(circuit, lin, &sources, options, auto_engine(unknowns))
-            } else {
-                solve_full_mna(circuit, lin)
-            }
-        }
+        return solve_full_mna(circuit, lin);
     }
+    let engine = match options.method {
+        Method::Cg => LinearEngine::Cg,
+        Method::DenseLu => LinearEngine::Dense,
+        Method::SparseLu => LinearEngine::Sparse,
+        Method::Auto => auto_engine(circuit.node_count() - 1 - sources.driven.len()),
+    };
+    solve_reduced(circuit, lin, &sources, options, engine, workspace)
 }
 
 /// Reduced nodal solve: unknowns are all nodes that are neither ground nor
@@ -298,6 +351,7 @@ fn solve_reduced(
     sources: &SourceInfo,
     options: &SolveOptions,
     engine: LinearEngine,
+    workspace: &mut SparseWorkspace,
 ) -> Result<Vec<f64>, CircuitError> {
     let n_nodes = circuit.node_count();
     // Map node → unknown index.
@@ -365,8 +419,7 @@ fn solve_reduced(
             }
             LinearEngine::Sparse => {
                 LINEAR_SPARSE.inc();
-                let csc = triplets.to_csc();
-                crate::klu::SparseLu::factor(&csc)?.solve(&b)
+                workspace.solve(&triplets.to_csc(), &b)?
             }
             LinearEngine::Cg => {
                 LINEAR_CG.inc();
@@ -582,10 +635,119 @@ pub(crate) fn finish(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crossbar::{CrossbarCircuit, CrossbarSpec};
     use mnsim_tech::units::{Current, Resistance, Voltage};
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "{a} != {b} (tol {tol})");
+    }
+
+    /// An 8×8 sinh crossbar with distinct cells and inputs: 128 unknowns,
+    /// so `Method::Auto` takes the sparse-direct path.
+    fn sinh_crossbar() -> CrossbarCircuit {
+        let mut spec = CrossbarSpec::uniform(
+            8,
+            8,
+            Resistance::from_kilo_ohms(10.0),
+            Resistance::from_ohms(2.0),
+            Resistance::from_ohms(500.0),
+            Voltage::from_volts(1.0),
+        );
+        spec.iv = IvModel::Sinh { alpha: 2.5 };
+        for (k, state) in spec.states.iter_mut().enumerate() {
+            *state = Resistance::from_ohms(5_000.0 + 250.0 * ((k * 37) % 61) as f64);
+        }
+        for (k, input) in spec.inputs.iter_mut().enumerate() {
+            *input = Voltage::from_volts(0.3 + 0.09 * k as f64);
+        }
+        spec.build().unwrap()
+    }
+
+    #[test]
+    fn shared_workspace_newton_is_bit_identical_to_fresh_factors() {
+        let _session = obs::session();
+        let xbar = sinh_crossbar();
+        let circuit = xbar.circuit();
+        let options = SolveOptions::default();
+
+        // The reference: the same Newton loop, analyzing and factoring
+        // every linearization from scratch.
+        let fresh = |lin: &[Option<Linearized>]| {
+            solve_linear(circuit, lin, &options, &mut SparseWorkspace::default()).unwrap()
+        };
+        let mut voltages = fresh(&linearize(circuit, None));
+        let mut iterations = 0;
+        loop {
+            iterations += 1;
+            let next = fresh(&linearize(circuit, Some(&voltages)));
+            let max_update = voltages
+                .iter()
+                .zip(&next)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0f64, f64::max);
+            voltages = next;
+            if max_update < options.newton_tolerance {
+                break;
+            }
+            assert!(
+                iterations < options.newton_max_iterations,
+                "reference diverged"
+            );
+        }
+        assert!(iterations >= 3, "only {iterations} Newton iterations");
+
+        let mut workspace = SparseWorkspace::default();
+        let shared = solve_dc_in(circuit, &options, &mut workspace).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(shared.voltages()), bits(&voltages));
+        // A second solve on the warm workspace refactors the factor the
+        // first one left behind, and still matches.
+        let again = solve_dc_in(circuit, &options, &mut workspace).unwrap();
+        assert_eq!(bits(again.voltages()), bits(&voltages));
+    }
+
+    #[test]
+    fn workspace_reanalyzes_a_changed_pattern_instead_of_failing() {
+        let _session = obs::session();
+        let xbar = sinh_crossbar();
+        let circuit = xbar.circuit();
+        let options = SolveOptions::default();
+        let driven: Vec<usize> = circuit
+            .elements()
+            .iter()
+            .filter_map(|e| match e {
+                Element::VoltageSource { npos, .. } => Some(*npos),
+                _ => None,
+            })
+            .collect();
+        let unknown = |n: usize| n != Circuit::GROUND && !driven.contains(&n);
+        let wire = circuit
+            .elements()
+            .iter()
+            .position(
+                |e| matches!(e, Element::Resistor { n1, n2, .. } if unknown(*n1) && unknown(*n2)),
+            )
+            .unwrap();
+
+        // A zero conductance drops the wire's off-diagonal pair from the
+        // stamped pattern: the next linearization no longer fits the
+        // cached analysis.
+        let lin = linearize(circuit, None);
+        let mut cut = lin.clone();
+        cut[wire] = Some(Linearized { g: 0.0, ieq: 0.0 });
+
+        let mut workspace = SparseWorkspace::default();
+        solve_linear(circuit, &lin, &options, &mut workspace).unwrap();
+        let first_pattern = workspace.lu.as_ref().unwrap().symbolic().pattern_hash();
+        let x = solve_linear(circuit, &cut, &options, &mut workspace).unwrap();
+        let second_pattern = workspace.lu.as_ref().unwrap().symbolic().pattern_hash();
+        assert_ne!(
+            first_pattern, second_pattern,
+            "the changed pattern was not re-analyzed"
+        );
+
+        let want = solve_linear(circuit, &cut, &options, &mut SparseWorkspace::default()).unwrap();
+        assert_eq!(x, want);
     }
 
     #[test]

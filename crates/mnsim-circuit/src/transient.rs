@@ -14,10 +14,15 @@
 //! including the per-step Newton loop when non-linear memristors are
 //! present. Backward Euler is unconditionally stable (L-stable), the right
 //! choice for the stiff RC meshes of crossbars.
+//!
+//! Every step stamps the same sparsity pattern, so the whole run shares
+//! one sparse factorization: a linear mesh with a fixed step stamps
+//! bit-identical values every step and factors once, while non-linear
+//! circuits refactor it in place per Newton pass.
 
 use crate::error::CircuitError;
 use crate::mna::{non_positive, Circuit, Element, NodeId};
-use crate::solve::{self, Linearized, SolveOptions};
+use crate::solve::{self, Linearized, SolveOptions, SparseWorkspace};
 use mnsim_tech::units::Time;
 
 /// Options for [`solve_transient`].
@@ -143,6 +148,7 @@ pub fn solve_transient(
 
     let nonlinear = circuit.is_nonlinear();
     let mut prev = vec![0.0; n];
+    let mut workspace = SparseWorkspace::default();
 
     for step in 1..=steps {
         // Newton loop (a single pass suffices for linear circuits).
@@ -154,7 +160,7 @@ pub fn solve_transient(
         };
         for _ in 0..passes {
             let lin = linearize_with_companions(circuit, &iterate, &prev, dt, nonlinear);
-            iterate = solve::solve_linear(circuit, &lin, &options.dc)?;
+            iterate = solve::solve_linear(circuit, &lin, &options.dc, &mut workspace)?;
         }
         prev = iterate;
         times.push(step as f64 * dt);

@@ -95,9 +95,10 @@ pub fn measure_variation(
     let mut mean = 0.0;
     let mut min = f64::INFINITY;
     let mut max = f64::NEG_INFINITY;
-    // Every run resamples the cell resistances, which invalidates any cached
-    // factorization: `prepare_or_reuse` notices the changed conductance
-    // fingerprint and rebuilds rather than ever solving a stale system.
+    // Every run resamples the cell resistances, a value-only change of one
+    // structure: `prepare_or_reuse` notices the changed conductance
+    // fingerprint and refactors the cached factorization for the new values
+    // (or rebuilds when it cannot), never solving a stale system.
     let mut prepared_slot: Option<PreparedSystem> = None;
     let batch_options = BatchOptions::default();
     for _ in 0..runs {

@@ -193,6 +193,18 @@ impl ArtifactCache {
 
     /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&self, key: u64) -> Option<Artifact> {
+        self.lookup(key, true)
+    }
+
+    /// [`ArtifactCache::get`] that records only hits. For a pre-check
+    /// whose miss hands the key to code that looks it up again with `get`
+    /// (a server answering hits before queueing a [`crate::Session`] job),
+    /// so each missed request counts one miss, not two.
+    pub fn probe(&self, key: u64) -> Option<Artifact> {
+        self.lookup(key, false)
+    }
+
+    fn lookup(&self, key: u64, count_miss: bool) -> Option<Artifact> {
         let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
@@ -205,8 +217,10 @@ impl ArtifactCache {
                 Some(artifact)
             }
             None => {
-                inner.misses += 1;
-                CACHE_MISSES.add(1);
+                if count_miss {
+                    inner.misses += 1;
+                    CACHE_MISSES.add(1);
+                }
                 None
             }
         }
@@ -310,6 +324,18 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.insertions, 2);
         assert_eq!(stats.entries, 2);
+    }
+
+    #[test]
+    fn probe_counts_hits_but_not_misses() {
+        let cache = ArtifactCache::with_budget(10_000);
+        assert!(cache.probe(1).is_none());
+        assert!(cache.get(1).is_none());
+        cache.insert(1, payload(100));
+        assert!(cache.probe(1).is_some());
+        let stats = cache.stats();
+        assert_eq!(stats.hits, 1);
+        assert_eq!(stats.misses, 1);
     }
 
     #[test]

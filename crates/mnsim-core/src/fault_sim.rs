@@ -199,13 +199,14 @@ fn trial_seed(master: u64, trial: usize) -> u64 {
 thread_local! {
     /// Per-worker prepared-system cache for the representative crossbar.
     /// Successive trials on a worker differ only in element *values*
-    /// (defect overlays swap resistances, never topology), so the
-    /// sparse-direct engine refreshes its cached factorization in place
-    /// (the `solver.klu.refactor` fast path) instead of re-analyzing the
+    /// (defect overlays swap resistances, never topology), so the cached
+    /// sparse factorization — the sparse-direct engine's, or on sinh cells
+    /// the Newton workspace's — is refactored in place (the
+    /// `solver.klu.refactor` fast path) instead of re-analyzing the
     /// structure every trial. Thread-count invariance holds because a
-    /// refreshed factorization is bit-identical to a cold one on these
-    /// diagonally dominant systems — it does not matter which trials
-    /// happened to share a worker.
+    /// refreshed factorization is bit-identical to a cold one (a replayed
+    /// pivot is kept only where fresh pivoting would choose it) — it does
+    /// not matter which trials happened to share a worker.
     static TRIAL_SLOT: RefCell<Option<PreparedSystem>> = const { RefCell::new(None) };
 }
 

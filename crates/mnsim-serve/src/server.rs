@@ -488,8 +488,9 @@ fn handle_submit(
             return;
         }
     };
-    // Serve directly from the cache when the artifact already exists.
-    if let Some(artifact) = shared.cache.get(key) {
+    // Serve directly from the cache when the artifact already exists. A
+    // miss is left uncounted: the job's `Session` lookup counts it.
+    if let Some(artifact) = shared.cache.probe(key) {
         if let Some(result) = artifact_result_json(&artifact) {
             shared.respond(writer, &response_line(id, "hit", Some(key), &result));
             return;

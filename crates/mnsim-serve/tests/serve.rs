@@ -357,6 +357,48 @@ fn concurrent_clients_get_bit_identical_results() {
     });
 }
 
+/// A missed request counts one cache miss, not two: the server's
+/// pre-queue check records hits only, and the job's own lookup records
+/// the miss.
+#[test]
+fn distinct_requests_count_one_miss_each() {
+    let _guard = lock();
+    with_server(options("misses"), |path| {
+        let mut client = Client::connect(path).expect("connects");
+        let widths = [32, 48, 64, 80];
+        for (id, width) in widths.iter().enumerate() {
+            let req = format!(
+                "{{\"type\":\"request\",\"id\":{id},\"op\":\"simulate\",\"mlp\":[{width},16]}}"
+            );
+            let outcome = client.call(&req).expect("call completes");
+            assert_ok(&outcome.response);
+            assert_eq!(cache_kind(&outcome.response), "miss");
+        }
+        let repeat = client
+            .call(r#"{"type":"request","id":9,"op":"simulate","mlp":[32,16]}"#)
+            .unwrap();
+        assert_eq!(cache_kind(&repeat.response), "hit");
+
+        let stats = client
+            .call(r#"{"type":"request","id":10,"op":"stats"}"#)
+            .unwrap();
+        let value = parse_json(&stats.response).unwrap();
+        let cache = value.get("result").and_then(|r| r.get("cache")).unwrap();
+        assert_eq!(
+            cache.get("misses").and_then(JsonValue::as_u64),
+            Some(widths.len() as u64),
+            "{}",
+            stats.response
+        );
+        assert_eq!(
+            cache.get("hits").and_then(JsonValue::as_u64),
+            Some(1),
+            "{}",
+            stats.response
+        );
+    });
+}
+
 /// Satellite 4, part 2: a pathologically small budget evicts every
 /// artifact immediately, yet never corrupts an in-flight job — every
 /// response is still correct and bit-identical.

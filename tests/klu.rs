@@ -3,12 +3,18 @@
 //! near machine precision, the cached symbolic analysis must satisfy its
 //! structural invariants, value-only refactorization must be bit-identical
 //! to a fresh factorization, singular systems must surface as typed errors
-//! (never NaN or a hang), and fault campaigns must actually hit the
-//! refactor fast path per trial.
+//! (never NaN or a hang), and every repeated solve of one structure —
+//! Newton iterations, transient steps, prepared-system reads and fault
+//! trials — must analyze it once and refactor in place.
+//!
+//! Every test holds the [`mnsim::obs::session`] lock while it runs solver
+//! code, so no test's counters can leak into another's measured window.
 
+use mnsim::circuit::batch::{prepare_or_reuse, BatchOptions, EngineKind, PreparedSystem, Rhs};
 use mnsim::circuit::crossbar::CrossbarSpec;
 use mnsim::circuit::solve::{solve_dc, Method, SolveOptions};
 use mnsim::circuit::sparse::TripletMatrix;
+use mnsim::circuit::transient::{solve_transient, TransientOptions};
 use mnsim::circuit::{analyze, solve_robust, RobustOptions, SparseLu};
 use mnsim::circuit::CircuitError;
 use mnsim::core::config::Config;
@@ -17,7 +23,7 @@ use mnsim::core::fault_sim::{simulate_with_faults_with, FaultConfig};
 use mnsim::obs;
 use mnsim::tech::fault::FaultRates;
 use mnsim::tech::memristor::IvModel;
-use mnsim::tech::units::{Resistance, Voltage};
+use mnsim::tech::units::{Capacitance, Resistance, Time, Voltage};
 use proptest::prelude::*;
 
 /// Deterministic xorshift uniform in `[0, 1)`.
@@ -83,6 +89,7 @@ proptest! {
         cols in 1usize..7,
         seed in 0u64..1_000_000,
     ) {
+        let _session = obs::session();
         let built = random_crossbar(rows, cols, seed).build().expect("valid crossbar");
         let solve_with = |method: Method| {
             let options = SolveOptions { method, ..SolveOptions::default() };
@@ -108,6 +115,7 @@ proptest! {
         n in 2usize..48,
         seed in 0u64..1_000_000,
     ) {
+        let _session = obs::session();
         let a = random_sdd_csc(n, seed);
         let analysis = analyze(&a).expect("SDD matrix is structurally nonsingular");
         prop_assert_eq!(analysis.n(), n);
@@ -161,6 +169,7 @@ proptest! {
         n in 2usize..40,
         seed in 0u64..1_000_000,
     ) {
+        let _session = obs::session();
         let a = random_sdd_csc(n, seed);
         // Same pattern, scaled values: what a fault overlay or reprogram
         // does to the reduced system.
@@ -197,6 +206,7 @@ proptest! {
 /// node with no DC path anywhere) is built directly here.
 #[test]
 fn floating_node_is_a_typed_singular_error() {
+    let session = obs::session();
     let built = random_crossbar(3, 3, 42).build().unwrap();
     let mut circuit = built.circuit().clone();
     circuit.add_node(); // no element ever touches it: zero diagonal row
@@ -215,7 +225,6 @@ fn floating_node_is_a_typed_singular_error() {
     // The recovery ladder tries every rung, records the sparse rung's
     // early escalation (SingularPivot guard), and returns the typed error
     // once the ladder is exhausted.
-    let session = obs::session();
     let result = solve_robust(&circuit, &RobustOptions::default());
     let snap = session.snapshot();
     match result {
@@ -230,17 +239,13 @@ fn floating_node_is_a_typed_singular_error() {
     assert_eq!(snap.counter("circuit.recovery.exhausted"), 1);
 }
 
-/// Acceptance: per-trial value-only updates in a fault campaign hit the
-/// `refactor()` fast path — visible as `solver.klu.refactor` increments —
-/// instead of rebuilding the prepared system from scratch every trial.
-#[test]
-fn fault_campaign_hits_the_refactor_fast_path() {
+/// Runs a six-trial stuck-at campaign (two reads per trial) on an 8×8
+/// array of `iv` cells and returns its counters.
+fn fault_campaign_counters(iv: IvModel) -> obs::MetricsSnapshot {
     let session = obs::session();
     let mut config = Config::fully_connected_mlp(&[8, 8]).unwrap();
     config.crossbar_size = 8;
-    // Ohmic cells keep the trial circuits linear so the sparse engine —
-    // not the Newton loop — owns the per-trial solves.
-    config.device.iv = IvModel::Linear;
+    config.device.iv = iv;
     let fault_config = FaultConfig {
         rates: FaultRates::stuck_at(0.05),
         trials: 6,
@@ -252,8 +257,17 @@ fn fault_campaign_hits_the_refactor_fast_path() {
         ..FaultConfig::default()
     };
     simulate_with_faults_with(&config, &fault_config, &ExecOptions::serial()).unwrap();
+    session.snapshot()
+}
 
-    let snap = session.snapshot();
+/// Acceptance: per-trial value-only updates in a fault campaign hit the
+/// `refactor()` fast path — visible as `solver.klu.refactor` increments —
+/// instead of rebuilding the prepared system from scratch every trial.
+#[test]
+fn fault_campaign_hits_the_refactor_fast_path() {
+    // Ohmic cells keep the trial circuits linear so the sparse engine —
+    // not the Newton loop — owns the per-trial solves.
+    let snap = fault_campaign_counters(IvModel::Linear);
     assert_eq!(snap.counter("core.fault.trials"), 6);
     // The first trial factors cold; each later trial's fault map is a
     // value-only change on the same structure, so all five must refresh
@@ -272,4 +286,112 @@ fn fault_campaign_hits_the_refactor_fast_path() {
     // And refreshing is strictly cheaper than re-analyzing: symbolic
     // analyses stay well below one per trial solve.
     assert!(snap.counter("solver.klu.analyses") < snap.counter("solver.klu.solves"));
+}
+
+/// The same campaign on sinh cells: every read is a Newton solve, and the
+/// per-worker prepared system keeps its Newton workspace across trials,
+/// so each fault map is a value-only overlay that refactors one cached
+/// analysis instead of rebuilding.
+#[test]
+fn sinh_fault_campaign_refactors_one_analysis_across_trials() {
+    let snap = fault_campaign_counters(IvModel::Sinh { alpha: 2.5 });
+    assert_eq!(snap.counter("core.fault.trials"), 6);
+    assert_eq!(snap.counter("circuit.batch.value_refreshes"), 5);
+    assert_eq!(snap.counter("circuit.batch.invalidations"), 0);
+    // One analysis per structure owner: the clean reference solve, the
+    // clean extra-read system, and the trial slot.
+    assert_eq!(snap.counter("solver.klu.analyses"), 3);
+    assert_eq!(snap.counter("solver.klu.factors"), 3);
+    assert_eq!(snap.counter("solver.klu.refactor_fallbacks"), 0);
+    assert!(
+        snap.counter("solver.klu.refactor") >= snap.counter("circuit.solve.newton_iterations"),
+        "every Newton iteration must refactor in place",
+    );
+}
+
+/// An 8×8 array (128 unknowns, so `Method::Auto` picks the sparse-direct
+/// engine) of sinh cells.
+fn sinh_crossbar(seed: u64) -> CrossbarSpec {
+    let mut spec = random_crossbar(8, 8, seed);
+    spec.iv = IvModel::Sinh { alpha: 2.5 };
+    spec
+}
+
+/// A non-linear DC solve analyzes its Jacobian pattern once: the initial
+/// low-field solve factors it, and every Newton iteration refactors.
+#[test]
+fn newton_solve_analyzes_once_and_refactors_every_iteration() {
+    let session = obs::session();
+    let built = sinh_crossbar(11).build().unwrap();
+    solve_dc(built.circuit(), &SolveOptions::default()).expect("Newton converges");
+
+    let snap = session.snapshot();
+    let iterations = snap.counter("circuit.solve.newton_iterations");
+    assert!(iterations >= 2, "only {iterations} Newton iterations");
+    assert_eq!(snap.counter("solver.klu.analyses"), 1);
+    assert_eq!(snap.counter("solver.klu.factors"), 1);
+    assert_eq!(snap.counter("solver.klu.refactor"), iterations);
+    assert_eq!(snap.counter("solver.klu.solves"), iterations + 1);
+}
+
+/// A linear RC mesh with a fixed step stamps the same matrix every step:
+/// one analysis and one factorization serve the whole run.
+#[test]
+fn linear_rc_transient_factors_once() {
+    let session = obs::session();
+    let mut xbar = random_crossbar(8, 8, 5).build().unwrap();
+    xbar.add_node_capacitance(Capacitance::from_femtofarads(20.0))
+        .unwrap();
+    let steps = 40;
+    let options = TransientOptions::step_response(Time::from_nanoseconds(5.0), steps);
+    solve_transient(xbar.circuit(), &options).unwrap();
+
+    let snap = session.snapshot();
+    assert_eq!(snap.counter("solver.klu.analyses"), 1);
+    assert_eq!(snap.counter("solver.klu.factors"), 1);
+    assert_eq!(snap.counter("solver.klu.refactor"), 0);
+    assert_eq!(snap.counter("solver.klu.solves"), steps as u64);
+}
+
+/// A non-linear prepared system shares one analysis across its reads and
+/// across a value-only overlay, and still answers exactly like per-read
+/// `solve_dc` calls.
+#[test]
+fn nonlinear_prepared_system_shares_one_analysis_across_reads_and_overlays() {
+    let session = obs::session();
+    let clean_spec = sinh_crossbar(23);
+    let mut faulty_spec = clean_spec.clone();
+    faulty_spec.states[13] = Resistance::from_kilo_ohms(100.0);
+    let clean = clean_spec.build().unwrap();
+    let faulty = faulty_spec.build().unwrap();
+    let reads: Vec<Vec<Voltage>> = (0..4)
+        .map(|k| {
+            (0..8)
+                .map(|i| Voltage::from_volts(0.3 + 0.07 * ((i + k) % 8) as f64))
+                .collect()
+        })
+        .collect();
+    let rhs: Vec<Rhs> = reads.iter().map(|r| clean.input_rhs(r).unwrap()).collect();
+
+    let options = BatchOptions::default();
+    let mut slot: Option<PreparedSystem> = None;
+    let prepared = prepare_or_reuse(&mut slot, clean.circuit(), &options).unwrap();
+    assert_eq!(prepared.engine_kind(), EngineKind::Nonlinear);
+    prepared.solve_batch(clean.circuit(), &rhs).unwrap();
+    let overlaid = prepare_or_reuse(&mut slot, faulty.circuit(), &options)
+        .unwrap()
+        .solve_batch(faulty.circuit(), &rhs)
+        .unwrap();
+
+    let snap = session.snapshot();
+    assert_eq!(snap.counter("solver.klu.analyses"), 1);
+    assert_eq!(snap.counter("circuit.batch.prepared_builds"), 1);
+    assert_eq!(snap.counter("circuit.batch.invalidations"), 0);
+    assert_eq!(snap.counter("circuit.batch.value_refreshes"), 1);
+
+    for (read, got) in reads.iter().zip(&overlaid) {
+        let patched = faulty.circuit().with_source_voltages(read).unwrap();
+        let want = solve_dc(&patched, &SolveOptions::default()).unwrap();
+        assert_eq!(got.voltages(), want.voltages());
+    }
 }

@@ -172,13 +172,14 @@ fn parallel_dse_error_still_evaluates_every_point() {
         explore_with(&base, &space, &Constraints::default(), &ExecOptions::with_threads(2))
             .unwrap_err();
     let snap = session.snapshot();
-    drop(session);
 
     // All four combinations were attempted despite the mid-chunk failure.
     assert_eq!(snap.counter("core.dse.points"), 4);
     assert_eq!(snap.counter("core.dse.errors"), 1);
 
-    // And the reported error is the one serial traversal reports.
+    // And the reported error is the one serial traversal reports. The
+    // session stays open: the serial sweep is instrumented too, and outside
+    // it its counts would land in whatever session another test has open.
     let serial_err = explore(&base, &space, &Constraints::default()).unwrap_err();
     assert_eq!(err.to_string(), serial_err.to_string());
 }

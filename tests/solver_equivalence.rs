@@ -23,6 +23,9 @@
 //! 4. **Dispatch** — under [`Method::Auto`] the engine choice is a pure
 //!    function of structure size: dense below 96 unknowns, sparse-direct
 //!    above, checked through [`PreparedSystem::engine_kind`].
+//!
+//! Every test holds the [`mnsim::obs::session`] lock while it runs solver
+//! code, so no test's counters can leak into another's measured window.
 
 use mnsim::circuit::batch::{
     prepare_or_reuse, solve_dc_batch, BatchOptions, EngineKind, PreparedSystem, Rhs, WarmStart,
@@ -70,11 +73,12 @@ fn check_crossbar_equivalence(
     warm_start: WarmStart,
     rel_tol: f64,
 ) {
+    let _session = obs::session();
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut config = Config::fully_connected_mlp(&[8, 8]).expect("static dims");
     config.crossbar_size = 8;
     // Ohmic cells keep the circuits linear, so the prepared system's cached
-    // engines — not the Newton fallback — are what this test exercises.
+    // engines — not the per-read Newton solve — are what this test exercises.
     config.device.iv = IvModel::Linear;
 
     // Signed weights exercise both polarity crossbars of the dual mapping.
@@ -296,6 +300,7 @@ fn warm_start_iteration_counts_drop_below_cold_on_correlated_batch() {
 
 #[test]
 fn orthogonal_batch_converges_within_cg_caps() {
+    let _session = obs::session();
     // Adversarial case: every entry drives a different single word line, so
     // the previous solution is a poor guess. Warm starts must still land
     // inside the default CgOptions caps — never worse than cold except for
@@ -362,6 +367,7 @@ fn perturbed(spec: &CrossbarSpec) -> CrossbarSpec {
 
 #[test]
 fn stale_prepared_system_is_a_typed_error_on_every_engine() {
+    let _session = obs::session();
     let dense_spec = CrossbarSpec::uniform(
         4,
         4,
@@ -419,6 +425,7 @@ fn stale_prepared_system_is_a_typed_error_on_every_engine() {
 
 #[test]
 fn prepare_or_reuse_never_solves_stale() {
+    let _session = obs::session();
     let spec = cg_path_crossbar();
     let options = BatchOptions::default();
     let mut slot: Option<PreparedSystem> = None;
@@ -454,6 +461,7 @@ fn prepare_or_reuse_never_solves_stale() {
 /// 96 unknowns (`2·rows·cols` for a dual-rail crossbar).
 #[test]
 fn auto_dispatch_is_deterministic_in_structure_size() {
+    let _session = obs::session();
     let spec_for = |rows: usize, cols: usize| {
         CrossbarSpec::uniform(
             rows,
