@@ -3,9 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mnsim_bench::experiments::large_bank_config;
-use mnsim_core::dse::{explore, explore_with, Constraints, DesignSpace};
-use mnsim_core::exec::ExecOptions;
+use mnsim_core::dse::{Constraints, DesignSpace};
 use mnsim_core::simulate::simulate;
+use mnsim_core::Simulator;
 use mnsim_tech::interconnect::InterconnectNode;
 
 fn reduced_space() -> DesignSpace {
@@ -28,14 +28,13 @@ fn bench_explore_serial(c: &mut Criterion) {
     let space = reduced_space();
     let mut group = c.benchmark_group("dse/traversal");
     group.sample_size(10);
+    let serial = Simulator::new(base.clone()).threads(1);
     group.bench_function("serial", |b| {
-        b.iter(|| explore(&base, &space, &Constraints::default()).unwrap());
+        b.iter(|| serial.explore(&space, &Constraints::default()).unwrap());
     });
+    let parallel = Simulator::new(base).threads(4);
     group.bench_function("parallel_4_threads", |b| {
-        b.iter(|| {
-            explore_with(&base, &space, &Constraints::default(), &ExecOptions::with_threads(4))
-                .unwrap()
-        });
+        b.iter(|| parallel.explore(&space, &Constraints::default()).unwrap());
     });
     group.finish();
 }

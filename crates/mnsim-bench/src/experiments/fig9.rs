@@ -4,8 +4,8 @@
 //! designs, for (a) the large computation bank and (b) the VGG-16 CNN.
 
 use mnsim_core::config::Config;
-use mnsim_core::dse::{explore_with, Constraints, DesignPoint, DesignSpace, Objective};
-use mnsim_core::exec::ExecOptions;
+use mnsim_core::dse::{Constraints, DesignPoint, DesignSpace, Objective};
+use mnsim_core::Simulator;
 
 use super::{large_bank_config, row};
 
@@ -94,18 +94,13 @@ fn four_optima(result: &mnsim_core::dse::DseResult) -> Vec<&DesignPoint> {
 ///
 /// Propagates exploration errors.
 pub fn run() -> Result<String, Box<dyn std::error::Error>> {
-    let options = ExecOptions::default();
-    let bank = explore_with(
-        &large_bank_config(),
+    let bank = Simulator::new(large_bank_config()).explore(
         &DesignSpace::paper_large_bank(),
         &Constraints::crossbar_error(0.25),
-        &options,
     )?;
-    let cnn = explore_with(
-        &Config::vgg16_cnn(),
+    let cnn = Simulator::new(Config::vgg16_cnn()).explore(
         &DesignSpace::paper_cnn(),
         &Constraints::crossbar_error(0.50),
-        &options,
     )?;
 
     let mut out = String::new();
@@ -126,7 +121,6 @@ pub fn run() -> Result<String, Box<dyn std::error::Error>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mnsim_core::dse::explore;
 
     #[test]
     fn pentagons_are_normalized() {
@@ -136,7 +130,10 @@ mod tests {
             parallelism_degrees: vec![1, 64],
             interconnects: vec![mnsim_tech::interconnect::InterconnectNode::N45],
         };
-        let result = explore(&base, &space, &Constraints::default()).unwrap();
+        let result = Simulator::new(base)
+            .threads(1)
+            .explore(&space, &Constraints::default())
+            .unwrap();
         let pens = pentagons(&four_optima(&result));
         assert_eq!(pens.len(), 4);
         for p in &pens {

@@ -9,7 +9,7 @@
 //! settling of the same netlist (DC-solver substitution, see `DESIGN.md`).
 
 use mnsim_core::simulate::simulate;
-use mnsim_core::validate::validate_against_circuit;
+use mnsim_core::Simulator;
 
 use super::{row, table2_config};
 
@@ -34,7 +34,9 @@ pub fn run(matrices: usize, inputs: usize) -> Result<String, Box<dyn std::error:
         &["MNSIM".into(), "circuit".into(), "error %".into()],
     ));
 
-    let rows = validate_against_circuit(&config, matrices, inputs, 20160318)?;
+    let rows = Simulator::new(config.clone())
+        .threads(1)
+        .validate(matrices, inputs, 20160318)?;
     for r in &rows {
         out.push_str(&row(
             &format!("{} [{}]", r.metric, r.unit),

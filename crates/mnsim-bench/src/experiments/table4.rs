@@ -3,8 +3,8 @@
 //! four targets (area / energy / latency / computation accuracy) under a
 //! 25 % crossbar-error constraint.
 
-use mnsim_core::dse::{explore_with, Constraints, DesignPoint, DesignSpace, Objective};
-use mnsim_core::exec::ExecOptions;
+use mnsim_core::dse::{Constraints, DesignPoint, DesignSpace, Objective};
+use mnsim_core::Simulator;
 
 use super::{large_bank_config, row};
 
@@ -19,7 +19,7 @@ pub fn run() -> Result<String, Box<dyn std::error::Error>> {
     let space = DesignSpace::paper_large_bank();
     let constraints = Constraints::crossbar_error(0.25);
     let start = std::time::Instant::now();
-    let result = explore_with(&base, &space, &constraints, &ExecOptions::default())?;
+    let result = Simulator::new(base).explore(&space, &constraints)?;
     let elapsed = start.elapsed();
 
     let mut out = String::new();
@@ -99,7 +99,6 @@ pub fn render_design_rows(columns: &[&DesignPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mnsim_core::dse::explore;
 
     #[test]
     fn reduced_sweep_produces_distinct_optima() {
@@ -114,7 +113,10 @@ mod tests {
                 mnsim_tech::interconnect::InterconnectNode::N45,
             ],
         };
-        let result = explore(&base, &space, &Constraints::crossbar_error(0.5)).unwrap();
+        let result = Simulator::new(base)
+            .threads(1)
+            .explore(&space, &Constraints::crossbar_error(0.5))
+            .unwrap();
         let area = result.best(Objective::Area).unwrap();
         let latency = result.best(Objective::Latency).unwrap();
         assert!(

@@ -6,8 +6,8 @@
 //! (paper §VII.D).
 
 use mnsim_core::config::Config;
-use mnsim_core::dse::{explore_with, Constraints, DesignPoint, DesignSpace, Objective};
-use mnsim_core::exec::ExecOptions;
+use mnsim_core::dse::{Constraints, DesignPoint, DesignSpace, Objective};
+use mnsim_core::Simulator;
 
 use super::row;
 
@@ -21,7 +21,7 @@ pub fn run() -> Result<String, Box<dyn std::error::Error>> {
     let space = DesignSpace::paper_cnn();
     let constraints = Constraints::crossbar_error(0.50);
     let start = std::time::Instant::now();
-    let result = explore_with(&base, &space, &constraints, &ExecOptions::default())?;
+    let result = Simulator::new(base).explore(&space, &constraints)?;
     let elapsed = start.elapsed();
 
     let mut out = String::new();
@@ -94,7 +94,6 @@ pub fn run() -> Result<String, Box<dyn std::error::Error>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mnsim_core::dse::explore;
 
     #[test]
     fn reduced_vgg_sweep_is_feasible_under_50_percent() {
@@ -107,7 +106,10 @@ mod tests {
                 mnsim_tech::interconnect::InterconnectNode::N90,
             ],
         };
-        let result = explore(&base, &space, &Constraints::crossbar_error(0.50)).unwrap();
+        let result = Simulator::new(base)
+            .threads(1)
+            .explore(&space, &Constraints::crossbar_error(0.50))
+            .unwrap();
         assert!(!result.feasible.is_empty());
         // Pipeline cycle must be shorter than a whole VGG-16 sample pass.
         let p = &result.feasible[0];

@@ -32,10 +32,8 @@
 //! `chrome://tracing` or <https://ui.perfetto.dev>) and prints the
 //! [`mnsim_obs::TraceSummary`] table to stderr; `live=<path>` streams
 //! typed progress events ([`mnsim_obs::live`]) as flushed NDJSON so
-//! `tail -f` follows a long campaign. The pre-unification spellings
-//! `--metrics <path>` / `--trace <path>` / `--live <path>` still work as
-//! aliases for one release and print a deprecation note on stderr.
-//! `--progress` prints a human one-liner per campaign wave.
+//! `tail -f` follows a long campaign. An unknown flag is a usage error
+//! (exit 2). `--progress` prints a human one-liner per campaign wave.
 //!
 //! # Fault-injection campaigns
 //!
@@ -158,10 +156,6 @@ fn parse_or_usage<T: std::str::FromStr>(value: &str, flag: &str) -> T {
     })
 }
 
-fn deprecated_alias(old: &str, kind: &str) {
-    eprintln!("note: `{old} <path>` is deprecated; use `--emit {kind}=<path>` (alias kept for one release)");
-}
-
 fn main() {
     let mut experiment = None;
     let mut positional = Vec::new();
@@ -173,18 +167,6 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--emit" => emit.set(&flag_value(&mut args, "--emit")),
-            "--metrics" => {
-                deprecated_alias("--metrics", "metrics");
-                emit.metrics = Some(flag_value(&mut args, "--metrics"));
-            }
-            "--trace" => {
-                deprecated_alias("--trace", "trace");
-                emit.trace = Some(flag_value(&mut args, "--trace"));
-            }
-            "--live" => {
-                deprecated_alias("--live", "live");
-                emit.live = Some(flag_value(&mut args, "--live"));
-            }
             "--progress" => progress = true,
             "--trials" => {
                 faultmc.trials = parse_or_usage(&flag_value(&mut args, "--trials"), "--trials");
@@ -219,6 +201,11 @@ fn main() {
                     parse_or_usage(&flag_value(&mut args, "--max-pending"), "--max-pending");
             }
             "--shutdown" => serve_args.shutdown = true,
+            flag if flag.starts_with("--") => {
+                eprintln!("unknown flag {flag:?}");
+                eprintln!("{USAGE}");
+                std::process::exit(2);
+            }
             _ if experiment.is_none() => experiment = Some(arg),
             _ => positional.push(arg),
         }

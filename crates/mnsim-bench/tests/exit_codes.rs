@@ -26,6 +26,17 @@ fn bad_emit_spec_exits_2() {
 }
 
 #[test]
+fn removed_emit_alias_exits_2() {
+    // `--metrics <path>` was replaced by `--emit metrics=<path>`; the old
+    // spelling is a usage error, not a silently ignored argument.
+    let out = repro()
+        .args(["table2", "--metrics", "m.json"])
+        .output()
+        .expect("repro runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+}
+
+#[test]
 fn expired_deadline_exits_3() {
     let out = repro()
         .args(["faultmc", "--deadline-ms", "0", "--trials", "4"])

@@ -14,7 +14,7 @@
 //!    operating point and the linear solve is repeated until the node
 //!    voltages stop moving. Every iteration stamps the same sparsity
 //!    pattern, so the sparse-direct path analyzes it once and refactors
-//!    the cached factorization in place ([`SparseWorkspace`]).
+//!    the cached factorization in place (`SparseWorkspace`).
 
 use std::collections::HashMap;
 

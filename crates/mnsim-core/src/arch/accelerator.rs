@@ -13,7 +13,6 @@ use mnsim_tech::units::{Area, Energy, Power, Time};
 use crate::arch::bank::{evaluate_bank, BankModelResult};
 use crate::config::Config;
 use crate::error::CoreError;
-use crate::exec::{self, ExecOptions};
 use crate::modules::interface::interface;
 use crate::modules::link::{hop_length, interbank_link};
 use crate::perf::ModulePerf;
@@ -45,16 +44,6 @@ pub struct AcceleratorModelResult {
     pub average_power: Power,
 }
 
-/// Evaluates the accelerator for `config` on the calling thread (the
-/// serial path of [`evaluate_accelerator_with`]).
-///
-/// # Errors
-///
-/// Returns configuration validation errors ([`CoreError::Config`]).
-pub fn evaluate_accelerator(config: &Config) -> Result<AcceleratorModelResult, CoreError> {
-    evaluate_accelerator_with(config, &ExecOptions::serial())
-}
-
 /// The next bank's convolution kernel, which sizes bank `i`'s output line
 /// buffer (paper Eq. 6).
 fn next_kernel_of(descriptors: &[BankDescriptor], i: usize) -> Option<usize> {
@@ -64,24 +53,13 @@ fn next_kernel_of(descriptors: &[BankDescriptor], i: usize) -> Option<usize> {
     })
 }
 
-/// Evaluates the accelerator for `config`, spreading independent bank
-/// evaluations over the shared [`exec`] worker pool.
-///
-/// Banks only read the configuration and the (immutable) descriptor list,
-/// so they evaluate in any order; the partial results are collected in
-/// canonical bank order and every downstream reduction (areas, energies,
-/// the pipeline-cycle max) folds that ordered list — the result is
-/// **bit-identical** to the serial evaluation for every thread count.
-/// Layer trace spans from worker threads are parented onto the caller's
-/// innermost span, exactly like fault-trial lanes.
+/// Evaluates the accelerator for `config`, bank by bank on the calling
+/// thread (one `layer` trace span per bank).
 ///
 /// # Errors
 ///
 /// Returns configuration validation errors ([`CoreError::Config`]).
-pub fn evaluate_accelerator_with(
-    config: &Config,
-    options: &ExecOptions,
-) -> Result<AcceleratorModelResult, CoreError> {
+pub fn evaluate_accelerator(config: &Config) -> Result<AcceleratorModelResult, CoreError> {
     config.validate()?;
     let cmos = config.cmos.params();
     let bits = config.precision.input_bits;
@@ -100,21 +78,11 @@ pub fn evaluate_accelerator_with(
     );
 
     let descriptors = &config.network.banks;
-    let threads = options.resolved_threads().min(descriptors.len().max(1));
-    let banks: Vec<BankModelResult> = if threads <= 1 {
-        let mut banks = Vec::with_capacity(descriptors.len());
-        for (i, bank) in descriptors.iter().enumerate() {
-            let _layer_span = trace::span_at("layer", trace::Level::Layer, i as i64);
-            banks.push(evaluate_bank(config, bank, next_kernel_of(descriptors, i)));
-        }
-        banks
-    } else {
-        let parent = trace::current_span();
-        exec::map_slice(descriptors, threads, |i, bank| {
-            let _layer_span = trace::span_under("layer", trace::Level::Layer, i as i64, parent);
-            evaluate_bank(config, bank, next_kernel_of(descriptors, i))
-        })
-    };
+    let mut banks: Vec<BankModelResult> = Vec::with_capacity(descriptors.len());
+    for (i, bank) in descriptors.iter().enumerate() {
+        let _layer_span = trace::span_at("layer", trace::Level::Layer, i as i64);
+        banks.push(evaluate_bank(config, bank, next_kernel_of(descriptors, i)));
+    }
 
     // Inter-bank links: one hop between every neighbouring bank pair,
     // sized by the producing bank's output word and the two footprints.
@@ -226,24 +194,6 @@ mod tests {
         let mut config = Config::fully_connected_mlp(&[128, 128]).unwrap();
         config.crossbar_size = 100;
         assert!(evaluate_accelerator(&config).is_err());
-    }
-
-    #[test]
-    fn parallel_bank_evaluation_is_bit_identical() {
-        for config in [
-            Config::fully_connected_mlp(&[512, 2048, 64, 128]).unwrap(),
-            Config::vgg16_cnn(),
-        ] {
-            let serial = evaluate_accelerator_with(&config, &ExecOptions::serial()).unwrap();
-            for threads in [2usize, 3, 7, 64] {
-                let parallel =
-                    evaluate_accelerator_with(&config, &ExecOptions::with_threads(threads))
-                        .unwrap();
-                // Full struct equality: every bank, link and reduction
-                // must match the serial fold bit for bit.
-                assert_eq!(serial, parallel, "threads={threads}");
-            }
-        }
     }
 
     #[test]

@@ -3,21 +3,27 @@
 //! Fault-Monte-Carlo campaigns ([`crate::fault_sim`]) and design-space
 //! explorations ([`crate::dse`]) can run for hours; a cancellation,
 //! deadline, or crash at trial 9,847 of 10,000 must not lose the first
-//! 9,846. This module holds the pieces those campaign drivers share:
+//! 9,846. This module holds the one campaign driver both run on:
 //!
-//! * [`CheckpointPolicy`] — *where* to write and *how often*, attached to
-//!   [`FaultConfig`](crate::fault_sim::FaultConfig) or passed to the DSE
-//!   entry points;
+//! * [`CheckpointPolicy`] — *where* to write and *how often*, set once
+//!   per session with
+//!   [`Simulator::checkpoint`](crate::simulator::Simulator::checkpoint);
+//! * `Campaign` itself (crate-private): resume from an existing
+//!   checkpoint, run the missing items in waves on
+//!   [`exec::run_indices`], checkpoint after every wave, stream live
+//!   progress events, and map interrupts and failures onto
+//!   [`CoreError`];
 //! * a **versioned, self-describing file format**: plain JSON written
-//!   with the same zero-dependency conventions as the observability
-//!   snapshots (floats via `{:?}` so they round-trip bit-exactly through
-//!   [`mnsim_obs::parse_json`]; `u64` seeds and fingerprints as `"0x…"`
-//!   hex strings because JSON numbers lose integers above 2⁵³);
+//!   with the workspace's JSON writers
+//!   ([`mnsim_obs::write_json_number`] renders floats via `{:?}`, so they
+//!   round-trip bit-exactly through [`mnsim_obs::parse_json`]; `u64`
+//!   seeds and fingerprints are `"0x…"` hex strings because JSON numbers
+//!   lose integers above 2⁵³);
 //! * **campaign fingerprints** ([`fnv64`] over a canonical description)
 //!   so a checkpoint is only ever resumed into the campaign that wrote
 //!   it — a mismatched config, seed, or design space is a hard
 //!   [`CoreError::Checkpoint`] error, never silent corruption;
-//! * **atomic writes** ([`write_atomic`]): the file is staged to a
+//! * **atomic writes** (`write_atomic`): the file is staged to a
 //!   sibling `.tmp` and renamed into place, so a crash mid-write leaves
 //!   the previous checkpoint intact.
 //!
@@ -31,9 +37,10 @@ use std::path::Path;
 
 use mnsim_obs as obs;
 use mnsim_obs::trace;
-use mnsim_obs::JsonValue;
+use mnsim_obs::{write_json_string, JsonValue};
 
-use crate::error::CoreError;
+use crate::error::{ConfigError, CoreError};
+use crate::exec::{self, ExecError, Interrupt, RunControl};
 
 /// Format version stamped into every checkpoint file. Readers reject
 /// other versions outright: checkpoints are short-lived working state,
@@ -77,13 +84,13 @@ impl CheckpointPolicy {
 }
 
 /// Records a checkpoint write in the observability layer.
-pub(crate) fn note_written(completed: usize) {
+fn note_written(completed: usize) {
     CHECKPOINT_WRITTEN.inc();
     trace::instant("checkpoint.written", trace::Level::Run, completed as f64);
 }
 
 /// Records a successful resume in the observability layer.
-pub(crate) fn note_resumed(completed: usize) {
+fn note_resumed(completed: usize) {
     CHECKPOINT_RESUMED.inc();
     trace::instant("checkpoint.resumed", trace::Level::Run, completed as f64);
 }
@@ -94,7 +101,7 @@ pub(crate) fn note_resumed(completed: usize) {
 /// # Errors
 ///
 /// [`CoreError::Checkpoint`] when the staging write or the rename fails.
-pub fn write_atomic(path: &str, contents: &str) -> Result<(), CoreError> {
+fn write_atomic(path: &str, contents: &str) -> Result<(), CoreError> {
     let target = Path::new(path);
     let file_name = target
         .file_name()
@@ -120,7 +127,7 @@ pub fn write_atomic(path: &str, contents: &str) -> Result<(), CoreError> {
 ///
 /// [`CoreError::Checkpoint`] when the file cannot be read or is not
 /// valid JSON.
-pub fn read_json(path: &str) -> Result<JsonValue, CoreError> {
+fn read_json(path: &str) -> Result<JsonValue, CoreError> {
     let text = std::fs::read_to_string(path).map_err(|e| CoreError::Checkpoint {
         path: path.to_string(),
         reason: format!("read failed: {e}"),
@@ -137,7 +144,7 @@ pub fn read_json(path: &str) -> Result<JsonValue, CoreError> {
 ///
 /// [`CoreError::Checkpoint`] when either header is missing or does not
 /// match what the resuming campaign expects.
-pub fn check_header(path: &str, value: &JsonValue, kind: &str) -> Result<(), CoreError> {
+fn check_header(path: &str, value: &JsonValue, kind: &str) -> Result<(), CoreError> {
     let schema = value.get("schema").and_then(JsonValue::as_f64);
     if schema != Some(f64::from(SCHEMA_VERSION)) {
         return Err(CoreError::Checkpoint {
@@ -177,7 +184,7 @@ pub fn hex_u64(value: u64) -> String {
 }
 
 /// Parses the [`hex_u64`] encoding back.
-pub fn parse_hex_u64(text: &str) -> Option<u64> {
+fn parse_hex_u64(text: &str) -> Option<u64> {
     let digits = text.strip_prefix("0x")?;
     u64::from_str_radix(digits, 16).ok()
 }
@@ -188,7 +195,7 @@ pub fn parse_hex_u64(text: &str) -> Option<u64> {
 /// # Errors
 ///
 /// [`CoreError::Checkpoint`] when the field is missing or malformed.
-pub fn require_hex_u64(path: &str, value: &JsonValue, field: &str) -> Result<u64, CoreError> {
+fn require_hex_u64(path: &str, value: &JsonValue, field: &str) -> Result<u64, CoreError> {
     value
         .get(field)
         .and_then(JsonValue::as_str)
@@ -199,32 +206,257 @@ pub fn require_hex_u64(path: &str, value: &JsonValue, field: &str) -> Result<u64
         })
 }
 
-/// Appends `value` as a JSON string literal (with escapes) to `out`.
-pub(crate) fn push_json_string(out: &mut String, value: &str) {
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// How one campaign kind stores its completed items in a checkpoint.
+/// The envelope around the records — header, count check, atomic write —
+/// belongs to [`Campaign`]; an implementation owns only its record
+/// encoding.
+pub(crate) trait Record: Sized + Send {
+    /// The checkpoint `kind` header.
+    const KIND: &'static str;
+    /// The campaign name in live-telemetry events.
+    const EVENT: &'static str;
+    /// The header field holding the item count.
+    const COUNT_KEY: &'static str;
+    /// The header field holding the record array.
+    const RECORDS_KEY: &'static str;
+
+    /// Appends the record object (`{…}`) of item `index`.
+    fn encode(&self, index: usize, out: &mut String);
+
+    /// Reads one record back: its item index (below `total`) and the item
+    /// to resume, or `None` for an item that must run again.
+    fn decode(record: &JsonValue, total: usize) -> Result<(usize, Option<Self>), String>;
 }
 
-/// Appends `value` as a JSON number (`{:?}` round-trips f64 exactly;
-/// non-finite values become `null`).
-pub(crate) fn push_json_f64(out: &mut String, value: f64) {
-    if value.is_finite() {
-        let _ = write!(out, "{value:?}");
-    } else {
-        out.push_str("null");
+/// Reads the integer field `key` of a record as an item index below
+/// `total`.
+pub(crate) fn record_index(record: &JsonValue, key: &str, total: usize) -> Result<usize, String> {
+    record
+        .get(key)
+        .and_then(JsonValue::as_f64)
+        .filter(|i| i.fract() == 0.0 && *i >= 0.0 && *i < total as f64)
+        .map(|i| i as usize)
+        .ok_or_else(|| format!("record with missing/out-of-range `{key}`"))
+}
+
+/// One run of the checkpointed campaign driver shared by fault
+/// Monte-Carlo and design-space exploration.
+pub(crate) struct Campaign<'a> {
+    /// Items in the campaign.
+    pub total: usize,
+    /// Fingerprint of everything that determines the items' outcomes; a
+    /// checkpoint resumes only into the campaign with the same one.
+    pub fingerprint: u64,
+    /// Master seed written to the header, for campaigns that have one.
+    pub seed: Option<u64>,
+    /// Worker threads per wave (`0` = auto).
+    pub threads: usize,
+    /// Cancellation token and deadline.
+    pub control: &'a RunControl,
+    /// Where and how often to checkpoint, if at all.
+    pub policy: Option<&'a CheckpointPolicy>,
+}
+
+impl Campaign<'_> {
+    /// Runs `item` for every index in `0..total` and returns the outcomes
+    /// in index order.
+    ///
+    /// Items already in the policy's checkpoint file are loaded instead of
+    /// run. The rest run in waves on [`exec::run_indices`] — `every_n`
+    /// items per wave with a policy (checkpointed after each wave), the
+    /// live-telemetry grain without one — so the outcome is bit-identical
+    /// for every thread count, wave size and resume pattern.
+    ///
+    /// # Errors
+    ///
+    /// The earliest failing item's error, [`CoreError::WorkerPanic`] for a
+    /// panicking item, [`CoreError::Cancelled`] /
+    /// [`CoreError::DeadlineExceeded`] (naming the checkpoint) when the
+    /// control plane cut the run short, [`CoreError::Config`] for an
+    /// empty checkpoint path, and [`CoreError::Checkpoint`] for an
+    /// unusable or mismatched checkpoint file.
+    pub(crate) fn run<T, F>(&self, item: F) -> Result<Vec<T>, CoreError>
+    where
+        T: Record,
+        F: Fn(usize) -> Result<T, CoreError> + Sync,
+    {
+        let total = self.total;
+        let mut slots: Vec<Option<T>> = (0..total).map(|_| None).collect();
+        if let Some(policy) = self.policy {
+            if policy.path.is_empty() {
+                return Err(CoreError::Config {
+                    errors: vec![ConfigError {
+                        field_path: "CheckpointPolicy.path".into(),
+                        reason: "checkpoint path is empty".into(),
+                        allowed: "a writable file path".into(),
+                    }],
+                });
+            }
+            if Path::new(&policy.path).exists() {
+                let resumed = self.load(&policy.path, &mut slots)?;
+                note_resumed(resumed);
+            }
+        }
+
+        let wave_len = match self.policy {
+            Some(policy) => policy.every_n.max(1),
+            None => obs::live::wave_grain(total),
+        };
+        let remaining: Vec<usize> = (0..total).filter(|&i| slots[i].is_none()).collect();
+        let mut done = total - remaining.len();
+        obs::live::campaign_started(T::EVENT, total, done);
+        let mut failure = None;
+        let mut interrupt = None;
+
+        for wave in remaining.chunks(wave_len.min(remaining.len().max(1))) {
+            if let Some(kind) = self.control.interrupted() {
+                interrupt = Some(kind);
+                // An interrupted run always leaves its checkpoint on disk,
+                // even when the control plane tripped before the first wave.
+                self.checkpoint(&slots, done)?;
+                break;
+            }
+            let report = exec::run_indices(wave, self.threads, self.control, &item);
+            done += report.completed;
+            for (position, result) in report.results.into_iter().enumerate() {
+                if result.is_some() {
+                    slots[wave[position]] = result;
+                }
+            }
+            self.checkpoint(&slots, done)?;
+            if report.error.is_some() {
+                failure = report.error;
+                break;
+            }
+            if report.interrupt.is_some() {
+                interrupt = report.interrupt;
+                break;
+            }
+            // Only clean waves report progress: an interrupted wave's `done`
+            // depends on where the workers happened to stop, so emitting it
+            // would break the cross-thread determinism contract.
+            obs::live::wave_completed(done, total, self.control.deadline.map(|d| d.remaining()));
+        }
+
+        let completed = slots.iter().filter(|slot| slot.is_some()).count();
+        if completed < total {
+            let status = if failure.is_some() {
+                "failed"
+            } else {
+                "interrupted"
+            };
+            obs::live::campaign_finished(completed, total, status);
+            let error =
+                failure.unwrap_or_else(|| match interrupt.or_else(|| self.control.interrupted()) {
+                    Some(Interrupt::DeadlineExceeded) => {
+                        ExecError::DeadlineExceeded { completed, total }
+                    }
+                    _ => ExecError::Cancelled { completed, total },
+                });
+            return Err(error.into_core(self.policy.map(|policy| policy.path.clone())));
+        }
+        obs::live::campaign_finished(total, total, "complete");
+        // `map` collects in place, reusing the slots' allocation.
+        Ok(slots
+            .into_iter()
+            .map(|slot| slot.expect("a complete campaign has every item"))
+            .collect())
+    }
+
+    /// Writes the checkpoint (when a policy is set) and reports it live.
+    fn checkpoint<T: Record>(&self, slots: &[Option<T>], done: usize) -> Result<(), CoreError> {
+        if let Some(policy) = self.policy {
+            self.write(&policy.path, slots)?;
+            obs::live::checkpoint_written(&policy.path, done);
+        }
+        Ok(())
+    }
+
+    /// Writes the completed slots atomically in the versioned checkpoint
+    /// format: the schema/kind/fingerprint header, the item count, and one
+    /// record per completed item.
+    pub(crate) fn write<T: Record>(
+        &self,
+        path: &str,
+        slots: &[Option<T>],
+    ) -> Result<(), CoreError> {
+        let mut out = String::with_capacity(1024);
+        let _ = write!(
+            out,
+            "{{\n  \"schema\": {SCHEMA_VERSION},\n  \"kind\": \"{}\",\n  \"fingerprint\": ",
+            T::KIND
+        );
+        write_json_string(&mut out, &hex_u64(self.fingerprint));
+        if let Some(seed) = self.seed {
+            out.push_str(",\n  \"seed\": ");
+            write_json_string(&mut out, &hex_u64(seed));
+        }
+        let _ = write!(
+            out,
+            ",\n  \"{}\": {},\n  \"{}\": [",
+            T::COUNT_KEY,
+            slots.len(),
+            T::RECORDS_KEY
+        );
+        let mut written = 0usize;
+        for (index, slot) in slots.iter().enumerate() {
+            let Some(item) = slot else { continue };
+            out.push_str(if written == 0 { "\n    " } else { ",\n    " });
+            item.encode(index, &mut out);
+            written += 1;
+        }
+        if written > 0 {
+            out.push_str("\n  ");
+        }
+        out.push_str("]\n}\n");
+        write_atomic(path, &out)?;
+        note_written(written);
+        Ok(())
+    }
+
+    /// Loads a checkpoint into `slots`, verifying it belongs to this exact
+    /// campaign. Returns the number of items resumed.
+    pub(crate) fn load<T: Record>(
+        &self,
+        path: &str,
+        slots: &mut [Option<T>],
+    ) -> Result<usize, CoreError> {
+        let malformed = |reason: String| CoreError::Checkpoint {
+            path: path.to_string(),
+            reason,
+        };
+        let value = read_json(path)?;
+        check_header(path, &value, T::KIND)?;
+        let found = require_hex_u64(path, &value, "fingerprint")?;
+        if found != self.fingerprint {
+            return Err(malformed(format!(
+                "fingerprint {} does not match this campaign ({}); refusing to resume a \
+                 different configuration",
+                hex_u64(found),
+                hex_u64(self.fingerprint),
+            )));
+        }
+        let count = value.get(T::COUNT_KEY).and_then(JsonValue::as_f64);
+        if count != Some(slots.len() as f64) {
+            return Err(malformed(format!(
+                "`{}` {count:?} does not match this campaign ({})",
+                T::COUNT_KEY,
+                slots.len()
+            )));
+        }
+        let records = value
+            .get(T::RECORDS_KEY)
+            .and_then(JsonValue::as_array)
+            .ok_or_else(|| malformed(format!("missing `{}` array", T::RECORDS_KEY)))?;
+        let mut resumed = 0usize;
+        for record in records {
+            let (index, item) = T::decode(record, slots.len()).map_err(malformed)?;
+            if let Some(item) = item {
+                slots[index] = Some(item);
+                resumed += 1;
+            }
+        }
+        Ok(resumed)
     }
 }
 
@@ -267,7 +499,7 @@ mod tests {
         let path = path.to_str().expect("utf-8 path");
 
         let mut body = String::from("{\"schema\": 1, \"kind\": \"fault_mc\", \"seed\": ");
-        push_json_string(&mut body, &hex_u64(0x00C0_FFEE));
+        write_json_string(&mut body, &hex_u64(0x00C0_FFEE));
         body.push('}');
         write_atomic(path, &body).expect("write");
 
@@ -277,23 +509,6 @@ mod tests {
         assert!(check_header(path, &value, "dse").is_err());
         assert!(require_hex_u64(path, &value, "missing").is_err());
         std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn json_helpers_escape_and_round_trip_floats() {
-        let mut out = String::new();
-        push_json_string(&mut out, "a\"b\\c\nd");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\"");
-
-        for v in [0.0, -1.5, 1.0 / 3.0, f64::MIN_POSITIVE, 1e300] {
-            let mut out = String::new();
-            push_json_f64(&mut out, v);
-            let parsed = obs::parse_json(&out).expect("parses");
-            assert_eq!(parsed.as_f64().map(f64::to_bits), Some(v.to_bits()), "{v}");
-        }
-        let mut out = String::new();
-        push_json_f64(&mut out, f64::NAN);
-        assert_eq!(out, "null");
     }
 
     #[test]

@@ -24,7 +24,7 @@ use mnsim_tech::units::Voltage;
 
 use crate::config::Config;
 use crate::error::CoreError;
-use crate::exec::{self, ExecOptions};
+use crate::exec::{self, ExecOptions, RunControl};
 use crate::netlist_gen::map_weights;
 
 /// The immutable half of a [`CircuitLayer`]: geometry and built circuits,
@@ -329,11 +329,14 @@ impl CircuitLayer {
         let circuits = &self.circuits;
         let prepared_positive = &self.prepared_positive;
         let prepared_negative = &self.prepared_negative;
-        let shard_outputs = exec::try_map_slice(&ranges, threads, |_, range| {
+        let shards: Vec<usize> = (0..ranges.len()).collect();
+        let shard_outputs = exec::run_indices(&shards, threads, &RunControl::new(), |shard| {
             let mut positive = prepared_positive.clone();
             let mut negative = prepared_negative.clone();
-            circuits.solve_batch(&mut positive, &mut negative, &batch[range.clone()])
-        })?;
+            circuits.solve_batch(&mut positive, &mut negative, &batch[ranges[shard].clone()])
+        })
+        .into_result()
+        .map_err(|error| error.into_core(None))?;
         Ok(shard_outputs.into_iter().flatten().collect())
     }
 }
@@ -424,14 +427,11 @@ mod tests {
         let mut c = Config::fully_connected_mlp(&[8, 8]).unwrap();
         c.crossbar_size = 8;
         c.interconnect = InterconnectNode::N28;
-        let w1 = Tensor::from_vec(
-            &[8, 8],
-            (0..64).map(|k| ((k as f64 * 0.13).sin())).collect(),
-        )
-        .unwrap();
+        let w1 =
+            Tensor::from_vec(&[8, 8], (0..64).map(|k| (k as f64 * 0.13).sin()).collect()).unwrap();
         let w2 = Tensor::from_vec(
             &[8, 8],
-            (0..64).map(|k| ((k as f64 * 0.29).cos() * 0.8)).collect(),
+            (0..64).map(|k| (k as f64 * 0.29).cos() * 0.8).collect(),
         )
         .unwrap();
         let batch = vec![vec![0.6; 8], (0..8).map(|i| i as f64 / 8.0).collect()];

@@ -16,10 +16,10 @@ use mnsim_obs::trace;
 use mnsim_obs::JsonValue;
 use mnsim_tech::interconnect::InterconnectNode;
 
-use crate::checkpoint::{self, CheckpointPolicy};
+use crate::checkpoint::{self, record_index, Campaign, CheckpointPolicy, Record};
 use crate::config::Config;
 use crate::error::{ConfigError, CoreError};
-use crate::exec::{self, ExecError, ExecOptions, Interrupt, RunControl};
+use crate::exec::RunControl;
 use crate::simulate::{simulate, Report};
 
 static DSE_POINTS: obs::Counter = obs::Counter::new("core.dse.points");
@@ -323,199 +323,66 @@ impl DseResult {
     }
 }
 
-/// Exhaustively traverses `space` around `base` (the network, device,
-/// CMOS node, precisions and sense resistance are taken from `base`; the
-/// three swept parameters are overridden).
+/// Exhaustively traverses `space` around `base` — the workload behind
+/// [`Simulator::explore`](crate::simulator::Simulator::explore). The
+/// network, device, CMOS node, precisions and sense resistance are taken
+/// from `base`; the three swept parameters are overridden.
+///
+/// Combinations run on the checkpointed campaign driver ([`Campaign`])
+/// over `threads` workers. Feasible designs come back in traversal order
+/// for every thread count, and a failure is the one belonging to the
+/// *earliest* combination in traversal order — exactly what a serial
+/// traversal reports (the parallel path still evaluates every
+/// combination).
+///
+/// A checkpoint stores which combinations were evaluated and whether they
+/// were feasible, **not** the full reports: on resume, previously
+/// infeasible combinations are skipped, while feasible ones are
+/// re-evaluated (evaluation is pure and seedless, so the resumed
+/// [`DseResult`] — Pareto front included — is bit-identical to an
+/// uninterrupted traversal). Feasible sets are typically a small fraction
+/// of the sweep, so the re-evaluation cost is marginal compared to
+/// serializing every [`Report`].
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::EmptyDesignSpace`] if no combination passes the
-/// constraints, and propagates evaluation errors.
-pub fn explore(
+/// [`CoreError::Config`] for an invalid [`DesignSpace`],
+/// [`CoreError::EmptyDesignSpace`] if no combination passes the
+/// constraints, evaluation errors, and the campaign's interrupt, panic
+/// and checkpoint errors.
+pub(crate) fn explore(
     base: &Config,
     space: &DesignSpace,
     constraints: &Constraints,
-) -> Result<DseResult, CoreError> {
-    explore_with(base, space, constraints, &ExecOptions::serial())
-}
-
-/// Exhaustively traverses `space` around `base` on the shared [`exec`]
-/// worker pool.
-///
-/// Feasible designs are returned in traversal order (the order the
-/// design-space enumeration visits them) for every thread count, and
-/// the parallel path returns the error belonging to the *earliest*
-/// combination in traversal order — exactly what the serial traversal
-/// reports. The serial path stops at the first error; the parallel path
-/// still evaluates every combination (coverage is never silently dropped
-/// by a failure elsewhere).
-///
-/// # Errors
-///
-/// Returns [`CoreError::EmptyDesignSpace`] if no combination passes the
-/// constraints, and propagates evaluation errors.
-pub fn explore_with(
-    base: &Config,
-    space: &DesignSpace,
-    constraints: &Constraints,
-    options: &ExecOptions,
-) -> Result<DseResult, CoreError> {
-    explore_controlled(base, space, constraints, options, &RunControl::default(), None)
-}
-
-/// [`explore_with`] under a campaign control plane: the traversal
-/// observes `control`'s [`CancelToken`](crate::exec::CancelToken) and
-/// [`Deadline`](crate::exec::Deadline) at chunk boundaries, and — when a
-/// [`CheckpointPolicy`] is given — persists which combinations have been
-/// evaluated (and whether they were feasible) so an interrupted sweep can
-/// resume.
-///
-/// The checkpoint stores the evaluated-combination set and feasibility
-/// flags, **not** the full simulation reports: on resume, previously
-/// *infeasible* combinations are skipped outright, while feasible ones
-/// are re-evaluated (evaluation is pure and seedless, so re-evaluation is
-/// deterministic and the resumed [`DseResult`] — including its Pareto
-/// front — is bit-identical to an uninterrupted traversal). Feasible sets
-/// are typically a small fraction of the sweep, so the re-evaluation cost
-/// is marginal compared to serializing every [`Report`].
-///
-/// # Errors
-///
-/// Everything [`explore_with`] returns, plus [`CoreError::Cancelled`] /
-/// [`CoreError::DeadlineExceeded`] on interruption (carrying the
-/// checkpoint path when one was written), [`CoreError::WorkerPanic`] for
-/// a panicking evaluation, [`CoreError::Config`] for an invalid
-/// [`DesignSpace`], and [`CoreError::Checkpoint`] for unusable or
-/// mismatched checkpoint files.
-pub fn explore_controlled(
-    base: &Config,
-    space: &DesignSpace,
-    constraints: &Constraints,
-    options: &ExecOptions,
+    threads: usize,
     control: &RunControl,
-    checkpoint_policy: Option<&CheckpointPolicy>,
+    policy: Option<&CheckpointPolicy>,
 ) -> Result<DseResult, CoreError> {
     let _span = EXPLORE_SPAN.enter();
     let _trace_span = trace::span("dse.explore", trace::Level::Run);
     space.validate()?;
     let started = Instant::now();
     let combos = space.combinations();
-    let fingerprint = sweep_fingerprint(base, space, constraints);
-
-    // Outer None = not yet evaluated; inner Option = feasible or not.
-    let mut slots: Vec<Option<Option<DesignPoint>>> = (0..combos.len()).map(|_| None).collect();
-    if let Some(policy) = checkpoint_policy {
-        if policy.path.is_empty() {
-            return Err(CoreError::Config {
-                errors: vec![ConfigError {
-                    field_path: "CheckpointPolicy.path".into(),
-                    reason: "checkpoint path is empty".into(),
-                    allowed: "a writable file path".into(),
-                }],
-            });
-        }
-        if std::path::Path::new(&policy.path).exists() {
-            let resumed = load_dse_checkpoint(&policy.path, fingerprint, &mut slots)?;
-            checkpoint::note_resumed(resumed);
-        }
-    }
-
-    // Wave grain: the checkpoint cadence when one is configured,
-    // otherwise the live-telemetry progress grain (single wave when
-    // telemetry is off — the exact legacy sweep).
-    let wave_len = match checkpoint_policy {
-        Some(policy) => policy.every_n.max(1),
-        None => obs::live::wave_grain(combos.len()),
+    let campaign = Campaign {
+        total: combos.len(),
+        fingerprint: sweep_fingerprint(base, space, constraints),
+        seed: None,
+        threads,
+        control,
+        policy,
     };
-    let remaining: Vec<usize> = (0..combos.len()).filter(|&i| slots[i].is_none()).collect();
-    let mut done = combos.len() - remaining.len();
-    obs::live::campaign_started("dse_sweep", combos.len(), done);
-    let mut failure: Option<ExecError<CoreError>> = None;
-    let mut interrupt = None;
-
-    for wave in remaining.chunks(wave_len.min(remaining.len().max(1))) {
-        if control.interrupted().is_some() {
-            interrupt = control.interrupted();
-            // An interrupted sweep must always leave its checkpoint on disk,
-            // even when the control plane tripped before the first wave.
-            if let Some(policy) = checkpoint_policy {
-                write_dse_checkpoint(policy, fingerprint, combos.len(), &slots)?;
-                obs::live::checkpoint_written(&policy.path, done);
-            }
-            break;
-        }
-        let wave_report = exec::run_indices(wave, options.threads, control, |index| {
-            let (size, p, wire) = combos[index];
-            let point = evaluate_point(base, size, p, wire)?;
-            let admitted = constraints.admits(&point.report);
-            record_admission(admitted);
-            Ok::<_, CoreError>(admitted.then_some(point))
-        });
-        done += wave_report.completed;
-        for (position, slot) in wave_report.results.into_iter().enumerate() {
-            if let Some(outcome) = slot {
-                slots[wave[position]] = Some(outcome);
-            }
-        }
-        if let Some(policy) = checkpoint_policy {
-            write_dse_checkpoint(policy, fingerprint, combos.len(), &slots)?;
-            obs::live::checkpoint_written(&policy.path, done);
-        }
-        if wave_report.error.is_some() {
-            failure = wave_report.error;
-            break;
-        }
-        if wave_report.interrupt.is_some() {
-            interrupt = wave_report.interrupt;
-            break;
-        }
-        // Clean waves only — see the determinism note in `fault_sim`.
-        obs::live::wave_completed(done, combos.len(), control.deadline.map(|d| d.remaining()));
-    }
-
-    let completed = slots.iter().filter(|slot| slot.is_some()).count();
-    let checkpoint_path = checkpoint_policy.map(|policy| policy.path.clone());
-    if let Some(error) = failure {
-        obs::live::campaign_finished(completed, combos.len(), "failed");
-        return Err(match error {
-            ExecError::Item { error, .. } => error,
-            ExecError::WorkerPanic { index, payload } => CoreError::WorkerPanic { index, payload },
-            ExecError::Cancelled { .. } => CoreError::Cancelled {
-                completed,
-                total: combos.len(),
-                checkpoint: checkpoint_path,
-            },
-            ExecError::DeadlineExceeded { .. } => CoreError::DeadlineExceeded {
-                completed,
-                total: combos.len(),
-                checkpoint: checkpoint_path,
-            },
-        });
-    }
-    if completed < combos.len() {
-        obs::live::campaign_finished(completed, combos.len(), "interrupted");
-        let kind = interrupt
-            .or_else(|| control.interrupted())
-            .unwrap_or(Interrupt::Cancelled);
-        return Err(match kind {
-            Interrupt::Cancelled => CoreError::Cancelled {
-                completed,
-                total: combos.len(),
-                checkpoint: checkpoint_path,
-            },
-            Interrupt::DeadlineExceeded => CoreError::DeadlineExceeded {
-                completed,
-                total: combos.len(),
-                checkpoint: checkpoint_path,
-            },
-        });
-    }
-
-    obs::live::campaign_finished(combos.len(), combos.len(), "complete");
-    let feasible: Vec<DesignPoint> = slots
-        .into_iter()
-        .filter_map(|slot| slot.expect("complete traversal evaluated every combination"))
-        .collect();
+    let outcomes = campaign.run(|index| {
+        let (size, p, wire) = combos[index];
+        let point = evaluate_point(base, size, p, wire)?;
+        let admitted = constraints.admits(&point.report);
+        record_admission(admitted);
+        Ok(admitted.then_some(point))
+    })?;
+    // `filter_map` collects in place into the outcomes' allocation;
+    // `flatten` would grow a new one by doubling, which raised the session
+    // server's peak RSS by ~12 % under mixed traffic (fronts stay cached).
+    #[allow(clippy::filter_map_identity)]
+    let feasible: Vec<DesignPoint> = outcomes.into_iter().filter_map(|outcome| outcome).collect();
     record_throughput(combos.len(), started);
     finish(combos.len(), feasible, constraints)
 }
@@ -532,98 +399,31 @@ pub(crate) fn sweep_fingerprint(
     checkpoint::fnv64(canonical.as_bytes())
 }
 
-/// Writes the evaluated-combination set atomically in the versioned
-/// checkpoint format.
-fn write_dse_checkpoint(
-    policy: &CheckpointPolicy,
-    fingerprint: u64,
-    combos: usize,
-    slots: &[Option<Option<DesignPoint>>],
-) -> Result<(), CoreError> {
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\n  \"schema\": ");
-    let _ = write!(out, "{}", checkpoint::SCHEMA_VERSION);
-    out.push_str(",\n  \"kind\": \"dse\",\n  \"fingerprint\": ");
-    checkpoint::push_json_string(&mut out, &checkpoint::hex_u64(fingerprint));
-    out.push_str(",\n  \"combos\": ");
-    let _ = write!(out, "{combos}");
-    out.push_str(",\n  \"evaluated\": [");
-    let mut first = true;
-    for (index, slot) in slots.iter().enumerate() {
-        let Some(outcome) = slot else { continue };
-        if !first {
-            out.push(',');
-        }
-        first = false;
+/// A combination's outcome: the design if it was feasible. Its checkpoint
+/// record keeps only the feasibility flag, so a resume skips infeasible
+/// combinations and re-evaluates feasible ones.
+impl Record for Option<DesignPoint> {
+    const KIND: &'static str = "dse";
+    const EVENT: &'static str = "dse_sweep";
+    const COUNT_KEY: &'static str = "combos";
+    const RECORDS_KEY: &'static str = "evaluated";
+
+    fn encode(&self, index: usize, out: &mut String) {
         let _ = write!(
             out,
-            "\n    {{\"index\": {index}, \"feasible\": {}}}",
-            outcome.is_some()
+            "{{\"index\": {index}, \"feasible\": {}}}",
+            self.is_some()
         );
     }
-    if !first {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    checkpoint::write_atomic(&policy.path, &out)?;
-    checkpoint::note_written(slots.iter().filter(|slot| slot.is_some()).count());
-    Ok(())
-}
 
-/// Loads a DSE checkpoint, marking previously-infeasible combinations as
-/// evaluated (feasible ones stay pending for deterministic
-/// re-evaluation). Returns how many combinations were skipped outright.
-fn load_dse_checkpoint(
-    path: &str,
-    fingerprint: u64,
-    slots: &mut [Option<Option<DesignPoint>>],
-) -> Result<usize, CoreError> {
-    let malformed = |reason: String| CoreError::Checkpoint {
-        path: path.to_string(),
-        reason,
-    };
-    let value = checkpoint::read_json(path)?;
-    checkpoint::check_header(path, &value, "dse")?;
-    let found = checkpoint::require_hex_u64(path, &value, "fingerprint")?;
-    if found != fingerprint {
-        return Err(malformed(format!(
-            "fingerprint {} does not match this sweep ({}); refusing to resume a different \
-             config/space/constraints",
-            checkpoint::hex_u64(found),
-            checkpoint::hex_u64(fingerprint),
-        )));
-    }
-    let combos = value.get("combos").and_then(JsonValue::as_f64);
-    if combos != Some(slots.len() as f64) {
-        return Err(malformed(format!(
-            "combination count {combos:?} does not match sweep ({})",
-            slots.len()
-        )));
-    }
-    let evaluated = value
-        .get("evaluated")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| malformed("missing `evaluated` array".into()))?;
-    let mut resumed = 0usize;
-    for record in evaluated {
-        let index = record
-            .get("index")
-            .and_then(JsonValue::as_f64)
-            .filter(|i| i.fract() == 0.0 && *i >= 0.0 && *i < slots.len() as f64)
-            .ok_or_else(|| malformed("evaluated record with missing/out-of-range `index`".into()))?
-            as usize;
-        let feasible = match record.get("feasible") {
-            Some(JsonValue::Bool(b)) => *b,
-            _ => return Err(malformed(format!("combination {index}: bad `feasible`"))),
-        };
-        if !feasible {
-            // Only infeasible combinations are skipped; feasible ones are
-            // re-evaluated so the result carries full reports.
-            slots[index] = Some(None);
-            resumed += 1;
+    fn decode(record: &JsonValue, combos: usize) -> Result<(usize, Option<Self>), String> {
+        let index = record_index(record, "index", combos)?;
+        match record.get("feasible") {
+            Some(JsonValue::Bool(true)) => Ok((index, None)),
+            Some(JsonValue::Bool(false)) => Ok((index, Some(None))),
+            _ => Err(format!("combination {index}: bad `feasible`")),
         }
     }
-    Ok(resumed)
 }
 
 fn evaluate_point(
@@ -695,6 +495,24 @@ mod tests {
         Config::fully_connected_mlp(&[512, 256]).unwrap()
     }
 
+    /// An uncontrolled, checkpoint-free sweep on `threads` workers.
+    fn explore_on(
+        base: &Config,
+        space: &DesignSpace,
+        constraints: &Constraints,
+        threads: usize,
+    ) -> Result<DseResult, CoreError> {
+        explore(base, space, constraints, threads, &RunControl::new(), None)
+    }
+
+    fn sweep(
+        base: &Config,
+        space: &DesignSpace,
+        constraints: &Constraints,
+    ) -> Result<DseResult, CoreError> {
+        explore_on(base, space, constraints, 1)
+    }
+
     #[test]
     fn doubling_ranges() {
         assert_eq!(doubling(4, 64), vec![4, 8, 16, 32, 64]);
@@ -723,7 +541,7 @@ mod tests {
 
     #[test]
     fn explore_finds_per_metric_optima() {
-        let result = explore(&base(), &small_space(), &Constraints::default()).unwrap();
+        let result = sweep(&base(), &small_space(), &Constraints::default()).unwrap();
         assert_eq!(result.evaluated, small_space().combinations().len());
         let area_best = result.best(Objective::Area).unwrap();
         let lat_best = result.best(Objective::Latency).unwrap();
@@ -739,7 +557,7 @@ mod tests {
 
     #[test]
     fn constraints_filter_designs() {
-        let unconstrained = explore(&base(), &small_space(), &Constraints::default()).unwrap();
+        let unconstrained = sweep(&base(), &small_space(), &Constraints::default()).unwrap();
         let tight = Constraints::crossbar_error(
             unconstrained
                 .feasible
@@ -748,7 +566,7 @@ mod tests {
                 .fold(f64::INFINITY, f64::min)
                 * 1.01,
         );
-        let constrained = explore(&base(), &small_space(), &tight).unwrap();
+        let constrained = sweep(&base(), &small_space(), &tight).unwrap();
         assert!(constrained.feasible.len() < unconstrained.feasible.len());
     }
 
@@ -756,22 +574,17 @@ mod tests {
     fn impossible_constraints_error() {
         let c = Constraints::crossbar_error(0.0);
         assert!(matches!(
-            explore(&base(), &small_space(), &c),
+            sweep(&base(), &small_space(), &c),
             Err(CoreError::EmptyDesignSpace { .. })
         ));
     }
 
     #[test]
     fn parallel_matches_serial() {
-        let serial = explore(&base(), &small_space(), &Constraints::default()).unwrap();
+        let serial = sweep(&base(), &small_space(), &Constraints::default()).unwrap();
         for threads in [0usize, 2, 4, 7] {
-            let parallel = explore_with(
-                &base(),
-                &small_space(),
-                &Constraints::default(),
-                &ExecOptions::with_threads(threads),
-            )
-            .unwrap();
+            let parallel =
+                explore_on(&base(), &small_space(), &Constraints::default(), threads).unwrap();
             // Traversal order + pure evaluation: the whole result is
             // bit-identical to the serial traversal.
             assert_eq!(serial, parallel, "threads={threads}");
@@ -779,8 +592,63 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_bytes_are_stable_and_load_back() {
+        let dir = std::env::temp_dir().join(format!("mnsim_dse_ckpt_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("dse.json").display().to_string();
+        let policy = CheckpointPolicy::new(path.clone());
+        let control = RunControl::new();
+        let campaign = Campaign {
+            total: 3,
+            fingerprint: 0xfedc_ba98_7654_3210,
+            seed: None,
+            threads: 1,
+            control: &control,
+            policy: Some(&policy),
+        };
+        let point = DesignPoint {
+            crossbar_size: 64,
+            parallelism: 1,
+            interconnect: InterconnectNode::N45,
+            report: simulate(&Config::fully_connected_mlp(&[64, 32]).unwrap()).unwrap(),
+        };
+        let slots = vec![Some(None), Some(Some(point)), None];
+        campaign.write(&path, &slots).unwrap();
+        // Captured from the writer that predates the shared `Campaign`:
+        // checkpoints written before it must still resume.
+        let expected = r#"{
+  "schema": 1,
+  "kind": "dse",
+  "fingerprint": "0xfedcba9876543210",
+  "combos": 3,
+  "evaluated": [
+    {"index": 0, "feasible": false},
+    {"index": 1, "feasible": true}
+  ]
+}
+"#;
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), expected);
+
+        // Only the infeasible combination resumes; the feasible one is
+        // re-evaluated for its full report.
+        let mut loaded: Vec<Option<Option<DesignPoint>>> = vec![None, None, None];
+        assert_eq!(campaign.load(&path, &mut loaded).unwrap(), 1);
+        assert_eq!(loaded, vec![Some(None), None, None]);
+
+        // An empty sweep closes its record array on the same line.
+        let empty: Vec<Option<Option<DesignPoint>>> = vec![None, None];
+        campaign.write(&path, &empty).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "{\n  \"schema\": 1,\n  \"kind\": \"dse\",\n  \"fingerprint\": \"0xfedcba9876543210\",\n  \
+             \"combos\": 2,\n  \"evaluated\": []\n}\n"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn pareto_contains_every_single_objective_optimum() {
-        let result = explore(&base(), &small_space(), &Constraints::default()).unwrap();
+        let result = sweep(&base(), &small_space(), &Constraints::default()).unwrap();
         let front = result.pareto(&[Objective::Area, Objective::Latency]);
         assert!(!front.is_empty());
         let area_best = result.best(Objective::Area).unwrap();
@@ -808,7 +676,7 @@ mod tests {
 
     #[test]
     fn secondary_objective_breaks_ties() {
-        let result = explore(&base(), &small_space(), &Constraints::default()).unwrap();
+        let result = sweep(&base(), &small_space(), &Constraints::default()).unwrap();
         let best = result
             .best_with_secondary(Objective::Accuracy, Objective::Area)
             .unwrap();

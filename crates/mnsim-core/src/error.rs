@@ -7,6 +7,8 @@ use mnsim_circuit::CircuitError;
 use mnsim_nn::NnError;
 use mnsim_tech::TechError;
 
+use crate::exec::ExecError;
+
 /// One invalid configuration field, as reported by
 /// [`Config::check`](crate::config::Config::check).
 ///
@@ -187,6 +189,29 @@ impl Error for CoreError {
             // first record (all of them are in the Display output).
             CoreError::Config { errors } => errors.first().map(|e| e as _),
             _ => None,
+        }
+    }
+}
+
+impl ExecError<CoreError> {
+    /// The one mapping of a worker-pool failure onto [`CoreError`]: an
+    /// item's own error passes through, a panic becomes
+    /// [`CoreError::WorkerPanic`], and an interrupt carries `checkpoint`,
+    /// the file the interrupted campaign left behind (if any).
+    pub(crate) fn into_core(self, checkpoint: Option<String>) -> CoreError {
+        match self {
+            ExecError::Item { error, .. } => error,
+            ExecError::WorkerPanic { index, payload } => CoreError::WorkerPanic { index, payload },
+            ExecError::Cancelled { completed, total } => CoreError::Cancelled {
+                completed,
+                total,
+                checkpoint,
+            },
+            ExecError::DeadlineExceeded { completed, total } => CoreError::DeadlineExceeded {
+                completed,
+                total,
+                checkpoint,
+            },
         }
     }
 }

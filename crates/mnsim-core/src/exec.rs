@@ -1,28 +1,33 @@
-//! Shared parallel execution engine for the simulation pipeline.
+//! The worker pool: the one parallel-map engine of the workspace.
 //!
-//! Every threaded traversal in the platform — bank evaluation inside
-//! [`crate::simulate::simulate_with`], the fault-injection Monte-Carlo
-//! loop, design-space exploration, the model-vs-circuit validation
-//! harness — runs on the same scoped-thread worker pool with the same
-//! determinism contract:
+//! [`run_indices`] fans out every batch the
+//! [`crate::simulator::Simulator`] facade runs — fault-campaign trials,
+//! design-space points, validation matrices — and the
+//! [`crate::circuit_forward::CircuitLayer::forward_batch_with`] shards,
+//! all under one determinism contract:
 //!
 //! * **Work-stealing chunk queue.** Items are handed out in chunks from a
-//!   single atomic cursor, so a slow item (a 1024² bank next to a 4²
-//!   bank) never idles the other workers the way static chunking does.
-//! * **Deterministic reduction.** Every worker tags results with the item
-//!   index; the pool sorts by index before returning, so callers reduce
-//!   in canonical order and aggregates are **bit-identical** to the
-//!   serial loop for every thread count.
-//! * **Earliest-index errors.** When items can fail, the error returned
-//!   is the one belonging to the earliest item in traversal order — the
+//!   single atomic cursor, so a slow item never idles the other workers
+//!   the way static chunking does.
+//! * **Deterministic reduction.** Results come back in request order, so
+//!   callers reduce in canonical order and aggregates are
+//!   **bit-identical** to the serial loop for every thread count.
+//! * **Earliest-index errors.** When items can fail, the error reported
+//!   is the one belonging to the earliest item in request order — the
 //!   exact error a serial loop reports — regardless of which thread hit
 //!   it first. Parallel runs still evaluate every item (coverage is
 //!   never silently dropped by a failure elsewhere).
+//! * **Control plane.** A cooperative [`CancelToken`] and a per-run
+//!   [`Deadline`] are checked at chunk boundaries, and a panic in one
+//!   item surfaces as a typed [`ExecError::WorkerPanic`] while every
+//!   sibling result is kept. The returned [`MapReport`] says exactly
+//!   which items completed — the substrate the checkpointed campaign
+//!   driver ([`crate::checkpoint`]) builds on.
 //! * **Trace affinity.** Workers pin deterministic trace lanes (one
 //!   block reserved per pool via [`trace::reserve_lanes`]) and open
 //!   per-chunk [`trace::Level::Chunk`] spans parented on the caller's
 //!   innermost span, so cross-thread work stays attributed to the run
-//!   that spawned it — the same contract the fault-trial lanes pioneered.
+//!   that spawned it.
 //! * **Pool effectiveness metrics.** With a metrics session open the pool
 //!   records per-worker busy/idle self-time (`exec.worker.busy` /
 //!   `exec.worker.idle`), the queue depth after each chunk claim
@@ -34,21 +39,11 @@
 //! With one thread (or one item) the pool degenerates to the plain serial
 //! loop on the calling thread: no spawn, no chunk spans, no queue.
 //!
-//! The **controlled** entry points ([`run_indices`],
-//! [`try_map_n_controlled`], [`try_map_slice_controlled`]) add the
-//! campaign control plane on top of the same engine: a cooperative
-//! [`CancelToken`] and per-run [`Deadline`] checked at chunk boundaries,
-//! and per-item panic isolation that surfaces one panicking worker as a
-//! typed [`ExecError::WorkerPanic`] while keeping every sibling result.
-//! The returned [`MapReport`] says exactly which items completed — the
-//! substrate the checkpoint/resume layer
-//! ([`crate::checkpoint`]) builds on.
-//!
-//! [`ExecOptions`] is the one knob the public entry points share; see
-//! [`crate::simulator::Simulator`] for the session-style front end.
+//! One simulation never uses the pool: its banks cost microseconds each,
+//! below the grain where spawning workers pays off, so
+//! [`crate::simulate::simulate`] evaluates them serially.
 
 use std::any::Any;
-use std::convert::Infallible;
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::ops::Range;
@@ -78,16 +73,12 @@ static EXEC_CHUNK_IMBALANCE: obs::Gauge = obs::Gauge::new("exec.chunk_imbalance"
 /// around slow items, while keeping per-chunk overhead negligible.
 const CHUNKS_PER_WORKER: usize = 4;
 
-/// Execution options shared by every public entry point
-/// ([`crate::simulate::simulate_with`],
-/// [`crate::fault_sim::simulate_with_faults_with`],
-/// [`crate::dse::explore_with`],
-/// [`crate::validate::validate_against_circuit_with`], and the
-/// [`crate::simulator::Simulator`] facade).
+/// Execution options of the [`crate::simulator::Simulator`] facade, the
+/// one knob every workload shares.
 ///
-/// One struct replaces the historical per-subsystem knobs (the removed
-/// `FaultConfig::threads` field, the removed `explore_parallel` thread
-/// argument, and the `--metrics` / `--trace` CLI plumbing).
+/// `threads` sizes the worker pool that fans out fault trials, DSE
+/// points and validation matrices; a plain simulation has nothing to fan
+/// out and always runs on the calling thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExecOptions {
     /// Worker threads: `0` uses the machine's available parallelism, `1`
@@ -115,8 +106,7 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// Single-threaded execution, no metrics, no trace — the exact
-    /// behavior of the historical serial entry points.
+    /// Single-threaded execution, no metrics, no trace.
     pub fn serial() -> Self {
         ExecOptions {
             threads: 1,
@@ -286,12 +276,9 @@ pub enum Interrupt {
 }
 
 /// The per-run control plane: an optional cancellation token and an
-/// optional deadline, threaded through the controlled execution entry
-/// points ([`run_indices`], [`try_map_n_controlled`],
-/// [`try_map_slice_controlled`]).
+/// optional deadline, observed by [`run_indices`].
 ///
-/// The default control (no token, no deadline) never interrupts — a
-/// controlled run under it behaves exactly like the legacy open-loop run.
+/// The default control (no token, no deadline) never interrupts.
 #[derive(Debug, Clone, Default)]
 pub struct RunControl {
     /// Cooperative cancellation, if the caller wants to be able to stop
@@ -404,13 +391,14 @@ impl<E: fmt::Display> fmt::Display for ExecError<E> {
 
 impl<E: fmt::Display + fmt::Debug> std::error::Error for ExecError<E> {}
 
-/// The full outcome of a controlled run: per-item results, the earliest
-/// failure (if any), and whether the run was interrupted.
+/// The full outcome of a [`run_indices`] run: per-item results, the
+/// earliest failure (if any), and whether the run was interrupted.
 ///
-/// Unlike [`try_map_n`], nothing is discarded: a panic or error on one
-/// item leaves the sibling results in [`MapReport::results`], and an
-/// interrupted run reports exactly which items completed — the substrate
-/// checkpoint/resume builds on.
+/// Nothing is discarded: a panic or error on one item leaves the sibling
+/// results in [`MapReport::results`], and an interrupted run reports
+/// exactly which items completed — the substrate checkpoint/resume
+/// builds on. [`MapReport::into_result`] collapses it for callers that
+/// only want the results or the first failure.
 #[derive(Debug)]
 pub struct MapReport<R, E> {
     /// One slot per requested index, in request order: `Some` iff that
@@ -474,10 +462,10 @@ fn panic_payload_string(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
-/// Runs `f(index)` for every index in `indices` under `control`, with the
-/// same chunk queue, deterministic reduction, and trace affinity as
-/// [`try_map_n`] — plus cancellation, deadline enforcement, and per-item
-/// panic isolation.
+/// Runs `f(index)` for every index in `indices` under `control` on up to
+/// `threads` workers (`0` = auto): the chunk queue, deterministic
+/// reduction, trace affinity, cancellation, deadline enforcement and
+/// per-item panic isolation described in the [module docs](self).
 ///
 /// `indices` is the caller's index space (e.g. the trials still missing
 /// from a checkpoint); results align positionally with it. The earliest
@@ -700,168 +688,10 @@ where
     }
 }
 
-/// Controlled [`try_map_n`]: runs `f(index)` for `0..n` under `control`
-/// and returns the results in index order, or the earliest typed failure.
-///
-/// # Errors
-///
-/// [`ExecError::Item`] for the earliest failing index,
-/// [`ExecError::WorkerPanic`] if a closure panicked, and
-/// [`ExecError::Cancelled`] / [`ExecError::DeadlineExceeded`] when the
-/// control plane cut the run short.
-pub fn try_map_n_controlled<R, E, F>(
-    n: usize,
-    threads: usize,
-    control: &RunControl,
-    f: F,
-) -> Result<Vec<R>, ExecError<E>>
-where
-    R: Send,
-    E: Send,
-    F: Fn(usize) -> Result<R, E> + Sync,
-{
-    let indices: Vec<usize> = (0..n).collect();
-    run_indices(&indices, threads, control, f).into_result()
-}
-
-/// Controlled [`try_map_slice`]: runs `f(index, &items[index])` over a
-/// slice under `control`. See [`try_map_n_controlled`].
-///
-/// # Errors
-///
-/// Same contract as [`try_map_n_controlled`].
-pub fn try_map_slice_controlled<T, R, E, F>(
-    items: &[T],
-    threads: usize,
-    control: &RunControl,
-    f: F,
-) -> Result<Vec<R>, ExecError<E>>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    try_map_n_controlled(items.len(), threads, control, |index| {
-        f(index, &items[index])
-    })
-}
-
-/// Runs `f(index)` for every index in `0..n` and returns the results in
-/// index order, using up to `threads` workers (`0` = auto).
-///
-/// This is the engine primitive: a scoped worker pool pulling chunks off
-/// an atomic cursor, collecting `(index, result)` pairs, and reducing in
-/// index order. With `threads <= 1` or `n <= 1` it is exactly the serial
-/// `(0..n).map(f).collect()`.
-///
-/// # Errors
-///
-/// Returns the error of the **earliest** failing index, matching what a
-/// serial loop would report. The parallel path evaluates every index even
-/// after a failure; the serial path stops at the first error (the
-/// returned error is identical either way).
-pub fn try_map_n<R, E, F>(n: usize, threads: usize, f: F) -> Result<Vec<R>, E>
-where
-    R: Send,
-    E: Send,
-    F: Fn(usize) -> Result<R, E> + Sync,
-{
-    let threads = resolve_threads(threads).min(n.max(1));
-    if threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-
-    let parent = trace::current_span();
-    let lane_base = trace::reserve_lanes(threads as u64);
-    let chunk = n.div_ceil(threads * CHUNKS_PER_WORKER).max(1);
-    let cursor = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, Result<R, E>)>> = Mutex::new(Vec::with_capacity(n));
-
-    let f_ref = &f;
-    let cursor_ref = &cursor;
-    let collected_ref = &collected;
-    std::thread::scope(|scope| {
-        for worker in 0..threads {
-            scope.spawn(move || {
-                trace::pin_lane(lane_base + worker as u64);
-                let mut local: Vec<(usize, Result<R, E>)> = Vec::new();
-                loop {
-                    let start = cursor_ref.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + chunk).min(n);
-                    let _chunk_span = trace::span_under(
-                        "exec.chunk",
-                        trace::Level::Chunk,
-                        (start / chunk) as i64,
-                        parent,
-                    );
-                    for index in start..end {
-                        local.push((index, f_ref(index)));
-                    }
-                }
-                collected_ref
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .extend(local);
-            });
-        }
-    });
-
-    let mut collected = collected
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    collected.sort_by_key(|(index, _)| *index);
-    // A sorted fold: the first Err encountered belongs to the earliest
-    // failing index, exactly as the serial traversal reports it.
-    collected.into_iter().map(|(_, result)| result).collect()
-}
-
-/// Infallible [`try_map_n`]: runs `f(index)` for `0..n` and returns the
-/// results in index order.
-pub fn map_n<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    match try_map_n::<R, Infallible, _>(n, threads, |index| Ok(f(index))) {
-        Ok(results) => results,
-        Err(never) => match never {},
-    }
-}
-
-/// Runs `f(index, &items[index])` over a slice and returns the results in
-/// item order. See [`try_map_n`] for the determinism contract.
-///
-/// # Errors
-///
-/// Returns the error of the earliest failing item.
-pub fn try_map_slice<T, R, E, F>(items: &[T], threads: usize, f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    try_map_n(items.len(), threads, |index| f(index, &items[index]))
-}
-
-/// Infallible [`try_map_slice`].
-pub fn map_slice<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    map_n(items.len(), threads, |index| f(index, &items[index]))
-}
-
 /// Splits `0..n` into at most `shards` contiguous, near-equal,
 /// **deterministic** ranges (empty ranges are never produced).
 ///
-/// The chunk queue of [`try_map_n`] assigns items to workers dynamically,
+/// The chunk queue of [`run_indices`] assigns items to workers dynamically,
 /// which is fine for pure per-item work but wrong for stateful sweeps: a
 /// warm-started CG chain must see a *reproducible* neighbor sequence.
 /// Shard boundaries from this function depend only on `(n, shards)`, so a
@@ -886,6 +716,17 @@ pub fn shard_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::convert::Infallible;
+
+    /// `f` over `0..n` with no control plane, collapsed to a `Result`.
+    fn map<R: Send, E: Send>(
+        n: usize,
+        threads: usize,
+        f: impl Fn(usize) -> Result<R, E> + Sync,
+    ) -> Result<Vec<R>, ExecError<E>> {
+        let indices: Vec<usize> = (0..n).collect();
+        run_indices(&indices, threads, &RunControl::new(), f).into_result()
+    }
 
     #[test]
     fn defaults_and_builders() {
@@ -899,27 +740,28 @@ mod tests {
     }
 
     #[test]
-    fn map_n_is_in_order_for_every_thread_count() {
+    fn results_are_in_order_for_every_thread_count() {
         let expected: Vec<usize> = (0..103).map(|i| i * i).collect();
         for threads in [1, 2, 3, 7, 64] {
-            assert_eq!(map_n(103, threads, |i| i * i), expected, "threads={threads}");
+            let out = map::<_, Infallible>(103, threads, |i| Ok(i * i)).unwrap();
+            assert_eq!(out, expected, "threads={threads}");
         }
-        assert_eq!(map_n(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(map_n(1, 4, |i| i + 1), vec![1]);
-    }
-
-    #[test]
-    fn map_slice_passes_items_and_indices() {
-        let items = ["a", "bb", "ccc", "dddd", "eeeee"];
-        let out = map_slice(&items, 3, |i, s| (i, s.len()));
-        assert_eq!(out, vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
+        assert_eq!(
+            map::<usize, Infallible>(0, 4, Ok).unwrap(),
+            Vec::<usize>::new()
+        );
+        assert_eq!(map::<_, Infallible>(1, 4, |i| Ok(i + 1)).unwrap(), vec![1]);
+        // A caller's own index space: results align with `indices`.
+        let report =
+            run_indices::<_, Infallible, _>(&[4, 9, 2], 2, &RunControl::new(), |i| Ok(i * 10));
+        assert_eq!(report.into_result().unwrap(), vec![40, 90, 20]);
     }
 
     #[test]
     fn earliest_error_wins_for_every_thread_count() {
         // Items 5 and 11 fail; every thread count must report item 5.
         for threads in [1, 2, 7, 64] {
-            let err = try_map_n::<usize, String, _>(16, threads, |i| {
+            let err = map::<usize, String>(16, threads, |i| {
                 if i == 5 || i == 11 {
                     Err(format!("item {i} failed"))
                 } else {
@@ -927,7 +769,14 @@ mod tests {
                 }
             })
             .unwrap_err();
-            assert_eq!(err, "item 5 failed", "threads={threads}");
+            assert_eq!(
+                err,
+                ExecError::Item {
+                    index: 5,
+                    error: "item 5 failed".to_string()
+                },
+                "threads={threads}"
+            );
         }
     }
 
@@ -935,7 +784,7 @@ mod tests {
     fn parallel_run_evaluates_every_item_despite_errors() {
         use std::sync::atomic::AtomicUsize;
         let evaluated = AtomicUsize::new(0);
-        let result = try_map_n::<(), &str, _>(40, 4, |i| {
+        let result = map::<(), &str>(40, 4, |i| {
             evaluated.fetch_add(1, Ordering::Relaxed);
             if i == 0 {
                 Err("first item fails")
@@ -1067,57 +916,6 @@ mod tests {
     }
 
     #[test]
-    fn controlled_map_matches_legacy_map_without_control() {
-        let legacy: Vec<usize> = map_n(103, 7, |i| i * 3 + 1);
-        let controlled =
-            try_map_n_controlled::<usize, Infallible, _>(103, 7, &RunControl::new(), |i| {
-                Ok(i * 3 + 1)
-            })
-            .unwrap();
-        assert_eq!(legacy, controlled);
-    }
-
-    #[test]
-    fn controlled_earliest_error_wins() {
-        for threads in [1, 2, 7] {
-            let err = try_map_n_controlled::<usize, String, _>(
-                16,
-                threads,
-                &RunControl::new(),
-                |i| {
-                    if i == 5 || i == 11 {
-                        Err(format!("item {i} failed"))
-                    } else {
-                        Ok(i)
-                    }
-                },
-            )
-            .unwrap_err();
-            assert_eq!(
-                err,
-                ExecError::Item {
-                    index: 5,
-                    error: "item 5 failed".to_string()
-                },
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn controlled_slice_passes_items() {
-        let items = ["a", "bb", "ccc"];
-        let out = try_map_slice_controlled::<_, _, Infallible, _>(
-            &items,
-            2,
-            &RunControl::new(),
-            |i, s| Ok((i, s.len())),
-        )
-        .unwrap();
-        assert_eq!(out, vec![(0, 1), (1, 2), (2, 3)]);
-    }
-
-    #[test]
     fn deadline_remaining_and_expiry() {
         let deadline = Deadline::after(Duration::from_secs(3600));
         assert!(!deadline.expired());
@@ -1131,13 +929,10 @@ mod tests {
     fn thread_count_does_not_change_float_reductions() {
         // The canonical-order reduction makes even non-associative float
         // folds bit-identical across thread counts.
-        let serial: f64 = map_n(1000, 1, |i| (i as f64).sqrt() * 0.1)
-            .iter()
-            .sum();
+        let terms = |threads| map::<_, Infallible>(1000, threads, |i| Ok((i as f64).sqrt() * 0.1));
+        let serial: f64 = terms(1).unwrap().iter().sum();
         for threads in [2, 7, 64] {
-            let parallel: f64 = map_n(1000, threads, |i| (i as f64).sqrt() * 0.1)
-                .iter()
-                .sum();
+            let parallel: f64 = terms(threads).unwrap().iter().sum();
             assert_eq!(serial.to_bits(), parallel.to_bits(), "threads={threads}");
         }
     }

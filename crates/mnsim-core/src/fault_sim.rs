@@ -1,7 +1,8 @@
 //! Fault-injection Monte-Carlo over the simulation pipeline.
 //!
-//! [`simulate_with_faults_with`] extends the behavior-level flow of
-//! [`simulate`](crate::simulate::simulate) with hard-defect modeling: it
+//! A campaign attached with
+//! [`Simulator::faults`](crate::simulator::Simulator::faults) extends the
+//! behavior-level flow of [`simulate`] with hard-defect modeling: it
 //! draws seeded [`FaultMap`]s, applies MNSIM's graceful-degradation story
 //! (spare-row remapping, bank retirement past a defect threshold), pushes
 //! each surviving map through *both* the circuit path (a representative
@@ -32,13 +33,13 @@ use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::fmt::Write as _;
 
-use mnsim_obs::JsonValue;
+use mnsim_obs::{write_json_number, JsonValue};
 
-use crate::checkpoint::{self, CheckpointPolicy};
+use crate::checkpoint::{self, record_index, Campaign, CheckpointPolicy, Record};
 use crate::config::Config;
 use crate::error::{ConfigError, CoreError};
-use crate::exec::{self, ExecError, ExecOptions, Interrupt, RunControl};
-use crate::simulate::{simulate_with, Report};
+use crate::exec::RunControl;
+use crate::simulate::{simulate, Report};
 
 static FAULT_CAMPAIGNS: obs::Counter = obs::Counter::new("core.fault.campaigns");
 static FAULT_TRIALS: obs::Counter = obs::Counter::new("core.fault.trials");
@@ -74,14 +75,6 @@ pub struct FaultConfig {
     /// warm-started CG. The default of `1` reproduces the single-read
     /// campaign bit for bit.
     pub inputs_per_trial: usize,
-    /// Checkpoint policy: when set, the campaign persists its completed
-    /// trials to [`CheckpointPolicy::path`] every
-    /// [`CheckpointPolicy::every_n`] trials and once more when the run
-    /// stops, and **resumes** from that file if it already exists (the
-    /// file must have been written by the same campaign — config, rates,
-    /// seed, and trial count are fingerprinted). A resumed campaign is
-    /// bit-identical to an uninterrupted one.
-    pub checkpoint: Option<CheckpointPolicy>,
 }
 
 impl Default for FaultConfig {
@@ -93,7 +86,6 @@ impl Default for FaultConfig {
             spare_rows: 2,
             retire_threshold: 0.25,
             inputs_per_trial: 1,
-            checkpoint: None,
         }
     }
 }
@@ -105,9 +97,8 @@ impl FaultConfig {
     ///
     /// Returns [`CoreError::Config`] listing **every** invalid field as a
     /// typed [`ConfigError`] (`trials == 0`, an out-of-range retirement
-    /// threshold, zero reads per trial, a degenerate checkpoint path),
-    /// and propagates [`FaultRates::validate`] failures as
-    /// [`CoreError::Tech`].
+    /// threshold, zero reads per trial), and propagates
+    /// [`FaultRates::validate`] failures as [`CoreError::Tech`].
     pub fn validate(&self) -> Result<(), CoreError> {
         let mut errors = Vec::new();
         if self.trials == 0 {
@@ -132,15 +123,6 @@ impl FaultConfig {
                 reason: "each trial needs at least one read vector".into(),
                 allowed: ">= 1".into(),
             });
-        }
-        if let Some(policy) = &self.checkpoint {
-            if policy.path.is_empty() {
-                errors.push(ConfigError {
-                    field_path: "FaultConfig.checkpoint.path".into(),
-                    reason: "checkpoint path is empty".into(),
-                    allowed: "a writable file path".into(),
-                });
-            }
         }
         if !errors.is_empty() {
             return Err(CoreError::Config { errors });
@@ -269,6 +251,7 @@ struct TrialContext<'a> {
 
 /// Everything one trial contributes to the summary. Outcomes are reduced
 /// in trial order, so aggregates are bit-identical for any thread count.
+#[derive(Debug, PartialEq)]
 struct TrialOutcome {
     spare_rows_used: usize,
     retired: bool,
@@ -276,6 +259,7 @@ struct TrialOutcome {
 }
 
 /// The circuit- and behavior-level measurements of one surviving trial.
+#[derive(Debug, PartialEq)]
 struct SolveOutcome {
     fallback: bool,
     kcl_residual: f64,
@@ -405,59 +389,38 @@ fn run_trial(context: &TrialContext<'_>, trial: usize) -> Result<TrialOutcome, C
     })
 }
 
-/// Runs the full MNSIM simulation plus a fault-injection campaign on the
-/// shared [`exec`] worker pool.
+/// Runs the full MNSIM simulation plus a fault-injection campaign — the
+/// workload behind [`Simulator::run`](crate::simulator::Simulator::run)
+/// when a campaign is attached.
 ///
 /// The returned [`Report`] is the clean behavior-level result with
 /// [`Report::faults`] populated. Defective arrays *never* abort the run:
 /// unsolvable or degraded trials are absorbed into the yield and recovery
-/// statistics.
-///
-/// Both the clean simulation and the Monte-Carlo trial loop use
-/// `options.threads`; trials are seed-decorrelated and reduced in trial
-/// order, so the summary is bit-identical for every thread count.
-///
-/// # Errors
-///
-/// Returns configuration validation errors; circuit errors only escape if
-/// even the dense-LU fallback cannot solve a trial (a genuinely singular
-/// system, which the near-open defect modeling prevents).
-pub fn simulate_with_faults_with(
-    config: &Config,
-    fault_config: &FaultConfig,
-    options: &ExecOptions,
-) -> Result<Report, CoreError> {
-    simulate_with_faults_controlled(config, fault_config, options, &RunControl::default())
-}
-
-/// [`simulate_with_faults_with`] under a campaign control plane: the run
-/// observes `control`'s [`CancelToken`](crate::exec::CancelToken) and
-/// [`Deadline`](crate::exec::Deadline) at chunk boundaries, and honors
-/// [`FaultConfig::checkpoint`] — persisting completed trials as it goes
-/// and resuming from an existing checkpoint file.
-///
-/// One panicking trial no longer poisons the campaign: it surfaces as
-/// [`CoreError::WorkerPanic`] after the sibling trials' results have been
-/// collected (and checkpointed, when a policy is set).
+/// statistics. Trials run on the checkpointed campaign driver
+/// ([`Campaign`]) over `threads` workers; they are seed-decorrelated and
+/// reduced in trial order, so the summary is bit-identical for every
+/// thread count and resume pattern. One panicking trial surfaces as
+/// [`CoreError::WorkerPanic`] after its siblings' results were collected
+/// (and checkpointed, under a `policy`).
 ///
 /// # Errors
 ///
-/// Everything [`simulate_with_faults_with`] returns, plus
-/// [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`] when
-/// `control` cut the run short (carrying the checkpoint path when one was
-/// written), [`CoreError::WorkerPanic`] for a panicking trial, and
-/// [`CoreError::Checkpoint`] for unusable or mismatched checkpoint files.
-pub fn simulate_with_faults_controlled(
+/// Configuration validation errors; circuit errors only if even the
+/// dense-LU fallback cannot solve a trial (a genuinely singular system,
+/// which the near-open defect modeling prevents); and the campaign's
+/// interrupt, panic and checkpoint errors.
+pub(crate) fn simulate_with_faults(
     config: &Config,
     fault_config: &FaultConfig,
-    options: &ExecOptions,
+    threads: usize,
     control: &RunControl,
+    policy: Option<&CheckpointPolicy>,
 ) -> Result<Report, CoreError> {
     let _span = CAMPAIGN_SPAN.enter();
     let campaign_span = trace::span("fault.campaign", trace::Level::Run);
     FAULT_CAMPAIGNS.inc();
     fault_config.validate()?;
-    let mut report = simulate_with(config, options)?;
+    let mut report = simulate(config)?;
 
     let device = &config.device;
     let size = config.crossbar_size.clamp(1, REPRESENTATIVE_LIMIT);
@@ -539,118 +502,15 @@ pub fn simulate_with_faults_controlled(
         clean_extra_outputs: &clean_extra_outputs,
         trace_parent: campaign_span.id(),
     };
-    // Per-trial result slots, filled from a resumed checkpoint first and
-    // then by the controlled engine. Trials are seed-independent, so any
-    // completion order merges into the same canonical-order reduction.
-    let trials = fault_config.trials;
-    let mut slots: Vec<Option<TrialOutcome>> = (0..trials).map(|_| None).collect();
-    let fingerprint = campaign_fingerprint(config, fault_config);
-
-    if let Some(policy) = &fault_config.checkpoint {
-        if std::path::Path::new(&policy.path).exists() {
-            let resumed = load_fault_checkpoint(&policy.path, fingerprint, trials, &mut slots)?;
-            checkpoint::note_resumed(resumed);
-        }
-    }
-
-    // Waves: with a checkpoint policy, run `every_n` missing trials at a
-    // time and persist after each wave; without one, live telemetry picks
-    // a thread-independent grain (or a single wave covers everything —
-    // the exact legacy open-loop run — when telemetry is off too).
-    let wave_len = match &fault_config.checkpoint {
-        Some(policy) => policy.every_n.max(1),
-        None => obs::live::wave_grain(trials),
+    let campaign = Campaign {
+        total: fault_config.trials,
+        fingerprint: campaign_fingerprint(config, fault_config),
+        seed: Some(fault_config.seed),
+        threads,
+        control,
+        policy,
     };
-    let remaining: Vec<usize> = (0..trials).filter(|&t| slots[t].is_none()).collect();
-    let mut done = trials - remaining.len();
-    obs::live::campaign_started("fault_mc", trials, done);
-    let mut failure: Option<ExecError<CoreError>> = None;
-    let mut interrupt = None;
-
-    for wave in remaining.chunks(wave_len.min(remaining.len().max(1))) {
-        if control.interrupted().is_some() && interrupt.is_none() {
-            interrupt = control.interrupted();
-            // An interrupted run must always leave its checkpoint on disk,
-            // even when the control plane tripped before the first wave.
-            if let Some(policy) = &fault_config.checkpoint {
-                write_fault_checkpoint(policy, fingerprint, fault_config, &slots)?;
-                obs::live::checkpoint_written(&policy.path, done);
-            }
-            break;
-        }
-        let wave_report =
-            exec::run_indices(wave, options.threads, control, |trial| run_trial(&context, trial));
-        done += wave_report.completed;
-        for (position, slot) in wave_report.results.into_iter().enumerate() {
-            if let Some(outcome) = slot {
-                slots[wave[position]] = Some(outcome);
-            }
-        }
-        if let Some(policy) = &fault_config.checkpoint {
-            write_fault_checkpoint(policy, fingerprint, fault_config, &slots)?;
-            obs::live::checkpoint_written(&policy.path, done);
-        }
-        if wave_report.error.is_some() {
-            failure = wave_report.error;
-            break;
-        }
-        if wave_report.interrupt.is_some() {
-            interrupt = wave_report.interrupt;
-            break;
-        }
-        // Only clean waves report progress: an interrupted wave's `done`
-        // depends on where the worker threads happened to stop, so
-        // emitting it would break the cross-thread determinism contract.
-        obs::live::wave_completed(done, trials, control.deadline.map(|d| d.remaining()));
-    }
-
-    let completed = slots.iter().filter(|slot| slot.is_some()).count();
-    let checkpoint_path = fault_config
-        .checkpoint
-        .as_ref()
-        .map(|policy| policy.path.clone());
-    if let Some(error) = failure {
-        obs::live::campaign_finished(completed, trials, "failed");
-        return Err(match error {
-            ExecError::Item { error, .. } => error,
-            ExecError::WorkerPanic { index, payload } => CoreError::WorkerPanic { index, payload },
-            ExecError::Cancelled { .. } => CoreError::Cancelled {
-                completed,
-                total: trials,
-                checkpoint: checkpoint_path,
-            },
-            ExecError::DeadlineExceeded { .. } => CoreError::DeadlineExceeded {
-                completed,
-                total: trials,
-                checkpoint: checkpoint_path,
-            },
-        });
-    }
-    if completed < trials {
-        // The control plane cut the run short (possibly between waves).
-        obs::live::campaign_finished(completed, trials, "interrupted");
-        let kind = interrupt
-            .or_else(|| control.interrupted())
-            .unwrap_or(Interrupt::Cancelled);
-        return Err(match kind {
-            Interrupt::Cancelled => CoreError::Cancelled {
-                completed,
-                total: trials,
-                checkpoint: checkpoint_path,
-            },
-            Interrupt::DeadlineExceeded => CoreError::DeadlineExceeded {
-                completed,
-                total: trials,
-                checkpoint: checkpoint_path,
-            },
-        });
-    }
-
-    obs::live::campaign_finished(trials, trials, "complete");
-    let outcomes: Vec<TrialOutcome> = slots
-        .into_iter()
-        .map(|slot| slot.expect("complete campaign has every trial outcome"))
-        .collect();
+    let outcomes = campaign.run(|trial| run_trial(&context, trial))?;
     report.faults = Some(reduce_outcomes(fault_config, &outcomes));
     Ok(report)
 }
@@ -735,160 +595,82 @@ pub(crate) fn campaign_fingerprint(config: &Config, fault_config: &FaultConfig) 
     checkpoint::fnv64(canonical.as_bytes())
 }
 
-/// Serializes the completed-trial slots into the versioned checkpoint
-/// format and writes them atomically.
-fn write_fault_checkpoint(
-    policy: &CheckpointPolicy,
-    fingerprint: u64,
-    fault_config: &FaultConfig,
-    slots: &[Option<TrialOutcome>],
-) -> Result<(), CoreError> {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\n  \"schema\": ");
-    let _ = write!(out, "{}", checkpoint::SCHEMA_VERSION);
-    out.push_str(",\n  \"kind\": \"fault_mc\",\n  \"fingerprint\": ");
-    checkpoint::push_json_string(&mut out, &checkpoint::hex_u64(fingerprint));
-    out.push_str(",\n  \"seed\": ");
-    checkpoint::push_json_string(&mut out, &checkpoint::hex_u64(fault_config.seed));
-    out.push_str(",\n  \"trials\": ");
-    let _ = write!(out, "{}", fault_config.trials);
-    out.push_str(",\n  \"completed\": [");
-    let mut first = true;
-    for (trial, slot) in slots.iter().enumerate() {
-        let Some(outcome) = slot else { continue };
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("\n    {\"trial\": ");
-        let _ = write!(out, "{trial}");
-        out.push_str(", \"spare_rows_used\": ");
-        let _ = write!(out, "{}", outcome.spare_rows_used);
-        out.push_str(", \"retired\": ");
-        out.push_str(if outcome.retired { "true" } else { "false" });
-        out.push_str(", \"solve\": ");
-        match &outcome.solve {
+impl Record for TrialOutcome {
+    const KIND: &'static str = "fault_mc";
+    const EVENT: &'static str = "fault_mc";
+    const COUNT_KEY: &'static str = "trials";
+    const RECORDS_KEY: &'static str = "completed";
+
+    fn encode(&self, trial: usize, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"trial\": {trial}, \"spare_rows_used\": {}, \"retired\": {}, \"solve\": ",
+            self.spare_rows_used, self.retired
+        );
+        match &self.solve {
             None => out.push_str("null"),
             Some(solve) => {
-                out.push_str("{\"fallback\": ");
-                out.push_str(if solve.fallback { "true" } else { "false" });
-                out.push_str(", \"kcl_residual\": ");
-                checkpoint::push_json_f64(&mut out, solve.kcl_residual);
+                let _ = write!(
+                    out,
+                    "{{\"fallback\": {}, \"kcl_residual\": ",
+                    solve.fallback
+                );
+                write_json_number(out, solve.kcl_residual);
                 out.push_str(", \"weight_damage\": ");
-                checkpoint::push_json_f64(&mut out, solve.weight_damage);
+                write_json_number(out, solve.weight_damage);
                 out.push_str(", \"deviations\": [");
                 for (i, deviation) in solve.deviations.iter().enumerate() {
                     if i > 0 {
                         out.push_str(", ");
                     }
-                    checkpoint::push_json_f64(&mut out, *deviation);
+                    write_json_number(out, *deviation);
                 }
                 out.push_str("]}");
             }
         }
         out.push('}');
     }
-    if !first {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    checkpoint::write_atomic(&policy.path, &out)?;
-    checkpoint::note_written(slots.iter().filter(|slot| slot.is_some()).count());
-    Ok(())
-}
 
-/// Loads a fault-campaign checkpoint into the trial slots, verifying it
-/// belongs to this exact campaign. Returns the number of trials resumed.
-fn load_fault_checkpoint(
-    path: &str,
-    fingerprint: u64,
-    trials: usize,
-    slots: &mut [Option<TrialOutcome>],
-) -> Result<usize, CoreError> {
-    let malformed = |reason: String| CoreError::Checkpoint {
-        path: path.to_string(),
-        reason,
-    };
-    let value = checkpoint::read_json(path)?;
-    checkpoint::check_header(path, &value, "fault_mc")?;
-    let found = checkpoint::require_hex_u64(path, &value, "fingerprint")?;
-    if found != fingerprint {
-        return Err(malformed(format!(
-            "fingerprint {} does not match this campaign ({}); refusing to resume a \
-             different config/seed/trial-count",
-            checkpoint::hex_u64(found),
-            checkpoint::hex_u64(fingerprint),
-        )));
-    }
-    let stored_trials = value.get("trials").and_then(JsonValue::as_f64);
-    if stored_trials != Some(trials as f64) {
-        return Err(malformed(format!(
-            "trial count {stored_trials:?} does not match campaign ({trials})"
-        )));
-    }
-    let completed = value
-        .get("completed")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| malformed("missing `completed` array".into()))?;
-    let mut resumed = 0usize;
-    for record in completed {
-        let trial = record
-            .get("trial")
-            .and_then(JsonValue::as_f64)
-            .filter(|t| t.fract() == 0.0 && *t >= 0.0 && *t < trials as f64)
-            .ok_or_else(|| malformed("completed record with missing/out-of-range `trial`".into()))?
-            as usize;
+    fn decode(record: &JsonValue, trials: usize) -> Result<(usize, Option<Self>), String> {
+        let trial = record_index(record, "trial", trials)?;
+        let flag = |value: Option<&JsonValue>, name: &str| match value {
+            Some(JsonValue::Bool(b)) => Ok(*b),
+            _ => Err(format!("trial {trial}: bad `{name}`")),
+        };
+        let number = |value: Option<&JsonValue>, name: &str| {
+            value
+                .and_then(JsonValue::as_f64)
+                .ok_or_else(|| format!("trial {trial}: bad `{name}`"))
+        };
         let spare_rows_used = record
             .get("spare_rows_used")
             .and_then(JsonValue::as_f64)
             .filter(|v| v.fract() == 0.0 && *v >= 0.0)
-            .ok_or_else(|| malformed(format!("trial {trial}: bad `spare_rows_used`")))?
+            .ok_or_else(|| format!("trial {trial}: bad `spare_rows_used`"))?
             as usize;
-        let retired = match record.get("retired") {
-            Some(JsonValue::Bool(b)) => *b,
-            _ => return Err(malformed(format!("trial {trial}: bad `retired`"))),
-        };
+        let retired = flag(record.get("retired"), "retired")?;
         let solve = match record.get("solve") {
             None | Some(JsonValue::Null) => None,
-            Some(solve) => {
-                let fallback = match solve.get("fallback") {
-                    Some(JsonValue::Bool(b)) => *b,
-                    _ => return Err(malformed(format!("trial {trial}: bad `fallback`"))),
-                };
-                let kcl_residual = solve
-                    .get("kcl_residual")
-                    .and_then(JsonValue::as_f64)
-                    .ok_or_else(|| malformed(format!("trial {trial}: bad `kcl_residual`")))?;
-                let weight_damage = solve
-                    .get("weight_damage")
-                    .and_then(JsonValue::as_f64)
-                    .ok_or_else(|| malformed(format!("trial {trial}: bad `weight_damage`")))?;
-                let deviations = solve
+            Some(solve) => Some(SolveOutcome {
+                fallback: flag(solve.get("fallback"), "fallback")?,
+                kcl_residual: number(solve.get("kcl_residual"), "kcl_residual")?,
+                weight_damage: number(solve.get("weight_damage"), "weight_damage")?,
+                deviations: solve
                     .get("deviations")
                     .and_then(JsonValue::as_array)
-                    .ok_or_else(|| malformed(format!("trial {trial}: bad `deviations`")))?
+                    .ok_or_else(|| format!("trial {trial}: bad `deviations`"))?
                     .iter()
-                    .map(|d| {
-                        d.as_f64()
-                            .ok_or_else(|| malformed(format!("trial {trial}: bad deviation")))
-                    })
-                    .collect::<Result<Vec<f64>, CoreError>>()?;
-                Some(SolveOutcome {
-                    fallback,
-                    kcl_residual,
-                    weight_damage,
-                    deviations,
-                })
-            }
+                    .map(|d| number(Some(d), "deviations"))
+                    .collect::<Result<_, _>>()?,
+            }),
         };
-        slots[trial] = Some(TrialOutcome {
+        let outcome = TrialOutcome {
             spare_rows_used,
             retired,
             solve,
-        });
-        resumed += 1;
+        };
+        Ok((trial, Some(outcome)))
     }
-    Ok(resumed)
 }
 
 #[cfg(test)]
@@ -899,13 +681,19 @@ mod tests {
         Config::fully_connected_mlp(&[64, 32]).unwrap()
     }
 
-    // Default-ExecOptions shorthand so the campaign tests below stay
-    // terse while exercising the shared worker-pool path.
-    fn simulate_with_faults(
+    /// An uncontrolled, checkpoint-free campaign on `threads` workers.
+    fn campaign_on(
         config: &Config,
         fault_config: &FaultConfig,
+        threads: usize,
     ) -> Result<Report, CoreError> {
-        simulate_with_faults_with(config, fault_config, &ExecOptions::default())
+        simulate_with_faults(config, fault_config, threads, &RunControl::new(), None)
+    }
+
+    /// [`campaign_on`] at the auto thread count, so the tests below stay
+    /// terse while exercising the worker-pool path.
+    fn campaign(config: &Config, fault_config: &FaultConfig) -> Result<Report, CoreError> {
+        campaign_on(config, fault_config, 0)
     }
 
     #[test]
@@ -916,15 +704,9 @@ mod tests {
             trials: 6,
             ..FaultConfig::default()
         };
-        let serial =
-            simulate_with_faults_with(&config, &fault_config, &ExecOptions::serial()).unwrap();
+        let serial = campaign_on(&config, &fault_config, 1).unwrap();
         for threads in [0usize, 2, 7] {
-            let parallel = simulate_with_faults_with(
-                &config,
-                &fault_config,
-                &ExecOptions::with_threads(threads),
-            )
-            .unwrap();
+            let parallel = campaign_on(&config, &fault_config, threads).unwrap();
             assert_eq!(serial, parallel, "threads={threads}");
         }
     }
@@ -936,7 +718,7 @@ mod tests {
             trials: 3,
             ..FaultConfig::default()
         };
-        let report = simulate_with_faults(&small_config(), &fault_config).unwrap();
+        let report = campaign(&small_config(), &fault_config).unwrap();
         let summary = report.faults.unwrap();
         assert_eq!(summary.yield_fraction, 1.0);
         assert_eq!(summary.retired_trials, 0);
@@ -961,14 +743,14 @@ mod tests {
             ..FaultConfig::default()
         };
         let config = small_config();
-        let a = simulate_with_faults(&config, &fault_config).unwrap();
-        let b = simulate_with_faults(&config, &fault_config).unwrap();
+        let a = campaign(&config, &fault_config).unwrap();
+        let b = campaign(&config, &fault_config).unwrap();
         assert_eq!(a.faults, b.faults);
         let different_seed = FaultConfig {
             seed: fault_config.seed + 1,
             ..fault_config
         };
-        let c = simulate_with_faults(&config, &different_seed).unwrap();
+        let c = campaign(&config, &different_seed).unwrap();
         assert_ne!(a.faults, c.faults);
     }
 
@@ -989,8 +771,8 @@ mod tests {
             ..FaultConfig::default()
         };
         let config = small_config();
-        let light_summary = simulate_with_faults(&config, &light).unwrap().faults.unwrap();
-        let heavy_summary = simulate_with_faults(&config, &heavy).unwrap().faults.unwrap();
+        let light_summary = campaign(&config, &light).unwrap().faults.unwrap();
+        let heavy_summary = campaign(&config, &heavy).unwrap().faults.unwrap();
         assert!(
             light_summary.mean_weight_damage_levels
                 <= heavy_summary.mean_weight_damage_levels.max(1e-12)
@@ -1021,12 +803,12 @@ mod tests {
             spare_rows: 8,
             ..without.clone()
         };
-        let yield_without = simulate_with_faults(&config, &without)
+        let yield_without = campaign(&config, &without)
             .unwrap()
             .faults
             .unwrap()
             .yield_fraction;
-        let yield_with = simulate_with_faults(&config, &with)
+        let yield_with = campaign(&config, &with)
             .unwrap()
             .faults
             .unwrap()
@@ -1050,8 +832,8 @@ mod tests {
             inputs_per_trial: 3,
             ..FaultConfig::default()
         };
-        let a = simulate_with_faults(&config, &clean_multi).unwrap();
-        let b = simulate_with_faults(&config, &clean_multi).unwrap();
+        let a = campaign(&config, &clean_multi).unwrap();
+        let b = campaign(&config, &clean_multi).unwrap();
         assert_eq!(a.faults, b.faults);
         assert_eq!(a.faults.unwrap().mean_deviation_levels, 0.0);
 
@@ -1065,11 +847,8 @@ mod tests {
             inputs_per_trial: 3,
             ..FaultConfig::default()
         };
-        let multi = simulate_with_faults(&config, &faulty_multi)
-            .unwrap()
-            .faults
-            .unwrap();
-        let single = simulate_with_faults(
+        let multi = campaign(&config, &faulty_multi).unwrap().faults.unwrap();
+        let single = campaign(
             &config,
             &FaultConfig {
                 inputs_per_trial: 1,
@@ -1084,10 +863,7 @@ mod tests {
         // The primary read is untouched by the extra ones.
         assert_eq!(multi.solves, single.solves);
         assert_eq!(multi.yield_fraction, single.yield_fraction);
-        let again = simulate_with_faults(&config, &faulty_multi)
-            .unwrap()
-            .faults
-            .unwrap();
+        let again = campaign(&config, &faulty_multi).unwrap().faults.unwrap();
         assert_eq!(multi, again);
     }
 
@@ -1098,17 +874,17 @@ mod tests {
             trials: 0,
             ..FaultConfig::default()
         };
-        assert!(simulate_with_faults(&config, &zero_trials).is_err());
+        assert!(campaign(&config, &zero_trials).is_err());
         let zero_reads = FaultConfig {
             inputs_per_trial: 0,
             ..FaultConfig::default()
         };
-        assert!(simulate_with_faults(&config, &zero_reads).is_err());
+        assert!(campaign(&config, &zero_reads).is_err());
         let bad_threshold = FaultConfig {
             retire_threshold: 2.0,
             ..FaultConfig::default()
         };
-        assert!(simulate_with_faults(&config, &bad_threshold).is_err());
+        assert!(campaign(&config, &bad_threshold).is_err());
         let bad_rates = FaultConfig {
             rates: FaultRates {
                 stuck_at_hrs: -0.5,
@@ -1117,9 +893,74 @@ mod tests {
             ..FaultConfig::default()
         };
         assert!(matches!(
-            simulate_with_faults(&config, &bad_rates),
+            campaign(&config, &bad_rates),
             Err(CoreError::Tech(_))
         ));
+    }
+
+    #[test]
+    fn checkpoint_bytes_are_stable_and_load_back() {
+        let dir = std::env::temp_dir().join(format!("mnsim_fault_ckpt_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("fault.json").display().to_string();
+        let policy = CheckpointPolicy::new(path.clone());
+        let control = RunControl::new();
+        let campaign = Campaign {
+            total: 3,
+            fingerprint: 0x0123_4567_89ab_cdef,
+            seed: Some(FaultConfig::default().seed),
+            threads: 1,
+            control: &control,
+            policy: Some(&policy),
+        };
+        let slots = vec![
+            Some(TrialOutcome {
+                spare_rows_used: 1,
+                retired: false,
+                solve: Some(SolveOutcome {
+                    fallback: true,
+                    kcl_residual: 1.5e-12,
+                    deviations: vec![0.0, 0.125, 1.0 / 3.0],
+                    weight_damage: 0.25,
+                }),
+            }),
+            None,
+            Some(TrialOutcome {
+                spare_rows_used: 2,
+                retired: true,
+                solve: None,
+            }),
+        ];
+        campaign.write(&path, &slots).unwrap();
+        // Captured from the writer that predates the shared `Campaign`:
+        // checkpoints written before it must still resume.
+        let expected = r#"{
+  "schema": 1,
+  "kind": "fault_mc",
+  "fingerprint": "0x0123456789abcdef",
+  "seed": "0x0000000000c0ffee",
+  "trials": 3,
+  "completed": [
+    {"trial": 0, "spare_rows_used": 1, "retired": false, "solve": {"fallback": true, "kcl_residual": 1.5e-12, "weight_damage": 0.25, "deviations": [0.0, 0.125, 0.3333333333333333]}},
+    {"trial": 2, "spare_rows_used": 2, "retired": true, "solve": null}
+  ]
+}
+"#;
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), expected);
+
+        let mut loaded: Vec<Option<TrialOutcome>> = (0..3).map(|_| None).collect();
+        assert_eq!(campaign.load(&path, &mut loaded).unwrap(), 2);
+        assert_eq!(loaded, slots);
+
+        let other = Campaign {
+            fingerprint: 1,
+            ..campaign
+        };
+        assert!(matches!(
+            other.load(&path, &mut loaded),
+            Err(CoreError::Checkpoint { .. })
+        ));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

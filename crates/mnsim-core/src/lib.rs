@@ -12,15 +12,16 @@
 //! * [`mapping`] — weight-matrix partitioning onto crossbars,
 //! * [`accuracy`] — the behavior-level computing-accuracy model (§VI),
 //! * [`mod@simulate`] — the end-to-end simulation flow (§IV, Fig. 3),
-//! * [`exec`] — the shared worker-pool execution engine
-//!   ([`ExecOptions`], deterministic parallel map/reduce, cooperative
-//!   cancellation/deadlines and per-item panic isolation),
-//! * [`checkpoint`] — deterministic checkpoint/resume for long campaigns
-//!   ([`CheckpointPolicy`]),
+//! * [`exec`] — the one worker pool ([`ExecOptions`], deterministic
+//!   parallel map, cooperative cancellation/deadlines and per-item panic
+//!   isolation),
+//! * [`checkpoint`] — the checkpointed campaign driver behind fault
+//!   campaigns and DSE, with deterministic resume ([`CheckpointPolicy`]),
 //! * [`cache`] — the fingerprint-keyed cross-request artifact cache
 //!   ([`ArtifactCache`]) behind [`Session`] and `mnsim-serve`,
-//! * [`simulator`] — the [`Simulator`] session facade over simulate,
-//!   fault campaigns, DSE and validation,
+//! * [`simulator`] — the [`Simulator`] session facade, the one public way
+//!   to run fault campaigns, DSE and validation (plus [`simulate()`], the
+//!   serial one-configuration shortcut),
 //! * [`dse`] — design-space exploration by exhaustive traversal (§VII),
 //! * [`netlist_gen`] — SPICE netlist generation for circuit-level
 //!   verification,
@@ -83,5 +84,5 @@ pub use error::{ConfigError, CoreError};
 pub use exec::{CancelToken, Deadline, ExecError, ExecOptions, RunControl};
 pub use fault_sim::{FaultConfig, FaultSummary};
 pub use perf::ModulePerf;
-pub use simulate::{simulate, simulate_with, Report};
+pub use simulate::{simulate, Report};
 pub use simulator::{RunHandle, Session, Simulator};

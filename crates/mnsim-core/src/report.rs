@@ -3,6 +3,7 @@
 
 use std::fmt::Write as _;
 
+use mnsim_obs::write_json_string;
 use mnsim_tech::units::Area;
 
 use crate::dse::DseResult;
@@ -182,8 +183,8 @@ pub fn area_breakdown(report: &Report) -> AreaBreakdown {
 
 /// The CSV header matching [`report_csv_row`].
 ///
-/// The four fault columns are empty for clean simulations and populated by
-/// [`crate::fault_sim::simulate_with_faults_with`].
+/// The four fault columns are empty for clean simulations and populated
+/// when [`crate::simulator::Simulator::faults`] attaches a campaign.
 pub const CSV_HEADER: &str = "network,crossbar_size,parallelism,interconnect_nm,cmos_nm,\
 area_mm2,energy_uj,sample_latency_us,pipeline_cycle_us,power_w,\
 worst_epsilon,output_max_error,output_avg_error,\
@@ -234,12 +235,12 @@ pub fn report_csv_row(report: &Report) -> String {
 /// statistics are deterministic.
 pub fn report_json(report: &Report) -> String {
     let c = &report.config;
-    let mut out = String::from("{");
+    let mut out = String::from("{\"network\":");
+    write_json_string(&mut out, &c.network.name);
     let _ = write!(
         out,
-        "\"network\":\"{}\",\"crossbar_size\":{},\"parallelism\":{},\
+        ",\"crossbar_size\":{},\"parallelism\":{},\
          \"interconnect_nm\":{},\"cmos_nm\":{},\"banks\":{}",
-        c.network.name.replace('"', "'"),
         c.crossbar_size,
         c.parallelism,
         c.interconnect.nanometers(),
@@ -377,15 +378,15 @@ mod tests {
 
     #[test]
     fn csv_fault_columns_populated_by_fault_sim() {
-        use crate::exec::ExecOptions;
-        use crate::fault_sim::{simulate_with_faults_with, FaultConfig};
+        use crate::exec::RunControl;
+        use crate::fault_sim::{simulate_with_faults, FaultConfig};
         let config = Config::fully_connected_mlp(&[64, 32]).unwrap();
         let fault_config = FaultConfig {
             trials: 2,
             ..FaultConfig::default()
         };
         let report =
-            simulate_with_faults_with(&config, &fault_config, &ExecOptions::default()).unwrap();
+            simulate_with_faults(&config, &fault_config, 0, &RunControl::new(), None).unwrap();
         let row = report_csv_row(&report);
         assert_eq!(row.split(',').count(), CSV_HEADER.split(',').count());
         assert!(!row.ends_with(",,,"), "fault columns must be filled: {row}");
@@ -411,15 +412,35 @@ mod tests {
     }
 
     #[test]
+    fn report_json_escapes_the_network_name() {
+        let mut report = simulate(&Config::fully_connected_mlp(&[128, 128]).unwrap()).unwrap();
+        assert!(report_json(&report).starts_with("{\"network\":\"mlp-[128, 128]\","));
+        let name = "a\\b \"q\"\nc";
+        report.config.network.name = name.to_string();
+        let json = report_json(&report);
+        let parsed = mnsim_obs::parse_json(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+        assert_eq!(parsed.get("network").and_then(|v| v.as_str()), Some(name));
+    }
+
+    #[test]
     fn dse_csv_has_one_line_per_feasible_design() {
         use crate::dse::{explore, Constraints, DesignSpace};
+        use crate::exec::RunControl;
         let base = Config::fully_connected_mlp(&[256, 256]).unwrap();
         let space = DesignSpace {
             crossbar_sizes: vec![64, 128],
             parallelism_degrees: vec![8],
             interconnects: vec![mnsim_tech::interconnect::InterconnectNode::N45],
         };
-        let result = explore(&base, &space, &Constraints::default()).unwrap();
+        let result = explore(
+            &base,
+            &space,
+            &Constraints::default(),
+            1,
+            &RunControl::new(),
+            None,
+        )
+        .unwrap();
         let csv = dse_csv(&result);
         assert_eq!(csv.lines().count(), 1 + result.feasible.len());
         assert!(csv.starts_with("network,"));

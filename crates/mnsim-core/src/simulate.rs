@@ -7,11 +7,9 @@ use mnsim_obs::{trace, MetricsSnapshot, TraceSummary};
 use mnsim_tech::units::{Area, Energy, Power, Time};
 
 use crate::accuracy::{propagate, AccuracyModel, Case, LayerAccuracy};
-use crate::arch::accelerator::{evaluate_accelerator_with, AcceleratorModelResult};
-use crate::arch::bank::BankModelResult;
+use crate::arch::accelerator::{evaluate_accelerator, AcceleratorModelResult};
 use crate::config::Config;
 use crate::error::CoreError;
-use crate::exec::{self, ExecOptions};
 use crate::fault_sim::FaultSummary;
 
 static SIMULATE_RUNS: obs::Counter = obs::Counter::new("core.simulate.runs");
@@ -47,13 +45,14 @@ pub struct Report {
     /// Average power of a single-sample run.
     pub power: Power,
     /// Fault-injection campaign results; `None` for a clean simulation
-    /// (populated by [`crate::fault_sim::simulate_with_faults_with`]).
+    /// (populated when [`crate::simulator::Simulator::faults`] attaches a
+    /// campaign).
     pub faults: Option<FaultSummary>,
     /// Observability snapshot; `None` unless attached via
-    /// [`Report::with_metrics`] (e.g. by a `--metrics` run).
+    /// [`Report::with_metrics`] (e.g. by an `--emit metrics=` run).
     pub metrics: Option<MetricsSnapshot>,
     /// Hierarchical trace aggregation; `None` unless attached via
-    /// [`Report::with_trace`] (e.g. by a `--trace` run).
+    /// [`Report::with_trace`] (e.g. by an `--emit trace=` run).
     pub trace: Option<TraceSummary>,
 }
 
@@ -78,33 +77,15 @@ impl Report {
 
 /// Runs the full MNSIM simulation for `config` on the calling thread.
 ///
-/// Equivalent to [`simulate_with`] with [`ExecOptions::serial`]; the
-/// threaded engine produces bit-identical reports, so callers that want
-/// the worker pool (or a [`Report`] with metrics/trace attached) should
-/// use [`simulate_with`] or the [`crate::simulator::Simulator`] facade.
+/// Banks are evaluated one after another: each costs microseconds, below
+/// the grain where a worker pool pays for itself. For fault campaigns,
+/// design-space sweeps, validation, or a [`Report`] with metrics/trace
+/// attached, use the [`crate::simulator::Simulator`] facade.
 ///
 /// # Errors
 ///
 /// Returns configuration validation errors.
 pub fn simulate(config: &Config) -> Result<Report, CoreError> {
-    simulate_with(config, &ExecOptions::serial())
-}
-
-/// Runs the full MNSIM simulation for `config` on the shared [`exec`]
-/// worker pool.
-///
-/// The two per-bank stages — hierarchy evaluation and the ε accuracy
-/// model — spread independent banks over `options.threads` workers; the
-/// per-bank partial results are collected in canonical bank order before
-/// any reduction, so the returned [`Report`] is **bit-identical** to the
-/// serial run for every thread count. The `metrics` / `trace` flags are
-/// consumed by the [`crate::simulator::Simulator`] facade (which owns the
-/// exclusive sessions); this function only reads `options.threads`.
-///
-/// # Errors
-///
-/// Returns configuration validation errors.
-pub fn simulate_with(config: &Config, options: &ExecOptions) -> Result<Report, CoreError> {
     let _span = SIMULATE_SPAN.enter();
     let _trace_span = trace::span("simulate", trace::Level::Run);
     SIMULATE_RUNS.inc();
@@ -112,7 +93,7 @@ pub fn simulate_with(config: &Config, options: &ExecOptions) -> Result<Report, C
     let accelerator = {
         let _stage = STAGE_ACCELERATOR.enter();
         let _tstage = trace::span("accelerator", trace::Level::Stage);
-        evaluate_accelerator_with(config, options)?
+        evaluate_accelerator(config)?
     };
 
     // ε per bank: the crossbar geometry actually used by its units.
@@ -120,25 +101,20 @@ pub fn simulate_with(config: &Config, options: &ExecOptions) -> Result<Report, C
         let _stage = STAGE_ACCURACY.enter();
         let _tstage = trace::span("accuracy", trace::Level::Stage);
         let accuracy = AccuracyModel::from_config(config);
-        let bank_epsilon = |bank: &BankModelResult| {
-            accuracy.error_rate(
-                bank.unit.rows_used,
-                bank.unit.physical_cols,
-                config.interconnect,
-                &config.device,
-                Case::Worst,
-            )
-        };
-        let threads = options
-            .resolved_threads()
-            .min(accelerator.banks.len().max(1));
-        if threads <= 1 {
-            accelerator.banks.iter().map(bank_epsilon).collect()
-        } else {
-            exec::map_slice(&accelerator.banks, threads, |_, bank| bank_epsilon(bank))
-        }
+        accelerator
+            .banks
+            .iter()
+            .map(|bank| {
+                accuracy.error_rate(
+                    bank.unit.rows_used,
+                    bank.unit.physical_cols,
+                    config.interconnect,
+                    &config.device,
+                    Case::Worst,
+                )
+            })
+            .collect()
     };
-    // Canonical-order fold over the ordered ε list: identical to serial.
     let worst_crossbar_epsilon = epsilons.iter().cloned().fold(0.0, f64::max);
 
     let layer_accuracy = {
@@ -216,20 +192,6 @@ mod tests {
             report.energy_per_sample.joules(),
             report.accelerator.energy_per_sample.joules()
         );
-    }
-
-    #[test]
-    fn parallel_simulation_is_bit_identical() {
-        for config in [
-            Config::fully_connected_mlp(&[512, 256, 128]).unwrap(),
-            Config::vgg16_cnn(),
-        ] {
-            let serial = simulate(&config).unwrap();
-            for threads in [0usize, 2, 7, 64] {
-                let parallel = simulate_with(&config, &ExecOptions::with_threads(threads)).unwrap();
-                assert_eq!(serial, parallel, "threads={threads}");
-            }
-        }
     }
 
     #[test]

@@ -1,24 +1,23 @@
-//! The unified `Simulator` session facade.
+//! The `Simulator` session facade: the one public way to run a workload.
 //!
-//! Historically every capability had its own entry point and its own
-//! knobs: `simulate` (serial only), a fault campaign with threads on
-//! [`FaultConfig`], a DSE traversal with a bare thread argument, and the
-//! `--metrics` / `--trace` plumbing of the CLI front ends. [`Simulator`]
-//! replaces that with one builder: configure once, then [`Simulator::run`]
-//! a clean or faulty simulation, [`Simulator::explore`] a design space, or
-//! [`Simulator::validate`] against the circuit baseline — all on the same
-//! [`ExecOptions`] worker pool, with metrics and trace sessions owned by
-//! the facade. [`Session`] adds the cross-request layer on top: the same
-//! calls, answered from a fingerprint-keyed [`ArtifactCache`] when the
-//! configuration was already evaluated.
+//! Configure once, then [`Simulator::run`] a clean or faulty simulation,
+//! [`Simulator::explore`] a design space, or [`Simulator::validate`]
+//! against the circuit baseline — all on the same [`ExecOptions`] worker
+//! pool, with metrics and trace sessions owned by the facade. A session
+//! deadline and [`CheckpointPolicy`] apply to fault campaigns and sweeps
+//! alike; the `_controlled` variants add a caller's [`RunControl`]. (The
+//! plain [`crate::simulate::simulate`] stays public as the serial
+//! one-configuration shortcut.) [`Session`] adds the cross-request layer
+//! on top: the same calls, answered from a fingerprint-keyed
+//! [`ArtifactCache`] when the configuration was already evaluated.
 //!
 //! Live telemetry composes from the *outside*: when a front end holds an
-//! open [`mnsim_obs::live`] session, the fault-campaign and DSE wave
-//! loops stream typed progress events (`campaign_started`,
+//! open [`mnsim_obs::live`] session, the campaign driver behind fault
+//! campaigns and sweeps streams typed progress events (`campaign_started`,
 //! `wave_completed` with ETA and items/s, `checkpoint_written`,
 //! `campaign_finished`, …) into it — no `Simulator` knob needed, and no
 //! cost at all when no session is open. See the `repro` CLI's
-//! `--live`/`--progress` flags for the canonical wiring.
+//! `--emit live=<path>`/`--progress` flags for the canonical wiring.
 //!
 //! ```
 //! use mnsim_core::{Config, Simulator};
@@ -41,12 +40,12 @@ use mnsim_obs::trace;
 use crate::cache::{Artifact, ArtifactCache};
 use crate::checkpoint::{self, CheckpointPolicy};
 use crate::config::Config;
-use crate::dse::{explore_with, sweep_fingerprint, Constraints, DesignSpace, DseResult};
+use crate::dse::{self, sweep_fingerprint, Constraints, DesignSpace, DseResult};
 use crate::error::CoreError;
 use crate::exec::{CancelToken, Deadline, ExecOptions, RunControl};
-use crate::fault_sim::{campaign_fingerprint, simulate_with_faults_controlled, FaultConfig};
-use crate::simulate::{simulate_with, Report};
-use crate::validate::{validate_against_circuit_with, ValidationRow};
+use crate::fault_sim::{campaign_fingerprint, simulate_with_faults, FaultConfig};
+use crate::simulate::{simulate, Report};
+use crate::validate::{validate_against_circuit, ValidationRow};
 
 /// A configured simulation session: one [`Config`], one [`ExecOptions`],
 /// and (optionally) a fault campaign, shared by every capability.
@@ -87,8 +86,10 @@ impl Simulator {
         Ok(Simulator::new(Config::from_text(text)?))
     }
 
-    /// Sets the worker-thread count (`0` = auto, `1` = serial). Results
-    /// are bit-identical for every choice.
+    /// Sets the worker-thread count (`0` = auto, `1` = serial) of the pool
+    /// that fans out fault trials, sweep points and validation matrices;
+    /// a clean [`Simulator::run`] is serial regardless. Results are
+    /// bit-identical for every choice.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.options.threads = threads;
@@ -130,10 +131,10 @@ impl Simulator {
         self
     }
 
-    /// Bounds every subsequent [`Simulator::run`] /
-    /// [`Simulator::run_cancellable`] by `deadline`. Deadlines are
-    /// absolute instants: the clock runs from when the deadline value was
-    /// created, not from when the run starts.
+    /// Bounds every subsequent fault campaign ([`Simulator::run`],
+    /// [`Simulator::run_cancellable`]) and sweep ([`Simulator::explore`])
+    /// by `deadline`. Deadlines are absolute instants: the clock runs from
+    /// when the deadline value was created, not from when the run starts.
     #[must_use]
     pub fn deadline(mut self, deadline: Deadline) -> Self {
         self.deadline = Some(deadline);
@@ -149,12 +150,13 @@ impl Simulator {
         self
     }
 
-    /// Attaches a checkpoint policy to the session's fault campaign: the
-    /// campaign persists completed trials to the policy's path as it runs
-    /// and resumes from that file when it already exists. Order-independent
-    /// with [`Simulator::faults`] (the policy overrides one already set on
-    /// the attached [`FaultConfig`]); has no effect on clean (fault-less)
-    /// runs.
+    /// Attaches a checkpoint policy — the one place to set one — to the
+    /// session's fault campaign and design-space sweeps: completed trials
+    /// (or evaluated combinations) are persisted to the policy's path as
+    /// the run goes, and a run resumes from that file when it already
+    /// exists. The file must have been written by the same campaign; a
+    /// resumed run is bit-identical to an uninterrupted one. Has no effect
+    /// on clean (fault-less) runs or on validation.
     #[must_use]
     pub fn checkpoint(mut self, policy: CheckpointPolicy) -> Self {
         self.checkpoint = Some(policy);
@@ -203,26 +205,20 @@ impl Simulator {
     /// control plane cut the campaign short and [`CoreError::WorkerPanic`]
     /// for a panicking trial.
     pub fn run_controlled(&self, control: &RunControl) -> Result<Report, CoreError> {
-        let mut control = control.clone();
-        if control.deadline.is_none() {
-            control.deadline = self.deadline;
-        }
+        let control = self.with_session_deadline(control);
         // Sessions open before the run so they observe all of it; metrics
         // snapshot while live, trace consumed by `finish`.
         let metrics_session = self.options.metrics.then(obs::session);
         let trace_session = self.options.trace.then(trace::session);
         let mut report = match &self.faults {
-            Some(fault_config) => {
-                let campaign = match &self.checkpoint {
-                    Some(policy) => FaultConfig {
-                        checkpoint: Some(policy.clone()),
-                        ..fault_config.clone()
-                    },
-                    None => fault_config.clone(),
-                };
-                simulate_with_faults_controlled(&self.config, &campaign, &self.options, &control)?
-            }
-            None => simulate_with(&self.config, &self.options)?,
+            Some(fault_config) => simulate_with_faults(
+                &self.config,
+                fault_config,
+                self.options.threads,
+                &control,
+                self.checkpoint.as_ref(),
+            )?,
+            None => simulate(&self.config)?,
         };
         if let Some(session) = metrics_session {
             report = report.with_metrics(session.snapshot());
@@ -246,42 +242,89 @@ impl Simulator {
         RunHandle { token, thread }
     }
 
-    /// Explores `space` around this session's configuration on the
-    /// session's worker pool (see [`explore_with`]). Metrics/trace flags
-    /// apply to [`Simulator::run`] only — a sweep produces thousands of
-    /// reports, none of which owns the session-wide instrumentation.
+    /// Exhaustively explores `space` around this session's configuration
+    /// on the session's worker pool (paper §VII), honoring the session
+    /// deadline and checkpoint policy. The swept crossbar size,
+    /// parallelism degree and interconnect node override the
+    /// configuration's; feasible designs come back in traversal order and
+    /// are bit-identical for every thread count. Metrics/trace flags apply
+    /// to [`Simulator::run`] only — a sweep produces thousands of reports,
+    /// none of which owns the session-wide instrumentation.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::EmptyDesignSpace`] if no combination passes
-    /// the constraints, and propagates evaluation errors.
+    /// Returns [`CoreError::Config`] for an invalid [`DesignSpace`],
+    /// [`CoreError::EmptyDesignSpace`] if no combination passes the
+    /// constraints, the earliest combination's evaluation error,
+    /// [`CoreError::DeadlineExceeded`] when the session deadline cut the
+    /// sweep short, and [`CoreError::Checkpoint`] for an unusable or
+    /// mismatched checkpoint file.
     pub fn explore(
         &self,
         space: &DesignSpace,
         constraints: &Constraints,
     ) -> Result<DseResult, CoreError> {
-        explore_with(&self.config, space, constraints, &self.options)
+        self.explore_controlled(space, constraints, &RunControl::default())
     }
 
-    /// Validates the behavior models against the circuit baseline on the
-    /// session's worker pool (see
-    /// [`validate_against_circuit_with`]).
+    /// [`Simulator::explore`] under an explicit campaign control plane,
+    /// mirroring [`Simulator::run_controlled`]: the sweep observes
+    /// `control`'s cancellation token and deadline at chunk boundaries (a
+    /// session deadline fills in when `control` carries none) and streams
+    /// live progress events per wave.
     ///
     /// # Errors
     ///
-    /// Propagates circuit construction/solver failures.
+    /// Everything [`Simulator::explore`] returns, plus
+    /// [`CoreError::Cancelled`] when the token cut the sweep short and
+    /// [`CoreError::WorkerPanic`] for a panicking evaluation.
+    pub fn explore_controlled(
+        &self,
+        space: &DesignSpace,
+        constraints: &Constraints,
+        control: &RunControl,
+    ) -> Result<DseResult, CoreError> {
+        dse::explore(
+            &self.config,
+            space,
+            constraints,
+            self.options.threads,
+            &self.with_session_deadline(control),
+            self.checkpoint.as_ref(),
+        )
+    }
+
+    /// `control`, with the session deadline filling in when it has none.
+    fn with_session_deadline(&self, control: &RunControl) -> RunControl {
+        RunControl {
+            deadline: control.deadline.or(self.deadline),
+            ..control.clone()
+        }
+    }
+
+    /// Validates the behavior models against the circuit baseline on the
+    /// session's worker pool (paper Table II): computation power, read
+    /// power and average relative accuracy of `config`'s first bank
+    /// geometry over `matrices` random weight samples ×
+    /// `inputs_per_matrix` random input vectors. Rows are bit-identical
+    /// for every thread count.
+    ///
+    /// # Errors
+    ///
+    /// Propagates circuit construction/solver failures, and
+    /// [`CoreError::WorkerPanic`] for a panicking matrix study.
     pub fn validate(
         &self,
         matrices: usize,
         inputs_per_matrix: usize,
         seed: u64,
     ) -> Result<Vec<ValidationRow>, CoreError> {
-        validate_against_circuit_with(
+        validate_against_circuit(
             &self.config,
             matrices,
             inputs_per_matrix,
             seed,
-            &self.options,
+            self.options.threads,
         )
     }
 
@@ -474,8 +517,6 @@ impl RunHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault_sim::simulate_with_faults_with;
-    use crate::simulate::simulate;
 
     #[test]
     fn facade_matches_legacy_simulate() {
@@ -495,8 +536,7 @@ mod tests {
             ..FaultConfig::default()
         };
         let direct =
-            simulate_with_faults_with(&config, &fault_config, &ExecOptions::with_threads(2))
-                .unwrap();
+            simulate_with_faults(&config, &fault_config, 2, &RunControl::new(), None).unwrap();
         let facade = Simulator::new(config)
             .faults(fault_config)
             .threads(2)

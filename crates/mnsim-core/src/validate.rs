@@ -27,7 +27,7 @@ use rand::SeedableRng;
 use crate::accuracy::{AccuracyModel, Case};
 use crate::config::Config;
 use crate::error::CoreError;
-use crate::exec::{self, ExecOptions};
+use crate::exec::{self, RunControl};
 use crate::modules::crossbar::CrossbarModel;
 use crate::netlist_gen::{input_drive_voltages, map_weights};
 
@@ -51,22 +51,6 @@ impl ValidationRow {
     }
 }
 
-/// Validates computation power, read power and average relative accuracy
-/// for `config`'s first bank geometry over `matrices` random weight
-/// samples × `inputs_per_matrix` random input vectors.
-///
-/// # Errors
-///
-/// Propagates circuit construction/solver failures.
-pub fn validate_against_circuit(
-    config: &Config,
-    matrices: usize,
-    inputs_per_matrix: usize,
-    seed: u64,
-) -> Result<Vec<ValidationRow>, CoreError> {
-    validate_against_circuit_with(config, matrices, inputs_per_matrix, seed, &ExecOptions::serial())
-}
-
 /// The per-matrix circuit measurement of the power/accuracy validation:
 /// solved power and deviation sums over that matrix's input vectors.
 struct MatrixPartial {
@@ -75,25 +59,29 @@ struct MatrixPartial {
     samples: usize,
 }
 
-/// [`validate_against_circuit`] on the shared [`exec`] worker pool.
+/// Validates computation power, read power and average relative accuracy
+/// for `config`'s first bank geometry over `matrices` random weight
+/// samples × `inputs_per_matrix` random input vectors — the workload
+/// behind [`Simulator::validate`](crate::simulator::Simulator::validate).
 ///
 /// Each random weight matrix is an independent circuit study (its own
 /// prepared system and warm-started read sequence), so matrices spread
-/// over `options.threads` workers. All random draws happen up front on
-/// the calling thread in the historical order — the RNG stream, and
-/// therefore every sampled circuit, is untouched by the thread count —
+/// over `threads` workers on the [`exec`] pool. All random draws happen up
+/// front on the calling thread in the historical order — the RNG stream,
+/// and therefore every sampled circuit, is untouched by the thread count —
 /// and per-matrix partial sums are reduced in matrix order, so the rows
 /// are bit-identical for every thread count.
 ///
 /// # Errors
 ///
-/// Propagates circuit construction/solver failures.
-pub fn validate_against_circuit_with(
+/// Propagates circuit construction/solver failures (the earliest failing
+/// matrix's), and [`CoreError::WorkerPanic`] for a panicking matrix.
+pub(crate) fn validate_against_circuit(
     config: &Config,
     matrices: usize,
     inputs_per_matrix: usize,
     seed: u64,
-    options: &ExecOptions,
+    threads: usize,
 ) -> Result<Vec<ValidationRow>, CoreError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let bank = &config.network.banks[0];
@@ -116,8 +104,10 @@ pub fn validate_against_circuit_with(
         })
         .collect();
 
+    let indices: Vec<usize> = (0..studies.len()).collect();
     let partials: Vec<MatrixPartial> =
-        exec::try_map_slice(&studies, options.threads, |_, (weights, input_vectors)| {
+        exec::run_indices(&indices, threads, &RunControl::new(), |matrix| {
+            let (weights, input_vectors) = &studies[matrix];
             // The conductance map depends only on the weights, so map/build
             // once per matrix and re-drive the sources per input vector
             // through one prepared system (factorization cache + warm start).
@@ -153,7 +143,9 @@ pub fn validate_against_circuit_with(
                 partial.samples += 1;
             }
             Ok::<_, CoreError>(partial)
-        })?;
+        })
+        .into_result()
+        .map_err(|error| error.into_core(None))?;
 
     // Matrix-order fold of the partials: the grouping is fixed by the
     // matrix boundaries, not the thread count.
@@ -394,7 +386,7 @@ mod tests {
         // the paper's ±10 % band for power and a few percent for accuracy.
         let mut config = Config::fully_connected_mlp(&[32, 32]).unwrap();
         config.crossbar_size = 32;
-        let rows = validate_against_circuit(&config, 2, 3, 7).unwrap();
+        let rows = validate_against_circuit(&config, 2, 3, 7, 1).unwrap();
         assert_eq!(rows.len(), 5);
         let read = &rows[2];
         assert!(
@@ -415,17 +407,9 @@ mod tests {
     fn parallel_validation_is_bit_identical() {
         let mut config = Config::fully_connected_mlp(&[32, 32]).unwrap();
         config.crossbar_size = 32;
-        let serial =
-            validate_against_circuit_with(&config, 3, 2, 7, &ExecOptions::serial()).unwrap();
+        let serial = validate_against_circuit(&config, 3, 2, 7, 1).unwrap();
         for threads in [0usize, 2, 5] {
-            let parallel = validate_against_circuit_with(
-                &config,
-                3,
-                2,
-                7,
-                &ExecOptions::with_threads(threads),
-            )
-            .unwrap();
+            let parallel = validate_against_circuit(&config, 3, 2, 7, threads).unwrap();
             assert_eq!(serial, parallel, "threads={threads}");
         }
     }

@@ -64,63 +64,6 @@ impl Network {
         Ok(current)
     }
 
-    /// Runs a batch of independent inputs forward, sharding the batch
-    /// over up to `threads` scoped worker threads (`0` = the machine's
-    /// available parallelism, `1` = the serial loop on the calling
-    /// thread).
-    ///
-    /// Inputs are independent samples, each worker owns a contiguous
-    /// shard, and outputs are returned in input order, so the result is
-    /// **bit-identical** to `inputs.iter().map(|x| net.forward(x))` for
-    /// every thread count. (This crate sits below `mnsim-core`, so it
-    /// carries its own minimal shard loop rather than depending on the
-    /// `exec` engine; the determinism contract is the same.)
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::forward`]; on failure the error of the earliest
-    /// failing input is returned regardless of thread interleaving.
-    pub fn forward_batch(&self, inputs: &[Tensor], threads: usize) -> Result<Vec<Tensor>, NnError> {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            threads
-        }
-        .min(inputs.len().max(1));
-        if threads <= 1 {
-            return inputs.iter().map(|input| self.forward(input)).collect();
-        }
-
-        // Contiguous near-equal shards; worker results concatenate back in
-        // input order, and a collect over ordered Results yields the
-        // earliest error.
-        let base = inputs.len() / threads;
-        let extra = inputs.len() % threads;
-        let mut shards: Vec<&[Tensor]> = Vec::with_capacity(threads);
-        let mut rest = inputs;
-        for shard in 0..threads {
-            let len = base + usize::from(shard < extra);
-            let (head, tail) = rest.split_at(len);
-            shards.push(head);
-            rest = tail;
-        }
-        let outputs: Vec<Vec<Result<Tensor, NnError>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .into_iter()
-                .map(|shard| {
-                    scope.spawn(move || shard.iter().map(|input| self.forward(input)).collect())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                .collect()
-        });
-        outputs.into_iter().flatten().collect()
-    }
-
     /// Runs forward while recording every intermediate activation
     /// (input excluded, output of each layer included).
     ///
@@ -182,33 +125,6 @@ mod tests {
         assert_eq!(trace.len(), 2);
         assert_eq!(trace[0].data(), &[-3.0, 5.0]);
         assert_eq!(trace[1].data(), &[0.0, 5.0]);
-    }
-
-    #[test]
-    fn forward_batch_matches_serial_for_every_thread_count() {
-        let net = tiny_network();
-        let inputs: Vec<Tensor> = (0..23)
-            .map(|i| Tensor::vector(&[i as f64 - 11.0, 0.5 * i as f64]))
-            .collect();
-        let serial: Vec<Tensor> = inputs.iter().map(|x| net.forward(x).unwrap()).collect();
-        for threads in [0usize, 1, 2, 3, 7, 64] {
-            let batch = net.forward_batch(&inputs, threads).unwrap();
-            assert_eq!(serial, batch, "threads={threads}");
-        }
-        assert!(net.forward_batch(&[], 4).unwrap().is_empty());
-    }
-
-    #[test]
-    fn forward_batch_reports_earliest_error() {
-        let net = tiny_network();
-        let inputs = vec![
-            Tensor::vector(&[1.0, 2.0]),
-            Tensor::vector(&[1.0, 2.0, 3.0]), // wrong shape: first failure
-            Tensor::vector(&[1.0]),           // also wrong, later
-        ];
-        for threads in [1usize, 2, 4] {
-            assert!(net.forward_batch(&inputs, threads).is_err(), "threads={threads}");
-        }
     }
 
     #[test]

@@ -1,7 +1,12 @@
 //! A minimal JSON checker and reader (RFC 8259 grammar) so tests and
 //! tools can reject malformed metric dumps — and the trace validator and
 //! benchmark-comparison mode can *read* documents back — without pulling
-//! in a JSON library.
+//! in a JSON library. The two writers ([`write_json_string`],
+//! [`write_json_number`]) are the workspace's one JSON encoding of
+//! strings and floats: snapshots, live NDJSON, checkpoints and the serve
+//! protocol all use them.
+
+use std::fmt::Write as _;
 
 /// A materialized JSON value (see [`parse_json`]). Object keys keep
 /// insertion order; duplicate keys keep the last value on lookup.
@@ -111,6 +116,37 @@ pub fn parse_json(input: &str) -> Result<JsonValue, String> {
 /// Returns a message naming the byte offset of the first violation.
 pub fn validate_json(input: &str) -> Result<(), String> {
     parse_json(input).map(|_| ())
+}
+
+/// Appends `s` as a JSON string literal: `"` and `\` escaped, `\n`,
+/// `\r`, `\t` as short escapes, other control characters as `\u00XX`.
+pub fn write_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Appends `v` as a JSON number, or `null` when it is not finite.
+/// `{:?}` keeps full precision and always includes a decimal point or
+/// exponent, so the output parses back to the identical `f64`.
+pub fn write_json_number(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let _ = write!(out, "{v:?}");
+    } else {
+        out.push_str("null");
+    }
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -400,6 +436,29 @@ mod tests {
             JsonValue::String("café 😀".into())
         );
         assert!(parse_json("\"\\ud83d alone\"").is_err()); // unpaired surrogate
+    }
+
+    #[test]
+    fn writers_escape_strings_and_round_trip_numbers() {
+        let mut out = String::new();
+        write_json_string(&mut out, "a\"b\\c\nd\re\tf\u{1}g");
+        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\"");
+        assert_eq!(
+            parse_json(&out).unwrap().as_str(),
+            Some("a\"b\\c\nd\re\tf\u{1}g")
+        );
+
+        for v in [0.0, -1.5, 1.0 / 3.0, f64::MIN_POSITIVE, 1e300] {
+            let mut out = String::new();
+            write_json_number(&mut out, v);
+            let parsed = parse_json(&out).unwrap().as_f64().map(f64::to_bits);
+            assert_eq!(parsed, Some(v.to_bits()), "{v}");
+        }
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut out = String::new();
+            write_json_number(&mut out, v);
+            assert_eq!(out, "null");
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod live;
 mod snapshot;
 pub mod trace;
 
-pub use json::{parse_json, validate_json, JsonValue};
+pub use json::{parse_json, validate_json, write_json_number, write_json_string, JsonValue};
 pub use snapshot::{BucketCount, HistogramSnapshot, MetricsSnapshot};
 pub use trace::{validate_chrome_trace, Trace, TraceSummary};
 

@@ -71,7 +71,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::snapshot::{write_json_number, write_json_string};
+use crate::json::{write_json_number, write_json_string};
 
 static LIVE_ENABLED: AtomicBool = AtomicBool::new(false);
 static LIVE_SESSION_LOCK: Mutex<()> = Mutex::new(());
@@ -133,7 +133,7 @@ impl fmt::Debug for LiveTap {
 /// Configuration of a live telemetry session.
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
-    /// NDJSON sink path (`--live <path>`); `None` keeps the stream
+    /// NDJSON sink path (`--emit live=<path>`); `None` keeps the stream
     /// in-memory only (still returned by [`LiveSession::finish`]).
     pub path: Option<String>,
     /// Write a human progress line to stderr on campaign/wave events

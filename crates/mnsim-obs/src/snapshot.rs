@@ -4,6 +4,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::{write_json_number, write_json_string};
+
 /// One histogram bucket: `count` observations at or below `le`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BucketCount {
@@ -218,38 +220,6 @@ fn write_map<'a, V: 'a>(
     }
 }
 
-/// JSON string literal with the standard escapes (shared with
-/// [`crate::live`]'s NDJSON writer).
-pub(crate) fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// JSON number or `null` for non-finite values (shared with
-/// [`crate::live`]'s NDJSON writer).
-pub(crate) fn write_json_number(out: &mut String, v: f64) {
-    if v.is_finite() {
-        // `{:?}` keeps full precision and always includes a decimal point
-        // or exponent, so the output parses back to the identical f64.
-        let _ = write!(out, "{v:?}");
-    } else {
-        out.push_str("null");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,12 +353,5 @@ mod tests {
     fn counter_lookup_defaults_to_zero() {
         assert_eq!(sample().counter("a.count"), 42);
         assert_eq!(sample().counter("missing"), 0);
-    }
-
-    #[test]
-    fn strings_are_escaped() {
-        let mut out = String::new();
-        write_json_string(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 }

@@ -969,7 +969,7 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
-    /// Renders the summary as a human-readable table (the `repro --trace`
+    /// Renders the summary as a human-readable table (the `repro --emit trace=`
     /// walkthrough in the README reads this).
     pub fn to_table(&self) -> String {
         let mut out = String::new();

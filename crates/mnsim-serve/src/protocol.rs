@@ -35,7 +35,7 @@ use mnsim_core::checkpoint::hex_u64;
 use mnsim_core::config::Config;
 use mnsim_core::error::{ConfigError, CoreError};
 use mnsim_core::fault_sim::FaultConfig;
-use mnsim_obs::{parse_json, JsonValue};
+use mnsim_obs::{parse_json, write_json_string, JsonValue};
 use mnsim_tech::fault::FaultRates;
 use mnsim_tech::interconnect::InterconnectNode;
 
@@ -149,8 +149,7 @@ pub struct FaultSpec {
 }
 
 impl FaultSpec {
-    /// Converts to the core [`FaultConfig`] (no checkpoint — server
-    /// evaluations are cached, not checkpointed).
+    /// Converts to the core [`FaultConfig`].
     pub fn to_fault_config(&self) -> FaultConfig {
         FaultConfig {
             rates: FaultRates::stuck_at(self.rate),
@@ -159,7 +158,6 @@ impl FaultSpec {
             spare_rows: self.spare_rows,
             retire_threshold: self.retire_threshold,
             inputs_per_trial: self.inputs_per_trial,
-            checkpoint: None,
         }
     }
 }
@@ -271,25 +269,6 @@ impl WireError {
     }
 }
 
-/// Appends a JSON string literal (RFC 8259 escaping).
-pub(crate) fn push_json_string(out: &mut String, value: &str) {
-    out.push('"');
-    for ch in value.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// The server's handshake acknowledgement.
 pub fn hello_ok_line() -> String {
     format!("{{\"type\":\"hello_ok\",\"schema_version\":{SCHEMA_VERSION}}}")
@@ -311,9 +290,9 @@ pub fn error_line(id: Option<u64>, err: &WireError) -> String {
         None => out.push_str("\"id\":null,"),
     }
     out.push_str("\"ok\":false,\"error\":{\"code\":");
-    push_json_string(&mut out, err.code.as_str());
+    write_json_string(&mut out, err.code.as_str());
     out.push_str(",\"message\":");
-    push_json_string(&mut out, &err.message);
+    write_json_string(&mut out, &err.message);
     if !err.config_errors.is_empty() {
         out.push_str(",\"errors\":[");
         for (i, e) in err.config_errors.iter().enumerate() {
@@ -321,11 +300,11 @@ pub fn error_line(id: Option<u64>, err: &WireError) -> String {
                 out.push(',');
             }
             out.push_str("{\"field_path\":");
-            push_json_string(&mut out, &e.field_path);
+            write_json_string(&mut out, &e.field_path);
             out.push_str(",\"reason\":");
-            push_json_string(&mut out, &e.reason);
+            write_json_string(&mut out, &e.reason);
             out.push_str(",\"allowed\":");
-            push_json_string(&mut out, &e.allowed);
+            write_json_string(&mut out, &e.allowed);
             out.push('}');
         }
         out.push(']');
@@ -340,10 +319,10 @@ pub fn error_line(id: Option<u64>, err: &WireError) -> String {
 pub fn response_line(id: u64, cache: &str, fingerprint: Option<u64>, result_json: &str) -> String {
     let mut out = String::from("{\"type\":\"response\",");
     let _ = write!(out, "\"id\":{id},\"ok\":true,\"cache\":");
-    push_json_string(&mut out, cache);
+    write_json_string(&mut out, cache);
     if let Some(fp) = fingerprint {
         out.push_str(",\"fingerprint\":");
-        push_json_string(&mut out, &hex_u64(fp));
+        write_json_string(&mut out, &hex_u64(fp));
     }
     out.push_str(",\"result\":");
     out.push_str(result_json);

@@ -61,10 +61,11 @@ use mnsim_core::validate::ValidationRow;
 use mnsim_core::{ExecOptions, Simulator};
 use mnsim_obs as obs;
 use mnsim_obs::live::{LiveConfig, LiveTap};
+use mnsim_obs::{write_json_number, write_json_string};
 
 use crate::protocol::{
-    error_line, event_line, hello_ok_line, interconnects_from_nm, parse_request, push_json_string,
-    response_line, ConfigSpec, ErrorCode, Op, Request, WireError, SCHEMA_VERSION,
+    error_line, event_line, hello_ok_line, interconnects_from_nm, parse_request, response_line,
+    ConfigSpec, ErrorCode, Op, Request, WireError, SCHEMA_VERSION,
 };
 
 static SERVE_REQUESTS: obs::Counter = obs::Counter::new("serve.requests");
@@ -88,7 +89,8 @@ pub struct ServeOptions {
     pub cache_bytes: usize,
     /// Queued-job bound per client before `backpressure` errors.
     pub max_pending_per_client: usize,
-    /// Worker-thread count *inside* each evaluation (`0` = auto). The
+    /// Worker threads *inside* each fault campaign, sweep or validation
+    /// (`0` = auto); a simulate job runs on its worker thread alone. The
     /// result is bit-identical for every choice.
     pub threads_per_job: usize,
     /// Write the final metrics snapshot (counters/gauges/histograms
@@ -286,15 +288,6 @@ fn install_signal_handlers() {
 // Result serialization
 // ---------------------------------------------------------------------------
 
-fn write_json_f64(out: &mut String, value: f64) {
-    if value.is_finite() {
-        use std::fmt::Write as _;
-        let _ = write!(out, "{value:?}");
-    } else {
-        out.push_str("null");
-    }
-}
-
 fn simulate_result_json(report: &Report) -> String {
     format!("{{\"report\":{}}}", report_json(report))
 }
@@ -306,15 +299,15 @@ fn validate_result_json(rows: &[ValidationRow]) -> String {
             out.push(',');
         }
         out.push_str("{\"metric\":");
-        push_json_string(&mut out, &row.metric);
+        write_json_string(&mut out, &row.metric);
         out.push_str(",\"mnsim\":");
-        write_json_f64(&mut out, row.mnsim);
+        write_json_number(&mut out, row.mnsim);
         out.push_str(",\"circuit\":");
-        write_json_f64(&mut out, row.circuit);
+        write_json_number(&mut out, row.circuit);
         out.push_str(",\"unit\":");
-        push_json_string(&mut out, row.unit);
+        write_json_string(&mut out, row.unit);
         out.push_str(",\"relative_error\":");
-        write_json_f64(&mut out, row.relative_error());
+        write_json_number(&mut out, row.relative_error());
         out.push('}');
     }
     out.push_str("]}");

@@ -8,7 +8,7 @@
 //!     [-- --emit <metrics|trace|live>=<path>]... [--progress]
 //! ```
 //!
-//! With `--live <path>` the sweep streams NDJSON progress events
+//! With `--emit live=<path>` the sweep streams NDJSON progress events
 //! ([`mnsim::obs::live`]) — `campaign_started` / `wave_completed` (ETA,
 //! items/s) / `campaign_finished` — to `path` while it runs; `--progress`
 //! prints a human one-liner per wave to stderr.
@@ -22,8 +22,8 @@ use mnsim::tech::cmos::CmosNode;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (metrics_path, trace_path, live_path, progress) = paths_from_args()?;
-    // The live sampler reads the metric registry, so `--live`/`--progress`
-    // imply a metrics session even without `--metrics`.
+    // The live sampler reads the metric registry, so a live artifact or
+    // `--progress` implies a metrics session even without one requested.
     let live_wanted = live_path.is_some() || progress;
     let session = (metrics_path.is_some() || live_wanted).then(obs::session);
     let trace_session = trace_path.as_ref().map(|_| obs::trace::session());
@@ -121,9 +121,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// `(metrics, trace, live, progress)` flag tuple.
 type SweepFlags = (Option<String>, Option<String>, Option<String>, bool);
 
-/// Parses the `--emit <kind>=<path>` artifact spec and `--progress`.
-/// The pre-unification `--metrics` / `--trace` / `--live` spellings
-/// remain as deprecated aliases.
+/// Parses the `--emit <kind>=<path>` artifact spec and `--progress`;
+/// any other argument is an error.
 fn paths_from_args() -> Result<SweepFlags, Box<dyn std::error::Error>> {
     let mut metrics = None;
     let mut trace = None;
@@ -142,20 +141,8 @@ fn paths_from_args() -> Result<SweepFlags, Box<dyn std::error::Error>> {
                     _ => return Err("--emit: unknown kind (metrics, trace, live)".into()),
                 }
             }
-            "--metrics" => {
-                eprintln!("note: `--metrics <path>` is deprecated; use `--emit metrics=<path>`");
-                metrics = Some(args.next().ok_or("--metrics requires a file path")?);
-            }
-            "--trace" => {
-                eprintln!("note: `--trace <path>` is deprecated; use `--emit trace=<path>`");
-                trace = Some(args.next().ok_or("--trace requires a file path")?);
-            }
-            "--live" => {
-                eprintln!("note: `--live <path>` is deprecated; use `--emit live=<path>`");
-                live = Some(args.next().ok_or("--live requires a file path")?);
-            }
             "--progress" => progress = true,
-            _ => {}
+            other => return Err(format!("unknown argument {other:?}").into()),
         }
     }
     Ok((metrics, trace, live, progress))

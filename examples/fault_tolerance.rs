@@ -19,7 +19,7 @@
 //! one wall-clock deadline; a point that hits it stops cooperatively and
 //! the example exits with a `deadline exceeded` error after checkpointing.
 //!
-//! With `--live <path>` the sweep streams NDJSON progress events
+//! With `--emit live=<path>` the sweep streams NDJSON progress events
 //! ([`mnsim::obs::live`]) for every per-rate campaign to `path`, and
 //! `--progress` prints a human one-liner per wave to stderr — useful when
 //! the sweep runs long enough to want `tail -f`-style visibility.
@@ -30,8 +30,8 @@ use mnsim::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = sweep_args()?;
-    // A live session samples the metric registry, so `--live`/`--progress`
-    // imply a metrics session even without `--metrics`.
+    // A live session samples the metric registry, so a live artifact or
+    // `--progress` implies a metrics session even without one requested.
     let live_wanted = args.live.is_some() || args.progress;
     let session = (args.metrics.is_some() || live_wanted).then(obs::session);
     let trace_session = args.trace.as_ref().map(|_| obs::trace::session());
@@ -136,8 +136,7 @@ struct SweepArgs {
 }
 
 /// Parses the `--emit <kind>=<path>` artifact spec plus `--checkpoint`,
-/// `--deadline-ms`, and `--progress`. The pre-unification `--metrics` /
-/// `--trace` / `--live` spellings remain as deprecated aliases.
+/// `--deadline-ms`, and `--progress`; any other argument is an error.
 fn sweep_args() -> Result<SweepArgs, Box<dyn std::error::Error>> {
     let mut parsed = SweepArgs {
         metrics: None,
@@ -160,14 +159,6 @@ fn sweep_args() -> Result<SweepArgs, Box<dyn std::error::Error>> {
                     _ => return Err("--emit: unknown kind (metrics, trace, live)".into()),
                 }
             }
-            "--metrics" => {
-                eprintln!("note: `--metrics <path>` is deprecated; use `--emit metrics=<path>`");
-                parsed.metrics = Some(args.next().ok_or("--metrics requires a file path")?);
-            }
-            "--trace" => {
-                eprintln!("note: `--trace <path>` is deprecated; use `--emit trace=<path>`");
-                parsed.trace = Some(args.next().ok_or("--trace requires a file path")?);
-            }
             "--checkpoint" => {
                 parsed.checkpoint_dir =
                     Some(args.next().ok_or("--checkpoint requires a directory")?);
@@ -176,12 +167,8 @@ fn sweep_args() -> Result<SweepArgs, Box<dyn std::error::Error>> {
                 let value = args.next().ok_or("--deadline-ms requires milliseconds")?;
                 parsed.deadline_ms = Some(value.parse().map_err(|_| "--deadline-ms: bad value")?);
             }
-            "--live" => {
-                eprintln!("note: `--live <path>` is deprecated; use `--emit live=<path>`");
-                parsed.live = Some(args.next().ok_or("--live requires a file path")?);
-            }
             "--progress" => parsed.progress = true,
-            _ => {}
+            other => return Err(format!("unknown argument {other:?}").into()),
         }
     }
     Ok(parsed)

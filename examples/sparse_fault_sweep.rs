@@ -15,8 +15,8 @@
 //! runs one campaign and prints the engine counters that prove it.
 
 use mnsim::core::config::Config;
-use mnsim::core::exec::ExecOptions;
-use mnsim::core::fault_sim::{simulate_with_faults_with, FaultConfig};
+use mnsim::core::fault_sim::FaultConfig;
+use mnsim::core::Simulator;
 use mnsim::obs;
 use mnsim::tech::fault::FaultRates;
 use mnsim::tech::memristor::IvModel;
@@ -72,13 +72,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         spare_rows: 0,
         ..FaultConfig::default()
     };
-    let exec = ExecOptions::with_threads(args.threads);
-
     println!(
         "{0}x{0} crossbar, {1} trials, stuck-at rate {2}",
         args.size, args.trials, args.rate
     );
-    let report = simulate_with_faults_with(&config, &faults, &exec)?;
+    let report = Simulator::new(config)
+        .threads(args.threads)
+        .faults(faults)
+        .run()?;
     let summary = report.faults.expect("campaign ran");
     println!(
         "yield {:.1} %, mean deviation {:.3} levels, worst KCL residual {:.2e} A",

@@ -8,7 +8,8 @@
 use mnsim::core::accuracy::fit_wire_coefficient;
 use mnsim::core::config::Config;
 use mnsim::core::netlist_gen::generate_netlist;
-use mnsim::core::validate::{measure_speedup, validate_against_circuit};
+use mnsim::core::validate::measure_speedup;
+use mnsim::core::Simulator;
 use mnsim::nn::data::random_weight_matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,7 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Table-II-style validation ------------------------------------------
     println!("\nmodel vs circuit (2 weight samples x 3 inputs):");
-    for row in validate_against_circuit(&config, 2, 3, 42)? {
+    for row in Simulator::new(config.clone())
+        .threads(1)
+        .validate(2, 3, 42)?
+    {
         println!(
             "  {:<40} MNSIM {:>10.4} {unit}  circuit {:>10.4} {unit}  ({:+.2} %)",
             row.metric,

@@ -2,9 +2,10 @@
 //!
 //! The contract under test: every capability reached through
 //! [`Simulator`] — and through a caching [`Session`] wrapped around it —
-//! produces results identical to the underlying entry points, identical
-//! across every [`ExecOptions`] permutation, and identical whether a
-//! result was freshly evaluated or answered from the artifact cache.
+//! produces results identical to the serial reference (`simulate(&c)` or
+//! `.threads(1)`), identical across every [`ExecOptions`] permutation, and
+//! identical whether a result was freshly evaluated or answered from the
+//! artifact cache.
 //! "Identical" is checked at the strongest level available:
 //! full-`Report` equality plus byte-for-byte equality of the canonical
 //! [`report_json`](mnsim::core::report::report_json) rendering (which
@@ -12,11 +13,10 @@
 //! so two JSONs are byte-equal iff the reports are bit-identical;
 //! metrics/trace timing attachments are deliberately outside it).
 
-use mnsim::core::dse::explore;
-use mnsim::core::fault_sim::simulate_with_faults_with;
+use std::time::Instant;
+
 use mnsim::core::report::report_json;
 use mnsim::core::simulate::simulate;
-use mnsim::core::validate::validate_against_circuit;
 use mnsim::prelude::*;
 use proptest::prelude::*;
 
@@ -46,8 +46,11 @@ fn simulator_fault_campaign_matches_legacy_at_every_thread_count() {
         trials: 6,
         ..FaultConfig::default()
     };
-    let legacy =
-        simulate_with_faults_with(&config, &fault_config, &ExecOptions::serial()).unwrap();
+    let legacy = Simulator::new(config.clone())
+        .faults(fault_config.clone())
+        .threads(1)
+        .run()
+        .unwrap();
     let legacy_json = report_json(&legacy);
     for threads in THREAD_COUNTS {
         let report = Simulator::new(config.clone())
@@ -72,7 +75,10 @@ fn simulator_explore_matches_legacy_serial_explore() {
         ],
     };
     let constraints = Constraints::crossbar_error(0.3);
-    let legacy = explore(&config, &space, &constraints).unwrap();
+    let legacy = Simulator::new(config.clone())
+        .threads(1)
+        .explore(&space, &constraints)
+        .unwrap();
     for threads in THREAD_COUNTS {
         let result = Simulator::new(config.clone())
             .threads(threads)
@@ -88,7 +94,10 @@ fn simulator_explore_matches_legacy_serial_explore() {
 fn simulator_validate_matches_legacy_serial_validate() {
     let mut config = reference_config();
     config.crossbar_size = 16; // keep the circuit solves small
-    let legacy = validate_against_circuit(&config, 2, 2, 0xFACADE).unwrap();
+    let legacy = Simulator::new(config.clone())
+        .threads(1)
+        .validate(2, 2, 0xFACADE)
+        .unwrap();
     for threads in THREAD_COUNTS {
         let rows = Simulator::new(config.clone())
             .threads(threads)
@@ -131,7 +140,11 @@ fn session_fault_campaign_hit_matches_legacy_bytes() {
         ..FaultConfig::default()
     };
     let legacy_json = report_json(
-        &simulate_with_faults_with(&config, &fault_config, &ExecOptions::serial()).unwrap(),
+        &Simulator::new(config.clone())
+            .faults(fault_config.clone())
+            .threads(1)
+            .run()
+            .unwrap(),
     );
     let session = Simulator::new(config)
         .threads(3)
@@ -140,6 +153,30 @@ fn session_fault_campaign_hit_matches_legacy_bytes() {
     assert_eq!(report_json(&session.run().unwrap()), legacy_json, "miss");
     assert_eq!(report_json(&session.run().unwrap()), legacy_json, "hit");
     assert_eq!(session.cache().stats().hits, 1);
+}
+
+#[test]
+fn simulator_explore_honours_the_session_deadline() {
+    let config = Config::fully_connected_mlp(&[512, 256]).unwrap();
+    let space = DesignSpace {
+        crossbar_sizes: vec![32, 64],
+        parallelism_degrees: vec![1, 16],
+        interconnects: vec![mnsim::tech::interconnect::InterconnectNode::N45],
+    };
+    for threads in THREAD_COUNTS {
+        let result = Simulator::new(config.clone())
+            .threads(threads)
+            .deadline(Deadline::at(Instant::now()))
+            .explore(&space, &Constraints::default());
+        match result {
+            Err(CoreError::DeadlineExceeded {
+                completed: 0,
+                total: 4,
+                checkpoint: None,
+            }) => {}
+            other => panic!("threads={threads}: expected DeadlineExceeded, got {other:?}"),
+        }
+    }
 }
 
 proptest! {

@@ -1,5 +1,6 @@
 //! Campaign-hardening integration tests: cancellation, deterministic
-//! checkpoint/resume, and panic isolation through the public API.
+//! checkpoint/resume, and panic isolation through the public API
+//! (`Simulator::checkpoint` with `run_controlled` / `explore_controlled`).
 //!
 //! The central property: a fault campaign (or DSE sweep) that is cancelled
 //! mid-run with a checkpoint policy, then resumed, produces a result
@@ -7,11 +8,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mnsim::core::dse::{explore, explore_controlled, Constraints, DesignSpace};
-use mnsim::core::exec::{self, CancelToken, ExecError, ExecOptions, RunControl};
-use mnsim::core::fault_sim::{
-    simulate_with_faults_controlled, simulate_with_faults_with, FaultConfig,
-};
+use mnsim::core::exec::{self, CancelToken, ExecError, RunControl};
 use mnsim::prelude::*;
 use proptest::prelude::*;
 
@@ -49,23 +46,24 @@ proptest! {
             seed,
             ..FaultConfig::default()
         };
-        let baseline =
-            simulate_with_faults_with(&config, &base_faults, &ExecOptions::serial())
-                .expect("uninterrupted campaign runs");
+        let baseline = Simulator::new(config.clone())
+            .threads(1)
+            .faults(base_faults.clone())
+            .run()
+            .expect("uninterrupted campaign runs");
 
         for threads in [1usize, 2, 7] {
             let path = temp_checkpoint(&format!("fault_t{threads}"));
-            let campaign = FaultConfig {
-                checkpoint: Some(CheckpointPolicy::new(path.display().to_string()).every(2)),
-                ..base_faults.clone()
-            };
-            let options = ExecOptions::with_threads(threads);
+            let campaign = Simulator::new(config.clone())
+                .threads(threads)
+                .faults(base_faults.clone())
+                .checkpoint(CheckpointPolicy::new(path.display().to_string()).every(2));
 
             // Interrupted leg: the budget token trips at chunk granularity,
             // so a generous budget may let the run complete — both outcomes
             // are legal, and both must lead to the baseline summary.
             let control = RunControl::with_cancel(CancelToken::after_items(budget));
-            let first = simulate_with_faults_controlled(&config, &campaign, &options, &control);
+            let first = campaign.run_controlled(&control);
             match &first {
                 Ok(report) => prop_assert_eq!(report, &baseline),
                 Err(CoreError::Cancelled { completed, total, .. }) => {
@@ -77,13 +75,9 @@ proptest! {
 
             // Resumed leg: no cancellation; completed trials load from the
             // checkpoint, the rest re-run from their per-trial seeds.
-            let resumed = simulate_with_faults_controlled(
-                &config,
-                &campaign,
-                &options,
-                &RunControl::default(),
-            )
-            .expect("resumed campaign completes");
+            let resumed = campaign
+                .run_controlled(&RunControl::default())
+                .expect("resumed campaign completes");
             prop_assert_eq!(&resumed, &baseline, "threads {}", threads);
 
             let _ = std::fs::remove_file(&path);
@@ -105,22 +99,19 @@ fn cancelled_dse_sweep_resumes_bit_identically() {
         ],
     };
     let constraints = Constraints::default();
-    let baseline = explore(&base, &space, &constraints).expect("sweep is feasible");
+    let baseline = Simulator::new(base.clone())
+        .threads(1)
+        .explore(&space, &constraints)
+        .expect("sweep is feasible");
 
     for threads in [1usize, 2, 7] {
         let path = temp_checkpoint(&format!("dse_t{threads}"));
-        let policy = CheckpointPolicy::new(path.display().to_string()).every(2);
-        let options = ExecOptions::with_threads(threads);
+        let sweep = Simulator::new(base.clone())
+            .threads(threads)
+            .checkpoint(CheckpointPolicy::new(path.display().to_string()).every(2));
 
         let control = RunControl::with_cancel(CancelToken::after_items(3));
-        let first = explore_controlled(
-            &base,
-            &space,
-            &constraints,
-            &options,
-            &control,
-            Some(&policy),
-        );
+        let first = sweep.explore_controlled(&space, &constraints, &control);
         match first {
             Ok(ref result) => assert_eq!(result, &baseline),
             Err(CoreError::Cancelled { completed, total, .. }) => {
@@ -130,15 +121,9 @@ fn cancelled_dse_sweep_resumes_bit_identically() {
             Err(other) => panic!("unexpected error: {other}"),
         }
 
-        let resumed = explore_controlled(
-            &base,
-            &space,
-            &constraints,
-            &options,
-            &RunControl::default(),
-            Some(&policy),
-        )
-        .expect("resumed sweep completes");
+        let resumed = sweep
+            .explore_controlled(&space, &constraints, &RunControl::default())
+            .expect("resumed sweep completes");
         assert_eq!(resumed, baseline, "threads {threads}");
 
         let _ = std::fs::remove_file(&path);
@@ -150,8 +135,9 @@ fn cancelled_dse_sweep_resumes_bit_identically() {
 #[test]
 fn worker_panic_is_typed_and_isolated() {
     for threads in [1usize, 2, 7] {
-        let result = exec::try_map_n_controlled::<usize, std::convert::Infallible, _>(
-            24,
+        let indices: Vec<usize> = (0..24).collect();
+        let result = exec::run_indices::<usize, std::convert::Infallible, _>(
+            &indices,
             threads,
             &RunControl::default(),
             |i| {
@@ -160,7 +146,8 @@ fn worker_panic_is_typed_and_isolated() {
                 }
                 Ok(i * i)
             },
-        );
+        )
+        .into_result();
         match result {
             Err(ExecError::WorkerPanic { index, payload }) => {
                 assert_eq!(index, 9);

@@ -112,13 +112,17 @@ fn csv_export_roundtrips_through_parsing() {
     let area: f64 = fields[5].parse().unwrap();
     assert!((area - report.total_area.square_millimeters()).abs() < 1e-3);
 
-    use mnsim::core::dse::{explore, Constraints, DesignSpace};
+    use mnsim::core::dse::{Constraints, DesignSpace};
+    use mnsim::core::Simulator;
     let space = DesignSpace {
         crossbar_sizes: vec![128],
         parallelism_degrees: vec![16],
         interconnects: vec![mnsim::tech::interconnect::InterconnectNode::N45],
     };
-    let result = explore(&config, &space, &Constraints::default()).unwrap();
+    let result = Simulator::new(config.clone())
+        .threads(1)
+        .explore(&space, &Constraints::default())
+        .unwrap();
     let csv = dse_csv(&result);
     for line in csv.lines().skip(1) {
         assert_eq!(line.split(',').count(), CSV_HEADER.split(',').count());

@@ -6,9 +6,10 @@ use mnsim::circuit::sparse::TripletMatrix;
 use mnsim::circuit::solve::{solve_dc, SolveOptions};
 use mnsim::circuit::{Circuit, CircuitError};
 use mnsim::core::config::Config;
-use mnsim::core::dse::{explore, Constraints, DesignSpace};
+use mnsim::core::dse::{Constraints, DesignSpace};
 use mnsim::core::error::CoreError;
 use mnsim::core::simulate::simulate;
+use mnsim::core::Simulator;
 use mnsim::tech::memristor::IvModel;
 use mnsim::tech::units::{Resistance, Voltage};
 
@@ -96,7 +97,9 @@ fn over_constrained_dse_is_typed() {
         max_power_w: None,
     };
     assert!(matches!(
-        explore(&base, &space, &constraints),
+        Simulator::new(base)
+            .threads(1)
+            .explore(&space, &constraints),
         Err(CoreError::EmptyDesignSpace { .. })
     ));
 }
@@ -260,8 +263,8 @@ fn fault_maps_are_deterministic_and_serializable() {
 
 mod fault_properties {
     use mnsim::core::config::Config;
-    use mnsim::core::exec::ExecOptions;
-    use mnsim::core::fault_sim::{simulate_with_faults_with, FaultConfig};
+    use mnsim::core::fault_sim::FaultConfig;
+    use mnsim::core::Simulator;
     use mnsim::tech::fault::FaultRates;
     use proptest::prelude::*;
 
@@ -290,7 +293,7 @@ mod fault_properties {
                 seed,
                 ..FaultConfig::default()
             };
-            match simulate_with_faults_with(&config, &fault_config, &ExecOptions::serial()) {
+            match Simulator::new(config).threads(1).faults(fault_config).run() {
                 Ok(report) => {
                     let faults = report.faults.expect("campaign attaches a summary");
                     prop_assert!(faults.yield_fraction >= 0.0 && faults.yield_fraction <= 1.0);

@@ -18,8 +18,8 @@ use mnsim::circuit::transient::{solve_transient, TransientOptions};
 use mnsim::circuit::{analyze, solve_robust, RobustOptions, SparseLu};
 use mnsim::circuit::CircuitError;
 use mnsim::core::config::Config;
-use mnsim::core::exec::ExecOptions;
-use mnsim::core::fault_sim::{simulate_with_faults_with, FaultConfig};
+use mnsim::core::fault_sim::FaultConfig;
+use mnsim::core::Simulator;
 use mnsim::obs;
 use mnsim::tech::fault::FaultRates;
 use mnsim::tech::memristor::IvModel;
@@ -256,7 +256,11 @@ fn fault_campaign_counters(iv: IvModel) -> obs::MetricsSnapshot {
         spare_rows: 0,
         ..FaultConfig::default()
     };
-    simulate_with_faults_with(&config, &fault_config, &ExecOptions::serial()).unwrap();
+    Simulator::new(config)
+        .threads(1)
+        .faults(fault_config)
+        .run()
+        .unwrap();
     session.snapshot()
 }
 

@@ -10,10 +10,10 @@ use mnsim::circuit::cg::{CgOptions, IterationCap};
 use mnsim::circuit::solve::{Method, SolveOptions};
 use mnsim::circuit::{solve_robust, Circuit, RecoveryStage, RobustOptions};
 use mnsim::core::config::Config;
-use mnsim::core::dse::{explore, explore_with, Constraints, DesignSpace};
-use mnsim::core::exec::ExecOptions;
-use mnsim::core::fault_sim::{simulate_with_faults_with, FaultConfig};
+use mnsim::core::dse::{Constraints, DesignSpace};
+use mnsim::core::fault_sim::FaultConfig;
 use mnsim::core::simulate::simulate;
+use mnsim::core::Simulator;
 use mnsim::obs;
 use mnsim::tech::fault::FaultRates;
 use mnsim::tech::interconnect::InterconnectNode;
@@ -28,7 +28,11 @@ fn clean_fault_campaign_records_no_fallbacks() {
         ..FaultConfig::default()
     };
     let config = Config::fully_connected_mlp(&[64, 32]).unwrap();
-    simulate_with_faults_with(&config, &fault_config, &ExecOptions::serial()).unwrap();
+    Simulator::new(config)
+        .threads(1)
+        .faults(fault_config)
+        .run()
+        .unwrap();
 
     let snap = session.snapshot();
     assert_eq!(snap.counter("core.fault.campaigns"), 1);
@@ -135,7 +139,10 @@ fn dse_counters_track_feasibility_split() {
         parallelism_degrees: vec![1, 16],
         interconnects: vec![InterconnectNode::N28, InterconnectNode::N45],
     };
-    let result = explore(&base, &space, &Constraints::default()).unwrap();
+    let result = Simulator::new(base)
+        .threads(1)
+        .explore(&space, &Constraints::default())
+        .unwrap();
 
     let snap = session.snapshot();
     assert_eq!(snap.counter("core.dse.points"), result.evaluated as u64);
@@ -168,9 +175,10 @@ fn parallel_dse_error_still_evaluates_every_point() {
     };
 
     let session = obs::session();
-    let err =
-        explore_with(&base, &space, &Constraints::default(), &ExecOptions::with_threads(2))
-            .unwrap_err();
+    let err = Simulator::new(base.clone())
+        .threads(2)
+        .explore(&space, &Constraints::default())
+        .unwrap_err();
     let snap = session.snapshot();
 
     // All four combinations were attempted despite the mid-chunk failure.
@@ -180,7 +188,10 @@ fn parallel_dse_error_still_evaluates_every_point() {
     // And the reported error is the one serial traversal reports. The
     // session stays open: the serial sweep is instrumented too, and outside
     // it its counts would land in whatever session another test has open.
-    let serial_err = explore(&base, &space, &Constraints::default()).unwrap_err();
+    let serial_err = Simulator::new(base)
+        .threads(1)
+        .explore(&space, &Constraints::default())
+        .unwrap_err();
     assert_eq!(err.to_string(), serial_err.to_string());
 }
 
@@ -197,13 +208,14 @@ fn snapshot_json_is_valid_and_complete() {
         trials: 2,
         ..FaultConfig::default()
     };
-    simulate_with_faults_with(&config, &fault_config, &ExecOptions::serial()).unwrap();
+    let sim = Simulator::new(config).threads(1);
+    sim.clone().faults(fault_config).run().unwrap();
     let space = DesignSpace {
         crossbar_sizes: vec![32, 64],
         parallelism_degrees: vec![1],
         interconnects: vec![InterconnectNode::N45],
     };
-    explore(&config, &space, &Constraints::default()).unwrap();
+    sim.explore(&space, &Constraints::default()).unwrap();
     // The fault campaign now solves through the cached sparse-direct path,
     // so drive the CG engine and the recovery ladder explicitly to get
     // their counters into the same snapshot.
@@ -263,7 +275,11 @@ fn session_opened_before_thread_pool_sees_all_worker_counts() {
         trials: 14,
         ..FaultConfig::default()
     };
-    simulate_with_faults_with(&config, &fault_config, &ExecOptions::with_threads(7)).unwrap();
+    Simulator::new(config)
+        .threads(7)
+        .faults(fault_config)
+        .run()
+        .unwrap();
 
     let snap = session.snapshot();
     // All 14 trials ran on 7 pool workers; every increment must be
@@ -349,7 +365,7 @@ fn disabled_instrumentation_overhead_is_negligible() {
 
     // Measured per-point cost of a disabled-registry sweep. Each
     // measurement repeats the sweep to rise above timer noise.
-    let base = Config::fully_connected_mlp(&[512, 256]).unwrap();
+    let sweep = Simulator::new(Config::fully_connected_mlp(&[512, 256]).unwrap()).threads(1);
     let space = DesignSpace::paper_large_bank();
     const REPEATS: usize = 20;
     let mut sweep_secs = f64::INFINITY;
@@ -357,7 +373,8 @@ fn disabled_instrumentation_overhead_is_negligible() {
     for _ in 0..5 {
         let started = Instant::now();
         for _ in 0..REPEATS {
-            points = explore(&base, &space, &Constraints::default())
+            points = sweep
+                .explore(&space, &Constraints::default())
                 .unwrap()
                 .evaluated;
         }

@@ -24,8 +24,9 @@
 //! printed constants.
 
 use mnsim::core::config::Config;
-use mnsim::core::dse::{explore, Constraints, DesignPoint, DesignSpace, DseResult, Objective};
-use mnsim::core::validate::{validate_against_circuit, ValidationRow};
+use mnsim::core::dse::{Constraints, DesignPoint, DesignSpace, DseResult, Objective};
+use mnsim::core::validate::ValidationRow;
+use mnsim::core::Simulator;
 use mnsim::nn::models;
 use mnsim::tech::cmos::CmosNode;
 
@@ -78,7 +79,10 @@ fn table2_rows() -> &'static [ValidationRow] {
     static ROWS: std::sync::OnceLock<Vec<ValidationRow>> = std::sync::OnceLock::new();
     ROWS.get_or_init(|| {
         let (matrices, inputs, seed) = TABLE2_SAMPLES;
-        validate_against_circuit(&table2_config(), matrices, inputs, seed).unwrap()
+        Simulator::new(table2_config())
+            .threads(1)
+            .validate(matrices, inputs, seed)
+            .unwrap()
     })
 }
 
@@ -113,7 +117,10 @@ fn accuracy_row_for_size(size: usize) -> ValidationRow {
     let mut config = table2_config();
     config.crossbar_size = size;
     let (matrices, inputs, seed) = TABLE2_SAMPLES;
-    let rows = validate_against_circuit(&config, matrices, inputs, seed).unwrap();
+    let rows = Simulator::new(config)
+        .threads(1)
+        .validate(matrices, inputs, seed)
+        .unwrap();
     rows.into_iter()
         .find(|r| r.metric == "average relative accuracy")
         .expect("accuracy row present")
@@ -127,21 +134,14 @@ fn accuracy_row_for_size(size: usize) -> ValidationRow {
 /// size-32 golden accuracy row *bitwise* — not just to tolerance.
 #[test]
 fn table2_rows_are_bit_identical_across_thread_counts() {
-    use mnsim::core::exec::ExecOptions;
-    use mnsim::core::validate::validate_against_circuit_with;
-
     let mut config = table2_config();
     config.crossbar_size = 32;
     let (matrices, inputs, seed) = TABLE2_SAMPLES;
     let rows_at = |threads: usize| {
-        validate_against_circuit_with(
-            &config,
-            matrices,
-            inputs,
-            seed,
-            &ExecOptions::with_threads(threads),
-        )
-        .unwrap()
+        Simulator::new(config.clone())
+            .threads(threads)
+            .validate(matrices, inputs, seed)
+            .unwrap()
     };
 
     let reference = rows_at(1);
@@ -256,12 +256,13 @@ const TABLE4_GOLDEN: [GoldenOptimum; 4] = [
 
 /// Runs the full paper sweep serially (deterministic traversal order).
 fn table4_result() -> DseResult {
-    explore(
-        &large_bank_config(),
-        &DesignSpace::paper_large_bank(),
-        &Constraints::crossbar_error(0.25),
-    )
-    .unwrap()
+    Simulator::new(large_bank_config())
+        .threads(1)
+        .explore(
+            &DesignSpace::paper_large_bank(),
+            &Constraints::crossbar_error(0.25),
+        )
+        .unwrap()
 }
 
 /// Table IV picks the accuracy column with area as the secondary target.

@@ -1,17 +1,15 @@
-//! Parallel-execution equivalence: the threaded traversals must be
-//! observationally identical to their serial counterparts — same feasible
-//! sets, bit-identical statistics, same errors — for any thread count.
-//!
-//! Written against the pool-based entry points (`explore_with`,
-//! `simulate_with_faults_with`) that every front end shares; the unified
-//! `Simulator`/`Session` surface has its own suite in
+//! Parallel-execution equivalence: the threaded traversals behind the
+//! `Simulator` facade must be observationally identical to the serial
+//! `.threads(1)` run — same feasible sets, bit-identical statistics, same
+//! errors — for any thread count. The facade's other contracts (cache
+//! hits, option permutations) have their own suite in
 //! `tests/api_facade.rs`.
 
 use mnsim::core::config::Config;
-use mnsim::core::dse::{explore, explore_with, Constraints, DesignPoint, DesignSpace};
+use mnsim::core::dse::{Constraints, DesignPoint, DesignSpace, DseResult};
 use mnsim::core::error::CoreError;
-use mnsim::core::exec::ExecOptions;
-use mnsim::core::fault_sim::{simulate_with_faults_with, FaultConfig};
+use mnsim::core::fault_sim::FaultConfig;
+use mnsim::core::Simulator;
 use mnsim::tech::fault::FaultRates;
 use mnsim::tech::interconnect::InterconnectNode;
 
@@ -36,19 +34,28 @@ fn sorted(mut points: Vec<DesignPoint>) -> Vec<DesignPoint> {
     points
 }
 
+fn explore_on(
+    base: &Config,
+    space: &DesignSpace,
+    constraints: &Constraints,
+    threads: usize,
+) -> Result<DseResult, CoreError> {
+    Simulator::new(base.clone())
+        .threads(threads)
+        .explore(space, constraints)
+}
+
 #[test]
 fn explore_with_equals_serial_for_every_thread_count() {
     let base = dse_base();
     let space = dse_space();
     let constraints = Constraints::crossbar_error(0.3);
-    let serial = explore(&base, &space, &constraints).unwrap();
+    let serial = explore_on(&base, &space, &constraints, 1).unwrap();
     let serial_feasible = sorted(serial.feasible.clone());
     assert!(!serial_feasible.is_empty());
 
     for threads in THREAD_COUNTS {
-        let parallel =
-            explore_with(&base, &space, &constraints, &ExecOptions::with_threads(threads))
-                .unwrap();
+        let parallel = explore_on(&base, &space, &constraints, threads).unwrap();
         assert_eq!(parallel.evaluated, serial.evaluated, "threads={threads}");
         // Full struct equality: geometry, interconnect, and every report
         // field must match the serial evaluation exactly.
@@ -70,17 +77,11 @@ fn explore_with_propagates_the_serial_error() {
         parallelism_degrees: vec![1, 8],
         interconnects: vec![InterconnectNode::N45],
     };
-    let serial_err = explore(&base, &space, &Constraints::default()).unwrap_err();
+    let serial_err = explore_on(&base, &space, &Constraints::default(), 1).unwrap_err();
     assert!(matches!(serial_err, CoreError::Config { .. }));
 
     for threads in THREAD_COUNTS {
-        let err = explore_with(
-            &base,
-            &space,
-            &Constraints::default(),
-            &ExecOptions::with_threads(threads),
-        )
-        .unwrap_err();
+        let err = explore_on(&base, &space, &Constraints::default(), threads).unwrap_err();
         assert_eq!(
             err.to_string(),
             serial_err.to_string(),
@@ -99,15 +100,9 @@ fn explore_with_reports_earliest_of_several_errors() {
         parallelism_degrees: vec![1],
         interconnects: vec![InterconnectNode::N45],
     };
-    let serial_err = explore(&base, &space, &Constraints::default()).unwrap_err();
+    let serial_err = explore_on(&base, &space, &Constraints::default(), 1).unwrap_err();
     for threads in THREAD_COUNTS {
-        let err = explore_with(
-            &base,
-            &space,
-            &Constraints::default(),
-            &ExecOptions::with_threads(threads),
-        )
-        .unwrap_err();
+        let err = explore_on(&base, &space, &Constraints::default(), threads).unwrap_err();
         assert_eq!(err.to_string(), serial_err.to_string(), "threads={threads}");
     }
 }
@@ -125,15 +120,13 @@ fn fault_campaign_is_bit_identical_across_thread_counts() {
         trials: 9,
         ..FaultConfig::default()
     };
-    let serial =
-        simulate_with_faults_with(&config, &fault_config, &ExecOptions::serial()).unwrap();
+    let campaign = Simulator::new(config).faults(fault_config);
+    let serial = campaign.clone().threads(1).run().unwrap();
     let serial_faults = serial.faults.expect("campaign attaches a summary");
     assert!(serial_faults.solves > 0);
 
     for threads in THREAD_COUNTS {
-        let parallel =
-            simulate_with_faults_with(&config, &fault_config, &ExecOptions::with_threads(threads))
-                .unwrap();
+        let parallel = campaign.clone().threads(threads).run().unwrap();
         // Bit-identical, not approximately equal: trial seeds are derived
         // from the trial index and outcomes are reduced in trial order.
         assert_eq!(
@@ -153,9 +146,8 @@ fn fault_campaign_default_thread_count_matches_serial() {
         trials: 5,
         ..FaultConfig::default()
     };
-    let auto =
-        simulate_with_faults_with(&config, &fault_config, &ExecOptions::default()).unwrap();
-    let serial =
-        simulate_with_faults_with(&config, &fault_config, &ExecOptions::serial()).unwrap();
+    let campaign = Simulator::new(config).faults(fault_config);
+    let auto = campaign.clone().threads(0).run().unwrap();
+    let serial = campaign.threads(1).run().unwrap();
     assert_eq!(auto.faults, serial.faults);
 }

@@ -9,9 +9,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use mnsim::core::config::Config;
-use mnsim::core::exec::ExecOptions;
-use mnsim::core::fault_sim::{simulate_with_faults_with, FaultConfig};
+use mnsim::core::fault_sim::FaultConfig;
 use mnsim::core::simulate::simulate;
+use mnsim::core::Simulator;
 use mnsim::obs::trace::{self, EventKind};
 use mnsim::obs::validate_chrome_trace;
 use mnsim::tech::fault::FaultRates;
@@ -94,7 +94,10 @@ fn fault_campaign_trace_tree_is_well_formed_across_thread_counts() {
             ..FaultConfig::default()
         };
         let session = trace::session();
-        simulate_with_faults_with(&config, &fault_config, &ExecOptions::with_threads(threads))
+        Simulator::new(config.clone())
+            .threads(threads)
+            .faults(fault_config.clone())
+            .run()
             .unwrap();
         let collected = session.finish();
         assert_eq!(collected.dropped, 0, "threads={threads}: events dropped");
