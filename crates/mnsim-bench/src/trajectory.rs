@@ -331,7 +331,7 @@ fn sparse_bench_crossbar(state_kohms: f64) -> CrossbarCircuit {
 }
 
 /// Cold sparse-direct path: every repetition re-assembles, re-analyzes
-/// (BTF + AMD) and re-factors the reduced system from scratch.
+/// (AMD + elimination tree) and re-factors the reduced system from scratch.
 fn dc_solve_sparse_cold_workload() -> impl FnMut() {
     let xbar = sparse_bench_crossbar(10.0);
     let options = SolveOptions {
@@ -345,9 +345,10 @@ fn dc_solve_sparse_cold_workload() -> impl FnMut() {
 }
 
 /// Refactor fast path: one [`PreparedSystem`] holds the symbolic analysis
-/// and pivot order; every repetition swaps in new cell conductances (same
-/// pattern), replays the cached elimination program, and backsolves —
-/// the per-trial regime of a fault campaign or a reprogrammed layer.
+/// and the stamp slot map; every repetition swaps in new cell conductances
+/// (same pattern), scatters them into the cached analysis, refactors, and
+/// backsolves — the per-trial regime of a fault campaign or a reprogrammed
+/// layer.
 fn dc_solve_sparse_refactor_workload() -> impl FnMut() {
     let states = [sparse_bench_crossbar(10.0), sparse_bench_crossbar(12.5)];
     let drive = vec![Voltage::from_volts(1.0); SPARSE_BENCH_SIZE];
@@ -823,9 +824,9 @@ mod tests {
             "batched multi-RHS solve is only {:.2}x faster than serial",
             serial / batch
         );
-        // Replaying the cached pivot order must beat a from-scratch
-        // symbolic analysis + pivoting factorization by at least 2× —
-        // that gap is the whole justification for the refactor rung.
+        // Refactoring over the cached analysis must beat a from-scratch
+        // symbolic analysis + factorization by at least 2× — that gap is
+        // the whole justification for the refactor rung.
         let sparse_cold = median_of("dc_solve_sparse_cold");
         let sparse_refactor = median_of("dc_solve_sparse_refactor");
         assert!(

@@ -14,8 +14,8 @@
 //!
 //! * the source classification and node → unknown numbering,
 //! * the assembled reduced (or full-MNA) matrix,
-//! * the dense LU factorization when the dense path is selected
-//!   (`O(n³)` once, `O(n²)` per RHS),
+//! * its factorization: dense LU below 96 unknowns (`O(n³)` once, `O(n²)`
+//!   per RHS), the sparse LDLᵀ workspace above,
 //! * a replayable right-hand-side plan so each new input vector only costs
 //!   an `O(nnz)` stamp replay,
 //! * and, on the conjugate-gradient path, the previous solution as a warm
@@ -44,13 +44,12 @@ use mnsim_tech::units::Voltage;
 use crate::cg::solve_cg_warm;
 use crate::dense::{DenseMatrix, LuFactors};
 use crate::error::CircuitError;
-use crate::klu::SparseLu;
 use crate::mna::{Circuit, DcSolution, Element};
 use crate::solve::{
-    auto_engine, finish, linearize, solve_dc_in, LinearEngine, Linearized, Method, SolveOptions,
-    SparseWorkspace,
+    assemble_reduced, auto_engine, finish, linearize, replay_rhs, solve_dc_in, BOp, LinearEngine,
+    Linearized, Method, ReducedSystem, SolveOptions, SparseWorkspace,
 };
-use crate::sparse::{CsrMatrix, TripletMatrix};
+use crate::sparse::CsrMatrix;
 
 static BATCH_BUILDS: obs::Counter = obs::Counter::new("circuit.batch.prepared_builds");
 static BATCH_CALLS: obs::Counter = obs::Counter::new("circuit.batch.calls");
@@ -80,8 +79,8 @@ static BATCH_WARM_ITERS_SAVED: obs::Counter =
 /// Sparse-direct back-substitutions through the batch path.
 static BATCH_SPARSE: obs::Counter = obs::Counter::new("circuit.batch.sparse_backsolves");
 /// Value-only refreshes through [`prepare_or_reuse`]: the cached sparse
-/// factorization was updated in place via [`SparseLu::refresh`] instead of
-/// rebuilding the whole prepared system.
+/// factorization was refactored in place instead of rebuilding the whole
+/// prepared system.
 static VALUE_REFRESHES: obs::Counter = obs::Counter::new("circuit.batch.value_refreshes");
 
 /// Warm-start policy for the conjugate-gradient path of a batch.
@@ -139,28 +138,14 @@ impl Rhs {
     }
 }
 
-/// One `b`-vector assembly step, recorded at build time and replayed per
-/// RHS in the exact order `solve_dc`'s assembly would execute it (so a
-/// cold-started batch solve is bitwise identical to the serial path).
-#[derive(Debug, Clone, Copy)]
-enum BOp {
-    /// `b[u] += g · v(node)` where `v` is the per-RHS driven voltage
-    /// (0 V for ground).
-    Scaled { u: usize, node: usize, g: f64 },
-    /// `b[u] += c` (equivalent-current and current-source terms).
-    Const { u: usize, c: f64 },
-    /// `b[u] = rhs[k]` (full-MNA source row).
-    Source { u: usize, k: usize },
-}
-
 /// How the linear system is solved once assembled.
 #[derive(Debug, Clone)]
 enum ReducedEngine {
     /// Cached dense LU over the reduced system.
     Dense(LuFactors),
-    /// Cached KLU-style sparse direct LU; value-only structure changes
-    /// refresh it in place through [`SparseLu::refresh`].
-    Sparse(SparseLu),
+    /// The sparse LDLᵀ workspace, the same type a non-linear system's
+    /// Newton loop uses; value-only changes refactor it in place.
+    Sparse(SparseWorkspace),
     /// Sparse matrix for (warm-started) conjugate gradients.
     Cg(CsrMatrix),
     /// No unknowns at all (every node driven or ground).
@@ -174,7 +159,7 @@ enum ReducedEngine {
 pub enum EngineKind {
     /// Reduced system with a cached dense LU.
     Dense,
-    /// Reduced system with a cached sparse direct LU ([`crate::klu`]).
+    /// Reduced system with a cached sparse LDLᵀ ([`crate::ldl`]).
     SparseDirect,
     /// Reduced system solved iteratively (warm-started CG).
     Iterative,
@@ -330,10 +315,11 @@ impl PreparedSystem {
     }
 
     /// Rough resident size of this prepared system in bytes — dominated
-    /// by the cached factorization (dense LU: `unknowns²` doubles;
-    /// sparse LU, including a non-linear system's Newton factor once it
-    /// has solved: the factor non-zeros). Used by byte-budgeted artifact
-    /// caches to decide eviction; an estimate, not an allocator truth.
+    /// by the cached factorization (dense LU: `unknowns²` doubles; the
+    /// sparse workspace, including a non-linear system's Newton factor once
+    /// it has solved: the factor non-zeros, the analyzed pattern and the
+    /// stamp slot map). Used by byte-budgeted artifact caches to decide
+    /// eviction; an estimate, not an allocator truth.
     pub fn approx_bytes(&self) -> usize {
         let mut bytes = std::mem::size_of::<Self>();
         bytes += self.lin.len() * 48;
@@ -350,7 +336,7 @@ impl PreparedSystem {
                 let structure = index.len() * 8 + bindings.len() * 16 + ops.len() * 24;
                 let factors = match engine {
                     ReducedEngine::Dense(_) => unknowns * unknowns * 8 + unknowns * 8,
-                    ReducedEngine::Sparse(lu) => lu.lu_nnz() * 16 + unknowns * 24,
+                    ReducedEngine::Sparse(workspace) => workspace.approx_bytes(),
                     ReducedEngine::Cg(matrix) => matrix.nnz() * 12 + unknowns * 8,
                     ReducedEngine::Empty => 0,
                 };
@@ -415,10 +401,10 @@ impl PreparedSystem {
     /// Attempts to update this system in place for a circuit whose element
     /// *values* changed but whose structure did not (a fault overlay or
     /// variation resample). Only the sparse-direct engine and non-linear
-    /// systems support this. The sparse engine replays its cached symbolic
-    /// analysis and elimination program on the new values via
-    /// [`SparseLu::refresh`], which is much cheaper than a full rebuild. A
-    /// non-linear system keeps its Newton workspace, whose next solve
+    /// systems support this. The sparse engine re-stamps the circuit and
+    /// scatters the new values through its cached slot map into its cached
+    /// analysis, then refactors, which is much cheaper than a full rebuild.
+    /// A non-linear system keeps its Newton workspace, whose next solve
     /// refactors the held factorization for the new values.
     ///
     /// Returns `Ok(true)` when the refresh succeeded (the system now solves
@@ -427,9 +413,8 @@ impl PreparedSystem {
     ///
     /// # Errors
     ///
-    /// Propagates solver failures from the fallback factorization inside
-    /// [`SparseLu::refresh`] (e.g. the new values made the matrix
-    /// numerically singular).
+    /// Propagates factorization failures (e.g. the new values made the
+    /// matrix singular); the system must then be rebuilt.
     pub fn try_value_refresh(&mut self, circuit: &Circuit) -> Result<bool, CircuitError> {
         if !self.matches_structure(circuit) {
             return Ok(false);
@@ -443,7 +428,7 @@ impl PreparedSystem {
             return Ok(true);
         }
         let SystemKind::Reduced {
-            engine: ReducedEngine::Sparse(lu),
+            engine: ReducedEngine::Sparse(workspace),
             index,
             unknowns,
             ops,
@@ -454,24 +439,15 @@ impl PreparedSystem {
         };
 
         let lin = linearize(circuit, None);
-        let assembly = assemble_reduced(circuit, &lin, bindings);
-        // Same structure fingerprint → same unknown numbering and sparsity
-        // pattern; anything else means the fingerprint missed a structural
-        // change, so refuse the fast path rather than risk a wrong refresh.
-        if assembly.unknowns != *unknowns || assembly.index != *index {
+        let system = assemble_reduced(circuit, &lin, &driven_nodes(self.node_count, bindings));
+        // Same structure fingerprint → same unknown numbering; anything
+        // else means the fingerprint missed a structural change, so refuse
+        // the fast path rather than risk a wrong refresh.
+        if system.unknowns != *unknowns || system.index != *index {
             return Ok(false);
         }
-        let csc = assembly.triplets.to_csc();
-        match lu.refresh(&csc) {
-            Ok(_bit_fast) => {}
-            // Pattern drift (a conductance collapsed to an explicit zero,
-            // say) is not an error — it just means the fast path is off.
-            Err(CircuitError::SingularSystem { .. }) if !lu.symbolic().compatible_with(&csc) => {
-                return Ok(false);
-            }
-            Err(e) => return Err(e),
-        }
-        *ops = assembly.ops;
+        workspace.factor(&system.stamps)?;
+        *ops = system.ops;
         self.lin = lin;
         self.fingerprint = circuit_fingerprint(circuit);
         self.last_x = None;
@@ -608,14 +584,7 @@ impl PreparedSystem {
                     }
                 };
 
-                let mut b = vec![0.0; *unknowns];
-                for op in ops {
-                    match *op {
-                        BOp::Scaled { u, node, g } => b[u] += g * driven_voltage(node),
-                        BOp::Const { u, c } => b[u] += c,
-                        BOp::Source { .. } => {}
-                    }
-                }
+                let b = replay_rhs(ops, *unknowns, driven_voltage);
 
                 let x = match engine {
                     ReducedEngine::Empty => Vec::new(),
@@ -624,10 +593,15 @@ impl PreparedSystem {
                         self.last_iterations.push(0);
                         lu.solve(&b)?
                     }
-                    ReducedEngine::Sparse(lu) => {
+                    ReducedEngine::Sparse(workspace) => {
                         BATCH_SPARSE.inc();
                         self.last_iterations.push(0);
-                        lu.solve(&b)
+                        // Only a failed refresh leaves no factor, and
+                        // `prepare_or_reuse` drops such a system.
+                        let ldl = workspace
+                            .factored()
+                            .ok_or(CircuitError::SingularSystem { at: 0 })?;
+                        ldl.solve(&b)
                     }
                     ReducedEngine::Cg(csr) => {
                         let x0: Option<&[f64]> = match self.options.warm_start {
@@ -719,7 +693,8 @@ pub fn solve_dc_batch(
 ///
 /// # Errors
 ///
-/// Propagates [`PreparedSystem::build`] failures.
+/// Propagates [`PreparedSystem::build`] and refresh failures; a system whose
+/// refresh failed is dropped from the slot.
 pub fn prepare_or_reuse<'a>(
     slot: &'a mut Option<PreparedSystem>,
     circuit: &Circuit,
@@ -727,9 +702,12 @@ pub fn prepare_or_reuse<'a>(
 ) -> Result<&'a mut PreparedSystem, CircuitError> {
     let rebuild = match slot.as_mut() {
         Some(prepared) => {
-            if prepared.options() == options
-                && (prepared.matches(circuit) || prepared.try_value_refresh(circuit)?)
-            {
+            let reusable = prepared.options() == options
+                && (prepared.matches(circuit)
+                    || prepared
+                        .try_value_refresh(circuit)
+                        .inspect_err(|_| *slot = None)?);
+            if reusable {
                 CACHE_HITS.inc();
                 false
             } else {
@@ -882,109 +860,18 @@ pub fn circuit_structure_fingerprint(circuit: &Circuit) -> u64 {
     h
 }
 
-/// The structure-dependent assembly of a reduced system: unknown
-/// numbering, stamped matrix, and RHS replay plan.
-struct ReducedAssembly {
-    index: Vec<usize>,
-    unknowns: usize,
-    triplets: TripletMatrix,
-    ops: Vec<BOp>,
-}
-
-/// Assembles the reduced SPD system and its RHS replay plan. Mirrors
-/// `solve::solve_reduced` stamp-for-stamp so a cold-started batch is
-/// bitwise identical to the serial path.
-fn assemble_reduced(
-    circuit: &Circuit,
-    lin: &[Option<Linearized>],
-    bindings: &[(usize, f64)],
-) -> ReducedAssembly {
-    let n_nodes = circuit.node_count();
-    let mut is_driven = vec![false; n_nodes];
+/// Marks the nodes `bindings` drive, for [`assemble_reduced`].
+fn driven_nodes(node_count: usize, bindings: &[(usize, f64)]) -> Vec<bool> {
+    let mut is_driven = vec![false; node_count];
     for &(node, _) in bindings {
         is_driven[node] = true;
     }
-
-    let mut index = vec![usize::MAX; n_nodes];
-    let mut unknowns = 0usize;
-    for (node, slot) in index.iter_mut().enumerate().skip(1) {
-        if !is_driven[node] {
-            *slot = unknowns;
-            unknowns += 1;
-        }
-    }
-    let fixed = |node: usize| node == Circuit::GROUND || is_driven[node];
-
-    let mut triplets = TripletMatrix::new(unknowns, unknowns);
-    let mut ops = Vec::new();
-
-    for (idx, element) in circuit.elements().iter().enumerate() {
-        match element {
-            Element::Resistor { n1, n2, .. }
-            | Element::Memristor { n1, n2, .. }
-            | Element::Capacitor { n1, n2, .. } => {
-                let Some(Linearized { g, ieq }) = lin[idx] else {
-                    continue;
-                };
-                let i1 = index[*n1];
-                let i2 = index[*n2];
-                if i1 != usize::MAX {
-                    triplets.add(i1, i1, g);
-                    if fixed(*n2) {
-                        ops.push(BOp::Scaled {
-                            u: i1,
-                            node: *n2,
-                            g,
-                        });
-                    } else {
-                        triplets.add(i1, i2, -g);
-                    }
-                    ops.push(BOp::Const { u: i1, c: -ieq });
-                }
-                if i2 != usize::MAX {
-                    triplets.add(i2, i2, g);
-                    if fixed(*n1) {
-                        ops.push(BOp::Scaled {
-                            u: i2,
-                            node: *n1,
-                            g,
-                        });
-                    } else {
-                        triplets.add(i2, i1, -g);
-                    }
-                    ops.push(BOp::Const { u: i2, c: ieq });
-                }
-            }
-            Element::CurrentSource { from, to, current } => {
-                let i = current.amperes();
-                if index[*from] != usize::MAX {
-                    ops.push(BOp::Const {
-                        u: index[*from],
-                        c: -i,
-                    });
-                }
-                if index[*to] != usize::MAX {
-                    ops.push(BOp::Const {
-                        u: index[*to],
-                        c: i,
-                    });
-                }
-            }
-            Element::VoltageSource { .. } => {} // encoded via bindings
-        }
-    }
-
-    ReducedAssembly {
-        index,
-        unknowns,
-        triplets,
-        ops,
-    }
+    is_driven
 }
 
 /// Assembles the reduced system and attaches the linear engine selected by
 /// `options.base.method` (dense LU below [`crate::solve`]'s cutoff, sparse
-/// direct LU up to very large systems, CG beyond — or whichever the caller
+/// LDLᵀ up to very large systems, CG beyond — or whichever the caller
 /// pinned explicitly).
 fn build_reduced(
     circuit: &Circuit,
@@ -992,12 +879,12 @@ fn build_reduced(
     bindings: &[(usize, f64)],
     options: &BatchOptions,
 ) -> Result<SystemKind, CircuitError> {
-    let ReducedAssembly {
+    let ReducedSystem {
         index,
         unknowns,
-        triplets,
+        stamps,
         ops,
-    } = assemble_reduced(circuit, lin, bindings);
+    } = assemble_reduced(circuit, lin, &driven_nodes(circuit.node_count(), bindings));
 
     let engine = if unknowns == 0 {
         ReducedEngine::Empty
@@ -1010,13 +897,15 @@ fn build_reduced(
         };
         match choice {
             LinearEngine::Dense => {
-                let csr = triplets.to_csr();
+                let csr = stamps.to_csr();
                 ReducedEngine::Dense(DenseMatrix::from_rows(&csr.to_dense()).factor()?)
             }
             LinearEngine::Sparse => {
-                ReducedEngine::Sparse(SparseLu::factor(&triplets.to_csc())?)
+                let mut workspace = SparseWorkspace::default();
+                workspace.factor(&stamps)?;
+                ReducedEngine::Sparse(workspace)
             }
-            LinearEngine::Cg => ReducedEngine::Cg(triplets.to_csr()),
+            LinearEngine::Cg => ReducedEngine::Cg(stamps.to_csr()),
         }
     };
 
@@ -1342,9 +1231,9 @@ mod tests {
         let linear_system = PreparedSystem::build(linear.circuit(), BatchOptions::default()).unwrap();
         let factor_bytes = match &linear_system.kind {
             SystemKind::Reduced {
-                engine: ReducedEngine::Sparse(lu),
+                engine: ReducedEngine::Sparse(workspace),
                 ..
-            } => lu.lu_nnz() * 16,
+            } => workspace.factored().unwrap().factor_nnz() * 16,
             other => panic!("expected the sparse engine, got {other:?}"),
         };
 

@@ -94,6 +94,9 @@ pub enum CircuitError {
         /// Fingerprint of the circuit presented at solve time.
         actual: u64,
     },
+    /// A refactorization was handed a matrix whose sparsity pattern is not
+    /// the one its symbolic analysis was computed for.
+    PatternMismatch,
 }
 
 impl fmt::Display for CircuitError {
@@ -147,6 +150,10 @@ impl fmt::Display for CircuitError {
                 f,
                 "prepared system is stale: built for circuit fingerprint {expected:#018x}, \
                  asked to solve {actual:#018x}; rebuild it after conductance changes"
+            ),
+            CircuitError::PatternMismatch => write!(
+                f,
+                "sparsity pattern differs from the analyzed one; analyze the new pattern first"
             ),
         }
     }

@@ -3,17 +3,18 @@
 //! This crate is the *circuit-level baseline* of the MNSIM reproduction: the
 //! role HSPICE plays in the original paper. It provides
 //!
-//! * [`sparse`] — CSR sparse matrices with triplet assembly,
+//! * [`sparse`] — CSR and CSC sparse matrices with triplet assembly,
 //! * [`dense`] — dense LU with partial pivoting,
 //! * [`cg`] — Jacobi-preconditioned conjugate gradients,
 //! * [`mna`] — circuit representation (resistors, sources, memristors),
 //! * [`solve`] — DC operating-point analysis with Newton-Raphson for
 //!   non-linear memristor cells,
-//! * [`klu`] — KLU-style sparse direct solver (BTF + AMD + Gilbert–Peierls
-//!   LU) with a cached symbolic analysis and a numeric-only `refactor()`
-//!   fast path for same-pattern value updates,
+//! * [`ldl`] — sparse LDLᵀ direct solver for the symmetric positive-definite
+//!   reduced systems (AMD ordering, elimination tree, up-looking numeric
+//!   factorization) with a cached symbolic analysis and a numeric-only
+//!   `refactor()` for same-pattern value updates,
 //! * [`batch`] — multi-RHS solving over a [`batch::PreparedSystem`] that
-//!   caches the assembled system (dense LU below 96 unknowns, sparse LU
+//!   caches the assembled system (dense LU below 96 unknowns, sparse LDLᵀ
 //!   above) per conductance structure and warm-starts CG across correlated
 //!   inputs,
 //! * [`crossbar`] — memristor-crossbar netlist construction matching the
@@ -21,8 +22,8 @@
 //!   resistors), with optional hard-defect overlays (stuck cells, broken
 //!   lines),
 //! * [`recovery`] — a fault-tolerant solve ladder (`solve_robust`) that
-//!   escalates CG → relaxed CG → dense LU and reports how the answer was
-//!   obtained,
+//!   escalates the base solve → relaxed CG → sparse LDLᵀ → dense LU and
+//!   reports how the answer was obtained,
 //! * [`transient`] — backward-Euler transient analysis (RC settling),
 //! * [`netlist`] — SPICE netlist export/import.
 //!
@@ -64,7 +65,7 @@ pub mod cg;
 pub mod crossbar;
 pub mod dense;
 pub mod error;
-pub mod klu;
+pub mod ldl;
 pub mod mna;
 pub mod netlist;
 pub mod recovery;
@@ -77,7 +78,7 @@ pub use batch::{
 };
 pub use crossbar::{CrossbarCircuit, CrossbarSpec, FaultOverlay};
 pub use error::CircuitError;
-pub use klu::{analyze, RefactorError, SparseLu, SymbolicAnalysis};
+pub use ldl::{analyze, SparseLdl, SymbolicAnalysis};
 pub use mna::{Circuit, DcSolution, Element, NodeId};
 pub use cg::{CgOptions, IterationCap};
 pub use recovery::{

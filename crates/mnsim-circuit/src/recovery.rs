@@ -12,7 +12,8 @@
 //! 1. the caller's configured solve (usually `Method::Auto`),
 //! 2. conjugate gradients with a relaxed tolerance (a slightly loose answer
 //!    beats none — degradation statistics don't need 1e-10 residuals),
-//! 3. a dense LU over the full system (exact, `O(n³)` — the last resort).
+//! 3. the sparse LDLᵀ direct solve (exact, `O(fill)`),
+//! 4. a dense LU over the full system (exact, `O(n³)` — the last resort).
 //!
 //! Every accepted solution is screened for NaN/∞ and its Kirchhoff
 //! current-law residual is measured, so the caller receives a
@@ -114,7 +115,7 @@ pub enum RecoveryStage {
     Base,
     /// Conjugate gradients with relaxed tolerance and a raised iteration cap.
     RelaxedCg,
-    /// Sparse direct LU ([`crate::klu`]) — exact like the dense rung but
+    /// Sparse direct LDLᵀ ([`crate::ldl`]) — exact like the dense rung but
     /// `O(fill)` instead of `O(n³)`, so it rescues ill-conditioned systems
     /// that stall CG without paying the dense price.
     SparseLu,

@@ -4,19 +4,23 @@
 //!
 //! 1. **Linear circuits** are solved in one shot. If every voltage source is
 //!    referenced to ground (true for every crossbar netlist), the nodal
-//!    matrix reduced over the driven nodes is symmetric positive-definite
-//!    and the large-system path uses Jacobi-preconditioned conjugate
-//!    gradients; small systems and circuits with floating sources use a
-//!    dense LU over the full modified-nodal-analysis system.
+//!    matrix reduced over the driven nodes is symmetric positive-definite.
+//!    `Method::Auto` picks its engine by size: dense LU below 96 unknowns,
+//!    the sparse LDLᵀ engine of [`crate::ldl`] up to 200 000, and
+//!    Jacobi-preconditioned conjugate gradients beyond. Circuits with
+//!    floating sources use a dense LU over the full modified-nodal-analysis
+//!    system.
 //! 2. **Non-linear circuits** (memristors with a sinh I-V model) are solved
 //!    by Newton-Raphson: each memristor is replaced by its companion model
 //!    (differential conductance + equivalent current source) at the present
 //!    operating point and the linear solve is repeated until the node
-//!    voltages stop moving. Every iteration stamps the same sparsity
-//!    pattern, so the sparse-direct path analyzes it once and refactors
-//!    the cached factorization in place (`SparseWorkspace`).
-
-use std::collections::HashMap;
+//!    voltages stop moving. Every iteration stamps the same coordinates, so
+//!    the sparse engine analyzes the pattern once and each iteration only
+//!    scatters its values and refactors (`SparseWorkspace`).
+//!
+//! The reduced system has one assembly (`assemble_reduced`), shared with
+//! [`crate::batch::PreparedSystem`], so one-shot and prepared solves stamp,
+//! sum and factor identically.
 
 use mnsim_obs as obs;
 use mnsim_tech::memristor::IvModel;
@@ -32,21 +36,21 @@ static LINEAR_FULL_MNA: obs::Counter = obs::Counter::new("circuit.solve.full_mna
 static NEWTON_ITERATIONS: obs::Counter = obs::Counter::new("circuit.solve.newton_iterations");
 use crate::dense::DenseMatrix;
 use crate::error::CircuitError;
-use crate::klu::SparseLu;
+use crate::ldl::SparseLdl;
 use crate::mna::{Circuit, DcSolution, Element};
-use crate::sparse::{CscMatrix, TripletMatrix};
+use crate::sparse::TripletMatrix;
 
 /// Linear-solver selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Method {
-    /// Dense LU below `DENSE_CUTOFF` (96) unknowns, KLU-style sparse direct
-    /// LU up to `SPARSE_CUTOFF` (200 000), conjugate gradients beyond (all for
+    /// Dense LU below `DENSE_CUTOFF` (96) unknowns, sparse LDLᵀ up to
+    /// `SPARSE_CUTOFF` (200 000), conjugate gradients beyond (all for
     /// grounded-source systems; floating sources use full MNA).
     #[default]
     Auto,
     /// Force the dense LU path (exact, `O(n³)`).
     DenseLu,
-    /// Force the sparse direct path ([`crate::klu`]; exact, fill-bounded).
+    /// Force the sparse direct path ([`crate::ldl`]; exact, fill-bounded).
     SparseLu,
     /// Force conjugate gradients (requires grounded voltage sources).
     Cg,
@@ -94,7 +98,7 @@ pub(crate) const SPARSE_CUTOFF: usize = 200_000;
 pub(crate) enum LinearEngine {
     /// Dense LU with partial pivoting.
     Dense,
-    /// KLU-style sparse direct LU ([`crate::klu`]).
+    /// Sparse LDLᵀ ([`crate::ldl`]) behind a [`SparseWorkspace`].
     Sparse,
     /// Jacobi-preconditioned conjugate gradients.
     Cg,
@@ -111,57 +115,105 @@ pub(crate) fn auto_engine(unknowns: usize) -> LinearEngine {
     }
 }
 
-/// The sparse-direct factorization one circuit structure carries from one
-/// linear solve to the next: across the Newton iterations of a DC solve,
-/// the steps of a transient run, and the reads of a nonlinear
+/// The sparse factorization one circuit structure carries from one linear
+/// solve to the next: across the Newton iterations of a DC solve, the
+/// steps of a transient run, and the reads and value overlays of a
 /// [`crate::batch::PreparedSystem`].
 ///
-/// The first solve analyzes (BTF + AMD) and factors. A later matrix with
-/// the same sparsity pattern refreshes the factor in place through
-/// [`SparseLu::refresh`], or reuses it untouched when its values are
-/// bit-identical to the factored ones; a changed pattern is analyzed
-/// afresh. A refresh is bit-identical to a fresh factorization, so the
-/// solutions never depend on what the workspace solved before.
+/// It holds the stamp coordinates of the last solve, the map from each
+/// stamp to its CSC value slot, and the factor (whose analysis holds the
+/// CSC pattern). A solve whose stamps have the held coordinates scatters
+/// its values through the map in stamp order — no sort, no hash — and
+/// refactors only when the summed values changed. Other coordinates
+/// rebuild the map, and re-analyze only when the summed pattern changed.
+/// The first solve of a pattern goes through the same map, so duplicate
+/// stamps are summed in one order on every path, and since a refactor is
+/// bit-identical to a fresh factorization, the solutions never depend on
+/// what the workspace solved before.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SparseWorkspace {
-    lu: Option<SparseLu>,
-    /// The values `lu` factors; empty while `lu` is absent or unusable.
+    /// Stamp coordinates the map was built for, in stamp order.
+    coords: Vec<(usize, usize)>,
+    /// CSC value slot of each stamp.
+    slots: Vec<usize>,
+    /// The CSC values `ldl` factors; empty while `ldl` is absent or
+    /// unusable.
     values: Vec<f64>,
+    /// The next solve's CSC values, swapped with `values` on a refactor.
+    next_values: Vec<f64>,
+    ldl: Option<Box<SparseLdl>>,
 }
 
 impl SparseWorkspace {
-    /// Solves `a x = b`, factoring `a` as cheaply as the cached state
-    /// allows.
-    pub(crate) fn solve(&mut self, a: &CscMatrix, b: &[f64]) -> Result<Vec<f64>, CircuitError> {
-        match &mut self.lu {
-            Some(lu) if lu.symbolic().compatible_with(a) => {
-                if self.values != a.values() {
-                    // A failed refresh leaves the factor unusable; the
-                    // cleared values make the next solve refresh again.
-                    self.values.clear();
-                    lu.refresh(a)?;
-                    self.values.extend_from_slice(a.values());
-                }
-                Ok(lu.solve(b))
-            }
-            slot => {
-                // Release the old factor before building its replacement.
-                *slot = None;
-                self.values.clear();
-                let lu = slot.insert(SparseLu::factor(a)?);
-                self.values.extend_from_slice(a.values());
-                Ok(lu.solve(b))
-            }
-        }
+    /// Solves the stamped system for `b`, factoring as cheaply as the held
+    /// state allows.
+    pub(crate) fn solve(
+        &mut self,
+        stamps: &TripletMatrix,
+        b: &[f64],
+    ) -> Result<Vec<f64>, CircuitError> {
+        self.factor(stamps)?;
+        self.factored()
+            .map(|ldl| ldl.solve(b))
+            .ok_or(CircuitError::SingularSystem { at: 0 })
     }
 
-    /// Rough resident size in bytes: the held factor plus the values it
-    /// factors.
+    /// Makes the held factor factor the stamped matrix.
+    pub(crate) fn factor(&mut self, stamps: &TripletMatrix) -> Result<(), CircuitError> {
+        let entries = stamps.entries();
+        let mapped = self.ldl.is_some()
+            && entries.len() == self.coords.len()
+            && entries
+                .iter()
+                .zip(&self.coords)
+                .all(|(&(r, c, _), &rc)| (r, c) == rc);
+        if !mapped {
+            let (csc, slots) = stamps.to_csc_with_slots();
+            self.coords = entries.iter().map(|&(r, c, _)| (r, c)).collect();
+            self.slots = slots;
+            if !self
+                .ldl
+                .as_ref()
+                .is_some_and(|ldl| ldl.symbolic().compatible_with(&csc))
+            {
+                // Release the old factor before building its replacement.
+                self.ldl = None;
+                self.values.clear();
+                self.ldl = Some(Box::new(SparseLdl::factor(&csc)?));
+                self.values = csc.into_values();
+                return Ok(());
+            }
+        }
+        let nnz = self.ldl.as_ref().map_or(0, |ldl| ldl.symbolic().nnz());
+        self.next_values.clear();
+        self.next_values.resize(nnz, 0.0);
+        for (&(_, _, v), &slot) in entries.iter().zip(&self.slots) {
+            self.next_values[slot] += v;
+        }
+        if self.next_values != self.values {
+            // A failed refactor leaves the factor unusable; the empty
+            // values make the next solve refactor again.
+            self.values.clear();
+            if let Some(ldl) = self.ldl.as_mut() {
+                ldl.refactor_values(&self.next_values)?;
+            }
+            std::mem::swap(&mut self.values, &mut self.next_values);
+        }
+        Ok(())
+    }
+
+    /// The factor of the last successfully factored matrix.
+    pub(crate) fn factored(&self) -> Option<&SparseLdl> {
+        self.ldl.as_deref().filter(|_| !self.values.is_empty())
+    }
+
+    /// Rough resident size in bytes: the slot map, the values, and the
+    /// held factor with its analyzed pattern.
     pub(crate) fn approx_bytes(&self) -> usize {
-        self.lu
-            .as_ref()
-            .map_or(0, |lu| lu.lu_nnz() * 16 + lu.n() * 24)
-            + self.values.len() * 8
+        self.coords.len() * 16
+            + self.slots.len() * 8
+            + (self.values.len() + self.next_values.len()) * 8
+            + self.ldl.as_deref().map_or(0, SparseLdl::approx_bytes)
     }
 }
 
@@ -276,14 +328,14 @@ pub(crate) fn linearize(
 
 /// Classification of the voltage sources in a circuit.
 struct SourceInfo {
-    /// node → fixed voltage, for grounded sources.
-    driven: HashMap<usize, f64>,
+    /// Per node: its fixed voltage, for nodes driven by a grounded source.
+    driven: Vec<Option<f64>>,
     /// `true` if every source has one terminal at ground.
     all_grounded: bool,
 }
 
 fn classify_sources(circuit: &Circuit) -> Result<SourceInfo, CircuitError> {
-    let mut driven = HashMap::new();
+    let mut driven = vec![None; circuit.node_count()];
     let mut all_grounded = true;
     for element in circuit.elements() {
         if let Element::VoltageSource {
@@ -300,7 +352,7 @@ fn classify_sources(circuit: &Circuit) -> Result<SourceInfo, CircuitError> {
                 all_grounded = false;
                 continue;
             };
-            if let Some(existing) = driven.insert(node, value) {
+            if let Some(existing) = driven[node].replace(value) {
                 if existing != value {
                     return Err(CircuitError::InvalidElement {
                         reason: format!(
@@ -334,47 +386,101 @@ pub(crate) fn solve_linear(
         }
         return solve_full_mna(circuit, lin);
     }
+    let is_driven: Vec<bool> = sources.driven.iter().map(Option::is_some).collect();
+    let system = assemble_reduced(circuit, lin, &is_driven);
     let engine = match options.method {
         Method::Cg => LinearEngine::Cg,
         Method::DenseLu => LinearEngine::Dense,
         Method::SparseLu => LinearEngine::Sparse,
-        Method::Auto => auto_engine(circuit.node_count() - 1 - sources.driven.len()),
+        Method::Auto => auto_engine(system.unknowns),
     };
-    solve_reduced(circuit, lin, &sources, options, engine, workspace)
+    // Scaled ops only name ground and driven nodes.
+    let voltage = |node: usize| {
+        sources.driven[node]
+            .filter(|_| node != Circuit::GROUND)
+            .unwrap_or(0.0)
+    };
+    let b = replay_rhs(&system.ops, system.unknowns, voltage);
+
+    let x = if system.unknowns == 0 {
+        Vec::new()
+    } else {
+        match engine {
+            LinearEngine::Dense => {
+                LINEAR_DENSE.inc();
+                let csr = system.stamps.to_csr();
+                DenseMatrix::from_rows(&csr.to_dense()).solve(&b)?
+            }
+            LinearEngine::Sparse => {
+                LINEAR_SPARSE.inc();
+                workspace.solve(&system.stamps, &b)?
+            }
+            LinearEngine::Cg => {
+                LINEAR_CG.inc();
+                let csr = system.stamps.to_csr();
+                solve_cg(&csr, &b, &options.cg)?.0
+            }
+        }
+    };
+
+    // Reassemble the full voltage vector.
+    let mut voltages = vec![0.0; circuit.node_count()];
+    for (node, v) in voltages.iter_mut().enumerate().skip(1) {
+        *v = match system.index[node] {
+            usize::MAX => voltage(node),
+            u => x[u],
+        };
+    }
+    Ok(voltages)
 }
 
-/// Reduced nodal solve: unknowns are all nodes that are neither ground nor
-/// driven; the system is SPD.
-fn solve_reduced(
+/// One right-hand-side assembly step, recorded in stamp order and replayed
+/// per solve (so a prepared system re-driven with new source voltages
+/// assembles exactly what a one-shot solve would).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum BOp {
+    /// `b[u] += g · v(node)` where `v` is the driven voltage of a fixed
+    /// node (0 V for ground).
+    Scaled { u: usize, node: usize, g: f64 },
+    /// `b[u] += c` (equivalent-current and current-source terms).
+    Const { u: usize, c: f64 },
+    /// `b[u] = rhs[k]` (full-MNA source row).
+    Source { u: usize, k: usize },
+}
+
+/// The reduced nodal system of one linearization: unknowns are all nodes
+/// that are neither ground nor driven, and the matrix is SPD.
+pub(crate) struct ReducedSystem {
+    /// node → unknown index (`usize::MAX` for ground and driven nodes).
+    pub(crate) index: Vec<usize>,
+    pub(crate) unknowns: usize,
+    /// The matrix stamps, in stamp order.
+    pub(crate) stamps: TripletMatrix,
+    /// The right-hand-side plan, in stamp order.
+    pub(crate) ops: Vec<BOp>,
+}
+
+/// Assembles the reduced system of `circuit` under the linearization `lin`,
+/// with `is_driven[node]` marking the nodes a grounded source fixes. This
+/// is the one assembly behind [`solve_dc`] and
+/// [`crate::batch::PreparedSystem`].
+pub(crate) fn assemble_reduced(
     circuit: &Circuit,
     lin: &[Option<Linearized>],
-    sources: &SourceInfo,
-    options: &SolveOptions,
-    engine: LinearEngine,
-    workspace: &mut SparseWorkspace,
-) -> Result<Vec<f64>, CircuitError> {
-    let n_nodes = circuit.node_count();
-    // Map node → unknown index.
-    let mut index = vec![usize::MAX; n_nodes];
+    is_driven: &[bool],
+) -> ReducedSystem {
+    let mut index = vec![usize::MAX; circuit.node_count()];
     let mut unknowns = 0usize;
-    for (node, slot) in index.iter_mut().enumerate().skip(1) {
-        if !sources.driven.contains_key(&node) {
+    for (slot, &driven) in index.iter_mut().zip(is_driven).skip(1) {
+        if !driven {
             *slot = unknowns;
             unknowns += 1;
         }
     }
+    let fixed = |node: usize| node == Circuit::GROUND || is_driven[node];
 
-    let fixed_voltage = |node: usize| -> Option<f64> {
-        if node == Circuit::GROUND {
-            Some(0.0)
-        } else {
-            sources.driven.get(&node).copied()
-        }
-    };
-
-    let mut triplets = TripletMatrix::new(unknowns, unknowns);
-    let mut b = vec![0.0; unknowns];
-
+    let mut stamps = TripletMatrix::new(unknowns, unknowns);
+    let mut ops = Vec::new();
     for (idx, element) in circuit.elements().iter().enumerate() {
         match element {
             Element::Resistor { n1, n2, .. }
@@ -384,95 +490,73 @@ fn solve_reduced(
                 let Some(Linearized { g, ieq }) = lin[idx] else {
                     continue;
                 };
-                stamp_conductance(
-                    &mut triplets,
-                    &mut b,
-                    &index,
-                    &fixed_voltage,
-                    *n1,
-                    *n2,
-                    g,
-                    ieq,
-                );
+                // KCL at n1: +g(v1 − v2) + ieq ; at n2: −g(v1 − v2) − ieq.
+                let (i1, i2) = (index[*n1], index[*n2]);
+                if i1 != usize::MAX {
+                    stamps.add(i1, i1, g);
+                    if fixed(*n2) {
+                        ops.push(BOp::Scaled {
+                            u: i1,
+                            node: *n2,
+                            g,
+                        });
+                    } else {
+                        stamps.add(i1, i2, -g);
+                    }
+                    ops.push(BOp::Const { u: i1, c: -ieq });
+                }
+                if i2 != usize::MAX {
+                    stamps.add(i2, i2, g);
+                    if fixed(*n1) {
+                        ops.push(BOp::Scaled {
+                            u: i2,
+                            node: *n1,
+                            g,
+                        });
+                    } else {
+                        stamps.add(i2, i1, -g);
+                    }
+                    ops.push(BOp::Const { u: i2, c: ieq });
+                }
             }
             Element::CurrentSource { from, to, current } => {
                 let i = current.amperes();
                 if index[*from] != usize::MAX {
-                    b[index[*from]] -= i;
+                    ops.push(BOp::Const {
+                        u: index[*from],
+                        c: -i,
+                    });
                 }
                 if index[*to] != usize::MAX {
-                    b[index[*to]] += i;
+                    ops.push(BOp::Const {
+                        u: index[*to],
+                        c: i,
+                    });
                 }
             }
-            Element::VoltageSource { .. } => {} // encoded via `driven`
+            Element::VoltageSource { .. } => {} // encoded via `is_driven`
         }
     }
-
-    let x = if unknowns == 0 {
-        Vec::new()
-    } else {
-        match engine {
-            LinearEngine::Dense => {
-                LINEAR_DENSE.inc();
-                let csr = triplets.to_csr();
-                DenseMatrix::from_rows(&csr.to_dense()).solve(&b)?
-            }
-            LinearEngine::Sparse => {
-                LINEAR_SPARSE.inc();
-                workspace.solve(&triplets.to_csc(), &b)?
-            }
-            LinearEngine::Cg => {
-                LINEAR_CG.inc();
-                let csr = triplets.to_csr();
-                solve_cg(&csr, &b, &options.cg)?.0
-            }
-        }
-    };
-
-    // Reassemble the full voltage vector.
-    let mut voltages = vec![0.0; n_nodes];
-    for node in 1..n_nodes {
-        voltages[node] = if let Some(v) = fixed_voltage(node) {
-            v
-        } else {
-            x[index[node]]
-        };
+    ReducedSystem {
+        index,
+        unknowns,
+        stamps,
+        ops,
     }
-    Ok(voltages)
 }
 
-/// Stamps one conductive branch with equivalent current into the reduced
-/// system.
-#[allow(clippy::too_many_arguments)]
-fn stamp_conductance(
-    triplets: &mut TripletMatrix,
-    b: &mut [f64],
-    index: &[usize],
-    fixed_voltage: &dyn Fn(usize) -> Option<f64>,
-    n1: usize,
-    n2: usize,
-    g: f64,
-    ieq: f64,
-) {
-    let i1 = index[n1];
-    let i2 = index[n2];
-    // KCL at n1: +g(v1 − v2) + ieq ; at n2: −g(v1 − v2) − ieq.
-    if i1 != usize::MAX {
-        triplets.add(i1, i1, g);
-        match fixed_voltage(n2) {
-            Some(v2) => b[i1] += g * v2,
-            None => triplets.add(i1, i2, -g),
+/// Replays a reduced system's right-hand-side plan with `voltage(node)`
+/// giving the voltage of every fixed node.
+pub(crate) fn replay_rhs(ops: &[BOp], unknowns: usize, voltage: impl Fn(usize) -> f64) -> Vec<f64> {
+    let mut b = vec![0.0; unknowns];
+    for op in ops {
+        match *op {
+            BOp::Scaled { u, node, g } => b[u] += g * voltage(node),
+            BOp::Const { u, c } => b[u] += c,
+            BOp::Source { .. } => {}
         }
-        b[i1] -= ieq;
     }
-    if i2 != usize::MAX {
-        triplets.add(i2, i2, g);
-        match fixed_voltage(n1) {
-            Some(v1) => b[i2] += g * v1,
-            None => triplets.add(i2, i1, -g),
-        }
-        b[i2] += ieq;
-    }
+    b
 }
 
 /// Full modified nodal analysis with explicit source branch currents
@@ -738,16 +822,128 @@ mod tests {
 
         let mut workspace = SparseWorkspace::default();
         solve_linear(circuit, &lin, &options, &mut workspace).unwrap();
-        let first_pattern = workspace.lu.as_ref().unwrap().symbolic().pattern_hash();
+        let first_pattern = workspace.factored().unwrap().symbolic().nnz();
         let x = solve_linear(circuit, &cut, &options, &mut workspace).unwrap();
-        let second_pattern = workspace.lu.as_ref().unwrap().symbolic().pattern_hash();
-        assert_ne!(
-            first_pattern, second_pattern,
+        let second_pattern = workspace.factored().unwrap().symbolic().nnz();
+        assert_eq!(
+            first_pattern,
+            second_pattern + 2,
             "the changed pattern was not re-analyzed"
         );
 
         let want = solve_linear(circuit, &cut, &options, &mut SparseWorkspace::default()).unwrap();
         assert_eq!(x, want);
+    }
+
+    /// `A == Aᵀ` bit for bit, pattern included: every stored `A(i, j)` has
+    /// the identical `A(j, i)`.
+    fn exactly_symmetric(system: &ReducedSystem) -> Result<(), String> {
+        let a = system.stamps.to_csc();
+        for j in 0..a.cols() {
+            for k in a.col_ptr()[j]..a.col_ptr()[j + 1] {
+                let i = a.row_idx()[k];
+                if a.values()[k].to_bits() != a.get(j, i).to_bits() {
+                    return Err(format!(
+                        "A({i}, {j}) = {} but A({j}, {i}) = {}",
+                        a.values()[k],
+                        a.get(j, i)
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn reduced(circuit: &Circuit, lin: &[Option<Linearized>]) -> ReducedSystem {
+        let sources = classify_sources(circuit).unwrap();
+        let is_driven: Vec<bool> = sources.driven.iter().map(Option::is_some).collect();
+        assemble_reduced(circuit, lin, &is_driven)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The LDLᵀ engine relies on every assembled reduced matrix being
+        /// exactly symmetric: linear cells, sinh Jacobians at random
+        /// operating points, stuck-at overlays and backward-Euler
+        /// capacitor companions.
+        #[test]
+        fn every_assembled_reduced_matrix_is_exactly_symmetric(
+            rows in 1usize..9,
+            cols in 1usize..9,
+            stuck in 0.0f64..0.5,
+            seed in 0u64..1_000_000,
+        ) {
+            use mnsim_tech::fault::{FaultMap, FaultRates};
+            use mnsim_tech::units::Capacitance;
+
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut uniform = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 11) as f64 / (1u64 << 53) as f64
+            };
+            let mut spec = CrossbarSpec::uniform(
+                rows,
+                cols,
+                Resistance::from_kilo_ohms(10.0),
+                Resistance::from_ohms(1.0 + 4.0 * uniform()),
+                Resistance::from_ohms(100.0 + 900.0 * uniform()),
+                Voltage::from_volts(1.0),
+            );
+            for cell in &mut spec.states {
+                *cell = Resistance::from_ohms(1_000.0 + 99_000.0 * uniform());
+            }
+            for input in &mut spec.inputs {
+                *input = Voltage::from_volts(2.0 * uniform() - 1.0);
+            }
+            let linear = spec.build().unwrap();
+            let check = |system: ReducedSystem, what: &str| {
+                exactly_symmetric(&system).map_err(|e| format!("{what}: {e}"))
+            };
+            let linear_lin = linearize(linear.circuit(), None);
+            proptest::prop_assert_eq!(check(reduced(linear.circuit(), &linear_lin), "linear cells"), Ok(()));
+
+            spec.iv = IvModel::Sinh { alpha: 1.0 + 3.0 * uniform() };
+            let map = FaultMap::generate(rows, cols, &FaultRates::stuck_at(stuck), seed).unwrap();
+            let faulted = spec
+                .with_faults(map, Resistance::from_kilo_ohms(100.0), Resistance::from_kilo_ohms(1.0))
+                .build()
+                .unwrap();
+            let mut random_point = |n: usize| -> Vec<f64> { (0..n).map(|_| 2.0 * uniform() - 1.0).collect() };
+            let point = random_point(faulted.circuit().node_count());
+            let jacobian = linearize(faulted.circuit(), Some(&point));
+            proptest::prop_assert_eq!(check(reduced(faulted.circuit(), &jacobian), "stuck-at sinh Jacobian"), Ok(()));
+
+            let mut rc = faulted;
+            rc.add_node_capacitance(Capacitance::from_femtofarads(20.0)).unwrap();
+            let circuit = rc.circuit();
+            let (point, previous) = (random_point(circuit.node_count()), random_point(circuit.node_count()));
+            let companions = crate::transient::linearize_with_companions(circuit, &point, &previous, 1e-11, true);
+            proptest::prop_assert_eq!(check(reduced(circuit, &companions), "transient companions"), Ok(()));
+        }
+    }
+
+    #[test]
+    fn workspace_recovers_from_a_failed_refactor() {
+        let stamps = |off: f64| {
+            let mut t = TripletMatrix::new(2, 2);
+            for (r, c, v) in [(0, 0, 2.0), (0, 1, off), (1, 0, off), (1, 1, 2.0)] {
+                t.add(r, c, v);
+            }
+            t
+        };
+        let mut workspace = SparseWorkspace::default();
+        let x = workspace.solve(&stamps(-1.0), &[1.0, 0.0]).unwrap();
+        // Same coordinates, indefinite values: the refactor fails and
+        // leaves no usable factor behind.
+        assert!(matches!(
+            workspace.solve(&stamps(-3.0), &[1.0, 0.0]),
+            Err(CircuitError::SingularSystem { .. })
+        ));
+        assert!(workspace.factored().is_none());
+        assert_eq!(workspace.solve(&stamps(-1.0), &[1.0, 0.0]).unwrap(), x);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! assembles them in triplet (COO) form and converts once to a compressed
 //! format: [`CsrMatrix`] for fast matrix-vector products inside the
 //! conjugate-gradient loop, [`CscMatrix`] for the column-oriented sparse
-//! LU factorization in [`crate::klu`].
+//! LDLᵀ factorization in [`crate::ldl`].
 
 use std::fmt;
 
@@ -62,6 +62,12 @@ impl TripletMatrix {
         self.entries.len()
     }
 
+    /// The collected `(row, col, value)` triplets in insertion order
+    /// (exact zeros are never stored).
+    pub(crate) fn entries(&self) -> &[(usize, usize, f64)] {
+        &self.entries
+    }
+
     /// Converts to CSR, summing duplicate coordinates.
     pub fn to_csr(&self) -> CsrMatrix {
         let mut sorted = self.entries.clone();
@@ -101,42 +107,63 @@ impl TripletMatrix {
 
     /// Converts to CSC, summing duplicate coordinates.
     ///
-    /// Entries within each column are sorted by row, and the conversion is
-    /// fully deterministic: two builders with the same triplet multiset
-    /// produce bit-identical matrices.
+    /// Entries within each column are sorted by row, and duplicates are
+    /// summed in insertion order, so the conversion is fully
+    /// deterministic.
     pub fn to_csc(&self) -> CscMatrix {
-        let mut sorted = self.entries.clone();
-        sorted.sort_unstable_by_key(|&(row, col, _)| (col, row));
+        self.to_csc_with_slots().0
+    }
 
-        let mut col_ptr = vec![0usize; self.cols + 1];
-        let mut row_idx = Vec::with_capacity(sorted.len());
-        let mut values = Vec::with_capacity(sorted.len());
-
-        let mut i = 0;
-        while i < sorted.len() {
-            let (r, c, mut v) = sorted[i];
-            let mut j = i + 1;
-            while j < sorted.len() && sorted[j].0 == r && sorted[j].1 == c {
-                v += sorted[j].2;
-                j += 1;
-            }
-            row_idx.push(r);
-            values.push(v);
-            col_ptr[c + 1] += 1;
-            i = j;
+    /// [`Self::to_csc`] plus the value slot of every triplet: triplet `k`
+    /// is summed into `values()[slots[k]]`. Scattering new values of the
+    /// same triplet coordinates through `slots`, in insertion order,
+    /// reproduces the conversion's sums exactly without sorting again.
+    pub(crate) fn to_csc_with_slots(&self) -> (CscMatrix, Vec<usize>) {
+        let mut bucket_ptr = vec![0usize; self.cols + 1];
+        for &(_, c, _) in &self.entries {
+            bucket_ptr[c + 1] += 1;
         }
-
         for c in 0..self.cols {
-            col_ptr[c + 1] += col_ptr[c];
+            bucket_ptr[c + 1] += bucket_ptr[c];
+        }
+        // Triplet ids bucketed by column, then sorted by row per column.
+        let mut next = bucket_ptr.clone();
+        let mut order = vec![0usize; self.entries.len()];
+        for (k, &(_, c, _)) in self.entries.iter().enumerate() {
+            order[next[c]] = k;
+            next[c] += 1;
         }
 
-        CscMatrix {
+        let mut col_ptr = Vec::with_capacity(self.cols + 1);
+        col_ptr.push(0);
+        let mut row_idx = Vec::with_capacity(self.entries.len());
+        let mut slots = vec![0usize; self.entries.len()];
+        for w in bucket_ptr.windows(2) {
+            let bucket = &mut order[w[0]..w[1]];
+            bucket.sort_unstable_by_key(|&k| self.entries[k].0);
+            let column_start = row_idx.len();
+            for &k in bucket.iter() {
+                let r = self.entries[k].0;
+                if row_idx.len() == column_start || row_idx.last() != Some(&r) {
+                    row_idx.push(r);
+                }
+                slots[k] = row_idx.len() - 1;
+            }
+            col_ptr.push(row_idx.len());
+        }
+
+        let mut values = vec![0.0; row_idx.len()];
+        for (&(_, _, v), &slot) in self.entries.iter().zip(&slots) {
+            values[slot] += v;
+        }
+        let csc = CscMatrix {
             rows: self.rows,
             cols: self.cols,
             col_ptr,
             row_idx,
             values,
-        }
+        };
+        (csc, slots)
     }
 }
 
@@ -256,8 +283,8 @@ impl fmt::Debug for CsrMatrix {
 /// Column-major twin of [`CsrMatrix`]: `col_ptr[j]..col_ptr[j+1]` indexes
 /// the stored entries of column `j`, whose row indices (`row_idx`, sorted
 /// ascending within each column) and values run in parallel. This is the
-/// natural layout for the left-looking sparse LU in [`crate::klu`], which
-/// touches one column at a time.
+/// natural layout for the up-looking sparse LDLᵀ in [`crate::ldl`], which
+/// reads one column at a time.
 #[derive(Clone, PartialEq)]
 pub struct CscMatrix {
     rows: usize,
@@ -308,26 +335,9 @@ impl CscMatrix {
         }
     }
 
-    /// FNV-1a hash of the sparsity pattern (dimensions, column pointers,
-    /// and row indices — *not* the values). Two matrices with equal
-    /// pattern hashes are refactorization-compatible in [`crate::klu`].
-    pub fn pattern_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |x: u64| {
-            h ^= x;
-            h = h.wrapping_mul(PRIME);
-        };
-        mix(self.rows as u64);
-        mix(self.cols as u64);
-        for &p in &self.col_ptr {
-            mix(p as u64);
-        }
-        for &r in &self.row_idx {
-            mix(r as u64);
-        }
-        h
+    /// Takes the stored values, column-major.
+    pub(crate) fn into_values(self) -> Vec<f64> {
+        self.values
     }
 
     /// Converts to a dense row-major matrix (testing / small systems).
@@ -421,6 +431,24 @@ mod tests {
         assert_eq!(t.triplet_count(), 1);
         let m = t.to_csr();
         assert_eq!(m.nnz(), 1);
+    }
+
+    #[test]
+    fn csc_slots_sum_duplicates_in_insertion_order() {
+        let mut t = TripletMatrix::new(3, 3);
+        t.add(2, 1, 1.0);
+        t.add(0, 0, 1e16);
+        t.add(1, 1, 4.0);
+        t.add(0, 0, 1.0);
+        t.add(0, 0, -1e16);
+        t.add(2, 1, 2.0);
+        let (csc, slots) = t.to_csc_with_slots();
+        assert_eq!(csc.col_ptr(), &[0, 1, 3, 3]);
+        assert_eq!(csc.row_idx(), &[0, 1, 2]);
+        assert_eq!(slots, vec![2, 0, 1, 0, 0, 2]);
+        // (1e16 + 1) − 1e16 in insertion order rounds the 1 away.
+        assert_eq!(csc.values(), &[0.0, 4.0, 3.0]);
+        assert_eq!(t.to_csc(), csc);
     }
 
     #[test]

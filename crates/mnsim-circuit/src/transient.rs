@@ -171,7 +171,7 @@ pub fn solve_transient(
 }
 
 /// DC linearization plus backward-Euler capacitor companions.
-fn linearize_with_companions(
+pub(crate) fn linearize_with_companions(
     circuit: &Circuit,
     operating_point: &[f64],
     previous_step: &[f64],

@@ -210,8 +210,8 @@ impl CircuitLayer {
     ///
     /// Reprogramming changes cell conductances but not the circuit
     /// topology, so on the sparse-direct engine and on sinh cells the
-    /// cached symbolic analysis and elimination program are *refreshed* in
-    /// place ([`PreparedSystem::try_value_refresh`] → the
+    /// cached symbolic analysis is *refactored* in place
+    /// ([`PreparedSystem::try_value_refresh`] → the
     /// `solver.klu.refactor` fast path) instead of re-analyzed; other
     /// engines, or a weight shape that changes the geometry, fall back to
     /// a full rebuild.

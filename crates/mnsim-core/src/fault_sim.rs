@@ -186,9 +186,9 @@ thread_local! {
     /// the Newton workspace's — is refactored in place (the
     /// `solver.klu.refactor` fast path) instead of re-analyzing the
     /// structure every trial. Thread-count invariance holds because a
-    /// refreshed factorization is bit-identical to a cold one (a replayed
-    /// pivot is kept only where fresh pivoting would choose it) — it does
-    /// not matter which trials happened to share a worker.
+    /// refactored LDLᵀ is bit-identical to a cold one (factor and refactor
+    /// are the same routine) — it does not matter which trials happened to
+    /// share a worker.
     static TRIAL_SLOT: RefCell<Option<PreparedSystem>> = const { RefCell::new(None) };
 }
 

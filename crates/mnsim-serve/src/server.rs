@@ -500,6 +500,20 @@ fn handle_submit(
         SERVE_DEDUP_JOINED.inc();
         return;
     }
+    // A worker inserts the artifact while its job is still in flight and
+    // removes the in-flight entry afterwards, so a job that finished
+    // between the probe above and this lock left its artifact behind:
+    // probe again before enqueuing a second evaluation. No path takes the
+    // state lock while holding the cache lock, so this order is safe.
+    if let Some(result) = shared
+        .cache
+        .probe(key)
+        .and_then(|a| artifact_result_json(&a))
+    {
+        drop(state);
+        shared.respond(writer, &response_line(id, "hit", Some(key), &result));
+        return;
+    }
     let pending = state.pending.entry(client).or_insert(0);
     if *pending >= max_pending {
         drop(state);

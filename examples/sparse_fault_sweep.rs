@@ -8,9 +8,9 @@
 //!
 //! A 256×256 crossbar reduces to ~131k nodal unknowns — far past the
 //! dense cutoff, and until now solved iteratively on every trial. The
-//! KLU-style engine (`mnsim::circuit::klu`, `DESIGN.md` §16) analyzes
+//! sparse LDLᵀ engine (`mnsim::circuit::ldl`, `DESIGN.md` §16) analyzes
 //! and factors that structure once per worker thread; each trial's fault
-//! map is a value-only change, so the cached factorization is refreshed
+//! map is a value-only change, so the cached factorization is refactored
 //! in place (`solver.klu.refactor`) instead of re-analyzed. The example
 //! runs one campaign and prints the engine counters that prove it.
 
@@ -94,7 +94,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "solver.klu.analyses",
         "solver.klu.factors",
         "solver.klu.refactor",
-        "solver.klu.refactor_fallbacks",
         "solver.klu.solves",
         "circuit.batch.value_refreshes",
         "circuit.batch.cache_hits",

@@ -272,7 +272,9 @@ mod fault_properties {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         /// Any fault rate in [0, 1] runs the full pipeline without a panic:
-        /// the outcome is a report or a typed error, nothing else.
+        /// the outcome is a report or a typed error, nothing else. Every
+        /// solve a report accepts balances Kirchhoff's current law to
+        /// 1e-9 A.
         #[test]
         fn any_fault_rate_never_panics(
             raw in 0.0f64..1.25,
@@ -298,6 +300,13 @@ mod fault_properties {
                     let faults = report.faults.expect("campaign attaches a summary");
                     prop_assert!(faults.yield_fraction >= 0.0 && faults.yield_fraction <= 1.0);
                     prop_assert!(faults.mean_deviation_levels.is_finite());
+                    if faults.solves > 0 {
+                        prop_assert!(
+                            faults.worst_kcl_residual <= 1e-9,
+                            "worst KCL residual {} A",
+                            faults.worst_kcl_residual
+                        );
+                    }
                 }
                 Err(e) => {
                     // Typed failure is acceptable; a panic is not.

@@ -1,11 +1,12 @@
-//! Integration lockdown for the KLU-style sparse direct solver
-//! ([`mnsim::circuit::klu`]): the sparse path must agree with dense LU to
-//! near machine precision, the cached symbolic analysis must satisfy its
-//! structural invariants, value-only refactorization must be bit-identical
-//! to a fresh factorization, singular systems must surface as typed errors
-//! (never NaN or a hang), and every repeated solve of one structure —
-//! Newton iterations, transient steps, prepared-system reads and fault
-//! trials — must analyze it once and refactor in place.
+//! Integration lockdown for the sparse LDLᵀ direct solver
+//! ([`mnsim::circuit::ldl`]): the sparse path must agree with dense LU to
+//! near machine precision, the cached symbolic analysis (elimination tree
+//! and column counts) must match a dense symbolic elimination, value-only
+//! refactorization must be bit-identical to a fresh factorization, singular
+//! systems must surface as typed errors (never NaN or a hang), and every
+//! repeated solve of one structure — Newton iterations, transient steps,
+//! prepared-system reads and fault trials — must analyze it once and
+//! refactor in place. The counters keep their `solver.klu.*` names.
 //!
 //! Every test holds the [`mnsim::obs::session`] lock while it runs solver
 //! code, so no test's counters can leak into another's measured window.
@@ -15,7 +16,7 @@ use mnsim::circuit::crossbar::CrossbarSpec;
 use mnsim::circuit::solve::{solve_dc, Method, SolveOptions};
 use mnsim::circuit::sparse::TripletMatrix;
 use mnsim::circuit::transient::{solve_transient, TransientOptions};
-use mnsim::circuit::{analyze, solve_robust, RobustOptions, SparseLu};
+use mnsim::circuit::{analyze, solve_robust, RobustOptions, SparseLdl};
 use mnsim::circuit::CircuitError;
 use mnsim::core::config::Config;
 use mnsim::core::fault_sim::FaultConfig;
@@ -106,10 +107,12 @@ proptest! {
         }
     }
 
-    /// Structural invariants of the cached symbolic analysis: both
-    /// permutations are permutations, the BTF blocks partition the matrix,
-    /// and the numeric factorization reproduces `A` (checked through
-    /// `A·(LU)⁻¹·b = b` on a known solution).
+    /// Structural invariants of the cached symbolic analysis: the ordering
+    /// is a permutation, every elimination-tree parent is a later column,
+    /// and the tree and the column counts of `L` equal those of a dense
+    /// symbolic elimination of `P·A·Pᵀ` — which is exactly the fill the
+    /// numeric factor stores. The factor reproduces `A` (checked through
+    /// `(LDLᵀ)⁻¹·A·x = x` on a known solution).
     #[test]
     fn symbolic_analysis_invariants_hold(
         n in 2usize..48,
@@ -117,40 +120,49 @@ proptest! {
     ) {
         let _session = obs::session();
         let a = random_sdd_csc(n, seed);
-        let analysis = analyze(&a).expect("SDD matrix is structurally nonsingular");
+        let analysis = analyze(&a);
         prop_assert_eq!(analysis.n(), n);
         prop_assert!(analysis.compatible_with(&a));
 
-        // Both orderings are permutations of 0..n.
-        for perm in [analysis.row_perm(), analysis.col_perm()] {
-            let mut seen = vec![false; n];
-            for &p in perm {
-                prop_assert!(p < n, "index {p} out of range");
-                prop_assert!(!seen[p], "index {p} repeated");
-                seen[p] = true;
+        let perm = analysis.perm();
+        let mut seen = vec![false; n];
+        for &p in perm {
+            prop_assert!(p < n, "index {p} out of range");
+            prop_assert!(!seen[p], "index {p} repeated");
+            seen[p] = true;
+        }
+
+        // Dense symbolic elimination of the permuted pattern: eliminating
+        // column k joins every pair of its below-diagonal rows.
+        let dense = a.to_dense();
+        let mut filled: Vec<Vec<bool>> = (0..n)
+            .map(|i| (0..n).map(|j| dense[perm[i]][perm[j]] != 0.0).collect())
+            .collect();
+        for k in 0..n {
+            let below: Vec<usize> = ((k + 1)..n).filter(|&i| filled[i][k]).collect();
+            for &i in &below {
+                for &j in &below {
+                    filled[i][j] = true;
+                }
             }
         }
-
-        // The BTF blocks are a contiguous ascending partition of 0..n.
-        let ranges = analysis.block_ranges();
-        prop_assert_eq!(ranges.len(), analysis.block_count());
-        prop_assert_eq!(ranges.first().map(|r| r.0), Some(0));
-        prop_assert_eq!(ranges.last().map(|r| r.1), Some(n));
-        for pair in ranges.windows(2) {
-            prop_assert_eq!(pair[0].1, pair[1].0, "blocks must tile contiguously");
-        }
-        for &(lo, hi) in &ranges {
-            prop_assert!(lo < hi, "empty block [{lo}, {hi})");
+        let counts = analysis.column_counts();
+        for k in 0..n {
+            let first_below = ((k + 1)..n).find(|&i| filled[i][k]);
+            prop_assert_eq!(analysis.parent(k), first_below, "etree parent of column {}", k);
+            if let Some(p) = analysis.parent(k) {
+                prop_assert!(p > k, "parent {p} of column {k} is not later");
+            }
+            let fill = ((k + 1)..n).filter(|&i| filled[i][k]).count();
+            prop_assert_eq!(counts[k], fill, "column count of column {}", k);
         }
 
-        // L·U reproduces A within tolerance: solving against b = A·x_true
-        // must recover x_true.
-        let lu = SparseLu::factor(&a).expect("SDD matrix factorizes");
-        prop_assert!(lu.lu_nnz() >= n);
+        let ldl = SparseLdl::factor_with(&a, analysis.clone()).expect("SDD matrix factorizes");
+        prop_assert_eq!(ldl.factor_nnz(), analysis.l_nnz() + n);
         let mut state = seed | 1;
         let x_true: Vec<f64> = (0..n).map(|_| uniform(&mut state) * 2.0 - 1.0).collect();
         let b = a.mul_vec(&x_true);
-        let x = lu.solve(&b);
+        let x = ldl.solve(&b);
         for (i, (&xt, &xs)) in x_true.iter().zip(&x).enumerate() {
             let scale = xt.abs().max(xs.abs()).max(1.0);
             prop_assert!(
@@ -160,10 +172,10 @@ proptest! {
         }
     }
 
-    /// `refresh` with unchanged values — and with changed values on the
+    /// `refactor` with unchanged values — and with changed values on the
     /// same pattern — produces solves bit-identical to a from-scratch
-    /// factorization: the replayed pivot order is the pivot order fresh
-    /// partial pivoting would choose on these diagonally dominant systems.
+    /// factorization, and a different pattern is refused with a typed
+    /// error instead of being silently re-analyzed.
     #[test]
     fn refactor_is_bit_identical_to_fresh_factorization(
         n in 2usize..40,
@@ -184,18 +196,27 @@ proptest! {
         };
         let mut state = seed.wrapping_add(17) | 1;
         let b: Vec<f64> = (0..n).map(|_| uniform(&mut state) * 2.0 - 1.0).collect();
+        let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
 
-        let mut lu = SparseLu::factor(&a).expect("factors");
-        // Unchanged values: the fast path must fire and change nothing.
-        prop_assert!(lu.refresh(&a).expect("same values refactor"));
-        let fresh = SparseLu::factor(&a).expect("factors");
-        prop_assert_eq!(lu.solve(&b), fresh.solve(&b), "unchanged-value refresh drifted");
+        let mut ldl = SparseLdl::factor(&a).expect("factors");
+        ldl.refactor(&a).expect("same values refactor");
+        let fresh = SparseLdl::factor(&a).expect("factors");
+        prop_assert_eq!(bits(ldl.solve(&b)), bits(fresh.solve(&b)), "unchanged-value refactor drifted");
 
-        // Changed values, same pattern: still the fast path, still
-        // bit-identical to factoring the new matrix from scratch.
-        prop_assert!(lu.refresh(&scaled).expect("scaled values refactor"));
-        let fresh_scaled = SparseLu::factor(&scaled).expect("factors");
-        prop_assert_eq!(lu.solve(&b), fresh_scaled.solve(&b), "refreshed solve drifted");
+        ldl.refactor(&scaled).expect("scaled values refactor");
+        let fresh_scaled = SparseLdl::factor(&scaled).expect("factors");
+        prop_assert_eq!(bits(ldl.solve(&b)), bits(fresh_scaled.solve(&b)), "refactored solve drifted");
+
+        let diagonal = {
+            let mut t = TripletMatrix::new(n, n);
+            for i in 0..n {
+                t.add(i, i, 1.0);
+            }
+            t.to_csc()
+        };
+        if a.nnz() > n {
+            prop_assert_eq!(ldl.refactor(&diagonal), Err(CircuitError::PatternMismatch));
+        }
     }
 }
 
@@ -211,8 +232,8 @@ fn floating_node_is_a_typed_singular_error() {
     let mut circuit = built.circuit().clone();
     circuit.add_node(); // no element ever touches it: zero diagonal row
 
-    // The sparse-direct path reports the singularity from symbolic
-    // analysis — the structure itself has no complete transversal.
+    // The sparse-direct path reports the singularity as the zero pivot of
+    // the floating node's empty column.
     let sparse = SolveOptions {
         method: Method::SparseLu,
         ..SolveOptions::default()
@@ -306,7 +327,6 @@ fn sinh_fault_campaign_refactors_one_analysis_across_trials() {
     // clean extra-read system, and the trial slot.
     assert_eq!(snap.counter("solver.klu.analyses"), 3);
     assert_eq!(snap.counter("solver.klu.factors"), 3);
-    assert_eq!(snap.counter("solver.klu.refactor_fallbacks"), 0);
     assert!(
         snap.counter("solver.klu.refactor") >= snap.counter("circuit.solve.newton_iterations"),
         "every Newton iteration must refactor in place",

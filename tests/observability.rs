@@ -44,7 +44,7 @@ fn clean_fault_campaign_records_no_fallbacks() {
     assert_eq!(snap.counter("circuit.recovery.solves"), 0);
     assert_eq!(snap.counter("circuit.recovery.fallbacks"), 0);
     assert_eq!(snap.counter("circuit.recovery.attempts.dense_lu"), 0);
-    // The representative crossbar is solved by the KLU-style sparse engine
+    // The representative crossbar is solved by the sparse LDLᵀ engine
     // (under the default sinh device each Newton iteration's linearized
     // system lands on the sparse-direct path).
     assert!(snap.counter("solver.klu.factors") >= 1);

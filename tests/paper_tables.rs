@@ -128,23 +128,24 @@ fn accuracy_row_for_size(size: usize) -> ValidationRow {
 
 /// The Table II validation runs through the sparse-direct circuit path
 /// (a 32×32 block is 2048 unknowns — far past the dense cutoff), and the
-/// per-matrix studies fan out over worker threads. Refactored sparse
-/// solves replay the cached pivot order bit-for-bit, and partial sums are
-/// reduced in matrix order, so every thread count must reproduce the
-/// size-32 golden accuracy row *bitwise* — not just to tolerance.
+/// per-matrix studies fan out over worker threads. A refactored LDLᵀ is
+/// bit-identical to a fresh factorization, and partial sums are reduced
+/// in matrix order, so every thread count must reproduce the size-32
+/// golden accuracy row *bitwise* — not just to tolerance — and the full
+/// 128×128 validation with three weight matrices must agree bitwise
+/// across thread counts too.
 #[test]
 fn table2_rows_are_bit_identical_across_thread_counts() {
-    let mut config = table2_config();
-    config.crossbar_size = 32;
-    let (matrices, inputs, seed) = TABLE2_SAMPLES;
-    let rows_at = |threads: usize| {
-        Simulator::new(config.clone())
+    let rows_at = |size: usize, (matrices, inputs, seed): (usize, usize, u64), threads: usize| {
+        let mut config = table2_config();
+        config.crossbar_size = size;
+        Simulator::new(config)
             .threads(threads)
             .validate(matrices, inputs, seed)
             .unwrap()
     };
 
-    let reference = rows_at(1);
+    let reference = rows_at(32, TABLE2_SAMPLES, 1);
     let accuracy = reference
         .iter()
         .find(|r| r.metric == "average relative accuracy")
@@ -155,12 +156,21 @@ fn table2_rows_are_bit_identical_across_thread_counts() {
         .expect("size-32 golden row");
     assert_close(accuracy.mnsim, golden.1, "size 32 threads 1: mnsim accuracy");
     assert_close(accuracy.circuit, golden.2, "size 32 threads 1: circuit accuracy");
-
     for threads in [2usize, 7] {
         assert_eq!(
-            rows_at(threads),
+            rows_at(32, TABLE2_SAMPLES, threads),
             reference,
-            "{threads}-thread validation drifted from the serial rows"
+            "size 32: {threads}-thread validation drifted from the serial rows"
+        );
+    }
+
+    let full = (3, 2, TABLE2_SAMPLES.2);
+    let reference = rows_at(128, full, 1);
+    for threads in [2usize, 7] {
+        assert_eq!(
+            rows_at(128, full, threads),
+            reference,
+            "size 128: {threads}-thread validation drifted from the serial rows"
         );
     }
 }

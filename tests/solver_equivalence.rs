@@ -444,8 +444,9 @@ fn prepare_or_reuse_never_solves_stale() {
 
     // Changed conductances with unchanged topology: the sparse engine is
     // refreshed in place (refactor), the fingerprint moves to the new
-    // circuit, and — because refactoring replays the same pivot sequence —
-    // the solve is still bit-identical to a fresh serial factorization.
+    // circuit, and — because a refactor runs the same LDLᵀ routine on the
+    // same analysis — the solve is still bit-identical to a fresh serial
+    // factorization.
     let changed = perturbed(&spec).build().unwrap();
     let prepared = prepare_or_reuse(&mut slot, changed.circuit(), &options).unwrap();
     assert_ne!(prepared.fingerprint(), first_fingerprint);
