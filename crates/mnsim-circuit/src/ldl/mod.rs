@@ -11,10 +11,16 @@
 //!    the matrix's symmetric pattern.
 //! 2. **Symbolic** ([`analyze`]): the elimination tree of `P·A·Pᵀ` and the
 //!    column counts of `L`, so the numeric pass writes into storage sized
-//!    once per pattern.
-//! 3. **Numeric** ([`SparseLdl`]): an up-looking factorization that
-//!    computes row `k` of `L` by a sparse triangular solve over the
-//!    elimination-tree reach of `A(:, k)`.
+//!    once per pattern. The counts also pick the numeric kernel: when the
+//!    work per entry of `L`, `Σⱼ cⱼ² / nnz(L)`, reaches CHOLMOD's switch
+//!    of 40, the analysis postorders the tree into `P` and finds the
+//!    fundamental supernodes and their row structure (`supernodal`).
+//! 3. **Numeric** ([`SparseLdl`]): below the switch, an up-looking
+//!    factorization that computes row `k` of `L` by a sparse triangular
+//!    solve over the elimination-tree reach of `A(:, k)`; above it, a
+//!    multifrontal factorization with dense frontal kernels per
+//!    supernode. Crossbars up to 32×32 stay up-looking, 64×64 and larger
+//!    go supernodal.
 //!
 //! Steps 1–2 run once per sparsity pattern ([`SymbolicAnalysis`]). A value
 //! change — a fault overlay, a Newton re-linearization, a transient step —
@@ -29,10 +35,12 @@
 //! factors on every run.
 
 mod amd;
+mod supernodal;
 
 use crate::error::CircuitError;
 use crate::sparse::CscMatrix;
 use mnsim_obs as obs;
+use supernodal::Supernodes;
 
 // The counters keep the `solver.klu.*` names of the engine this one
 // replaced; `mnsim-perf` and the tests read them under those names.
@@ -41,15 +49,19 @@ static LDL_FACTORS: obs::Counter = obs::Counter::new("solver.klu.factors");
 static LDL_REFACTORS: obs::Counter = obs::Counter::new("solver.klu.refactor");
 static LDL_SOLVES: obs::Counter = obs::Counter::new("solver.klu.solves");
 static LDL_NNZ: obs::Gauge = obs::Gauge::new("solver.klu.lu_nnz");
+/// Numeric factorizations, fresh or refactor, that ran the supernodal
+/// kernel.
+static LDL_SUPERNODAL: obs::Counter = obs::Counter::new("solver.klu.supernodal");
 
 /// Marks an elimination-tree root and an unvisited column.
 const NONE: usize = usize::MAX;
 
 /// The structure-only half of the factorization: the fill-reducing
 /// permutation, the elimination tree and the column layout of `L`,
-/// together with the pattern they were computed from. Computed once per
-/// sparsity pattern by [`analyze`] and shared by every numeric
-/// factorization of that pattern.
+/// together with the pattern they were computed from and, above the
+/// supernodal switch, the supernodes. Computed once per sparsity pattern
+/// by [`analyze`] and shared by every numeric factorization of that
+/// pattern, which runs the kernel the analysis picked.
 #[derive(Debug, Clone)]
 pub struct SymbolicAnalysis {
     /// Fill-reducing permutation, `perm[new] = old`.
@@ -64,6 +76,9 @@ pub struct SymbolicAnalysis {
     col_ptr: Vec<usize>,
     /// Row indices of the analyzed matrix.
     row_idx: Vec<usize>,
+    /// The supernodes, when the fill is dense enough for the supernodal
+    /// kernel; `None` runs the up-looking kernel.
+    supernodes: Option<Supernodes>,
 }
 
 impl SymbolicAnalysis {
@@ -108,7 +123,9 @@ impl SymbolicAnalysis {
 
 /// Computes the symbolic analysis of a symmetric matrix: an AMD ordering of
 /// its pattern, then the elimination tree and column counts of `L`
-/// (Davis's `ldl_symbolic`).
+/// (Davis's `ldl_symbolic`). Above the supernodal switch the tree is
+/// postordered into the permutation — the fill does not change — and the
+/// fundamental supernodes are found.
 ///
 /// # Panics
 ///
@@ -128,7 +145,7 @@ pub fn analyze(a: &CscMatrix) -> SymbolicAnalysis {
             }
         }
     }
-    let perm = amd::min_degree_order(n, &adj);
+    let mut perm = amd::min_degree_order(n, &adj);
     let mut pinv = vec![0usize; n];
     for (new, &old) in perm.iter().enumerate() {
         pinv[old] = new;
@@ -158,6 +175,28 @@ pub fn analyze(a: &CscMatrix) -> SymbolicAnalysis {
             }
         }
     }
+    let supernodal = supernodal::worth_it(&counts);
+    if supernodal {
+        // Postorder the tree: relabel the permutation, the parents and the
+        // counts so every supernode's columns are consecutive.
+        let post = supernodal::postorder(&parent);
+        let mut ipost = vec![0usize; n];
+        for (new, &old) in post.iter().enumerate() {
+            ipost[old] = new;
+        }
+        perm = post.iter().map(|&old| perm[old]).collect();
+        for (new, &old) in perm.iter().enumerate() {
+            pinv[old] = new;
+        }
+        parent = post
+            .iter()
+            .map(|&old| match parent[old] {
+                NONE => NONE,
+                p => ipost[p],
+            })
+            .collect();
+        counts = post.iter().map(|&old| counts[old]).collect();
+    }
     let mut lp = Vec::with_capacity(n + 1);
     lp.push(0);
     let mut total = 0;
@@ -167,27 +206,35 @@ pub fn analyze(a: &CscMatrix) -> SymbolicAnalysis {
     }
 
     LDL_ANALYSES.inc();
-    SymbolicAnalysis {
+    let mut analysis = SymbolicAnalysis {
         perm,
         pinv,
         parent,
         lp,
         col_ptr: col_ptr.to_vec(),
         row_idx: row_idx.to_vec(),
+        supernodes: None,
+    };
+    if supernodal {
+        analysis.supernodes = Some(Supernodes::new(&analysis));
     }
+    analysis
 }
 
 /// A sparse `P·A·Pᵀ = L·D·Lᵀ` factorization over a cached symbolic
 /// analysis. `L` is unit lower triangular and stored by columns without
 /// its diagonal; `D` is the diagonal of pivots. `A` must be symmetric with
-/// both triangles stored: only the entries on or above the diagonal of
-/// `P·A·Pᵀ` are read.
+/// both triangles stored: the up-looking kernel reads the entries on or
+/// above the diagonal of `P·A·Pᵀ`, the supernodal kernel those on or
+/// below it.
 #[derive(Debug, Clone)]
 pub struct SparseLdl {
     symbolic: SymbolicAnalysis,
-    /// Row indices of `L`, column by column (permuted order).
+    /// Row indices of `L`, column by column (permuted order), for the
+    /// up-looking kernel; the supernodal layout keeps them per supernode.
     li: Vec<usize>,
-    /// Values of `L`, parallel to `li`.
+    /// Values of `L`, column `k` at `lp[k]..lp[k + 1]` (parallel to `li`
+    /// on the up-looking kernel).
     lx: Vec<f64>,
     /// The pivots.
     d: Vec<f64>,
@@ -217,8 +264,13 @@ impl SparseLdl {
         if !symbolic.compatible_with(a) {
             return Err(CircuitError::PatternMismatch);
         }
+        let row_indices = if symbolic.supernodes.is_some() {
+            0
+        } else {
+            symbolic.l_nnz()
+        };
         let mut ldl = SparseLdl {
-            li: vec![0; symbolic.l_nnz()],
+            li: vec![0; row_indices],
             lx: vec![0.0; symbolic.l_nnz()],
             d: vec![0.0; symbolic.n()],
             symbolic,
@@ -253,15 +305,27 @@ impl SparseLdl {
         Ok(())
     }
 
+    /// The numeric factorization, by the kernel the analysis picked.
+    fn numeric(&mut self, values: &[f64]) -> Result<(), CircuitError> {
+        let _span = obs::trace::span("circuit.ldl.factor", obs::trace::Level::Stage);
+        debug_assert_eq!(values.len(), self.symbolic.nnz());
+        match &self.symbolic.supernodes {
+            Some(sn) => {
+                supernodal::factor(&self.symbolic, sn, values, &mut self.lx, &mut self.d)?;
+                LDL_SUPERNODAL.inc();
+                Ok(())
+            }
+            None => self.up_looking(values),
+        }
+    }
+
     /// The up-looking numeric factorization (Davis's `ldl_numeric`): row
     /// `k` of `L` solves `L(0..k, 0..k)·D·l = A(0..k, k)` over the
     /// elimination-tree reach of column `k`, and `D(k)` is what is left of
     /// `A(k, k)`.
-    fn numeric(&mut self, values: &[f64]) -> Result<(), CircuitError> {
-        let _span = obs::trace::span("circuit.ldl.factor", obs::trace::Level::Stage);
+    fn up_looking(&mut self, values: &[f64]) -> Result<(), CircuitError> {
         let s = &self.symbolic;
         let n = s.n();
-        debug_assert_eq!(values.len(), s.nnz());
         let mut y = vec![0.0f64; n];
         let mut pattern = vec![0usize; n];
         let mut flag = vec![NONE; n];
@@ -333,27 +397,42 @@ impl SparseLdl {
         assert_eq!(b.len(), s.n(), "right-hand side length mismatch");
         LDL_SOLVES.inc();
         let mut y: Vec<f64> = s.perm.iter().map(|&old| b[old]).collect();
-        for (j, w) in s.lp.windows(2).enumerate() {
-            let yj = y[j];
-            for (&row, &l) in self.li[w[0]..w[1]].iter().zip(&self.lx[w[0]..w[1]]) {
-                y[row] -= l * yj;
-            }
-        }
-        for (yj, &dj) in y.iter_mut().zip(&self.d) {
-            *yj /= dj;
-        }
-        for (j, w) in s.lp.windows(2).enumerate().rev() {
-            let mut yj = y[j];
-            for (&row, &l) in self.li[w[0]..w[1]].iter().zip(&self.lx[w[0]..w[1]]) {
-                yj -= l * y[row];
-            }
-            y[j] = yj;
+        match &s.supernodes {
+            Some(sn) => self.substitute(&mut y, || sn.columns()),
+            None => self.substitute(&mut y, || {
+                (0..s.n()).map(|k| (k, &self.li[s.lp[k]..s.lp[k + 1]]))
+            }),
         }
         let mut x = vec![0.0f64; y.len()];
         for (&old, &yk) in s.perm.iter().zip(&y) {
             x[old] = yk;
         }
         x
+    }
+
+    /// Solves `L·D·Lᵀ·y' = y` in place, given every column of `L` with its
+    /// strictly-lower row indices in column order.
+    fn substitute<'a, I>(&self, y: &mut [f64], columns: impl Fn() -> I)
+    where
+        I: DoubleEndedIterator<Item = (usize, &'a [usize])>,
+    {
+        let (lp, lx) = (&self.symbolic.lp, &self.lx);
+        for (k, rows) in columns() {
+            let yk = y[k];
+            for (&row, &l) in rows.iter().zip(&lx[lp[k]..lp[k + 1]]) {
+                y[row] -= l * yk;
+            }
+        }
+        for (yk, &dk) in y.iter_mut().zip(&self.d) {
+            *yk /= dk;
+        }
+        for (k, rows) in columns().rev() {
+            let mut yk = y[k];
+            for (&row, &l) in rows.iter().zip(&lx[lp[k]..lp[k + 1]]) {
+                yk -= l * y[row];
+            }
+            y[k] = yk;
+        }
     }
 
     /// The cached symbolic analysis.
@@ -369,14 +448,20 @@ impl SparseLdl {
     /// Stored entries of `L` plus `D` (the fill metric, also exported as
     /// the `solver.klu.lu_nnz` gauge).
     pub fn factor_nnz(&self) -> usize {
-        self.li.len() + self.d.len()
+        self.lx.len() + self.d.len()
     }
 
-    /// Rough resident size in bytes: the factor, the permutations and tree,
-    /// and the analyzed pattern.
+    /// Rough resident size in bytes: the factor with its row indices (per
+    /// entry, or per supernode with the supernodes' structure), the
+    /// permutations and tree, and the analyzed pattern. The supernodal
+    /// kernel's fronts and update stack live only while it runs.
     pub(crate) fn approx_bytes(&self) -> usize {
         let n = self.n();
-        self.li.len() * 16 + n * 48 + self.symbolic.nnz() * 8
+        let supernodes = self.symbolic.supernodes.as_ref();
+        (self.li.len() + self.lx.len()) * 8
+            + n * 48
+            + self.symbolic.nnz() * 8
+            + supernodes.map_or(0, Supernodes::approx_bytes)
     }
 }
 

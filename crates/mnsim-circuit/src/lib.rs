@@ -10,7 +10,8 @@
 //! * [`solve`] — DC operating-point analysis with Newton-Raphson for
 //!   non-linear memristor cells,
 //! * [`ldl`] — sparse LDLᵀ direct solver for the symmetric positive-definite
-//!   reduced systems (AMD ordering, elimination tree, up-looking numeric
+//!   reduced systems (AMD ordering, elimination tree, then an up-looking or,
+//!   where the fill is dense, a supernodal multifrontal numeric
 //!   factorization) with a cached symbolic analysis and a numeric-only
 //!   `refactor()` for same-pattern value updates,
 //! * [`batch`] — multi-RHS solving over a [`batch::PreparedSystem`] that

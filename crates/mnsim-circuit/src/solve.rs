@@ -656,9 +656,13 @@ pub(crate) fn finish(
     voltages: Vec<f64>,
 ) -> Result<DcSolution, CircuitError> {
     let mut currents = vec![0.0; circuit.element_count()];
+    // Current leaving each node through the other elements, summed in
+    // element order; an element with both terminals on one node counts as
+    // leaving it.
+    let mut leaving = vec![0.0; circuit.node_count()];
 
     for (idx, element) in circuit.elements().iter().enumerate() {
-        match element {
+        let (from, to) = match element {
             Element::Resistor { n1, n2, .. }
             | Element::Memristor { n1, n2, .. }
             | Element::Capacitor { n1, n2, .. } => {
@@ -666,50 +670,32 @@ pub(crate) fn finish(
                 if let Some(Linearized { g, ieq }) = lin[idx] {
                     currents[idx] = g * (voltages[*n1] - voltages[*n2]) + ieq;
                 }
+                (*n1, *n2)
             }
-            Element::CurrentSource { current, .. } => {
+            Element::CurrentSource { from, to, current } => {
                 currents[idx] = current.amperes();
+                (*from, *to)
             }
-            Element::VoltageSource { .. } => {} // second pass below
+            // Series ideal sources on a non-ground node would need the
+            // full-MNA current; grounded crossbar netlists never hit this.
+            Element::VoltageSource { .. } => continue,
+        };
+        leaving[from] += currents[idx];
+        if to != from {
+            leaving[to] -= currents[idx];
         }
     }
 
-    // Voltage-source branch currents by KCL at the positive terminal:
+    // Voltage-source branch currents by KCL at the non-ground terminal:
     // i_branch (npos → nneg internal) = −(current delivered into the node).
     for (idx, element) in circuit.elements().iter().enumerate() {
         if let Element::VoltageSource { npos, nneg, .. } = element {
-            let node = if *npos != Circuit::GROUND { *npos } else { *nneg };
-            let sign = if *npos != Circuit::GROUND { 1.0 } else { -1.0 };
-            let mut leaving = 0.0;
-            for (jdx, other) in circuit.elements().iter().enumerate() {
-                if jdx == idx {
-                    continue;
-                }
-                match other {
-                    Element::Resistor { n1, n2, .. }
-                    | Element::Memristor { n1, n2, .. }
-                    | Element::Capacitor { n1, n2, .. } => {
-                        if *n1 == node {
-                            leaving += currents[jdx];
-                        } else if *n2 == node {
-                            leaving -= currents[jdx];
-                        }
-                    }
-                    Element::CurrentSource { from, to, .. } => {
-                        if *from == node {
-                            leaving += currents[jdx];
-                        } else if *to == node {
-                            leaving -= currents[jdx];
-                        }
-                    }
-                    Element::VoltageSource { .. } => {
-                        // Series ideal sources on a non-ground node would
-                        // need the full-MNA current; grounded crossbar
-                        // netlists never hit this.
-                    }
-                }
-            }
-            currents[idx] = sign * -leaving;
+            let (node, sign) = if *npos != Circuit::GROUND {
+                (*npos, 1.0)
+            } else {
+                (*nneg, -1.0)
+            };
+            currents[idx] = sign * -leaving[node];
         }
     }
 
@@ -726,12 +712,13 @@ mod tests {
         assert!((a - b).abs() < tol, "{a} != {b} (tol {tol})");
     }
 
-    /// An 8×8 sinh crossbar with distinct cells and inputs: 128 unknowns,
-    /// so `Method::Auto` takes the sparse-direct path.
-    fn sinh_crossbar() -> CrossbarCircuit {
+    /// A `size`×`size` sinh crossbar with distinct cells and inputs. From
+    /// 8×8 (128 unknowns) `Method::Auto` takes the sparse-direct path; 64×64
+    /// is above the supernodal switch.
+    fn sinh_crossbar(size: usize) -> CrossbarCircuit {
         let mut spec = CrossbarSpec::uniform(
-            8,
-            8,
+            size,
+            size,
             Resistance::from_kilo_ohms(10.0),
             Resistance::from_ohms(2.0),
             Resistance::from_ohms(500.0),
@@ -742,15 +729,23 @@ mod tests {
             *state = Resistance::from_ohms(5_000.0 + 250.0 * ((k * 37) % 61) as f64);
         }
         for (k, input) in spec.inputs.iter_mut().enumerate() {
-            *input = Voltage::from_volts(0.3 + 0.09 * k as f64);
+            *input = Voltage::from_volts(0.3 + 0.09 * (k % 8) as f64);
         }
         spec.build().unwrap()
     }
 
     #[test]
     fn shared_workspace_newton_is_bit_identical_to_fresh_factors() {
+        for size in [8, 64] {
+            shared_workspace_newton_matches_fresh_factors(size);
+        }
+    }
+
+    /// The Newton loop on one shared workspace, which refactors, against
+    /// the same loop analyzing and factoring every linearization afresh.
+    fn shared_workspace_newton_matches_fresh_factors(size: usize) {
         let _session = obs::session();
-        let xbar = sinh_crossbar();
+        let xbar = sinh_crossbar(size);
         let circuit = xbar.circuit();
         let options = SolveOptions::default();
 
@@ -793,7 +788,7 @@ mod tests {
     #[test]
     fn workspace_reanalyzes_a_changed_pattern_instead_of_failing() {
         let _session = obs::session();
-        let xbar = sinh_crossbar();
+        let xbar = sinh_crossbar(8);
         let circuit = xbar.circuit();
         let options = SolveOptions::default();
         let driven: Vec<usize> = circuit

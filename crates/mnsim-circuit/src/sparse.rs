@@ -283,7 +283,7 @@ impl fmt::Debug for CsrMatrix {
 /// Column-major twin of [`CsrMatrix`]: `col_ptr[j]..col_ptr[j+1]` indexes
 /// the stored entries of column `j`, whose row indices (`row_idx`, sorted
 /// ascending within each column) and values run in parallel. This is the
-/// natural layout for the up-looking sparse LDLᵀ in [`crate::ldl`], which
+/// natural layout for the sparse LDLᵀ in [`crate::ldl`], which
 /// reads one column at a time.
 #[derive(Clone, PartialEq)]
 pub struct CscMatrix {

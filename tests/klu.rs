@@ -6,18 +6,23 @@
 //! systems must surface as typed errors (never NaN or a hang), and every
 //! repeated solve of one structure — Newton iterations, transient steps,
 //! prepared-system reads and fault trials — must analyze it once and
-//! refactor in place. The counters keep their `solver.klu.*` names.
+//! refactor in place. The symbolic, refactor and typed-error checks run on
+//! both numeric kernels: the up-looking one below the supernodal switch
+//! and the supernodal one above it (`solver.klu.supernodal` counts the
+//! latter). The counters keep their `solver.klu.*` names.
 //!
 //! Every test holds the [`mnsim::obs::session`] lock while it runs solver
 //! code, so no test's counters can leak into another's measured window.
 
 use mnsim::circuit::batch::{prepare_or_reuse, BatchOptions, EngineKind, PreparedSystem, Rhs};
 use mnsim::circuit::crossbar::CrossbarSpec;
+use mnsim::circuit::recovery::kcl_residual;
 use mnsim::circuit::solve::{solve_dc, Method, SolveOptions};
+use mnsim::circuit::sparse::CscMatrix;
 use mnsim::circuit::sparse::TripletMatrix;
 use mnsim::circuit::transient::{solve_transient, TransientOptions};
-use mnsim::circuit::{analyze, solve_robust, RobustOptions, SparseLdl};
 use mnsim::circuit::CircuitError;
+use mnsim::circuit::{analyze, solve_robust, Element, RobustOptions, SparseLdl, SymbolicAnalysis};
 use mnsim::core::config::Config;
 use mnsim::core::fault_sim::FaultConfig;
 use mnsim::core::Simulator;
@@ -57,14 +62,21 @@ fn random_crossbar(rows: usize, cols: usize, seed: u64) -> CrossbarSpec {
 }
 
 /// A random symmetric diagonally dominant sparse matrix in CSC form —
-/// the shape every reduced crossbar nodal system has.
-fn random_sdd_csc(n: usize, seed: u64) -> mnsim::circuit::sparse::CscMatrix {
+/// the shape every reduced crossbar nodal system has. Its factor stays
+/// below the supernodal switch.
+fn random_sdd_csc(n: usize, seed: u64) -> CscMatrix {
+    sdd_csc(n, 3.0 / n as f64, seed)
+}
+
+/// A symmetric diagonally dominant matrix whose graph has each edge with
+/// probability `density`.
+fn sdd_csc(n: usize, density: f64, seed: u64) -> CscMatrix {
     let mut state = seed.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
     let mut diag = vec![1e-3f64; n]; // ground leak keeps every pivot alive
     let mut triplets = TripletMatrix::new(n, n);
     for i in 0..n {
         for j in (i + 1)..n {
-            if uniform(&mut state) < 3.0 / n as f64 {
+            if uniform(&mut state) < density {
                 let g = 1e-4 + uniform(&mut state) * 1e-3;
                 triplets.add(i, j, -g);
                 triplets.add(j, i, -g);
@@ -77,6 +89,140 @@ fn random_sdd_csc(n: usize, seed: u64) -> mnsim::circuit::sparse::CscMatrix {
         triplets.add(i, i, d);
     }
     triplets.to_csc()
+}
+
+/// Whether the analysis crosses the supernodal switch: the work per entry
+/// of `L`, `Σⱼ cⱼ² / nnz(L)`, is at least 40.
+fn above_the_switch(analysis: &SymbolicAnalysis) -> bool {
+    let counts = analysis.column_counts();
+    let work: usize = counts.iter().map(|&c| c * c).sum();
+    work >= 40 * analysis.l_nnz()
+}
+
+/// `a` with its values mapped by `f(row, col, value)`, pattern kept: a
+/// zero result stays a stored entry (two stamps that cancel exactly).
+fn with_values(a: &CscMatrix, f: impl Fn(usize, usize, f64) -> f64) -> CscMatrix {
+    let mut t = TripletMatrix::new(a.rows(), a.cols());
+    for col in 0..a.cols() {
+        for k in a.col_ptr()[col]..a.col_ptr()[col + 1] {
+            let row = a.row_idx()[k];
+            let value = f(row, col, a.values()[k]);
+            if value == 0.0 {
+                t.add(row, col, 1.0);
+                t.add(row, col, -1.0);
+            } else {
+                t.add(row, col, value);
+            }
+        }
+    }
+    t.to_csc()
+}
+
+/// Structural invariants of the cached symbolic analysis of `a`: the
+/// ordering is a permutation, every elimination-tree parent is a later
+/// column, and the tree and the column counts of `L` equal those of a
+/// dense symbolic elimination of `P·A·Pᵀ` — which is exactly the fill the
+/// numeric factor stores. The factor reproduces `A` (checked through
+/// `(LDLᵀ)⁻¹·A·x = x` on a known solution).
+fn check_symbolic_invariants(a: &CscMatrix, seed: u64) -> SymbolicAnalysis {
+    let n = a.rows();
+    let analysis = analyze(a);
+    assert_eq!(analysis.n(), n);
+    assert!(analysis.compatible_with(a));
+
+    let perm = analysis.perm();
+    let mut seen = vec![false; n];
+    for &p in perm {
+        assert!(p < n, "index {p} out of range");
+        assert!(!seen[p], "index {p} repeated");
+        seen[p] = true;
+    }
+
+    // Dense symbolic elimination of the permuted pattern: eliminating
+    // column k joins every pair of its below-diagonal rows.
+    let dense = a.to_dense();
+    let mut filled: Vec<Vec<bool>> = (0..n)
+        .map(|i| (0..n).map(|j| dense[perm[i]][perm[j]] != 0.0).collect())
+        .collect();
+    for k in 0..n {
+        let below: Vec<usize> = ((k + 1)..n).filter(|&i| filled[i][k]).collect();
+        for &i in &below {
+            for &j in &below {
+                filled[i][j] = true;
+            }
+        }
+    }
+    let counts = analysis.column_counts();
+    for k in 0..n {
+        let first_below = ((k + 1)..n).find(|&i| filled[i][k]);
+        assert_eq!(
+            analysis.parent(k),
+            first_below,
+            "etree parent of column {k}"
+        );
+        if let Some(p) = analysis.parent(k) {
+            assert!(p > k, "parent {p} of column {k} is not later");
+        }
+        let fill = ((k + 1)..n).filter(|&i| filled[i][k]).count();
+        assert_eq!(counts[k], fill, "column count of column {k}");
+    }
+
+    let ldl = SparseLdl::factor_with(a, analysis.clone()).expect("SDD matrix factorizes");
+    assert_eq!(ldl.factor_nnz(), analysis.l_nnz() + n);
+    let mut state = seed | 1;
+    let x_true: Vec<f64> = (0..n).map(|_| uniform(&mut state) * 2.0 - 1.0).collect();
+    let b = a.mul_vec(&x_true);
+    let x = ldl.solve(&b);
+    for (i, (&xt, &xs)) in x_true.iter().zip(&x).enumerate() {
+        let scale = xt.abs().max(xs.abs()).max(1.0);
+        assert!(
+            (xt - xs).abs() <= 1e-8 * scale,
+            "n {n} seed {seed} unknown {i}: {xt} vs {xs}"
+        );
+    }
+    analysis
+}
+
+/// `refactor` of `a` with unchanged values — and with changed values on
+/// the same pattern — produces solves bit-identical to a from-scratch
+/// factorization, and a different pattern is refused with a typed error
+/// instead of being silently re-analyzed.
+fn check_refactor_bit_identity(a: &CscMatrix, seed: u64) {
+    let n = a.rows();
+    // Same pattern, scaled values: what a fault overlay or reprogram does
+    // to the reduced system.
+    let scaled = with_values(a, |_, _, v| v * 1.75);
+    let mut state = seed.wrapping_add(17) | 1;
+    let b: Vec<f64> = (0..n).map(|_| uniform(&mut state) * 2.0 - 1.0).collect();
+    let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+
+    let mut ldl = SparseLdl::factor(a).expect("factors");
+    ldl.refactor(a).expect("same values refactor");
+    let fresh = SparseLdl::factor(a).expect("factors");
+    assert_eq!(
+        bits(ldl.solve(&b)),
+        bits(fresh.solve(&b)),
+        "unchanged-value refactor drifted"
+    );
+
+    ldl.refactor(&scaled).expect("scaled values refactor");
+    let fresh_scaled = SparseLdl::factor(&scaled).expect("factors");
+    assert_eq!(
+        bits(ldl.solve(&b)),
+        bits(fresh_scaled.solve(&b)),
+        "refactored solve drifted"
+    );
+
+    let diagonal = {
+        let mut t = TripletMatrix::new(n, n);
+        for i in 0..n {
+            t.add(i, i, 1.0);
+        }
+        t.to_csc()
+    };
+    if a.nnz() > n {
+        assert_eq!(ldl.refactor(&diagonal), Err(CircuitError::PatternMismatch));
+    }
 }
 
 proptest! {
@@ -107,117 +253,149 @@ proptest! {
         }
     }
 
-    /// Structural invariants of the cached symbolic analysis: the ordering
-    /// is a permutation, every elimination-tree parent is a later column,
-    /// and the tree and the column counts of `L` equal those of a dense
-    /// symbolic elimination of `P·A·Pᵀ` — which is exactly the fill the
-    /// numeric factor stores. The factor reproduces `A` (checked through
-    /// `(LDLᵀ)⁻¹·A·x = x` on a known solution).
+    /// Structural invariants of the cached symbolic analysis on sparse
+    /// SDD matrices, which stay on the up-looking kernel
+    /// ([`check_symbolic_invariants`]).
     #[test]
     fn symbolic_analysis_invariants_hold(
         n in 2usize..48,
         seed in 0u64..1_000_000,
     ) {
         let _session = obs::session();
-        let a = random_sdd_csc(n, seed);
-        let analysis = analyze(&a);
-        prop_assert_eq!(analysis.n(), n);
-        prop_assert!(analysis.compatible_with(&a));
-
-        let perm = analysis.perm();
-        let mut seen = vec![false; n];
-        for &p in perm {
-            prop_assert!(p < n, "index {p} out of range");
-            prop_assert!(!seen[p], "index {p} repeated");
-            seen[p] = true;
-        }
-
-        // Dense symbolic elimination of the permuted pattern: eliminating
-        // column k joins every pair of its below-diagonal rows.
-        let dense = a.to_dense();
-        let mut filled: Vec<Vec<bool>> = (0..n)
-            .map(|i| (0..n).map(|j| dense[perm[i]][perm[j]] != 0.0).collect())
-            .collect();
-        for k in 0..n {
-            let below: Vec<usize> = ((k + 1)..n).filter(|&i| filled[i][k]).collect();
-            for &i in &below {
-                for &j in &below {
-                    filled[i][j] = true;
-                }
-            }
-        }
-        let counts = analysis.column_counts();
-        for k in 0..n {
-            let first_below = ((k + 1)..n).find(|&i| filled[i][k]);
-            prop_assert_eq!(analysis.parent(k), first_below, "etree parent of column {}", k);
-            if let Some(p) = analysis.parent(k) {
-                prop_assert!(p > k, "parent {p} of column {k} is not later");
-            }
-            let fill = ((k + 1)..n).filter(|&i| filled[i][k]).count();
-            prop_assert_eq!(counts[k], fill, "column count of column {}", k);
-        }
-
-        let ldl = SparseLdl::factor_with(&a, analysis.clone()).expect("SDD matrix factorizes");
-        prop_assert_eq!(ldl.factor_nnz(), analysis.l_nnz() + n);
-        let mut state = seed | 1;
-        let x_true: Vec<f64> = (0..n).map(|_| uniform(&mut state) * 2.0 - 1.0).collect();
-        let b = a.mul_vec(&x_true);
-        let x = ldl.solve(&b);
-        for (i, (&xt, &xs)) in x_true.iter().zip(&x).enumerate() {
-            let scale = xt.abs().max(xs.abs()).max(1.0);
-            prop_assert!(
-                (xt - xs).abs() <= 1e-8 * scale,
-                "n {n} seed {seed} unknown {i}: {xt} vs {xs}"
-            );
-        }
+        check_symbolic_invariants(&random_sdd_csc(n, seed), seed);
     }
 
-    /// `refactor` with unchanged values — and with changed values on the
-    /// same pattern — produces solves bit-identical to a from-scratch
-    /// factorization, and a different pattern is refused with a typed
-    /// error instead of being silently re-analyzed.
+    /// The same invariants above the supernodal switch, where the analysis
+    /// postorders the elimination tree into the permutation.
+    #[test]
+    fn symbolic_analysis_invariants_hold_above_the_switch(
+        n in 120usize..200,
+        density in 0.2f64..0.5,
+        seed in 0u64..1_000_000,
+    ) {
+        let _session = obs::session();
+        let analysis = check_symbolic_invariants(&sdd_csc(n, density, seed), seed);
+        prop_assert!(above_the_switch(&analysis), "n {n} density {density} stayed below the switch");
+    }
+
+    /// Refactor bit-identity on the up-looking kernel
+    /// ([`check_refactor_bit_identity`]).
     #[test]
     fn refactor_is_bit_identical_to_fresh_factorization(
         n in 2usize..40,
         seed in 0u64..1_000_000,
     ) {
         let _session = obs::session();
-        let a = random_sdd_csc(n, seed);
-        // Same pattern, scaled values: what a fault overlay or reprogram
-        // does to the reduced system.
-        let scaled = {
-            let mut t = TripletMatrix::new(n, n);
-            for col in 0..n {
-                for k in a.col_ptr()[col]..a.col_ptr()[col + 1] {
-                    t.add(a.row_idx()[k], col, a.values()[k] * 1.75);
-                }
-            }
-            t.to_csc()
-        };
-        let mut state = seed.wrapping_add(17) | 1;
-        let b: Vec<f64> = (0..n).map(|_| uniform(&mut state) * 2.0 - 1.0).collect();
-        let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-
-        let mut ldl = SparseLdl::factor(&a).expect("factors");
-        ldl.refactor(&a).expect("same values refactor");
-        let fresh = SparseLdl::factor(&a).expect("factors");
-        prop_assert_eq!(bits(ldl.solve(&b)), bits(fresh.solve(&b)), "unchanged-value refactor drifted");
-
-        ldl.refactor(&scaled).expect("scaled values refactor");
-        let fresh_scaled = SparseLdl::factor(&scaled).expect("factors");
-        prop_assert_eq!(bits(ldl.solve(&b)), bits(fresh_scaled.solve(&b)), "refactored solve drifted");
-
-        let diagonal = {
-            let mut t = TripletMatrix::new(n, n);
-            for i in 0..n {
-                t.add(i, i, 1.0);
-            }
-            t.to_csc()
-        };
-        if a.nnz() > n {
-            prop_assert_eq!(ldl.refactor(&diagonal), Err(CircuitError::PatternMismatch));
-        }
+        check_refactor_bit_identity(&random_sdd_csc(n, seed), seed);
     }
+
+    /// Refactor bit-identity on the supernodal kernel.
+    #[test]
+    fn refactor_is_bit_identical_to_fresh_factorization_above_the_switch(
+        n in 120usize..200,
+        density in 0.2f64..0.5,
+        seed in 0u64..1_000_000,
+    ) {
+        let session = obs::session();
+        let a = sdd_csc(n, density, seed);
+        prop_assert!(above_the_switch(&analyze(&a)), "n {n} density {density} stayed below the switch");
+        check_refactor_bit_identity(&a, seed);
+        let snap = session.snapshot();
+        prop_assert_eq!(
+            snap.counter("solver.klu.supernodal"),
+            snap.counter("solver.klu.factors") + snap.counter("solver.klu.refactor")
+        );
+    }
+
+    /// Conservation on both kernels (16×16 runs up-looking, 64×64
+    /// supernodal), with linear and sinh cells: the current the sources
+    /// deliver leaves through the sense resistors, and every internal node
+    /// obeys KCL.
+    #[test]
+    fn crossbar_currents_are_conserved_on_both_kernels(
+        large in 0usize..2,
+        sinh in 0usize..2,
+        seed in 0u64..1_000_000,
+    ) {
+        let session = obs::session();
+        let size = if large == 1 { 64 } else { 16 };
+        let mut spec = random_crossbar(size, size, seed);
+        if sinh == 1 {
+            spec.iv = IvModel::Sinh { alpha: 2.5 };
+        }
+        let built = spec.build().expect("valid crossbar");
+        let circuit = built.circuit();
+        let solution = solve_dc(circuit, &SolveOptions::default()).expect("crossbar solves");
+        let delivered: f64 = circuit
+            .elements()
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| matches!(e, Element::VoltageSource { .. }))
+            .map(|(idx, _)| -solution.element_current(idx).amperes())
+            .sum();
+        let sensed: f64 = (0..size)
+            .map(|col| solution.element_current(built.sense_element(col)).amperes())
+            .sum();
+        prop_assert!(
+            (delivered - sensed).abs() <= 1e-9,
+            "{size}x{size} sinh {sinh} seed {seed}: sources deliver {delivered} A, sense resistors carry {sensed} A"
+        );
+        let residual = kcl_residual(circuit, &solution);
+        prop_assert!(residual <= 1e-9, "{size}x{size} sinh {sinh} seed {seed}: KCL residual {residual:e} A");
+        prop_assert_eq!(session.snapshot().counter("solver.klu.supernodal") > 0, size == 64);
+    }
+}
+
+/// Zero, negative and NaN pivots in a column inside a supernode are typed
+/// errors naming that column's unknown — from a fresh factorization and
+/// from a refactor, which then recovers — and a different pattern is
+/// still refused.
+#[test]
+fn bad_pivots_inside_a_supernode_are_typed() {
+    let _session = obs::session();
+    let n = 160;
+    let a = sdd_csc(n, 0.25, 9);
+    let analysis = analyze(&a);
+    assert!(above_the_switch(&analysis));
+    // Column k shares a supernode with column k − 1 when k − 1 is its only
+    // child and column k has one entry fewer below the diagonal.
+    let counts = analysis.column_counts();
+    let inside = (n / 2..n)
+        .find(|&k| {
+            analysis.parent(k - 1) == Some(k)
+                && counts[k - 1] == counts[k] + 1
+                && (0..n).filter(|&j| analysis.parent(j) == Some(k)).count() == 1
+        })
+        .expect("a dense factor has a wide supernode");
+    let u = analysis.perm()[inside];
+
+    let zero = with_values(&a, |r, c, v| if r == u || c == u { 0.0 } else { v });
+    let negative = with_values(&a, |r, c, v| if r == u && c == u { -1.0 } else { v });
+    let nan = with_values(&a, |r, c, v| if r == u && c == u { f64::NAN } else { v });
+    let b = vec![1.0; n];
+    let mut ldl = SparseLdl::factor_with(&a, analysis.clone()).expect("factors");
+    let want = ldl.solve(&b);
+    for (what, bad) in [("zero", &zero), ("negative", &negative), ("NaN", &nan)] {
+        assert_eq!(
+            SparseLdl::factor_with(bad, analysis.clone()).err(),
+            Some(CircuitError::SingularSystem { at: u }),
+            "{what} pivot from a fresh factorization"
+        );
+        assert_eq!(
+            ldl.refactor(bad),
+            Err(CircuitError::SingularSystem { at: u }),
+            "{what} pivot from a refactor"
+        );
+        ldl.refactor(&a).expect("good values refactor again");
+        assert_eq!(ldl.solve(&b), want, "refactor after a {what} pivot drifted");
+    }
+
+    let other = random_sdd_csc(n, 9);
+    assert_eq!(ldl.refactor(&other), Err(CircuitError::PatternMismatch));
+    assert!(matches!(
+        SparseLdl::factor_with(&other, analysis),
+        Err(CircuitError::PatternMismatch)
+    ));
 }
 
 /// A genuinely singular system must come back as the typed
@@ -356,6 +534,29 @@ fn newton_solve_analyzes_once_and_refactors_every_iteration() {
     assert_eq!(snap.counter("solver.klu.factors"), 1);
     assert_eq!(snap.counter("solver.klu.refactor"), iterations);
     assert_eq!(snap.counter("solver.klu.solves"), iterations + 1);
+}
+
+/// `solver.klu.supernodal` names the kernel: a 16×16 sinh Newton solve
+/// stays on the up-looking kernel, while a 64×64 one runs every numeric
+/// factorization, fresh or refactor, on the supernodal kernel.
+#[test]
+fn supernodal_counter_names_the_kernel() {
+    for (size, supernodal) in [(16, false), (64, true)] {
+        let session = obs::session();
+        let mut spec = random_crossbar(size, size, 31);
+        spec.iv = IvModel::Sinh { alpha: 2.5 };
+        let built = spec.build().unwrap();
+        solve_dc(built.circuit(), &SolveOptions::default()).expect("Newton converges");
+        let snap = session.snapshot();
+        let factorizations =
+            snap.counter("solver.klu.factors") + snap.counter("solver.klu.refactor");
+        assert!(
+            factorizations >= 2,
+            "{size}x{size}: {factorizations} factorizations"
+        );
+        let want = if supernodal { factorizations } else { 0 };
+        assert_eq!(snap.counter("solver.klu.supernodal"), want, "{size}x{size}");
+    }
 }
 
 /// A linear RC mesh with a fixed step stamps the same matrix every step:
