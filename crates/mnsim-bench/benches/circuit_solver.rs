@@ -1,8 +1,10 @@
-//! Circuit-solver ablation: Jacobi-CG vs dense LU on the reduced crossbar
-//! system, locating the crossover size (DESIGN.md ablation 1), plus the
-//! Newton overhead of non-linear cells.
+//! Circuit-solver ablation: dense LU vs sparse LDLᵀ on the reduced crossbar
+//! system either side of `Method::Auto`'s 96-unknown dense cutoff, for a
+//! one-shot `solve_dc` and for a backsolve on a `PreparedSystem`
+//! (DESIGN.md ablation 1), plus the Newton overhead of non-linear cells.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mnsim_circuit::batch::PreparedSystem;
 use mnsim_circuit::crossbar::CrossbarSpec;
 use mnsim_circuit::solve::{solve_dc, Method, SolveOptions};
 use mnsim_tech::memristor::IvModel;
@@ -19,21 +21,33 @@ fn linear_spec(size: usize) -> CrossbarSpec {
     )
 }
 
-fn bench_cg_vs_lu(c: &mut Criterion) {
-    let mut group = c.benchmark_group("solver/cg_vs_lu");
+fn bench_dense_vs_ldl(c: &mut Criterion) {
+    let mut group = c.benchmark_group("solver/dense_vs_ldl");
     group.sample_size(10);
-    for &size in &[4usize, 8, 12, 16] {
+    // Crossbar edges 4, 6, 7, 8 and 12: 32, 72, 98, 128 and 288 unknowns.
+    for &size in &[4usize, 6, 7, 8, 12] {
+        let unknowns = 2 * size * size;
         let xbar = linear_spec(size).build().unwrap();
-        for (name, method) in [("cg", Method::Cg), ("lu", Method::DenseLu)] {
+        let rhs = xbar
+            .input_rhs(&vec![Voltage::from_volts(0.5); size])
+            .unwrap();
+        for (name, method) in [("dense", Method::DenseLu), ("ldl", Method::SparseLu)] {
             let options = SolveOptions {
                 method,
                 ..SolveOptions::default()
             };
             group.bench_with_input(
-                BenchmarkId::new(name, size),
-                &(&xbar, options),
-                |b, (xbar, options)| {
+                BenchmarkId::new(format!("{name}_solve"), unknowns),
+                &options,
+                |b, options| {
                     b.iter(|| solve_dc(xbar.circuit(), options).unwrap());
+                },
+            );
+            let mut prepared = PreparedSystem::build(xbar.circuit(), options).unwrap();
+            group.bench_function(
+                BenchmarkId::new(format!("{name}_backsolve"), unknowns),
+                |b| {
+                    b.iter(|| prepared.solve(xbar.circuit(), &rhs).unwrap());
                 },
             );
         }
@@ -58,5 +72,5 @@ fn bench_newton_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cg_vs_lu, bench_newton_overhead);
+criterion_group!(benches, bench_dense_vs_ldl, bench_newton_overhead);
 criterion_main!(benches);

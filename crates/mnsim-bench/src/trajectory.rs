@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use mnsim_circuit::batch::{solve_dc_batch, BatchOptions, PreparedSystem, Rhs};
+use mnsim_circuit::batch::{solve_dc_batch, PreparedSystem, Rhs};
 use mnsim_circuit::crossbar::{CrossbarCircuit, CrossbarSpec};
 use mnsim_circuit::solve::{solve_dc, Method, SolveOptions};
 use mnsim_core::config::Config;
@@ -276,11 +276,7 @@ fn dc_solve_batch_workload() -> impl FnMut() {
 
     // Equivalence gate (untimed): the batched solutions must match the
     // serial ones to 1e-12 relative, or the speedup below is meaningless.
-    let batch_options = BatchOptions {
-        base: options.clone(),
-        ..BatchOptions::default()
-    };
-    let mut prepared = PreparedSystem::build(xbar.circuit(), batch_options.clone())
+    let mut prepared = PreparedSystem::build(xbar.circuit(), options.clone())
         .expect("linear crossbar prepares");
     let batched =
         solve_dc_batch(&mut prepared, xbar.circuit(), &batch).expect("batch solves");
@@ -300,7 +296,7 @@ fn dc_solve_batch_workload() -> impl FnMut() {
     }
 
     move || {
-        let mut prepared = PreparedSystem::build(xbar.circuit(), batch_options.clone())
+        let mut prepared = PreparedSystem::build(xbar.circuit(), options.clone())
             .expect("linear crossbar prepares");
         let solutions =
             solve_dc_batch(&mut prepared, xbar.circuit(), &batch).expect("batch solves");
@@ -353,12 +349,9 @@ fn dc_solve_sparse_refactor_workload() -> impl FnMut() {
     let states = [sparse_bench_crossbar(10.0), sparse_bench_crossbar(12.5)];
     let drive = vec![Voltage::from_volts(1.0); SPARSE_BENCH_SIZE];
     let rhs = states[0].input_rhs(&drive).expect("arity matches");
-    let options = BatchOptions {
-        base: SolveOptions {
-            method: Method::SparseLu,
-            ..SolveOptions::default()
-        },
-        ..BatchOptions::default()
+    let options = SolveOptions {
+        method: Method::SparseLu,
+        ..SolveOptions::default()
     };
     let mut prepared =
         PreparedSystem::build(states[0].circuit(), options).expect("linear crossbar prepares");

@@ -6,8 +6,8 @@
 //! Monte-Carlo evaluates each defective crossbar under several reads, and a
 //! neural-network forward pass pushes a whole batch of activations through
 //! one mapped layer. [`solve_dc`](crate::solve::solve_dc) re-classifies the
-//! sources, re-assembles the nodal matrix, and cold-starts the linear solver
-//! for every one of those inputs.
+//! sources, re-assembles the nodal matrix, and factors it again for every
+//! one of those inputs.
 //!
 //! [`PreparedSystem`] lifts everything that depends only on the conductance
 //! structure out of the per-input path:
@@ -16,11 +16,12 @@
 //! * the assembled reduced (or full-MNA) matrix,
 //! * its factorization: dense LU below 96 unknowns (`O(n³)` once, `O(n²)`
 //!   per RHS), the sparse LDLᵀ workspace above,
-//! * a replayable right-hand-side plan so each new input vector only costs
-//!   an `O(nnz)` stamp replay,
-//! * and, on the conjugate-gradient path, the previous solution as a warm
-//!   start — correlated batches converge in a fraction of the cold
-//!   iteration count.
+//! * and a replayable right-hand-side plan so each new input vector only
+//!   costs an `O(nnz)` stamp replay and one backsolve.
+//!
+//! Every read is a direct solve on that held factorization, so a prepared
+//! solve is bit-identical to a one-shot [`solve_dc`](crate::solve::solve_dc)
+//! of the re-driven circuit, whatever the prepared system solved before.
 //!
 //! **Soundness.** Reuse is only valid while the conductances are unchanged.
 //! A prepared system fingerprints the circuit it was built from (element
@@ -41,25 +42,18 @@
 use mnsim_obs as obs;
 use mnsim_tech::units::Voltage;
 
-use crate::cg::solve_cg_warm;
 use crate::dense::{DenseMatrix, LuFactors};
 use crate::error::CircuitError;
 use crate::mna::{Circuit, DcSolution, Element};
 use crate::solve::{
-    assemble_reduced, auto_engine, finish, linearize, replay_rhs, solve_dc_in, BOp, LinearEngine,
-    Linearized, Method, ReducedSystem, SolveOptions, SparseWorkspace,
+    assemble_reduced, finish, linearize, replay_rhs, solve_dc_in, BOp, LinearEngine, Linearized,
+    ReducedSystem, SolveOptions, SparseWorkspace,
 };
-use crate::sparse::CsrMatrix;
 
 static BATCH_BUILDS: obs::Counter = obs::Counter::new("circuit.batch.prepared_builds");
 static BATCH_CALLS: obs::Counter = obs::Counter::new("circuit.batch.calls");
 static BATCH_SOLVES: obs::Counter = obs::Counter::new("circuit.batch.solves");
 static BATCH_DENSE: obs::Counter = obs::Counter::new("circuit.batch.dense_backsolves");
-static BATCH_CG_ITERATIONS: obs::Counter = obs::Counter::new("circuit.batch.cg_iterations");
-static BATCH_CG_ITERATIONS_PER_SOLVE: obs::Histogram =
-    obs::Histogram::new("circuit.batch.cg_iterations_per_solve");
-static BATCH_WARM_STARTS: obs::Counter = obs::Counter::new("circuit.batch.warm_starts");
-static BATCH_COLD_RETRIES: obs::Counter = obs::Counter::new("circuit.batch.cold_retries");
 static BATCH_STALE: obs::Counter = obs::Counter::new("circuit.batch.stale_rejections");
 static BATCH_FALLBACKS: obs::Counter = obs::Counter::new("circuit.batch.nonlinear_fallbacks");
 static CACHE_HITS: obs::Counter = obs::Counter::new("circuit.batch.cache_hits");
@@ -72,43 +66,12 @@ static CACHE_COLD_BUILDS: obs::Counter = obs::Counter::new("circuit.batch.cache_
 /// [`prepare_or_reuse`] call so far — how often the cached
 /// [`PreparedSystem`] was actually reusable.
 static BATCH_REUSE_RATIO: obs::Gauge = obs::Gauge::new("circuit.batch.reuse_ratio");
-/// CG iterations avoided by warm starts: the cold-start baseline of the
-/// prepared system minus each warm solve's iteration count (saturating).
-static BATCH_WARM_ITERS_SAVED: obs::Counter =
-    obs::Counter::new("circuit.batch.warm_iterations_saved");
 /// Sparse-direct back-substitutions through the batch path.
 static BATCH_SPARSE: obs::Counter = obs::Counter::new("circuit.batch.sparse_backsolves");
 /// Value-only refreshes through [`prepare_or_reuse`]: the cached sparse
 /// factorization was refactored in place instead of rebuilding the whole
 /// prepared system.
 static VALUE_REFRESHES: obs::Counter = obs::Counter::new("circuit.batch.value_refreshes");
-
-/// Warm-start policy for the conjugate-gradient path of a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WarmStart {
-    /// Always start from zero — bitwise identical to per-input
-    /// [`solve_dc`](crate::solve::solve_dc).
-    Cold,
-    /// Start each solve from the previous solution (of this batch, or of
-    /// the previous batch for the first entry). The right default: batches
-    /// are usually correlated and an uncorrelated guess costs at most the
-    /// cold iteration count plus one retry.
-    #[default]
-    Previous,
-    /// Start each solve from the already-solved batch entry whose RHS is
-    /// nearest in Euclidean distance. Wins when a batch interleaves
-    /// uncorrelated input groups; costs an `O(k)` scan per solve.
-    Nearest,
-}
-
-/// Options for building a [`PreparedSystem`].
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct BatchOptions {
-    /// Underlying solver options (method selection, CG and Newton knobs).
-    pub base: SolveOptions,
-    /// Warm-start policy on the CG path.
-    pub warm_start: WarmStart,
-}
 
 /// One right-hand side of a batch: the voltage of every ideal source, in
 /// element insertion order.
@@ -146,14 +109,12 @@ enum ReducedEngine {
     /// The sparse LDLᵀ workspace, the same type a non-linear system's
     /// Newton loop uses; value-only changes refactor it in place.
     Sparse(SparseWorkspace),
-    /// Sparse matrix for (warm-started) conjugate gradients.
-    Cg(CsrMatrix),
     /// No unknowns at all (every node driven or ground).
     Empty,
 }
 
 /// Which concrete engine a [`PreparedSystem`] ended up with — the
-/// observable face of the dense/sparse/CG dispatch, for tests and
+/// observable face of the dense/sparse dispatch, for tests and
 /// diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
@@ -161,8 +122,6 @@ pub enum EngineKind {
     Dense,
     /// Reduced system with a cached sparse LDLᵀ ([`crate::ldl`]).
     SparseDirect,
-    /// Reduced system solved iteratively (warm-started CG).
-    Iterative,
     /// Reduced system with zero unknowns.
     Empty,
     /// Full modified nodal analysis (floating sources), cached dense LU.
@@ -209,19 +168,9 @@ pub struct PreparedSystem {
     structure_fingerprint: u64,
     node_count: usize,
     n_sources: usize,
-    options: BatchOptions,
+    options: SolveOptions,
     lin: Vec<Option<Linearized>>,
     kind: SystemKind,
-    /// Previous CG solution for [`WarmStart::Previous`]; persists across
-    /// batch calls.
-    last_x: Option<Vec<f64>>,
-    /// Per-solve CG iteration counts of the most recent batch call
-    /// (0 for dense, full-MNA, and fallback solves).
-    last_iterations: Vec<usize>,
-    /// Iteration count of the most recent cold (zero-guess) CG solve —
-    /// the baseline `circuit.batch.warm_iterations_saved` measures warm
-    /// starts against.
-    cold_iterations: Option<usize>,
 }
 
 impl PreparedSystem {
@@ -234,10 +183,8 @@ impl PreparedSystem {
     ///
     /// # Errors
     ///
-    /// Propagates [`CircuitError::SingularSystem`] from the dense
-    /// factorization and rejects [`Method::Cg`] with floating sources
-    /// ([`CircuitError::InvalidElement`]).
-    pub fn build(circuit: &Circuit, options: BatchOptions) -> Result<Self, CircuitError> {
+    /// Propagates [`CircuitError::SingularSystem`] from the factorization.
+    pub fn build(circuit: &Circuit, options: SolveOptions) -> Result<Self, CircuitError> {
         let _trace_span = obs::trace::span("circuit.batch.build", obs::trace::Level::Stage);
         BATCH_BUILDS.inc();
         let fingerprint = circuit_fingerprint(circuit);
@@ -256,9 +203,6 @@ impl PreparedSystem {
                 kind: SystemKind::Nonlinear {
                     workspace: SparseWorkspace::default(),
                 },
-                last_x: None,
-                last_iterations: Vec::new(),
-                cold_iterations: None,
             });
         }
 
@@ -281,12 +225,6 @@ impl PreparedSystem {
         let kind = if all_grounded {
             build_reduced(circuit, &lin, &bindings, &options)?
         } else {
-            if options.base.method == Method::Cg {
-                return Err(CircuitError::InvalidElement {
-                    reason: "conjugate-gradient path requires all voltage sources grounded"
-                        .into(),
-                });
-            }
             build_full_mna(circuit, &lin)?
         };
 
@@ -298,9 +236,6 @@ impl PreparedSystem {
             options,
             lin,
             kind,
-            last_x: None,
-            last_iterations: Vec::new(),
-            cold_iterations: None,
         })
     }
 
@@ -323,8 +258,6 @@ impl PreparedSystem {
     pub fn approx_bytes(&self) -> usize {
         let mut bytes = std::mem::size_of::<Self>();
         bytes += self.lin.len() * 48;
-        bytes += self.last_x.as_ref().map_or(0, |x| x.len() * 8);
-        bytes += self.last_iterations.len() * 8;
         bytes += match &self.kind {
             SystemKind::Reduced {
                 index,
@@ -337,7 +270,6 @@ impl PreparedSystem {
                 let factors = match engine {
                     ReducedEngine::Dense(_) => unknowns * unknowns * 8 + unknowns * 8,
                     ReducedEngine::Sparse(workspace) => workspace.approx_bytes(),
-                    ReducedEngine::Cg(matrix) => matrix.nnz() * 12 + unknowns * 8,
                     ReducedEngine::Empty => 0,
                 };
                 structure + factors
@@ -349,7 +281,7 @@ impl PreparedSystem {
     }
 
     /// The options the system was built with.
-    pub fn options(&self) -> &BatchOptions {
+    pub fn options(&self) -> &SolveOptions {
         &self.options
     }
 
@@ -366,18 +298,6 @@ impl PreparedSystem {
         circuit_structure_fingerprint(circuit) == self.structure_fingerprint
     }
 
-    /// `true` when the iterative (CG) engine is active, i.e. warm starts
-    /// apply.
-    pub fn uses_cg(&self) -> bool {
-        matches!(
-            self.kind,
-            SystemKind::Reduced {
-                engine: ReducedEngine::Cg(_),
-                ..
-            }
-        )
-    }
-
     /// The concrete engine this system dispatches to.
     pub fn engine_kind(&self) -> EngineKind {
         match &self.kind {
@@ -386,16 +306,9 @@ impl PreparedSystem {
             SystemKind::Reduced { engine, .. } => match engine {
                 ReducedEngine::Dense(_) => EngineKind::Dense,
                 ReducedEngine::Sparse(_) => EngineKind::SparseDirect,
-                ReducedEngine::Cg(_) => EngineKind::Iterative,
                 ReducedEngine::Empty => EngineKind::Empty,
             },
         }
-    }
-
-    /// Per-solve CG iteration counts of the most recent [`Self::solve_batch`]
-    /// call (0 entries for dense/full-MNA/fallback solves).
-    pub fn last_cg_iterations(&self) -> &[usize] {
-        &self.last_iterations
     }
 
     /// Attempts to update this system in place for a circuit whose element
@@ -450,8 +363,6 @@ impl PreparedSystem {
         *ops = system.ops;
         self.lin = lin;
         self.fingerprint = circuit_fingerprint(circuit);
-        self.last_x = None;
-        self.cold_iterations = None;
         VALUE_REFRESHES.inc();
         Ok(true)
     }
@@ -485,7 +396,7 @@ impl PreparedSystem {
     /// * [`CircuitError::DimensionMismatch`] for wrong RHS arity.
     /// * [`CircuitError::InvalidElement`] when one node is driven to two
     ///   different voltages by the same RHS.
-    /// * Solver failures propagated from CG / LU / Newton.
+    /// * Solver failures propagated from LU / LDLᵀ / Newton.
     pub fn solve_batch(
         &mut self,
         circuit: &Circuit,
@@ -501,7 +412,6 @@ impl PreparedSystem {
             });
         }
         BATCH_CALLS.inc();
-        self.last_iterations.clear();
         for rhs in batch {
             if rhs.volts.len() != self.n_sources {
                 return Err(CircuitError::DimensionMismatch {
@@ -512,31 +422,23 @@ impl PreparedSystem {
             }
         }
 
-        let mut solutions = Vec::with_capacity(batch.len());
-        // (rhs, x) pairs solved during this call, for WarmStart::Nearest.
-        let mut solved_this_batch: Vec<(Vec<f64>, Vec<f64>)> = Vec::new();
-        for rhs in batch {
-            BATCH_SOLVES.inc();
-            let solution = self.solve_one(circuit, rhs, &mut solved_this_batch)?;
-            solutions.push(solution);
-        }
-        Ok(solutions)
+        batch
+            .iter()
+            .map(|rhs| {
+                BATCH_SOLVES.inc();
+                self.solve_one(circuit, rhs)
+            })
+            .collect()
     }
 
-    fn solve_one(
-        &mut self,
-        circuit: &Circuit,
-        rhs: &Rhs,
-        solved_this_batch: &mut Vec<(Vec<f64>, Vec<f64>)>,
-    ) -> Result<DcSolution, CircuitError> {
+    fn solve_one(&mut self, circuit: &Circuit, rhs: &Rhs) -> Result<DcSolution, CircuitError> {
         match &mut self.kind {
             SystemKind::Nonlinear { workspace } => {
                 BATCH_FALLBACKS.inc();
-                self.last_iterations.push(0);
                 let voltages: Vec<Voltage> =
                     rhs.volts.iter().map(|&v| Voltage::from_volts(v)).collect();
                 let patched = circuit.with_source_voltages(&voltages)?;
-                solve_dc_in(&patched, &self.options.base, workspace)
+                solve_dc_in(&patched, &self.options, workspace)
             }
             SystemKind::FullMna { n_v, n, ops, lu } => {
                 let mut b = vec![0.0; *n];
@@ -548,7 +450,6 @@ impl PreparedSystem {
                     }
                 }
                 BATCH_DENSE.inc();
-                self.last_iterations.push(0);
                 let x = lu.solve(&b)?;
                 let mut voltages = vec![0.0; self.node_count];
                 voltages[1..self.node_count].copy_from_slice(&x[..*n_v]);
@@ -590,66 +491,16 @@ impl PreparedSystem {
                     ReducedEngine::Empty => Vec::new(),
                     ReducedEngine::Dense(lu) => {
                         BATCH_DENSE.inc();
-                        self.last_iterations.push(0);
                         lu.solve(&b)?
                     }
                     ReducedEngine::Sparse(workspace) => {
                         BATCH_SPARSE.inc();
-                        self.last_iterations.push(0);
                         // Only a failed refresh leaves no factor, and
                         // `prepare_or_reuse` drops such a system.
                         let ldl = workspace
                             .factored()
                             .ok_or(CircuitError::SingularSystem { at: 0 })?;
                         ldl.solve(&b)
-                    }
-                    ReducedEngine::Cg(csr) => {
-                        let x0: Option<&[f64]> = match self.options.warm_start {
-                            WarmStart::Cold => None,
-                            WarmStart::Previous => self.last_x.as_deref(),
-                            WarmStart::Nearest => solved_this_batch
-                                .iter()
-                                .min_by(|(ra, _), (rb, _)| {
-                                    let da = dist2(ra, &rhs.volts);
-                                    let db = dist2(rb, &rhs.volts);
-                                    da.total_cmp(&db)
-                                })
-                                .map(|(_, x)| x.as_slice())
-                                .or(self.last_x.as_deref()),
-                        };
-                        if x0.is_some() {
-                            BATCH_WARM_STARTS.inc();
-                        }
-                        let (x, stats) = match solve_cg_warm(csr, &b, x0, &self.options.base.cg)
-                        {
-                            Ok(result) => result,
-                            // A pathological warm start can stall where a
-                            // cold start would converge; retry cold before
-                            // giving up so the batch path is never *less*
-                            // robust than the serial one.
-                            Err(CircuitError::LinearNoConvergence { .. }) if x0.is_some() => {
-                                BATCH_COLD_RETRIES.inc();
-                                solve_cg_warm(csr, &b, None, &self.options.base.cg)?
-                            }
-                            Err(e) => return Err(e),
-                        };
-                        BATCH_CG_ITERATIONS.add(stats.iterations as u64);
-                        BATCH_CG_ITERATIONS_PER_SOLVE.record(stats.iterations as f64);
-                        self.last_iterations.push(stats.iterations);
-                        // Warm-start effectiveness: compare every warm
-                        // solve against the latest cold baseline of this
-                        // prepared system.
-                        match (x0.is_some(), self.cold_iterations) {
-                            (false, _) => self.cold_iterations = Some(stats.iterations),
-                            (true, Some(cold)) => BATCH_WARM_ITERS_SAVED
-                                .add(cold.saturating_sub(stats.iterations) as u64),
-                            (true, None) => {}
-                        }
-                        if self.options.warm_start == WarmStart::Nearest {
-                            solved_this_batch.push((rhs.volts.clone(), x.clone()));
-                        }
-                        self.last_x = Some(x.clone());
-                        x
                     }
                 };
 
@@ -698,7 +549,7 @@ pub fn solve_dc_batch(
 pub fn prepare_or_reuse<'a>(
     slot: &'a mut Option<PreparedSystem>,
     circuit: &Circuit,
-    options: &BatchOptions,
+    options: &SolveOptions,
 ) -> Result<&'a mut PreparedSystem, CircuitError> {
     let rebuild = match slot.as_mut() {
         Some(prepared) => {
@@ -739,11 +590,6 @@ pub fn prepare_or_reuse<'a>(
     }
 }
 
-#[inline]
-fn dist2(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
 /// FNV-1a over the conductance-relevant structure of a circuit.
 ///
 /// Voltage-source *values* are excluded (the batch overrides them); every
@@ -751,60 +597,7 @@ fn dist2(a: &[f64], b: &[f64]) -> f64 {
 /// cached static RHS terms — participates, so any change that would
 /// invalidate the cached assembly changes the fingerprint.
 pub fn circuit_fingerprint(circuit: &Circuit) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |x: u64| {
-        h ^= x;
-        h = h.wrapping_mul(PRIME);
-    };
-    mix(circuit.node_count() as u64);
-    mix(circuit.element_count() as u64);
-    for element in circuit.elements() {
-        match element {
-            Element::Resistor { n1, n2, resistance } => {
-                mix(1);
-                mix(*n1 as u64);
-                mix(*n2 as u64);
-                mix(resistance.ohms().to_bits());
-            }
-            Element::VoltageSource { npos, nneg, .. } => {
-                mix(2);
-                mix(*npos as u64);
-                mix(*nneg as u64);
-            }
-            Element::CurrentSource { from, to, current } => {
-                mix(3);
-                mix(*from as u64);
-                mix(*to as u64);
-                mix(current.amperes().to_bits());
-            }
-            Element::Memristor { n1, n2, state, iv } => {
-                mix(4);
-                mix(*n1 as u64);
-                mix(*n2 as u64);
-                mix(state.ohms().to_bits());
-                match iv {
-                    mnsim_tech::memristor::IvModel::Linear => mix(0),
-                    mnsim_tech::memristor::IvModel::Sinh { alpha } => {
-                        mix(1);
-                        mix(alpha.to_bits());
-                    }
-                }
-            }
-            Element::Capacitor {
-                n1,
-                n2,
-                capacitance,
-            } => {
-                mix(5);
-                mix(*n1 as u64);
-                mix(*n2 as u64);
-                mix(capacitance.farads().to_bits());
-            }
-        }
-    }
-    h
+    fingerprint(circuit, true)
 }
 
 /// FNV-1a over element kinds and node connections only — no conductance,
@@ -813,51 +606,59 @@ pub fn circuit_fingerprint(circuit: &Circuit) -> u64 {
 /// which is the precondition for refreshing a cached sparse factorization
 /// in place instead of rebuilding it.
 pub fn circuit_structure_fingerprint(circuit: &Circuit) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |x: u64| {
-        h ^= x;
-        h = h.wrapping_mul(PRIME);
+    fingerprint(circuit, false)
+}
+
+/// The one walk behind both fingerprints: every element's kind tag and
+/// nodes, then its value bits when `values` is set. The memristor I-V
+/// *kind* is structural (switching linear ↔ sinh changes the solve
+/// strategy), its `alpha` a value.
+fn fingerprint(circuit: &Circuit, values: bool) -> u64 {
+    let mut h = obs::Fnv64::new();
+    h.word(circuit.node_count() as u64)
+        .word(circuit.element_count() as u64);
+    let value = |h: &mut obs::Fnv64, x: f64| {
+        if values {
+            h.word(x.to_bits());
+        }
     };
-    mix(circuit.node_count() as u64);
-    mix(circuit.element_count() as u64);
     for element in circuit.elements() {
         match element {
-            Element::Resistor { n1, n2, .. } => {
-                mix(1);
-                mix(*n1 as u64);
-                mix(*n2 as u64);
+            Element::Resistor { n1, n2, resistance } => {
+                h.word(1).word(*n1 as u64).word(*n2 as u64);
+                value(&mut h, resistance.ohms());
             }
             Element::VoltageSource { npos, nneg, .. } => {
-                mix(2);
-                mix(*npos as u64);
-                mix(*nneg as u64);
+                h.word(2).word(*npos as u64).word(*nneg as u64);
             }
-            Element::CurrentSource { from, to, .. } => {
-                mix(3);
-                mix(*from as u64);
-                mix(*to as u64);
+            Element::CurrentSource { from, to, current } => {
+                h.word(3).word(*from as u64).word(*to as u64);
+                value(&mut h, current.amperes());
             }
-            Element::Memristor { n1, n2, iv, .. } => {
-                mix(4);
-                mix(*n1 as u64);
-                mix(*n2 as u64);
-                // The IV *kind* is structural: switching linear ↔ sinh
-                // changes the solve strategy, not just values.
+            Element::Memristor { n1, n2, state, iv } => {
+                h.word(4).word(*n1 as u64).word(*n2 as u64);
+                value(&mut h, state.ohms());
                 match iv {
-                    mnsim_tech::memristor::IvModel::Linear => mix(0),
-                    mnsim_tech::memristor::IvModel::Sinh { .. } => mix(1),
+                    mnsim_tech::memristor::IvModel::Linear => {
+                        h.word(0);
+                    }
+                    mnsim_tech::memristor::IvModel::Sinh { alpha } => {
+                        h.word(1);
+                        value(&mut h, *alpha);
+                    }
                 }
             }
-            Element::Capacitor { n1, n2, .. } => {
-                mix(5);
-                mix(*n1 as u64);
-                mix(*n2 as u64);
+            Element::Capacitor {
+                n1,
+                n2,
+                capacitance,
+            } => {
+                h.word(5).word(*n1 as u64).word(*n2 as u64);
+                value(&mut h, capacitance.farads());
             }
         }
     }
-    h
+    h.finish()
 }
 
 /// Marks the nodes `bindings` drive, for [`assemble_reduced`].
@@ -870,14 +671,13 @@ fn driven_nodes(node_count: usize, bindings: &[(usize, f64)]) -> Vec<bool> {
 }
 
 /// Assembles the reduced system and attaches the linear engine selected by
-/// `options.base.method` (dense LU below [`crate::solve`]'s cutoff, sparse
-/// LDLᵀ up to very large systems, CG beyond — or whichever the caller
-/// pinned explicitly).
+/// `options.method` (dense LU below [`crate::solve`]'s cutoff, sparse LDLᵀ
+/// above — or whichever the caller pinned explicitly).
 fn build_reduced(
     circuit: &Circuit,
     lin: &[Option<Linearized>],
     bindings: &[(usize, f64)],
-    options: &BatchOptions,
+    options: &SolveOptions,
 ) -> Result<SystemKind, CircuitError> {
     let ReducedSystem {
         index,
@@ -889,13 +689,7 @@ fn build_reduced(
     let engine = if unknowns == 0 {
         ReducedEngine::Empty
     } else {
-        let choice = match options.base.method {
-            Method::Cg => LinearEngine::Cg,
-            Method::DenseLu => LinearEngine::Dense,
-            Method::SparseLu => LinearEngine::Sparse,
-            Method::Auto => auto_engine(unknowns),
-        };
-        match choice {
+        match LinearEngine::pick(options.method, unknowns) {
             LinearEngine::Dense => {
                 let csr = stamps.to_csr();
                 ReducedEngine::Dense(DenseMatrix::from_rows(&csr.to_dense()).factor()?)
@@ -905,7 +699,6 @@ fn build_reduced(
                 workspace.factor(&stamps)?;
                 ReducedEngine::Sparse(workspace)
             }
-            LinearEngine::Cg => ReducedEngine::Cg(stamps.to_csr()),
         }
     };
 
@@ -1035,6 +828,18 @@ mod tests {
             .collect()
     }
 
+    /// Both fingerprints of a fixed 2×2 crossbar. They key persisted
+    /// caches, so these values must never change.
+    #[test]
+    fn fingerprints_are_pinned() {
+        let xbar = spec(2, 2).build().unwrap();
+        assert_eq!(circuit_fingerprint(xbar.circuit()), 0xf530_b74e_49f1_edab);
+        assert_eq!(
+            circuit_structure_fingerprint(xbar.circuit()),
+            0xc7e1_fa95_89bf_701d
+        );
+    }
+
     #[test]
     fn prepared_systems_are_thread_portable() {
         // The parallel execution engine shares built circuits across worker
@@ -1051,9 +856,8 @@ mod tests {
     #[test]
     fn batch_matches_serial_bitwise_on_dense_path() {
         let xbar = spec(3, 3).build().unwrap(); // 18 unknowns → Auto = dense
-        let options = BatchOptions::default();
-        let mut prepared = PreparedSystem::build(xbar.circuit(), options).unwrap();
-        assert!(!prepared.uses_cg());
+        let mut prepared = PreparedSystem::build(xbar.circuit(), SolveOptions::default()).unwrap();
+        assert_eq!(prepared.engine_kind(), EngineKind::Dense);
         for k in 0..4 {
             let inputs = ramp_inputs(3, k);
             let rhs = Rhs::from_voltages(&inputs);
@@ -1065,32 +869,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_serial_bitwise_on_cold_cg_path() {
-        let xbar = spec(8, 8).build().unwrap(); // 128 unknowns
-        let serial_options = SolveOptions {
-            method: Method::Cg,
-            ..SolveOptions::default()
-        };
-        let options = BatchOptions {
-            base: serial_options.clone(),
-            warm_start: WarmStart::Cold,
-        };
-        let mut prepared = PreparedSystem::build(xbar.circuit(), options).unwrap();
-        assert!(prepared.uses_cg());
-        for k in 0..3 {
-            let inputs = ramp_inputs(8, k);
-            let rhs = Rhs::from_voltages(&inputs);
-            let got = prepared.solve(xbar.circuit(), &rhs).unwrap();
-            let patched = xbar.circuit().with_source_voltages(&inputs).unwrap();
-            let want = solve_dc(&patched, &serial_options).unwrap();
-            assert_eq!(got.voltages(), want.voltages());
-        }
-    }
-
-    #[test]
     fn batch_matches_serial_bitwise_on_sparse_path() {
         let xbar = spec(8, 8).build().unwrap(); // 128 unknowns → Auto = sparse
-        let options = BatchOptions::default();
+        let options = SolveOptions::default();
         let mut prepared = PreparedSystem::build(xbar.circuit(), options).unwrap();
         assert_eq!(prepared.engine_kind(), EngineKind::SparseDirect);
         for k in 0..3 {
@@ -1112,7 +893,7 @@ mod tests {
         let faulty = faulty_spec.build().unwrap();
 
         let mut slot: Option<PreparedSystem> = None;
-        let options = BatchOptions::default();
+        let options = SolveOptions::default();
         prepare_or_reuse(&mut slot, clean.circuit(), &options).unwrap();
         assert_eq!(
             slot.as_ref().unwrap().engine_kind(),
@@ -1142,7 +923,7 @@ mod tests {
     fn empty_batch_returns_no_solutions() {
         let xbar = spec(2, 2).build().unwrap();
         let mut prepared =
-            PreparedSystem::build(xbar.circuit(), BatchOptions::default()).unwrap();
+            PreparedSystem::build(xbar.circuit(), SolveOptions::default()).unwrap();
         let solutions = solve_dc_batch(&mut prepared, xbar.circuit(), &[]).unwrap();
         assert!(solutions.is_empty());
     }
@@ -1155,7 +936,7 @@ mod tests {
         let clean_xbar = clean.build().unwrap();
         let mutated_xbar = mutated.build().unwrap();
         let mut prepared =
-            PreparedSystem::build(clean_xbar.circuit(), BatchOptions::default()).unwrap();
+            PreparedSystem::build(clean_xbar.circuit(), SolveOptions::default()).unwrap();
         let rhs = Rhs::from_voltages(&ramp_inputs(2, 0));
         let err = prepared
             .solve_batch(mutated_xbar.circuit(), std::slice::from_ref(&rhs))
@@ -1173,7 +954,7 @@ mod tests {
     fn prepare_or_reuse_rebuilds_on_change() {
         let clean_xbar = spec(2, 2).build().unwrap();
         let mut slot: Option<PreparedSystem> = None;
-        let options = BatchOptions::default();
+        let options = SolveOptions::default();
         let first = prepare_or_reuse(&mut slot, clean_xbar.circuit(), &options)
             .unwrap()
             .fingerprint();
@@ -1194,7 +975,7 @@ mod tests {
     fn rhs_arity_checked() {
         let xbar = spec(3, 3).build().unwrap();
         let mut prepared =
-            PreparedSystem::build(xbar.circuit(), BatchOptions::default()).unwrap();
+            PreparedSystem::build(xbar.circuit(), SolveOptions::default()).unwrap();
         let rhs = Rhs::from_volts(&[1.0, 2.0]); // 3 sources expected
         assert!(matches!(
             prepared.solve(xbar.circuit(), &rhs),
@@ -1208,7 +989,7 @@ mod tests {
         s.iv = IvModel::Sinh { alpha: 2.0 };
         let xbar = s.build().unwrap();
         let mut prepared =
-            PreparedSystem::build(xbar.circuit(), BatchOptions::default()).unwrap();
+            PreparedSystem::build(xbar.circuit(), SolveOptions::default()).unwrap();
         let inputs = ramp_inputs(2, 1);
         let got = prepared
             .solve(xbar.circuit(), &Rhs::from_voltages(&inputs))
@@ -1228,7 +1009,7 @@ mod tests {
 
         // The Jacobian has the linear system's pattern, so the linear
         // system's sparse factor is the size to expect.
-        let linear_system = PreparedSystem::build(linear.circuit(), BatchOptions::default()).unwrap();
+        let linear_system = PreparedSystem::build(linear.circuit(), SolveOptions::default()).unwrap();
         let factor_bytes = match &linear_system.kind {
             SystemKind::Reduced {
                 engine: ReducedEngine::Sparse(workspace),
@@ -1238,7 +1019,7 @@ mod tests {
         };
 
         let mut prepared =
-            PreparedSystem::build(nonlinear.circuit(), BatchOptions::default()).unwrap();
+            PreparedSystem::build(nonlinear.circuit(), SolveOptions::default()).unwrap();
         let before = prepared.approx_bytes();
         prepared
             .solve(nonlinear.circuit(), &Rhs::from_voltages(&ramp_inputs(8, 0)))
@@ -1261,7 +1042,7 @@ mod tests {
         c.add_resistor(b, Circuit::GROUND, Resistance::from_ohms(100.0))
             .unwrap();
         c.add_voltage_source(a, b, Voltage::from_volts(2.0)).unwrap();
-        let mut prepared = PreparedSystem::build(&c, BatchOptions::default()).unwrap();
+        let mut prepared = PreparedSystem::build(&c, SolveOptions::default()).unwrap();
         for v in [1.0, 2.0, -3.0] {
             let rhs = Rhs::from_volts(&[v]);
             let got = prepared.solve(&c, &rhs).unwrap();
@@ -1271,36 +1052,6 @@ mod tests {
             let want = solve_dc(&patched, &SolveOptions::default()).unwrap();
             assert_eq!(got.voltages(), want.voltages());
         }
-    }
-
-    #[test]
-    fn warm_start_reduces_iterations_on_correlated_batch() {
-        let xbar = spec(10, 10).build().unwrap(); // 200 unknowns
-        let batch: Vec<Rhs> = (0..6)
-            .map(|k| Rhs::from_voltages(&ramp_inputs(10, k)))
-            .collect();
-        let run = |warm_start: WarmStart| -> Vec<usize> {
-            let options = BatchOptions {
-                base: SolveOptions {
-                    method: Method::Cg,
-                    ..SolveOptions::default()
-                },
-                warm_start,
-            };
-            let mut prepared = PreparedSystem::build(xbar.circuit(), options).unwrap();
-            prepared.solve_batch(xbar.circuit(), &batch).unwrap();
-            prepared.last_cg_iterations().to_vec()
-        };
-        let cold = run(WarmStart::Cold);
-        let warm = run(WarmStart::Previous);
-        let cold_total: usize = cold.iter().sum();
-        let warm_total: usize = warm.iter().sum();
-        assert!(
-            warm_total < cold_total,
-            "warm {warm_total} !< cold {cold_total}"
-        );
-        // First solve of both runs is cold, so they match exactly.
-        assert_eq!(cold[0], warm[0]);
     }
 
     #[test]
@@ -1315,7 +1066,7 @@ mod tests {
             .unwrap();
         c.add_resistor(a, Circuit::GROUND, Resistance::from_ohms(10.0))
             .unwrap();
-        let mut prepared = PreparedSystem::build(&c, BatchOptions::default()).unwrap();
+        let mut prepared = PreparedSystem::build(&c, SolveOptions::default()).unwrap();
         assert!(prepared.solve(&c, &Rhs::from_volts(&[2.0, 2.0])).is_ok());
         assert!(matches!(
             prepared.solve(&c, &Rhs::from_volts(&[1.0, 2.0])),

@@ -2,9 +2,8 @@
 //!
 //! The full modified-nodal-analysis matrix (with voltage-source branch
 //! currents) is not symmetric positive-definite, so the general solve path
-//! uses LU. Crossbar validation circuits are moderate in size; for the very
-//! large symmetric cases the solver switches to conjugate gradients
-//! ([`crate::cg`]) instead.
+//! uses LU. It also solves small reduced systems (below 96 unknowns);
+//! larger symmetric ones go to the sparse LDLᵀ of [`crate::ldl`].
 
 use crate::error::CircuitError;
 

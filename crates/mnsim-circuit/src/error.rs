@@ -13,15 +13,6 @@ pub enum CircuitError {
         /// Row/unknown index at which the factorization broke down.
         at: usize,
     },
-    /// The iterative linear solver did not reach the requested tolerance.
-    LinearNoConvergence {
-        /// Iterations performed.
-        iterations: usize,
-        /// Residual norm when the solver gave up.
-        residual: f64,
-        /// Requested tolerance.
-        tolerance: f64,
-    },
     /// The Newton-Raphson loop did not converge.
     NewtonNoConvergence {
         /// Iterations performed.
@@ -58,30 +49,9 @@ pub enum CircuitError {
     /// A solver produced NaN or infinite node voltages / branch currents —
     /// numerically meaningless output that must not be used.
     NonFiniteSolution {
-        /// Which solver stage produced the values (e.g. "cg", "dense-lu").
+        /// Which recovery rung produced the values (e.g. "base",
+        /// "dense-lu").
         stage: &'static str,
-    },
-    /// The iterative linear solver's residual (or an internal quadratic
-    /// form) became NaN or infinite mid-iteration. Unlike
-    /// [`CircuitError::LinearNoConvergence`], this is detected **as soon
-    /// as it happens** — the iteration budget is not burned on a solve
-    /// that can no longer produce a meaningful answer.
-    LinearNonFinite {
-        /// Iterations performed before the breakdown was detected.
-        iterations: usize,
-    },
-    /// The iterative linear solver stopped making progress: no new best
-    /// residual over the configured stagnation window (see
-    /// [`CgOptions::stagnation_window`](crate::cg::CgOptions::stagnation_window)).
-    /// Fails fast so the recovery ladder can escalate instead of burning
-    /// the remaining iteration budget.
-    LinearStagnated {
-        /// Iterations performed when stagnation was declared.
-        iterations: usize,
-        /// Relative residual at that point.
-        residual: f64,
-        /// The window (iterations without improvement) that triggered.
-        window: usize,
     },
     /// A [`crate::batch::PreparedSystem`] was asked to solve a circuit whose
     /// conductance structure no longer matches the one it was built from
@@ -105,14 +75,6 @@ impl fmt::Display for CircuitError {
             CircuitError::SingularSystem { at } => {
                 write!(f, "singular nodal system (pivot breakdown at unknown {at}); check for floating nodes")
             }
-            CircuitError::LinearNoConvergence {
-                iterations,
-                residual,
-                tolerance,
-            } => write!(
-                f,
-                "linear solver stalled after {iterations} iterations (residual {residual:.3e} > tolerance {tolerance:.3e})"
-            ),
             CircuitError::NewtonNoConvergence {
                 iterations,
                 last_update,
@@ -133,19 +95,6 @@ impl fmt::Display for CircuitError {
             CircuitError::NonFiniteSolution { stage } => {
                 write!(f, "solver stage `{stage}` produced non-finite voltages or currents")
             }
-            CircuitError::LinearNonFinite { iterations } => write!(
-                f,
-                "linear solver residual became non-finite after {iterations} iterations"
-            ),
-            CircuitError::LinearStagnated {
-                iterations,
-                residual,
-                window,
-            } => write!(
-                f,
-                "linear solver stagnated: no residual improvement over {window} iterations \
-                 (stopped after {iterations} iterations at residual {residual:.3e})"
-            ),
             CircuitError::StalePreparedSystem { expected, actual } => write!(
                 f,
                 "prepared system is stale: built for circuit fingerprint {expected:#018x}, \

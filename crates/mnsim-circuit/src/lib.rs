@@ -5,7 +5,6 @@
 //!
 //! * [`sparse`] — CSR and CSC sparse matrices with triplet assembly,
 //! * [`dense`] — dense LU with partial pivoting,
-//! * [`cg`] — Jacobi-preconditioned conjugate gradients,
 //! * [`mna`] — circuit representation (resistors, sources, memristors),
 //! * [`solve`] — DC operating-point analysis with Newton-Raphson for
 //!   non-linear memristor cells,
@@ -15,16 +14,16 @@
 //!   factorization) with a cached symbolic analysis and a numeric-only
 //!   `refactor()` for same-pattern value updates,
 //! * [`batch`] — multi-RHS solving over a [`batch::PreparedSystem`] that
-//!   caches the assembled system (dense LU below 96 unknowns, sparse LDLᵀ
-//!   above) per conductance structure and warm-starts CG across correlated
-//!   inputs,
+//!   caches the assembled and factored system (dense LU below 96 unknowns,
+//!   sparse LDLᵀ above) per conductance structure, so each input costs one
+//!   backsolve,
 //! * [`crossbar`] — memristor-crossbar netlist construction matching the
 //!   paper's resistor-network model (cells + `2MN` wire segments + sensing
 //!   resistors), with optional hard-defect overlays (stuck cells, broken
 //!   lines),
 //! * [`recovery`] — a fault-tolerant solve ladder (`solve_robust`) that
-//!   escalates the base solve → relaxed CG → sparse LDLᵀ → dense LU and
-//!   reports how the answer was obtained,
+//!   retries a failed base solve on the other direct engine (dense LU only
+//!   below 96 unknowns) and reports how the answer was obtained,
 //! * [`transient`] — backward-Euler transient analysis (RC settling),
 //! * [`netlist`] — SPICE netlist export/import.
 //!
@@ -62,7 +61,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod batch;
-pub mod cg;
 pub mod crossbar;
 pub mod dense;
 pub mod error;
@@ -74,16 +72,11 @@ pub mod solve;
 pub mod sparse;
 pub mod transient;
 
-pub use batch::{
-    prepare_or_reuse, solve_dc_batch, BatchOptions, PreparedSystem, Rhs, WarmStart,
-};
+pub use batch::{prepare_or_reuse, solve_dc_batch, PreparedSystem, Rhs};
 pub use crossbar::{CrossbarCircuit, CrossbarSpec, FaultOverlay};
 pub use error::CircuitError;
 pub use ldl::{analyze, SparseLdl, SymbolicAnalysis};
 pub use mna::{Circuit, DcSolution, Element, NodeId};
-pub use cg::{CgOptions, IterationCap};
-pub use recovery::{
-    solve_robust, EarlyEscalation, RecoveryReport, RecoveryStage, RobustOptions, SolveGuard,
-};
+pub use recovery::{solve_robust, EarlyEscalation, RecoveryReport, RecoveryStage, SolveGuard};
 pub use solve::{solve_dc, Method, SolveOptions};
 pub use transient::{solve_transient, TransientOptions, TransientResult};

@@ -5,11 +5,10 @@
 //! 1. **Linear circuits** are solved in one shot. If every voltage source is
 //!    referenced to ground (true for every crossbar netlist), the nodal
 //!    matrix reduced over the driven nodes is symmetric positive-definite.
-//!    `Method::Auto` picks its engine by size: dense LU below 96 unknowns,
-//!    the sparse LDLᵀ engine of [`crate::ldl`] up to 200 000, and
-//!    Jacobi-preconditioned conjugate gradients beyond. Circuits with
-//!    floating sources use a dense LU over the full modified-nodal-analysis
-//!    system.
+//!    `Method::Auto` picks its engine by size: dense LU below 96 unknowns
+//!    and the sparse LDLᵀ engine of [`crate::ldl`] at every size above.
+//!    Circuits with floating sources use a dense LU over the full
+//!    modified-nodal-analysis system.
 //! 2. **Non-linear circuits** (memristors with a sinh I-V model) are solved
 //!    by Newton-Raphson: each memristor is replaced by its companion model
 //!    (differential conductance + equivalent current source) at the present
@@ -25,13 +24,10 @@
 use mnsim_obs as obs;
 use mnsim_tech::memristor::IvModel;
 
-use crate::cg::{solve_cg, CgOptions};
-
 static DC_SOLVES: obs::Counter = obs::Counter::new("circuit.solve.dc_solves");
 static DC_SPAN: obs::Span = obs::Span::new("circuit.solve.dc");
 static LINEAR_DENSE: obs::Counter = obs::Counter::new("circuit.solve.dense_lu");
 static LINEAR_SPARSE: obs::Counter = obs::Counter::new("circuit.solve.sparse_lu");
-static LINEAR_CG: obs::Counter = obs::Counter::new("circuit.solve.cg");
 static LINEAR_FULL_MNA: obs::Counter = obs::Counter::new("circuit.solve.full_mna");
 static NEWTON_ITERATIONS: obs::Counter = obs::Counter::new("circuit.solve.newton_iterations");
 use crate::dense::DenseMatrix;
@@ -40,20 +36,18 @@ use crate::ldl::SparseLdl;
 use crate::mna::{Circuit, DcSolution, Element};
 use crate::sparse::TripletMatrix;
 
-/// Linear-solver selection.
+/// Linear-solver selection for grounded-source systems (floating sources
+/// always use full MNA).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Method {
-    /// Dense LU below `DENSE_CUTOFF` (96) unknowns, sparse LDLᵀ up to
-    /// `SPARSE_CUTOFF` (200 000), conjugate gradients beyond (all for
-    /// grounded-source systems; floating sources use full MNA).
+    /// Dense LU below `DENSE_CUTOFF` (96) unknowns, sparse LDLᵀ at every
+    /// size above.
     #[default]
     Auto,
     /// Force the dense LU path (exact, `O(n³)`).
     DenseLu,
     /// Force the sparse direct path ([`crate::ldl`]; exact, fill-bounded).
     SparseLu,
-    /// Force conjugate gradients (requires grounded voltage sources).
-    Cg,
 }
 
 /// Options for [`solve_dc`].
@@ -61,8 +55,6 @@ pub enum Method {
 pub struct SolveOptions {
     /// Linear-solver selection.
     pub method: Method,
-    /// Conjugate-gradient parameters.
-    pub cg: CgOptions,
     /// Newton convergence threshold on the largest node-voltage update, in
     /// volts.
     pub newton_tolerance: f64,
@@ -74,7 +66,6 @@ impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
             method: Method::Auto,
-            cg: CgOptions::default(),
             newton_tolerance: 1e-9,
             newton_max_iterations: 60,
         }
@@ -82,14 +73,10 @@ impl Default for SolveOptions {
 }
 
 /// Number of unknowns below which `Method::Auto` prefers the dense LU.
-/// Shared with [`crate::batch`] so prepared systems pick the same path.
+/// Shared with [`crate::batch`] so prepared systems pick the same path,
+/// and with [`crate::recovery`], which never builds a dense matrix this
+/// large.
 pub(crate) const DENSE_CUTOFF: usize = 96;
-
-/// Number of unknowns at which `Method::Auto` stops using the sparse
-/// direct path and switches to conjugate gradients: a 256×256 crossbar
-/// (~131k unknowns) still factorizes comfortably, while 512×512 (~524k)
-/// would pay more in fill memory than CG pays in iterations.
-pub(crate) const SPARSE_CUTOFF: usize = 200_000;
 
 /// The concrete linear engine a reduced (grounded-source) solve uses.
 /// Shared with [`crate::batch`] so prepared systems pick the same path as
@@ -100,18 +87,18 @@ pub(crate) enum LinearEngine {
     Dense,
     /// Sparse LDLᵀ ([`crate::ldl`]) behind a [`SparseWorkspace`].
     Sparse,
-    /// Jacobi-preconditioned conjugate gradients.
-    Cg,
 }
 
-/// `Method::Auto` engine choice by problem size.
-pub(crate) fn auto_engine(unknowns: usize) -> LinearEngine {
-    if unknowns < DENSE_CUTOFF {
-        LinearEngine::Dense
-    } else if unknowns < SPARSE_CUTOFF {
-        LinearEngine::Sparse
-    } else {
-        LinearEngine::Cg
+impl LinearEngine {
+    /// The engine `method` picks for a reduced system of `unknowns`
+    /// unknowns.
+    pub(crate) fn pick(method: Method, unknowns: usize) -> Self {
+        match method {
+            Method::DenseLu => LinearEngine::Dense,
+            Method::SparseLu => LinearEngine::Sparse,
+            Method::Auto if unknowns < DENSE_CUTOFF => LinearEngine::Dense,
+            Method::Auto => LinearEngine::Sparse,
+        }
     }
 }
 
@@ -229,9 +216,8 @@ pub(crate) struct Linearized {
 /// # Errors
 ///
 /// Propagates solver failures ([`CircuitError::SingularSystem`],
-/// [`CircuitError::LinearNoConvergence`],
-/// [`CircuitError::NewtonNoConvergence`]) and topology errors (a node driven
-/// by two conflicting sources, CG requested for floating sources).
+/// [`CircuitError::NewtonNoConvergence`]) and topology errors (a node
+/// driven by two conflicting sources).
 pub fn solve_dc(circuit: &Circuit, options: &SolveOptions) -> Result<DcSolution, CircuitError> {
     solve_dc_in(circuit, options, &mut SparseWorkspace::default())
 }
@@ -369,6 +355,19 @@ fn classify_sources(circuit: &Circuit) -> Result<SourceInfo, CircuitError> {
     })
 }
 
+/// The number of unknowns of `circuit`'s reduced system, or `None` when it
+/// has floating sources and solves by full MNA instead.
+///
+/// # Errors
+///
+/// A node driven to two different voltages.
+pub(crate) fn reduced_unknowns(circuit: &Circuit) -> Result<Option<usize>, CircuitError> {
+    let sources = classify_sources(circuit)?;
+    Ok(sources
+        .all_grounded
+        .then(|| sources.driven.iter().skip(1).filter(|v| v.is_none()).count()))
+}
+
 /// Solves the linearized circuit, returning the full node-voltage vector.
 /// The sparse-direct engine factors through `workspace`.
 pub(crate) fn solve_linear(
@@ -379,21 +378,10 @@ pub(crate) fn solve_linear(
 ) -> Result<Vec<f64>, CircuitError> {
     let sources = classify_sources(circuit)?;
     if !sources.all_grounded {
-        if options.method == Method::Cg {
-            return Err(CircuitError::InvalidElement {
-                reason: "conjugate-gradient path requires all voltage sources grounded".into(),
-            });
-        }
         return solve_full_mna(circuit, lin);
     }
     let is_driven: Vec<bool> = sources.driven.iter().map(Option::is_some).collect();
     let system = assemble_reduced(circuit, lin, &is_driven);
-    let engine = match options.method {
-        Method::Cg => LinearEngine::Cg,
-        Method::DenseLu => LinearEngine::Dense,
-        Method::SparseLu => LinearEngine::Sparse,
-        Method::Auto => auto_engine(system.unknowns),
-    };
     // Scaled ops only name ground and driven nodes.
     let voltage = |node: usize| {
         sources.driven[node]
@@ -405,7 +393,7 @@ pub(crate) fn solve_linear(
     let x = if system.unknowns == 0 {
         Vec::new()
     } else {
-        match engine {
+        match LinearEngine::pick(options.method, system.unknowns) {
             LinearEngine::Dense => {
                 LINEAR_DENSE.inc();
                 let csr = system.stamps.to_csr();
@@ -414,11 +402,6 @@ pub(crate) fn solve_linear(
             LinearEngine::Sparse => {
                 LINEAR_SPARSE.inc();
                 workspace.solve(&system.stamps, &b)?
-            }
-            LinearEngine::Cg => {
-                LINEAR_CG.inc();
-                let csr = system.stamps.to_csr();
-                solve_cg(&csr, &b, &options.cg)?.0
             }
         }
     };
@@ -967,7 +950,7 @@ mod tests {
             .unwrap();
         c.add_resistor(mid, Circuit::GROUND, Resistance::from_ohms(100.0))
             .unwrap();
-        for method in [Method::Auto, Method::DenseLu, Method::SparseLu, Method::Cg] {
+        for method in [Method::Auto, Method::DenseLu, Method::SparseLu] {
             let options = SolveOptions {
                 method,
                 ..SolveOptions::default()
@@ -1051,23 +1034,6 @@ mod tests {
         // Symmetry: va = +1, vb = −1.
         assert_close(sol.voltage(a).volts(), 1.0, 1e-9);
         assert_close(sol.voltage(b).volts(), -1.0, 1e-9);
-    }
-
-    #[test]
-    fn cg_rejects_floating_sources() {
-        let mut c = Circuit::new();
-        let a = c.add_node();
-        let b = c.add_node();
-        c.add_resistor(a, Circuit::GROUND, Resistance::from_ohms(1.0))
-            .unwrap();
-        c.add_resistor(b, Circuit::GROUND, Resistance::from_ohms(1.0))
-            .unwrap();
-        c.add_voltage_source(a, b, Voltage::from_volts(1.0)).unwrap();
-        let options = SolveOptions {
-            method: Method::Cg,
-            ..SolveOptions::default()
-        };
-        assert!(solve_dc(&c, &options).is_err());
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The conductance matrices of crossbar resistor networks are extremely
 //! sparse (≈5 non-zeros per row regardless of size), so the circuit solver
 //! assembles them in triplet (COO) form and converts once to a compressed
-//! format: [`CsrMatrix`] for fast matrix-vector products inside the
-//! conjugate-gradient loop, [`CscMatrix`] for the column-oriented sparse
-//! LDLᵀ factorization in [`crate::ldl`].
+//! format: [`CsrMatrix`] on the way to the dense LU of small systems,
+//! [`CscMatrix`] for the column-oriented sparse LDLᵀ factorization in
+//! [`crate::ldl`].
 
 use std::fmt;
 
@@ -201,57 +201,6 @@ impl CsrMatrix {
             Ok(pos) => self.values[start + pos],
             Err(_) => 0.0,
         }
-    }
-
-    /// The diagonal entries as a vector (0.0 where structurally absent).
-    pub fn diagonal(&self) -> Vec<f64> {
-        (0..self.rows.min(self.cols))
-            .map(|i| self.get(i, i))
-            .collect()
-    }
-
-    /// Dense `y = A·x` product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.cols()` or `y.len() != self.rows()`.
-    pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols, "x length mismatch");
-        assert_eq!(y.len(), self.rows, "y length mismatch");
-        for (r, yr) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                acc += self.values[k] * x[self.col_idx[k]];
-            }
-            *yr = acc;
-        }
-    }
-
-    /// Allocating variant of [`Self::mul_vec_into`].
-    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.rows];
-        self.mul_vec_into(x, &mut y);
-        y
-    }
-
-    /// Returns `true` if the matrix is exactly symmetric in its stored
-    /// pattern and values (within `tol` relative tolerance).
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if self.rows != self.cols {
-            return false;
-        }
-        for r in 0..self.rows {
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                let c = self.col_idx[k];
-                let v = self.values[k];
-                let vt = self.get(c, r);
-                let scale = v.abs().max(vt.abs()).max(1e-300);
-                if (v - vt).abs() / scale > tol {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// Converts to a dense row-major matrix (testing / small-system LU).
@@ -459,37 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn mat_vec_product() {
-        let m = small();
-        let y = m.mul_vec(&[1.0, 2.0, 3.0]);
-        assert_eq!(y, vec![0.0, 0.0, 4.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "x length mismatch")]
-    fn mat_vec_dimension_check() {
-        let m = small();
-        let _ = m.mul_vec(&[1.0, 2.0]);
-    }
-
-    #[test]
-    fn diagonal_extraction() {
-        let m = small();
-        assert_eq!(m.diagonal(), vec![2.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    fn symmetry_check() {
-        let m = small();
-        assert!(m.is_symmetric(1e-12));
-
-        let mut t = TripletMatrix::new(2, 2);
-        t.add(0, 1, 1.0);
-        t.add(1, 0, 2.0);
-        assert!(!t.to_csr().is_symmetric(1e-12));
-    }
-
-    #[test]
     fn dense_roundtrip() {
         let m = small();
         let d = m.to_dense();
@@ -504,7 +422,9 @@ mod tests {
         t.add(3, 3, 1.0);
         let m = t.to_csr();
         assert_eq!(m.nnz(), 2);
-        let y = m.mul_vec(&[1.0, 1.0, 1.0, 1.0]);
-        assert_eq!(y, vec![1.0, 0.0, 0.0, 1.0]);
+        let d = m.to_dense();
+        assert_eq!(d[0], vec![1.0, 0.0, 0.0, 0.0]);
+        assert!(d[1].iter().chain(&d[2]).all(|&v| v == 0.0));
+        assert_eq!(d[3], vec![0.0, 0.0, 0.0, 1.0]);
     }
 }

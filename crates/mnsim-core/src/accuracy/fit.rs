@@ -8,8 +8,9 @@
 //! squared model-vs-circuit residual and reports the RMSE the paper quotes
 //! (< 0.01).
 
-use mnsim_circuit::batch::{BatchOptions, PreparedSystem};
+use mnsim_circuit::batch::PreparedSystem;
 use mnsim_circuit::crossbar::CrossbarSpec;
+use mnsim_circuit::solve::SolveOptions;
 use mnsim_tech::interconnect::InterconnectNode;
 use mnsim_tech::memristor::MemristorModel;
 use mnsim_tech::units::{Resistance, Voltage};
@@ -74,8 +75,8 @@ pub fn measure_circuit_error_rate(
 ///
 /// The circuit is assembled and factored once as a
 /// [`PreparedSystem`]; every amplitude is a re-driven right-hand side, so
-/// the sweep costs one assembly plus one backsolve (or warm-started CG run)
-/// per point. `amplitudes = [1.0]` reproduces
+/// the sweep costs one assembly and factorization plus one backsolve per
+/// point. `amplitudes = [1.0]` reproduces
 /// [`measure_circuit_error_rate`] exactly.
 ///
 /// # Errors
@@ -108,7 +109,7 @@ pub fn measure_circuit_error_rates(
     );
     spec.iv = device.iv;
     let xbar = spec.build()?;
-    let mut prepared = PreparedSystem::build(xbar.circuit(), BatchOptions::default())?;
+    let mut prepared = PreparedSystem::build(xbar.circuit(), SolveOptions::default())?;
     let rs_m = sense_resistance.ohms() * size as f64;
 
     let mut rates = Vec::with_capacity(amplitudes.len());

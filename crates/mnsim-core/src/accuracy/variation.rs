@@ -8,8 +8,9 @@
 //! model's `±σ` envelope (the paper: "the verification result of the
 //! variation-considered model is similar to that shown in Fig. 5").
 
-use mnsim_circuit::batch::{prepare_or_reuse, BatchOptions, PreparedSystem};
+use mnsim_circuit::batch::{prepare_or_reuse, PreparedSystem};
 use mnsim_circuit::crossbar::CrossbarSpec;
+use mnsim_circuit::solve::SolveOptions;
 use mnsim_tech::interconnect::InterconnectNode;
 use mnsim_tech::memristor::MemristorModel;
 use mnsim_tech::units::Resistance;
@@ -100,7 +101,7 @@ pub fn measure_variation(
     // fingerprint and refactors the cached factorization for the new values
     // (or rebuilds when it cannot), never solving a stale system.
     let mut prepared_slot: Option<PreparedSystem> = None;
-    let batch_options = BatchOptions::default();
+    let solve_options = SolveOptions::default();
     for _ in 0..runs {
         let states: Vec<Resistance> = (0..size * size)
             .map(|_| {
@@ -119,7 +120,7 @@ pub fn measure_variation(
             faults: None,
         };
         let built = spec.build()?;
-        let prepared = prepare_or_reuse(&mut prepared_slot, built.circuit(), &batch_options)?;
+        let prepared = prepare_or_reuse(&mut prepared_slot, built.circuit(), &solve_options)?;
         let rhs = built.input_rhs(&vec![device.v_read; size])?;
         let solution = prepared.solve(built.circuit(), &rhs)?;
         let v_act = built.output_voltages(&solution)[size - 1].volts();

@@ -3,8 +3,7 @@
 //! A process that evaluates many configurations (the `mnsim-serve`
 //! session server, a DSE driver, a notebook-style exploration loop)
 //! repeatedly rebuilds the same expensive artifacts: full simulation
-//! [`Report`]s, validation tables, DSE fronts, and prepared circuit
-//! systems with their cached factorizations. [`ArtifactCache`] keeps
+//! [`Report`]s, validation tables and DSE fronts. [`ArtifactCache`] keeps
 //! them across requests, keyed by the same FNV-1a config fingerprints
 //! the checkpoint layer uses (see [`crate::checkpoint::fnv64`]), under
 //! a configurable byte budget with strict least-recently-used eviction.
@@ -20,8 +19,6 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use mnsim_obs as obs;
-
-use mnsim_circuit::batch::PreparedSystem;
 
 use crate::dse::DseResult;
 use crate::simulate::Report;
@@ -46,18 +43,6 @@ pub enum Artifact {
     Validation(Arc<Vec<ValidationRow>>),
     /// A design-space exploration result (full or partial front).
     DseFront(Arc<DseResult>),
-    /// A prepared circuit system (assembled structure + cached
-    /// factorization). Shared behind a mutex because solving mutates
-    /// warm-start state.
-    Prepared(Arc<Mutex<PreparedSystem>>),
-    /// An opaque serialized payload (e.g. trained weights in text form),
-    /// tagged with a kind label.
-    Payload {
-        /// What the payload is (`"weights"`, `"report_json"`, …).
-        kind: &'static str,
-        /// The serialized bytes.
-        data: Arc<String>,
-    },
 }
 
 impl Artifact {
@@ -77,11 +62,6 @@ impl Artifact {
                     .map(|p| 64 + report_approx_bytes(&p.report))
                     .sum::<usize>()
             }
-            Artifact::Prepared(system) => match system.lock() {
-                Ok(sys) => sys.approx_bytes(),
-                Err(poisoned) => poisoned.into_inner().approx_bytes(),
-            },
-            Artifact::Payload { data, .. } => 64 + data.len(),
         }
     }
 }
@@ -163,8 +143,8 @@ impl std::fmt::Debug for ArtifactCache {
 }
 
 impl ArtifactCache {
-    /// Default budget: 256 MiB, comfortably above any single prepared
-    /// system the platform builds today.
+    /// Default budget: 256 MiB, comfortably above any single artifact the
+    /// platform builds today.
     pub const DEFAULT_BUDGET: usize = 256 << 20;
 
     /// Creates a cache with [`ArtifactCache::DEFAULT_BUDGET`].
@@ -305,19 +285,26 @@ impl Default for ArtifactCache {
 mod tests {
     use super::*;
 
-    fn payload(n: usize) -> Artifact {
-        Artifact::Payload {
-            kind: "test",
-            data: Arc::new("x".repeat(n)),
-        }
+    /// A validation table of `n` rows; its size grows linearly in `n`.
+    fn rows(n: usize) -> Artifact {
+        Artifact::Validation(Arc::new(
+            (0..n)
+                .map(|k| ValidationRow {
+                    metric: format!("metric {k}"),
+                    mnsim: k as f64,
+                    circuit: k as f64,
+                    unit: "W",
+                })
+                .collect(),
+        ))
     }
 
     #[test]
     fn hit_miss_and_recency_refresh() {
         let cache = ArtifactCache::with_budget(10_000);
         assert!(cache.get(1).is_none());
-        cache.insert(1, payload(100));
-        cache.insert(2, payload(100));
+        cache.insert(1, rows(1));
+        cache.insert(2, rows(1));
         assert!(cache.get(1).is_some());
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
@@ -331,7 +318,7 @@ mod tests {
         let cache = ArtifactCache::with_budget(10_000);
         assert!(cache.probe(1).is_none());
         assert!(cache.get(1).is_none());
-        cache.insert(1, payload(100));
+        cache.insert(1, rows(1));
         assert!(cache.probe(1).is_some());
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
@@ -340,13 +327,14 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest_first_and_get_refreshes() {
-        // Each payload ≈ 64 + 400 bytes; budget fits two.
-        let cache = ArtifactCache::with_budget(1_000);
-        cache.insert(1, payload(400));
-        cache.insert(2, payload(400));
+        // The budget fits two tables but not three.
+        let one = rows(4).approx_bytes();
+        let cache = ArtifactCache::with_budget(2 * one + one / 2);
+        cache.insert(1, rows(4));
+        cache.insert(2, rows(4));
         // Touch 1 so 2 becomes the LRU victim.
         assert!(cache.get(1).is_some());
-        cache.insert(3, payload(400));
+        cache.insert(3, rows(4));
         assert!(cache.get(2).is_none(), "LRU entry evicted");
         assert!(cache.get(1).is_some(), "recently touched entry kept");
         assert!(cache.get(3).is_some(), "new entry kept");
@@ -356,9 +344,9 @@ mod tests {
     #[test]
     fn replacement_updates_byte_accounting() {
         let cache = ArtifactCache::with_budget(100_000);
-        cache.insert(1, payload(1_000));
+        cache.insert(1, rows(100));
         let before = cache.stats().bytes;
-        cache.insert(1, payload(10));
+        cache.insert(1, rows(1));
         let after = cache.stats().bytes;
         assert!(after < before, "replacing shrinks the estimate");
         assert_eq!(cache.stats().entries, 1);
@@ -366,14 +354,15 @@ mod tests {
 
     #[test]
     fn evicted_artifact_stays_valid_for_holders() {
-        let cache = ArtifactCache::with_budget(500);
-        cache.insert(1, payload(400));
+        let one = rows(4).approx_bytes();
+        let cache = ArtifactCache::with_budget(one + one / 2);
+        cache.insert(1, rows(4));
         let held = cache.get(1).expect("present before pressure");
         // Force eviction of key 1.
-        cache.insert(2, payload(400));
+        cache.insert(2, rows(4));
         assert!(cache.get(1).is_none(), "evicted under pressure");
         match held {
-            Artifact::Payload { data, .. } => assert_eq!(data.len(), 400),
+            Artifact::Validation(rows) => assert_eq!(rows.len(), 4),
             other => panic!("unexpected artifact {other:?}"),
         }
     }
@@ -381,7 +370,7 @@ mod tests {
     #[test]
     fn zero_budget_never_retains_but_never_panics() {
         let cache = ArtifactCache::with_budget(0);
-        cache.insert(1, payload(10));
+        cache.insert(1, rows(1));
         assert!(cache.get(1).is_none());
         assert_eq!(cache.stats().entries, 0);
     }

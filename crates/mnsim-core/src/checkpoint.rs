@@ -165,17 +165,9 @@ fn check_header(path: &str, value: &JsonValue, kind: &str) -> Result<(), CoreErr
     Ok(())
 }
 
-/// 64-bit FNV-1a over `bytes` — the campaign fingerprint hash. Stable
-/// across platforms and builds (it is pure arithmetic on the canonical
-/// description string), unlike `std`'s unstable-by-design hasher.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// The campaign fingerprint hash: 64-bit FNV-1a over a canonical
+/// description string.
+pub use mnsim_obs::fnv64;
 
 /// Formats a `u64` as a `"0x…"` hex string — the checkpoint encoding for
 /// seeds and fingerprints, which would lose precision as JSON numbers.

@@ -3,22 +3,22 @@
 //! [`CircuitLayer`] maps one weight matrix onto its dual-crossbar circuits
 //! once ([`map_weights`]) and then evaluates arbitrarily many activation
 //! vectors against them through
-//! [`PreparedSystem`] batches: the nodal system is assembled (and, below
-//! the dense cutoff, LU-factored) a single time per polarity, every
-//! activation becomes a re-driven right-hand side, and consecutive solves
-//! warm-start CG from the previous solution. This is the circuit-level
-//! counterpart of the behavior-level matrix-vector product the paper's
-//! computation units perform.
+//! [`PreparedSystem`] batches: the nodal system is assembled and factored
+//! (dense LU below the dense cutoff, sparse LDLᵀ above) a single time per
+//! polarity, and every activation becomes a re-driven right-hand side that
+//! costs one backsolve. This is the circuit-level counterpart of the
+//! behavior-level matrix-vector product the paper's computation units
+//! perform.
 //!
 //! [`CircuitLayer::forward_batch_with`] shards a batch over the worker
 //! pool: each worker solves a contiguous, deterministic
 //! [`exec::shard_ranges`] slice against its own clone of the prepared
-//! systems, so the factorization caches are shared read-only and the
-//! warm-start chain inside each shard is reproducible for a fixed shard
-//! count.
+//! systems. A solve depends only on the held factor, never on the solves
+//! before it, so the sharded output is bit-identical to the serial one.
 
-use mnsim_circuit::batch::{BatchOptions, PreparedSystem};
+use mnsim_circuit::batch::PreparedSystem;
 use mnsim_circuit::crossbar::CrossbarCircuit;
+use mnsim_circuit::solve::SolveOptions;
 use mnsim_nn::tensor::Tensor;
 use mnsim_tech::units::Voltage;
 
@@ -56,8 +56,8 @@ impl Circuits {
     }
 
     /// Solves `batch` against the given prepared systems (the mutable
-    /// warm-start/factorization state lives in the caller, so shards can
-    /// solve concurrently against clones).
+    /// factorization state lives in the caller, so shards can solve
+    /// concurrently against clones).
     fn solve_batch(
         &self,
         prepared_positive: &mut PreparedSystem,
@@ -144,7 +144,7 @@ impl CircuitLayer {
         // vector only seeds the spec's default drive, which every forward
         // pass overrides through the prepared system.
         let mapped = map_weights(config, weights, &vec![0.0; inputs])?;
-        let options = BatchOptions::default();
+        let options = SolveOptions::default();
         let positive = mapped.positive.build()?;
         let prepared_positive = PreparedSystem::build(positive.circuit(), options.clone())?;
         let (negative, prepared_negative) = match &mapped.negative {
@@ -230,7 +230,7 @@ impl CircuitLayer {
         }
         let inputs = shape[1];
         let mapped = map_weights(config, weights, &vec![0.0; inputs])?;
-        let options = BatchOptions::default();
+        let options = SolveOptions::default();
         let positive = mapped.positive.build()?;
         if !self.prepared_positive.try_value_refresh(positive.circuit())? {
             self.prepared_positive = PreparedSystem::build(positive.circuit(), options.clone())?;
@@ -280,9 +280,8 @@ impl CircuitLayer {
     /// [`CircuitLayer::rows`]) and returns the differential output
     /// voltages (positive minus negative crossbar) per vector, in volts.
     ///
-    /// Both polarities reuse their cached factorization; CG solves
-    /// warm-start from the previous activation in the batch (and from the
-    /// previous call — the warm-start state persists on the layer).
+    /// Both polarities reuse their cached factorization: each activation
+    /// costs one backsolve per polarity.
     ///
     /// # Errors
     ///
@@ -297,20 +296,12 @@ impl CircuitLayer {
     ///
     /// The batch is split into contiguous [`exec::shard_ranges`] slices —
     /// one per worker — and every worker solves its shard against a fresh
-    /// **clone** of the layer's prepared systems, warm-starting only
-    /// within the shard. Consequences of that design:
-    ///
-    /// * shard boundaries depend on `(batch length, thread count)` only,
-    ///   so a run is **reproducible** for a fixed thread count;
-    /// * below the dense-LU cutoff solutions are direct and warm-start
-    ///   free, so the output is **bit-identical** to the serial batch at
-    ///   any thread count; above it, CG answers agree within solver
-    ///   tolerance but may differ in the last bits because each shard
-    ///   restarts its warm-start chain;
-    /// * the layer's own cached warm-start state is left untouched by the
-    ///   parallel path (`threads <= 1` delegates to
-    ///   [`forward_batch`](Self::forward_batch)
-    ///   and advances it as usual).
+    /// **clone** of the layer's prepared systems: a copy of the dense LU
+    /// below the dense cutoff, of the LDLᵀ factor above it. Every solve is
+    /// a backsolve on that factor and depends on nothing an earlier solve
+    /// left behind, so the output is **bit-identical** to the serial batch
+    /// at every crossbar size and thread count (`threads <= 1` delegates
+    /// to [`forward_batch`](Self::forward_batch)).
     ///
     /// # Errors
     ///
@@ -345,6 +336,7 @@ impl CircuitLayer {
 mod tests {
     use super::*;
     use crate::config::WeightPolarity;
+    use mnsim_circuit::batch::EngineKind;
     use mnsim_tech::interconnect::InterconnectNode;
 
     fn config() -> Config {
@@ -390,31 +382,66 @@ mod tests {
         let mut serial_layer = CircuitLayer::new(&config(), &weights()).unwrap();
         for (k, activations) in batch.iter().enumerate() {
             let single = serial_layer.forward(activations).unwrap();
-            // The warm-start state advances identically whether the
-            // activations arrive as one batch or one call at a time.
+            // Each solve is a backsolve on the held factor, so batching
+            // cannot change a bit.
             assert_eq!(batched[k], single, "vector {k}");
         }
     }
 
+    /// A read depends on nothing an earlier read left behind, so sharding
+    /// cannot perturb a bit on either engine: the 4×2 layer (16 unknowns
+    /// per polarity) takes the dense LU, the 8×8 one (128 unknowns) the
+    /// LDLᵀ. Linear cells backsolve on the prepared factor; sinh cells run
+    /// a Newton solve per read whose linear steps take the same engines.
     #[test]
-    fn sharded_batch_is_bit_identical_below_dense_cutoff() {
-        // 4×4 crossbars sit far below the dense-LU cutoff: every solve is
-        // a direct factorization hit, so sharding cannot perturb a bit.
-        let batch: Vec<Vec<f64>> = (0..17)
-            .map(|k| {
-                (0..4)
-                    .map(|i| ((k * 4 + i) as f64 * 0.37).fract())
-                    .collect()
-            })
-            .collect();
-        let mut serial_layer = CircuitLayer::new(&config(), &weights()).unwrap();
-        let serial = serial_layer.forward_batch(&batch).unwrap();
-        for threads in [0usize, 2, 3, 7] {
-            let mut layer = CircuitLayer::new(&config(), &weights()).unwrap();
-            let sharded = layer
-                .forward_batch_with(&batch, &ExecOptions::with_threads(threads))
-                .unwrap();
-            assert_eq!(serial, sharded, "threads={threads}");
+    fn sharded_batch_is_bit_identical_at_every_size() {
+        let mut large_config = Config::fully_connected_mlp(&[8, 8]).unwrap();
+        large_config.crossbar_size = 8;
+        let large_weights = Tensor::from_vec(
+            &[8, 8],
+            (0..64)
+                .map(|k| ((k * 37 % 61) as f64 / 30.0) - 1.0)
+                .collect(),
+        )
+        .unwrap();
+        let linear = |config: &Config| {
+            let mut config = config.clone();
+            config.device.iv = mnsim_tech::memristor::IvModel::Linear;
+            config
+        };
+        let layers = [
+            (config(), weights(), EngineKind::Nonlinear),
+            (linear(&config()), weights(), EngineKind::Dense),
+            (
+                large_config.clone(),
+                large_weights.clone(),
+                EngineKind::Nonlinear,
+            ),
+            (
+                linear(&large_config),
+                large_weights,
+                EngineKind::SparseDirect,
+            ),
+        ];
+        for (config, weights, engine) in layers {
+            let mut serial_layer = CircuitLayer::new(&config, &weights).unwrap();
+            assert_eq!(serial_layer.prepared_positive.engine_kind(), engine);
+            let rows = serial_layer.rows();
+            let batch: Vec<Vec<f64>> = (0..17)
+                .map(|k| {
+                    (0..rows)
+                        .map(|i| ((k * rows + i) as f64 * 0.37).fract())
+                        .collect()
+                })
+                .collect();
+            let serial = serial_layer.forward_batch(&batch).unwrap();
+            for threads in [0usize, 2, 3, 7] {
+                let mut layer = CircuitLayer::new(&config, &weights).unwrap();
+                let sharded = layer
+                    .forward_batch_with(&batch, &ExecOptions::with_threads(threads))
+                    .unwrap();
+                assert_eq!(serial, sharded, "{rows} rows, threads={threads}");
+            }
         }
     }
 

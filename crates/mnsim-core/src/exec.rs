@@ -691,11 +691,12 @@ where
 /// Splits `0..n` into at most `shards` contiguous, near-equal,
 /// **deterministic** ranges (empty ranges are never produced).
 ///
-/// The chunk queue of [`run_indices`] assigns items to workers dynamically,
-/// which is fine for pure per-item work but wrong for stateful sweeps: a
-/// warm-started CG chain must see a *reproducible* neighbor sequence.
-/// Shard boundaries from this function depend only on `(n, shards)`, so a
-/// sharded stateful sweep is deterministic for a fixed shard count.
+/// The chunk queue of [`run_indices`] assigns items to workers dynamically;
+/// a contiguous shard instead lets one worker carry per-shard state, such
+/// as its own clone of a prepared circuit system, across the items it
+/// solves. Shard boundaries from this function depend only on
+/// `(n, shards)`, so a sharded sweep is deterministic for a fixed shard
+/// count.
 pub fn shard_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
     let shards = shards.clamp(1, n.max(1));
     let base = n / shards;

@@ -15,10 +15,10 @@
 //! produces a bit-identical [`FaultSummary`], so regression baselines and
 //! replayed defect maps stay meaningful.
 
-use mnsim_circuit::batch::{prepare_or_reuse, BatchOptions, PreparedSystem, Rhs};
+use mnsim_circuit::batch::{prepare_or_reuse, PreparedSystem, Rhs};
 use mnsim_circuit::crossbar::{CrossbarCircuit, CrossbarSpec};
 use mnsim_circuit::mna::{Circuit, DcSolution};
-use mnsim_circuit::recovery::{kcl_residual, solve_robust, RobustOptions};
+use mnsim_circuit::recovery::{kcl_residual, solve_robust};
 use mnsim_circuit::solve::{solve_dc, SolveOptions};
 use mnsim_obs as obs;
 use mnsim_obs::trace;
@@ -71,9 +71,9 @@ pub struct FaultConfig {
     /// Input vectors read per surviving trial (≥ 1). The first read uses
     /// the campaign's primary activations through the recovery ladder;
     /// extra reads are solved as a batch over one
-    /// [`PreparedSystem`] per faulty array, reusing its factorization and
-    /// warm-started CG. The default of `1` reproduces the single-read
-    /// campaign bit for bit.
+    /// [`PreparedSystem`] per faulty array, reusing its factorization, so
+    /// each extra read costs one backsolve. The default of `1` reproduces
+    /// the single-read campaign bit for bit.
     pub inputs_per_trial: usize,
 }
 
@@ -204,7 +204,7 @@ fn solve_primary(
     let fast = xbar
         .input_rhs(inputs)
         .and_then(|rhs| {
-            prepare_or_reuse(slot, xbar.circuit(), &BatchOptions::default())?
+            prepare_or_reuse(slot, xbar.circuit(), &SolveOptions::default())?
                 .solve(xbar.circuit(), &rhs)
         });
     match fast {
@@ -216,7 +216,7 @@ fn solve_primary(
         // produced garbage: the trial goes through the same recovery
         // ladder the pre-cache campaign used for every read.
         _ => {
-            let (solution, recovery) = solve_robust(xbar.circuit(), &RobustOptions::default())?;
+            let (solution, recovery) = solve_robust(xbar.circuit(), &SolveOptions::default())?;
             Ok((solution, true, recovery.kcl_residual))
         }
     }
@@ -349,7 +349,7 @@ fn run_trial(context: &TrialContext<'_>, trial: usize) -> Result<TrialOutcome, C
                 let solved = prepare_or_reuse(
                     &mut slot,
                     faulty_xbar.circuit(),
-                    &BatchOptions::default(),
+                    &SolveOptions::default(),
                 )
                 .and_then(|prepared| prepared.solve(faulty_xbar.circuit(), &rhs));
                 let outputs = match solved {
@@ -359,7 +359,7 @@ fn run_trial(context: &TrialContext<'_>, trial: usize) -> Result<TrialOutcome, C
                         // through the same recovery ladder as the primary
                         // read.
                         let patched = faulty_xbar.circuit().with_source_voltages(read)?;
-                        let (sol, _) = solve_robust(&patched, &RobustOptions::default())?;
+                        let (sol, _) = solve_robust(&patched, &SolveOptions::default())?;
                         faulty_xbar.output_voltages(&sol)
                     }
                 };
@@ -468,7 +468,7 @@ pub(crate) fn simulate_with_faults(
     let clean_extra_outputs: Vec<Vec<Voltage>> = if extra_reads.is_empty() {
         Vec::new()
     } else {
-        let mut prepared = PreparedSystem::build(clean_xbar.circuit(), BatchOptions::default())?;
+        let mut prepared = PreparedSystem::build(clean_xbar.circuit(), SolveOptions::default())?;
         let batch: Vec<Rhs> = extra_reads
             .iter()
             .map(|read| clean_xbar.input_rhs(read))

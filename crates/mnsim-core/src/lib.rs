@@ -26,7 +26,8 @@
 //! * [`netlist_gen`] — SPICE netlist generation for circuit-level
 //!   verification,
 //! * [`circuit_forward`] — circuit-backed layer forward passes over
-//!   batched activations (prepared systems + warm-started CG),
+//!   batched activations (prepared systems: one factorization per
+//!   polarity, one backsolve per activation),
 //! * [`validate`] — the model-vs-circuit validation harness (Tables II/III),
 //! * [`custom`] — customized designs: PRIME and ISAAC (Table VII),
 //! * [`training`] — on-chip training cost model (paper future work),

@@ -17,7 +17,7 @@
 
 use std::time::Instant;
 
-use mnsim_circuit::batch::{BatchOptions, PreparedSystem};
+use mnsim_circuit::batch::PreparedSystem;
 use mnsim_circuit::crossbar::CrossbarSpec;
 use mnsim_circuit::solve::{solve_dc, SolveOptions};
 use mnsim_nn::data::{random_input_vector, random_weight_matrix};
@@ -65,7 +65,7 @@ struct MatrixPartial {
 /// behind [`Simulator::validate`](crate::simulator::Simulator::validate).
 ///
 /// Each random weight matrix is an independent circuit study (its own
-/// prepared system and warm-started read sequence), so matrices spread
+/// prepared system and read sequence), so matrices spread
 /// over `threads` workers on the [`exec`] pool. All random draws happen up
 /// front on the calling thread in the historical order — the RNG stream,
 /// and therefore every sampled circuit, is untouched by the thread count —
@@ -110,10 +110,11 @@ pub(crate) fn validate_against_circuit(
             let (weights, input_vectors) = &studies[matrix];
             // The conductance map depends only on the weights, so map/build
             // once per matrix and re-drive the sources per input vector
-            // through one prepared system (factorization cache + warm start).
+            // through one prepared system (one factorization, one backsolve
+            // per read).
             let mapped = map_weights(&block_config, weights, &vec![0.0; rows])?;
             let built = mapped.positive.build()?;
-            let mut prepared = PreparedSystem::build(built.circuit(), BatchOptions::default())?;
+            let mut prepared = PreparedSystem::build(built.circuit(), SolveOptions::default())?;
             let mut partial = MatrixPartial {
                 power_sum: 0.0,
                 deviation_sum: 0.0,

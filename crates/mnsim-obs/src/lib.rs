@@ -45,11 +45,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
+mod hash;
 mod json;
 pub mod live;
 mod snapshot;
 pub mod trace;
 
+pub use hash::{fnv64, Fnv64};
 pub use json::{parse_json, validate_json, write_json_number, write_json_string, JsonValue};
 pub use snapshot::{BucketCount, HistogramSnapshot, MetricsSnapshot};
 pub use trace::{validate_chrome_trace, Trace, TraceSummary};

@@ -253,9 +253,10 @@ pub enum LiveEvent {
     },
     /// A solver health guard cut a recovery-ladder rung short.
     GuardTripped {
-        /// The rung that was cut short (`"base"`, `"relaxed-cg"`, …).
+        /// The rung that was cut short (`"base"`, `"sparse-lu"` or
+        /// `"dense-lu"`).
         stage: String,
-        /// The guard that fired (`"non-finite"`, `"stagnated"`).
+        /// The guard that fired (`"singular-pivot"`).
         guard: String,
     },
     /// The campaign stopped; always the final event of a campaign, on
@@ -787,7 +788,7 @@ mod tests {
         campaign_started("noop", 4, 0);
         wave_completed(2, 4, None);
         checkpoint_written("nowhere.json", 2);
-        guard_tripped("base", "stagnated");
+        guard_tripped("base", "singular-pivot");
         campaign_finished(4, 4, "complete");
         assert_eq!(wave_grain(64), usize::MAX);
 
@@ -799,7 +800,7 @@ mod tests {
         campaign_started("fault_mc", 8, 2);
         wave_completed(5, 8, None);
         checkpoint_written("ckpt.json", 5);
-        guard_tripped("base", "non-finite");
+        guard_tripped("base", "singular-pivot");
         campaign_finished(8, 8, "complete");
         let report = live.finish();
         assert!(!enabled());

@@ -358,12 +358,11 @@ fn stats_result_json(shared: &Shared) -> String {
     out
 }
 
-fn artifact_result_json(artifact: &Artifact) -> Option<String> {
+fn artifact_result_json(artifact: &Artifact) -> String {
     match artifact {
-        Artifact::Report(report) => Some(simulate_result_json(report)),
-        Artifact::Validation(rows) => Some(validate_result_json(rows)),
-        Artifact::DseFront(result) => Some(dse_result_json(result)),
-        _ => None,
+        Artifact::Report(report) => simulate_result_json(report),
+        Artifact::Validation(rows) => validate_result_json(rows),
+        Artifact::DseFront(result) => dse_result_json(result),
     }
 }
 
@@ -484,10 +483,9 @@ fn handle_submit(
     // Serve directly from the cache when the artifact already exists. A
     // miss is left uncounted: the job's `Session` lookup counts it.
     if let Some(artifact) = shared.cache.probe(key) {
-        if let Some(result) = artifact_result_json(&artifact) {
-            shared.respond(writer, &response_line(id, "hit", Some(key), &result));
-            return;
-        }
+        let result = artifact_result_json(&artifact);
+        shared.respond(writer, &response_line(id, "hit", Some(key), &result));
+        return;
     }
     let mut state = shared.lock_state();
     if let Some(waiters) = state.inflight.get_mut(&key) {
@@ -505,11 +503,7 @@ fn handle_submit(
     // between the probe above and this lock left its artifact behind:
     // probe again before enqueuing a second evaluation. No path takes the
     // state lock while holding the cache lock, so this order is safe.
-    if let Some(result) = shared
-        .cache
-        .probe(key)
-        .and_then(|a| artifact_result_json(&a))
-    {
+    if let Some(result) = shared.cache.probe(key).map(|a| artifact_result_json(&a)) {
         drop(state);
         shared.respond(writer, &response_line(id, "hit", Some(key), &result));
         return;

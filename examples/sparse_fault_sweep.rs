@@ -20,9 +20,10 @@
 //! array once and reports how far its column outputs moved from the clean
 //! array's, and the Kirchhoff residual of the solve.
 
-use mnsim::circuit::batch::{BatchOptions, PreparedSystem};
+use mnsim::circuit::batch::PreparedSystem;
 use mnsim::circuit::crossbar::CrossbarSpec;
 use mnsim::circuit::recovery::kcl_residual;
+use mnsim::circuit::solve::SolveOptions;
 use mnsim::obs;
 use mnsim::tech::fault::{FaultMap, FaultRates};
 use mnsim::tech::units::{Resistance, Voltage};
@@ -89,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let clean = spec.build()?;
     let rhs = clean.input_rhs(&inputs)?;
-    let mut prepared = PreparedSystem::build(clean.circuit(), BatchOptions::default())?;
+    let mut prepared = PreparedSystem::build(clean.circuit(), SolveOptions::default())?;
     let reference = clean.output_voltages(&prepared.solve(clean.circuit(), &rhs)?);
     let full_scale = reference.iter().fold(0.0f64, |m, v| m.max(v.volts().abs()));
     // The unknowns are the word- and bit-line nodes; the sources fix the rest.

@@ -14,7 +14,7 @@
 //! Every test holds the [`mnsim::obs::session`] lock while it runs solver
 //! code, so no test's counters can leak into another's measured window.
 
-use mnsim::circuit::batch::{prepare_or_reuse, BatchOptions, EngineKind, PreparedSystem, Rhs};
+use mnsim::circuit::batch::{prepare_or_reuse, EngineKind, PreparedSystem, Rhs};
 use mnsim::circuit::crossbar::CrossbarSpec;
 use mnsim::circuit::recovery::kcl_residual;
 use mnsim::circuit::solve::{solve_dc, Method, SolveOptions};
@@ -22,7 +22,7 @@ use mnsim::circuit::sparse::CscMatrix;
 use mnsim::circuit::sparse::TripletMatrix;
 use mnsim::circuit::transient::{solve_transient, TransientOptions};
 use mnsim::circuit::CircuitError;
-use mnsim::circuit::{analyze, solve_robust, Element, RobustOptions, SparseLdl, SymbolicAnalysis};
+use mnsim::circuit::{analyze, solve_robust, Element, SparseLdl, SymbolicAnalysis};
 use mnsim::core::config::Config;
 use mnsim::core::fault_sim::FaultConfig;
 use mnsim::core::Simulator;
@@ -421,10 +421,10 @@ fn floating_node_is_a_typed_singular_error() {
         other => panic!("expected SingularSystem, got {other:?}"),
     }
 
-    // The recovery ladder tries every rung, records the sparse rung's
-    // early escalation (SingularPivot guard), and returns the typed error
-    // once the ladder is exhausted.
-    let result = solve_robust(&circuit, &RobustOptions::default());
+    // The recovery ladder runs the dense base (19 unknowns), then the
+    // sparse rung, records both rungs' early escalations (SingularPivot
+    // guard), and returns the typed error once the ladder is exhausted.
+    let result = solve_robust(&circuit, &SolveOptions::default());
     let snap = session.snapshot();
     match result {
         Err(CircuitError::SingularSystem { .. }) => {}
@@ -432,9 +432,8 @@ fn floating_node_is_a_typed_singular_error() {
     }
     assert_eq!(snap.counter("circuit.recovery.attempts.sparse_lu"), 1);
     assert_eq!(snap.counter("circuit.recovery.accepted.sparse_lu"), 0);
-    // Every rung fails on the singular-pivot (or zero-diagonal) guard:
-    // four early escalations, none of them burning an iteration budget.
-    assert_eq!(snap.counter("solver.early_escalations"), 4);
+    // Both rungs fail on the singular-pivot (or zero-diagonal) guard.
+    assert_eq!(snap.counter("solver.early_escalations"), 2);
     assert_eq!(snap.counter("circuit.recovery.exhausted"), 1);
 }
 
@@ -598,7 +597,7 @@ fn nonlinear_prepared_system_shares_one_analysis_across_reads_and_overlays() {
         .collect();
     let rhs: Vec<Rhs> = reads.iter().map(|r| clean.input_rhs(r).unwrap()).collect();
 
-    let options = BatchOptions::default();
+    let options = SolveOptions::default();
     let mut slot: Option<PreparedSystem> = None;
     let prepared = prepare_or_reuse(&mut slot, clean.circuit(), &options).unwrap();
     assert_eq!(prepared.engine_kind(), EngineKind::Nonlinear);

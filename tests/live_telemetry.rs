@@ -8,9 +8,10 @@
 //! global telemetry hub is never shared between concurrently running
 //! tests.
 
-use mnsim::circuit::cg::CgOptions;
-use mnsim::circuit::solve::{Method, SolveOptions};
-use mnsim::circuit::{solve_robust, Circuit, RobustOptions};
+mod common;
+
+use mnsim::circuit::solve::SolveOptions;
+use mnsim::circuit::solve_robust;
 use mnsim::core::checkpoint::CheckpointPolicy;
 use mnsim::core::config::Config;
 use mnsim::core::error::CoreError;
@@ -19,7 +20,6 @@ use mnsim::core::simulator::Simulator;
 use mnsim::obs;
 use mnsim::obs::live::{self, LiveConfig};
 use mnsim::tech::fault::FaultRates;
-use mnsim::tech::units::{Resistance, Voltage};
 
 /// A per-test scratch path under the system temp directory.
 fn temp_path(name: &str) -> String {
@@ -239,38 +239,13 @@ fn checkpoint_events_match_waves_and_sampler_exports() {
 /// `guard_tripped` event naming the rung and the guard.
 #[test]
 fn guard_trip_emits_live_event() {
-    // A series resistor ladder with an unreachable CG tolerance and a
-    // tight stagnation window: the base rung stagnates, the guard hands
-    // the ladder to the relaxed rung early.
-    let mut c = Circuit::new();
-    let top = c.add_node();
-    c.add_voltage_source(top, Circuit::GROUND, Voltage::from_volts(1.0))
-        .expect("valid source");
-    let mut prev = top;
-    for _ in 0..40 {
-        let next = c.add_node();
-        c.add_resistor(prev, next, Resistance::from_kilo_ohms(1.0))
-            .expect("valid resistor");
-        prev = next;
-    }
-    c.add_resistor(prev, Circuit::GROUND, Resistance::from_kilo_ohms(1.0))
-        .expect("valid resistor");
-    let mut options = RobustOptions {
-        base: SolveOptions {
-            method: Method::Cg,
-            ..SolveOptions::default()
-        },
-        ..RobustOptions::default()
-    };
-    options.base.cg = CgOptions {
-        tolerance: 1e-30,
-        stagnation_window: Some(3),
-        ..CgOptions::default()
-    };
+    // The dense base rung's pivot test rejects the 1e-15 S node: the
+    // singular-pivot guard hands the ladder to LDLᵀ.
+    let (c, _) = common::tiny_pivot_divider();
 
     let session = obs::session();
     let live = live::session(LiveConfig::default()).expect("live session opens");
-    solve_robust(&c, &options).expect("ladder recovers");
+    solve_robust(&c, &SolveOptions::default()).expect("ladder recovers");
     let report = live.finish();
     drop(session);
 
@@ -278,11 +253,11 @@ fn guard_trip_emits_live_event() {
         .lines
         .iter()
         .find(|l| l.contains("guard_tripped"))
-        .expect("stagnation guard emitted a live event");
+        .expect("singular-pivot guard emitted a live event");
     let value = obs::parse_json(guard_line).expect("guard line parses");
     assert_eq!(value.get("stage").and_then(|v| v.as_str()), Some("base"));
     assert_eq!(
         value.get("guard").and_then(|v| v.as_str()),
-        Some("stagnated")
+        Some("singular-pivot")
     );
 }

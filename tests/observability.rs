@@ -6,9 +6,10 @@
 //! running instrumented code. The lock serializes the tests, so the global
 //! registry is never polluted by a concurrently running test.
 
-use mnsim::circuit::cg::{CgOptions, IterationCap};
-use mnsim::circuit::solve::{Method, SolveOptions};
-use mnsim::circuit::{solve_robust, Circuit, RecoveryStage, RobustOptions};
+mod common;
+
+use mnsim::circuit::solve::SolveOptions;
+use mnsim::circuit::{solve_robust, Circuit, RecoveryStage};
 use mnsim::core::config::Config;
 use mnsim::core::dse::{Constraints, DesignSpace};
 use mnsim::core::fault_sim::FaultConfig;
@@ -54,57 +55,29 @@ fn clean_fault_campaign_records_no_fallbacks() {
     // first are exact cache hits of the per-thread prepared slot.
     assert_eq!(snap.counter("circuit.batch.solves"), 3);
     assert_eq!(snap.counter("circuit.batch.cache_hits"), 2);
-    // No CG anywhere on the clean path.
-    assert_eq!(snap.counter("circuit.cg.solves"), 0);
 }
 
 #[test]
 fn forced_fallback_increments_ladder_counters() {
-    // A 40-resistor series ladder with a one-iteration CG budget: the base
-    // rung cannot converge, so the ladder must escalate and the fallback
+    // Auto runs the dense LU at 2 unknowns; its pivot test rejects the
+    // 1e-15 S node, so the ladder must escalate to LDLᵀ and the fallback
     // counters must say so.
-    let mut c = Circuit::new();
-    let top = c.add_node();
-    c.add_voltage_source(top, Circuit::GROUND, Voltage::from_volts(1.0))
-        .unwrap();
-    let mut prev = top;
-    for _ in 0..40 {
-        let next = c.add_node();
-        c.add_resistor(prev, next, Resistance::from_kilo_ohms(1.0))
-            .unwrap();
-        prev = next;
-    }
-    c.add_resistor(prev, Circuit::GROUND, Resistance::from_kilo_ohms(1.0))
-        .unwrap();
-    let options = RobustOptions {
-        base: SolveOptions {
-            method: Method::Cg,
-            cg: CgOptions {
-                tolerance: 1e-15,
-                max_iterations: IterationCap::Limit(1),
-                ..CgOptions::default()
-            },
-            ..SolveOptions::default()
-        },
-        ..RobustOptions::default()
-    };
+    let (c, _) = common::tiny_pivot_divider();
 
     let session = obs::session();
-    let (_, report) = solve_robust(&c, &options).unwrap();
-    assert_ne!(report.stage, RecoveryStage::Base);
+    let (_, report) = solve_robust(&c, &SolveOptions::default()).unwrap();
+    assert_eq!(report.stage, RecoveryStage::SparseLu);
 
     let snap = session.snapshot();
     assert_eq!(snap.counter("circuit.recovery.solves"), 1);
     assert_eq!(snap.counter("circuit.recovery.fallbacks"), 1);
     assert_eq!(snap.counter("circuit.recovery.attempts.base"), 1);
     assert_eq!(snap.counter("circuit.recovery.accepted.base"), 0);
-    // Whatever rung answered, attempts and acceptances must be consistent:
-    // exactly one acceptance, on a non-base rung.
-    let accepted_later = snap.counter("circuit.recovery.accepted.relaxed_cg")
-        + snap.counter("circuit.recovery.accepted.dense_lu");
-    assert_eq!(accepted_later, 1);
-    // The starved base CG burned its budget and was recorded as such.
-    assert!(snap.counter("circuit.cg.no_convergence") >= 1);
+    assert_eq!(snap.counter("circuit.recovery.attempts.sparse_lu"), 1);
+    assert_eq!(snap.counter("circuit.recovery.accepted.sparse_lu"), 1);
+    assert_eq!(snap.counter("circuit.recovery.attempts.dense_lu"), 0);
+    // The base rung's singular pivot was recorded as an early escalation.
+    assert_eq!(snap.counter("solver.early_escalations"), 1);
 }
 
 #[test]
@@ -197,7 +170,7 @@ fn parallel_dse_error_still_evaluates_every_point() {
 
 #[test]
 fn snapshot_json_is_valid_and_complete() {
-    // The acceptance list: cg iteration counts, recovery-ladder rung
+    // The acceptance list: solver engine counts, recovery-ladder rung
     // counts, per-stage simulate timings, and DSE throughput — all in one
     // machine-readable snapshot.
     let session = obs::session();
@@ -216,8 +189,8 @@ fn snapshot_json_is_valid_and_complete() {
         interconnects: vec![InterconnectNode::N45],
     };
     sim.explore(&space, &Constraints::default()).unwrap();
-    // The fault campaign now solves through the cached sparse-direct path,
-    // so drive the CG engine and the recovery ladder explicitly to get
+    // The fault campaign solves through the cached sparse-direct path, so
+    // drive the dense engine and the recovery ladder explicitly to get
     // their counters into the same snapshot.
     let mut divider = Circuit::new();
     let mid = divider.add_node();
@@ -231,21 +204,14 @@ fn snapshot_json_is_valid_and_complete() {
     divider
         .add_resistor(tap, Circuit::GROUND, Resistance::from_kilo_ohms(1.0))
         .unwrap();
-    let cg_base = RobustOptions {
-        base: SolveOptions {
-            method: Method::Cg,
-            ..SolveOptions::default()
-        },
-        ..RobustOptions::default()
-    };
-    solve_robust(&divider, &cg_base).unwrap();
+    solve_robust(&divider, &SolveOptions::default()).unwrap();
 
     let snap = session.snapshot();
     let json = snap.to_json();
     obs::validate_json(&json).expect("snapshot JSON must parse");
 
     for required in [
-        "circuit.cg.iterations",
+        "circuit.solve.dense_lu",
         "circuit.recovery.attempts.base",
         "solver.klu.factors",
         "core.simulate.stage.accelerator",
@@ -258,7 +224,7 @@ fn snapshot_json_is_valid_and_complete() {
     // percentile columns.
     let csv = snap.to_csv();
     assert!(csv.starts_with("kind,name,unit,count,sum,min,max,mean,p50,p95,p99"));
-    assert!(csv.contains("counter,circuit.cg.iterations,"));
+    assert!(csv.contains("counter,circuit.solve.dense_lu,"));
 }
 
 /// Ordering-contract regression: a session opened *before* worker threads

@@ -2,9 +2,9 @@
 //! (deliverable (c)): the linear solvers, the accuracy model, quantizers,
 //! partitioning, units and the propagation chain.
 
-use mnsim::circuit::cg::{solve_cg, CgOptions};
 use mnsim::circuit::dense::DenseMatrix;
 use mnsim::circuit::sparse::TripletMatrix;
+use mnsim::circuit::SparseLdl;
 use mnsim::core::accuracy::{
     avg_digital_deviation, max_digital_deviation, propagate, AccuracyModel, Case,
 };
@@ -19,9 +19,9 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// CG and dense LU agree on random SPD systems.
+    /// Sparse LDLᵀ and dense LU agree on random SPD systems.
     #[test]
-    fn cg_matches_dense_lu(seed in 0u64..1000, n in 2usize..24) {
+    fn ldl_matches_dense_lu(seed in 0u64..1000, n in 2usize..24) {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
         let mut rnd = move || {
             state ^= state << 13;
@@ -48,9 +48,9 @@ proptest! {
         }
         let rhs: Vec<f64> = (0..n).map(|_| rnd()).collect();
         let lu = DenseMatrix::from_rows(&dense).solve(&rhs).unwrap();
-        let (cg, _) = solve_cg(&triplets.to_csr(), &rhs, &CgOptions::default()).unwrap();
+        let ldl = SparseLdl::factor(&triplets.to_csc()).unwrap().solve(&rhs);
         for i in 0..n {
-            prop_assert!((lu[i] - cg[i]).abs() < 1e-6, "component {}: {} vs {}", i, lu[i], cg[i]);
+            prop_assert!((lu[i] - ldl[i]).abs() < 1e-6, "component {}: {} vs {}", i, lu[i], ldl[i]);
         }
     }
 
