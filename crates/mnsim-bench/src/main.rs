@@ -32,8 +32,10 @@
 //! `chrome://tracing` or <https://ui.perfetto.dev>) and prints the
 //! [`mnsim_obs::TraceSummary`] table to stderr; `live=<path>` streams
 //! typed progress events ([`mnsim_obs::live`]) as flushed NDJSON so
-//! `tail -f` follows a long campaign. An unknown flag is a usage error
-//! (exit 2). `--progress` prints a human one-liner per campaign wave.
+//! `tail -f` follows a long campaign. `--progress` prints a human
+//! one-liner per campaign wave. [`mnsim_obs::EmitSpec`] parses these flags
+//! and writes the artifacts, as it does for the examples. An unknown flag
+//! is a usage error (exit 2).
 //!
 //! # Fault-injection campaigns
 //!
@@ -72,7 +74,7 @@ use mnsim_core::report::format_report;
 use mnsim_core::simulator::Simulator;
 use mnsim_core::Config;
 use mnsim_obs as obs;
-use mnsim_obs::trace;
+use mnsim_obs::EmitSpec;
 use mnsim_serve::client::Client;
 use mnsim_serve::server::{serve, ServeOptions};
 use mnsim_tech::fault::FaultRates;
@@ -112,34 +114,6 @@ struct ServeArgs {
     shutdown: bool,
 }
 
-/// The unified `--emit <kind>=<path>` artifact spec.
-#[derive(Debug, Clone, Default)]
-struct EmitSpec {
-    metrics: Option<String>,
-    trace: Option<String>,
-    live: Option<String>,
-}
-
-impl EmitSpec {
-    fn set(&mut self, spec: &str) {
-        let Some((kind, path)) = spec.split_once('=') else {
-            eprintln!("--emit expects <kind>=<path>, got {spec:?}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        };
-        match kind {
-            "metrics" => self.metrics = Some(path.to_string()),
-            "trace" => self.trace = Some(path.to_string()),
-            "live" => self.live = Some(path.to_string()),
-            other => {
-                eprintln!("--emit: unknown artifact kind {other:?} (metrics, trace, live)");
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-}
-
 fn flag_value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
     args.next().unwrap_or_else(|| {
         eprintln!("{flag} requires a value");
@@ -160,14 +134,20 @@ fn main() {
     let mut experiment = None;
     let mut positional = Vec::new();
     let mut emit = EmitSpec::default();
-    let mut progress = false;
     let mut faultmc = FaultMcArgs::default();
     let mut serve_args = ServeArgs::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        match emit.accept(&arg, &mut args) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(e) => {
+                eprintln!("{e}");
+                eprintln!("{USAGE}");
+                std::process::exit(2);
+            }
+        }
         match arg.as_str() {
-            "--emit" => emit.set(&flag_value(&mut args, "--emit")),
-            "--progress" => progress = true,
             "--trials" => {
                 faultmc.trials = parse_or_usage(&flag_value(&mut args, "--trials"), "--trials");
             }
@@ -227,34 +207,14 @@ fn main() {
         std::process::exit(2);
     }
 
-    // The live sampler reads the metric registry, so a live artifact or
-    // `--progress` implies a metrics session even without one requested.
-    let live_wanted = emit.live.is_some() || progress;
-    let session = (emit.metrics.is_some() || live_wanted).then(obs::session);
-    let trace_session = emit.trace.as_ref().map(|_| trace::session());
-    let live_session = live_wanted.then(|| {
-        let mut live_config = obs::live::LiveConfig::default().with_progress(progress);
-        if let Some(path) = &emit.live {
-            live_config = live_config.to_path(path);
-        }
-        obs::live::session(live_config).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(1);
-        })
+    let mut emitter = emit.open().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
     });
     let outcome = dispatch(&experiment, &faultmc);
     // Finish the live stream before deciding the exit status so an
     // interrupted or failed run still flushes its final event.
-    if let Some(live) = live_session {
-        let live_report = live.finish();
-        if let Some(path) = &emit.live {
-            eprintln!(
-                "live telemetry written to {path} ({} lines, {} samples)",
-                live_report.events,
-                live_report.samples.len()
-            );
-        }
-    }
+    emitter.finish_live();
     if let Err(e) = outcome {
         let code = match e.downcast_ref::<CoreError>() {
             // Status 3: the campaign was cut short by its control plane
@@ -272,23 +232,9 @@ fn main() {
         eprintln!("error while running `{experiment}`: {e}");
         std::process::exit(code);
     }
-    if let (Some(path), Some(trace_session)) = (emit.trace, trace_session) {
-        let collected = trace_session.finish();
-        if let Err(e) = std::fs::write(&path, collected.to_chrome_json()) {
-            eprintln!("error writing trace to `{path}`: {e}");
-            std::process::exit(1);
-        }
-        eprint!("{}", collected.summary().to_table());
-        eprintln!("trace written to {path}");
-    }
-    if let Some(path) = emit.metrics {
-        let json = obs::snapshot().to_json();
-        drop(session);
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("error writing metrics to `{path}`: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("metrics written to {path}");
+    if let Err(e) = emitter.finish() {
+        eprintln!("{e}");
+        std::process::exit(1);
     }
 }
 

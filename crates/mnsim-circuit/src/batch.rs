@@ -72,6 +72,8 @@ static BATCH_SPARSE: obs::Counter = obs::Counter::new("circuit.batch.sparse_back
 /// factorization was refactored in place instead of rebuilding the whole
 /// prepared system.
 static VALUE_REFRESHES: obs::Counter = obs::Counter::new("circuit.batch.value_refreshes");
+static BUILD_SPAN: obs::Span = obs::Span::new("circuit.batch.build", obs::Level::Stage);
+static SOLVE_SPAN: obs::Span = obs::Span::new("circuit.batch.solve", obs::Level::Stage);
 
 /// One right-hand side of a batch: the voltage of every ideal source, in
 /// element insertion order.
@@ -185,7 +187,7 @@ impl PreparedSystem {
     ///
     /// Propagates [`CircuitError::SingularSystem`] from the factorization.
     pub fn build(circuit: &Circuit, options: SolveOptions) -> Result<Self, CircuitError> {
-        let _trace_span = obs::trace::span("circuit.batch.build", obs::trace::Level::Stage);
+        let _span = BUILD_SPAN.enter();
         BATCH_BUILDS.inc();
         let fingerprint = circuit_fingerprint(circuit);
         let structure_fingerprint = circuit_structure_fingerprint(circuit);
@@ -402,7 +404,7 @@ impl PreparedSystem {
         circuit: &Circuit,
         batch: &[Rhs],
     ) -> Result<Vec<DcSolution>, CircuitError> {
-        let _trace_span = obs::trace::span("circuit.batch.solve", obs::trace::Level::Stage);
+        let _span = SOLVE_SPAN.enter();
         let actual = circuit_fingerprint(circuit);
         if actual != self.fingerprint {
             BATCH_STALE.inc();

@@ -52,6 +52,8 @@ static LDL_NNZ: obs::Gauge = obs::Gauge::new("solver.klu.lu_nnz");
 /// Numeric factorizations, fresh or refactor, that ran the supernodal
 /// kernel.
 static LDL_SUPERNODAL: obs::Counter = obs::Counter::new("solver.klu.supernodal");
+static ANALYZE_SPAN: obs::Span = obs::Span::new("circuit.ldl.analyze", obs::Level::Stage);
+static FACTOR_SPAN: obs::Span = obs::Span::new("circuit.ldl.factor", obs::Level::Stage);
 
 /// Marks an elimination-tree root and an unvisited column.
 const NONE: usize = usize::MAX;
@@ -133,7 +135,7 @@ impl SymbolicAnalysis {
 pub fn analyze(a: &CscMatrix) -> SymbolicAnalysis {
     let n = a.cols();
     assert_eq!(a.rows(), n, "symbolic analysis requires a square matrix");
-    let _span = obs::trace::span("circuit.ldl.analyze", obs::trace::Level::Stage);
+    let _span = ANALYZE_SPAN.enter();
     let (col_ptr, row_idx) = (a.col_ptr(), a.row_idx());
 
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -307,7 +309,7 @@ impl SparseLdl {
 
     /// The numeric factorization, by the kernel the analysis picked.
     fn numeric(&mut self, values: &[f64]) -> Result<(), CircuitError> {
-        let _span = obs::trace::span("circuit.ldl.factor", obs::trace::Level::Stage);
+        let _span = FACTOR_SPAN.enter();
         debug_assert_eq!(values.len(), self.symbolic.nnz());
         match &self.symbolic.supernodes {
             Some(sn) => {

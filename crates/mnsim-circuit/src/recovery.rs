@@ -23,7 +23,8 @@
 //! trust it.
 
 use mnsim_obs as obs;
-use mnsim_obs::trace;
+use mnsim_obs::live::LiveEvent;
+use mnsim_obs::Level;
 
 use crate::error::CircuitError;
 use crate::mna::{Circuit, DcSolution, Element};
@@ -32,10 +33,12 @@ use crate::solve::{reduced_unknowns, solve_dc, LinearEngine, Method, SolveOption
 static ROBUST_SOLVES: obs::Counter = obs::Counter::new("circuit.recovery.solves");
 static ROBUST_FALLBACKS: obs::Counter = obs::Counter::new("circuit.recovery.fallbacks");
 static ROBUST_EXHAUSTED: obs::Counter = obs::Counter::new("circuit.recovery.exhausted");
-static ROBUST_SPAN: obs::Span = obs::Span::new("circuit.recovery.solve");
+static ROBUST_SPAN: obs::Span = obs::Span::new("recovery.solve", Level::Stage);
 static KCL_RESIDUAL: obs::Histogram = obs::Histogram::new("circuit.recovery.kcl_residual");
 
-static EARLY_ESCALATIONS: obs::Counter = obs::Counter::new("solver.early_escalations");
+/// A solver health guard cut a rung short; the live line names the rung
+/// and the guard.
+static EARLY_ESCALATIONS: obs::Mark = obs::Mark::new("solver.early_escalations", Level::Stage);
 
 static ATTEMPT_BASE: obs::Counter = obs::Counter::new("circuit.recovery.attempts.base");
 static ATTEMPT_SPARSE: obs::Counter = obs::Counter::new("circuit.recovery.attempts.sparse_lu");
@@ -43,11 +46,11 @@ static ATTEMPT_DENSE: obs::Counter = obs::Counter::new("circuit.recovery.attempt
 static ACCEPT_BASE: obs::Counter = obs::Counter::new("circuit.recovery.accepted.base");
 static ACCEPT_SPARSE: obs::Counter = obs::Counter::new("circuit.recovery.accepted.sparse_lu");
 static ACCEPT_DENSE: obs::Counter = obs::Counter::new("circuit.recovery.accepted.dense_lu");
-/// Per-rung dwell time: how long each attempt (successful or not) spent
-/// on its rung before accepting or escalating.
-static DWELL_BASE: obs::Span = obs::Span::new("circuit.recovery.dwell.base");
-static DWELL_SPARSE: obs::Span = obs::Span::new("circuit.recovery.dwell.sparse_lu");
-static DWELL_DENSE: obs::Span = obs::Span::new("circuit.recovery.dwell.dense_lu");
+/// One attempt per rung, successful or not: how long it spent on its rung
+/// before accepting or escalating.
+static ATTEMPT_SPAN_BASE: obs::Span = obs::Span::new("recovery.attempt.base", Level::Stage);
+static ATTEMPT_SPAN_SPARSE: obs::Span = obs::Span::new("recovery.attempt.sparse_lu", Level::Stage);
+static ATTEMPT_SPAN_DENSE: obs::Span = obs::Span::new("recovery.attempt.dense_lu", Level::Stage);
 
 impl RecoveryStage {
     /// The rung's name in reports, errors and live events.
@@ -56,15 +59,6 @@ impl RecoveryStage {
             RecoveryStage::Base => "base",
             RecoveryStage::SparseLu => "sparse-lu",
             RecoveryStage::DenseLu => "dense-lu",
-        }
-    }
-
-    /// Static label of the rung's trace instant.
-    fn trace_name(self) -> &'static str {
-        match self {
-            RecoveryStage::Base => "recovery.attempt.base",
-            RecoveryStage::SparseLu => "recovery.attempt.sparse_lu",
-            RecoveryStage::DenseLu => "recovery.attempt.dense_lu",
         }
     }
 
@@ -84,11 +78,11 @@ impl RecoveryStage {
         }
     }
 
-    fn dwell_span(self) -> &'static obs::Span {
+    fn attempt_span(self) -> &'static obs::Span {
         match self {
-            RecoveryStage::Base => &DWELL_BASE,
-            RecoveryStage::SparseLu => &DWELL_SPARSE,
-            RecoveryStage::DenseLu => &DWELL_DENSE,
+            RecoveryStage::Base => &ATTEMPT_SPAN_BASE,
+            RecoveryStage::SparseLu => &ATTEMPT_SPAN_SPARSE,
+            RecoveryStage::DenseLu => &ATTEMPT_SPAN_DENSE,
         }
     }
 }
@@ -182,16 +176,14 @@ impl RecoveryReport {
         options: &SolveOptions,
     ) -> Result<DcSolution, CircuitError> {
         stage.attempt_counter().inc();
-        trace::instant(stage.trace_name(), trace::Level::Stage, 1.0);
-        let _dwell = stage.dwell_span().enter();
+        let _attempt = stage.attempt_span().enter();
         let result = attempt(circuit, options, stage);
         if matches!(result, Err(CircuitError::SingularSystem { .. })) {
             let guard = SolveGuard::SingularPivot;
-            EARLY_ESCALATIONS.inc();
-            trace::instant("recovery.early_escalation", trace::Level::Stage, 1.0);
-            if obs::live::enabled() {
-                obs::live::guard_tripped(stage.label(), &guard.to_string());
-            }
+            EARLY_ESCALATIONS.record_live(1.0, || LiveEvent::GuardTripped {
+                stage: stage.label().to_string(),
+                guard: guard.to_string(),
+            });
             self.early_escalations
                 .push(EarlyEscalation { stage, guard });
         }
@@ -220,7 +212,6 @@ pub fn solve_robust(
     options: &SolveOptions,
 ) -> Result<(DcSolution, RecoveryReport), CircuitError> {
     let _span = ROBUST_SPAN.enter();
-    let _trace_span = trace::span("recovery.solve", trace::Level::Stage);
     ROBUST_SOLVES.inc();
     let mut report = RecoveryReport {
         attempts: Vec::new(),
@@ -425,7 +416,7 @@ mod tests {
     fn sparse_base_on_a_small_system_falls_back_to_dense() {
         // A zero-diagonal row defeats every engine; below the dense cutoff
         // an LDLᵀ base still gets the dense LU as its second rung.
-        let _session = obs::session();
+        let session = obs::session();
         let mut c = healthy_spec(2, 2).build().unwrap().circuit().clone();
         c.add_node();
         let options = SolveOptions {
@@ -440,7 +431,7 @@ mod tests {
         assert_eq!(ATTEMPT_BASE.get(), 1);
         assert_eq!(ATTEMPT_SPARSE.get(), 0);
         assert_eq!(ATTEMPT_DENSE.get(), 1);
-        assert_eq!(EARLY_ESCALATIONS.get(), 2);
+        assert_eq!(session.snapshot().counter("solver.early_escalations"), 2);
     }
 
     #[test]

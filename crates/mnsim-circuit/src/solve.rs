@@ -25,7 +25,7 @@ use mnsim_obs as obs;
 use mnsim_tech::memristor::IvModel;
 
 static DC_SOLVES: obs::Counter = obs::Counter::new("circuit.solve.dc_solves");
-static DC_SPAN: obs::Span = obs::Span::new("circuit.solve.dc");
+static DC_SPAN: obs::Span = obs::Span::new("circuit.solve_dc", obs::Level::Stage);
 static LINEAR_DENSE: obs::Counter = obs::Counter::new("circuit.solve.dense_lu");
 static LINEAR_SPARSE: obs::Counter = obs::Counter::new("circuit.solve.sparse_lu");
 static LINEAR_FULL_MNA: obs::Counter = obs::Counter::new("circuit.solve.full_mna");
@@ -230,7 +230,6 @@ pub(crate) fn solve_dc_in(
     workspace: &mut SparseWorkspace,
 ) -> Result<DcSolution, CircuitError> {
     let _span = DC_SPAN.enter();
-    let _trace_span = obs::trace::span("circuit.solve_dc", obs::trace::Level::Stage);
     DC_SOLVES.inc();
     if circuit.is_nonlinear() {
         solve_newton(circuit, options, workspace)

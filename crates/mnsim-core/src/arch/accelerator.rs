@@ -7,7 +7,7 @@
 //! pipeline cycle" is the largest bank cycle (paper §VII.D).
 
 use mnsim_nn::descriptor::BankDescriptor;
-use mnsim_obs::trace;
+use mnsim_obs::{Level, Span};
 use mnsim_tech::units::{Area, Energy, Power, Time};
 
 use crate::arch::bank::{evaluate_bank, BankModelResult};
@@ -16,6 +16,8 @@ use crate::error::CoreError;
 use crate::modules::interface::interface;
 use crate::modules::link::{hop_length, interbank_link};
 use crate::perf::ModulePerf;
+
+static LAYER_SPAN: Span = Span::new("layer", Level::Layer);
 
 /// The evaluated performance of the whole accelerator.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,7 +82,7 @@ pub fn evaluate_accelerator(config: &Config) -> Result<AcceleratorModelResult, C
     let descriptors = &config.network.banks;
     let mut banks: Vec<BankModelResult> = Vec::with_capacity(descriptors.len());
     for (i, bank) in descriptors.iter().enumerate() {
-        let _layer_span = trace::span_at("layer", trace::Level::Layer, i as i64);
+        let _layer_span = LAYER_SPAN.enter_at(i as i64);
         banks.push(evaluate_bank(config, bank, next_kernel_of(descriptors, i)));
     }
 

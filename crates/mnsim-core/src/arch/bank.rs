@@ -6,7 +6,7 @@
 //! non-linear neuron modules, and the output buffer.
 
 use mnsim_nn::descriptor::BankDescriptor;
-use mnsim_obs::trace;
+use mnsim_obs::{trace, Level, Span};
 use mnsim_tech::units::{Area, Power};
 
 use crate::arch::unit::{evaluate_unit, UnitModelResult};
@@ -16,6 +16,8 @@ use crate::modules::digital::{adder_tree, register_bank};
 use crate::modules::neuron::reference_neuron;
 use crate::modules::pooling::{line_buffer, line_buffer_length, pooling_module};
 use crate::perf::ModulePerf;
+
+static BANK_SPAN: Span = Span::new("bank", Level::Bank);
 
 /// The evaluated performance of one computation bank.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,7 +61,7 @@ pub fn evaluate_bank(
     bank: &BankDescriptor,
     next_kernel: Option<usize>,
 ) -> BankModelResult {
-    let _trace_span = trace::span("bank", trace::Level::Bank);
+    let _span = BANK_SPAN.enter();
     let cmos = config.cmos.params();
     let bits = config.precision.output_bits;
 

@@ -5,7 +5,7 @@
 //! optional subtractors for the dual-crossbar signed mapping, shift-add
 //! mergers for bit-sliced weights) + a small control counter.
 
-use mnsim_obs::trace;
+use mnsim_obs::{trace, Level, Span};
 use mnsim_tech::units::Area;
 
 use crate::config::{Config, InputEncoding, SignedMapping, WeightPolarity};
@@ -14,6 +14,8 @@ use crate::modules::crossbar::CrossbarModel;
 use crate::modules::decoder::{compute_decoder, memory_decoder};
 use crate::modules::digital::{adder, controller, mux, register_bank, shift_add_merge, subtractor};
 use crate::perf::ModulePerf;
+
+static UNIT_SPAN: Span = Span::new("unit", Level::Unit);
 
 /// Area breakdown of a unit — used for claims like the paper's "ADCs take
 /// about half of the area" (§V.C).
@@ -66,7 +68,7 @@ pub struct UnitModelResult {
 ///
 /// `rows_used`/`cols_used` are clamped to the crossbar geometry.
 pub fn evaluate_unit(config: &Config, rows_used: usize, cols_used: usize) -> UnitModelResult {
-    let _trace_span = trace::span("unit", trace::Level::Unit);
+    let _span = UNIT_SPAN.enter();
     let cmos = config.cmos.params();
     let size = config.crossbar_size;
     let rows_used = rows_used.clamp(1, size);

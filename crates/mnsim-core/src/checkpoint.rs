@@ -36,8 +36,8 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use mnsim_obs as obs;
-use mnsim_obs::trace;
-use mnsim_obs::{write_json_string, JsonValue};
+use mnsim_obs::live::LiveEvent;
+use mnsim_obs::{write_json_string, JsonValue, Level};
 
 use crate::error::{ConfigError, CoreError};
 use crate::exec::{self, ExecError, Interrupt, RunControl};
@@ -47,8 +47,11 @@ use crate::exec::{self, ExecError, Interrupt, RunControl};
 /// not archives, so there is no cross-version migration.
 pub const SCHEMA_VERSION: u32 = 1;
 
-static CHECKPOINT_WRITTEN: obs::Counter = obs::Counter::new("checkpoint.written");
-static CHECKPOINT_RESUMED: obs::Counter = obs::Counter::new("checkpoint.resumed");
+/// A checkpoint file was written; its instant carries the completed count
+/// and its live line names the path.
+static CHECKPOINT_WRITTEN: obs::Mark = obs::Mark::new("checkpoint.written", Level::Run);
+/// A campaign resumed from a checkpoint; its instant carries the resumed count.
+static CHECKPOINT_RESUMED: obs::Mark = obs::Mark::new("checkpoint.resumed", Level::Run);
 
 /// When and where a campaign persists its progress.
 ///
@@ -81,18 +84,6 @@ impl CheckpointPolicy {
         self.every_n = n.max(1);
         self
     }
-}
-
-/// Records a checkpoint write in the observability layer.
-fn note_written(completed: usize) {
-    CHECKPOINT_WRITTEN.inc();
-    trace::instant("checkpoint.written", trace::Level::Run, completed as f64);
-}
-
-/// Records a successful resume in the observability layer.
-fn note_resumed(completed: usize) {
-    CHECKPOINT_RESUMED.inc();
-    trace::instant("checkpoint.resumed", trace::Level::Run, completed as f64);
 }
 
 /// Writes `contents` to `path` atomically: staged to a sibling
@@ -286,7 +277,7 @@ impl Campaign<'_> {
             }
             if Path::new(&policy.path).exists() {
                 let resumed = self.load(&policy.path, &mut slots)?;
-                note_resumed(resumed);
+                CHECKPOINT_RESUMED.record(resumed as f64);
             }
         }
 
@@ -355,11 +346,14 @@ impl Campaign<'_> {
             .collect())
     }
 
-    /// Writes the checkpoint (when a policy is set) and reports it live.
+    /// Writes the checkpoint (when a policy is set) and records the write.
     fn checkpoint<T: Record>(&self, slots: &[Option<T>], done: usize) -> Result<(), CoreError> {
         if let Some(policy) = self.policy {
             self.write(&policy.path, slots)?;
-            obs::live::checkpoint_written(&policy.path, done);
+            CHECKPOINT_WRITTEN.record_live(done as f64, || LiveEvent::CheckpointWritten {
+                path: policy.path.clone(),
+                completed: done,
+            });
         }
         Ok(())
     }
@@ -401,9 +395,7 @@ impl Campaign<'_> {
             out.push_str("\n  ");
         }
         out.push_str("]\n}\n");
-        write_atomic(path, &out)?;
-        note_written(written);
-        Ok(())
+        write_atomic(path, &out)
     }
 
     /// Loads a checkpoint into `slots`, verifying it belongs to this exact

@@ -263,11 +263,11 @@ impl Config {
             }
         }
         let sense_ohms = self.sense_resistance.ohms();
-        if sense_ohms.is_nan() || sense_ohms <= 0.0 {
+        if !sense_ohms.is_finite() || sense_ohms <= 0.0 {
             violation(
                 "Sense_Resistance",
                 format!("got {sense_ohms} Ω"),
-                "a positive resistance",
+                "a positive, finite resistance",
             );
         }
         if let Err(e) = self.device.validate() {

@@ -12,8 +12,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use mnsim_obs as obs;
-use mnsim_obs::trace;
-use mnsim_obs::JsonValue;
+use mnsim_obs::{JsonValue, Level};
 use mnsim_tech::interconnect::InterconnectNode;
 
 use crate::checkpoint::{self, record_index, Campaign, CheckpointPolicy, Record};
@@ -26,8 +25,8 @@ static DSE_POINTS: obs::Counter = obs::Counter::new("core.dse.points");
 static DSE_FEASIBLE: obs::Counter = obs::Counter::new("core.dse.feasible");
 static DSE_INFEASIBLE: obs::Counter = obs::Counter::new("core.dse.infeasible");
 static DSE_ERRORS: obs::Counter = obs::Counter::new("core.dse.errors");
-static POINT_SPAN: obs::Span = obs::Span::new("core.dse.point");
-static EXPLORE_SPAN: obs::Span = obs::Span::new("core.dse.explore");
+static POINT_SPAN: obs::Span = obs::Span::new("dse.point", Level::Stage);
+static EXPLORE_SPAN: obs::Span = obs::Span::new("dse.explore", Level::Run);
 static POINTS_PER_SEC: obs::Gauge = obs::Gauge::new("core.dse.points_per_sec");
 
 /// The swept parameter ranges.
@@ -359,7 +358,6 @@ pub(crate) fn explore(
     policy: Option<&CheckpointPolicy>,
 ) -> Result<DseResult, CoreError> {
     let _span = EXPLORE_SPAN.enter();
-    let _trace_span = trace::span("dse.explore", trace::Level::Run);
     space.validate()?;
     let started = Instant::now();
     let combos = space.combinations();
@@ -433,7 +431,6 @@ fn evaluate_point(
     interconnect: InterconnectNode,
 ) -> Result<DesignPoint, CoreError> {
     let _span = POINT_SPAN.enter();
-    let _trace_span = trace::span("dse.point", trace::Level::Stage);
     DSE_POINTS.inc();
     let mut config = base.clone();
     config.crossbar_size = size;

@@ -24,13 +24,14 @@
 //!   which items completed — the substrate the checkpointed campaign
 //!   driver ([`crate::checkpoint`]) builds on.
 //! * **Trace affinity.** Workers pin deterministic trace lanes (one
-//!   block reserved per pool via [`trace::reserve_lanes`]) and open
-//!   per-chunk [`trace::Level::Chunk`] spans parented on the caller's
-//!   innermost span, so cross-thread work stays attributed to the run
-//!   that spawned it.
+//!   block reserved per pool via [`trace::reserve_lanes`]) and open one
+//!   `exec.chunk` span per chunk ([`mnsim_obs::Level::Chunk`]) parented
+//!   on the caller's innermost span, so cross-thread work stays
+//!   attributed to the run that spawned it; the same span's histogram is
+//!   the workers' busy time.
 //! * **Pool effectiveness metrics.** With a metrics session open the pool
-//!   records per-worker busy/idle self-time (`exec.worker.busy` /
-//!   `exec.worker.idle`), the queue depth after each chunk claim
+//!   also records per-worker idle time between chunks
+//!   (`exec.worker.idle`), the queue depth after each chunk claim
 //!   (`exec.queue.depth`), and a per-pool chunk-imbalance gauge
 //!   (`exec.chunk_imbalance`, `(max − min) / mean` of per-worker item
 //!   counts). These are timing telemetry — useful for judging the chunk
@@ -53,16 +54,18 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use mnsim_obs as obs;
-use mnsim_obs::trace;
+use mnsim_obs::{trace, Level};
 
-static EXEC_CANCELLED: obs::Counter = obs::Counter::new("exec.cancelled");
-static EXEC_DEADLINE_EXCEEDED: obs::Counter = obs::Counter::new("exec.deadline_exceeded");
-static EXEC_WORKER_PANICS: obs::Counter = obs::Counter::new("exec.worker_panics");
-/// Per-worker self-time spent evaluating chunk items.
-static EXEC_WORKER_BUSY: obs::Span = obs::Span::new("exec.worker.busy");
+/// The interrupts and panics that cut a map short; each instant carries
+/// the number of items completed.
+static EXEC_CANCELLED: obs::Mark = obs::Mark::new("exec.cancelled", Level::Run);
+static EXEC_DEADLINE_EXCEEDED: obs::Mark = obs::Mark::new("exec.deadline_exceeded", Level::Run);
+static EXEC_WORKER_PANICS: obs::Mark = obs::Mark::new("exec.worker_panics", Level::Run);
+/// One chunk of items on one worker: the workers' busy time.
+static EXEC_CHUNK: obs::Span = obs::Span::new("exec.chunk", Level::Chunk);
 /// Per-worker self-time between finishing one chunk and claiming the
 /// next (queue/cursor contention; excludes the post-queue drain).
-static EXEC_WORKER_IDLE: obs::Span = obs::Span::new("exec.worker.idle");
+static EXEC_WORKER_IDLE: obs::Span = obs::Span::new("exec.worker.idle", Level::Chunk);
 /// Items left in the queue after the most recent chunk claim.
 static EXEC_QUEUE_DEPTH: obs::Gauge = obs::Gauge::new("exec.queue.depth");
 /// `(max − min) / mean` of per-worker item counts for the most recent
@@ -529,9 +532,9 @@ where
         let cursor = AtomicUsize::new(0);
         let collected: Mutex<Vec<(usize, ItemOutcome<R, E>)>> =
             Mutex::new(Vec::with_capacity(total));
-        // Pool-effectiveness metrics (busy/idle self-time, queue depth,
-        // chunk imbalance) cost `Instant::now` calls per chunk, so they
-        // are gated on the metrics session being open at pool start.
+        // Pool-effectiveness metrics (idle time, queue depth, chunk
+        // imbalance) cost `Instant::now` calls per chunk, so they are
+        // gated on the metrics session being open at pool start.
         let instrument = obs::enabled();
         let worker_items: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
 
@@ -554,21 +557,11 @@ where
                             break;
                         }
                         let end = (start + chunk).min(total);
-                        let busy_since = if instrument {
-                            if let Some(since) = idle_since.take() {
-                                EXEC_WORKER_IDLE.record_seconds(since.elapsed().as_secs_f64());
-                            }
+                        if let Some(since) = idle_since.take() {
+                            EXEC_WORKER_IDLE.record_seconds(since.elapsed().as_secs_f64());
                             EXEC_QUEUE_DEPTH.set(total.saturating_sub(end) as f64);
-                            Some(Instant::now())
-                        } else {
-                            None
-                        };
-                        let _chunk_span = trace::span_under(
-                            "exec.chunk",
-                            trace::Level::Chunk,
-                            (start / chunk) as i64,
-                            parent,
-                        );
+                        }
+                        let chunk_span = EXEC_CHUNK.enter_under((start / chunk) as i64, parent);
                         let mut chunk_completed = 0usize;
                         for (position, &index) in
                             indices.iter().enumerate().take(end).skip(start)
@@ -589,11 +582,11 @@ where
                                 }
                             }
                         }
+                        drop(chunk_span);
                         if let Some(token) = &control.cancel {
                             token.note_completed(chunk_completed);
                         }
-                        if let Some(since) = busy_since {
-                            EXEC_WORKER_BUSY.record_seconds(since.elapsed().as_secs_f64());
+                        if instrument {
                             items_done.fetch_add(end - start, Ordering::Relaxed);
                             idle_since = Some(Instant::now());
                         }
@@ -653,27 +646,17 @@ where
     let completed = results.iter().filter(|slot| slot.is_some()).count();
     let error = failure.map(|(_, error)| error);
     if matches!(error, Some(ExecError::WorkerPanic { .. })) {
-        EXEC_WORKER_PANICS.inc();
-        trace::instant("exec.worker_panic", trace::Level::Run, completed as f64);
+        EXEC_WORKER_PANICS.record(completed as f64);
     }
     // An interrupt only counts if it actually cut work short: a token
     // that trips after the final item leaves the run complete.
     let interrupt = match control.interrupted() {
         Some(kind) if completed < total && error.is_none() => {
-            match kind {
-                Interrupt::Cancelled => {
-                    EXEC_CANCELLED.inc();
-                    trace::instant("exec.cancelled", trace::Level::Run, completed as f64);
-                }
-                Interrupt::DeadlineExceeded => {
-                    EXEC_DEADLINE_EXCEEDED.inc();
-                    trace::instant(
-                        "exec.deadline_exceeded",
-                        trace::Level::Run,
-                        completed as f64,
-                    );
-                }
-            }
+            let mark = match kind {
+                Interrupt::Cancelled => &EXEC_CANCELLED,
+                Interrupt::DeadlineExceeded => &EXEC_DEADLINE_EXCEEDED,
+            };
+            mark.record(completed as f64);
             Some(kind)
         }
         _ => None,

@@ -21,7 +21,7 @@ use mnsim_circuit::mna::{Circuit, DcSolution};
 use mnsim_circuit::recovery::{kcl_residual, solve_robust};
 use mnsim_circuit::solve::{solve_dc, SolveOptions};
 use mnsim_obs as obs;
-use mnsim_obs::trace;
+use mnsim_obs::Level;
 use mnsim_nn::fault::weight_damage_levels;
 use mnsim_nn::quantize::Quantizer;
 use mnsim_nn::tensor::Tensor;
@@ -44,8 +44,8 @@ use crate::simulate::{simulate, Report};
 static FAULT_CAMPAIGNS: obs::Counter = obs::Counter::new("core.fault.campaigns");
 static FAULT_TRIALS: obs::Counter = obs::Counter::new("core.fault.trials");
 static FAULT_RETIRED: obs::Counter = obs::Counter::new("core.fault.retired_trials");
-static CAMPAIGN_SPAN: obs::Span = obs::Span::new("core.fault.campaign");
-static TRIAL_SPAN: obs::Span = obs::Span::new("core.fault.trial");
+static CAMPAIGN_SPAN: obs::Span = obs::Span::new("fault.campaign", Level::Run);
+static TRIAL_SPAN: obs::Span = obs::Span::new("fault.trial", Level::Trial);
 
 /// Side length cap of the representative crossbar solved at circuit level.
 ///
@@ -271,13 +271,7 @@ struct SolveOutcome {
 /// degradation, and (if the array survives) solve the circuit path and
 /// mirror the behavior path.
 fn run_trial(context: &TrialContext<'_>, trial: usize) -> Result<TrialOutcome, CoreError> {
-    let _span = TRIAL_SPAN.enter();
-    let _trace_span = trace::span_under(
-        "fault.trial",
-        trace::Level::Trial,
-        trial as i64,
-        context.trace_parent,
-    );
+    let _span = TRIAL_SPAN.enter_under(trial as i64, context.trace_parent);
     FAULT_TRIALS.inc();
     let fault_config = context.fault_config;
     let size = context.clean_spec.rows;
@@ -416,8 +410,7 @@ pub(crate) fn simulate_with_faults(
     control: &RunControl,
     policy: Option<&CheckpointPolicy>,
 ) -> Result<Report, CoreError> {
-    let _span = CAMPAIGN_SPAN.enter();
-    let campaign_span = trace::span("fault.campaign", trace::Level::Run);
+    let campaign_span = CAMPAIGN_SPAN.enter();
     FAULT_CAMPAIGNS.inc();
     fault_config.validate()?;
     let mut report = simulate(config)?;

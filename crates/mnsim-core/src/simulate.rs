@@ -3,7 +3,7 @@
 //! the computing-accuracy estimation.
 
 use mnsim_obs as obs;
-use mnsim_obs::{trace, MetricsSnapshot, TraceSummary};
+use mnsim_obs::{Level, MetricsSnapshot, TraceSummary};
 use mnsim_tech::units::{Area, Energy, Power, Time};
 
 use crate::accuracy::{propagate, AccuracyModel, Case, LayerAccuracy};
@@ -13,10 +13,10 @@ use crate::error::CoreError;
 use crate::fault_sim::FaultSummary;
 
 static SIMULATE_RUNS: obs::Counter = obs::Counter::new("core.simulate.runs");
-static SIMULATE_SPAN: obs::Span = obs::Span::new("core.simulate.total");
-static STAGE_ACCELERATOR: obs::Span = obs::Span::new("core.simulate.stage.accelerator");
-static STAGE_ACCURACY: obs::Span = obs::Span::new("core.simulate.stage.accuracy");
-static STAGE_PROPAGATE: obs::Span = obs::Span::new("core.simulate.stage.propagate");
+static SIMULATE_SPAN: obs::Span = obs::Span::new("simulate", Level::Run);
+static STAGE_ACCELERATOR: obs::Span = obs::Span::new("accelerator", Level::Stage);
+static STAGE_ACCURACY: obs::Span = obs::Span::new("accuracy", Level::Stage);
+static STAGE_PROPAGATE: obs::Span = obs::Span::new("propagate", Level::Stage);
 
 /// The complete simulation result for one configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,19 +87,16 @@ impl Report {
 /// Returns configuration validation errors.
 pub fn simulate(config: &Config) -> Result<Report, CoreError> {
     let _span = SIMULATE_SPAN.enter();
-    let _trace_span = trace::span("simulate", trace::Level::Run);
     SIMULATE_RUNS.inc();
 
     let accelerator = {
         let _stage = STAGE_ACCELERATOR.enter();
-        let _tstage = trace::span("accelerator", trace::Level::Stage);
         evaluate_accelerator(config)?
     };
 
     // ε per bank: the crossbar geometry actually used by its units.
     let epsilons: Vec<f64> = {
         let _stage = STAGE_ACCURACY.enter();
-        let _tstage = trace::span("accuracy", trace::Level::Stage);
         let accuracy = AccuracyModel::from_config(config);
         accelerator
             .banks
@@ -119,7 +116,6 @@ pub fn simulate(config: &Config) -> Result<Report, CoreError> {
 
     let layer_accuracy = {
         let _stage = STAGE_PROPAGATE.enter();
-        let _tstage = trace::span("propagate", trace::Level::Stage);
         propagate(&epsilons, config.output_levels())
     };
     let last = layer_accuracy

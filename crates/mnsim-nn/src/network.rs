@@ -1,10 +1,12 @@
 //! Network container: an ordered pipeline of layers.
 
-use mnsim_obs::trace;
+use mnsim_obs::{Level, Span};
 
 use crate::error::NnError;
 use crate::layers::Layer;
 use crate::tensor::Tensor;
+
+static LAYER_SPAN: Span = Span::new("nn.layer", Level::Layer);
 
 /// A feed-forward network: layers applied in order.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -58,7 +60,7 @@ impl Network {
         }
         let mut current = input.clone();
         for (i, layer) in self.layers.iter().enumerate() {
-            let _span = trace::span_at("nn.layer", trace::Level::Layer, i as i64);
+            let _span = LAYER_SPAN.enter_at(i as i64);
             current = layer.forward(&current)?;
         }
         Ok(current)
@@ -79,7 +81,7 @@ impl Network {
         let mut activations = Vec::with_capacity(self.layers.len());
         let mut current = input.clone();
         for (i, layer) in self.layers.iter().enumerate() {
-            let _span = trace::span_at("nn.layer", trace::Level::Layer, i as i64);
+            let _span = LAYER_SPAN.enter_at(i as i64);
             current = layer.forward(&current)?;
             activations.push(current.clone());
         }

@@ -12,7 +12,7 @@ use crate::error::NnError;
 
 static TRAIN_EPOCHS: obs::Counter = obs::Counter::new("nn.train.epochs");
 static TRAIN_SAMPLES: obs::Counter = obs::Counter::new("nn.train.samples");
-static EPOCH_SPAN: obs::Span = obs::Span::new("nn.train.epoch");
+static EPOCH_SPAN: obs::Span = obs::Span::new("nn.train.epoch", obs::Level::Stage);
 use crate::layers::{Activation, FullyConnected, Layer};
 use crate::network::Network;
 use crate::tensor::Tensor;

@@ -1,21 +1,32 @@
-//! # mnsim-obs — observability layer for the MNSIM reproduction
+//! # mnsim-obs — one instrumentation model for the MNSIM reproduction
 //!
-//! Zero-dependency instrumentation primitives: monotonic [`Counter`]s,
-//! last-write [`Gauge`]s, fixed-bucket [`Histogram`]s and scoped timer
-//! [`Span`]s, all backed by a global registry that is a **no-op unless
-//! enabled**.
+//! Three sinks — the metric registry (counters, gauges, histograms), the
+//! hierarchical [`trace`] and the [`live`] NDJSON stream — behind one
+//! recording layer:
 //!
-//! Design constraints (see `DESIGN.md` §8):
-//!
-//! * **Cheap when off.** Every operation first reads one relaxed
-//!   [`AtomicBool`]; a disabled counter increment is a load and a branch,
-//!   and a disabled span never calls [`Instant::now`].
+//! * **One gate.** One atomic sink word carries a bit per sink. Every
+//!   recording call first reads it once (relaxed); a disabled call is
+//!   that load and a branch, and a disabled span never reads the clock.
+//! * **One handle per kind of fact.** A [`Counter`] counts, a [`Span`]
+//!   times a scope and a [`Mark`] says "this happened". Each records its
+//!   fact once and fans it out to whichever sinks are open: a span feeds
+//!   the histogram of its name and a Begin/End pair of the same name, a
+//!   mark adds one to the counter of its name and emits the trace instant
+//!   of that name. So a run's metrics histogram of a span is the
+//!   aggregate of its trace spans, by construction.
+//! * **One session mechanism.** [`session`], [`trace::session`] and
+//!   [`live::session`] each take their sink's lock, reset the sink and
+//!   set its bit; dropping (or finishing) the session clears the bit.
+//!   Sessions of different sinks nest freely.
+//! * **One emitter.** [`EmitSpec`] parses the front ends'
+//!   `--emit <kind>=<path>` flags, opens the sessions they need and
+//!   writes the artifacts.
 //! * **Cheap when on.** Each call site declares a `static` handle whose
-//!   backing cell is resolved once through the registry mutex and cached in
-//!   a [`OnceLock`]; subsequent updates are lock-free atomic operations.
+//!   backing cell is resolved once through the registry mutex and cached
+//!   in a [`OnceLock`]; later updates are lock-free atomics.
 //! * **Zero dependencies.** The workspace is offline; JSON and CSV export
-//!   are hand-rolled, and [`validate_json`] provides a tiny validator so
-//!   tests and CI can reject malformed dumps without `serde`.
+//!   are hand-rolled, and [`validate_json`] lets tests and CI reject
+//!   malformed dumps without `serde`.
 //!
 //! # Examples
 //!
@@ -23,16 +34,18 @@
 //! use mnsim_obs as obs;
 //!
 //! static SOLVES: obs::Counter = obs::Counter::new("demo.solves");
-//! static SOLVE_SPAN: obs::Span = obs::Span::new("demo.solve");
+//! static SOLVE: obs::Span = obs::Span::new("demo.solve", obs::Level::Stage);
 //!
-//! let session = obs::session(); // locks, resets, enables
+//! let metrics = obs::session(); // locks, resets, enables the registry
+//! let trace = obs::trace::session(); // the same span also lands here
 //! {
-//!     let _timer = SOLVE_SPAN.enter();
+//!     let _timer = SOLVE.enter();
 //!     SOLVES.inc();
 //! }
-//! let snapshot = session.snapshot();
+//! let snapshot = metrics.snapshot();
 //! assert_eq!(snapshot.counters["demo.solves"], 1);
 //! assert_eq!(snapshot.histograms["demo.solve"].count, 1);
+//! assert_eq!(trace.finish().summary().spans["demo.solve"].count, 1);
 //! obs::validate_json(&snapshot.to_json()).unwrap();
 //! ```
 
@@ -41,20 +54,22 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::convert::Infallible;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Instant;
 
+mod emit;
 mod hash;
 mod json;
 pub mod live;
 mod snapshot;
 pub mod trace;
 
+pub use emit::{EmitSpec, Emitter};
 pub use hash::{fnv64, Fnv64};
 pub use json::{parse_json, validate_json, write_json_number, write_json_string, JsonValue};
 pub use snapshot::{BucketCount, HistogramSnapshot, MetricsSnapshot};
-pub use trace::{validate_chrome_trace, Trace, TraceSummary};
+pub use trace::{validate_chrome_trace, Level, Trace, TraceSummary};
 
 /// Number of exponential histogram buckets (powers of two from `2⁻³⁰` to
 /// `2³⁴`, plus one overflow bucket).
@@ -62,17 +77,95 @@ pub(crate) const BUCKET_COUNT: usize = 65;
 /// Exponent offset of bucket 0 (`2^-BUCKET_OFFSET` is the smallest edge).
 pub(crate) const BUCKET_OFFSET: i32 = 30;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+// ---------------------------------------------------------------------------
+// The sink word and the one session mechanism
+// ---------------------------------------------------------------------------
+
+/// Sink-word bit of the metric registry.
+pub(crate) const METRICS: u32 = 1;
+/// Sink-word bit of the trace.
+pub(crate) const TRACE: u32 = 1 << 1;
+/// Sink-word bit of the live stream.
+pub(crate) const LIVE: u32 = 1 << 2;
+
+/// One bit per open sink.
+static SINKS: AtomicU32 = AtomicU32::new(0);
+
+/// The sinks currently recording (one relaxed load).
+#[inline]
+pub(crate) fn sinks() -> u32 {
+    SINKS.load(Ordering::Relaxed)
+}
 
 /// `true` if metric recording is globally enabled.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    sinks() & METRICS != 0
 }
 
-/// Globally enables or disables metric recording.
+/// Globally enables or disables metric recording. Outside tests and tools
+/// that already hold the [`session`] lock, open a [`session`] instead.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+    if on {
+        SINKS.fetch_or(METRICS, Ordering::Relaxed);
+    } else {
+        SINKS.fetch_and(!METRICS, Ordering::Relaxed);
+    }
+}
+
+/// One session lock per sink bit.
+static SESSION_LOCKS: [Mutex<()>; 3] = [const { Mutex::new(()) }; 3];
+
+/// One sink's exclusive window: the sink's session lock, held while its
+/// bit is set in the sink word. Every session type is built on it.
+///
+/// The sink word is a **relaxed** atomic: flipping a bit creates no
+/// happens-before edge with other threads. A fact is recorded iff the
+/// recording thread observes the bit, so:
+///
+/// * Open a session **before** spawning instrumented workers. Thread
+///   spawning synchronizes-with the new thread, so workers spawned after
+///   the session opens observe it (the worker pool of every campaign
+///   spawns inside the session and is covered by this).
+/// * Work already in flight on threads spawned **before** the session
+///   opened may race the flip and have its facts silently dropped. Join
+///   or synchronize with such threads first if their facts matter.
+/// * Symmetrically, join everything a session measures before reading it.
+#[derive(Debug)]
+pub(crate) struct Window {
+    bit: u32,
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl Window {
+    /// Takes `bit`'s session lock, runs `reset` under it and, when the
+    /// reset succeeds, sets the bit.
+    pub(crate) fn open<E>(bit: u32, reset: impl FnOnce() -> Result<(), E>) -> Result<Self, E> {
+        let lock = SESSION_LOCKS[bit.trailing_zeros() as usize]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        // Overlap detector: a sink must be off outside its sessions. A set
+        // bit here means something enabled it without holding the lock, so
+        // its facts would silently bleed into (or be reset by) this session.
+        debug_assert!(
+            sinks() & bit == 0,
+            "a session opened while its sink was already recording"
+        );
+        reset()?;
+        SINKS.fetch_or(bit, Ordering::Relaxed);
+        Ok(Window { bit, _lock: lock })
+    }
+
+    /// Clears the bit; the lock is held until the window drops.
+    pub(crate) fn close(&self) {
+        SINKS.fetch_and(!self.bit, Ordering::Relaxed);
+    }
+}
+
+impl Drop for Window {
+    fn drop(&mut self) {
+        self.close();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -145,56 +238,26 @@ pub fn snapshot() -> MetricsSnapshot {
 // Session
 // ---------------------------------------------------------------------------
 
-static SESSION_LOCK: Mutex<()> = Mutex::new(());
-
-/// An exclusive measurement window: the global session lock is held, the
+/// An exclusive metrics window: the registry's session lock is held, the
 /// registry is reset, and recording is enabled until the guard drops.
 ///
 /// Tests and tools that assert on global metric values must go through
 /// [`session`] so concurrently running instrumented code (other tests in
-/// the same binary) cannot interleave with the measurement.
-///
-/// # Ordering contract
-///
-/// The enabled flag is a **relaxed** atomic: flipping it creates no
-/// happens-before edge with other threads. A metric update is captured
-/// iff the recording thread observes the flag as set, so:
-///
-/// * Open the session **before** spawning instrumented workers. Thread
-///   spawning synchronizes-with the new thread, so workers spawned after
-///   [`session`] returns are guaranteed to observe recording as enabled
-///   (the fault-campaign / DSE worker pools spawn inside the
-///   session and are covered by this).
-/// * Work already in flight on threads spawned **before** the session
-///   opened may race the flag flip: those threads can keep observing
-///   "disabled" for a short window and their updates are silently
-///   dropped. Join or synchronize with such threads first if their
-///   metrics matter.
-/// * Symmetrically, everything the session measures must be joined
-///   before [`Session::snapshot`] — a still-running worker's updates may
-///   or may not be included.
+/// the same binary) cannot interleave with the measurement. Open it before
+/// spawning the workers it should see, and join them before
+/// [`Session::snapshot`]: the sink word is a relaxed atomic.
 #[derive(Debug)]
 pub struct Session {
-    _guard: MutexGuard<'static, ()>,
+    _window: Window,
 }
 
 /// Opens an exclusive, enabled, freshly reset metrics [`Session`].
 pub fn session() -> Session {
-    let guard = SESSION_LOCK
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    // Overlap detector: recording must be off outside sessions. A true
-    // value here means someone called `set_enabled(true)` without holding
-    // the session lock — their metrics would silently bleed into (or be
-    // reset by) this session.
-    debug_assert!(
-        !enabled(),
-        "obs::session() opened while recording is already enabled \
-         (set_enabled(true) called outside a session?)"
-    );
-    reset();
-    set_enabled(true);
-    Session { _guard: guard }
+    let Ok(window) = Window::open(METRICS, || {
+        reset();
+        Ok::<(), Infallible>(())
+    });
+    Session { _window: window }
 }
 
 impl Session {
@@ -208,12 +271,6 @@ impl Session {
             "Session::snapshot() after recording was disabled mid-session"
         );
         snapshot()
-    }
-}
-
-impl Drop for Session {
-    fn drop(&mut self) {
-        set_enabled(false);
     }
 }
 
@@ -432,13 +489,6 @@ impl std::fmt::Debug for HistogramCell {
     }
 }
 
-fn histogram_cell(name: &'static str, unit: &'static str) -> &'static HistogramCell {
-    lock_registry()
-        .histograms
-        .entry(name)
-        .or_insert_with(|| Box::leak(Box::new(HistogramCell::new(unit))))
-}
-
 // ---------------------------------------------------------------------------
 // Histogram
 // ---------------------------------------------------------------------------
@@ -448,6 +498,7 @@ fn histogram_cell(name: &'static str, unit: &'static str) -> &'static HistogramC
 #[derive(Debug)]
 pub struct Histogram {
     name: &'static str,
+    unit: &'static str,
     cell: OnceLock<&'static HistogramCell>,
 }
 
@@ -456,12 +507,18 @@ impl Histogram {
     pub const fn new(name: &'static str) -> Self {
         Histogram {
             name,
+            unit: "",
             cell: OnceLock::new(),
         }
     }
 
     fn cell(&self) -> &'static HistogramCell {
-        self.cell.get_or_init(|| histogram_cell(self.name, ""))
+        self.cell.get_or_init(|| {
+            lock_registry()
+                .histograms
+                .entry(self.name)
+                .or_insert_with(|| Box::leak(Box::new(HistogramCell::new(self.unit))))
+        })
     }
 
     /// Records one observation (no-op while disabled; non-finite values are
@@ -478,60 +535,209 @@ impl Histogram {
 // Span
 // ---------------------------------------------------------------------------
 
-/// A scoped wall-clock timer. [`Span::enter`] returns a guard that records
-/// the elapsed seconds into the span's histogram when dropped.
+/// A timed scope at one level of the hierarchy: the one span handle.
+///
+/// [`Span::enter`] returns a guard that reads the clock once when it opens
+/// and once when it drops. With metrics on it records the elapsed seconds
+/// into the histogram `name`; with the trace on it records a Begin/End
+/// pair named `name` under the thread's innermost open span. Which sinks
+/// it feeds is decided when it opens.
+///
+/// ```
+/// use mnsim_obs as obs;
+///
+/// static TRIAL: obs::Span = obs::Span::new("demo.trial", obs::Level::Trial);
+///
+/// let trace = obs::trace::session();
+/// let parent = obs::trace::current_span();
+/// std::thread::scope(|scope| {
+///     for trial in 0..2 {
+///         // Cross-thread work stays attributed through an explicit parent.
+///         scope.spawn(move || drop(TRIAL.enter_under(trial, parent)));
+///     }
+/// });
+/// assert_eq!(trace.finish().summary().spans["demo.trial"].count, 2);
+/// ```
 #[derive(Debug)]
 pub struct Span {
-    name: &'static str,
-    cell: OnceLock<&'static HistogramCell>,
+    histogram: Histogram,
+    level: Level,
 }
 
 impl Span {
     /// Creates a span handle (registration happens on first use).
-    pub const fn new(name: &'static str) -> Self {
+    pub const fn new(name: &'static str, level: Level) -> Self {
         Span {
-            name,
-            cell: OnceLock::new(),
+            histogram: Histogram {
+                name,
+                unit: "seconds",
+                cell: OnceLock::new(),
+            },
+            level,
         }
     }
 
-    fn cell(&self) -> &'static HistogramCell {
-        self.cell
-            .get_or_init(|| histogram_cell(self.name, "seconds"))
-    }
-
-    /// Starts timing; the returned guard records on drop. While disabled
-    /// the guard is inert and the clock is never read.
+    /// Opens the span under the thread's innermost open span. While every
+    /// sink it feeds is off the guard is inert and the clock is never read.
     #[inline]
     pub fn enter(&self) -> SpanGuard {
-        if enabled() {
-            SpanGuard {
-                timing: Some((self.cell(), Instant::now())),
-            }
-        } else {
-            SpanGuard { timing: None }
-        }
+        self.open(-1, None)
     }
 
-    /// Records an externally measured duration, in seconds.
+    /// [`Span::enter`] with an index, rendered `name[index]` in the trace
+    /// (layer number, trial number, …). The histogram stays `name`.
+    #[inline]
+    pub fn enter_at(&self, index: i64) -> SpanGuard {
+        self.open(index, None)
+    }
+
+    /// [`Span::enter_at`] under an **explicit** trace parent — the
+    /// cross-thread form: capture [`trace::current_span`] (or a guard's
+    /// [`SpanGuard::id`]) before spawning and hand it to the worker.
+    #[inline]
+    pub fn enter_under(&self, index: i64, parent: u64) -> SpanGuard {
+        self.open(index, Some(parent))
+    }
+
+    #[inline]
+    fn open(&self, index: i64, parent: Option<u64>) -> SpanGuard {
+        let sinks = sinks();
+        if sinks & (METRICS | TRACE) == 0 {
+            return SpanGuard { open: None };
+        }
+        let cell = (sinks & METRICS != 0).then(|| self.histogram.cell());
+        let name = self.histogram.name;
+        SpanGuard::begin(cell, sinks & TRACE != 0, name, self.level, index, parent)
+    }
+
+    /// Records an externally measured duration, in seconds, into the
+    /// span's histogram (metrics only; no-op while disabled).
     #[inline]
     pub fn record_seconds(&self, seconds: f64) {
-        if enabled() {
-            self.cell().record(seconds);
-        }
+        self.histogram.record(seconds);
     }
 }
 
-/// RAII guard of an entered [`Span`].
+/// RAII guard of an open span: records the span's end when dropped.
 #[derive(Debug)]
+#[must_use = "dropping the guard immediately produces a zero-length span"]
 pub struct SpanGuard {
-    timing: Option<(&'static HistogramCell, Instant)>,
+    open: Option<OpenSpan>,
+}
+
+/// What an open span records when it closes.
+#[derive(Debug)]
+struct OpenSpan {
+    start_ns: u64,
+    cell: Option<&'static HistogramCell>,
+    trace: Option<trace::Token>,
+}
+
+impl SpanGuard {
+    /// Reads the clock and opens the span in the sinks it feeds.
+    fn begin(
+        cell: Option<&'static HistogramCell>,
+        traced: bool,
+        name: &'static str,
+        level: Level,
+        index: i64,
+        parent: Option<u64>,
+    ) -> SpanGuard {
+        let start_ns = trace::now_ns();
+        let trace = traced.then(|| trace::begin(name, level, index, parent, start_ns));
+        SpanGuard {
+            open: Some(OpenSpan {
+                start_ns,
+                cell,
+                trace,
+            }),
+        }
+    }
+
+    /// The span's trace ID (0 when the trace was off as it opened). Pass
+    /// to [`Span::enter_under`] to attribute work on other threads to it.
+    pub fn id(&self) -> u64 {
+        self.open
+            .as_ref()
+            .and_then(|open| open.trace.as_ref())
+            .map_or(0, |token| token.id)
+    }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some((cell, start)) = self.timing.take() {
-            cell.record(start.elapsed().as_secs_f64());
+        if let Some(open) = self.open.take() {
+            let end_ns = trace::now_ns();
+            if let Some(cell) = open.cell {
+                cell.record(end_ns.saturating_sub(open.start_ns) as f64 * 1e-9);
+            }
+            if let Some(token) = open.trace {
+                trace::end(token, end_ns);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Mark
+// ---------------------------------------------------------------------------
+
+/// "This happened": adds one to the counter `name` and, with the trace on,
+/// emits the trace instant `name` (carrying `value`) under the thread's
+/// innermost open span. So a run's counter and instant counts agree.
+///
+/// ```
+/// use mnsim_obs as obs;
+///
+/// static WRITTEN: obs::Mark = obs::Mark::new("demo.written", obs::Level::Run);
+///
+/// let metrics = obs::session();
+/// WRITTEN.record(3.0);
+/// assert_eq!(metrics.snapshot().counter("demo.written"), 1);
+/// ```
+#[derive(Debug)]
+pub struct Mark {
+    counter: Counter,
+    level: Level,
+}
+
+impl Mark {
+    /// Creates a mark handle (registration happens on first use).
+    pub const fn new(name: &'static str, level: Level) -> Self {
+        Mark {
+            counter: Counter::new(name),
+            level,
+        }
+    }
+
+    /// Records the fact once in every open sink (no-op while disabled).
+    #[inline]
+    pub fn record(&self, value: f64) {
+        let sinks = sinks();
+        if sinks & (METRICS | TRACE) != 0 {
+            self.fan_out(sinks, value);
+        }
+    }
+
+    /// [`Mark::record`], plus the live line `event` builds while live
+    /// telemetry is on (the event is never built otherwise).
+    #[inline]
+    pub fn record_live(&self, value: f64, event: impl FnOnce() -> live::LiveEvent) {
+        let sinks = sinks();
+        if sinks != 0 {
+            self.fan_out(sinks, value);
+            if sinks & LIVE != 0 {
+                live::emit(event());
+            }
+        }
+    }
+
+    fn fan_out(&self, sinks: u32, value: f64) {
+        if sinks & METRICS != 0 {
+            self.counter.cell().fetch_add(1, Ordering::Relaxed);
+        }
+        if sinks & TRACE != 0 {
+            trace::instant(self.counter.name, self.level, value);
         }
     }
 }
@@ -544,19 +750,46 @@ mod tests {
     static TEST_COUNTER_ALIAS: Counter = Counter::new("test.counter");
     static TEST_GAUGE: Gauge = Gauge::new("test.gauge");
     static TEST_HIST: Histogram = Histogram::new("test.hist");
-    static TEST_SPAN: Span = Span::new("test.span");
+    static TEST_SPAN: Span = Span::new("test.span", Level::Other);
+    static TEST_MARK: Mark = Mark::new("test.mark", Level::Other);
+
+    /// Metrics and trace together: a test recording spans or marks holds
+    /// both locks, so it neither leaks into nor reads a concurrently
+    /// running test's session of the other sink.
+    fn sessions() -> (Session, trace::Session) {
+        (session(), trace::session())
+    }
 
     #[test]
     fn disabled_metrics_record_nothing() {
-        let _lock = SESSION_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _metrics = SESSION_LOCKS[0]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let _trace = SESSION_LOCKS[1]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         reset();
-        set_enabled(false);
         TEST_COUNTER.inc();
         TEST_GAUGE.set(3.5);
         TEST_HIST.record(1.0);
-        let _span = TEST_SPAN.enter();
+        TEST_MARK.record(1.0);
+        let span = TEST_SPAN.enter();
+        assert!(span.open.is_none(), "a disabled span never reads the clock");
+        assert_eq!(span.id(), 0);
+        drop(span);
         assert_eq!(TEST_COUNTER.get(), 0);
         assert_eq!(TEST_GAUGE.get(), 0.0);
+        assert_eq!(TEST_MARK.counter.get(), 0);
+    }
+
+    #[test]
+    fn sessions_own_one_bit_each_and_nest() {
+        let (metrics, trace) = sessions();
+        assert_eq!(sinks() & (METRICS | TRACE), METRICS | TRACE);
+        drop(trace.finish());
+        assert_eq!(sinks() & (METRICS | TRACE), METRICS);
+        drop(metrics);
+        assert_eq!(sinks() & METRICS, 0);
     }
 
     #[test]
@@ -587,7 +820,7 @@ mod tests {
 
     #[test]
     fn span_guard_times_scope() {
-        let session = session();
+        let (session, _trace) = sessions();
         {
             let _g = TEST_SPAN.enter();
             std::thread::sleep(std::time::Duration::from_millis(2));
@@ -597,6 +830,30 @@ mod tests {
         assert_eq!(span.count, 1);
         assert_eq!(span.unit, "seconds");
         assert!(span.sum >= 0.002, "span too short: {}", span.sum);
+    }
+
+    #[test]
+    fn one_span_and_one_mark_feed_both_sinks_under_one_name() {
+        let (metrics, trace) = sessions();
+        for i in 0..3 {
+            let _g = TEST_SPAN.enter_at(i);
+            TEST_MARK.record(i as f64);
+        }
+        let snap = metrics.snapshot();
+        let collected = trace.finish();
+        let summary = collected.summary();
+        assert_eq!(snap.histograms["test.span"].count, 3);
+        assert_eq!(summary.spans["test.span"].count, 3);
+        assert_eq!(snap.counter("test.mark"), 3);
+        let instants = collected
+            .events
+            .iter()
+            .filter(|e| e.kind == trace::EventKind::Instant && e.name == "test.mark")
+            .count();
+        assert_eq!(instants, 3);
+        // The histogram sums exactly the durations the trace recorded.
+        let traced_s = summary.spans["test.span"].total_ns as f64 * 1e-9;
+        assert!((snap.histograms["test.span"].sum - traced_s).abs() < 1e-12);
     }
 
     #[test]

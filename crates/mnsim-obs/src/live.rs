@@ -8,27 +8,29 @@
 //!
 //! * **Typed progress events.** Instrumented wave loops emit
 //!   [`LiveEvent`]s — campaign started/finished, wave completed (with ETA
-//!   and throughput), checkpoint written, deadline approaching, solver
-//!   guard tripped — serialized as one JSON object per line (NDJSON) to an
-//!   optional file sink, flushed per event so `tail -f` works, plus an
-//!   optional human progress line on stderr.
+//!   and throughput), deadline approaching — and the [`crate::Mark`]s of
+//!   checkpoint writes and solver guard trips carry their own live line
+//!   ([`crate::Mark::record_live`]). Each event is serialized as one JSON
+//!   object per line (NDJSON) to an optional file sink, flushed per event
+//!   so `tail -f` works, handed to an optional in-process [`LiveTap`], and
+//!   optionally summarized as a human progress line on stderr.
 //! * **Periodic sampling.** On each emission, if at least
 //!   [`LiveConfig::sample_period`] has elapsed since the last sample, the
 //!   metric registry is snapshotted and the counter *deltas* and current
-//!   gauge values are pushed into a bounded ring buffer (and written
-//!   inline as an `"event":"sample"` line). The series is returned by
-//!   [`LiveSession::finish`] as a [`SampleSeries`], exportable as NDJSON
-//!   or CSV.
+//!   gauge values are written inline as an `"event":"sample"` line.
+//! * **No copy of its own stream.** The session keeps counts, not lines:
+//!   whoever wants the lines reads the file sink or registers a tap, so a
+//!   stream of any length costs no memory.
 //!
 //! # Cost contract
 //!
-//! Like the metric registry and the trace subsystem, live telemetry is
-//! **off by default and cheap when off**: every public emission helper
-//! first reads one relaxed atomic and returns. Event construction,
-//! serialization, the hub mutex, and the sampler are only ever touched
-//! inside an active session. Emission rate is bounded by the wave
-//! granularity (a handful of events per second at most), so the enabled
-//! cost is negligible next to the simulated work.
+//! Like the metric registry and the trace, live telemetry is **off by
+//! default and cheap when off**: every public emission helper first reads
+//! the crate's sink word and returns. Event construction, serialization,
+//! the hub mutex, and the sampler are only ever touched inside an active
+//! session. Emission rate is bounded by the wave granularity (a handful of
+//! events per second at most), so the enabled cost is negligible next to
+//! the simulated work.
 //!
 //! # Determinism contract
 //!
@@ -46,35 +48,39 @@
 //! # Examples
 //!
 //! ```
+//! use std::sync::{Arc, Mutex};
 //! use mnsim_obs as obs;
 //!
+//! let lines = Arc::new(Mutex::new(Vec::new()));
+//! let tap = {
+//!     let lines = Arc::clone(&lines);
+//!     obs::live::LiveTap::new(move |line| lines.lock().unwrap().push(line.to_string()))
+//! };
 //! let metrics = obs::session(); // the sampler reads the metric registry
-//! let live = obs::live::session(obs::live::LiveConfig::default()).unwrap();
+//! let live = obs::live::session(obs::live::LiveConfig::default().with_tap(tap)).unwrap();
 //! obs::live::campaign_started("demo", 4, 0);
 //! obs::live::wave_completed(2, 4, None);
 //! obs::live::wave_completed(4, 4, None);
 //! obs::live::campaign_finished(4, 4, "complete");
 //! let report = live.finish();
 //! assert_eq!(report.events, 4);
-//! for line in &report.lines {
+//! for line in lines.lock().unwrap().iter() {
 //!     obs::parse_json(line).unwrap();
 //! }
 //! drop(metrics);
 //! ```
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
-use std::sync::Arc;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::json::{write_json_number, write_json_string};
+use crate::{Window, LIVE};
 
-static LIVE_ENABLED: AtomicBool = AtomicBool::new(false);
-static LIVE_SESSION_LOCK: Mutex<()> = Mutex::new(());
 static HUB: Mutex<Option<Hub>> = Mutex::new(None);
 
 /// Target number of waves a live-instrumented campaign is split into when
@@ -84,7 +90,7 @@ const TARGET_WAVES: usize = 8;
 /// `true` if a live telemetry session is active.
 #[inline]
 pub fn enabled() -> bool {
-    LIVE_ENABLED.load(Ordering::Relaxed)
+    crate::sinks() & LIVE != 0
 }
 
 /// Wave length for a campaign of `total` items when live telemetry wants
@@ -95,6 +101,7 @@ pub fn enabled() -> bool {
 /// from `total` (about `TARGET_WAVES` waves), never from the thread
 /// count — so the number of `wave_completed` events and their
 /// `done`/`total` contents are identical at every thread count.
+#[inline]
 pub fn wave_grain(total: usize) -> usize {
     if enabled() {
         total.div_ceil(TARGET_WAVES).max(1)
@@ -133,8 +140,8 @@ impl fmt::Debug for LiveTap {
 /// Configuration of a live telemetry session.
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
-    /// NDJSON sink path (`--emit live=<path>`); `None` keeps the stream
-    /// in-memory only (still returned by [`LiveSession::finish`]).
+    /// NDJSON sink path (`--emit live=<path>`); `None` writes no file
+    /// (a [`LiveConfig::tap`] still sees every line).
     pub path: Option<String>,
     /// Write a human progress line to stderr on campaign/wave events
     /// (`--progress`).
@@ -143,33 +150,17 @@ pub struct LiveConfig {
     /// opportunistic (checked on each event emission — no background
     /// thread), so actual spacing is at least this.
     pub sample_period: Duration,
-    /// Maximum NDJSON lines (events + samples) kept/written per session;
-    /// excess emissions are counted in [`LiveReport::dropped`]. Only
-    /// enforced while [`LiveConfig::retain`] is on — an un-retained
-    /// stream has no buffer to bound.
-    pub capacity: usize,
-    /// Ring-buffer capacity of the sample time series (oldest dropped).
-    pub sample_capacity: usize,
-    /// Keep every emitted line in memory for [`LiveReport::lines`]
-    /// (default). Long-running servers turn this off: the tap and the
-    /// file sink still receive every line, but nothing accumulates and
-    /// the [`LiveConfig::capacity`] bound never starts dropping events.
-    pub retain: bool,
     /// In-process subscriber receiving every line on the emitting thread.
     pub tap: Option<LiveTap>,
 }
 
 impl Default for LiveConfig {
-    /// No file sink, no progress lines, 500 ms sample period, 65 536-line
-    /// stream bound, 1 024-point sample ring, retained lines, no tap.
+    /// No file sink, no progress lines, 500 ms sample period, no tap.
     fn default() -> Self {
         LiveConfig {
             path: None,
             progress: false,
             sample_period: Duration::from_millis(500),
-            capacity: 65_536,
-            sample_capacity: 1_024,
-            retain: true,
             tap: None,
         }
     }
@@ -201,14 +192,6 @@ impl LiveConfig {
     #[must_use]
     pub fn with_tap(mut self, tap: LiveTap) -> Self {
         self.tap = Some(tap);
-        self
-    }
-
-    /// Controls in-memory retention of the stream (see
-    /// [`LiveConfig::retain`]).
-    #[must_use]
-    pub fn with_retain(mut self, retain: bool) -> Self {
-        self.retain = retain;
         self
     }
 }
@@ -271,76 +254,13 @@ pub enum LiveEvent {
     },
 }
 
-/// One periodic sample of the metric registry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SamplePoint {
-    /// Seconds since the live session opened.
-    pub t_s: f64,
-    /// Counter increments since the previous sample (zero deltas
-    /// omitted).
-    pub counters: BTreeMap<String, u64>,
-    /// Current gauge values.
-    pub gauges: BTreeMap<String, f64>,
-}
-
-/// The ring-buffered time series captured by the periodic sampler.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SampleSeries {
-    /// Samples in capture order (oldest first; the ring drops from the
-    /// front when full).
-    pub points: Vec<SamplePoint>,
-}
-
-impl SampleSeries {
-    /// `true` if nothing was sampled.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Number of captured samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Serializes the series as NDJSON (one `"event":"sample"` object per
-    /// line, same shape as the inline stream lines).
-    pub fn to_ndjson(&self) -> String {
-        let mut out = String::new();
-        for point in &self.points {
-            out.push_str(&sample_line(point));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Serializes the series as CSV with the header
-    /// `t_s,kind,name,value` — one row per counter delta and gauge value.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("t_s,kind,name,value\n");
-        for point in &self.points {
-            for (name, delta) in &point.counters {
-                let _ = writeln!(out, "{:?},counter,{name},{delta}", point.t_s);
-            }
-            for (name, value) in &point.gauges {
-                let _ = writeln!(out, "{:?},gauge,{name},{value:?}", point.t_s);
-            }
-        }
-        out
-    }
-}
-
-/// What a live session collected, returned by [`LiveSession::finish`].
-#[derive(Debug, Clone, PartialEq, Default)]
+/// What a live session emitted, returned by [`LiveSession::finish`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LiveReport {
     /// NDJSON lines emitted (events + inline samples).
     pub events: u64,
-    /// Emissions dropped after the stream bound was reached.
-    pub dropped: u64,
-    /// The sampler's time series.
-    pub samples: SampleSeries,
-    /// The full NDJSON stream, one line per entry (what the sink
-    /// received).
-    pub lines: Vec<String>,
+    /// Of those, the inline `sample` lines.
+    pub samples: u64,
 }
 
 /// Session-internal state behind the hub mutex.
@@ -349,17 +269,12 @@ struct Hub {
     sink: Option<BufWriter<File>>,
     sink_failed: bool,
     progress: bool,
-    retain: bool,
     tap: Option<LiveTap>,
-    capacity: usize,
     emitted: u64,
-    dropped: u64,
-    lines: Vec<String>,
+    sampled: u64,
     sample_period: Duration,
-    sample_capacity: usize,
     last_sample: Instant,
     prev_counters: BTreeMap<String, u64>,
-    samples: VecDeque<SamplePoint>,
     /// Label of the most recent `campaign_started`, for progress lines.
     label: String,
     /// When the current campaign started and how many items it resumed
@@ -373,7 +288,7 @@ struct Hub {
 /// [`LiveSession::finish`] (or drop) tears the session down.
 #[derive(Debug)]
 pub struct LiveSession {
-    _guard: MutexGuard<'static, ()>,
+    window: Window,
 }
 
 /// Opens an exclusive live telemetry session.
@@ -382,58 +297,69 @@ pub struct LiveSession {
 /// an unwritable path fails up front rather than silently losing the
 /// stream. The sampler reads the **metric registry**, so callers that
 /// want non-empty samples should also open [`crate::session`] (before
-/// this one — both front ends follow that order).
+/// this one — [`crate::EmitSpec::open`] follows that order).
 ///
 /// # Errors
 ///
 /// Returns a message naming the sink path when it cannot be created.
 pub fn session(config: LiveConfig) -> Result<LiveSession, String> {
-    let guard = LIVE_SESSION_LOCK
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    let sink = match &config.path {
-        Some(path) => Some(BufWriter::new(File::create(path).map_err(|e| {
-            format!("cannot create live telemetry sink `{path}`: {e}")
-        })?)),
-        None => None,
-    };
-    let now = Instant::now();
-    *lock_hub() = Some(Hub {
-        started: now,
-        sink,
-        sink_failed: false,
-        progress: config.progress,
-        retain: config.retain,
-        tap: config.tap,
-        capacity: config.capacity,
-        emitted: 0,
-        dropped: 0,
-        lines: Vec::new(),
-        sample_period: config.sample_period,
-        sample_capacity: config.sample_capacity.max(1),
-        last_sample: now,
-        prev_counters: BTreeMap::new(),
-        samples: VecDeque::new(),
-        label: String::from("campaign"),
-        campaign_started_at: now,
-        campaign_base: 0,
-    });
-    LIVE_ENABLED.store(true, Ordering::Relaxed);
-    Ok(LiveSession { _guard: guard })
+    let window = Window::open(LIVE, || {
+        let sink = match &config.path {
+            Some(path) => {
+                Some(BufWriter::new(File::create(path).map_err(|e| {
+                    format!("cannot create live telemetry sink `{path}`: {e}")
+                })?))
+            }
+            None => None,
+        };
+        let now = Instant::now();
+        *lock_hub() = Some(Hub {
+            started: now,
+            sink,
+            sink_failed: false,
+            progress: config.progress,
+            tap: config.tap,
+            emitted: 0,
+            sampled: 0,
+            sample_period: config.sample_period,
+            last_sample: now,
+            prev_counters: BTreeMap::new(),
+            label: String::from("campaign"),
+            campaign_started_at: now,
+            campaign_base: 0,
+        });
+        Ok::<(), String>(())
+    })?;
+    Ok(LiveSession { window })
 }
 
 impl LiveSession {
-    /// Ends the session and returns everything it collected. The sink has
-    /// already received (and been flushed after) every line.
+    /// Ends the session and returns its line counts. The sink has already
+    /// received (and been flushed after) every line.
     pub fn finish(self) -> LiveReport {
-        teardown()
+        self.teardown()
         // `self` drops here; `Drop` finds the hub gone and is a no-op.
+    }
+
+    /// Disables emission and drains the hub into a [`LiveReport`].
+    fn teardown(&self) -> LiveReport {
+        self.window.close();
+        let Some(mut hub) = lock_hub().take() else {
+            return LiveReport::default();
+        };
+        if let Some(sink) = &mut hub.sink {
+            let _ = sink.flush();
+        }
+        LiveReport {
+            events: hub.emitted,
+            samples: hub.sampled,
+        }
     }
 }
 
 impl Drop for LiveSession {
     fn drop(&mut self) {
-        let _ = teardown();
+        let _ = self.teardown();
     }
 }
 
@@ -441,30 +367,12 @@ fn lock_hub() -> MutexGuard<'static, Option<Hub>> {
     HUB.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Disables emission and drains the hub into a [`LiveReport`].
-fn teardown() -> LiveReport {
-    LIVE_ENABLED.store(false, Ordering::Relaxed);
-    let Some(mut hub) = lock_hub().take() else {
-        return LiveReport::default();
-    };
-    if let Some(sink) = &mut hub.sink {
-        let _ = sink.flush();
-    }
-    LiveReport {
-        events: hub.emitted,
-        dropped: hub.dropped,
-        samples: SampleSeries {
-            points: hub.samples.into_iter().collect(),
-        },
-        lines: hub.lines,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Emission helpers (the instrumented call sites)
 // ---------------------------------------------------------------------------
 
 /// Emits [`LiveEvent::CampaignStarted`] (no-op while disabled).
+#[inline]
 pub fn campaign_started(campaign: &str, total: usize, resumed: usize) {
     if !enabled() {
         return;
@@ -480,10 +388,15 @@ pub fn campaign_started(campaign: &str, total: usize, resumed: usize) {
 /// from the campaign's start baseline, plus
 /// [`LiveEvent::DeadlineApproaching`] when the projection exceeds
 /// `deadline_remaining` (no-op while disabled).
+#[inline]
 pub fn wave_completed(done: usize, total: usize, deadline_remaining: Option<Duration>) {
-    if !enabled() {
-        return;
+    if enabled() {
+        emit_wave(done, total, deadline_remaining);
     }
+}
+
+/// [`wave_completed`] in an open session.
+fn emit_wave(done: usize, total: usize, deadline_remaining: Option<Duration>) {
     let mut guard = lock_hub();
     let Some(hub) = guard.as_mut() else {
         return;
@@ -517,31 +430,10 @@ pub fn wave_completed(done: usize, total: usize, deadline_remaining: Option<Dura
     }
 }
 
-/// Emits [`LiveEvent::CheckpointWritten`] (no-op while disabled).
-pub fn checkpoint_written(path: &str, completed: usize) {
-    if !enabled() {
-        return;
-    }
-    emit(LiveEvent::CheckpointWritten {
-        path: path.to_string(),
-        completed,
-    });
-}
-
-/// Emits [`LiveEvent::GuardTripped`] (no-op while disabled).
-pub fn guard_tripped(stage: &str, guard: &str) {
-    if !enabled() {
-        return;
-    }
-    emit(LiveEvent::GuardTripped {
-        stage: stage.to_string(),
-        guard: guard.to_string(),
-    });
-}
-
 /// Emits the final [`LiveEvent::CampaignFinished`] for a campaign
 /// (no-op while disabled). `outcome` is `"complete"`, `"interrupted"`, or
 /// `"failed"`.
+#[inline]
 pub fn campaign_finished(done: usize, total: usize, outcome: &str) {
     if !enabled() {
         return;
@@ -555,7 +447,7 @@ pub fn campaign_finished(done: usize, total: usize, outcome: &str) {
 
 /// Emits a pre-built event into the active session (no-op while
 /// disabled).
-pub fn emit(event: LiveEvent) {
+pub(crate) fn emit(event: LiveEvent) {
     if !enabled() {
         return;
     }
@@ -575,39 +467,30 @@ fn emit_locked(hub: &mut Hub, event: &LiveEvent) {
         hub.campaign_base = *resumed;
     }
     let t_s = hub.started.elapsed().as_secs_f64();
-    push_line(hub, event_line(t_s, event));
+    push_line(hub, &event_line(t_s, event));
     if hub.progress {
         progress_line(hub, event);
     }
     maybe_sample(hub);
 }
 
-/// Appends one NDJSON line to the tap, the in-memory stream, and the
-/// sink (flushing, so `tail -f` sees it immediately), honoring the
-/// stream bound. With retention off only the tap and sink see the line —
-/// nothing accumulates and the bound never drops.
-fn push_line(hub: &mut Hub, line: String) {
-    if hub.retain && hub.emitted >= hub.capacity as u64 {
-        hub.dropped += 1;
-        return;
-    }
+/// Hands one NDJSON line to the tap and the sink (flushing, so `tail -f`
+/// sees it immediately).
+fn push_line(hub: &mut Hub, line: &str) {
     hub.emitted += 1;
     if let Some(tap) = &hub.tap {
-        tap.call(&line);
+        tap.call(line);
     }
     if let Some(sink) = &mut hub.sink {
         if !hub.sink_failed {
             let failed = writeln!(sink, "{line}").is_err() || sink.flush().is_err();
             if failed {
-                // Keep the campaign running; the in-memory stream (and
-                // the report) still carry the events.
+                // Keep the campaign running; the tap and the report's
+                // counts still see every line.
                 hub.sink_failed = true;
-                eprintln!("live telemetry: sink write failed; further lines kept in memory only");
+                eprintln!("live telemetry: sink write failed; further lines are not written");
             }
         }
-    }
-    if hub.retain {
-        hub.lines.push(line);
     }
 }
 
@@ -661,20 +544,13 @@ fn maybe_sample(hub: &mut Hub) {
     for (name, &value) in &snap.counters {
         let delta = value.saturating_sub(hub.prev_counters.get(name).copied().unwrap_or(0));
         if delta > 0 {
-            deltas.insert(name.clone(), delta);
+            deltas.insert(name.as_str(), delta);
         }
     }
+    let line = sample_line(hub.started.elapsed().as_secs_f64(), &deltas, &snap.gauges);
     hub.prev_counters = snap.counters;
-    let point = SamplePoint {
-        t_s: hub.started.elapsed().as_secs_f64(),
-        counters: deltas,
-        gauges: snap.gauges,
-    };
-    if hub.samples.len() >= hub.sample_capacity {
-        hub.samples.pop_front();
-    }
-    push_line(hub, sample_line(&point));
-    hub.samples.push_back(point);
+    hub.sampled += 1;
+    push_line(hub, &line);
 }
 
 // ---------------------------------------------------------------------------
@@ -741,12 +617,14 @@ fn event_line(t_s: f64, event: &LiveEvent) -> String {
     out
 }
 
-fn sample_line(point: &SamplePoint) -> String {
+/// One `sample` line: counter deltas since the previous sample and the
+/// current gauge values.
+fn sample_line(t_s: f64, counters: &BTreeMap<&str, u64>, gauges: &BTreeMap<String, f64>) -> String {
     let mut out = String::with_capacity(128);
     out.push_str("{\"t_s\": ");
-    write_json_number(&mut out, point.t_s);
+    write_json_number(&mut out, t_s);
     out.push_str(", \"event\": \"sample\", \"counters\": {");
-    for (i, (name, delta)) in point.counters.iter().enumerate() {
+    for (i, (name, delta)) in counters.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
@@ -754,7 +632,7 @@ fn sample_line(point: &SamplePoint) -> String {
         let _ = write!(out, ": {delta}");
     }
     out.push_str("}, \"gauges\": {");
-    for (i, (name, value)) in point.gauges.iter().enumerate() {
+    for (i, (name, value)) in gauges.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
@@ -771,13 +649,32 @@ mod tests {
     use super::*;
     use crate::parse_json;
 
+    /// Lines collected by a tap, the way in-process readers see them.
+    type Lines = Arc<Mutex<Vec<String>>>;
+
+    fn collecting_tap() -> (LiveTap, Lines) {
+        let lines: Lines = Arc::default();
+        let sink = Arc::clone(&lines);
+        let tap = LiveTap::new(move |line| {
+            sink.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(line.to_string());
+        });
+        (tap, lines)
+    }
+
+    fn taken(lines: &Lines) -> Vec<String> {
+        std::mem::take(&mut *lines.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
     /// All live tests funnel through the metrics session lock so they
     /// serialize against each other and against anything else touching
-    /// the global hub.
-    fn locked_session(config: LiveConfig) -> (crate::Session, LiveSession) {
+    /// the global hub; every test reads its lines through a tap.
+    fn locked_session(config: LiveConfig) -> (crate::Session, LiveSession, Lines) {
         let metrics = crate::session();
-        let live = session(config).expect("in-memory live session opens");
-        (metrics, live)
+        let (tap, lines) = collecting_tap();
+        let live = session(config.with_tap(tap)).expect("in-memory live session opens");
+        (metrics, live, lines)
     }
 
     #[test]
@@ -787,32 +684,41 @@ mod tests {
         assert!(!enabled());
         campaign_started("noop", 4, 0);
         wave_completed(2, 4, None);
-        checkpoint_written("nowhere.json", 2);
-        guard_tripped("base", "singular-pivot");
+        emit(LiveEvent::CheckpointWritten {
+            path: "nowhere.json".into(),
+            completed: 2,
+        });
         campaign_finished(4, 4, "complete");
         assert_eq!(wave_grain(64), usize::MAX);
 
-        let live = session(LiveConfig::default()).expect("session opens");
+        let (tap, lines) = collecting_tap();
+        let live = session(LiveConfig::default().with_tap(tap)).expect("session opens");
         assert!(enabled());
         assert_eq!(wave_grain(64), 8);
         assert_eq!(wave_grain(1), 1);
         assert_eq!(wave_grain(9), 2);
         campaign_started("fault_mc", 8, 2);
         wave_completed(5, 8, None);
-        checkpoint_written("ckpt.json", 5);
-        guard_tripped("base", "singular-pivot");
+        emit(LiveEvent::CheckpointWritten {
+            path: "ckpt.json".into(),
+            completed: 5,
+        });
+        emit(LiveEvent::GuardTripped {
+            stage: "base".into(),
+            guard: "singular-pivot".into(),
+        });
         campaign_finished(8, 8, "complete");
         let report = live.finish();
         assert!(!enabled());
+        let lines = taken(&lines);
         assert!(report.events >= 5, "events={}", report.events);
-        assert_eq!(report.dropped, 0);
-        for line in &report.lines {
+        assert_eq!(report.events, lines.len() as u64);
+        for line in &lines {
             let value = parse_json(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));
             assert!(value.get("event").is_some(), "{line}");
             assert!(value.get("t_s").is_some(), "{line}");
         }
-        let wave = report
-            .lines
+        let wave = lines
             .iter()
             .find(|l| l.contains("wave_completed"))
             .expect("wave event present");
@@ -825,29 +731,23 @@ mod tests {
     }
 
     #[test]
-    fn tap_sees_every_line_and_retain_off_keeps_nothing() {
-        let seen = Arc::new(std::sync::Mutex::new(Vec::<String>::new()));
-        let sink = Arc::clone(&seen);
-        // A bound far below the emission count: with retention off it
-        // must not drop anything.
-        let mut config = LiveConfig::default()
-            .with_retain(false)
-            .with_tap(LiveTap::new(move |line| {
-                sink.lock().unwrap().push(line.to_string());
-            }));
-        config.capacity = 2;
-        let (metrics, live) = locked_session(config);
+    fn tap_sees_every_line() {
+        let (metrics, live, lines) = locked_session(LiveConfig::default());
         campaign_started("tapped", 4, 0);
         wave_completed(2, 4, None);
         wave_completed(4, 4, None);
         campaign_finished(4, 4, "complete");
         let report = live.finish();
-        assert_eq!(report.dropped, 0, "retain-off streams never drop");
-        assert!(report.lines.is_empty(), "retain-off keeps no lines");
-        assert_eq!(report.events, 4);
-        let tapped = seen.lock().unwrap();
+        assert_eq!(
+            report,
+            LiveReport {
+                events: 4,
+                samples: 0
+            }
+        );
+        let tapped = taken(&lines);
         assert_eq!(tapped.len(), 4, "{tapped:?}");
-        for line in tapped.iter() {
+        for line in &tapped {
             let value = parse_json(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));
             assert!(value.get("event").is_some(), "{line}");
         }
@@ -858,63 +758,43 @@ mod tests {
 
     #[test]
     fn deadline_projection_emits_approaching_event() {
-        let (metrics, live) = locked_session(LiveConfig::default());
+        let (metrics, live, lines) = locked_session(LiveConfig::default());
         campaign_started("slow", 1_000, 0);
         // One item done: the ETA for 999 more at this rate dwarfs a 1 ms
         // budget, so the deadline event must fire.
         std::thread::sleep(Duration::from_millis(2));
         wave_completed(1, 1_000, Some(Duration::from_millis(1)));
-        let report = live.finish();
+        live.finish();
+        let lines = taken(&lines);
         assert!(
-            report.lines.iter().any(|l| l.contains("deadline_approaching")),
-            "{:?}",
-            report.lines
+            lines.iter().any(|l| l.contains("deadline_approaching")),
+            "{lines:?}"
         );
         drop(metrics);
     }
 
     #[test]
-    fn sampler_captures_counter_deltas_and_exports() {
+    fn sampler_captures_counter_deltas() {
         static SAMPLED: crate::Counter = crate::Counter::new("live.test.sampled");
-        let (metrics, live) = locked_session(
-            LiveConfig::default().with_sample_period(Duration::ZERO),
-        );
+        let (metrics, live, lines) =
+            locked_session(LiveConfig::default().with_sample_period(Duration::ZERO));
         SAMPLED.add(3);
         campaign_started("sampled", 2, 0);
         SAMPLED.add(4);
         wave_completed(2, 2, None);
         let report = live.finish();
-        assert!(!report.samples.is_empty());
-        let total: u64 = report
-            .samples
-            .points
+        let samples: Vec<_> = taken(&lines)
             .iter()
-            .filter_map(|p| p.counters.get("live.test.sampled"))
+            .map(|line| parse_json(line).expect("line parses"))
+            .filter(|value| value.get("event").and_then(|e| e.as_str()) == Some("sample"))
+            .collect();
+        assert!(!samples.is_empty());
+        assert_eq!(report.samples, samples.len() as u64);
+        let total: u64 = samples
+            .iter()
+            .filter_map(|s| s.get("counters")?.get("live.test.sampled")?.as_u64())
             .sum();
-        assert_eq!(total, 7, "{:?}", report.samples);
-        for line in report.samples.to_ndjson().lines() {
-            parse_json(line).expect("sample NDJSON parses");
-        }
-        let csv = report.samples.to_csv();
-        assert!(csv.starts_with("t_s,kind,name,value\n"));
-        assert!(csv.contains(",counter,live.test.sampled,"));
-        drop(metrics);
-    }
-
-    #[test]
-    fn stream_bound_drops_and_counts_excess() {
-        let (metrics, live) = locked_session(LiveConfig {
-            capacity: 2,
-            sample_period: Duration::from_secs(3600),
-            ..LiveConfig::default()
-        });
-        for i in 0..5 {
-            checkpoint_written("ckpt.json", i);
-        }
-        let report = live.finish();
-        assert_eq!(report.lines.len(), 2);
-        assert_eq!(report.events, 2);
-        assert_eq!(report.dropped, 3);
+        assert_eq!(total, 7);
         drop(metrics);
     }
 
@@ -925,16 +805,15 @@ mod tests {
             std::process::id()
         ));
         let path_str = path.to_string_lossy().to_string();
-        let (metrics, live) = locked_session(LiveConfig::default().to_path(&path_str));
+        let (metrics, live, lines) = locked_session(LiveConfig::default().to_path(&path_str));
         campaign_started("sink", 1, 0);
         campaign_finished(1, 1, "complete");
         let report = live.finish();
         let on_disk = std::fs::read_to_string(&path).expect("sink file exists");
         let disk_lines: Vec<&str> = on_disk.lines().collect();
-        assert_eq!(disk_lines.len(), report.lines.len());
-        for (disk, mem) in disk_lines.iter().zip(&report.lines) {
-            assert_eq!(disk, mem);
-        }
+        let tapped = taken(&lines);
+        assert_eq!(disk_lines.len() as u64, report.events);
+        assert_eq!(disk_lines, tapped);
         let _ = std::fs::remove_file(&path);
         drop(metrics);
     }

@@ -1,19 +1,26 @@
 //! Hierarchical structured tracing: a lock-light, thread-aware event
-//! buffer of typed events (span begin/end, instants, counter samples,
-//! module-perf attributions) with explicit parent/child span IDs.
+//! buffer of typed events (span begin/end, instants, module-perf
+//! attributions) with explicit parent/child span IDs.
 //!
-//! Where the metric registry ([`crate::Counter`] & friends) answers *how
-//! often* and *how long in aggregate*, the trace subsystem answers *where
-//! in the hierarchy*: a simulation run yields a tree that mirrors the
-//! paper's structure — run → layer → bank → unit → module — and parallel
-//! work (fault-sim trials, DSE chunks) lands in per-thread lanes that stay
-//! attributed to the spawning span through explicit parent IDs.
+//! Where the metric registry answers *how often* and *how long in
+//! aggregate*, the trace answers *where in the hierarchy*: a simulation
+//! run yields a tree that mirrors the paper's structure — run → layer →
+//! bank → unit → module — and parallel work (fault-sim trials, DSE chunks)
+//! lands in per-thread lanes that stay attributed to the spawning span
+//! through explicit parent IDs.
+//!
+//! Program code records into the trace through the crate's handles: a
+//! [`crate::Span`] writes its Begin/End pair here (and its histogram in
+//! the registry), a [`crate::Mark`] its instant (and its counter).
+//! [`module_perf`] records modelled module time and energy, and
+//! [`span`] is a trace-only span without a handle, for tools that bracket
+//! their own calls.
 //!
 //! # Design
 //!
 //! * **Off by default, one relaxed atomic when off.** Every entry point
-//!   first reads [`enabled`]; a disabled [`span`] never reads the clock,
-//!   never allocates, and never touches a lock.
+//!   first reads the crate's sink word; a disabled span never reads the
+//!   clock, never allocates, and never touches a lock.
 //! * **Lock-light when on.** Each thread buffers events in a
 //!   thread-local `Vec` and only takes the global sink mutex once per
 //!   `FLUSH_THRESHOLD` events (and at thread exit), so tracing a
@@ -38,12 +45,14 @@
 //! # Example
 //!
 //! ```
-//! use mnsim_obs::trace;
+//! use mnsim_obs::{trace, Level, Span};
+//!
+//! static LAYER: Span = Span::new("layer", Level::Layer);
 //!
 //! let session = trace::session();
 //! {
-//!     let _run = trace::span("run", trace::Level::Run);
-//!     let _layer = trace::span_at("layer", trace::Level::Layer, 0);
+//!     let _run = trace::span("run", Level::Run);
+//!     let _layer = LAYER.enter_at(0);
 //!     trace::module_perf("crossbar", 1e-9, 2e-12);
 //! }
 //! let t = session.finish();
@@ -53,12 +62,14 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use crate::json::{parse_json, JsonValue};
+use crate::{SpanGuard, Window, TRACE};
 
 /// Events a thread buffers locally before taking the sink lock.
 const FLUSH_THRESHOLD: usize = 256;
@@ -66,7 +77,6 @@ const FLUSH_THRESHOLD: usize = 256;
 /// Default sink capacity (events) before overflow drops the newest.
 pub const DEFAULT_CAPACITY: usize = 1 << 22;
 
-static TRACE_ENABLED: AtomicBool = AtomicBool::new(false);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_LANE: AtomicU64 = AtomicU64::new(0);
 static GENERATION: AtomicU64 = AtomicU64::new(0);
@@ -76,7 +86,7 @@ static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
 /// `true` if trace recording is globally enabled.
 #[inline]
 pub fn enabled() -> bool {
-    TRACE_ENABLED.load(Ordering::Relaxed)
+    crate::sinks() & TRACE != 0
 }
 
 /// The hierarchy level a span or sample belongs to, mirroring the paper's
@@ -127,10 +137,8 @@ pub enum EventKind {
     Begin,
     /// Span closed.
     End,
-    /// A point-in-time marker.
+    /// A point-in-time marker (a [`crate::Mark`]).
     Instant,
-    /// A sampled value attributed to the enclosing span.
-    Counter,
     /// A module performance attribution: `value` carries the module's
     /// latency contribution in seconds, `value2` its dynamic energy in
     /// joules (both straight from the `ModulePerf` the report uses).
@@ -157,7 +165,7 @@ pub struct Event {
     pub lane: u64,
     /// Nanoseconds since the process trace epoch.
     pub t_ns: u64,
-    /// Sample payload (counter value, module latency seconds).
+    /// Sample payload (instant value, module latency seconds).
     pub value: f64,
     /// Second payload (module energy joules); 0.0 otherwise.
     pub value2: f64,
@@ -179,7 +187,9 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-fn now_ns() -> u64 {
+/// Nanoseconds since the process trace epoch: the one clock every span
+/// edge reads.
+pub(crate) fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
@@ -266,79 +276,30 @@ fn push_event(local: &mut LocalBuf, event: Event) {
 }
 
 // ---------------------------------------------------------------------------
-// Recording API
+// Recording
 // ---------------------------------------------------------------------------
 
-/// RAII guard of an open span; records the `End` event on drop. Inert
-/// when created while tracing is disabled.
+/// The trace half of an open span: what its `End` event repeats.
 #[derive(Debug)]
-#[must_use = "dropping the guard immediately produces a zero-length span"]
-pub struct SpanGuard {
-    token: Option<SpanToken>,
-}
-
-#[derive(Debug)]
-struct SpanToken {
-    id: u64,
+pub(crate) struct Token {
+    pub(crate) id: u64,
     parent: u64,
     name: &'static str,
     index: i64,
     level: Level,
 }
 
-impl SpanGuard {
-    /// The span ID (0 for an inert guard). Pass to [`span_under`] to
-    /// attribute work on other threads to this span.
-    pub fn id(&self) -> u64 {
-        self.token.as_ref().map_or(0, |t| t.id)
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if let Some(token) = self.token.take() {
-            let t_ns = now_ns();
-            with_local(|local| {
-                // The stack may have been cleared by a new session opening
-                // while this guard was alive; only pop our own frame.
-                if local.stack.last() == Some(&token.id) {
-                    local.stack.pop();
-                }
-                push_event(
-                    local,
-                    Event {
-                        kind: EventKind::End,
-                        name: token.name,
-                        index: token.index,
-                        level: token.level,
-                        id: token.id,
-                        parent: token.parent,
-                        lane: local.lane,
-                        t_ns,
-                        value: 0.0,
-                        value2: 0.0,
-                    },
-                );
-                // Closing a lane's outermost span flushes the lane. Worker
-                // threads (scoped pools in dse / fault_sim) may be observed
-                // as finished before their TLS destructors run, so the
-                // drop-time flush alone could land after `Session::finish`
-                // has already drained the sink.
-                if local.stack.is_empty() {
-                    local.flush();
-                }
-            });
-        }
-    }
-}
-
-fn open_span(name: &'static str, level: Level, index: i64, parent: Option<u64>) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { token: None };
-    }
+/// Records a span's `Begin` at `t_ns` under `parent` (default: the
+/// thread's innermost open span) and pushes it on the thread's stack.
+pub(crate) fn begin(
+    name: &'static str,
+    level: Level,
+    index: i64,
+    parent: Option<u64>,
+    t_ns: u64,
+) -> Token {
     let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-    let t_ns = now_ns();
-    let token = with_local(|local| {
+    with_local(|local| {
         let parent = parent.unwrap_or_else(|| local.stack.last().copied().unwrap_or(0));
         local.stack.push(id);
         push_event(
@@ -356,44 +317,59 @@ fn open_span(name: &'static str, level: Level, index: i64, parent: Option<u64>) 
                 value2: 0.0,
             },
         );
-        SpanToken {
+        Token {
             id,
             parent,
             name,
             index,
             level,
         }
-    });
-    SpanGuard { token: Some(token) }
+    })
 }
 
-/// Opens a span under the current thread's innermost open span.
+/// Records the `End` of `token`'s span at `t_ns` and pops it.
+pub(crate) fn end(token: Token, t_ns: u64) {
+    with_local(|local| {
+        // The stack may have been cleared by a new session opening while
+        // the span was open; only pop our own frame.
+        if local.stack.last() == Some(&token.id) {
+            local.stack.pop();
+        }
+        push_event(
+            local,
+            Event {
+                kind: EventKind::End,
+                name: token.name,
+                index: token.index,
+                level: token.level,
+                id: token.id,
+                parent: token.parent,
+                lane: local.lane,
+                t_ns,
+                value: 0.0,
+                value2: 0.0,
+            },
+        );
+        // Closing a lane's outermost span flushes the lane. Worker threads
+        // (scoped pools in dse / fault_sim) may be observed as finished
+        // before their TLS destructors run, so the drop-time flush alone
+        // could land after `Session::finish` has already drained the sink.
+        if local.stack.is_empty() {
+            local.flush();
+        }
+    });
+}
+
+/// Opens a trace-only span (no histogram) under the current thread's
+/// innermost open span. Program code times its scopes with a
+/// [`crate::Span`] instead, which feeds the trace and the metrics alike;
+/// this form is for tools that bracket their own calls.
 #[inline]
 pub fn span(name: &'static str, level: Level) -> SpanGuard {
     if !enabled() {
-        return SpanGuard { token: None };
+        return SpanGuard { open: None };
     }
-    open_span(name, level, -1, None)
-}
-
-/// Opens an indexed span (`name[index]`) under the innermost open span.
-#[inline]
-pub fn span_at(name: &'static str, level: Level, index: i64) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { token: None };
-    }
-    open_span(name, level, index, None)
-}
-
-/// Opens a span under an **explicit** parent — the cross-thread entry
-/// point: capture [`current_span`] (or a guard's [`SpanGuard::id`]) before
-/// spawning and hand it to the worker.
-#[inline]
-pub fn span_under(name: &'static str, level: Level, index: i64, parent: u64) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { token: None };
-    }
-    open_span(name, level, index, Some(parent))
+    SpanGuard::begin(None, true, name, level, -1, None)
 }
 
 /// The innermost open span on this thread (0 if none / disabled).
@@ -461,20 +437,10 @@ fn push_sample(kind: EventKind, name: &'static str, level: Level, value: f64, va
     });
 }
 
-/// Records a point-in-time marker attributed to the enclosing span.
-#[inline]
-pub fn instant(name: &'static str, level: Level, value: f64) {
-    if enabled() {
-        push_sample(EventKind::Instant, name, level, value, 0.0);
-    }
-}
-
-/// Records a counter sample attributed to the enclosing span.
-#[inline]
-pub fn counter(name: &'static str, value: f64) {
-    if enabled() {
-        push_sample(EventKind::Counter, name, Level::Other, value, 0.0);
-    }
+/// Records a point-in-time marker attributed to the enclosing span (the
+/// trace half of a [`crate::Mark`]; the caller checked the gate).
+pub(crate) fn instant(name: &'static str, level: Level, value: f64) {
+    push_sample(EventKind::Instant, name, level, value, 0.0);
 }
 
 /// Records a module performance attribution: the module's latency
@@ -497,13 +463,11 @@ pub fn module_perf(name: &'static str, latency_seconds: f64, energy_joules: f64)
 // Session
 // ---------------------------------------------------------------------------
 
-static TRACE_SESSION_LOCK: Mutex<()> = Mutex::new(());
-
 /// An exclusive tracing window. Independent of the metrics
 /// [`crate::session`] — the two can be nested freely.
 #[derive(Debug)]
 pub struct Session {
-    _guard: MutexGuard<'static, ()>,
+    window: Window,
 }
 
 /// Opens an exclusive trace session: takes the trace lock, clears the
@@ -514,29 +478,24 @@ pub fn session() -> Session {
 
 /// [`session`] with a custom event capacity.
 pub fn session_with_capacity(capacity: usize) -> Session {
-    let guard = TRACE_SESSION_LOCK
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    debug_assert!(
-        !enabled(),
-        "trace::session() opened while tracing is already enabled"
-    );
-    lock_sink().clear();
-    DROPPED.store(0, Ordering::Relaxed);
-    CAPACITY.store(capacity.max(1), Ordering::Relaxed);
-    NEXT_SPAN_ID.store(1, Ordering::Relaxed);
-    NEXT_LANE.store(0, Ordering::Relaxed);
-    // Invalidate every thread's cached lane / stack / buffered events.
-    GENERATION.fetch_add(1, Ordering::Relaxed);
-    TRACE_ENABLED.store(true, Ordering::Relaxed);
-    Session { _guard: guard }
+    let Ok(window) = Window::open(TRACE, || {
+        lock_sink().clear();
+        DROPPED.store(0, Ordering::Relaxed);
+        CAPACITY.store(capacity.max(1), Ordering::Relaxed);
+        NEXT_SPAN_ID.store(1, Ordering::Relaxed);
+        NEXT_LANE.store(0, Ordering::Relaxed);
+        // Invalidate every thread's cached lane / stack / buffered events.
+        GENERATION.fetch_add(1, Ordering::Relaxed);
+        Ok::<(), Infallible>(())
+    });
+    Session { window }
 }
 
 impl Session {
     /// Disables tracing and returns everything recorded. Join traced
     /// worker threads first (see the module docs).
     pub fn finish(self) -> Trace {
-        TRACE_ENABLED.store(false, Ordering::Relaxed);
+        self.window.close();
         with_local(LocalBuf::flush);
         let mut events = std::mem::take(&mut *lock_sink());
         // Stable sort on the timestamp alone: a same-timestamp tie must
@@ -568,11 +527,9 @@ pub struct Trace {
 /// A span reconstructed from its begin/end pair.
 #[derive(Debug, Clone, PartialEq)]
 struct Node {
-    label: String,
     name: &'static str,
     level: Level,
     parent: u64,
-    lane: u64,
     start_ns: u64,
     end_ns: u64,
     children_ns: u64,
@@ -606,11 +563,9 @@ impl Trace {
                     nodes.insert(
                         event.id,
                         Node {
-                            label: event.label(),
                             name: event.name,
                             level: event.level,
                             parent: event.parent,
-                            lane: event.lane,
                             start_ns: event.t_ns,
                             end_ns: last_ns,
                             children_ns: 0,
@@ -642,8 +597,7 @@ impl Trace {
     ///
     /// Timestamps are microseconds with nanosecond precision, normalized
     /// so the first event sits at `ts == 0`. Span begin/end map to
-    /// `B`/`E` phases, instants to `i`, counters and module samples to
-    /// `C`. Each lane becomes a `tid` with a thread-name metadata record.
+    /// `B`/`E` phases, instants to `i`, module samples to `C`. Each lane becomes a `tid` with a thread-name metadata record.
     pub fn to_chrome_json(&self) -> String {
         let t0 = self.t0();
         let ts = |t_ns: u64| (t_ns - t0) as f64 / 1000.0;
@@ -694,20 +648,6 @@ impl Trace {
                         );
                     });
                 }
-                EventKind::Counter => {
-                    push_record(&mut out, &mut first, |out| {
-                        let _ = write!(
-                            out,
-                            "{{\"name\":\"{label}\",\"cat\":\"{cat}\",\"ph\":\"C\",\
-                             \"ts\":{ts:.3},\"pid\":1,\"tid\":{tid},\
-                             \"args\":{{\"value\":{value}}}}}",
-                            cat = event.level.as_str(),
-                            ts = ts(event.t_ns),
-                            tid = event.lane,
-                            value = JsonNum(event.value),
-                        );
-                    });
-                }
                 EventKind::ModulePerf => {
                     push_record(&mut out, &mut first, |out| {
                         let _ = write!(
@@ -729,36 +669,6 @@ impl Trace {
             "],\"displayTimeUnit\":\"ns\",\"otherData\":{{\"dropped\":{}}}}}",
             self.dropped
         );
-        out
-    }
-
-    /// Serializes to folded-stacks text (`path;to;span <self_ns>` per
-    /// line), directly consumable by `inferno` / `flamegraph.pl`.
-    pub fn to_folded(&self) -> String {
-        let nodes = self.nodes();
-        let mut folded: BTreeMap<String, u64> = BTreeMap::new();
-        for (id, node) in &nodes {
-            let mut path = vec![node.label.clone()];
-            let mut cursor = node.parent;
-            let mut hops = 0;
-            while cursor != 0 && hops < 64 {
-                match nodes.get(&cursor) {
-                    Some(parent) => {
-                        path.push(parent.label.clone());
-                        cursor = parent.parent;
-                    }
-                    None => break,
-                }
-                hops += 1;
-            }
-            path.reverse();
-            let _ = id;
-            *folded.entry(path.join(";")).or_insert(0) += node.self_ns();
-        }
-        let mut out = String::new();
-        for (path, self_ns) in folded {
-            let _ = writeln!(out, "{path} {self_ns}");
-        }
         out
     }
 
@@ -1095,18 +1005,30 @@ pub fn validate_chrome_trace(input: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Mark, Span};
+
+    static LAYER: Span = Span::new("layer", Level::Layer);
+    static TRIAL: Span = Span::new("trial", Level::Trial);
+    static CHUNK: Span = Span::new("chunk", Level::Chunk);
+    static POINTS: Mark = Mark::new("points", Level::Other);
+    static CHECKPOINT: Mark = Mark::new("checkpoint", Level::Stage);
+
+    /// A trace session with the metrics lock held too: the handles these
+    /// tests enter feed the registry as well, and must not reach a metrics
+    /// test's session running concurrently.
+    fn traced() -> (crate::Session, Session) {
+        (crate::session(), session())
+    }
 
     #[test]
     fn disabled_tracing_records_nothing() {
-        let _lock = TRACE_SESSION_LOCK
+        let _lock = crate::SESSION_LOCKS[1]
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        TRACE_ENABLED.store(false, Ordering::Relaxed);
         lock_sink().clear();
         {
             let guard = span("noop", Level::Run);
             assert_eq!(guard.id(), 0);
-            counter("noop.counter", 1.0);
             module_perf("noop.module", 1.0, 1.0);
         }
         with_local(LocalBuf::flush);
@@ -1116,14 +1038,14 @@ mod tests {
 
     #[test]
     fn spans_nest_and_balance() {
-        let session = session();
+        let (_metrics, session) = traced();
         {
             let run = span("run", Level::Run);
             assert_eq!(current_span(), run.id());
             {
-                let layer = span_at("layer", Level::Layer, 0);
+                let layer = LAYER.enter_at(0);
                 assert_eq!(current_span(), layer.id());
-                counter("points", 3.0);
+                POINTS.record(3.0);
             }
             assert_eq!(current_span(), run.id());
         }
@@ -1144,18 +1066,19 @@ mod tests {
         // The layer's parent is the run.
         let run_id = begins[0].id;
         assert_eq!(begins[1].parent, run_id);
-        // The counter sample is attributed to the layer.
-        let sample = trace
+        // The mark's instant is attributed to the layer.
+        let instant = trace
             .events
             .iter()
-            .find(|e| e.kind == EventKind::Counter)
+            .find(|e| e.kind == EventKind::Instant)
             .unwrap();
-        assert_eq!(sample.parent, begins[1].id);
+        assert_eq!((instant.name, instant.value), ("points", 3.0));
+        assert_eq!(instant.parent, begins[1].id);
     }
 
     #[test]
     fn cross_thread_spans_attach_to_explicit_parent() {
-        let session = session();
+        let (_metrics, session) = traced();
         let parent_id;
         {
             let run = span("run", Level::Run);
@@ -1163,7 +1086,7 @@ mod tests {
             std::thread::scope(|scope| {
                 for t in 0..3i64 {
                     scope.spawn(move || {
-                        let _trial = span_under("trial", Level::Trial, t, parent_id);
+                        let _trial = TRIAL.enter_under(t, parent_id);
                     });
                 }
             });
@@ -1183,17 +1106,18 @@ mod tests {
 
     #[test]
     fn reserved_lanes_pin_workers_deterministically() {
-        let session = session();
+        let (metrics, session) = traced();
         let base = reserve_lanes(3);
         std::thread::scope(|scope| {
             for w in 0..3i64 {
                 scope.spawn(move || {
                     pin_lane(base + w as u64);
-                    let _chunk = span_at("chunk", Level::Chunk, w);
+                    let _chunk = CHUNK.enter_at(w);
                 });
             }
         });
         let trace = session.finish();
+        drop(metrics);
         for w in 0..3i64 {
             let begin = trace
                 .events
@@ -1206,10 +1130,9 @@ mod tests {
         }
 
         // Outside a session both calls degrade to no-ops.
-        let _lock = TRACE_SESSION_LOCK
+        let _lock = crate::SESSION_LOCKS[1]
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        TRACE_ENABLED.store(false, Ordering::Relaxed);
         assert_eq!(reserve_lanes(4), 0);
         pin_lane(17);
     }
@@ -1226,39 +1149,31 @@ mod tests {
     }
 
     #[test]
-    fn chrome_export_validates_and_folded_sums_to_root() {
-        let session = session();
+    fn chrome_export_validates() {
+        let (_metrics, session) = traced();
         {
             let _run = span("run", Level::Run);
             {
-                let _layer = span_at("layer", Level::Layer, 0);
+                let _layer = LAYER.enter_at(0);
                 module_perf("crossbar", 2e-9, 3e-12);
             }
-            instant("checkpoint", Level::Stage, 1.0);
+            CHECKPOINT.record(1.0);
         }
         let trace = session.finish();
         let chrome = trace.to_chrome_json();
         validate_chrome_trace(&chrome).unwrap();
         assert!(chrome.contains("\"layer[0]\""));
         assert!(chrome.contains("\"time_s\":2e-9"));
-
-        let folded = trace.to_folded();
-        assert!(folded.contains("run;layer[0] "));
-        let folded_total: u64 = folded
-            .lines()
-            .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
-            .sum();
-        let summary = trace.summary();
-        assert_eq!(folded_total, summary.root_ns);
+        assert!(chrome.contains("\"name\":\"checkpoint\",\"cat\":\"stage\",\"ph\":\"i\""));
     }
 
     #[test]
     fn summary_aggregates_levels_and_modules() {
-        let session = session();
+        let (_metrics, session) = traced();
         {
             let _run = span("run", Level::Run);
             for i in 0..2 {
-                let _layer = span_at("layer", Level::Layer, i);
+                let _layer = LAYER.enter_at(i);
                 module_perf("adc", 1e-9, 4e-12);
                 module_perf("adc", 1e-9, 4e-12);
             }
@@ -1280,11 +1195,11 @@ mod tests {
 
     #[test]
     fn serial_wall_equals_summed_self_time() {
-        let session = session();
+        let (_metrics, session) = traced();
         {
             let _run = span("run", Level::Run);
             for i in 0..2 {
-                let _layer = span_at("layer", Level::Layer, i);
+                let _layer = LAYER.enter_at(i);
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
         }
@@ -1300,7 +1215,7 @@ mod tests {
 
     #[test]
     fn parallel_lanes_merge_to_less_wall_than_cpu() {
-        let session = session();
+        let (_metrics, session) = traced();
         let parent_id;
         {
             let run = span("run", Level::Run);
@@ -1308,7 +1223,7 @@ mod tests {
             std::thread::scope(|scope| {
                 for w in 0..3i64 {
                     scope.spawn(move || {
-                        let _chunk = span_under("chunk", Level::Chunk, w, parent_id);
+                        let _chunk = CHUNK.enter_under(w, parent_id);
                         std::thread::sleep(std::time::Duration::from_millis(20));
                     });
                 }

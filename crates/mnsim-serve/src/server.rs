@@ -46,7 +46,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -215,13 +215,6 @@ struct Shared {
     cache: Arc<ArtifactCache>,
     shutdown: AtomicBool,
     threads_per_job: usize,
-    // Local mirrors of the obs counters, readable by the `stats` op
-    // (the obs registry only exposes whole snapshots).
-    requests: AtomicU64,
-    responses: AtomicU64,
-    dedup_joined: AtomicU64,
-    jobs_completed: AtomicU64,
-    backpressure_rejected: AtomicU64,
 }
 
 impl Shared {
@@ -237,11 +230,6 @@ impl Shared {
             cache: Arc::new(ArtifactCache::with_budget(budget)),
             shutdown: AtomicBool::new(false),
             threads_per_job: options.threads_per_job,
-            requests: AtomicU64::new(0),
-            responses: AtomicU64::new(0),
-            dedup_joined: AtomicU64::new(0),
-            jobs_completed: AtomicU64::new(0),
-            backpressure_rejected: AtomicU64::new(0),
         }
     }
 
@@ -251,7 +239,6 @@ impl Shared {
 
     fn respond(&self, writer: &ClientWriter, line: &str) {
         writer.send(line);
-        self.responses.fetch_add(1, Ordering::Relaxed);
         SERVE_RESPONSES.inc();
     }
 
@@ -329,6 +316,9 @@ fn dse_result_json(result: &DseResult) -> String {
     out
 }
 
+/// The `stats` reply: the artifact cache's statistics and the `serve.*`
+/// counters, which the server's metrics session (open for the server's
+/// whole life, reset when it opened) holds.
 fn stats_result_json(shared: &Shared) -> String {
     use std::fmt::Write as _;
     let cache = shared.cache.stats();
@@ -349,11 +339,11 @@ fn stats_result_json(shared: &Shared) -> String {
         out,
         ",\"server\":{{\"requests\":{},\"responses\":{},\"dedup_joined\":{},\
          \"jobs_completed\":{},\"backpressure_rejected\":{}}}}}",
-        shared.requests.load(Ordering::Relaxed),
-        shared.responses.load(Ordering::Relaxed),
-        shared.dedup_joined.load(Ordering::Relaxed),
-        shared.jobs_completed.load(Ordering::Relaxed),
-        shared.backpressure_rejected.load(Ordering::Relaxed),
+        SERVE_REQUESTS.get(),
+        SERVE_RESPONSES.get(),
+        SERVE_DEDUP_JOINED.get(),
+        SERVE_JOBS_COMPLETED.get(),
+        SERVE_BACKPRESSURE.get(),
     );
     out
 }
@@ -494,7 +484,6 @@ fn handle_submit(
             writer: Arc::clone(writer),
             id,
         });
-        shared.dedup_joined.fetch_add(1, Ordering::Relaxed);
         SERVE_DEDUP_JOINED.inc();
         return;
     }
@@ -511,7 +500,6 @@ fn handle_submit(
     let pending = state.pending.entry(client).or_insert(0);
     if *pending >= max_pending {
         drop(state);
-        shared.backpressure_rejected.fetch_add(1, Ordering::Relaxed);
         SERVE_BACKPRESSURE.inc();
         let err = WireError::new(
             ErrorCode::Backpressure,
@@ -590,7 +578,6 @@ fn serve_client(
         if line.trim().is_empty() {
             continue;
         }
-        shared.requests.fetch_add(1, Ordering::Relaxed);
         SERVE_REQUESTS.inc();
         match parse_request(&line) {
             Ok(Request::Submit { id, op }) => {
@@ -695,7 +682,6 @@ fn worker_loop(shared: Arc<Shared>) {
         // Count the job before responding: a client that has its response
         // in hand must observe `jobs_completed` covering its own job in a
         // follow-up `stats` request.
-        shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
         SERVE_JOBS_COMPLETED.inc();
         match outcome {
             Ok(result) => {
@@ -757,7 +743,7 @@ pub fn serve(options: ServeOptions) -> Result<(), String> {
             writer.send(&event_line(id, line));
         }
     });
-    let mut live_config = LiveConfig::default().with_tap(tap).with_retain(false);
+    let mut live_config = LiveConfig::default().with_tap(tap);
     live_config.path = options.live_path.clone();
     let live_session = obs::live::session(live_config)?;
 
@@ -827,10 +813,7 @@ pub fn serve(options: ServeOptions) -> Result<(), String> {
         }
     }
 
-    let report = live_session.finish();
-    if report.dropped > 0 {
-        eprintln!("mnsim-serve: live stream dropped {} lines", report.dropped);
-    }
+    live_session.finish();
     if let Some(path) = &options.metrics_path {
         let snapshot = metrics_session.snapshot().to_json();
         std::fs::write(path, snapshot)

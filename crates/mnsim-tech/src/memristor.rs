@@ -198,9 +198,23 @@ impl MemristorModel {
     /// # Errors
     ///
     /// Returns [`TechError::InvalidDeviceParameter`] if any range constraint
-    /// is violated (non-positive resistances, inverted range, `σ ∉ [0, 0.3]`,
-    /// zero levels, …).
+    /// is violated (NaN or infinite resistances and voltages, non-positive
+    /// resistances, inverted range, `σ ∉ [0, 0.3]`, zero levels, …).
     pub fn validate(&self) -> Result<(), TechError> {
+        // NaN passes every `<=` test below, so finiteness comes first.
+        for (parameter, value) in [
+            ("r_min", self.r_min.ohms()),
+            ("r_max", self.r_max.ohms()),
+            ("v_read", self.v_read.volts()),
+            ("v_write", self.v_write.volts()),
+        ] {
+            if !value.is_finite() {
+                return Err(TechError::InvalidDeviceParameter {
+                    parameter,
+                    reason: format!("must be finite, got {value}"),
+                });
+            }
+        }
         if self.r_min.ohms() <= 0.0 {
             return Err(TechError::InvalidDeviceParameter {
                 parameter: "r_min",

@@ -16,26 +16,12 @@
 use mnsim::core::config::Precision;
 use mnsim::core::dse::Objective;
 use mnsim::nn::models;
-use mnsim::obs;
+use mnsim::obs::EmitSpec;
 use mnsim::prelude::*;
 use mnsim::tech::cmos::CmosNode;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (metrics_path, trace_path, live_path, progress) = paths_from_args()?;
-    // The live sampler reads the metric registry, so a live artifact or
-    // `--progress` implies a metrics session even without one requested.
-    let live_wanted = live_path.is_some() || progress;
-    let session = (metrics_path.is_some() || live_wanted).then(obs::session);
-    let trace_session = trace_path.as_ref().map(|_| obs::trace::session());
-    let live_session = if live_wanted {
-        let mut live_config = obs::live::LiveConfig::default().with_progress(progress);
-        if let Some(path) = &live_path {
-            live_config = live_config.to_path(path);
-        }
-        Some(obs::live::session(live_config)?)
-    } else {
-        None
-    };
+    let emitter = emit_from_args()?.open()?;
 
     // One 2048×1024 layer, 45 nm CMOS, 4-bit signed weights, 8-bit signals.
     let mut base = Config::for_network(models::large_bank_layer());
@@ -94,56 +80,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    if let Some(live) = live_session {
-        let live_report = live.finish();
-        if let Some(path) = &live_path {
-            eprintln!(
-                "live telemetry written to {path} ({} lines, {} samples)",
-                live_report.events,
-                live_report.samples.len()
-            );
-        }
-    }
-    if let (Some(path), Some(trace_session)) = (trace_path, trace_session) {
-        let trace = trace_session.finish();
-        std::fs::write(&path, trace.to_chrome_json())?;
-        eprint!("{}", trace.summary().to_table());
-        eprintln!("trace written to {path}");
-    }
-    if let Some(path) = metrics_path {
-        std::fs::write(&path, obs::snapshot().to_json())?;
-        drop(session);
-        eprintln!("metrics written to {path}");
-    }
+    emitter.finish()?;
     Ok(())
 }
 
-/// `(metrics, trace, live, progress)` flag tuple.
-type SweepFlags = (Option<String>, Option<String>, Option<String>, bool);
-
 /// Parses the `--emit <kind>=<path>` artifact spec and `--progress`;
 /// any other argument is an error.
-fn paths_from_args() -> Result<SweepFlags, Box<dyn std::error::Error>> {
-    let mut metrics = None;
-    let mut trace = None;
-    let mut live = None;
-    let mut progress = false;
+fn emit_from_args() -> Result<EmitSpec, String> {
+    let mut emit = EmitSpec::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--emit" => {
-                let spec = args.next().ok_or("--emit requires <kind>=<path>")?;
-                let (kind, path) = spec.split_once('=').ok_or("--emit expects <kind>=<path>")?;
-                match kind {
-                    "metrics" => metrics = Some(path.to_string()),
-                    "trace" => trace = Some(path.to_string()),
-                    "live" => live = Some(path.to_string()),
-                    _ => return Err("--emit: unknown kind (metrics, trace, live)".into()),
-                }
-            }
-            "--progress" => progress = true,
-            other => return Err(format!("unknown argument {other:?}").into()),
+        if !emit.accept(&arg, &mut args)? {
+            return Err(format!("unknown argument {arg:?}"));
         }
     }
-    Ok((metrics, trace, live, progress))
+    Ok(emit)
 }

@@ -25,25 +25,12 @@
 //! the sweep runs long enough to want `tail -f`-style visibility.
 
 use mnsim::core::report::{report_csv_row, CSV_HEADER};
-use mnsim::obs;
+use mnsim::obs::EmitSpec;
 use mnsim::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = sweep_args()?;
-    // A live session samples the metric registry, so a live artifact or
-    // `--progress` implies a metrics session even without one requested.
-    let live_wanted = args.live.is_some() || args.progress;
-    let session = (args.metrics.is_some() || live_wanted).then(obs::session);
-    let trace_session = args.trace.as_ref().map(|_| obs::trace::session());
-    let live_session = if live_wanted {
-        let mut live_config = obs::live::LiveConfig::default().with_progress(args.progress);
-        if let Some(path) = &args.live {
-            live_config = live_config.to_path(path);
-        }
-        Some(obs::live::session(live_config)?)
-    } else {
-        None
-    };
+    let emitter = args.emit.open()?;
 
     let config = Config::fully_connected_mlp(&[128, 128])?;
     // One session, re-tuned per sweep point; trials fan out on all cores.
@@ -101,64 +88,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nCSV (fault columns are the last four):");
     println!("{csv}");
 
-    if let Some(live) = live_session {
-        let live_report = live.finish();
-        if let Some(path) = &args.live {
-            eprintln!(
-                "live telemetry written to {path} ({} lines, {} samples)",
-                live_report.events,
-                live_report.samples.len()
-            );
-        }
-    }
-    if let (Some(path), Some(trace_session)) = (&args.trace, trace_session) {
-        let trace = trace_session.finish();
-        std::fs::write(path, trace.to_chrome_json())?;
-        eprint!("{}", trace.summary().to_table());
-        eprintln!("trace written to {path}");
-    }
-    if let Some(path) = &args.metrics {
-        std::fs::write(path, obs::snapshot().to_json())?;
-        drop(session);
-        eprintln!("metrics written to {path}");
-    }
+    emitter.finish()?;
     Ok(())
 }
 
 /// Parsed command-line arguments of the sweep.
 struct SweepArgs {
-    metrics: Option<String>,
-    trace: Option<String>,
+    emit: EmitSpec,
     checkpoint_dir: Option<String>,
     deadline_ms: Option<u64>,
-    live: Option<String>,
-    progress: bool,
 }
 
-/// Parses the `--emit <kind>=<path>` artifact spec plus `--checkpoint`,
-/// `--deadline-ms`, and `--progress`; any other argument is an error.
+/// Parses the `--emit <kind>=<path>` artifact spec and `--progress`, plus
+/// `--checkpoint` and `--deadline-ms`; any other argument is an error.
 fn sweep_args() -> Result<SweepArgs, Box<dyn std::error::Error>> {
     let mut parsed = SweepArgs {
-        metrics: None,
-        trace: None,
+        emit: EmitSpec::default(),
         checkpoint_dir: None,
         deadline_ms: None,
-        live: None,
-        progress: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        if parsed.emit.accept(&arg, &mut args)? {
+            continue;
+        }
         match arg.as_str() {
-            "--emit" => {
-                let spec = args.next().ok_or("--emit requires <kind>=<path>")?;
-                let (kind, path) = spec.split_once('=').ok_or("--emit expects <kind>=<path>")?;
-                match kind {
-                    "metrics" => parsed.metrics = Some(path.to_string()),
-                    "trace" => parsed.trace = Some(path.to_string()),
-                    "live" => parsed.live = Some(path.to_string()),
-                    _ => return Err("--emit: unknown kind (metrics, trace, live)".into()),
-                }
-            }
             "--checkpoint" => {
                 parsed.checkpoint_dir =
                     Some(args.next().ok_or("--checkpoint requires a directory")?);
@@ -167,7 +121,6 @@ fn sweep_args() -> Result<SweepArgs, Box<dyn std::error::Error>> {
                 let value = args.next().ok_or("--deadline-ms requires milliseconds")?;
                 parsed.deadline_ms = Some(value.parse().map_err(|_| "--deadline-ms: bad value")?);
             }
-            "--progress" => parsed.progress = true,
             other => return Err(format!("unknown argument {other:?}").into()),
         }
     }

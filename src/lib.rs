@@ -3,8 +3,8 @@
 //! This is the facade crate of the MNSIM reproduction. It re-exports the
 //! member crates under stable names:
 //!
-//! * [`obs`] — observability layer: counters, histograms, timer spans
-//!   ([`mnsim_obs`]),
+//! * [`obs`] — instrumentation: counters, spans and marks fanned out to
+//!   metrics, a Chrome trace and live NDJSON ([`mnsim_obs`]),
 //! * [`tech`] — technology & device models ([`mnsim_tech`]),
 //! * [`circuit`] — SPICE-class DC circuit simulator ([`mnsim_circuit`]),
 //! * [`nn`] — neural-network substrate ([`mnsim_nn`]),

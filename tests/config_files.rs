@@ -133,3 +133,25 @@ fn resistance_magnitude_suffixes() {
     assert_eq!(config.device.r_min.ohms(), 1_000.0);
     assert_eq!(config.device.r_max.ohms(), 2_000_000.0);
 }
+
+#[test]
+fn non_finite_device_values_are_rejected() {
+    // NaN slips through every `<=` range test, and an infinite bound used
+    // to run to NaN report fields or a panic in the accuracy model.
+    for range in ["[NaN 500k]", "[500 NaN]", "[500 inf]"] {
+        let text = format!("Resistance_Range = {range}\n");
+        match Config::from_text(&text) {
+            Err(CoreError::Config { errors }) => {
+                assert!(
+                    errors.iter().any(|e| e.field_path == "Memristor_Model"),
+                    "{range}: {errors:?}"
+                );
+            }
+            other => panic!("{range}: expected a Memristor_Model error, got {other:?}"),
+        }
+    }
+    let mut config = Config::fully_connected_mlp(&[64, 32]).unwrap();
+    config.sense_resistance = mnsim::tech::units::Resistance::from_ohms(f64::INFINITY);
+    let fields: Vec<String> = config.check().into_iter().map(|e| e.field_path).collect();
+    assert_eq!(fields, ["Sense_Resistance"]);
+}

@@ -6,7 +6,8 @@
 //! Every test holds the [`mnsim::obs::session`] lock before opening its
 //! live session; the lock serializes the tests in this binary, so the
 //! global telemetry hub is never shared between concurrently running
-//! tests.
+//! tests. The session keeps no copy of its stream: tests read the lines
+//! through a [`LiveTap`], the way the session server does.
 
 mod common;
 
@@ -17,8 +18,10 @@ use mnsim::core::config::Config;
 use mnsim::core::error::CoreError;
 use mnsim::core::fault_sim::FaultConfig;
 use mnsim::core::simulator::Simulator;
+use std::sync::{Arc, Mutex};
+
 use mnsim::obs;
-use mnsim::obs::live::{self, LiveConfig};
+use mnsim::obs::live::{self, LiveConfig, LiveReport, LiveSession, LiveTap};
 use mnsim::tech::fault::FaultRates;
 
 /// A per-test scratch path under the system temp directory.
@@ -27,6 +30,23 @@ fn temp_path(name: &str) -> String {
         .join(format!("mnsim_live_{}_{name}", std::process::id()))
         .to_string_lossy()
         .to_string()
+}
+
+/// Opens a live session whose every line is collected; `finish` ends it
+/// and returns the report with the lines.
+fn tapped_session(config: LiveConfig) -> (LiveSession, Arc<Mutex<Vec<String>>>) {
+    let lines = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&lines);
+    let tap = LiveTap::new(move |line| sink.lock().unwrap().push(line.to_string()));
+    let live = live::session(config.with_tap(tap)).expect("live session opens");
+    (live, lines)
+}
+
+fn finish(live: LiveSession, lines: Arc<Mutex<Vec<String>>>) -> (LiveReport, Vec<String>) {
+    let report = live.finish();
+    let lines = std::mem::take(&mut *lines.lock().unwrap());
+    assert_eq!(report.events, lines.len() as u64, "the tap saw every line");
+    (report, lines)
 }
 
 fn fault_config(trials: usize) -> FaultConfig {
@@ -85,16 +105,16 @@ fn skeleton(lines: &[String]) -> Vec<String> {
 
 fn run_campaign(threads: usize, trials: usize) -> Vec<String> {
     let session = obs::session();
-    let live = live::session(LiveConfig::default()).expect("live session opens");
+    let (live, lines) = tapped_session(LiveConfig::default());
     let config = Config::fully_connected_mlp(&[64, 32]).expect("valid config");
     Simulator::new(config)
         .threads(threads)
         .faults(fault_config(trials))
         .run()
         .expect("campaign completes");
-    let report = live.finish();
+    let (_, lines) = finish(live, lines);
     drop(session);
-    report.lines
+    lines
 }
 
 /// Acceptance: event counts and contents are bit-stable across
@@ -181,16 +201,14 @@ fn deadline_zero_run_flushes_final_event_to_sink() {
 
 /// Checkpointed campaigns emit one `checkpoint_written` per wave (the
 /// checkpoint cadence *is* the wave grain), and a zero-period sampler
-/// captures a counter time series exportable as NDJSON and CSV.
+/// writes counter-delta `sample` lines into the same stream.
 #[test]
 fn checkpoint_events_match_waves_and_sampler_exports() {
     let ckpt = temp_path("ckpt.json");
     let _ = std::fs::remove_file(&ckpt);
     let session = obs::session();
-    let live = live::session(
-        LiveConfig::default().with_sample_period(std::time::Duration::ZERO),
-    )
-    .expect("live session opens");
+    let (live, lines) =
+        tapped_session(LiveConfig::default().with_sample_period(std::time::Duration::ZERO));
     let config = Config::fully_connected_mlp(&[64, 32]).expect("valid config");
     Simulator::new(config)
         .threads(2)
@@ -198,11 +216,11 @@ fn checkpoint_events_match_waves_and_sampler_exports() {
         .checkpoint(CheckpointPolicy::new(&ckpt).every(4))
         .run()
         .expect("campaign completes");
-    let report = live.finish();
+    let (report, lines) = finish(live, lines);
     drop(session);
     let _ = std::fs::remove_file(&ckpt);
 
-    let events: Vec<String> = skeleton(&report.lines);
+    let events: Vec<String> = skeleton(&lines);
     // 8 trials at cadence 4 → 2 waves, each persisting then reporting.
     let expected = vec![
         "started fault_mc 8 0".to_string(),
@@ -214,25 +232,25 @@ fn checkpoint_events_match_waves_and_sampler_exports() {
     ];
     assert_eq!(events, expected);
     // The checkpoint events name the actual checkpoint path.
-    for line in report.lines.iter().filter(|l| l.contains("checkpoint_written")) {
+    for line in lines.iter().filter(|l| l.contains("checkpoint_written")) {
         let value = obs::parse_json(line).expect("checkpoint line parses");
         assert_eq!(value.get("path").and_then(|v| v.as_str()), Some(ckpt.as_str()));
     }
 
-    // Zero-period sampling: at least one sample per emission, counter
-    // deltas sum to the campaign's trial total, both exports well-formed.
-    assert!(!report.samples.is_empty());
-    let trials_sampled: u64 = report
-        .samples
-        .points
+    // Zero-period sampling: at least one sample per emission, and the
+    // counter deltas sum to the campaign's trial total.
+    let samples: Vec<obs::JsonValue> = lines
         .iter()
-        .filter_map(|p| p.counters.get("core.fault.trials"))
+        .map(|line| obs::parse_json(line).expect("line parses"))
+        .filter(|value| value.get("event").and_then(|v| v.as_str()) == Some("sample"))
+        .collect();
+    assert!(!samples.is_empty());
+    assert_eq!(report.samples, samples.len() as u64);
+    let trials_sampled: u64 = samples
+        .iter()
+        .filter_map(|s| s.get("counters")?.get("core.fault.trials")?.as_u64())
         .sum();
     assert_eq!(trials_sampled, 8);
-    for line in report.samples.to_ndjson().lines() {
-        obs::parse_json(line).expect("sample NDJSON parses");
-    }
-    assert!(report.samples.to_csv().starts_with("t_s,kind,name,value\n"));
 }
 
 /// A solver health guard cutting a recovery rung short emits a
@@ -244,13 +262,12 @@ fn guard_trip_emits_live_event() {
     let (c, _) = common::tiny_pivot_divider();
 
     let session = obs::session();
-    let live = live::session(LiveConfig::default()).expect("live session opens");
+    let (live, lines) = tapped_session(LiveConfig::default());
     solve_robust(&c, &SolveOptions::default()).expect("ladder recovers");
-    let report = live.finish();
+    let (_, lines) = finish(live, lines);
     drop(session);
 
-    let guard_line = report
-        .lines
+    let guard_line = lines
         .iter()
         .find(|l| l.contains("guard_tripped"))
         .expect("singular-pivot guard emitted a live event");

@@ -1,6 +1,6 @@
 //! Observability-layer integration tests: the metric counters must tell
 //! the truth about what the solver and the simulation pipeline actually
-//! did.
+//! did, and the metrics and the trace must agree on every fact.
 //!
 //! Every test in this binary holds the [`mnsim::obs::session`] lock while
 //! running instrumented code. The lock serializes the tests, so the global
@@ -8,14 +8,18 @@
 
 mod common;
 
+use std::collections::BTreeMap;
+
 use mnsim::circuit::solve::SolveOptions;
 use mnsim::circuit::{solve_robust, Circuit, RecoveryStage};
+use mnsim::core::checkpoint::CheckpointPolicy;
 use mnsim::core::config::Config;
 use mnsim::core::dse::{Constraints, DesignSpace};
 use mnsim::core::fault_sim::FaultConfig;
 use mnsim::core::simulate::simulate;
 use mnsim::core::Simulator;
 use mnsim::obs;
+use mnsim::obs::trace::{self, EventKind};
 use mnsim::tech::fault::FaultRates;
 use mnsim::tech::interconnect::InterconnectNode;
 use mnsim::tech::units::{Resistance, Voltage};
@@ -88,12 +92,7 @@ fn simulate_records_per_stage_timings() {
 
     let snap = session.snapshot();
     assert_eq!(snap.counter("core.simulate.runs"), 1);
-    for stage in [
-        "core.simulate.total",
-        "core.simulate.stage.accelerator",
-        "core.simulate.stage.accuracy",
-        "core.simulate.stage.propagate",
-    ] {
+    for stage in ["simulate", "accelerator", "accuracy", "propagate"] {
         let h = snap
             .histograms
             .get(stage)
@@ -214,7 +213,7 @@ fn snapshot_json_is_valid_and_complete() {
         "circuit.solve.dense_lu",
         "circuit.recovery.attempts.base",
         "solver.klu.factors",
-        "core.simulate.stage.accelerator",
+        "accelerator",
         "core.dse.points_per_sec",
     ] {
         assert!(json.contains(required), "snapshot JSON lacks {required}");
@@ -265,6 +264,98 @@ fn session_opened_before_thread_pool_sees_all_worker_counts() {
     );
 }
 
+/// One instrumentation model: with metrics and the trace open together,
+/// the two views agree on every fact. Each span name's trace `Begin`
+/// count (`name` is the label without its `[i]` suffix) equals its
+/// histogram count, each instant's count equals the counter of the same
+/// name, and nothing is dropped — for a checkpointed fault campaign at
+/// threads {1, 2, 7}, a small DSE sweep, and a recovery-ladder escalation.
+#[test]
+fn metrics_and_trace_agree_on_every_fact() {
+    let config = Config::fully_connected_mlp(&[64, 32]).unwrap();
+    let space = DesignSpace {
+        crossbar_sizes: vec![32, 64],
+        parallelism_degrees: vec![1, 16],
+        interconnects: vec![InterconnectNode::N28, InterconnectNode::N45],
+    };
+    let checkpoint = std::env::temp_dir()
+        .join(format!("mnsim_obs_views_{}.json", std::process::id()))
+        .to_string_lossy()
+        .to_string();
+    let trials = 12;
+    for threads in [1usize, 2, 7] {
+        let _ = std::fs::remove_file(&checkpoint);
+        let metrics = obs::session();
+        let trace_session = trace::session();
+        let sim = Simulator::new(config.clone()).threads(threads);
+        sim.clone()
+            .faults(FaultConfig {
+                rates: FaultRates::stuck_at(0.02),
+                trials,
+                ..FaultConfig::default()
+            })
+            .checkpoint(CheckpointPolicy::new(&checkpoint).every(4))
+            .run()
+            .unwrap();
+        sim.explore(&space, &Constraints::default()).unwrap();
+        let (divider, _) = common::tiny_pivot_divider();
+        solve_robust(&divider, &SolveOptions::default()).unwrap();
+        let snap = metrics.snapshot();
+        let collected = trace_session.finish();
+        drop(metrics);
+
+        assert_eq!(collected.dropped, 0, "threads={threads}");
+        let mut begins: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut instants: BTreeMap<&str, u64> = BTreeMap::new();
+        for event in &collected.events {
+            match event.kind {
+                EventKind::Begin => *begins.entry(event.name).or_insert(0) += 1,
+                EventKind::Instant => *instants.entry(event.name).or_insert(0) += 1,
+                _ => {}
+            }
+        }
+        for (name, &count) in &begins {
+            assert_eq!(
+                snap.histograms.get(*name).map(|h| h.count),
+                Some(count),
+                "threads={threads}: span {name}"
+            );
+        }
+        for (name, &count) in &instants {
+            assert_eq!(
+                snap.counter(name),
+                count,
+                "threads={threads}: instant {name}"
+            );
+        }
+        // The run reached every kind of fact the oracle compares.
+        for span in [
+            "fault.campaign",
+            "dse.point",
+            "simulate",
+            "recovery.attempt.base",
+        ] {
+            assert!(
+                begins.contains_key(span),
+                "threads={threads}: no {span} span"
+            );
+        }
+        for mark in ["checkpoint.written", "solver.early_escalations"] {
+            assert!(
+                instants.contains_key(mark),
+                "threads={threads}: no {mark} instant"
+            );
+        }
+        assert_eq!(begins["fault.trial"], trials as u64, "threads={threads}");
+        assert_eq!(
+            snap.counter("core.fault.trials"),
+            trials as u64,
+            "threads={threads}"
+        );
+    }
+    let _ = std::fs::remove_file(&checkpoint);
+}
+
 /// Overhead guard (ignored by default: wall-clock measurements are too
 /// noisy for CI). Run with `cargo test --release -- --ignored overhead`.
 ///
@@ -286,7 +377,8 @@ fn disabled_instrumentation_overhead_is_negligible() {
 
     // Disabled hot-path ops: must be a branch on a relaxed atomic.
     static PROBE: obs::Counter = obs::Counter::new("overhead.probe");
-    static PROBE_SPAN: obs::Span = obs::Span::new("overhead.probe_span");
+    static PROBE_SPAN: obs::Span = obs::Span::new("overhead.probe_span", obs::Level::Other);
+    static PROBE_MARK: obs::Mark = obs::Mark::new("overhead.probe_mark", obs::Level::Other);
     const OPS: u32 = 10_000_000;
     let started = Instant::now();
     for _ in 0..OPS {
@@ -305,7 +397,7 @@ fn disabled_instrumentation_overhead_is_negligible() {
     // to one relaxed atomic load and a branch.
     let started = Instant::now();
     for _ in 0..OPS {
-        let _guard = obs::trace::span("overhead.trace_probe", obs::trace::Level::Other);
+        PROBE_MARK.record(1.0);
         obs::trace::module_perf("overhead.trace_module", 1.0e-9, 1.0e-12);
     }
     let per_trace_op = started.elapsed().as_secs_f64() / f64::from(OPS) / 2.0;

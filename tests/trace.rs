@@ -298,12 +298,26 @@ fn traced_simulate_module_times_match_module_perf() {
         assert_eq!(module.samples, banks as u64, "module {name} sample count");
     }
 
-    // The folded-stacks export sees the same hierarchy.
-    let folded = collected.to_folded();
+    // The span tree carries the run→layer→bank→unit path.
+    let begins: BTreeMap<u64, &trace::Event> = collected
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::Begin)
+        .map(|e| (e.id, e))
+        .collect();
+    let path = |mut id: u64| {
+        let mut labels = Vec::new();
+        while let Some(event) = begins.get(&id) {
+            labels.push(event.label());
+            id = event.parent;
+        }
+        labels.reverse();
+        labels.join(";")
+    };
     assert!(
-        folded
-            .lines()
-            .any(|l| l.starts_with("simulate;accelerator;layer[0];bank;unit ")),
-        "folded stacks miss the run→layer→bank→unit path:\n{folded}"
+        begins
+            .values()
+            .any(|e| path(e.id) == "simulate;accelerator;layer[0];bank;unit"),
+        "the span tree misses the run→layer→bank→unit path"
     );
 }
