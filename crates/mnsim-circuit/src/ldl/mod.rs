@@ -138,16 +138,7 @@ pub fn analyze(a: &CscMatrix) -> SymbolicAnalysis {
     let _span = ANALYZE_SPAN.enter();
     let (col_ptr, row_idx) = (a.col_ptr(), a.row_idx());
 
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for j in 0..n {
-        for &i in &row_idx[col_ptr[j]..col_ptr[j + 1]] {
-            if i != j {
-                adj[i].push(j);
-                adj[j].push(i);
-            }
-        }
-    }
-    let mut perm = amd::min_degree_order(n, &adj);
+    let mut perm = amd::min_degree_order(n, col_ptr, row_idx);
     let mut pinv = vec![0usize; n];
     for (new, &old) in perm.iter().enumerate() {
         pinv[old] = new;

@@ -117,8 +117,15 @@ impl LinearEngine {
 /// stamps are summed in one order on every path, and since a refactor is
 /// bit-identical to a fresh factorization, the solutions never depend on
 /// what the workspace solved before.
+///
+/// It also keeps the buffers of the last reduced system `solve_linear`
+/// assembled through it, and refills them in place: a Newton loop or a
+/// transient run allocates its stamps, right-hand-side plan and node
+/// numbering once, not once per linear solve.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SparseWorkspace {
+    /// Assembly buffers of the last `solve_linear` on this workspace.
+    system: ReducedSystem,
     /// Stamp coordinates the map was built for, in stamp order.
     coords: Vec<(usize, usize)>,
     /// CSC value slot of each stamp.
@@ -194,10 +201,11 @@ impl SparseWorkspace {
         self.ldl.as_deref().filter(|_| !self.values.is_empty())
     }
 
-    /// Rough resident size in bytes: the slot map, the values, and the
-    /// held factor with its analyzed pattern.
+    /// Rough resident size in bytes: the assembly buffers, the slot map,
+    /// the values, and the held factor with its analyzed pattern.
     pub(crate) fn approx_bytes(&self) -> usize {
-        self.coords.len() * 16
+        self.system.approx_bytes()
+            + self.coords.len() * 16
             + self.slots.len() * 8
             + (self.values.len() + self.next_values.len()) * 8
             + self.ldl.as_deref().map_or(0, SparseLdl::approx_bytes)
@@ -380,7 +388,22 @@ pub(crate) fn solve_linear(
         return solve_full_mna(circuit, lin);
     }
     let is_driven: Vec<bool> = sources.driven.iter().map(Option::is_some).collect();
-    let system = assemble_reduced(circuit, lin, &is_driven);
+    let mut system = std::mem::take(&mut workspace.system);
+    assemble_reduced_into(&mut system, circuit, lin, &is_driven);
+    let voltages = solve_reduced(circuit, &system, &sources, options, workspace);
+    workspace.system = system;
+    voltages
+}
+
+/// Solves the assembled reduced `system` of `circuit` for its node
+/// voltages.
+fn solve_reduced(
+    circuit: &Circuit,
+    system: &ReducedSystem,
+    sources: &SourceInfo,
+    options: &SolveOptions,
+    workspace: &mut SparseWorkspace,
+) -> Result<Vec<f64>, CircuitError> {
     // Scaled ops only name ground and driven nodes.
     let voltage = |node: usize| {
         sources.driven[node]
@@ -432,6 +455,7 @@ pub(crate) enum BOp {
 
 /// The reduced nodal system of one linearization: unknowns are all nodes
 /// that are neither ground nor driven, and the matrix is SPD.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ReducedSystem {
     /// node → unknown index (`usize::MAX` for ground and driven nodes).
     pub(crate) index: Vec<usize>,
@@ -451,18 +475,48 @@ pub(crate) fn assemble_reduced(
     lin: &[Option<Linearized>],
     is_driven: &[bool],
 ) -> ReducedSystem {
-    let mut index = vec![usize::MAX; circuit.node_count()];
-    let mut unknowns = 0usize;
+    let mut system = ReducedSystem::default();
+    assemble_reduced_into(&mut system, circuit, lin, is_driven);
+    system
+}
+
+impl ReducedSystem {
+    /// Rough resident size of the buffers in bytes.
+    fn approx_bytes(&self) -> usize {
+        self.index.capacity() * 8
+            + self.stamps.capacity() * 24
+            + self.ops.capacity() * std::mem::size_of::<BOp>()
+    }
+}
+
+/// [`assemble_reduced`] into `system`, whose buffers keep their capacity:
+/// the stamps and the plan come out in the same order as from a fresh
+/// assembly.
+pub(crate) fn assemble_reduced_into(
+    system: &mut ReducedSystem,
+    circuit: &Circuit,
+    lin: &[Option<Linearized>],
+    is_driven: &[bool],
+) {
+    let ReducedSystem {
+        index,
+        unknowns,
+        stamps,
+        ops,
+    } = system;
+    index.clear();
+    index.resize(circuit.node_count(), usize::MAX);
+    *unknowns = 0;
     for (slot, &driven) in index.iter_mut().zip(is_driven).skip(1) {
         if !driven {
-            *slot = unknowns;
-            unknowns += 1;
+            *slot = *unknowns;
+            *unknowns += 1;
         }
     }
     let fixed = |node: usize| node == Circuit::GROUND || is_driven[node];
 
-    let mut stamps = TripletMatrix::new(unknowns, unknowns);
-    let mut ops = Vec::new();
+    stamps.reset(*unknowns, *unknowns);
+    ops.clear();
     for (idx, element) in circuit.elements().iter().enumerate() {
         match element {
             Element::Resistor { n1, n2, .. }
@@ -518,12 +572,6 @@ pub(crate) fn assemble_reduced(
             }
             Element::VoltageSource { .. } => {} // encoded via `is_driven`
         }
-    }
-    ReducedSystem {
-        index,
-        unknowns,
-        stamps,
-        ops,
     }
 }
 

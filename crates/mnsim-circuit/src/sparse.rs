@@ -62,6 +62,19 @@ impl TripletMatrix {
         self.entries.len()
     }
 
+    /// Empties the builder and resizes it to `rows × cols`, keeping its
+    /// storage for the next assembly.
+    pub(crate) fn reset(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.entries.clear();
+    }
+
+    /// Triplets the builder holds room for without reallocating.
+    pub(crate) fn capacity(&self) -> usize {
+        self.entries.capacity()
+    }
+
     /// The collected `(row, col, value)` triplets in insertion order
     /// (exact zeros are never stored).
     pub(crate) fn entries(&self) -> &[(usize, usize, f64)] {

@@ -14,6 +14,12 @@
 //! The paper's latency row comes from SPICE transient runs; our substrate
 //! is a DC solver, so latency is validated against the analytic Elmore
 //! settling of the same netlist (substitution documented in `DESIGN.md`).
+//!
+//! Every circuit measurement behind the Table II rows — each random
+//! weight matrix, the uniform array, the single-cell read, the wire fit
+//! and the transient — is an independent item of one [`exec`] pool run,
+//! so no worker idles while another solves the fixed measurements, and
+//! the rows are reduced in item order whatever the thread count.
 
 use std::time::Instant;
 
@@ -21,10 +27,12 @@ use mnsim_circuit::batch::PreparedSystem;
 use mnsim_circuit::crossbar::CrossbarSpec;
 use mnsim_circuit::solve::{solve_dc, SolveOptions};
 use mnsim_nn::data::{random_input_vector, random_weight_matrix};
+use mnsim_nn::tensor::Tensor;
+use mnsim_tech::units::Time;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::accuracy::{AccuracyModel, Case};
+use crate::accuracy::{AccuracyModel, Case, FitResult};
 use crate::config::Config;
 use crate::error::CoreError;
 use crate::exec::{self, RunControl};
@@ -59,23 +67,46 @@ struct MatrixPartial {
     samples: usize,
 }
 
+/// What one item of the validation's pool run measures: a random-matrix
+/// study, or one of the fixed circuit measurements that follow the
+/// matrices, in this order.
+enum Measurement {
+    /// One random weight matrix's power and deviation sums.
+    Matrix(MatrixPartial),
+    /// Dissipated power of the uniform array, in watts.
+    UniformPower(f64),
+    /// Dissipated power of the single driven cell, in watts.
+    ReadPower(f64),
+    /// The Fig.-5 wire-coefficient fit.
+    Fit(FitResult),
+    /// The latency mesh's transient settle time.
+    Settle(Time),
+}
+
+/// The fixed measurements that follow the matrix studies: the uniform
+/// array, the single-cell read, the wire fit and the transient.
+const FIXED_MEASUREMENTS: usize = 4;
+
 /// Validates computation power, read power and average relative accuracy
 /// for `config`'s first bank geometry over `matrices` random weight
 /// samples × `inputs_per_matrix` random input vectors — the workload
 /// behind [`Simulator::validate`](crate::simulator::Simulator::validate).
 ///
-/// Each random weight matrix is an independent circuit study (its own
-/// prepared system and read sequence), so matrices spread
-/// over `threads` workers on the [`exec`] pool. All random draws happen up
-/// front on the calling thread in the historical order — the RNG stream,
-/// and therefore every sampled circuit, is untouched by the thread count —
-/// and per-matrix partial sums are reduced in matrix order, so the rows
-/// are bit-identical for every thread count.
+/// Every circuit measurement is an independent study, so all of them
+/// spread over `threads` workers on the [`exec`] pool as one run: first
+/// the random weight matrices (each with its own prepared system and read
+/// sequence), then the uniform array, the single-cell read, the wire fit
+/// and the transient. All random draws happen up front on the calling
+/// thread in the historical order — the RNG stream, and therefore every
+/// sampled circuit, is untouched by the thread count — and the outputs
+/// are reduced in item order, so the rows are bit-identical for every
+/// thread count.
 ///
 /// # Errors
 ///
 /// Propagates circuit construction/solver failures (the earliest failing
-/// matrix's), and [`CoreError::WorkerPanic`] for a panicking matrix.
+/// item's, in the order above, which is the one a serial run reports),
+/// and [`CoreError::WorkerPanic`] for a panicking item.
 pub(crate) fn validate_against_circuit(
     config: &Config,
     matrices: usize,
@@ -88,13 +119,9 @@ pub(crate) fn validate_against_circuit(
     let rows = bank.matrix_rows().min(config.crossbar_size);
     let cols = bank.matrix_cols().min(config.crossbar_size);
 
-    let mut block_config = config.clone();
-    // map_weights requires the block to fit one crossbar.
-    block_config.crossbar_size = config.crossbar_size;
-
     // Serial pre-draw, interleaved exactly as the historical loop drew
     // them (weights for matrix i, then its inputs, then matrix i+1 …).
-    let studies: Vec<(mnsim_nn::tensor::Tensor, Vec<mnsim_nn::tensor::Tensor>)> = (0..matrices)
+    let studies: Vec<(Tensor, Vec<Tensor>)> = (0..matrices)
         .map(|_| {
             let weights = random_weight_matrix(cols, rows, &mut rng);
             let inputs = (0..inputs_per_matrix)
@@ -104,104 +131,6 @@ pub(crate) fn validate_against_circuit(
         })
         .collect();
 
-    let indices: Vec<usize> = (0..studies.len()).collect();
-    let partials: Vec<MatrixPartial> =
-        exec::run_indices(&indices, threads, &RunControl::new(), |matrix| {
-            let (weights, input_vectors) = &studies[matrix];
-            // The conductance map depends only on the weights, so map/build
-            // once per matrix and re-drive the sources per input vector
-            // through one prepared system (one factorization, one backsolve
-            // per read).
-            let mapped = map_weights(&block_config, weights, &vec![0.0; rows])?;
-            let built = mapped.positive.build()?;
-            let mut prepared = PreparedSystem::build(built.circuit(), SolveOptions::default())?;
-            let mut partial = MatrixPartial {
-                power_sum: 0.0,
-                deviation_sum: 0.0,
-                samples: 0,
-            };
-            for inputs in input_vectors {
-                let drive = input_drive_voltages(&block_config, inputs.data());
-                let rhs = built.input_rhs(&drive)?;
-                let solution = prepared.solve(built.circuit(), &rhs)?;
-                partial.power_sum += solution.dissipated_power(built.circuit()).watts();
-
-                // Output deviation against the ideal (wire-free, linear)
-                // Eq.-2 result, averaged over columns.
-                let ideal = mapped.positive.ideal_output_voltages_for(&drive);
-                let actual = built.output_voltages(&solution);
-                let mut dev = 0.0;
-                let mut counted = 0usize;
-                for (i, a) in ideal.iter().zip(&actual) {
-                    if i.volts() > 1e-9 {
-                        dev += ((i.volts() - a.volts()) / i.volts()).abs();
-                        counted += 1;
-                    }
-                }
-                if counted > 0 {
-                    partial.deviation_sum += dev / counted as f64;
-                }
-                partial.samples += 1;
-            }
-            Ok::<_, CoreError>(partial)
-        })
-        .into_result()
-        .map_err(|error| error.into_core(None))?;
-
-    // Matrix-order fold of the partials: the grouping is fixed by the
-    // matrix boundaries, not the thread count.
-    let mut circuit_power = 0.0;
-    let mut circuit_deviation = 0.0;
-    let mut samples = 0usize;
-    for partial in &partials {
-        circuit_power += partial.power_sum;
-        circuit_deviation += partial.deviation_sum;
-        samples += partial.samples;
-    }
-    let circuit_power = circuit_power / samples as f64;
-    let circuit_deviation = circuit_deviation / samples as f64;
-
-    // Circuit computation power under the model's *own* average-case
-    // assumption (every cell at the harmonic-mean resistance, every input
-    // driven): this isolates the topology effects (wire drops) from the
-    // weight-distribution assumption. The activity factor 0.5 of the model
-    // corresponds to inputs at v_read/√2 RMS; drive the uniform circuit at
-    // that amplitude for a like-for-like energy comparison.
-    let rms_input = mnsim_tech::units::Voltage::from_volts(
-        config.device.v_read.volts() / std::f64::consts::SQRT_2,
-    );
-    let uniform = CrossbarSpec::uniform(
-        rows,
-        cols,
-        config.device.harmonic_mean_resistance(),
-        config.interconnect.segment_resistance(),
-        config.sense_resistance,
-        rms_input,
-    );
-    let built_uniform = uniform.build()?;
-    let uniform_solution = solve_dc(built_uniform.circuit(), &SolveOptions::default())?;
-    let circuit_avg_power = uniform_solution
-        .dissipated_power(built_uniform.circuit())
-        .watts();
-
-    // --- behavior-level estimates ------------------------------------------
-    let model = CrossbarModel::new(config.crossbar_size, &config.device, config.interconnect);
-    let mnsim_power = model.compute_power(rows, cols).watts();
-    let mnsim_read_power = model.read_power().watts();
-
-    // Circuit read power: a single driven cell with its sense resistor.
-    let single = CrossbarSpec::uniform(
-        1,
-        1,
-        config.device.harmonic_mean_resistance(),
-        config.interconnect.segment_resistance(),
-        config.sense_resistance,
-        config.device.v_read,
-    );
-    let built = single.build()?;
-    let solution = solve_dc(built.circuit(), &SolveOptions::default())?;
-    let circuit_read_power = solution.dissipated_power(built.circuit()).watts();
-
     // Accuracy: calibrate the model against the circuit first (the
     // paper's Fig.-5 fit precedes its Table-II validation), then predict
     // the average case.
@@ -209,31 +138,74 @@ pub(crate) fn validate_against_circuit(
         .into_iter()
         .filter(|&s| s >= 2)
         .collect();
-    let fitted = crate::accuracy::fit_wire_coefficient(
-        &config.device,
-        config.interconnect,
-        config.sense_resistance,
-        &fit_sizes,
-    )?;
-    let accuracy_model = fitted.model(config.sense_resistance);
-    let mnsim_deviation = accuracy_model.error_rate(
-        rows,
-        cols,
-        config.interconnect,
-        &config.device,
-        Case::Average,
-    );
-
     // Latency: behavior model vs a backward-Euler transient of the real
     // RC mesh (our substitute for the paper's SPICE transient runs). A
     // 32×32 mesh keeps the validation interactive; settle time scales as
     // size² in both the model and the mesh, so the comparison transfers.
     let latency_size = config.crossbar_size.min(32);
-    let latency_model =
-        CrossbarModel::new(latency_size, &config.device, config.interconnect);
+
+    let indices: Vec<usize> = (0..matrices + FIXED_MEASUREMENTS).collect();
+    let measurements = exec::run_indices(&indices, threads, &RunControl::new(), |item| {
+        Ok::<_, CoreError>(match item.checked_sub(matrices) {
+            None => {
+                let (weights, input_vectors) = &studies[item];
+                Measurement::Matrix(matrix_study(config, rows, weights, input_vectors)?)
+            }
+            Some(0) => Measurement::UniformPower(uniform_array_power(config, rows, cols)?),
+            Some(1) => Measurement::ReadPower(single_cell_read_power(config)?),
+            Some(2) => Measurement::Fit(crate::accuracy::fit_wire_coefficient(
+                &config.device,
+                config.interconnect,
+                config.sense_resistance,
+                &fit_sizes,
+            )?),
+            Some(_) => Measurement::Settle(measure_transient_settle(config, latency_size)?),
+        })
+    })
+    .into_result()
+    .map_err(|error| error.into_core(None))?;
+
+    // Item-order fold: the matrix partials are grouped by the matrix
+    // boundaries, not the thread count.
+    let mut circuit_power = 0.0;
+    let mut circuit_deviation = 0.0;
+    let mut samples = 0usize;
+    let mut circuit_avg_power = f64::NAN;
+    let mut circuit_read_power = f64::NAN;
+    let mut fitted = None;
+    let mut circuit_latency = f64::NAN;
+    for measurement in measurements {
+        match measurement {
+            Measurement::Matrix(partial) => {
+                circuit_power += partial.power_sum;
+                circuit_deviation += partial.deviation_sum;
+                samples += partial.samples;
+            }
+            Measurement::UniformPower(watts) => circuit_avg_power = watts,
+            Measurement::ReadPower(watts) => circuit_read_power = watts,
+            Measurement::Fit(fit) => fitted = Some(fit),
+            Measurement::Settle(time) => circuit_latency = time.nanoseconds(),
+        }
+    }
+    let circuit_power = circuit_power / samples as f64;
+    let circuit_deviation = circuit_deviation / samples as f64;
+
+    // --- behavior-level estimates ------------------------------------------
+    let model = CrossbarModel::new(config.crossbar_size, &config.device, config.interconnect);
+    let mnsim_power = model.compute_power(rows, cols).watts();
+    let mnsim_read_power = model.read_power().watts();
+    // A complete run measured every item, the fit included.
+    let mnsim_deviation = fitted.map_or(f64::NAN, |fitted| {
+        fitted.model(config.sense_resistance).error_rate(
+            rows,
+            cols,
+            config.interconnect,
+            &config.device,
+            Case::Average,
+        )
+    });
+    let latency_model = CrossbarModel::new(latency_size, &config.device, config.interconnect);
     let mnsim_latency = latency_model.settle_latency().nanoseconds();
-    let circuit_latency =
-        measure_transient_settle(config, latency_size)?.nanoseconds();
 
     Ok(vec![
         ValidationRow {
@@ -269,6 +241,88 @@ pub(crate) fn validate_against_circuit(
     ])
 }
 
+/// Solves one random weight matrix under each of its input vectors. The
+/// conductance map depends only on the weights, so it maps and builds
+/// once and re-drives the sources per input vector through one prepared
+/// system (one factorization, one backsolve per read).
+fn matrix_study(
+    config: &Config,
+    rows: usize,
+    weights: &Tensor,
+    input_vectors: &[Tensor],
+) -> Result<MatrixPartial, CoreError> {
+    let mapped = map_weights(config, weights, &vec![0.0; rows])?;
+    let built = mapped.positive.build()?;
+    let mut prepared = PreparedSystem::build(built.circuit(), SolveOptions::default())?;
+    let mut partial = MatrixPartial {
+        power_sum: 0.0,
+        deviation_sum: 0.0,
+        samples: 0,
+    };
+    for inputs in input_vectors {
+        let drive = input_drive_voltages(config, inputs.data());
+        let rhs = built.input_rhs(&drive)?;
+        let solution = prepared.solve(built.circuit(), &rhs)?;
+        partial.power_sum += solution.dissipated_power(built.circuit()).watts();
+
+        // Output deviation against the ideal (wire-free, linear)
+        // Eq.-2 result, averaged over columns.
+        let ideal = mapped.positive.ideal_output_voltages_for(&drive);
+        let actual = built.output_voltages(&solution);
+        let mut dev = 0.0;
+        let mut counted = 0usize;
+        for (i, a) in ideal.iter().zip(&actual) {
+            if i.volts() > 1e-9 {
+                dev += ((i.volts() - a.volts()) / i.volts()).abs();
+                counted += 1;
+            }
+        }
+        if counted > 0 {
+            partial.deviation_sum += dev / counted as f64;
+        }
+        partial.samples += 1;
+    }
+    Ok(partial)
+}
+
+/// Circuit computation power under the model's *own* average-case
+/// assumption (every cell at the harmonic-mean resistance, every input
+/// driven): this isolates the topology effects (wire drops) from the
+/// weight-distribution assumption. The activity factor 0.5 of the model
+/// corresponds to inputs at v_read/√2 RMS; the uniform circuit is driven
+/// at that amplitude for a like-for-like energy comparison.
+fn uniform_array_power(config: &Config, rows: usize, cols: usize) -> Result<f64, CoreError> {
+    let rms_input = mnsim_tech::units::Voltage::from_volts(
+        config.device.v_read.volts() / std::f64::consts::SQRT_2,
+    );
+    let uniform = CrossbarSpec::uniform(
+        rows,
+        cols,
+        config.device.harmonic_mean_resistance(),
+        config.interconnect.segment_resistance(),
+        config.sense_resistance,
+        rms_input,
+    );
+    let built = uniform.build()?;
+    let solution = solve_dc(built.circuit(), &SolveOptions::default())?;
+    Ok(solution.dissipated_power(built.circuit()).watts())
+}
+
+/// Circuit read power: a single driven cell with its sense resistor.
+fn single_cell_read_power(config: &Config) -> Result<f64, CoreError> {
+    let single = CrossbarSpec::uniform(
+        1,
+        1,
+        config.device.harmonic_mean_resistance(),
+        config.interconnect.segment_resistance(),
+        config.sense_resistance,
+        config.device.v_read,
+    );
+    let built = single.build()?;
+    let solution = solve_dc(built.circuit(), &SolveOptions::default())?;
+    Ok(solution.dissipated_power(built.circuit()).watts())
+}
+
 /// Measures the worst-column settle time of a `size × size` crossbar RC
 /// mesh with the backward-Euler transient solver (2 % settling band).
 ///
@@ -276,10 +330,7 @@ pub(crate) fn validate_against_circuit(
 ///
 /// Propagates circuit failures; reports a settle failure as
 /// [`CoreError::InvalidConfig`].
-pub fn measure_transient_settle(
-    config: &Config,
-    size: usize,
-) -> Result<mnsim_tech::units::Time, CoreError> {
+pub fn measure_transient_settle(config: &Config, size: usize) -> Result<Time, CoreError> {
     use mnsim_circuit::transient::{solve_transient, TransientOptions};
 
     let spec = CrossbarSpec::uniform(

@@ -198,22 +198,38 @@ impl MemristorModel {
     /// # Errors
     ///
     /// Returns [`TechError::InvalidDeviceParameter`] if any range constraint
-    /// is violated (NaN or infinite resistances and voltages, non-positive
-    /// resistances, inverted range, `σ ∉ [0, 0.3]`, zero levels, …).
+    /// is violated (NaN or infinite resistances, voltages, write latency,
+    /// access-transistor ratio or sinh `α`, non-positive resistances or
+    /// `α`, inverted range, `σ ∉ [0, 0.3]`, zero levels, …).
     pub fn validate(&self) -> Result<(), TechError> {
         // NaN passes every `<=` test below, so finiteness comes first.
+        let alpha = match self.iv {
+            IvModel::Linear => None,
+            IvModel::Sinh { alpha } => Some(("alpha", alpha)),
+        };
         for (parameter, value) in [
             ("r_min", self.r_min.ohms()),
             ("r_max", self.r_max.ohms()),
             ("v_read", self.v_read.volts()),
             ("v_write", self.v_write.volts()),
-        ] {
+            ("write_latency", self.write_latency.seconds()),
+            ("access_wl_ratio", self.access_wl_ratio),
+        ]
+        .into_iter()
+        .chain(alpha)
+        {
             if !value.is_finite() {
                 return Err(TechError::InvalidDeviceParameter {
                     parameter,
                     reason: format!("must be finite, got {value}"),
                 });
             }
+        }
+        if alpha.is_some_and(|(_, alpha)| alpha <= 0.0) {
+            return Err(TechError::InvalidDeviceParameter {
+                parameter: "alpha",
+                reason: "the sinh non-linearity coefficient must be positive".into(),
+            });
         }
         if self.r_min.ohms() <= 0.0 {
             return Err(TechError::InvalidDeviceParameter {

@@ -5,7 +5,7 @@ use mnsim::core::error::CoreError;
 use mnsim::core::simulate::simulate;
 use mnsim::tech::cmos::CmosNode;
 use mnsim::tech::interconnect::InterconnectNode;
-use mnsim::tech::memristor::{CellType, DeviceKind};
+use mnsim::tech::memristor::{CellType, DeviceKind, IvModel};
 
 #[test]
 fn paper_table_i_defaults_parse_and_simulate() {
@@ -154,4 +154,32 @@ fn non_finite_device_values_are_rejected() {
     config.sense_resistance = mnsim::tech::units::Resistance::from_ohms(f64::INFINITY);
     let fields: Vec<String> = config.check().into_iter().map(|e| e.field_path).collect();
     assert_eq!(fields, ["Sense_Resistance"]);
+
+    // Device fields only reachable programmatically: a NaN access ratio
+    // used to give `total_area = NaN`, and a NaN or zero sinh `α` NaN
+    // currents.
+    type Edit = fn(&mut mnsim::tech::memristor::MemristorModel);
+    let edits: [(&str, Edit); 6] = [
+        ("access_wl_ratio = NaN", |d| d.access_wl_ratio = f64::NAN),
+        ("access_wl_ratio = inf", |d| {
+            d.access_wl_ratio = f64::INFINITY
+        }),
+        ("write_latency = NaN", |d| {
+            d.write_latency = mnsim::tech::units::Time::from_nanoseconds(f64::NAN)
+        }),
+        ("alpha = NaN", |d| d.iv = IvModel::Sinh { alpha: f64::NAN }),
+        ("alpha = 0", |d| d.iv = IvModel::Sinh { alpha: 0.0 }),
+        ("alpha = -1", |d| d.iv = IvModel::Sinh { alpha: -1.0 }),
+    ];
+    for (what, edit) in edits {
+        let mut config = Config::fully_connected_mlp(&[64, 32]).unwrap();
+        edit(&mut config.device);
+        match config.validate() {
+            Err(CoreError::Config { errors }) => {
+                let fields: Vec<&str> = errors.iter().map(|e| e.field_path.as_str()).collect();
+                assert_eq!(fields, ["Memristor_Model"], "{what}");
+            }
+            other => panic!("{what}: expected a Memristor_Model error, got {other:?}"),
+        }
+    }
 }
