@@ -32,12 +32,14 @@
 //! resamples therefore cannot silently reuse a stale factorization; use
 //! [`prepare_or_reuse`] to rebuild on change.
 //!
-//! Non-linear circuits (sinh memristors) re-linearize per operating point,
-//! so each read runs the Newton loop of
-//! [`solve_dc`](crate::solve::solve_dc) on a re-driven clone. The prepared
-//! system keeps that loop's sparse factorization across reads and across
-//! value-only overlays: every Jacobian of the structure shares one
-//! analysis, and each one only refactors it in place.
+//! Non-linear circuits (sinh memristors) have no single matrix, so each
+//! read runs the chord-Newton loop of [`solve_dc`](crate::solve::solve_dc)
+//! on a re-driven clone. The prepared system keeps that loop's sparse
+//! workspace across reads and value-only overlays, so every matrix of the
+//! structure shares one analysis. A read factors the low-field matrix, or
+//! refactors back to it when the last read left a Jacobian; its chord
+//! steps backsolve on that factor, and only a step that fails to contract
+//! refactors at a Jacobian.
 
 use mnsim_obs as obs;
 use mnsim_tech::units::Voltage;
@@ -46,8 +48,8 @@ use crate::dense::{DenseMatrix, LuFactors};
 use crate::error::CircuitError;
 use crate::mna::{Circuit, DcSolution, Element};
 use crate::solve::{
-    assemble_reduced, finish, linearize, replay_rhs, solve_dc_in, BOp, LinearEngine, Linearized,
-    ReducedSystem, SolveOptions, SparseWorkspace,
+    assemble_reduced, finish, linearize, linearize_into, replay_rhs, solve_dc_in, BOp,
+    LinearEngine, Linearized, ReducedSystem, SolveOptions, SparseWorkspace,
 };
 
 static BATCH_BUILDS: obs::Counter = obs::Counter::new("circuit.batch.prepared_builds");
@@ -128,8 +130,8 @@ pub enum EngineKind {
     Empty,
     /// Full modified nodal analysis (floating sources), cached dense LU.
     FullMna,
-    /// Non-linear circuit: a Newton solve per read, sharing one cached
-    /// sparse factorization.
+    /// Non-linear circuit: a chord-Newton solve per read, sharing one
+    /// cached sparse factorization.
     Nonlinear,
 }
 
@@ -152,8 +154,8 @@ enum SystemKind {
         ops: Vec<BOp>,
         lu: LuFactors,
     },
-    /// Non-linear circuit: a Newton solve per read. The workspace keeps
-    /// the Jacobian's analysis and factor from one read to the next.
+    /// Non-linear circuit: a chord-Newton solve per read. The workspace
+    /// keeps the analysis and the factor from one read to the next.
     Nonlinear { workspace: SparseWorkspace },
 }
 
@@ -316,11 +318,12 @@ impl PreparedSystem {
     /// Attempts to update this system in place for a circuit whose element
     /// *values* changed but whose structure did not (a fault overlay or
     /// variation resample). Only the sparse-direct engine and non-linear
-    /// systems support this. The sparse engine re-stamps the circuit and
-    /// scatters the new values through its cached slot map into its cached
-    /// analysis, then refactors, which is much cheaper than a full rebuild.
-    /// A non-linear system keeps its Newton workspace, whose next solve
-    /// refactors the held factorization for the new values.
+    /// systems support this. The sparse engine re-stamps the circuit into
+    /// its held assembly buffers and scatters the new values through its
+    /// cached slot map into its cached analysis, then refactors, which is
+    /// much cheaper than a full rebuild. A non-linear system keeps its
+    /// Newton workspace, whose next solve refactors the held factorization
+    /// for the new values.
     ///
     /// Returns `Ok(true)` when the refresh succeeded (the system now solves
     /// the new circuit), `Ok(false)` when this engine or structure cannot be
@@ -336,8 +339,8 @@ impl PreparedSystem {
         }
         if let SystemKind::Nonlinear { .. } = self.kind {
             // The structure fingerprint covers the memristor I-V kinds, so
-            // the circuit is non-linear too; Newton linearizes it afresh on
-            // every solve and nothing but the fingerprint is stale.
+            // the circuit is non-linear too; every solve assembles it afresh
+            // and nothing but the fingerprint is stale.
             self.fingerprint = circuit_fingerprint(circuit);
             VALUE_REFRESHES.inc();
             return Ok(true);
@@ -353,17 +356,21 @@ impl PreparedSystem {
             return Ok(false);
         };
 
-        let lin = linearize(circuit, None);
-        let system = assemble_reduced(circuit, &lin, &driven_nodes(self.node_count, bindings));
-        // Same structure fingerprint → same unknown numbering; anything
-        // else means the fingerprint missed a structural change, so refuse
-        // the fast path rather than risk a wrong refresh.
-        if system.unknowns != *unknowns || system.index != *index {
+        // The numbering follows from the node count and this system's own
+        // bindings. A node count that differs means the fingerprint missed
+        // a structural change, so refuse the fast path rather than risk a
+        // wrong refresh.
+        if circuit.node_count() != self.node_count {
             return Ok(false);
         }
-        workspace.factor(&system.stamps)?;
-        *ops = system.ops;
-        self.lin = lin;
+        // Refill the held linearization and the workspace's assembly
+        // buffers in place: the same stamps in the same order as a fresh
+        // build.
+        linearize_into(&mut self.lin, circuit, None);
+        let is_driven = driven_nodes(self.node_count, bindings);
+        let system = workspace.refill(circuit, &self.lin, &is_driven)?;
+        debug_assert!(system.unknowns == *unknowns && system.index == *index);
+        ops.clone_from(&system.ops);
         self.fingerprint = circuit_fingerprint(circuit);
         VALUE_REFRESHES.inc();
         Ok(true)

@@ -13,11 +13,12 @@ pub enum CircuitError {
         /// Row/unknown index at which the factorization broke down.
         at: usize,
     },
-    /// The Newton-Raphson loop did not converge.
+    /// The Newton loop (chord and Newton steps) did not converge.
     NewtonNoConvergence {
-        /// Iterations performed.
+        /// Steps performed, chord or Newton: the whole budget.
         iterations: usize,
-        /// Largest voltage update in the final iteration (volts).
+        /// Largest node-voltage update of the last kept step, in volts (of
+        /// the undone chord step when none was kept; NaN when no step ran).
         last_update: f64,
     },
     /// A referenced node does not exist in the circuit.

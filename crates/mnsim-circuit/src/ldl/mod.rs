@@ -23,13 +23,15 @@
 //!    go supernodal.
 //!
 //! Steps 1–2 run once per sparsity pattern ([`SymbolicAnalysis`]). A value
-//! change — a fault overlay, a Newton re-linearization, a transient step —
-//! reruns only step 3 ([`SparseLdl::refactor`]). Factor and refactor are
-//! the same routine on the same analysis, so a refactor is bit-identical
-//! to a fresh factorization by construction. A pivot that is zero,
-//! negative or non-finite is a typed [`CircuitError::SingularSystem`], and
-//! a refactor on a different pattern is a typed
-//! [`CircuitError::PatternMismatch`].
+//! change — a fault overlay, a Newton step of a non-linear solve, a
+//! transient step — reruns only step 3 ([`SparseLdl::refactor`]). The
+//! chord steps of a non-linear solve rerun none of them: each is one
+//! backsolve ([`SparseLdl::solve`]) on the factor already held. Factor
+//! and refactor are the same routine on the same analysis, so a refactor
+//! is bit-identical to a fresh factorization by construction. A pivot that
+//! is zero, negative or non-finite is a typed
+//! [`CircuitError::SingularSystem`], and a refactor on a different pattern
+//! is a typed [`CircuitError::PatternMismatch`].
 //!
 //! Everything here is deterministic: identical inputs give identical
 //! factors on every run.
@@ -54,6 +56,7 @@ static LDL_NNZ: obs::Gauge = obs::Gauge::new("solver.klu.lu_nnz");
 static LDL_SUPERNODAL: obs::Counter = obs::Counter::new("solver.klu.supernodal");
 static ANALYZE_SPAN: obs::Span = obs::Span::new("circuit.ldl.analyze", obs::Level::Stage);
 static FACTOR_SPAN: obs::Span = obs::Span::new("circuit.ldl.factor", obs::Level::Stage);
+static SOLVE_SPAN: obs::Span = obs::Span::new("circuit.ldl.solve", obs::Level::Stage);
 
 /// Marks an elimination-tree root and an unvisited column.
 const NONE: usize = usize::MAX;
@@ -388,6 +391,7 @@ impl SparseLdl {
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
         let s = &self.symbolic;
         assert_eq!(b.len(), s.n(), "right-hand side length mismatch");
+        let _span = SOLVE_SPAN.enter();
         LDL_SOLVES.inc();
         let mut y: Vec<f64> = s.perm.iter().map(|&old| b[old]).collect();
         match &s.supernodes {

@@ -6,7 +6,7 @@
 //! * [`sparse`] — CSR and CSC sparse matrices with triplet assembly,
 //! * [`dense`] — dense LU with partial pivoting,
 //! * [`mna`] — circuit representation (resistors, sources, memristors),
-//! * [`solve`] — DC operating-point analysis with Newton-Raphson for
+//! * [`solve`] — DC operating-point analysis with chord Newton for
 //!   non-linear memristor cells,
 //! * [`ldl`] — sparse LDLᵀ direct solver for the symmetric positive-definite
 //!   reduced systems (AMD ordering, elimination tree, then an up-looking or,

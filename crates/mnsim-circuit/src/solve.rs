@@ -10,12 +10,21 @@
 //!    Circuits with floating sources use a dense LU over the full
 //!    modified-nodal-analysis system.
 //! 2. **Non-linear circuits** (memristors with a sinh I-V model) are solved
-//!    by Newton-Raphson: each memristor is replaced by its companion model
-//!    (differential conductance + equivalent current source) at the present
-//!    operating point and the linear solve is repeated until the node
-//!    voltages stop moving. Every iteration stamps the same coordinates, so
-//!    the sparse engine analyzes the pattern once and each iteration only
-//!    scatters its values and refactors (`SparseWorkspace`).
+//!    by chord Newton. The first solve puts every memristor at its
+//!    low-field resistance. Each chord step then reads the KCL imbalance
+//!    `r(x)` at every unknown node straight from the element currents (one
+//!    pass over the elements) and moves `x ← x + F⁻¹·r(x)` with one
+//!    backsolve on the factor `F` the sparse engine already holds: no
+//!    linearization, assembly or refactor. A chord step is kept only if it
+//!    at least halves the max-norm of `r`. Otherwise it is undone, and the
+//!    next step is an ordinary Newton step: each memristor is replaced by
+//!    its companion model (differential conductance + equivalent current
+//!    source) at the kept iterate, and the Jacobian is assembled and
+//!    refactored. Later chord steps use that factor. The loop stops when a
+//!    kept step moves no node by `newton_tolerance` or more. Every linear
+//!    solve stamps the same coordinates, so the sparse engine analyzes the
+//!    pattern once (`SparseWorkspace`). The dense engine holds no factor,
+//!    so below 96 unknowns every step is a Newton step.
 //!
 //! The reduced system has one assembly (`assemble_reduced`), shared with
 //! [`crate::batch::PreparedSystem`], so one-shot and prepared solves stamp,
@@ -29,7 +38,22 @@ static DC_SPAN: obs::Span = obs::Span::new("circuit.solve_dc", obs::Level::Stage
 static LINEAR_DENSE: obs::Counter = obs::Counter::new("circuit.solve.dense_lu");
 static LINEAR_SPARSE: obs::Counter = obs::Counter::new("circuit.solve.sparse_lu");
 static LINEAR_FULL_MNA: obs::Counter = obs::Counter::new("circuit.solve.full_mna");
+/// Newton steps, i.e. the steps that linearize and refactor.
 static NEWTON_ITERATIONS: obs::Counter = obs::Counter::new("circuit.solve.newton_iterations");
+/// Chord steps, kept or undone; the value is the trial's KCL residual.
+static CHORD_STEPS: obs::Mark = obs::Mark::new("circuit.solve.chord_steps", obs::Level::Stage);
+/// Max-norm KCL residual (A) of each converged non-linear reduced solve.
+static KCL_RESIDUAL: obs::Histogram = obs::Histogram::new("circuit.solve.kcl_residual");
+/// Linearization, stamping, right-hand side and value scatter; a
+/// factorization the new values need nests inside.
+static ASSEMBLE_SPAN: obs::Span = obs::Span::new("circuit.solve.assemble", obs::Level::Stage);
+static RESIDUAL_SPAN: obs::Span = obs::Span::new("circuit.solve.residual", obs::Level::Stage);
+static FINISH_SPAN: obs::Span = obs::Span::new("circuit.solve.finish", obs::Level::Stage);
+
+/// A chord step is kept only if it cuts the max-norm KCL residual to at
+/// most this fraction of the kept one.
+const CHORD_CONTRACTION: f64 = 0.5;
+
 use crate::dense::DenseMatrix;
 use crate::error::CircuitError;
 use crate::ldl::SparseLdl;
@@ -55,10 +79,10 @@ pub enum Method {
 pub struct SolveOptions {
     /// Linear-solver selection.
     pub method: Method,
-    /// Newton convergence threshold on the largest node-voltage update, in
-    /// volts.
+    /// Newton convergence threshold on the largest node-voltage update of
+    /// a kept step, in volts.
     pub newton_tolerance: f64,
-    /// Newton iteration cap.
+    /// Cap on the steps of a non-linear solve, chord or Newton.
     pub newton_max_iterations: usize,
 }
 
@@ -103,9 +127,9 @@ impl LinearEngine {
 }
 
 /// The sparse factorization one circuit structure carries from one linear
-/// solve to the next: across the Newton iterations of a DC solve, the
-/// steps of a transient run, and the reads and value overlays of a
-/// [`crate::batch::PreparedSystem`].
+/// solve to the next: across the steps of a DC solve (whose chord steps
+/// backsolve on it), the steps of a transient run, and the reads and value
+/// overlays of a [`crate::batch::PreparedSystem`].
 ///
 /// It holds the stamp coordinates of the last solve, the map from each
 /// stamp to its CSC value slot, and the factor (whose analysis holds the
@@ -139,20 +163,8 @@ pub(crate) struct SparseWorkspace {
 }
 
 impl SparseWorkspace {
-    /// Solves the stamped system for `b`, factoring as cheaply as the held
-    /// state allows.
-    pub(crate) fn solve(
-        &mut self,
-        stamps: &TripletMatrix,
-        b: &[f64],
-    ) -> Result<Vec<f64>, CircuitError> {
-        self.factor(stamps)?;
-        self.factored()
-            .map(|ldl| ldl.solve(b))
-            .ok_or(CircuitError::SingularSystem { at: 0 })
-    }
-
-    /// Makes the held factor factor the stamped matrix.
+    /// Makes the held factor factor the stamped matrix, as cheaply as the
+    /// held state allows.
     pub(crate) fn factor(&mut self, stamps: &TripletMatrix) -> Result<(), CircuitError> {
         let entries = stamps.entries();
         let mapped = self.ldl.is_some()
@@ -194,6 +206,23 @@ impl SparseWorkspace {
             std::mem::swap(&mut self.values, &mut self.next_values);
         }
         Ok(())
+    }
+
+    /// Assembles the reduced system of `circuit` under `lin` into the held
+    /// buffers ([`assemble_reduced_into`]) and makes the held factor factor
+    /// it.
+    pub(crate) fn refill(
+        &mut self,
+        circuit: &Circuit,
+        lin: &[Option<Linearized>],
+        is_driven: &[bool],
+    ) -> Result<&ReducedSystem, CircuitError> {
+        let _span = ASSEMBLE_SPAN.enter();
+        let mut system = std::mem::take(&mut self.system);
+        assemble_reduced_into(&mut system, circuit, lin, is_driven);
+        let factored = self.factor(&system.stamps);
+        self.system = system;
+        factored.map(|()| &self.system)
     }
 
     /// The factor of the last successfully factored matrix.
@@ -248,27 +277,71 @@ pub(crate) fn solve_dc_in(
     }
 }
 
-/// Newton-Raphson outer loop for circuits with non-linear memristors.
+/// The chord-Newton loop for circuits with non-linear memristors (see the
+/// module docs). `newton_max_iterations` caps the steps of either kind.
 fn solve_newton(
     circuit: &Circuit,
     options: &SolveOptions,
     workspace: &mut SparseWorkspace,
 ) -> Result<DcSolution, CircuitError> {
     // Initial operating point: every memristor at its low-field resistance.
-    let lin0 = linearize(circuit, None);
-    let mut voltages = solve_linear(circuit, &lin0, options, workspace)?;
+    // This also refactors the held factor back to the low-field matrix if
+    // an earlier solve left a Jacobian there, so the result never depends
+    // on what the workspace solved before.
+    let (mut voltages, engine) =
+        solve_linear_on(circuit, &linearize(circuit, None), options, workspace)?;
+    // Only the sparse engine holds a factor, and after that solve it is
+    // this circuit's low-field one. A reduced system (either engine)
+    // numbers its unknowns for the residual.
+    let chord = engine == Some(LinearEngine::Sparse);
+    let reduced = engine.is_some();
+    let mut kcl = Kcl::default();
+    let mut residual = if reduced {
+        kcl.imbalance(circuit, &voltages, &workspace.system)
+    } else {
+        f64::NAN
+    };
+    let mut chord_next = chord;
+    let mut last_update = f64::NAN;
 
     for _ in 0..options.newton_max_iterations {
-        NEWTON_ITERATIONS.inc();
-        let lin = linearize(circuit, Some(&voltages));
-        let next = solve_linear(circuit, &lin, options, workspace)?;
-        let max_update = voltages
-            .iter()
-            .zip(&next)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
+        let next = if chord_next {
+            let factor = workspace
+                .factored()
+                .ok_or(CircuitError::SingularSystem { at: 0 })?;
+            let dx = factor.solve(&kcl.inflow);
+            let mut next = voltages.clone();
+            for (v, &u) in next.iter_mut().zip(&workspace.system.index) {
+                if u != usize::MAX {
+                    *v += dx[u];
+                }
+            }
+            let trial = kcl.imbalance(circuit, &next, &workspace.system);
+            CHORD_STEPS.record(trial);
+            if !(trial.is_finite() && trial <= CHORD_CONTRACTION * residual) {
+                // Undo: the next step refactors at the kept iterate.
+                chord_next = false;
+                if last_update.is_nan() {
+                    last_update = max_update(&voltages, &next);
+                }
+                continue;
+            }
+            residual = trial;
+            next
+        } else {
+            NEWTON_ITERATIONS.inc();
+            let lin = linearize(circuit, Some(&voltages));
+            let next = solve_linear(circuit, &lin, options, workspace)?;
+            if reduced {
+                residual = kcl.imbalance(circuit, &next, &workspace.system);
+            }
+            chord_next = chord;
+            next
+        };
+        last_update = max_update(&voltages, &next);
         voltages = next;
-        if max_update < options.newton_tolerance {
+        if last_update < options.newton_tolerance {
+            KCL_RESIDUAL.record(residual);
             let lin = linearize(circuit, Some(&voltages));
             return finish(circuit, &lin, voltages);
         }
@@ -276,8 +349,65 @@ fn solve_newton(
 
     Err(CircuitError::NewtonNoConvergence {
         iterations: options.newton_max_iterations,
-        last_update: f64::NAN,
+        last_update,
     })
+}
+
+/// The largest node-voltage move from `from` to `to`.
+fn max_update(from: &[f64], to: &[f64]) -> f64 {
+    from.iter()
+        .zip(to)
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0f64, f64::max)
+}
+
+/// The buffers of the KCL imbalance a chord step reads.
+#[derive(Debug, Default)]
+struct Kcl {
+    /// Current leaving each node through its elements.
+    leaving: Vec<f64>,
+    /// Net current flowing into each unknown's node: `r(x)`.
+    inflow: Vec<f64>,
+}
+
+impl Kcl {
+    /// Fills `inflow` with the KCL imbalance of `circuit` at `voltages`,
+    /// from the element currents — resistors at `(1/R)·Δv`, cells on their
+    /// I-V curve, current sources at their value — and returns its
+    /// max-norm in amperes, or NaN when a current is not finite. `system`
+    /// numbers the unknowns.
+    fn imbalance(&mut self, circuit: &Circuit, voltages: &[f64], system: &ReducedSystem) -> f64 {
+        let _span = RESIDUAL_SPAN.enter();
+        self.leaving.clear();
+        self.leaving.resize(circuit.node_count(), 0.0);
+        sum_leaving(circuit, &mut self.leaving, |_, element| match *element {
+            Element::Resistor { n1, n2, resistance } => {
+                (1.0 / resistance.ohms()) * (voltages[n1] - voltages[n2])
+            }
+            Element::Memristor { n1, n2, state, iv } => {
+                let bias = mnsim_tech::units::Voltage::from_volts(voltages[n1] - voltages[n2]);
+                iv.current(state, bias).amperes()
+            }
+            Element::CurrentSource { current, .. } => current.amperes(),
+            Element::Capacitor { .. } | Element::VoltageSource { .. } => 0.0,
+        });
+        self.inflow.clear();
+        self.inflow.resize(system.unknowns, 0.0);
+        let mut norm = 0.0f64;
+        let mut finite = true;
+        for (&u, &out) in system.index.iter().zip(&self.leaving) {
+            if u != usize::MAX {
+                self.inflow[u] = -out;
+                norm = norm.max(out.abs());
+                finite &= out.is_finite();
+            }
+        }
+        if finite {
+            norm
+        } else {
+            f64::NAN
+        }
+    }
 }
 
 /// Produces the per-element linearization. `operating_point` supplies node
@@ -287,36 +417,45 @@ pub(crate) fn linearize(
     circuit: &Circuit,
     operating_point: Option<&[f64]>,
 ) -> Vec<Option<Linearized>> {
-    circuit
-        .elements()
-        .iter()
-        .map(|element| match element {
-            Element::Resistor { resistance, .. } => Some(Linearized {
-                g: 1.0 / resistance.ohms(),
+    let mut lin = Vec::new();
+    linearize_into(&mut lin, circuit, operating_point);
+    lin
+}
+
+/// [`linearize`] into `lin`, which keeps its capacity.
+pub(crate) fn linearize_into(
+    lin: &mut Vec<Option<Linearized>>,
+    circuit: &Circuit,
+    operating_point: Option<&[f64]>,
+) {
+    let _span = ASSEMBLE_SPAN.enter();
+    lin.clear();
+    lin.extend(circuit.elements().iter().map(|element| match element {
+        Element::Resistor { resistance, .. } => Some(Linearized {
+            g: 1.0 / resistance.ohms(),
+            ieq: 0.0,
+        }),
+        Element::Memristor { n1, n2, state, iv } => match (iv, operating_point) {
+            (IvModel::Linear, _) | (_, None) => Some(Linearized {
+                g: 1.0 / state.ohms(),
                 ieq: 0.0,
             }),
-            Element::Memristor { n1, n2, state, iv } => match (iv, operating_point) {
-                (IvModel::Linear, _) | (_, None) => Some(Linearized {
-                    g: 1.0 / state.ohms(),
-                    ieq: 0.0,
-                }),
-                (IvModel::Sinh { .. }, Some(v)) => {
-                    let vd = v[*n1] - v[*n2];
-                    let bias = mnsim_tech::units::Voltage::from_volts(vd);
-                    let g_d = 1.0 / iv.differential_resistance(*state, bias).ohms();
-                    let i = iv.current(*state, bias).amperes();
-                    Some(Linearized {
-                        g: g_d,
-                        ieq: i - g_d * vd,
-                    })
-                }
-            },
-            Element::VoltageSource { .. } | Element::CurrentSource { .. } => None,
-            // Capacitors are open circuits at DC; the transient solver
-            // replaces them with backward-Euler companions.
-            Element::Capacitor { .. } => None,
-        })
-        .collect()
+            (IvModel::Sinh { .. }, Some(v)) => {
+                let vd = v[*n1] - v[*n2];
+                let bias = mnsim_tech::units::Voltage::from_volts(vd);
+                let g_d = 1.0 / iv.differential_resistance(*state, bias).ohms();
+                let i = iv.current(*state, bias).amperes();
+                Some(Linearized {
+                    g: g_d,
+                    ieq: i - g_d * vd,
+                })
+            }
+        },
+        Element::VoltageSource { .. } | Element::CurrentSource { .. } => None,
+        // Capacitors are open circuits at DC; the transient solver
+        // replaces them with backward-Euler companions.
+        Element::Capacitor { .. } => None,
+    }));
 }
 
 /// Classification of the voltage sources in a circuit.
@@ -383,27 +522,42 @@ pub(crate) fn solve_linear(
     options: &SolveOptions,
     workspace: &mut SparseWorkspace,
 ) -> Result<Vec<f64>, CircuitError> {
+    solve_linear_on(circuit, lin, options, workspace).map(|(voltages, _)| voltages)
+}
+
+/// [`solve_linear`], also naming the engine that solved the reduced
+/// system: `None` for full MNA and for a system with no unknowns. After
+/// a reduced solve, `workspace.system` holds that system.
+fn solve_linear_on(
+    circuit: &Circuit,
+    lin: &[Option<Linearized>],
+    options: &SolveOptions,
+    workspace: &mut SparseWorkspace,
+) -> Result<(Vec<f64>, Option<LinearEngine>), CircuitError> {
+    let assemble = ASSEMBLE_SPAN.enter();
     let sources = classify_sources(circuit)?;
     if !sources.all_grounded {
-        return solve_full_mna(circuit, lin);
+        drop(assemble);
+        return Ok((solve_full_mna(circuit, lin)?, None));
     }
     let is_driven: Vec<bool> = sources.driven.iter().map(Option::is_some).collect();
     let mut system = std::mem::take(&mut workspace.system);
     assemble_reduced_into(&mut system, circuit, lin, &is_driven);
-    let voltages = solve_reduced(circuit, &system, &sources, options, workspace);
+    let solved = solve_reduced(circuit, &system, &sources, options, workspace, assemble);
     workspace.system = system;
-    voltages
+    solved
 }
 
 /// Solves the assembled reduced `system` of `circuit` for its node
-/// voltages.
+/// voltages; `assemble` closes once the matrix is ready to solve.
 fn solve_reduced(
     circuit: &Circuit,
     system: &ReducedSystem,
     sources: &SourceInfo,
     options: &SolveOptions,
     workspace: &mut SparseWorkspace,
-) -> Result<Vec<f64>, CircuitError> {
+    assemble: obs::SpanGuard,
+) -> Result<(Vec<f64>, Option<LinearEngine>), CircuitError> {
     // Scaled ops only name ground and driven nodes.
     let voltage = |node: usize| {
         sources.driven[node]
@@ -412,20 +566,28 @@ fn solve_reduced(
     };
     let b = replay_rhs(&system.ops, system.unknowns, voltage);
 
-    let x = if system.unknowns == 0 {
-        Vec::new()
+    let (x, engine) = if system.unknowns == 0 {
+        (Vec::new(), None)
     } else {
-        match LinearEngine::pick(options.method, system.unknowns) {
+        let engine = LinearEngine::pick(options.method, system.unknowns);
+        let x = match engine {
             LinearEngine::Dense => {
                 LINEAR_DENSE.inc();
-                let csr = system.stamps.to_csr();
-                DenseMatrix::from_rows(&csr.to_dense()).solve(&b)?
+                let a = DenseMatrix::from_rows(&system.stamps.to_csr().to_dense());
+                drop(assemble);
+                a.solve(&b)?
             }
             LinearEngine::Sparse => {
                 LINEAR_SPARSE.inc();
-                workspace.solve(&system.stamps, &b)?
+                workspace.factor(&system.stamps)?;
+                drop(assemble);
+                workspace
+                    .factored()
+                    .ok_or(CircuitError::SingularSystem { at: 0 })?
+                    .solve(&b)
             }
-        }
+        };
+        (x, Some(engine))
     };
 
     // Reassemble the full voltage vector.
@@ -436,7 +598,7 @@ fn solve_reduced(
             u => x[u],
         };
     }
-    Ok(voltages)
+    Ok((voltages, engine))
 }
 
 /// One right-hand-side assembly step, recorded in stamp order and replayed
@@ -685,36 +847,23 @@ pub(crate) fn finish(
     lin: &[Option<Linearized>],
     voltages: Vec<f64>,
 ) -> Result<DcSolution, CircuitError> {
+    let _span = FINISH_SPAN.enter();
     let mut currents = vec![0.0; circuit.element_count()];
-    // Current leaving each node through the other elements, summed in
-    // element order; an element with both terminals on one node counts as
-    // leaving it.
     let mut leaving = vec![0.0; circuit.node_count()];
-
-    for (idx, element) in circuit.elements().iter().enumerate() {
-        let (from, to) = match element {
+    sum_leaving(circuit, &mut leaving, |idx, element| {
+        currents[idx] = match *element {
+            Element::CurrentSource { current, .. } => current.amperes(),
             Element::Resistor { n1, n2, .. }
             | Element::Memristor { n1, n2, .. }
-            | Element::Capacitor { n1, n2, .. } => {
+            | Element::Capacitor { n1, n2, .. } => match lin[idx] {
+                Some(Linearized { g, ieq }) => g * (voltages[n1] - voltages[n2]) + ieq,
                 // Capacitors carry zero current at DC (no companion).
-                if let Some(Linearized { g, ieq }) = lin[idx] {
-                    currents[idx] = g * (voltages[*n1] - voltages[*n2]) + ieq;
-                }
-                (*n1, *n2)
-            }
-            Element::CurrentSource { from, to, current } => {
-                currents[idx] = current.amperes();
-                (*from, *to)
-            }
-            // Series ideal sources on a non-ground node would need the
-            // full-MNA current; grounded crossbar netlists never hit this.
-            Element::VoltageSource { .. } => continue,
+                None => 0.0,
+            },
+            Element::VoltageSource { .. } => 0.0,
         };
-        leaving[from] += currents[idx];
-        if to != from {
-            leaving[to] -= currents[idx];
-        }
-    }
+        currents[idx]
+    });
 
     // Voltage-source branch currents by KCL at the non-ground terminal:
     // i_branch (npos → nneg internal) = −(current delivered into the node).
@@ -732,10 +881,39 @@ pub(crate) fn finish(
     Ok(DcSolution::new(voltages, currents))
 }
 
+/// Adds the current leaving each node through every element but the
+/// voltage sources to `leaving`, summed in element order.
+/// `current(idx, element)` gives each element's current from its first
+/// terminal to its second (a current source's `from` to its `to`); an
+/// element with both terminals on one node counts as leaving it.
+fn sum_leaving(
+    circuit: &Circuit,
+    leaving: &mut [f64],
+    mut current: impl FnMut(usize, &Element) -> f64,
+) {
+    for (idx, element) in circuit.elements().iter().enumerate() {
+        let (from, to) = match *element {
+            Element::Resistor { n1, n2, .. }
+            | Element::Memristor { n1, n2, .. }
+            | Element::Capacitor { n1, n2, .. } => (n1, n2),
+            Element::CurrentSource { from, to, .. } => (from, to),
+            // Series ideal sources on a non-ground node would need the
+            // full-MNA current; grounded crossbar netlists never hit this.
+            Element::VoltageSource { .. } => continue,
+        };
+        let i = current(idx, element);
+        leaving[from] += i;
+        if to != from {
+            leaving[to] -= i;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::crossbar::{CrossbarCircuit, CrossbarSpec};
+    use crate::recovery::kcl_residual;
     use mnsim_tech::units::{Current, Resistance, Voltage};
 
     fn assert_close(a: f64, b: f64, tol: f64) {
@@ -764,55 +942,193 @@ mod tests {
         spec.build().unwrap()
     }
 
+    /// The reference: full Newton, each linearization analyzed, factored
+    /// and solved on a fresh workspace. Returns the voltages and the
+    /// iterations, each of which is a refactor on a shared workspace.
+    fn full_newton(
+        circuit: &Circuit,
+        options: &SolveOptions,
+    ) -> Result<(Vec<f64>, u64), CircuitError> {
+        let fresh = |lin: &[Option<Linearized>]| {
+            solve_linear(circuit, lin, options, &mut SparseWorkspace::default())
+        };
+        let mut voltages = fresh(&linearize(circuit, None))?;
+        for iteration in 1..=options.newton_max_iterations {
+            let next = fresh(&linearize(circuit, Some(&voltages)))?;
+            let update = max_update(&voltages, &next);
+            voltages = next;
+            if update < options.newton_tolerance {
+                return Ok((voltages, iteration as u64));
+            }
+        }
+        Err(CircuitError::NewtonNoConvergence {
+            iterations: options.newton_max_iterations,
+            last_update: f64::NAN,
+        })
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The chord loop on a warm workspace, left holding a Jacobian, is
+    /// bit-identical to the loop on a fresh one, and both are within
+    /// 2 × `newton_tolerance` of full Newton. The chord contracts
+    /// linearly, so the error left when a step moves no node by the
+    /// tolerance is about that last step: 6e-11 V on the 8×8 array.
     #[test]
-    fn shared_workspace_newton_is_bit_identical_to_fresh_factors() {
+    fn chord_loop_is_history_independent_and_matches_full_newton() {
         for size in [8, 64] {
-            shared_workspace_newton_matches_fresh_factors(size);
+            let _session = obs::session();
+            let xbar = sinh_crossbar(size);
+            let circuit = xbar.circuit();
+            let options = SolveOptions::default();
+            let (reference, iterations) = full_newton(circuit, &options).unwrap();
+            assert!(iterations >= 3, "only {iterations} Newton iterations");
+
+            let fresh = solve_dc_in(circuit, &options, &mut SparseWorkspace::default()).unwrap();
+            let mut warm = SparseWorkspace::default();
+            let jacobian = linearize(circuit, Some(&reference));
+            solve_linear(circuit, &jacobian, &options, &mut warm).unwrap();
+            for _ in 0..2 {
+                let again = solve_dc_in(circuit, &options, &mut warm).unwrap();
+                assert_eq!(
+                    bits(again.voltages()),
+                    bits(fresh.voltages()),
+                    "{size}x{size}"
+                );
+            }
+
+            let worst = max_update(fresh.voltages(), &reference);
+            assert!(
+                worst <= 2.0 * options.newton_tolerance,
+                "{size}x{size}: {worst:e} V from full Newton"
+            );
         }
     }
 
-    /// The Newton loop on one shared workspace, which refactors, against
-    /// the same loop analyzing and factoring every linearization afresh.
-    fn shared_workspace_newton_matches_fresh_factors(size: usize) {
-        let _session = obs::session();
-        let xbar = sinh_crossbar(size);
-        let circuit = xbar.circuit();
-        let options = SolveOptions::default();
-
-        // The reference: the same Newton loop, analyzing and factoring
-        // every linearization from scratch.
-        let fresh = |lin: &[Option<Linearized>]| {
-            solve_linear(circuit, lin, &options, &mut SparseWorkspace::default()).unwrap()
+    /// A sinh crossbar that full Newton finds hard: cells drawn from
+    /// `[5 kΩ, 20 kΩ)`, inputs from `[0, v_max)`, and a `stuck` share of
+    /// the cells stuck at 1 MΩ or 500 Ω.
+    fn harsh_crossbar(size: usize, alpha: f64, v_max: f64, stuck: f64) -> CrossbarCircuit {
+        use mnsim_tech::fault::{FaultMap, FaultRates};
+        let seed = (size as u64) << 16 ^ (alpha * 8.0) as u64 ^ (v_max * 64.0) as u64;
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut uniform = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
         };
-        let mut voltages = fresh(&linearize(circuit, None));
-        let mut iterations = 0;
-        loop {
-            iterations += 1;
-            let next = fresh(&linearize(circuit, Some(&voltages)));
-            let max_update = voltages
-                .iter()
-                .zip(&next)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f64, f64::max);
-            voltages = next;
-            if max_update < options.newton_tolerance {
-                break;
-            }
-            assert!(
-                iterations < options.newton_max_iterations,
-                "reference diverged"
-            );
+        let mut spec = CrossbarSpec::uniform(
+            size,
+            size,
+            Resistance::from_kilo_ohms(10.0),
+            Resistance::from_ohms(2.0),
+            Resistance::from_ohms(500.0),
+            Voltage::from_volts(1.0),
+        );
+        spec.iv = IvModel::Sinh { alpha };
+        for cell in &mut spec.states {
+            *cell = Resistance::from_ohms(5_000.0 + 15_000.0 * uniform());
         }
-        assert!(iterations >= 3, "only {iterations} Newton iterations");
+        for input in &mut spec.inputs {
+            *input = Voltage::from_volts(v_max * uniform());
+        }
+        let map = FaultMap::generate(size, size, &FaultRates::stuck_at(stuck), seed).unwrap();
+        spec.with_faults(
+            map,
+            Resistance::from_mega_ohms(1.0),
+            Resistance::from_ohms(500.0),
+        )
+        .build()
+        .unwrap()
+    }
 
-        let mut workspace = SparseWorkspace::default();
-        let shared = solve_dc_in(circuit, &options, &mut workspace).unwrap();
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(shared.voltages()), bits(&voltages));
-        // A second solve on the warm workspace refactors the factor the
-        // first one left behind, and still matches.
-        let again = solve_dc_in(circuit, &options, &mut workspace).unwrap();
-        assert_eq!(bits(again.voltages()), bits(&voltages));
+    /// Chord Newton against full Newton on a harsh sweep. Every case full
+    /// Newton answers, the chord answers too: node voltages within
+    /// 2 × `newton_tolerance`, a KCL residual within max(1e-9 A, 10 × full
+    /// Newton's), and no more refactors than full Newton's iterations.
+    /// Cells at α = 8 and 1.5 V carry amperes, so the residual bound
+    /// follows the reference. One named case must take the rollback.
+    #[test]
+    fn chord_answers_every_harsh_case_full_newton_answers() {
+        let options = SolveOptions::default();
+        let mut answered = 0;
+        for size in [8, 16, 32] {
+            for alpha in [1.0, 2.5, 4.0, 6.0, 8.0] {
+                for v_max in [0.3, 0.6, 1.0, 1.5] {
+                    for stuck in [0.0, 0.3] {
+                        let case = format!("{size}x{size}, α = {alpha}, {v_max} V, {stuck} stuck");
+                        let xbar = harsh_crossbar(size, alpha, v_max, stuck);
+                        let circuit = xbar.circuit();
+                        let Ok((reference, iterations)) = full_newton(circuit, &options) else {
+                            continue;
+                        };
+                        let session = obs::session();
+                        let chord = solve_dc(circuit, &options).unwrap_or_else(|e| {
+                            panic!("{case}: full Newton answers, the chord: {e}")
+                        });
+                        let snap = session.snapshot();
+                        drop(session);
+                        answered += 1;
+
+                        let worst = max_update(chord.voltages(), &reference);
+                        assert!(
+                            worst <= 2.0 * options.newton_tolerance,
+                            "{case}: {worst:e} V from full Newton"
+                        );
+                        let reference =
+                            finish(circuit, &linearize(circuit, Some(&reference)), reference)
+                                .unwrap();
+                        let bound = f64::max(1e-9, 10.0 * kcl_residual(circuit, &reference));
+                        let residual = kcl_residual(circuit, &chord);
+                        assert!(
+                            residual <= bound,
+                            "{case}: KCL residual {residual:e} A > {bound:e} A"
+                        );
+                        let refactors = snap.counter("solver.klu.refactor");
+                        assert!(
+                            refactors <= iterations,
+                            "{case}: {refactors} refactors, full Newton {iterations}"
+                        );
+                        if (size, alpha, v_max, stuck) == (8, 8.0, 1.5, 0.3) {
+                            assert!(
+                                snap.counter("circuit.solve.newton_iterations") >= 1,
+                                "{case} never rolled back"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            answered >= 100,
+            "full Newton answered only {answered} cases"
+        );
+    }
+
+    #[test]
+    fn budget_exhaustion_reports_the_last_kept_update() {
+        // 8×8 takes chord steps on the sparse engine; 4×4 (32 unknowns)
+        // takes Newton steps on the dense one.
+        for size in [8, 4] {
+            let xbar = sinh_crossbar(size);
+            let options = SolveOptions {
+                newton_max_iterations: 1,
+                ..SolveOptions::default()
+            };
+            match solve_dc(xbar.circuit(), &options) {
+                Err(CircuitError::NewtonNoConvergence {
+                    iterations: 1,
+                    last_update,
+                }) => assert!(
+                    last_update.is_finite() && last_update >= options.newton_tolerance,
+                    "{size}x{size}: last update {last_update}"
+                ),
+                other => panic!("{size}x{size}: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -960,15 +1276,20 @@ mod tests {
             t
         };
         let mut workspace = SparseWorkspace::default();
-        let x = workspace.solve(&stamps(-1.0), &[1.0, 0.0]).unwrap();
+        let mut solve = |off: f64| {
+            workspace.factor(&stamps(off))?;
+            Ok::<_, CircuitError>(workspace.factored().unwrap().solve(&[1.0, 0.0]))
+        };
+        let x = solve(-1.0).unwrap();
         // Same coordinates, indefinite values: the refactor fails and
         // leaves no usable factor behind.
         assert!(matches!(
-            workspace.solve(&stamps(-3.0), &[1.0, 0.0]),
+            solve(-3.0),
             Err(CircuitError::SingularSystem { .. })
         ));
         assert!(workspace.factored().is_none());
-        assert_eq!(workspace.solve(&stamps(-1.0), &[1.0, 0.0]).unwrap(), x);
+        workspace.factor(&stamps(-1.0)).unwrap();
+        assert_eq!(workspace.factored().unwrap().solve(&[1.0, 0.0]), x);
     }
 
     #[test]
@@ -1168,9 +1489,11 @@ mod tests {
             newton_max_iterations: 0,
             ..SolveOptions::default()
         };
+        // No step ran, so there is no update to report.
         assert!(matches!(
             solve_dc(&c, &options),
-            Err(CircuitError::NewtonNoConvergence { .. })
+            Err(CircuitError::NewtonNoConvergence { iterations: 0, last_update })
+                if last_update.is_nan()
         ));
     }
 

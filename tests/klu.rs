@@ -4,9 +4,10 @@
 //! and column counts) must match a dense symbolic elimination, value-only
 //! refactorization must be bit-identical to a fresh factorization, singular
 //! systems must surface as typed errors (never NaN or a hang), and every
-//! repeated solve of one structure — Newton iterations, transient steps,
-//! prepared-system reads and fault trials — must analyze it once and
-//! refactor in place. The symbolic, refactor and typed-error checks run on
+//! repeated solve of one structure — Newton and chord steps, transient
+//! steps, prepared-system reads and fault trials — must analyze it once
+//! and refactor in place, or, for a chord step, backsolve on the held
+//! factor. The symbolic, refactor and typed-error checks run on
 //! both numeric kernels: the up-looking one below the supernodal switch
 //! and the supernodal one above it (`solver.klu.supernodal` counts the
 //! latter). The counters keep their `solver.klu.*` names.
@@ -518,35 +519,47 @@ fn sinh_crossbar(seed: u64) -> CrossbarSpec {
     spec
 }
 
-/// A non-linear DC solve analyzes its Jacobian pattern once: the initial
-/// low-field solve factors it, and every Newton iteration refactors.
+/// A non-linear DC solve analyzes and factors its low-field matrix once,
+/// and every chord step is one backsolve on that factor: no refactor.
 #[test]
-fn newton_solve_analyzes_once_and_refactors_every_iteration() {
+fn newton_solve_factors_once_and_takes_chord_steps_on_it() {
     let session = obs::session();
     let built = sinh_crossbar(11).build().unwrap();
     solve_dc(built.circuit(), &SolveOptions::default()).expect("Newton converges");
 
     let snap = session.snapshot();
-    let iterations = snap.counter("circuit.solve.newton_iterations");
-    assert!(iterations >= 2, "only {iterations} Newton iterations");
+    let chord_steps = snap.counter("circuit.solve.chord_steps");
+    assert!(chord_steps >= 2, "only {chord_steps} chord steps");
+    assert_eq!(snap.counter("circuit.solve.newton_iterations"), 0);
     assert_eq!(snap.counter("solver.klu.analyses"), 1);
     assert_eq!(snap.counter("solver.klu.factors"), 1);
-    assert_eq!(snap.counter("solver.klu.refactor"), iterations);
-    assert_eq!(snap.counter("solver.klu.solves"), iterations + 1);
+    assert_eq!(snap.counter("solver.klu.refactor"), 0);
+    assert_eq!(snap.counter("solver.klu.solves"), chord_steps + 1);
 }
 
-/// `solver.klu.supernodal` names the kernel: a 16×16 sinh Newton solve
-/// stays on the up-looking kernel, while a 64×64 one runs every numeric
-/// factorization, fresh or refactor, on the supernodal kernel.
+/// `solver.klu.supernodal` names the kernel: a 16×16 sinh array stays on
+/// the up-looking kernel, while a 64×64 one runs every numeric
+/// factorization, fresh or refactor, on the supernodal kernel. A value
+/// overlay after the solve drives a refactor through the same workspace.
 #[test]
 fn supernodal_counter_names_the_kernel() {
     for (size, supernodal) in [(16, false), (64, true)] {
         let session = obs::session();
         let mut spec = random_crossbar(size, size, 31);
         spec.iv = IvModel::Sinh { alpha: 2.5 };
-        let built = spec.build().unwrap();
-        solve_dc(built.circuit(), &SolveOptions::default()).expect("Newton converges");
+        let clean = spec.build().unwrap();
+        spec.states[5] = Resistance::from_kilo_ohms(100.0);
+        let overlaid = spec.build().unwrap();
+        let options = SolveOptions::default();
+        let mut slot: Option<PreparedSystem> = None;
+        for built in [&clean, &overlaid] {
+            prepare_or_reuse(&mut slot, built.circuit(), &options)
+                .unwrap()
+                .solve(built.circuit(), &built.input_rhs(&spec.inputs).unwrap())
+                .expect("Newton converges");
+        }
         let snap = session.snapshot();
+        assert_eq!(snap.counter("circuit.batch.value_refreshes"), 1);
         let factorizations =
             snap.counter("solver.klu.factors") + snap.counter("solver.klu.refactor");
         assert!(

@@ -334,13 +334,21 @@ fn metrics_and_trace_agree_on_every_fact() {
             "dse.point",
             "simulate",
             "recovery.attempt.base",
+            "circuit.solve.assemble",
+            "circuit.solve.residual",
+            "circuit.ldl.solve",
+            "circuit.solve.finish",
         ] {
             assert!(
                 begins.contains_key(span),
                 "threads={threads}: no {span} span"
             );
         }
-        for mark in ["checkpoint.written", "solver.early_escalations"] {
+        for mark in [
+            "checkpoint.written",
+            "solver.early_escalations",
+            "circuit.solve.chord_steps",
+        ] {
             assert!(
                 instants.contains_key(mark),
                 "threads={threads}: no {mark} instant"
