@@ -1,12 +1,13 @@
-//! Circuit-solver ablation: dense LU vs sparse LDLᵀ on the reduced crossbar
-//! system either side of `Method::Auto`'s 96-unknown dense cutoff, for a
-//! one-shot `solve_dc` and for a backsolve on a `PreparedSystem`
-//! (DESIGN.md ablation 1), plus the Newton overhead of non-linear cells.
+//! Circuit-solver benches: the sparse LDLᵀ engine on the reduced crossbar
+//! system from 32 to 288 unknowns, for a one-shot `solve_dc` and for a
+//! backsolve on a `PreparedSystem` (DESIGN.md ablation 1, whose dense-LU
+//! counterpart EXPERIMENTS.md records), plus the Newton overhead of
+//! non-linear cells.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mnsim_circuit::batch::PreparedSystem;
 use mnsim_circuit::crossbar::CrossbarSpec;
-use mnsim_circuit::solve::{solve_dc, Method, SolveOptions};
+use mnsim_circuit::solve::{solve_dc, SolveOptions};
 use mnsim_tech::memristor::IvModel;
 use mnsim_tech::units::{Resistance, Voltage};
 
@@ -21,8 +22,8 @@ fn linear_spec(size: usize) -> CrossbarSpec {
     )
 }
 
-fn bench_dense_vs_ldl(c: &mut Criterion) {
-    let mut group = c.benchmark_group("solver/dense_vs_ldl");
+fn bench_ldl(c: &mut Criterion) {
+    let mut group = c.benchmark_group("solver/ldl");
     group.sample_size(10);
     // Crossbar edges 4, 6, 7, 8 and 12: 32, 72, 98, 128 and 288 unknowns.
     for &size in &[4usize, 6, 7, 8, 12] {
@@ -31,26 +32,18 @@ fn bench_dense_vs_ldl(c: &mut Criterion) {
         let rhs = xbar
             .input_rhs(&vec![Voltage::from_volts(0.5); size])
             .unwrap();
-        for (name, method) in [("dense", Method::DenseLu), ("ldl", Method::SparseLu)] {
-            let options = SolveOptions {
-                method,
-                ..SolveOptions::default()
-            };
-            group.bench_with_input(
-                BenchmarkId::new(format!("{name}_solve"), unknowns),
-                &options,
-                |b, options| {
-                    b.iter(|| solve_dc(xbar.circuit(), options).unwrap());
-                },
-            );
-            let mut prepared = PreparedSystem::build(xbar.circuit(), options).unwrap();
-            group.bench_function(
-                BenchmarkId::new(format!("{name}_backsolve"), unknowns),
-                |b| {
-                    b.iter(|| prepared.solve(xbar.circuit(), &rhs).unwrap());
-                },
-            );
-        }
+        let options = SolveOptions::default();
+        group.bench_with_input(
+            BenchmarkId::new("ldl_solve", unknowns),
+            &options,
+            |b, options| {
+                b.iter(|| solve_dc(xbar.circuit(), options).unwrap());
+            },
+        );
+        let mut prepared = PreparedSystem::build(xbar.circuit(), options).unwrap();
+        group.bench_function(BenchmarkId::new("ldl_backsolve", unknowns), |b| {
+            b.iter(|| prepared.solve(xbar.circuit(), &rhs).unwrap());
+        });
     }
     group.finish();
 }
@@ -72,5 +65,5 @@ fn bench_newton_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_dense_vs_ldl, bench_newton_overhead);
+criterion_group!(benches, bench_ldl, bench_newton_overhead);
 criterion_main!(benches);

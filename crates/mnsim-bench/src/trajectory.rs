@@ -23,7 +23,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use mnsim_circuit::batch::{solve_dc_batch, PreparedSystem, Rhs};
 use mnsim_circuit::crossbar::{CrossbarCircuit, CrossbarSpec};
-use mnsim_circuit::solve::{solve_dc, Method, SolveOptions};
+use mnsim_circuit::solve::{solve_dc, SolveOptions};
 use mnsim_core::config::Config;
 use mnsim_core::dse::{Constraints, DesignSpace};
 use mnsim_core::exec::{self, RunControl};
@@ -221,16 +221,6 @@ fn multi_rhs_drives() -> Vec<Vec<Voltage>> {
         .collect()
 }
 
-/// Both multi-RHS entries pin the dense-LU engine so they measure the same
-/// arithmetic: the serial path factors once per input, the batched path
-/// factors once per repetition and backsolves per input.
-fn multi_rhs_options() -> SolveOptions {
-    SolveOptions {
-        method: Method::DenseLu,
-        ..SolveOptions::default()
-    }
-}
-
 fn multi_rhs_crossbar() -> CrossbarCircuit {
     CrossbarSpec::uniform(
         MULTI_RHS_SIZE,
@@ -244,12 +234,14 @@ fn multi_rhs_crossbar() -> CrossbarCircuit {
     .expect("uniform crossbar builds")
 }
 
-/// Serial reference: every input re-drives the circuit and solves from
-/// scratch (assembly + factorization per input).
+/// Serial reference: every input re-drives the circuit and solves it
+/// anew (assembly + factorization per input). Both multi-RHS entries
+/// run the same LDLᵀ engine: the serial path factors once per input, the
+/// batched path once per repetition, then backsolves per input.
 fn dc_solve_multi_serial_workload() -> impl FnMut() {
     let xbar = multi_rhs_crossbar();
     let drives = multi_rhs_drives();
-    let options = multi_rhs_options();
+    let options = SolveOptions::default();
     move || {
         for drive in &drives {
             let circuit = xbar
@@ -268,7 +260,7 @@ fn dc_solve_multi_serial_workload() -> impl FnMut() {
 fn dc_solve_batch_workload() -> impl FnMut() {
     let xbar = multi_rhs_crossbar();
     let drives = multi_rhs_drives();
-    let options = multi_rhs_options();
+    let options = SolveOptions::default();
     let batch: Vec<Rhs> = drives
         .iter()
         .map(|drive| xbar.input_rhs(drive).expect("arity matches"))
@@ -306,8 +298,8 @@ fn dc_solve_batch_workload() -> impl FnMut() {
 
 /// Crossbar edge of the sparse cold-vs-refactor pair: the acceptance size
 /// (256×256 → ~131k unknowns) in release, scaled down in debug so the
-/// quick suite under `cargo test` stays interactive. Both sizes sit far
-/// past the dense cutoff, so `Method::SparseLu` measures the same engine.
+/// quick suite under `cargo test` stays interactive. Both sizes solve on
+/// the LDLᵀ engine, like every grounded-source system.
 const SPARSE_BENCH_SIZE: usize = if cfg!(debug_assertions) { 32 } else { 256 };
 
 /// A uniform crossbar for the sparse pair with every cell at
@@ -330,10 +322,7 @@ fn sparse_bench_crossbar(state_kohms: f64) -> CrossbarCircuit {
 /// (AMD + elimination tree) and re-factors the reduced system from scratch.
 fn dc_solve_sparse_cold_workload() -> impl FnMut() {
     let xbar = sparse_bench_crossbar(10.0);
-    let options = SolveOptions {
-        method: Method::SparseLu,
-        ..SolveOptions::default()
-    };
+    let options = SolveOptions::default();
     move || {
         let solution = solve_dc(xbar.circuit(), &options).expect("healthy array solves");
         assert!(solution.voltages().iter().all(|v| v.is_finite()));
@@ -349,10 +338,7 @@ fn dc_solve_sparse_refactor_workload() -> impl FnMut() {
     let states = [sparse_bench_crossbar(10.0), sparse_bench_crossbar(12.5)];
     let drive = vec![Voltage::from_volts(1.0); SPARSE_BENCH_SIZE];
     let rhs = states[0].input_rhs(&drive).expect("arity matches");
-    let options = SolveOptions {
-        method: Method::SparseLu,
-        ..SolveOptions::default()
-    };
+    let options = SolveOptions::default();
     let mut prepared =
         PreparedSystem::build(states[0].circuit(), options).expect("linear crossbar prepares");
     let mut flip = 0usize;
@@ -819,7 +805,7 @@ mod tests {
         );
         // Refactoring over the cached analysis must beat a from-scratch
         // symbolic analysis + factorization by at least 2× — that gap is
-        // the whole justification for the refactor rung.
+        // the whole justification for the refactor fast path.
         let sparse_cold = median_of("dc_solve_sparse_cold");
         let sparse_refactor = median_of("dc_solve_sparse_refactor");
         assert!(

@@ -14,8 +14,8 @@
 //!
 //! * the source classification and node → unknown numbering,
 //! * the assembled reduced (or full-MNA) matrix,
-//! * its factorization: dense LU below 96 unknowns (`O(n³)` once, `O(n²)`
-//!   per RHS), the sparse LDLᵀ workspace above,
+//! * its factorization: the sparse LDLᵀ workspace for grounded sources,
+//!   the dense full-MNA LU for floating ones,
 //! * and a replayable right-hand-side plan so each new input vector only
 //!   costs an `O(nnz)` stamp replay and one backsolve.
 //!
@@ -44,13 +44,13 @@
 use mnsim_obs as obs;
 use mnsim_tech::units::Voltage;
 
-use crate::dense::{DenseMatrix, LuFactors};
 use crate::error::CircuitError;
 use crate::mna::{Circuit, DcSolution, Element};
 use crate::solve::{
-    assemble_reduced, finish, linearize, linearize_into, replay_rhs, solve_dc_in, BOp,
-    LinearEngine, Linearized, ReducedSystem, SolveOptions, SparseWorkspace,
+    finish, linearize, linearize_into, replay_rhs, solve_dc_in, FullMna, Linearized, SolveOptions,
+    SparseWorkspace, ASSEMBLE_SPAN,
 };
+use crate::sparse::TripletMatrix;
 
 static BATCH_BUILDS: obs::Counter = obs::Counter::new("circuit.batch.prepared_builds");
 static BATCH_CALLS: obs::Counter = obs::Counter::new("circuit.batch.calls");
@@ -105,25 +105,10 @@ impl Rhs {
     }
 }
 
-/// How the linear system is solved once assembled.
-#[derive(Debug, Clone)]
-enum ReducedEngine {
-    /// Cached dense LU over the reduced system.
-    Dense(LuFactors),
-    /// The sparse LDLᵀ workspace, the same type a non-linear system's
-    /// Newton loop uses; value-only changes refactor it in place.
-    Sparse(SparseWorkspace),
-    /// No unknowns at all (every node driven or ground).
-    Empty,
-}
-
-/// Which concrete engine a [`PreparedSystem`] ended up with — the
-/// observable face of the dense/sparse dispatch, for tests and
+/// Which concrete engine a [`PreparedSystem`] ended up with, for tests and
 /// diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// Reduced system with a cached dense LU.
-    Dense,
     /// Reduced system with a cached sparse LDLᵀ ([`crate::ldl`]).
     SparseDirect,
     /// Reduced system with zero unknowns.
@@ -137,23 +122,17 @@ pub enum EngineKind {
 
 #[derive(Debug, Clone)]
 enum SystemKind {
-    /// All sources grounded: reduced SPD system.
+    /// All sources grounded: the reduced SPD system on the sparse LDLᵀ
+    /// workspace, whose assembly buffers hold the node → unknown numbering
+    /// and the right-hand-side plan. Value-only changes refactor it in
+    /// place; a system without unknowns holds no factor.
     Reduced {
-        /// node → unknown index (`usize::MAX` for ground/driven nodes).
-        index: Vec<usize>,
-        unknowns: usize,
         /// Per source (element order): driven node and sign of the value.
         bindings: Vec<(usize, f64)>,
-        ops: Vec<BOp>,
-        engine: ReducedEngine,
+        workspace: SparseWorkspace,
     },
     /// Floating sources: cached full-MNA LU.
-    FullMna {
-        n_v: usize,
-        n: usize,
-        ops: Vec<BOp>,
-        lu: LuFactors,
-    },
+    FullMna(FullMna),
     /// Non-linear circuit: a chord-Newton solve per read. The workspace
     /// keeps the analysis and the factor from one read to the next.
     Nonlinear { workspace: SparseWorkspace },
@@ -181,9 +160,9 @@ impl PreparedSystem {
     /// Builds a prepared system from a circuit.
     ///
     /// All structure-dependent work happens here: source classification,
-    /// unknown numbering, matrix assembly, and (on the dense path) the LU
-    /// factorization — which also means a singular system is reported at
-    /// build time rather than on the first solve.
+    /// unknown numbering, matrix assembly and, for a linear circuit, the
+    /// factorization — which also means a singular linear system is
+    /// reported at build time rather than on the first solve.
     ///
     /// # Errors
     ///
@@ -227,9 +206,17 @@ impl PreparedSystem {
         }
 
         let kind = if all_grounded {
-            build_reduced(circuit, &lin, &bindings, &options)?
+            let mut workspace = SparseWorkspace::default();
+            workspace.refill(circuit, &lin, &driven_nodes(node_count, &bindings))?;
+            // The stamps only feed the factor, and a value refresh refills
+            // them: do not hold a large system's triplets between reads.
+            workspace.system.stamps = TripletMatrix::default();
+            SystemKind::Reduced {
+                bindings,
+                workspace,
+            }
         } else {
-            build_full_mna(circuit, &lin)?
+            SystemKind::FullMna(FullMna::build(circuit, &lin)?)
         };
 
         Ok(PreparedSystem {
@@ -254,31 +241,20 @@ impl PreparedSystem {
     }
 
     /// Rough resident size of this prepared system in bytes — dominated
-    /// by the cached factorization (dense LU: `unknowns²` doubles; the
-    /// sparse workspace, including a non-linear system's Newton factor once
-    /// it has solved: the factor non-zeros, the analyzed pattern and the
-    /// stamp slot map). Used by byte-budgeted artifact caches to decide
-    /// eviction; an estimate, not an allocator truth.
+    /// by the cached factorization (the sparse workspace, including a
+    /// non-linear system's Newton factor once it has solved: the factor
+    /// non-zeros, the analyzed pattern, the stamp slot map and the
+    /// assembly buffers; full MNA: `n²` doubles). An estimate, not an
+    /// allocator truth.
     pub fn approx_bytes(&self) -> usize {
         let mut bytes = std::mem::size_of::<Self>();
         bytes += self.lin.len() * 48;
         bytes += match &self.kind {
             SystemKind::Reduced {
-                index,
-                unknowns,
                 bindings,
-                ops,
-                engine,
-            } => {
-                let structure = index.len() * 8 + bindings.len() * 16 + ops.len() * 24;
-                let factors = match engine {
-                    ReducedEngine::Dense(_) => unknowns * unknowns * 8 + unknowns * 8,
-                    ReducedEngine::Sparse(workspace) => workspace.approx_bytes(),
-                    ReducedEngine::Empty => 0,
-                };
-                structure + factors
-            }
-            SystemKind::FullMna { n, ops, .. } => n * n * 8 + n * 8 + ops.len() * 24,
+                workspace,
+            } => bindings.len() * 16 + workspace.approx_bytes(),
+            SystemKind::FullMna(system) => system.approx_bytes(),
             SystemKind::Nonlinear { workspace } => workspace.approx_bytes(),
         };
         bytes
@@ -306,24 +282,22 @@ impl PreparedSystem {
     pub fn engine_kind(&self) -> EngineKind {
         match &self.kind {
             SystemKind::Nonlinear { .. } => EngineKind::Nonlinear,
-            SystemKind::FullMna { .. } => EngineKind::FullMna,
-            SystemKind::Reduced { engine, .. } => match engine {
-                ReducedEngine::Dense(_) => EngineKind::Dense,
-                ReducedEngine::Sparse(_) => EngineKind::SparseDirect,
-                ReducedEngine::Empty => EngineKind::Empty,
-            },
+            SystemKind::FullMna(_) => EngineKind::FullMna,
+            SystemKind::Reduced { workspace, .. } if workspace.system.unknowns == 0 => {
+                EngineKind::Empty
+            }
+            SystemKind::Reduced { .. } => EngineKind::SparseDirect,
         }
     }
 
     /// Attempts to update this system in place for a circuit whose element
     /// *values* changed but whose structure did not (a fault overlay or
-    /// variation resample). Only the sparse-direct engine and non-linear
-    /// systems support this. The sparse engine re-stamps the circuit into
-    /// its held assembly buffers and scatters the new values through its
-    /// cached slot map into its cached analysis, then refactors, which is
-    /// much cheaper than a full rebuild. A non-linear system keeps its
-    /// Newton workspace, whose next solve refactors the held factorization
-    /// for the new values.
+    /// variation resample). Reduced and non-linear systems support this.
+    /// A reduced system re-stamps the circuit into its workspace's assembly
+    /// buffers and scatters the new values through its cached slot map into
+    /// its cached analysis, then refactors, which is much cheaper than a
+    /// full rebuild. A non-linear system keeps its Newton workspace, whose
+    /// next solve refactors the held factorization for the new values.
     ///
     /// Returns `Ok(true)` when the refresh succeeded (the system now solves
     /// the new circuit), `Ok(false)` when this engine or structure cannot be
@@ -346,11 +320,8 @@ impl PreparedSystem {
             return Ok(true);
         }
         let SystemKind::Reduced {
-            engine: ReducedEngine::Sparse(workspace),
-            index,
-            unknowns,
-            ops,
             bindings,
+            workspace,
         } = &mut self.kind
         else {
             return Ok(false);
@@ -368,9 +339,9 @@ impl PreparedSystem {
         // build.
         linearize_into(&mut self.lin, circuit, None);
         let is_driven = driven_nodes(self.node_count, bindings);
-        let system = workspace.refill(circuit, &self.lin, &is_driven)?;
-        debug_assert!(system.unknowns == *unknowns && system.index == *index);
-        ops.clone_from(&system.ops);
+        let assemble = ASSEMBLE_SPAN.enter();
+        workspace.refill(circuit, &self.lin, &is_driven)?;
+        drop(assemble);
         self.fingerprint = circuit_fingerprint(circuit);
         VALUE_REFRESHES.inc();
         Ok(true)
@@ -449,27 +420,14 @@ impl PreparedSystem {
                 let patched = circuit.with_source_voltages(&voltages)?;
                 solve_dc_in(&patched, &self.options, workspace)
             }
-            SystemKind::FullMna { n_v, n, ops, lu } => {
-                let mut b = vec![0.0; *n];
-                for op in ops {
-                    match *op {
-                        BOp::Const { u, c } => b[u] += c,
-                        BOp::Source { u, k } => b[u] = rhs.volts[k],
-                        BOp::Scaled { .. } => {}
-                    }
-                }
+            SystemKind::FullMna(system) => {
                 BATCH_DENSE.inc();
-                let x = lu.solve(&b)?;
-                let mut voltages = vec![0.0; self.node_count];
-                voltages[1..self.node_count].copy_from_slice(&x[..*n_v]);
+                let voltages = system.solve(&rhs.volts)?;
                 finish(circuit, &self.lin, voltages)
             }
             SystemKind::Reduced {
-                index,
-                unknowns,
                 bindings,
-                ops,
-                engine,
+                workspace,
             } => {
                 // Per-RHS driven-node voltages, with conflict detection
                 // mirroring `solve_dc`'s source classification.
@@ -494,29 +452,25 @@ impl PreparedSystem {
                     }
                 };
 
-                let b = replay_rhs(ops, *unknowns, driven_voltage);
+                let system = &workspace.system;
+                let b = replay_rhs(&system.ops, system.unknowns, driven_voltage);
 
-                let x = match engine {
-                    ReducedEngine::Empty => Vec::new(),
-                    ReducedEngine::Dense(lu) => {
-                        BATCH_DENSE.inc();
-                        lu.solve(&b)?
-                    }
-                    ReducedEngine::Sparse(workspace) => {
-                        BATCH_SPARSE.inc();
-                        // Only a failed refresh leaves no factor, and
-                        // `prepare_or_reuse` drops such a system.
-                        let ldl = workspace
-                            .factored()
-                            .ok_or(CircuitError::SingularSystem { at: 0 })?;
-                        ldl.solve(&b)
-                    }
+                let x = if system.unknowns == 0 {
+                    Vec::new()
+                } else {
+                    BATCH_SPARSE.inc();
+                    // Only a failed refresh leaves no factor, and
+                    // `prepare_or_reuse` drops such a system.
+                    workspace
+                        .factored()
+                        .ok_or(CircuitError::SingularSystem { at: 0 })?
+                        .solve(&b)
                 };
 
                 let mut voltages = vec![0.0; self.node_count];
                 for node in 1..self.node_count {
                     let v = driven_voltage(node);
-                    voltages[node] = if v.is_nan() { x[index[node]] } else { v };
+                    voltages[node] = if v.is_nan() { x[system.index[node]] } else { v };
                 }
                 finish(circuit, &self.lin, voltages)
             }
@@ -670,146 +624,13 @@ fn fingerprint(circuit: &Circuit, values: bool) -> u64 {
     h.finish()
 }
 
-/// Marks the nodes `bindings` drive, for [`assemble_reduced`].
+/// Marks the nodes `bindings` drive, for the reduced assembly.
 fn driven_nodes(node_count: usize, bindings: &[(usize, f64)]) -> Vec<bool> {
     let mut is_driven = vec![false; node_count];
     for &(node, _) in bindings {
         is_driven[node] = true;
     }
     is_driven
-}
-
-/// Assembles the reduced system and attaches the linear engine selected by
-/// `options.method` (dense LU below [`crate::solve`]'s cutoff, sparse LDLᵀ
-/// above — or whichever the caller pinned explicitly).
-fn build_reduced(
-    circuit: &Circuit,
-    lin: &[Option<Linearized>],
-    bindings: &[(usize, f64)],
-    options: &SolveOptions,
-) -> Result<SystemKind, CircuitError> {
-    let ReducedSystem {
-        index,
-        unknowns,
-        stamps,
-        ops,
-    } = assemble_reduced(circuit, lin, &driven_nodes(circuit.node_count(), bindings));
-
-    let engine = if unknowns == 0 {
-        ReducedEngine::Empty
-    } else {
-        match LinearEngine::pick(options.method, unknowns) {
-            LinearEngine::Dense => {
-                let csr = stamps.to_csr();
-                ReducedEngine::Dense(DenseMatrix::from_rows(&csr.to_dense()).factor()?)
-            }
-            LinearEngine::Sparse => {
-                let mut workspace = SparseWorkspace::default();
-                workspace.factor(&stamps)?;
-                ReducedEngine::Sparse(workspace)
-            }
-        }
-    };
-
-    Ok(SystemKind::Reduced {
-        index,
-        unknowns,
-        bindings: bindings.to_vec(),
-        ops,
-        engine,
-    })
-}
-
-/// Assembles and factors the full-MNA system (floating sources). The matrix
-/// does not depend on source values — only the `b[col] = V` rows do — so
-/// the LU is cached and each RHS costs one back-substitution.
-fn build_full_mna(
-    circuit: &Circuit,
-    lin: &[Option<Linearized>],
-) -> Result<SystemKind, CircuitError> {
-    let n_nodes = circuit.node_count();
-    let n_v = n_nodes - 1;
-    let sources: Vec<usize> = circuit
-        .elements()
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| matches!(e, Element::VoltageSource { .. }))
-        .map(|(i, _)| i)
-        .collect();
-    let n = n_v + sources.len();
-    let mut a = DenseMatrix::zeros(n);
-    let mut ops = Vec::new();
-
-    let row = |node: usize| -> Option<usize> {
-        if node == Circuit::GROUND {
-            None
-        } else {
-            Some(node - 1)
-        }
-    };
-
-    for (idx, element) in circuit.elements().iter().enumerate() {
-        match element {
-            Element::Resistor { n1, n2, .. }
-            | Element::Memristor { n1, n2, .. }
-            | Element::Capacitor { n1, n2, .. } => {
-                let Some(Linearized { g, ieq }) = lin[idx] else {
-                    continue;
-                };
-                if let Some(r1) = row(*n1) {
-                    a[(r1, r1)] += g;
-                    if let Some(r2) = row(*n2) {
-                        a[(r1, r2)] -= g;
-                    }
-                    ops.push(BOp::Const { u: r1, c: -ieq });
-                }
-                if let Some(r2) = row(*n2) {
-                    a[(r2, r2)] += g;
-                    if let Some(r1) = row(*n1) {
-                        a[(r2, r1)] -= g;
-                    }
-                    ops.push(BOp::Const { u: r2, c: ieq });
-                }
-            }
-            Element::CurrentSource { from, to, current } => {
-                if let Some(r) = row(*from) {
-                    ops.push(BOp::Const {
-                        u: r,
-                        c: -current.amperes(),
-                    });
-                }
-                if let Some(r) = row(*to) {
-                    ops.push(BOp::Const {
-                        u: r,
-                        c: current.amperes(),
-                    });
-                }
-            }
-            Element::VoltageSource { .. } => {}
-        }
-    }
-
-    for (k, &src_idx) in sources.iter().enumerate() {
-        if let Element::VoltageSource { npos, nneg, .. } = &circuit.elements()[src_idx] {
-            let col = n_v + k;
-            if let Some(r) = row(*npos) {
-                a[(r, col)] += 1.0;
-                a[(col, r)] += 1.0;
-            }
-            if let Some(r) = row(*nneg) {
-                a[(r, col)] -= 1.0;
-                a[(col, r)] -= 1.0;
-            }
-            ops.push(BOp::Source { u: col, k });
-        }
-    }
-
-    Ok(SystemKind::FullMna {
-        n_v,
-        n,
-        ops,
-        lu: a.factor()?,
-    })
 }
 
 #[cfg(test)]
@@ -863,10 +684,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_serial_bitwise_on_dense_path() {
-        let xbar = spec(3, 3).build().unwrap(); // 18 unknowns → Auto = dense
+    fn batch_matches_serial_bitwise_on_a_small_system() {
+        let xbar = spec(3, 3).build().unwrap(); // 18 unknowns
         let mut prepared = PreparedSystem::build(xbar.circuit(), SolveOptions::default()).unwrap();
-        assert_eq!(prepared.engine_kind(), EngineKind::Dense);
+        assert_eq!(prepared.engine_kind(), EngineKind::SparseDirect);
         for k in 0..4 {
             let inputs = ramp_inputs(3, k);
             let rhs = Rhs::from_voltages(&inputs);
@@ -878,8 +699,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_serial_bitwise_on_sparse_path() {
-        let xbar = spec(8, 8).build().unwrap(); // 128 unknowns → Auto = sparse
+    fn batch_matches_serial_bitwise_on_a_larger_system() {
+        let xbar = spec(8, 8).build().unwrap(); // 128 unknowns
         let options = SolveOptions::default();
         let mut prepared = PreparedSystem::build(xbar.circuit(), options).unwrap();
         assert_eq!(prepared.engine_kind(), EngineKind::SparseDirect);
@@ -896,7 +717,7 @@ mod tests {
     #[test]
     fn value_only_change_refreshes_sparse_system_in_place() {
         let _session = obs::session();
-        let clean = spec(8, 8).build().unwrap(); // 128 unknowns → sparse
+        let clean = spec(8, 8).build().unwrap(); // 128 unknowns
         let mut faulty_spec = spec(8, 8);
         faulty_spec.states[13] = Resistance::from_kilo_ohms(100.0);
         let faulty = faulty_spec.build().unwrap();
@@ -1020,10 +841,9 @@ mod tests {
         // system's sparse factor is the size to expect.
         let linear_system = PreparedSystem::build(linear.circuit(), SolveOptions::default()).unwrap();
         let factor_bytes = match &linear_system.kind {
-            SystemKind::Reduced {
-                engine: ReducedEngine::Sparse(workspace),
-                ..
-            } => workspace.factored().unwrap().factor_nnz() * 16,
+            SystemKind::Reduced { workspace, .. } => {
+                workspace.factored().unwrap().factor_nnz() * 16
+            }
             other => panic!("expected the sparse engine, got {other:?}"),
         };
 
@@ -1040,26 +860,42 @@ mod tests {
         );
     }
 
+    /// A floating source between two grounded resistors, plus a grounded
+    /// source and a current source so that every right-hand-side op kind
+    /// is replayed: the prepared full-MNA solve is bit-identical to the
+    /// one-shot one, whose assembly it shares.
     #[test]
-    fn full_mna_path_reuses_lu() {
-        // Floating source between two grounded resistors.
+    fn full_mna_prepared_solve_is_bit_identical_to_one_shot() {
         let mut c = Circuit::new();
         let a = c.add_node();
         let b = c.add_node();
+        let top = c.add_node();
         c.add_resistor(a, Circuit::GROUND, Resistance::from_ohms(100.0))
             .unwrap();
-        c.add_resistor(b, Circuit::GROUND, Resistance::from_ohms(100.0))
+        c.add_resistor(b, Circuit::GROUND, Resistance::from_ohms(330.0))
             .unwrap();
-        c.add_voltage_source(a, b, Voltage::from_volts(2.0)).unwrap();
+        c.add_voltage_source(a, b, Voltage::from_volts(2.0))
+            .unwrap();
+        c.add_voltage_source(top, Circuit::GROUND, Voltage::from_volts(0.7))
+            .unwrap();
+        c.add_resistor(top, b, Resistance::from_ohms(47.0)).unwrap();
+        c.add_current_source(
+            Circuit::GROUND,
+            a,
+            mnsim_tech::units::Current::from_amperes(1.3e-3),
+        )
+        .unwrap();
         let mut prepared = PreparedSystem::build(&c, SolveOptions::default()).unwrap();
-        for v in [1.0, 2.0, -3.0] {
-            let rhs = Rhs::from_volts(&[v]);
+        assert_eq!(prepared.engine_kind(), EngineKind::FullMna);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (v1, v2) in [(1.0, 0.7), (2.0, -0.1), (-3.0, 1e-3)] {
+            let rhs = Rhs::from_volts(&[v1, v2]);
             let got = prepared.solve(&c, &rhs).unwrap();
             let patched = c
-                .with_source_voltages(&[Voltage::from_volts(v)])
+                .with_source_voltages(&[Voltage::from_volts(v1), Voltage::from_volts(v2)])
                 .unwrap();
             let want = solve_dc(&patched, &SolveOptions::default()).unwrap();
-            assert_eq!(got.voltages(), want.voltages());
+            assert_eq!(bits(got.voltages()), bits(want.voltages()));
         }
     }
 

@@ -34,7 +34,7 @@ use crate::mna::{non_positive, Circuit, DcSolution, NodeId};
 /// nodes and a singular nodal matrix, whereas 1 TΩ makes the downstream
 /// cells electrically negligible (12 orders above any cell state) while
 /// keeping the system solvable — at the cost of severe conditioning, which
-/// is exactly what [`crate::recovery::solve_robust`] exists to absorb.
+/// the LDLᵀ engine absorbs (DESIGN.md §7a).
 pub const OPEN_SEGMENT_RESISTANCE: Resistance = Resistance::from_ohms(1e12);
 
 /// Hard-defect overlay applied to a crossbar netlist at build time.

@@ -1,9 +1,9 @@
 //! Dense LU factorization with partial pivoting.
 //!
 //! The full modified-nodal-analysis matrix (with voltage-source branch
-//! currents) is not symmetric positive-definite, so the general solve path
-//! uses LU. It also solves small reduced systems (below 96 unknowns);
-//! larger symmetric ones go to the sparse LDLᵀ of [`crate::ldl`].
+//! currents) of a circuit with floating sources is not symmetric
+//! positive-definite, so it is solved by LU. Every reduced (grounded-source)
+//! system, whatever its size, goes to the sparse LDLᵀ of [`crate::ldl`].
 
 use crate::error::CircuitError;
 

@@ -47,13 +47,9 @@ pub enum CircuitError {
         /// Description of the problem.
         reason: String,
     },
-    /// A solver produced NaN or infinite node voltages / branch currents —
-    /// numerically meaningless output that must not be used.
-    NonFiniteSolution {
-        /// Which recovery rung produced the values (e.g. "base",
-        /// "dense-lu").
-        stage: &'static str,
-    },
+    /// A DC solve produced NaN or infinite node voltages or branch
+    /// currents — numerically meaningless output that must not be used.
+    NonFiniteSolution,
     /// A [`crate::batch::PreparedSystem`] was asked to solve a circuit whose
     /// conductance structure no longer matches the one it was built from
     /// (e.g. a fault overlay or variation resample changed cell states).
@@ -93,8 +89,8 @@ impl fmt::Display for CircuitError {
             CircuitError::NetlistParse { line, reason } => {
                 write!(f, "netlist parse error at line {line}: {reason}")
             }
-            CircuitError::NonFiniteSolution { stage } => {
-                write!(f, "solver stage `{stage}` produced non-finite voltages or currents")
+            CircuitError::NonFiniteSolution => {
+                write!(f, "the DC solve produced non-finite voltages or currents")
             }
             CircuitError::StalePreparedSystem { expected, actual } => write!(
                 f,

@@ -3,27 +3,26 @@
 //! This crate is the *circuit-level baseline* of the MNSIM reproduction: the
 //! role HSPICE plays in the original paper. It provides
 //!
-//! * [`sparse`] — CSR and CSC sparse matrices with triplet assembly,
-//! * [`dense`] — dense LU with partial pivoting,
-//! * [`mna`] — circuit representation (resistors, sources, memristors),
+//! * [`sparse`] — triplet assembly and CSC sparse matrices,
+//! * [`dense`] — dense LU with partial pivoting, the engine of the full
+//!   modified-nodal-analysis system of circuits with floating sources,
+//! * [`mna`] — circuit representation (resistors, sources, memristors) and
+//!   the KCL residual of a solution ([`kcl_residual`]),
 //! * [`solve`] — DC operating-point analysis with chord Newton for
-//!   non-linear memristor cells,
+//!   non-linear memristor cells; every solution is screened for NaN/∞,
 //! * [`ldl`] — sparse LDLᵀ direct solver for the symmetric positive-definite
 //!   reduced systems (AMD ordering, elimination tree, then an up-looking or,
 //!   where the fill is dense, a supernodal multifrontal numeric
 //!   factorization) with a cached symbolic analysis and a numeric-only
 //!   `refactor()` for same-pattern value updates,
 //! * [`batch`] — multi-RHS solving over a [`batch::PreparedSystem`] that
-//!   caches the assembled and factored system (dense LU below 96 unknowns,
-//!   sparse LDLᵀ above) per conductance structure, so each input costs one
-//!   backsolve,
+//!   caches the assembled and factored system (sparse LDLᵀ for grounded
+//!   sources, dense LU for full MNA) per conductance structure, so each
+//!   input costs one backsolve,
 //! * [`crossbar`] — memristor-crossbar netlist construction matching the
 //!   paper's resistor-network model (cells + `2MN` wire segments + sensing
 //!   resistors), with optional hard-defect overlays (stuck cells, broken
 //!   lines),
-//! * [`recovery`] — a fault-tolerant solve ladder (`solve_robust`) that
-//!   retries a failed base solve on the other direct engine (dense LU only
-//!   below 96 unknowns) and reports how the answer was obtained,
 //! * [`transient`] — backward-Euler transient analysis (RC settling),
 //! * [`netlist`] — SPICE netlist export/import.
 //!
@@ -67,7 +66,6 @@ pub mod error;
 pub mod ldl;
 pub mod mna;
 pub mod netlist;
-pub mod recovery;
 pub mod solve;
 pub mod sparse;
 pub mod transient;
@@ -76,7 +74,6 @@ pub use batch::{prepare_or_reuse, solve_dc_batch, PreparedSystem, Rhs};
 pub use crossbar::{CrossbarCircuit, CrossbarSpec, FaultOverlay};
 pub use error::CircuitError;
 pub use ldl::{analyze, SparseLdl, SymbolicAnalysis};
-pub use mna::{Circuit, DcSolution, Element, NodeId};
-pub use recovery::{solve_robust, EarlyEscalation, RecoveryReport, RecoveryStage, SolveGuard};
-pub use solve::{solve_dc, Method, SolveOptions};
+pub use mna::{kcl_residual, Circuit, DcSolution, Element, NodeId};
+pub use solve::{solve_dc, SolveOptions};
 pub use transient::{solve_transient, TransientOptions, TransientResult};

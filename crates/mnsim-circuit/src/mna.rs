@@ -406,9 +406,62 @@ impl DcSolution {
     }
 }
 
+/// Largest Kirchhoff current-law violation of `solution` over all nodes
+/// that are neither ground nor a voltage-source terminal, in amperes.
+///
+/// Source terminals are excluded because their branch currents are *derived*
+/// by KCL when the solution is assembled, making their balance trivial.
+pub fn kcl_residual(circuit: &Circuit, solution: &DcSolution) -> f64 {
+    let n = circuit.node_count();
+    let mut net = vec![0.0f64; n];
+    let mut skip = vec![false; n];
+    skip[Circuit::GROUND] = true;
+
+    for (idx, element) in circuit.elements().iter().enumerate() {
+        let current = solution.element_currents[idx];
+        match element {
+            Element::Resistor { n1, n2, .. }
+            | Element::Memristor { n1, n2, .. }
+            | Element::Capacitor { n1, n2, .. } => {
+                net[*n1] += current;
+                net[*n2] -= current;
+            }
+            Element::CurrentSource { from, to, .. } => {
+                net[*from] += current;
+                net[*to] -= current;
+            }
+            Element::VoltageSource { npos, nneg, .. } => {
+                skip[*npos] = true;
+                skip[*nneg] = true;
+            }
+        }
+    }
+
+    net.iter()
+        .zip(&skip)
+        .filter(|&(_, &skipped)| !skipped)
+        .map(|(&violation, _)| violation.abs())
+        .fold(0.0, f64::max)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn kcl_residual_zero_on_exact_solution() {
+        let mut c = Circuit::new();
+        let top = c.add_node();
+        let mid = c.add_node();
+        c.add_voltage_source(top, Circuit::GROUND, Voltage::from_volts(10.0))
+            .unwrap();
+        c.add_resistor(top, mid, Resistance::from_kilo_ohms(1.0))
+            .unwrap();
+        c.add_resistor(mid, Circuit::GROUND, Resistance::from_kilo_ohms(3.0))
+            .unwrap();
+        let solution = crate::solve::solve_dc(&c, &crate::solve::SolveOptions::default()).unwrap();
+        assert!(kcl_residual(&c, &solution) < 1e-12);
+    }
 
     #[test]
     fn node_allocation() {

@@ -4,11 +4,10 @@
 //!
 //! 1. **Linear circuits** are solved in one shot. If every voltage source is
 //!    referenced to ground (true for every crossbar netlist), the nodal
-//!    matrix reduced over the driven nodes is symmetric positive-definite.
-//!    `Method::Auto` picks its engine by size: dense LU below 96 unknowns
-//!    and the sparse LDLᵀ engine of [`crate::ldl`] at every size above.
+//!    matrix reduced over the driven nodes is symmetric positive-definite,
+//!    and the sparse LDLᵀ engine of [`crate::ldl`] solves it at every size.
 //!    Circuits with floating sources use a dense LU over the full
-//!    modified-nodal-analysis system.
+//!    modified-nodal-analysis system (`FullMna`).
 //! 2. **Non-linear circuits** (memristors with a sinh I-V model) are solved
 //!    by chord Newton. The first solve puts every memristor at its
 //!    low-field resistance. Each chord step then reads the KCL imbalance
@@ -23,19 +22,21 @@
 //!    refactored. Later chord steps use that factor. The loop stops when a
 //!    kept step moves no node by `newton_tolerance` or more. Every linear
 //!    solve stamps the same coordinates, so the sparse engine analyzes the
-//!    pattern once (`SparseWorkspace`). The dense engine holds no factor,
-//!    so below 96 unknowns every step is a Newton step.
+//!    pattern once (`SparseWorkspace`). Full MNA holds no factor, so with
+//!    floating sources every step is a Newton step.
 //!
-//! The reduced system has one assembly (`assemble_reduced`), shared with
-//! [`crate::batch::PreparedSystem`], so one-shot and prepared solves stamp,
-//! sum and factor identically.
+//! Each system class has one assembly, shared with
+//! [`crate::batch::PreparedSystem`]: `assemble_reduced_into` and
+//! `FullMna::build`. One-shot and prepared solves therefore stamp, sum
+//! and factor identically. Every DC solution leaves through `finish`,
+//! which rejects NaN or infinite voltages and currents with
+//! [`CircuitError::NonFiniteSolution`].
 
 use mnsim_obs as obs;
 use mnsim_tech::memristor::IvModel;
 
 static DC_SOLVES: obs::Counter = obs::Counter::new("circuit.solve.dc_solves");
 static DC_SPAN: obs::Span = obs::Span::new("circuit.solve_dc", obs::Level::Stage);
-static LINEAR_DENSE: obs::Counter = obs::Counter::new("circuit.solve.dense_lu");
 static LINEAR_SPARSE: obs::Counter = obs::Counter::new("circuit.solve.sparse_lu");
 static LINEAR_FULL_MNA: obs::Counter = obs::Counter::new("circuit.solve.full_mna");
 /// Newton steps, i.e. the steps that linearize and refactor.
@@ -46,7 +47,8 @@ static CHORD_STEPS: obs::Mark = obs::Mark::new("circuit.solve.chord_steps", obs:
 static KCL_RESIDUAL: obs::Histogram = obs::Histogram::new("circuit.solve.kcl_residual");
 /// Linearization, stamping, right-hand side and value scatter; a
 /// factorization the new values need nests inside.
-static ASSEMBLE_SPAN: obs::Span = obs::Span::new("circuit.solve.assemble", obs::Level::Stage);
+pub(crate) static ASSEMBLE_SPAN: obs::Span =
+    obs::Span::new("circuit.solve.assemble", obs::Level::Stage);
 static RESIDUAL_SPAN: obs::Span = obs::Span::new("circuit.solve.residual", obs::Level::Stage);
 static FINISH_SPAN: obs::Span = obs::Span::new("circuit.solve.finish", obs::Level::Stage);
 
@@ -54,31 +56,15 @@ static FINISH_SPAN: obs::Span = obs::Span::new("circuit.solve.finish", obs::Leve
 /// most this fraction of the kept one.
 const CHORD_CONTRACTION: f64 = 0.5;
 
-use crate::dense::DenseMatrix;
+use crate::dense::{DenseMatrix, LuFactors};
 use crate::error::CircuitError;
 use crate::ldl::SparseLdl;
 use crate::mna::{Circuit, DcSolution, Element};
 use crate::sparse::TripletMatrix;
 
-/// Linear-solver selection for grounded-source systems (floating sources
-/// always use full MNA).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Method {
-    /// Dense LU below `DENSE_CUTOFF` (96) unknowns, sparse LDLᵀ at every
-    /// size above.
-    #[default]
-    Auto,
-    /// Force the dense LU path (exact, `O(n³)`).
-    DenseLu,
-    /// Force the sparse direct path ([`crate::ldl`]; exact, fill-bounded).
-    SparseLu,
-}
-
 /// Options for [`solve_dc`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveOptions {
-    /// Linear-solver selection.
-    pub method: Method,
     /// Newton convergence threshold on the largest node-voltage update of
     /// a kept step, in volts.
     pub newton_tolerance: f64,
@@ -89,39 +75,8 @@ pub struct SolveOptions {
 impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
-            method: Method::Auto,
             newton_tolerance: 1e-9,
             newton_max_iterations: 60,
-        }
-    }
-}
-
-/// Number of unknowns below which `Method::Auto` prefers the dense LU.
-/// Shared with [`crate::batch`] so prepared systems pick the same path,
-/// and with [`crate::recovery`], which never builds a dense matrix this
-/// large.
-pub(crate) const DENSE_CUTOFF: usize = 96;
-
-/// The concrete linear engine a reduced (grounded-source) solve uses.
-/// Shared with [`crate::batch`] so prepared systems pick the same path as
-/// one-shot solves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LinearEngine {
-    /// Dense LU with partial pivoting.
-    Dense,
-    /// Sparse LDLᵀ ([`crate::ldl`]) behind a [`SparseWorkspace`].
-    Sparse,
-}
-
-impl LinearEngine {
-    /// The engine `method` picks for a reduced system of `unknowns`
-    /// unknowns.
-    pub(crate) fn pick(method: Method, unknowns: usize) -> Self {
-        match method {
-            Method::DenseLu => LinearEngine::Dense,
-            Method::SparseLu => LinearEngine::Sparse,
-            Method::Auto if unknowns < DENSE_CUTOFF => LinearEngine::Dense,
-            Method::Auto => LinearEngine::Sparse,
         }
     }
 }
@@ -148,8 +103,10 @@ impl LinearEngine {
 /// numbering once, not once per linear solve.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SparseWorkspace {
-    /// Assembly buffers of the last `solve_linear` on this workspace.
-    system: ReducedSystem,
+    /// Assembly buffers of the last reduced system assembled through this
+    /// workspace: the node numbering, the stamps and the right-hand-side
+    /// plan a prepared system replays.
+    pub(crate) system: ReducedSystem,
     /// Stamp coordinates the map was built for, in stamp order.
     coords: Vec<(usize, usize)>,
     /// CSC value slot of each stamp.
@@ -209,20 +166,24 @@ impl SparseWorkspace {
     }
 
     /// Assembles the reduced system of `circuit` under `lin` into the held
-    /// buffers ([`assemble_reduced_into`]) and makes the held factor factor
-    /// it.
+    /// buffers ([`assemble_reduced_into`]) and, when it has unknowns, makes
+    /// the held factor factor it: the one assemble-and-factor of one-shot
+    /// solves, prepared builds and value refreshes.
     pub(crate) fn refill(
         &mut self,
         circuit: &Circuit,
         lin: &[Option<Linearized>],
         is_driven: &[bool],
-    ) -> Result<&ReducedSystem, CircuitError> {
-        let _span = ASSEMBLE_SPAN.enter();
+    ) -> Result<(), CircuitError> {
         let mut system = std::mem::take(&mut self.system);
         assemble_reduced_into(&mut system, circuit, lin, is_driven);
-        let factored = self.factor(&system.stamps);
+        let factored = if system.unknowns == 0 {
+            Ok(())
+        } else {
+            self.factor(&system.stamps)
+        };
         self.system = system;
-        factored.map(|()| &self.system)
+        factored
     }
 
     /// The factor of the last successfully factored matrix.
@@ -253,8 +214,9 @@ pub(crate) struct Linearized {
 /// # Errors
 ///
 /// Propagates solver failures ([`CircuitError::SingularSystem`],
-/// [`CircuitError::NewtonNoConvergence`]) and topology errors (a node
-/// driven by two conflicting sources).
+/// [`CircuitError::NewtonNoConvergence`]), rejects a solution with a NaN or
+/// infinite voltage or current ([`CircuitError::NonFiniteSolution`]), and
+/// reports topology errors (a node driven by two conflicting sources).
 pub fn solve_dc(circuit: &Circuit, options: &SolveOptions) -> Result<DcSolution, CircuitError> {
     solve_dc_in(circuit, options, &mut SparseWorkspace::default())
 }
@@ -272,7 +234,7 @@ pub(crate) fn solve_dc_in(
         solve_newton(circuit, options, workspace)
     } else {
         let lin = linearize(circuit, None);
-        let voltages = solve_linear(circuit, &lin, options, workspace)?;
+        let voltages = solve_linear(circuit, &lin, workspace)?;
         finish(circuit, &lin, voltages)
     }
 }
@@ -288,15 +250,12 @@ fn solve_newton(
     // This also refactors the held factor back to the low-field matrix if
     // an earlier solve left a Jacobian there, so the result never depends
     // on what the workspace solved before.
-    let (mut voltages, engine) =
-        solve_linear_on(circuit, &linearize(circuit, None), options, workspace)?;
-    // Only the sparse engine holds a factor, and after that solve it is
-    // this circuit's low-field one. A reduced system (either engine)
-    // numbers its unknowns for the residual.
-    let chord = engine == Some(LinearEngine::Sparse);
-    let reduced = engine.is_some();
+    // After a reduced solve with unknowns the workspace holds this
+    // circuit's low-field factor, and its system numbers the unknowns for
+    // the residual. Full MNA and a system without unknowns hold no factor.
+    let (mut voltages, chord) = solve_linear_on(circuit, &linearize(circuit, None), workspace)?;
     let mut kcl = Kcl::default();
-    let mut residual = if reduced {
+    let mut residual = if chord {
         kcl.imbalance(circuit, &voltages, &workspace.system)
     } else {
         f64::NAN
@@ -331,8 +290,8 @@ fn solve_newton(
         } else {
             NEWTON_ITERATIONS.inc();
             let lin = linearize(circuit, Some(&voltages));
-            let next = solve_linear(circuit, &lin, options, workspace)?;
-            if reduced {
+            let next = solve_linear(circuit, &lin, workspace)?;
+            if chord {
                 residual = kcl.imbalance(circuit, &next, &workspace.system);
             }
             chord_next = chord;
@@ -501,63 +460,43 @@ fn classify_sources(circuit: &Circuit) -> Result<SourceInfo, CircuitError> {
     })
 }
 
-/// The number of unknowns of `circuit`'s reduced system, or `None` when it
-/// has floating sources and solves by full MNA instead.
-///
-/// # Errors
-///
-/// A node driven to two different voltages.
-pub(crate) fn reduced_unknowns(circuit: &Circuit) -> Result<Option<usize>, CircuitError> {
-    let sources = classify_sources(circuit)?;
-    Ok(sources
-        .all_grounded
-        .then(|| sources.driven.iter().skip(1).filter(|v| v.is_none()).count()))
-}
-
 /// Solves the linearized circuit, returning the full node-voltage vector.
-/// The sparse-direct engine factors through `workspace`.
+/// A reduced system factors through `workspace`.
 pub(crate) fn solve_linear(
     circuit: &Circuit,
     lin: &[Option<Linearized>],
-    options: &SolveOptions,
     workspace: &mut SparseWorkspace,
 ) -> Result<Vec<f64>, CircuitError> {
-    solve_linear_on(circuit, lin, options, workspace).map(|(voltages, _)| voltages)
+    solve_linear_on(circuit, lin, workspace).map(|(voltages, _)| voltages)
 }
 
-/// [`solve_linear`], also naming the engine that solved the reduced
-/// system: `None` for full MNA and for a system with no unknowns. After
-/// a reduced solve, `workspace.system` holds that system.
+/// [`solve_linear`], also telling whether `workspace` now holds the factor
+/// of this solve's matrix: `true` after a reduced solve with unknowns,
+/// whose system `workspace.system` then holds; `false` for full MNA and
+/// for a system with no unknowns.
 fn solve_linear_on(
     circuit: &Circuit,
     lin: &[Option<Linearized>],
-    options: &SolveOptions,
     workspace: &mut SparseWorkspace,
-) -> Result<(Vec<f64>, Option<LinearEngine>), CircuitError> {
+) -> Result<(Vec<f64>, bool), CircuitError> {
     let assemble = ASSEMBLE_SPAN.enter();
     let sources = classify_sources(circuit)?;
     if !sources.all_grounded {
         drop(assemble);
-        return Ok((solve_full_mna(circuit, lin)?, None));
+        LINEAR_FULL_MNA.inc();
+        let volts: Vec<f64> = circuit
+            .elements()
+            .iter()
+            .filter_map(|element| match element {
+                Element::VoltageSource { voltage, .. } => Some(voltage.volts()),
+                _ => None,
+            })
+            .collect();
+        return Ok((FullMna::build(circuit, lin)?.solve(&volts)?, false));
     }
     let is_driven: Vec<bool> = sources.driven.iter().map(Option::is_some).collect();
-    let mut system = std::mem::take(&mut workspace.system);
-    assemble_reduced_into(&mut system, circuit, lin, &is_driven);
-    let solved = solve_reduced(circuit, &system, &sources, options, workspace, assemble);
-    workspace.system = system;
-    solved
-}
-
-/// Solves the assembled reduced `system` of `circuit` for its node
-/// voltages; `assemble` closes once the matrix is ready to solve.
-fn solve_reduced(
-    circuit: &Circuit,
-    system: &ReducedSystem,
-    sources: &SourceInfo,
-    options: &SolveOptions,
-    workspace: &mut SparseWorkspace,
-    assemble: obs::SpanGuard,
-) -> Result<(Vec<f64>, Option<LinearEngine>), CircuitError> {
+    workspace.refill(circuit, lin, &is_driven)?;
+    let system = &workspace.system;
     // Scaled ops only name ground and driven nodes.
     let voltage = |node: usize| {
         sources.driven[node]
@@ -565,29 +504,18 @@ fn solve_reduced(
             .unwrap_or(0.0)
     };
     let b = replay_rhs(&system.ops, system.unknowns, voltage);
+    drop(assemble);
 
-    let (x, engine) = if system.unknowns == 0 {
-        (Vec::new(), None)
+    // A system with no unknowns needs no factor.
+    let factored = system.unknowns > 0;
+    let x = if factored {
+        LINEAR_SPARSE.inc();
+        workspace
+            .factored()
+            .ok_or(CircuitError::SingularSystem { at: 0 })?
+            .solve(&b)
     } else {
-        let engine = LinearEngine::pick(options.method, system.unknowns);
-        let x = match engine {
-            LinearEngine::Dense => {
-                LINEAR_DENSE.inc();
-                let a = DenseMatrix::from_rows(&system.stamps.to_csr().to_dense());
-                drop(assemble);
-                a.solve(&b)?
-            }
-            LinearEngine::Sparse => {
-                LINEAR_SPARSE.inc();
-                workspace.factor(&system.stamps)?;
-                drop(assemble);
-                workspace
-                    .factored()
-                    .ok_or(CircuitError::SingularSystem { at: 0 })?
-                    .solve(&b)
-            }
-        };
-        (x, Some(engine))
+        Vec::new()
     };
 
     // Reassemble the full voltage vector.
@@ -598,7 +526,7 @@ fn solve_reduced(
             u => x[u],
         };
     }
-    Ok((voltages, engine))
+    Ok((voltages, factored))
 }
 
 /// One right-hand-side assembly step, recorded in stamp order and replayed
@@ -628,10 +556,8 @@ pub(crate) struct ReducedSystem {
     pub(crate) ops: Vec<BOp>,
 }
 
-/// Assembles the reduced system of `circuit` under the linearization `lin`,
-/// with `is_driven[node]` marking the nodes a grounded source fixes. This
-/// is the one assembly behind [`solve_dc`] and
-/// [`crate::batch::PreparedSystem`].
+/// [`assemble_reduced_into`] a fresh system.
+#[cfg(test)]
 pub(crate) fn assemble_reduced(
     circuit: &Circuit,
     lin: &[Option<Linearized>],
@@ -651,7 +577,10 @@ impl ReducedSystem {
     }
 }
 
-/// [`assemble_reduced`] into `system`, whose buffers keep their capacity:
+/// Assembles the reduced system of `circuit` under the linearization `lin`
+/// into `system`, with `is_driven[node]` marking the nodes a grounded
+/// source fixes. This is the one reduced assembly behind [`solve_dc`] and
+/// [`crate::batch::PreparedSystem`]. The buffers keep their capacity, and
 /// the stamps and the plan come out in the same order as from a fresh
 /// assembly.
 pub(crate) fn assemble_reduced_into(
@@ -751,97 +680,140 @@ pub(crate) fn replay_rhs(ops: &[BOp], unknowns: usize, voltage: impl Fn(usize) -
     b
 }
 
-/// Full modified nodal analysis with explicit source branch currents
-/// (handles floating sources; dense LU).
-fn solve_full_mna(
-    circuit: &Circuit,
-    lin: &[Option<Linearized>],
-) -> Result<Vec<f64>, CircuitError> {
-    LINEAR_FULL_MNA.inc();
-    let n_nodes = circuit.node_count();
-    let n_v = n_nodes - 1; // unknown node voltages (ground excluded)
-    let sources: Vec<usize> = circuit
-        .elements()
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| matches!(e, Element::VoltageSource { .. }))
-        .map(|(i, _)| i)
-        .collect();
-    let n = n_v + sources.len();
-    let mut a = DenseMatrix::zeros(n);
-    let mut b = vec![0.0; n];
-
-    // node id → matrix row (ground has none).
-    let row = |node: usize| -> Option<usize> {
-        if node == Circuit::GROUND {
-            None
-        } else {
-            Some(node - 1)
-        }
-    };
-
-    for (idx, element) in circuit.elements().iter().enumerate() {
-        match element {
-            Element::Resistor { n1, n2, .. }
-            | Element::Memristor { n1, n2, .. }
-            | Element::Capacitor { n1, n2, .. } => {
-                let Some(Linearized { g, ieq }) = lin[idx] else {
-                    continue;
-                };
-                if let Some(r1) = row(*n1) {
-                    a[(r1, r1)] += g;
-                    if let Some(r2) = row(*n2) {
-                        a[(r1, r2)] -= g;
-                    }
-                    b[r1] -= ieq;
-                }
-                if let Some(r2) = row(*n2) {
-                    a[(r2, r2)] += g;
-                    if let Some(r1) = row(*n1) {
-                        a[(r2, r1)] -= g;
-                    }
-                    b[r2] += ieq;
-                }
-            }
-            Element::CurrentSource { from, to, current } => {
-                if let Some(r) = row(*from) {
-                    b[r] -= current.amperes();
-                }
-                if let Some(r) = row(*to) {
-                    b[r] += current.amperes();
-                }
-            }
-            Element::VoltageSource { .. } => {}
-        }
-    }
-
-    for (k, &src_idx) in sources.iter().enumerate() {
-        if let Element::VoltageSource {
-            npos,
-            nneg,
-            voltage,
-        } = &circuit.elements()[src_idx]
-        {
-            let col = n_v + k;
-            if let Some(r) = row(*npos) {
-                a[(r, col)] += 1.0;
-                a[(col, r)] += 1.0;
-            }
-            if let Some(r) = row(*nneg) {
-                a[(r, col)] -= 1.0;
-                a[(col, r)] -= 1.0;
-            }
-            b[col] = voltage.volts();
-        }
-    }
-
-    let x = a.solve(&b)?;
-    let mut voltages = vec![0.0; n_nodes];
-    voltages[1..n_nodes].copy_from_slice(&x[..n_v]);
-    Ok(voltages)
+/// The factored full modified-nodal-analysis system of one linearization,
+/// for circuits with floating sources: every node but ground and every
+/// voltage-source branch current is an unknown. The matrix does not
+/// depend on the source values, only the `b[col] = V` rows of the
+/// right-hand-side plan do, so a [`crate::batch::PreparedSystem`] keeps
+/// this and each input costs one replay and one backsolve. A one-shot
+/// solve builds it and solves once.
+#[derive(Debug, Clone)]
+pub(crate) struct FullMna {
+    /// Unknown node voltages (every node but ground).
+    n_v: usize,
+    /// The right-hand-side plan, in stamp order.
+    ops: Vec<BOp>,
+    lu: LuFactors,
 }
 
-/// Computes per-element branch currents and wraps the solution.
+impl FullMna {
+    /// Assembles and factors the full-MNA system of `circuit` under `lin`.
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::SingularSystem`] from the dense LU.
+    pub(crate) fn build(
+        circuit: &Circuit,
+        lin: &[Option<Linearized>],
+    ) -> Result<Self, CircuitError> {
+        let n_v = circuit.node_count() - 1;
+        let sources: Vec<usize> = circuit
+            .elements()
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| matches!(e, Element::VoltageSource { .. }))
+            .map(|(i, _)| i)
+            .collect();
+        let mut a = DenseMatrix::zeros(n_v + sources.len());
+        let mut ops = Vec::new();
+
+        // node id → matrix row (ground has none).
+        let row = |node: usize| (node != Circuit::GROUND).then(|| node - 1);
+
+        for (idx, element) in circuit.elements().iter().enumerate() {
+            match element {
+                Element::Resistor { n1, n2, .. }
+                | Element::Memristor { n1, n2, .. }
+                | Element::Capacitor { n1, n2, .. } => {
+                    let Some(Linearized { g, ieq }) = lin[idx] else {
+                        continue;
+                    };
+                    if let Some(r1) = row(*n1) {
+                        a[(r1, r1)] += g;
+                        if let Some(r2) = row(*n2) {
+                            a[(r1, r2)] -= g;
+                        }
+                        ops.push(BOp::Const { u: r1, c: -ieq });
+                    }
+                    if let Some(r2) = row(*n2) {
+                        a[(r2, r2)] += g;
+                        if let Some(r1) = row(*n1) {
+                            a[(r2, r1)] -= g;
+                        }
+                        ops.push(BOp::Const { u: r2, c: ieq });
+                    }
+                }
+                Element::CurrentSource { from, to, current } => {
+                    if let Some(r) = row(*from) {
+                        ops.push(BOp::Const {
+                            u: r,
+                            c: -current.amperes(),
+                        });
+                    }
+                    if let Some(r) = row(*to) {
+                        ops.push(BOp::Const {
+                            u: r,
+                            c: current.amperes(),
+                        });
+                    }
+                }
+                Element::VoltageSource { .. } => {}
+            }
+        }
+
+        for (k, &src_idx) in sources.iter().enumerate() {
+            if let Element::VoltageSource { npos, nneg, .. } = &circuit.elements()[src_idx] {
+                let col = n_v + k;
+                if let Some(r) = row(*npos) {
+                    a[(r, col)] += 1.0;
+                    a[(col, r)] += 1.0;
+                }
+                if let Some(r) = row(*nneg) {
+                    a[(r, col)] -= 1.0;
+                    a[(col, r)] -= 1.0;
+                }
+                ops.push(BOp::Source { u: col, k });
+            }
+        }
+
+        Ok(FullMna {
+            n_v,
+            ops,
+            lu: a.factor()?,
+        })
+    }
+
+    /// The node voltages with the voltage sources at `volts` (one value
+    /// per source, in element order).
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::DimensionMismatch`] from the backsolve.
+    pub(crate) fn solve(&self, volts: &[f64]) -> Result<Vec<f64>, CircuitError> {
+        let mut b = vec![0.0; self.lu.n()];
+        for op in &self.ops {
+            match *op {
+                BOp::Const { u, c } => b[u] += c,
+                BOp::Source { u, k } => b[u] = volts[k],
+                BOp::Scaled { .. } => {}
+            }
+        }
+        let x = self.lu.solve(&b)?;
+        let mut voltages = vec![0.0; self.n_v + 1];
+        voltages[1..].copy_from_slice(&x[..self.n_v]);
+        Ok(voltages)
+    }
+
+    /// Rough resident size in bytes: the dense factors and the plan.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        let n = self.lu.n();
+        n * n * 8 + n * 8 + self.ops.len() * std::mem::size_of::<BOp>()
+    }
+}
+
+/// Computes per-element branch currents and wraps the solution, or
+/// rejects it with [`CircuitError::NonFiniteSolution`] when a voltage or a
+/// current is NaN or infinite.
 pub(crate) fn finish(
     circuit: &Circuit,
     lin: &[Option<Linearized>],
@@ -878,6 +850,9 @@ pub(crate) fn finish(
         }
     }
 
+    if !voltages.iter().chain(&currents).all(|x| x.is_finite()) {
+        return Err(CircuitError::NonFiniteSolution);
+    }
     Ok(DcSolution::new(voltages, currents))
 }
 
@@ -913,15 +888,14 @@ fn sum_leaving(
 mod tests {
     use super::*;
     use crate::crossbar::{CrossbarCircuit, CrossbarSpec};
-    use crate::recovery::kcl_residual;
+    use crate::mna::kcl_residual;
     use mnsim_tech::units::{Current, Resistance, Voltage};
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "{a} != {b} (tol {tol})");
     }
 
-    /// A `size`×`size` sinh crossbar with distinct cells and inputs. From
-    /// 8×8 (128 unknowns) `Method::Auto` takes the sparse-direct path; 64×64
+    /// A `size`×`size` sinh crossbar with distinct cells and inputs; 64×64
     /// is above the supernodal switch.
     fn sinh_crossbar(size: usize) -> CrossbarCircuit {
         let mut spec = CrossbarSpec::uniform(
@@ -950,7 +924,7 @@ mod tests {
         options: &SolveOptions,
     ) -> Result<(Vec<f64>, u64), CircuitError> {
         let fresh = |lin: &[Option<Linearized>]| {
-            solve_linear(circuit, lin, options, &mut SparseWorkspace::default())
+            solve_linear(circuit, lin, &mut SparseWorkspace::default())
         };
         let mut voltages = fresh(&linearize(circuit, None))?;
         for iteration in 1..=options.newton_max_iterations {
@@ -989,7 +963,7 @@ mod tests {
             let fresh = solve_dc_in(circuit, &options, &mut SparseWorkspace::default()).unwrap();
             let mut warm = SparseWorkspace::default();
             let jacobian = linearize(circuit, Some(&reference));
-            solve_linear(circuit, &jacobian, &options, &mut warm).unwrap();
+            solve_linear(circuit, &jacobian, &mut warm).unwrap();
             for _ in 0..2 {
                 let again = solve_dc_in(circuit, &options, &mut warm).unwrap();
                 assert_eq!(
@@ -1110,8 +1084,8 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_reports_the_last_kept_update() {
-        // 8×8 takes chord steps on the sparse engine; 4×4 (32 unknowns)
-        // takes Newton steps on the dense one.
+        // 8×8 (128 unknowns) and 4×4 (32 unknowns) both take chord steps
+        // on the LDLᵀ engine.
         for size in [8, 4] {
             let xbar = sinh_crossbar(size);
             let options = SolveOptions {
@@ -1136,7 +1110,6 @@ mod tests {
         let _session = obs::session();
         let xbar = sinh_crossbar(8);
         let circuit = xbar.circuit();
-        let options = SolveOptions::default();
         let driven: Vec<usize> = circuit
             .elements()
             .iter()
@@ -1162,9 +1135,9 @@ mod tests {
         cut[wire] = Some(Linearized { g: 0.0, ieq: 0.0 });
 
         let mut workspace = SparseWorkspace::default();
-        solve_linear(circuit, &lin, &options, &mut workspace).unwrap();
+        solve_linear(circuit, &lin, &mut workspace).unwrap();
         let first_pattern = workspace.factored().unwrap().symbolic().nnz();
-        let x = solve_linear(circuit, &cut, &options, &mut workspace).unwrap();
+        let x = solve_linear(circuit, &cut, &mut workspace).unwrap();
         let second_pattern = workspace.factored().unwrap().symbolic().nnz();
         assert_eq!(
             first_pattern,
@@ -1172,7 +1145,7 @@ mod tests {
             "the changed pattern was not re-analyzed"
         );
 
-        let want = solve_linear(circuit, &cut, &options, &mut SparseWorkspace::default()).unwrap();
+        let want = solve_linear(circuit, &cut, &mut SparseWorkspace::default()).unwrap();
         assert_eq!(x, want);
     }
 
@@ -1308,7 +1281,7 @@ mod tests {
     }
 
     #[test]
-    fn divider_matches_on_all_methods() {
+    fn equal_divider_halves_the_source_exactly() {
         let mut c = Circuit::new();
         let top = c.add_node();
         let mid = c.add_node();
@@ -1318,14 +1291,52 @@ mod tests {
             .unwrap();
         c.add_resistor(mid, Circuit::GROUND, Resistance::from_ohms(100.0))
             .unwrap();
-        for method in [Method::Auto, Method::DenseLu, Method::SparseLu] {
-            let options = SolveOptions {
-                method,
-                ..SolveOptions::default()
-            };
-            let sol = solve_dc(&c, &options).unwrap();
-            assert_close(sol.voltage(mid).volts(), 0.5, 1e-8);
-        }
+        let sol = solve_dc(&c, &SolveOptions::default()).unwrap();
+        assert_eq!(sol.voltage(mid).volts(), 0.5);
+    }
+
+    #[test]
+    fn broken_bitline_crossbar_still_solves() {
+        use mnsim_tech::fault::FaultMap;
+        let mut map = FaultMap::empty(8, 8);
+        map.broken_bitlines.insert(3, 4);
+        let xbar = CrossbarSpec::uniform(
+            8,
+            8,
+            Resistance::from_kilo_ohms(10.0),
+            Resistance::from_ohms(2.0),
+            Resistance::from_ohms(500.0),
+            Voltage::from_volts(1.0),
+        )
+        .with_faults(
+            map,
+            Resistance::from_kilo_ohms(500.0),
+            Resistance::from_ohms(500.0),
+        )
+        .build()
+        .unwrap();
+        let solution = solve_dc(xbar.circuit(), &SolveOptions::default()).unwrap();
+        let residual = kcl_residual(xbar.circuit(), &solution);
+        assert!(residual < 1e-6, "residual {residual}");
+        let outputs = xbar.output_voltages(&solution);
+        // The broken column reads lower than its healthy neighbours.
+        assert!(outputs[3].volts() < outputs[2].volts());
+    }
+
+    #[test]
+    fn non_finite_solution_is_a_typed_error() {
+        // 1e300 V across 1e-10 Ω: every voltage is finite, the resistor
+        // current overflows to ∞.
+        let mut c = Circuit::new();
+        let n = c.add_node();
+        c.add_voltage_source(n, Circuit::GROUND, Voltage::from_volts(1e300))
+            .unwrap();
+        c.add_resistor(n, Circuit::GROUND, Resistance::from_ohms(1e-10))
+            .unwrap();
+        assert_eq!(
+            solve_dc(&c, &SolveOptions::default()).unwrap_err(),
+            CircuitError::NonFiniteSolution
+        );
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Compressed-sparse matrices (CSR and CSC).
+//! Compressed-sparse-column matrices.
 //!
 //! The conductance matrices of crossbar resistor networks are extremely
 //! sparse (≈5 non-zeros per row regardless of size), so the circuit solver
-//! assembles them in triplet (COO) form and converts once to a compressed
-//! format: [`CsrMatrix`] on the way to the dense LU of small systems,
+//! assembles them in triplet (COO) form and converts once to a
 //! [`CscMatrix`] for the column-oriented sparse LDLᵀ factorization in
 //! [`crate::ldl`].
 
@@ -81,43 +80,6 @@ impl TripletMatrix {
         &self.entries
     }
 
-    /// Converts to CSR, summing duplicate coordinates.
-    pub fn to_csr(&self) -> CsrMatrix {
-        let mut sorted = self.entries.clone();
-        sorted.sort_unstable_by_key(|&(row, col, _)| (row, col));
-
-        let mut row_ptr = vec![0usize; self.rows + 1];
-        let mut col_idx = Vec::with_capacity(sorted.len());
-        let mut values = Vec::with_capacity(sorted.len());
-
-        let mut i = 0;
-        while i < sorted.len() {
-            let (r, c, mut v) = sorted[i];
-            let mut j = i + 1;
-            while j < sorted.len() && sorted[j].0 == r && sorted[j].1 == c {
-                v += sorted[j].2;
-                j += 1;
-            }
-            col_idx.push(c);
-            values.push(v);
-            row_ptr[r + 1] += 1;
-            i = j;
-        }
-
-        // Prefix-sum the per-row counts into offsets.
-        for i in 0..self.rows {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-
-        CsrMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            row_ptr,
-            col_idx,
-            values,
-        }
-    }
-
     /// Converts to CSC, summing duplicate coordinates.
     ///
     /// Entries within each column are sorted by row, and duplicates are
@@ -180,70 +142,9 @@ impl TripletMatrix {
     }
 }
 
-/// An immutable compressed-sparse-row matrix.
-#[derive(Clone, PartialEq)]
-pub struct CsrMatrix {
-    rows: usize,
-    cols: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
-    values: Vec<f64>,
-}
-
-impl CsrMatrix {
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// The stored value at `(row, col)`, or 0.0 if structurally zero.
-    pub fn get(&self, row: usize, col: usize) -> f64 {
-        let start = self.row_ptr[row];
-        let end = self.row_ptr[row + 1];
-        match self.col_idx[start..end].binary_search(&col) {
-            Ok(pos) => self.values[start + pos],
-            Err(_) => 0.0,
-        }
-    }
-
-    /// Converts to a dense row-major matrix (testing / small-system LU).
-    pub fn to_dense(&self) -> Vec<Vec<f64>> {
-        let mut dense = vec![vec![0.0; self.cols]; self.rows];
-        for (r, row) in dense.iter_mut().enumerate() {
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                row[self.col_idx[k]] = self.values[k];
-            }
-        }
-        dense
-    }
-}
-
-impl fmt::Debug for CsrMatrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "CsrMatrix {{ {}x{}, nnz: {} }}",
-            self.rows,
-            self.cols,
-            self.nnz()
-        )
-    }
-}
-
 /// An immutable compressed-sparse-column matrix.
 ///
-/// Column-major twin of [`CsrMatrix`]: `col_ptr[j]..col_ptr[j+1]` indexes
-/// the stored entries of column `j`, whose row indices (`row_idx`, sorted
+/// `col_ptr[j]..col_ptr[j+1]` indexes the stored entries of column `j`, whose row indices (`row_idx`, sorted
 /// ascending within each column) and values run in parallel. This is the
 /// natural layout for the sparse LDLᵀ in [`crate::ldl`], which
 /// reads one column at a time.
@@ -346,7 +247,7 @@ impl fmt::Debug for CscMatrix {
 mod tests {
     use super::*;
 
-    fn small() -> CsrMatrix {
+    fn small() -> CscMatrix {
         // [2 -1  0]
         // [-1 2 -1]
         // [0 -1  2]
@@ -358,7 +259,7 @@ mod tests {
         t.add(1, 2, -1.0);
         t.add(2, 1, -1.0);
         t.add(2, 2, 2.0);
-        t.to_csr()
+        t.to_csc()
     }
 
     #[test]
@@ -379,7 +280,7 @@ mod tests {
         t.add(1, 1, 1.0);
         t.add(0, 1, -1.0);
         t.add(0, 1, -1.0);
-        let m = t.to_csr();
+        let m = t.to_csc();
         assert_eq!(m.get(0, 0), 3.5);
         assert_eq!(m.get(0, 1), -2.0);
         assert_eq!(m.nnz(), 3);
@@ -391,7 +292,7 @@ mod tests {
         t.add(0, 0, 0.0);
         t.add(1, 1, 5.0);
         assert_eq!(t.triplet_count(), 1);
-        let m = t.to_csr();
+        let m = t.to_csc();
         assert_eq!(m.nnz(), 1);
     }
 
@@ -433,8 +334,9 @@ mod tests {
         let mut t = TripletMatrix::new(4, 4);
         t.add(0, 0, 1.0);
         t.add(3, 3, 1.0);
-        let m = t.to_csr();
+        let m = t.to_csc();
         assert_eq!(m.nnz(), 2);
+        assert_eq!(m.col_ptr(), &[0, 1, 1, 1, 2]);
         let d = m.to_dense();
         assert_eq!(d[0], vec![1.0, 0.0, 0.0, 0.0]);
         assert!(d[1].iter().chain(&d[2]).all(|&v| v == 0.0));

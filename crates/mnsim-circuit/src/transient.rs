@@ -22,7 +22,7 @@
 
 use crate::error::CircuitError;
 use crate::mna::{non_positive, Circuit, Element, NodeId};
-use crate::solve::{self, Linearized, SolveOptions, SparseWorkspace};
+use crate::solve::{self, Linearized, SparseWorkspace};
 use mnsim_tech::units::Time;
 
 /// Options for [`solve_transient`].
@@ -32,8 +32,6 @@ pub struct TransientOptions {
     pub t_stop: Time,
     /// Fixed time step.
     pub dt: Time,
-    /// Per-step linear/Newton options.
-    pub dc: SolveOptions,
     /// Newton iterations per time step for non-linear circuits.
     pub newton_steps_per_dt: usize,
 }
@@ -51,7 +49,6 @@ impl TransientOptions {
         TransientOptions {
             t_stop,
             dt: t_stop / steps as f64,
-            dc: SolveOptions::default(),
             newton_steps_per_dt: 4,
         }
     }
@@ -160,7 +157,7 @@ pub fn solve_transient(
         };
         for _ in 0..passes {
             let lin = linearize_with_companions(circuit, &iterate, &prev, dt, nonlinear);
-            iterate = solve::solve_linear(circuit, &lin, &options.dc, &mut workspace)?;
+            iterate = solve::solve_linear(circuit, &lin, &mut workspace)?;
         }
         prev = iterate;
         times.push(step as f64 * dt);
@@ -261,7 +258,7 @@ mod tests {
         let (circuit, out) = rc_circuit();
         let options = TransientOptions::step_response(Time::from_microseconds(20.0), 2000);
         let result = solve_transient(&circuit, &options).unwrap();
-        let dc = crate::solve::solve_dc(&circuit, &SolveOptions::default()).unwrap();
+        let dc = crate::solve::solve_dc(&circuit, &crate::solve::SolveOptions::default()).unwrap();
         assert!(
             (result.final_voltages()[out] - dc.voltage(out).volts()).abs() < 1e-6,
             "transient must converge to the DC operating point"
@@ -288,7 +285,7 @@ mod tests {
             .unwrap();
         let options = TransientOptions::step_response(Time::from_microseconds(10.0), 2000);
         let result = solve_transient(&c, &options).unwrap();
-        let dc = crate::solve::solve_dc(&c, &SolveOptions::default()).unwrap();
+        let dc = crate::solve::solve_dc(&c, &crate::solve::SolveOptions::default()).unwrap();
         assert!(
             (result.final_voltages()[out] - dc.voltage(out).volts()).abs() < 1e-4,
             "{} vs {}",
@@ -324,7 +321,6 @@ mod tests {
         let options = TransientOptions {
             t_stop: Time::from_microseconds(1.0),
             dt: Time::from_microseconds(2.0),
-            dc: SolveOptions::default(),
             newton_steps_per_dt: 2,
         };
         assert!(solve_transient(&circuit, &options).is_err());

@@ -2,9 +2,8 @@
 //!
 //! [`run_indices`] fans out every batch the
 //! [`crate::simulator::Simulator`] facade runs — fault-campaign trials,
-//! design-space points, validation matrices — and the
-//! [`crate::circuit_forward::CircuitLayer::forward_batch_with`] shards,
-//! all under one determinism contract:
+//! design-space points, validation matrices — under one determinism
+//! contract:
 //!
 //! * **Work-stealing chunk queue.** Items are handed out in chunks from a
 //!   single atomic cursor, so a slow item never idles the other workers
@@ -47,7 +46,6 @@
 use std::any::Any;
 use std::fmt;
 use std::num::NonZeroUsize;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -671,32 +669,6 @@ where
     }
 }
 
-/// Splits `0..n` into at most `shards` contiguous, near-equal,
-/// **deterministic** ranges (empty ranges are never produced).
-///
-/// The chunk queue of [`run_indices`] assigns items to workers dynamically;
-/// a contiguous shard instead lets one worker carry per-shard state, such
-/// as its own clone of a prepared circuit system, across the items it
-/// solves. Shard boundaries from this function depend only on
-/// `(n, shards)`, so a sharded sweep is deterministic for a fixed shard
-/// count.
-pub fn shard_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
-    let shards = shards.clamp(1, n.max(1));
-    let base = n / shards;
-    let extra = n % shards;
-    let mut ranges = Vec::with_capacity(shards);
-    let mut start = 0;
-    for shard in 0..shards {
-        let len = base + usize::from(shard < extra);
-        if len == 0 {
-            break;
-        }
-        ranges.push(start..start + len);
-        start += len;
-    }
-    ranges
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -778,25 +750,6 @@ mod tests {
         });
         assert!(result.is_err());
         assert_eq!(evaluated.load(Ordering::Relaxed), 40);
-    }
-
-    #[test]
-    fn shard_ranges_cover_exactly_once() {
-        for n in [0usize, 1, 2, 7, 16, 100] {
-            for shards in [1usize, 2, 3, 7, 64] {
-                let ranges = shard_ranges(n, shards);
-                let covered: Vec<usize> = ranges.iter().cloned().flatten().collect();
-                assert_eq!(covered, (0..n).collect::<Vec<_>>(), "n={n} shards={shards}");
-                assert!(ranges.iter().all(|r| !r.is_empty()), "n={n} shards={shards}");
-                // Near-equal: lengths differ by at most one.
-                if let (Some(max), Some(min)) = (
-                    ranges.iter().map(Range::len).max(),
-                    ranges.iter().map(Range::len).min(),
-                ) {
-                    assert!(max - min <= 1, "n={n} shards={shards}");
-                }
-            }
-        }
     }
 
     #[test]

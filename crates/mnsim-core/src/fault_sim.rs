@@ -6,10 +6,10 @@
 //! draws seeded [`FaultMap`]s, applies MNSIM's graceful-degradation story
 //! (spare-row remapping, bank retirement past a defect threshold), pushes
 //! each surviving map through *both* the circuit path (a representative
-//! crossbar solved with the [`solve_robust`] recovery ladder) and the
-//! behavior path (the same map mirrored onto weights by
-//! `mnsim-nn::fault`), and attaches the resulting yield, recovery, and
-//! accuracy-degradation statistics to the [`Report`].
+//! crossbar solved on the LDLᵀ engine, every accepted solution's KCL
+//! residual recorded) and the behavior path (the same map mirrored onto
+//! weights by `mnsim-nn::fault`), and attaches the resulting yield,
+//! repair, and accuracy-degradation statistics to the [`Report`].
 //!
 //! Everything is deterministic: the same `(config, fault_config)` pair
 //! produces a bit-identical [`FaultSummary`], so regression baselines and
@@ -17,8 +17,7 @@
 
 use mnsim_circuit::batch::{prepare_or_reuse, PreparedSystem, Rhs};
 use mnsim_circuit::crossbar::{CrossbarCircuit, CrossbarSpec};
-use mnsim_circuit::mna::{Circuit, DcSolution};
-use mnsim_circuit::recovery::{kcl_residual, solve_robust};
+use mnsim_circuit::mna::{kcl_residual, DcSolution};
 use mnsim_circuit::solve::{solve_dc, SolveOptions};
 use mnsim_obs as obs;
 use mnsim_obs::Level;
@@ -69,8 +68,7 @@ pub struct FaultConfig {
     /// bank is retired instead of operated degraded.
     pub retire_threshold: f64,
     /// Input vectors read per surviving trial (≥ 1). The first read uses
-    /// the campaign's primary activations through the recovery ladder;
-    /// extra reads are solved as a batch over one
+    /// the campaign's primary activations; extra reads re-drive the same
     /// [`PreparedSystem`] per faulty array, reusing its factorization, so
     /// each extra read costs one backsolve. The default of `1` reproduces
     /// the single-read campaign bit for bit.
@@ -145,9 +143,12 @@ pub struct FaultSummary {
     pub retired_trials: usize,
     /// Mean spare rows consumed per trial by defect remapping.
     pub mean_spare_rows_used: f64,
-    /// Circuit-level robust solves performed.
+    /// Circuit-level primary-read solves performed.
     pub solves: usize,
-    /// Solves in which the base solver failed and a fallback rung answered.
+    /// Always 0: every solve runs on the one LDLᵀ engine, so there is no
+    /// fallback to count. Kept for the report formats; a checkpoint
+    /// written before the engine was unified may still carry records
+    /// flagged `"fallback": true`, and resuming it counts them here.
     pub fallback_solves: usize,
     /// Worst Kirchhoff current-law residual of any accepted solution (A).
     pub worst_kcl_residual: f64,
@@ -162,7 +163,8 @@ pub struct FaultSummary {
 }
 
 impl FaultSummary {
-    /// Fraction of solves that needed a fallback rung.
+    /// `fallback_solves / solves`: always 0 (see
+    /// [`FaultSummary::fallback_solves`]).
     pub fn fallback_rate(&self) -> f64 {
         if self.solves == 0 {
             0.0
@@ -192,41 +194,17 @@ thread_local! {
     static TRIAL_SLOT: RefCell<Option<PreparedSystem>> = const { RefCell::new(None) };
 }
 
-/// Primary-read solve through the per-worker prepared system, escalating
-/// to the full [`solve_robust`] recovery ladder when the fast path errors
-/// or returns a non-finite solution. Returns the accepted solution,
-/// whether the ladder had to answer, and the solution's KCL residual.
-fn solve_primary(
+/// Solves one read of `xbar` under `inputs` through the per-worker
+/// prepared system. A failed solve (a singular system, or a non-finite
+/// solution) is the trial's typed error.
+fn solve_read(
     slot: &mut Option<PreparedSystem>,
     xbar: &CrossbarCircuit,
     inputs: &[Voltage],
-) -> Result<(DcSolution, bool, f64), CoreError> {
-    let fast = xbar
-        .input_rhs(inputs)
-        .and_then(|rhs| {
-            prepare_or_reuse(slot, xbar.circuit(), &SolveOptions::default())?
-                .solve(xbar.circuit(), &rhs)
-        });
-    match fast {
-        Ok(solution) if solution_is_finite(xbar.circuit(), &solution) => {
-            let residual = kcl_residual(xbar.circuit(), &solution);
-            Ok((solution, false, residual))
-        }
-        // The cached path failed (singular under this defect map) or
-        // produced garbage: the trial goes through the same recovery
-        // ladder the pre-cache campaign used for every read.
-        _ => {
-            let (solution, recovery) = solve_robust(xbar.circuit(), &SolveOptions::default())?;
-            Ok((solution, true, recovery.kcl_residual))
-        }
-    }
-}
-
-/// The same NaN/∞ screen the recovery ladder applies to accepted rungs.
-fn solution_is_finite(circuit: &Circuit, solution: &DcSolution) -> bool {
-    solution.voltages().iter().all(|v| v.is_finite())
-        && (0..circuit.element_count())
-            .all(|idx| solution.element_current(idx).amperes().is_finite())
+) -> Result<DcSolution, CoreError> {
+    let rhs = xbar.input_rhs(inputs)?;
+    let prepared = prepare_or_reuse(slot, xbar.circuit(), &SolveOptions::default())?;
+    Ok(prepared.solve(xbar.circuit(), &rhs)?)
 }
 
 /// Immutable per-campaign state shared by every Monte-Carlo trial.
@@ -261,6 +239,9 @@ struct TrialOutcome {
 /// The circuit- and behavior-level measurements of one surviving trial.
 #[derive(Debug, PartialEq)]
 struct SolveOutcome {
+    /// Always `false` for a trial run now; `true` only in records of
+    /// checkpoints written before the engine was unified (see
+    /// [`FaultSummary::fallback_solves`]).
     fallback: bool,
     kcl_residual: f64,
     deviations: Vec<f64>,
@@ -301,20 +282,20 @@ fn run_trial(context: &TrialContext<'_>, trial: usize) -> Result<TrialOutcome, C
 
     // Circuit path: the defect overlay changes only element values, so the
     // per-worker prepared system refreshes its cached sparse factorization
-    // instead of re-analyzing; the recovery ladder absorbs whatever the
-    // fast path cannot.
+    // instead of re-analyzing.
     let faulty_spec = context
         .clean_spec
         .clone()
         .with_faults(map.clone(), context.device.r_max, context.device.r_min);
     let faulty_xbar = faulty_spec.build()?;
-    let (solution, fallback, trial_kcl_residual) = TRIAL_SLOT.with(|slot| {
-        solve_primary(
+    let solution = TRIAL_SLOT.with(|slot| {
+        solve_read(
             &mut slot.borrow_mut(),
             &faulty_xbar,
             &context.clean_spec.inputs,
         )
     })?;
+    let trial_kcl_residual = kcl_residual(faulty_xbar.circuit(), &solution);
 
     let faulty_outputs = faulty_xbar.output_voltages(&solution);
     let deviation_of = |clean: &Voltage, faulty: &Voltage| {
@@ -339,24 +320,8 @@ fn run_trial(context: &TrialContext<'_>, trial: usize) -> Result<TrialOutcome, C
                 .iter()
                 .zip(context.clean_extra_outputs)
             {
-                let rhs = faulty_xbar.input_rhs(read)?;
-                let solved = prepare_or_reuse(
-                    &mut slot,
-                    faulty_xbar.circuit(),
-                    &SolveOptions::default(),
-                )
-                .and_then(|prepared| prepared.solve(faulty_xbar.circuit(), &rhs));
-                let outputs = match solved {
-                    Ok(sol) => faulty_xbar.output_voltages(&sol),
-                    Err(_) => {
-                        // A defect map that defeats the direct path goes
-                        // through the same recovery ladder as the primary
-                        // read.
-                        let patched = faulty_xbar.circuit().with_source_voltages(read)?;
-                        let (sol, _) = solve_robust(&patched, &SolveOptions::default())?;
-                        faulty_xbar.output_voltages(&sol)
-                    }
-                };
+                let outputs =
+                    faulty_xbar.output_voltages(&solve_read(&mut slot, &faulty_xbar, read)?);
                 deviations.extend(
                     clean
                         .iter()
@@ -375,7 +340,7 @@ fn run_trial(context: &TrialContext<'_>, trial: usize) -> Result<TrialOutcome, C
         spare_rows_used: repaired,
         retired: false,
         solve: Some(SolveOutcome {
-            fallback,
+            fallback: false,
             kcl_residual: trial_kcl_residual,
             deviations,
             weight_damage,
@@ -388,21 +353,20 @@ fn run_trial(context: &TrialContext<'_>, trial: usize) -> Result<TrialOutcome, C
 /// when a campaign is attached.
 ///
 /// The returned [`Report`] is the clean behavior-level result with
-/// [`Report::faults`] populated. Defective arrays *never* abort the run:
-/// unsolvable or degraded trials are absorbed into the yield and recovery
-/// statistics. Trials run on the checkpointed campaign driver
-/// ([`Campaign`]) over `threads` workers; they are seed-decorrelated and
-/// reduced in trial order, so the summary is bit-identical for every
-/// thread count and resume pattern. One panicking trial surfaces as
-/// [`CoreError::WorkerPanic`] after its siblings' results were collected
-/// (and checkpointed, under a `policy`).
+/// [`Report::faults`] populated. Arrays past the retirement threshold are
+/// retired into the yield statistics; every other trial is solved. Trials
+/// run on the checkpointed campaign runner ([`Campaign`]) over `threads`
+/// workers; they are seed-decorrelated and reduced in trial order, so the
+/// summary is bit-identical for every thread count and resume pattern.
+/// One panicking trial surfaces as [`CoreError::WorkerPanic`] after its
+/// siblings' results were collected (and checkpointed, under a `policy`).
 ///
 /// # Errors
 ///
-/// Configuration validation errors; circuit errors only if even the
-/// dense-LU fallback cannot solve a trial (a genuinely singular system,
-/// which the near-open defect modeling prevents); and the campaign's
-/// interrupt, panic and checkpoint errors.
+/// Configuration validation errors; circuit errors only if a trial's solve
+/// fails (a genuinely singular system, which the near-open defect modeling
+/// prevents, or a non-finite solution); and the campaign's interrupt,
+/// panic and checkpoint errors.
 pub(crate) fn simulate_with_faults(
     config: &Config,
     fault_config: &FaultConfig,

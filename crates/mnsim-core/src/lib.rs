@@ -25,9 +25,6 @@
 //! * [`dse`] — design-space exploration by exhaustive traversal (§VII),
 //! * [`netlist_gen`] — SPICE netlist generation for circuit-level
 //!   verification,
-//! * [`circuit_forward`] — circuit-backed layer forward passes over
-//!   batched activations (prepared systems: one factorization per
-//!   polarity, one backsolve per activation),
 //! * [`validate`] — the model-vs-circuit validation harness (Tables II/III),
 //! * [`custom`] — customized designs: PRIME and ISAAC (Table VII),
 //! * [`training`] — on-chip training cost model (paper future work),
@@ -58,7 +55,6 @@ pub mod accuracy;
 pub mod arch;
 pub mod cache;
 pub mod checkpoint;
-pub mod circuit_forward;
 pub mod config;
 pub mod custom;
 pub mod dse;
@@ -79,7 +75,6 @@ pub mod validate;
 
 pub use cache::{Artifact, ArtifactCache, CacheStats};
 pub use checkpoint::CheckpointPolicy;
-pub use circuit_forward::CircuitLayer;
 pub use config::{Config, NetworkType, Precision, SignedMapping, WeightPolarity};
 pub use error::{ConfigError, CoreError};
 pub use exec::{CancelToken, Deadline, ExecError, ExecOptions, RunControl};

@@ -185,6 +185,8 @@ pub fn area_breakdown(report: &Report) -> AreaBreakdown {
 ///
 /// The four fault columns are empty for clean simulations and populated
 /// when [`crate::simulator::Simulator::faults`] attaches a campaign.
+/// `fault_fallback_rate` stays in the format and reads 0 (see
+/// [`crate::fault_sim::FaultSummary::fallback_solves`]).
 pub const CSV_HEADER: &str = "network,crossbar_size,parallelism,interconnect_nm,cmos_nm,\
 area_mm2,energy_uj,sample_latency_us,pipeline_cycle_us,power_w,\
 worst_epsilon,output_max_error,output_avg_error,\
@@ -232,7 +234,9 @@ pub fn report_csv_row(report: &Report) -> String {
 /// equivalence suite asserts across thread counts. The optional
 /// `metrics` / `trace` attachments carry wall-clock data and are
 /// deliberately excluded; `faults` is included because campaign
-/// statistics are deterministic.
+/// statistics are deterministic. Its `fallback_solves` field stays in the
+/// format and reads 0 (see
+/// [`crate::fault_sim::FaultSummary::fallback_solves`]).
 pub fn report_json(report: &Report) -> String {
     let c = &report.config;
     let mut out = String::from("{\"network\":");

@@ -71,11 +71,13 @@ pub use json::{parse_json, validate_json, write_json_number, write_json_string, 
 pub use snapshot::{BucketCount, HistogramSnapshot, MetricsSnapshot};
 pub use trace::{validate_chrome_trace, Level, Trace, TraceSummary};
 
-/// Number of exponential histogram buckets (powers of two from `2⁻³⁰` to
-/// `2³⁴`, plus one overflow bucket).
-pub(crate) const BUCKET_COUNT: usize = 65;
+/// Number of exponential histogram buckets (powers of two from `2⁻⁶⁴` to
+/// `2³⁴`, plus one overflow bucket). The floor sits below the smallest
+/// quantities recorded (KCL residuals of ~1e-14 A), so their quantiles
+/// resolve to one power of two.
+pub(crate) const BUCKET_COUNT: usize = 99;
 /// Exponent offset of bucket 0 (`2^-BUCKET_OFFSET` is the smallest edge).
-pub(crate) const BUCKET_OFFSET: i32 = 30;
+pub(crate) const BUCKET_OFFSET: i32 = 64;
 
 // ---------------------------------------------------------------------------
 // The sink word and the one session mechanism
@@ -872,7 +874,7 @@ mod tests {
     #[test]
     fn bucket_indexing_is_monotonic() {
         let mut last = 0;
-        for exp in -40..44 {
+        for exp in -80..44 {
             let idx = bucket_index((exp as f64).exp2());
             assert!(idx >= last);
             last = idx;
@@ -880,11 +882,41 @@ mod tests {
         assert_eq!(bucket_index(0.0), 0);
         assert_eq!(bucket_index(-5.0), 0);
         assert_eq!(bucket_index(f64::MAX), BUCKET_COUNT - 1);
-        // Every value falls strictly below its bucket's upper edge.
-        for v in [1e-12, 0.003, 1.0, 17.0, 1e9, 1e30] {
+        // The edges: 2⁻⁶⁴ opens bucket 0, 2³⁴ the overflow bucket.
+        assert_eq!(bucket_index((-64f64).exp2()), 0);
+        assert_eq!(bucket_index((-63f64).exp2()), 1);
+        assert_eq!(bucket_index(33f64.exp2()), BUCKET_COUNT - 2);
+        assert_eq!(bucket_index(34f64.exp2()), BUCKET_COUNT - 1);
+        // Every value falls strictly below its bucket's upper edge, and at
+        // or above its lower edge from bucket 1 on.
+        for v in [1e-18, 2.2e-14, 1e-12, 1e-9, 0.003, 1.0, 17.0, 1e9, 1e30] {
             let idx = bucket_index(v);
             assert!(v < bucket_upper_edge(idx) || idx == BUCKET_COUNT - 1);
+            assert!(idx == 0 || v >= bucket_upper_edge(idx - 1), "{v:e}");
         }
+    }
+
+    /// Residual-scale values (1e-14..1e-12 A, like the KCL residuals of
+    /// converged solves) keep distinct quantiles: the median lands within
+    /// one power-of-two bucket of the true one, below the maximum.
+    #[test]
+    fn residual_scale_quantiles_resolve() {
+        let session = session();
+        let values: Vec<f64> = (0..18).map(|k| 2.2e-14 * 1.3f64.powi(k)).collect();
+        for &v in &values {
+            TEST_HIST.record(v);
+        }
+        let snap = session.snapshot();
+        let hist = &snap.histograms["test.hist"];
+        let max = values[values.len() - 1];
+        assert_eq!(hist.max, max);
+        assert!(hist.p50() < hist.max, "p50 {:e} = max", hist.p50());
+        let true_median = values[values.len() / 2 - 1];
+        assert!(
+            hist.p50() >= true_median / 2.0 && hist.p50() <= true_median * 2.0,
+            "p50 {:e}, true median {true_median:e}",
+            hist.p50()
+        );
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! * **Typed progress events.** Instrumented wave loops emit
 //!   [`LiveEvent`]s — campaign started/finished, wave completed (with ETA
-//!   and throughput), deadline approaching — and the [`crate::Mark`]s of
-//!   checkpoint writes and solver guard trips carry their own live line
+//!   and throughput), deadline approaching — and the [`crate::Mark`] of a
+//!   checkpoint write carries its own live line
 //!   ([`crate::Mark::record_live`]). Each event is serialized as one JSON
 //!   object per line (NDJSON) to an optional file sink, flushed per event
 //!   so `tail -f` works, handed to an optional in-process [`LiveTap`], and
@@ -41,9 +41,7 @@
 //! item total only (see [`wave_grain`]), never from the worker count.
 //! Timestamps (`t_s`), rates (`items_per_s`), ETAs (`eta_s`), `sample`
 //! lines, and the timing-gated `deadline_approaching` event vary run to
-//! run and are excluded from the contract. `guard_tripped` events are
-//! deterministic as a multiset (the same solves trip the same guards) but
-//! their interleaving with other events depends on scheduling.
+//! run and are excluded from the contract.
 //!
 //! # Examples
 //!
@@ -233,14 +231,6 @@ pub enum LiveEvent {
         remaining_s: f64,
         /// Estimated seconds to completion at the current rate.
         eta_s: f64,
-    },
-    /// A solver health guard cut a recovery-ladder rung short.
-    GuardTripped {
-        /// The rung that was cut short (`"base"`, `"sparse-lu"` or
-        /// `"dense-lu"`).
-        stage: String,
-        /// The guard that fired (`"singular-pivot"`).
-        guard: String,
     },
     /// The campaign stopped; always the final event of a campaign, on
     /// every exit path (complete, interrupted, or failed).
@@ -529,7 +519,7 @@ fn progress_line(hub: &Hub, event: &LiveEvent) {
         } => {
             eprintln!("[{}] finished: {done}/{total} ({outcome})", hub.label);
         }
-        LiveEvent::CheckpointWritten { .. } | LiveEvent::GuardTripped { .. } => {}
+        LiveEvent::CheckpointWritten { .. } => {}
     }
 }
 
@@ -596,12 +586,6 @@ fn event_line(t_s: f64, event: &LiveEvent) -> String {
             write_json_number(&mut out, *remaining_s);
             out.push_str(", \"eta_s\": ");
             write_json_number(&mut out, *eta_s);
-        }
-        LiveEvent::GuardTripped { stage, guard } => {
-            out.push_str("\"guard_tripped\", \"stage\": ");
-            write_json_string(&mut out, stage);
-            out.push_str(", \"guard\": ");
-            write_json_string(&mut out, guard);
         }
         LiveEvent::CampaignFinished {
             done,
@@ -703,15 +687,11 @@ mod tests {
             path: "ckpt.json".into(),
             completed: 5,
         });
-        emit(LiveEvent::GuardTripped {
-            stage: "base".into(),
-            guard: "singular-pivot".into(),
-        });
         campaign_finished(8, 8, "complete");
         let report = live.finish();
         assert!(!enabled());
         let lines = taken(&lines);
-        assert!(report.events >= 5, "events={}", report.events);
+        assert!(report.events >= 4, "events={}", report.events);
         assert_eq!(report.events, lines.len() as u64);
         for line in &lines {
             let value = parse_json(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));

@@ -1,5 +1,6 @@
-//! Fault tolerance: sweep the stuck-at defect rate and watch accuracy,
-//! yield, and solver-fallback behavior degrade gracefully.
+//! Fault tolerance: sweep the stuck-at defect rate and watch accuracy and
+//! yield degrade gracefully while every circuit solve keeps Kirchhoff's
+//! current law.
 //!
 //! ```text
 //! cargo run --release --example fault_tolerance \
@@ -10,7 +11,7 @@
 //! Each sweep point runs a seeded Monte-Carlo fault campaign on top of the
 //! clean behavior-level simulation: defect maps are drawn per trial,
 //! spare-row repair and bank retirement are applied, and the surviving
-//! arrays are re-solved at circuit level through the recovery ladder.
+//! arrays are re-solved at circuit level on the LDLᵀ engine.
 //!
 //! With `--checkpoint <dir>` every sweep point persists completed trials
 //! to its own file under `dir` (one file per rate — each campaign has its
@@ -47,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("stuck-at rate sweep — {} trials per point\n", 8);
     println!(
         "{:>10} {:>8} {:>10} {:>12} {:>12} {:>12}",
-        "rate", "yield", "fallbacks", "dev mean", "dev p95", "weight dmg"
+        "rate", "yield", "max KCL A", "dev mean", "dev p95", "weight dmg"
     );
 
     let mut csv = String::from(CSV_HEADER);
@@ -73,10 +74,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let report = point.run()?;
         let faults = report.faults.as_ref().expect("campaign ran");
         println!(
-            "{:>10.3} {:>7.1}% {:>9.1}% {:>12.4} {:>12.4} {:>12.4}",
+            "{:>10.3} {:>7.1}% {:>10.1e} {:>12.4} {:>12.4} {:>12.4}",
             rate,
             faults.yield_fraction * 100.0,
-            faults.fallback_rate() * 100.0,
+            faults.worst_kcl_residual,
             faults.mean_deviation_levels,
             faults.p95_deviation_levels,
             faults.mean_weight_damage_levels,

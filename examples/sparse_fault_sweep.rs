@@ -22,7 +22,7 @@
 
 use mnsim::circuit::batch::PreparedSystem;
 use mnsim::circuit::crossbar::CrossbarSpec;
-use mnsim::circuit::recovery::kcl_residual;
+use mnsim::circuit::kcl_residual;
 use mnsim::circuit::solve::SolveOptions;
 use mnsim::obs;
 use mnsim::tech::fault::{FaultMap, FaultRates};

@@ -1,6 +1,6 @@
 //! Integration lockdown for the sparse LDLᵀ direct solver
-//! ([`mnsim::circuit::ldl`]): the sparse path must agree with dense LU to
-//! near machine precision, the cached symbolic analysis (elimination tree
+//! ([`mnsim::circuit::ldl`]): the sparse path must agree with a dense-LU
+//! nodal reference to near machine precision, the cached symbolic analysis (elimination tree
 //! and column counts) must match a dense symbolic elimination, value-only
 //! refactorization must be bit-identical to a fresh factorization, singular
 //! systems must surface as typed errors (never NaN or a hang), and every
@@ -15,15 +15,17 @@
 //! Every test holds the [`mnsim::obs::session`] lock while it runs solver
 //! code, so no test's counters can leak into another's measured window.
 
+mod common;
+
 use mnsim::circuit::batch::{prepare_or_reuse, EngineKind, PreparedSystem, Rhs};
 use mnsim::circuit::crossbar::CrossbarSpec;
-use mnsim::circuit::recovery::kcl_residual;
-use mnsim::circuit::solve::{solve_dc, Method, SolveOptions};
+use mnsim::circuit::kcl_residual;
+use mnsim::circuit::solve::{solve_dc, SolveOptions};
 use mnsim::circuit::sparse::CscMatrix;
 use mnsim::circuit::sparse::TripletMatrix;
 use mnsim::circuit::transient::{solve_transient, TransientOptions};
 use mnsim::circuit::CircuitError;
-use mnsim::circuit::{analyze, solve_robust, Element, SparseLdl, SymbolicAnalysis};
+use mnsim::circuit::{analyze, Element, SparseLdl, SymbolicAnalysis};
 use mnsim::core::config::Config;
 use mnsim::core::fault_sim::FaultConfig;
 use mnsim::core::Simulator;
@@ -229,8 +231,9 @@ fn check_refactor_bit_identity(a: &CscMatrix, seed: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Sparse-direct and dense LU agree within 1e-10 relative on random
-    /// crossbar structures up to 96 unknowns (`2·rows·cols`).
+    /// The sparse-direct `solve_dc` and a dense-LU nodal reference
+    /// ([`common::dense_nodal_voltages`]) agree within 1e-10 relative on
+    /// random crossbar structures up to 72 unknowns (`2·rows·cols`).
     #[test]
     fn sparse_direct_matches_dense_lu_within_1e10(
         rows in 1usize..7,
@@ -239,13 +242,9 @@ proptest! {
     ) {
         let _session = obs::session();
         let built = random_crossbar(rows, cols, seed).build().expect("valid crossbar");
-        let solve_with = |method: Method| {
-            let options = SolveOptions { method, ..SolveOptions::default() };
-            solve_dc(built.circuit(), &options).expect("SDD system solves")
-        };
-        let sparse = solve_with(Method::SparseLu);
-        let dense = solve_with(Method::DenseLu);
-        for (node, (&vs, &vd)) in sparse.voltages().iter().zip(dense.voltages()).enumerate() {
+        let sparse = solve_dc(built.circuit(), &SolveOptions::default()).expect("SDD system solves");
+        let dense = common::dense_nodal_voltages(built.circuit());
+        for (node, (&vs, &vd)) in sparse.voltages().iter().zip(&dense).enumerate() {
             let scale = vs.abs().max(vd.abs()).max(1.0);
             prop_assert!(
                 (vs - vd).abs() <= 1e-10 * scale,
@@ -406,36 +405,17 @@ fn bad_pivots_inside_a_supernode_are_typed() {
 /// node with no DC path anywhere) is built directly here.
 #[test]
 fn floating_node_is_a_typed_singular_error() {
-    let session = obs::session();
+    let _session = obs::session();
     let built = random_crossbar(3, 3, 42).build().unwrap();
     let mut circuit = built.circuit().clone();
     circuit.add_node(); // no element ever touches it: zero diagonal row
 
-    // The sparse-direct path reports the singularity as the zero pivot of
-    // the floating node's empty column.
-    let sparse = SolveOptions {
-        method: Method::SparseLu,
-        ..SolveOptions::default()
-    };
-    match solve_dc(&circuit, &sparse) {
+    // The LDLᵀ engine reports the singularity as the zero pivot of the
+    // floating node's empty column.
+    match solve_dc(&circuit, &SolveOptions::default()) {
         Err(CircuitError::SingularSystem { .. }) => {}
         other => panic!("expected SingularSystem, got {other:?}"),
     }
-
-    // The recovery ladder runs the dense base (19 unknowns), then the
-    // sparse rung, records both rungs' early escalations (SingularPivot
-    // guard), and returns the typed error once the ladder is exhausted.
-    let result = solve_robust(&circuit, &SolveOptions::default());
-    let snap = session.snapshot();
-    match result {
-        Err(CircuitError::SingularSystem { .. }) => {}
-        other => panic!("expected SingularSystem from the ladder, got {other:?}"),
-    }
-    assert_eq!(snap.counter("circuit.recovery.attempts.sparse_lu"), 1);
-    assert_eq!(snap.counter("circuit.recovery.accepted.sparse_lu"), 0);
-    // Both rungs fail on the singular-pivot (or zero-diagonal) guard.
-    assert_eq!(snap.counter("solver.early_escalations"), 2);
-    assert_eq!(snap.counter("circuit.recovery.exhausted"), 1);
 }
 
 /// Runs a six-trial stuck-at campaign (two reads per trial) on an 8×8
@@ -511,8 +491,7 @@ fn sinh_fault_campaign_refactors_one_analysis_across_trials() {
     );
 }
 
-/// An 8×8 array (128 unknowns, so `Method::Auto` picks the sparse-direct
-/// engine) of sinh cells.
+/// An 8×8 array (128 unknowns) of sinh cells.
 fn sinh_crossbar(seed: u64) -> CrossbarSpec {
     let mut spec = random_crossbar(8, 8, seed);
     spec.iv = IvModel::Sinh { alpha: 2.5 };

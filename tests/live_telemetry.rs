@@ -9,10 +9,6 @@
 //! tests. The session keeps no copy of its stream: tests read the lines
 //! through a [`LiveTap`], the way the session server does.
 
-mod common;
-
-use mnsim::circuit::solve::SolveOptions;
-use mnsim::circuit::solve_robust;
 use mnsim::core::checkpoint::CheckpointPolicy;
 use mnsim::core::config::Config;
 use mnsim::core::error::CoreError;
@@ -251,30 +247,4 @@ fn checkpoint_events_match_waves_and_sampler_exports() {
         .filter_map(|s| s.get("counters")?.get("core.fault.trials")?.as_u64())
         .sum();
     assert_eq!(trials_sampled, 8);
-}
-
-/// A solver health guard cutting a recovery rung short emits a
-/// `guard_tripped` event naming the rung and the guard.
-#[test]
-fn guard_trip_emits_live_event() {
-    // The dense base rung's pivot test rejects the 1e-15 S node: the
-    // singular-pivot guard hands the ladder to LDLᵀ.
-    let (c, _) = common::tiny_pivot_divider();
-
-    let session = obs::session();
-    let (live, lines) = tapped_session(LiveConfig::default());
-    solve_robust(&c, &SolveOptions::default()).expect("ladder recovers");
-    let (_, lines) = finish(live, lines);
-    drop(session);
-
-    let guard_line = lines
-        .iter()
-        .find(|l| l.contains("guard_tripped"))
-        .expect("singular-pivot guard emitted a live event");
-    let value = obs::parse_json(guard_line).expect("guard line parses");
-    assert_eq!(value.get("stage").and_then(|v| v.as_str()), Some("base"));
-    assert_eq!(
-        value.get("guard").and_then(|v| v.as_str()),
-        Some("singular-pivot")
-    );
 }

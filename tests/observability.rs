@@ -6,12 +6,10 @@
 //! running instrumented code. The lock serializes the tests, so the global
 //! registry is never polluted by a concurrently running test.
 
-mod common;
-
 use std::collections::BTreeMap;
 
-use mnsim::circuit::solve::SolveOptions;
-use mnsim::circuit::{solve_robust, Circuit, RecoveryStage};
+use mnsim::circuit::solve::{solve_dc, SolveOptions};
+use mnsim::circuit::Circuit;
 use mnsim::core::checkpoint::CheckpointPolicy;
 use mnsim::core::config::Config;
 use mnsim::core::dse::{Constraints, DesignSpace};
@@ -43,12 +41,6 @@ fn clean_fault_campaign_records_no_fallbacks() {
     assert_eq!(snap.counter("core.fault.campaigns"), 1);
     assert_eq!(snap.counter("core.fault.trials"), 3);
     assert_eq!(snap.counter("core.fault.retired_trials"), 0);
-    // Clean arrays solve on the cached sparse-direct fast path: the
-    // recovery ladder is never consulted, so zero robust solves and zero
-    // fallbacks.
-    assert_eq!(snap.counter("circuit.recovery.solves"), 0);
-    assert_eq!(snap.counter("circuit.recovery.fallbacks"), 0);
-    assert_eq!(snap.counter("circuit.recovery.attempts.dense_lu"), 0);
     // The representative crossbar is solved by the sparse LDLᵀ engine
     // (under the default sinh device each Newton iteration's linearized
     // system lands on the sparse-direct path).
@@ -59,29 +51,6 @@ fn clean_fault_campaign_records_no_fallbacks() {
     // first are exact cache hits of the per-thread prepared slot.
     assert_eq!(snap.counter("circuit.batch.solves"), 3);
     assert_eq!(snap.counter("circuit.batch.cache_hits"), 2);
-}
-
-#[test]
-fn forced_fallback_increments_ladder_counters() {
-    // Auto runs the dense LU at 2 unknowns; its pivot test rejects the
-    // 1e-15 S node, so the ladder must escalate to LDLᵀ and the fallback
-    // counters must say so.
-    let (c, _) = common::tiny_pivot_divider();
-
-    let session = obs::session();
-    let (_, report) = solve_robust(&c, &SolveOptions::default()).unwrap();
-    assert_eq!(report.stage, RecoveryStage::SparseLu);
-
-    let snap = session.snapshot();
-    assert_eq!(snap.counter("circuit.recovery.solves"), 1);
-    assert_eq!(snap.counter("circuit.recovery.fallbacks"), 1);
-    assert_eq!(snap.counter("circuit.recovery.attempts.base"), 1);
-    assert_eq!(snap.counter("circuit.recovery.accepted.base"), 0);
-    assert_eq!(snap.counter("circuit.recovery.attempts.sparse_lu"), 1);
-    assert_eq!(snap.counter("circuit.recovery.accepted.sparse_lu"), 1);
-    assert_eq!(snap.counter("circuit.recovery.attempts.dense_lu"), 0);
-    // The base rung's singular pivot was recorded as an early escalation.
-    assert_eq!(snap.counter("solver.early_escalations"), 1);
 }
 
 #[test]
@@ -169,9 +138,9 @@ fn parallel_dse_error_still_evaluates_every_point() {
 
 #[test]
 fn snapshot_json_is_valid_and_complete() {
-    // The acceptance list: solver engine counts, recovery-ladder rung
-    // counts, per-stage simulate timings, and DSE throughput — all in one
-    // machine-readable snapshot.
+    // The acceptance list: the solve counts of both engines, per-stage
+    // simulate timings, and DSE throughput — all in one machine-readable
+    // snapshot.
     let session = obs::session();
 
     let config = Config::fully_connected_mlp(&[64, 32]).unwrap();
@@ -188,30 +157,30 @@ fn snapshot_json_is_valid_and_complete() {
         interconnects: vec![InterconnectNode::N45],
     };
     sim.explore(&space, &Constraints::default()).unwrap();
-    // The fault campaign solves through the cached sparse-direct path, so
-    // drive the dense engine and the recovery ladder explicitly to get
-    // their counters into the same snapshot.
-    let mut divider = Circuit::new();
-    let mid = divider.add_node();
-    divider
-        .add_voltage_source(mid, Circuit::GROUND, Voltage::from_volts(1.0))
+    // The fault campaign solves grounded-source systems on the LDLᵀ
+    // engine, so solve a floating source explicitly to get the full-MNA
+    // engine's counter into the same snapshot.
+    let mut floating = Circuit::new();
+    let a = floating.add_node();
+    let b = floating.add_node();
+    floating
+        .add_voltage_source(a, b, Voltage::from_volts(1.0))
         .unwrap();
-    let tap = divider.add_node();
-    divider
-        .add_resistor(mid, tap, Resistance::from_kilo_ohms(1.0))
+    floating
+        .add_resistor(a, Circuit::GROUND, Resistance::from_kilo_ohms(1.0))
         .unwrap();
-    divider
-        .add_resistor(tap, Circuit::GROUND, Resistance::from_kilo_ohms(1.0))
+    floating
+        .add_resistor(b, Circuit::GROUND, Resistance::from_kilo_ohms(1.0))
         .unwrap();
-    solve_robust(&divider, &SolveOptions::default()).unwrap();
+    solve_dc(&floating, &SolveOptions::default()).unwrap();
 
     let snap = session.snapshot();
     let json = snap.to_json();
     obs::validate_json(&json).expect("snapshot JSON must parse");
 
     for required in [
-        "circuit.solve.dense_lu",
-        "circuit.recovery.attempts.base",
+        "circuit.solve.sparse_lu",
+        "circuit.solve.full_mna",
         "solver.klu.factors",
         "accelerator",
         "core.dse.points_per_sec",
@@ -223,7 +192,7 @@ fn snapshot_json_is_valid_and_complete() {
     // percentile columns.
     let csv = snap.to_csv();
     assert!(csv.starts_with("kind,name,unit,count,sum,min,max,mean,p50,p95,p99"));
-    assert!(csv.contains("counter,circuit.solve.dense_lu,"));
+    assert!(csv.contains("counter,circuit.solve.sparse_lu,"));
 }
 
 /// Ordering-contract regression: a session opened *before* worker threads
@@ -252,15 +221,13 @@ fn session_opened_before_thread_pool_sees_all_worker_counts() {
     assert_eq!(snap.counter("core.fault.campaigns"), 1);
     assert_eq!(snap.counter("core.fault.trials"), 14);
     // Retired trials skip the solve; every operated trial reads its
-    // primary output through the cached sparse engine (or, if the fast
-    // path balks, through a robust recovery solve) — so the workers'
-    // combined solve counters must cover every operated trial.
+    // primary output through its worker's cached prepared system, so the
+    // workers' batch solves count every operated trial exactly.
     let operated = 14 - snap.counter("core.fault.retired_trials");
-    assert!(
-        snap.counter("circuit.batch.solves") + snap.counter("circuit.recovery.solves") >= operated,
-        "worker increments missing: {} batch solves + {} robust solves < {operated} operated trials",
+    assert_eq!(
         snap.counter("circuit.batch.solves"),
-        snap.counter("circuit.recovery.solves"),
+        operated,
+        "worker increments missing"
     );
 }
 
@@ -269,7 +236,8 @@ fn session_opened_before_thread_pool_sees_all_worker_counts() {
 /// count (`name` is the label without its `[i]` suffix) equals its
 /// histogram count, each instant's count equals the counter of the same
 /// name, and nothing is dropped — for a checkpointed fault campaign at
-/// threads {1, 2, 7}, a small DSE sweep, and a recovery-ladder escalation.
+/// threads {1, 2, 7}, a small DSE sweep, and the campaign run again over
+/// its checkpoint, which resumes with every trial complete.
 #[test]
 fn metrics_and_trace_agree_on_every_fact() {
     let config = Config::fully_connected_mlp(&[64, 32]).unwrap();
@@ -288,18 +256,17 @@ fn metrics_and_trace_agree_on_every_fact() {
         let metrics = obs::session();
         let trace_session = trace::session();
         let sim = Simulator::new(config.clone()).threads(threads);
-        sim.clone()
+        let campaign = sim
+            .clone()
             .faults(FaultConfig {
                 rates: FaultRates::stuck_at(0.02),
                 trials,
                 ..FaultConfig::default()
             })
-            .checkpoint(CheckpointPolicy::new(&checkpoint).every(4))
-            .run()
-            .unwrap();
+            .checkpoint(CheckpointPolicy::new(&checkpoint).every(4));
+        let report = campaign.run().unwrap();
         sim.explore(&space, &Constraints::default()).unwrap();
-        let (divider, _) = common::tiny_pivot_divider();
-        solve_robust(&divider, &SolveOptions::default()).unwrap();
+        assert_eq!(campaign.run().unwrap(), report, "threads={threads}");
         let snap = metrics.snapshot();
         let collected = trace_session.finish();
         drop(metrics);
@@ -333,7 +300,6 @@ fn metrics_and_trace_agree_on_every_fact() {
             "fault.campaign",
             "dse.point",
             "simulate",
-            "recovery.attempt.base",
             "circuit.solve.assemble",
             "circuit.solve.residual",
             "circuit.ldl.solve",
@@ -346,7 +312,7 @@ fn metrics_and_trace_agree_on_every_fact() {
         }
         for mark in [
             "checkpoint.written",
-            "solver.early_escalations",
+            "checkpoint.resumed",
             "circuit.solve.chord_steps",
         ] {
             assert!(

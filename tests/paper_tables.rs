@@ -127,9 +127,9 @@ fn accuracy_row_for_size(size: usize) -> ValidationRow {
 }
 
 /// The Table II validation runs through the sparse-direct circuit path
-/// (a 32×32 block is 2048 unknowns — far past the dense cutoff), and the
-/// per-matrix studies fan out over worker threads. A refactored LDLᵀ is
-/// bit-identical to a fresh factorization, and partial sums are reduced
+/// (a 32×32 block is 2048 unknowns), and the per-matrix studies fan out
+/// over worker threads. A refactored LDLᵀ is bit-identical to a fresh
+/// factorization, and partial sums are reduced
 /// in matrix order, so every thread count must reproduce the size-32
 /// golden accuracy row *bitwise* — not just to tolerance — and the full
 /// 128×128 validation with three weight matrices must agree bitwise

@@ -7,22 +7,22 @@
 //!    [`solve_dc`] on a re-driven circuit: the batch replays the exact
 //!    serial assembly and arithmetic, and every read is a backsolve on the
 //!    held factorization. Randomized over crossbar shapes, signed weights,
-//!    every [`Method`], and batch sizes including one and zero.
+//!    and batch sizes including one and zero.
 //! 2. **Invalidation** — a prepared system built for one conductance state
 //!    refuses to solve a circuit whose conductances changed: the typed
-//!    [`CircuitError::StalePreparedSystem`] fires on the dense and
-//!    sparse-direct paths alike, and [`prepare_or_reuse`] refreshes or
-//!    rebuilds instead of ever reusing a stale factorization.
-//! 3. **Dispatch** — under [`Method::Auto`] the engine choice is a pure
-//!    function of structure size: dense below 96 unknowns, sparse-direct
-//!    above, checked through [`PreparedSystem::engine_kind`].
+//!    [`CircuitError::StalePreparedSystem`] fires at 32 and 200 unknowns
+//!    alike, and [`prepare_or_reuse`] refreshes or rebuilds instead of ever
+//!    reusing a stale factorization.
+//! 3. **One engine** — every grounded-source crossbar, whatever its size,
+//!    builds the sparse-direct engine, checked through
+//!    [`PreparedSystem::engine_kind`].
 //!
 //! Every test holds the [`mnsim::obs::session`] lock while it runs solver
 //! code, so no test's counters can leak into another's measured window.
 
 use mnsim::circuit::batch::{prepare_or_reuse, solve_dc_batch, EngineKind, PreparedSystem, Rhs};
 use mnsim::circuit::crossbar::CrossbarSpec;
-use mnsim::circuit::solve::{solve_dc, Method, SolveOptions};
+use mnsim::circuit::solve::{solve_dc, SolveOptions};
 use mnsim::circuit::CircuitError;
 use mnsim::core::config::Config;
 use mnsim::core::netlist_gen::{input_drive_voltages, map_weights};
@@ -40,24 +40,10 @@ fn uniform(state: &mut u64) -> f64 {
     (*state >> 11) as f64 / (1u64 << 53) as f64
 }
 
-fn method_for(index: u8) -> Method {
-    match index % 3 {
-        0 => Method::Auto,
-        1 => Method::DenseLu,
-        _ => Method::SparseLu,
-    }
-}
-
 /// Maps a random signed weight matrix, drives it with `batch_size` random
 /// input vectors, and demands bitwise equality between per-input
 /// [`solve_dc`] and the batched path.
-fn check_crossbar_equivalence(
-    rows: usize,
-    cols: usize,
-    seed: u64,
-    method: Method,
-    batch_size: usize,
-) {
+fn check_crossbar_equivalence(rows: usize, cols: usize, seed: u64, batch_size: usize) {
     let _session = obs::session();
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut config = Config::fully_connected_mlp(&[8, 8]).expect("static dims");
@@ -80,10 +66,7 @@ fn check_crossbar_equivalence(
         .map(|_| (0..rows).map(|_| uniform(&mut state)).collect())
         .collect();
 
-    let solve_options = SolveOptions {
-        method,
-        ..SolveOptions::default()
-    };
+    let solve_options = SolveOptions::default();
 
     let specs: Vec<&CrossbarSpec> = std::iter::once(&mapped.positive)
         .chain(mapped.negative.as_ref())
@@ -117,7 +100,7 @@ fn check_crossbar_equivalence(
             for (node, (&va, &vb)) in a.iter().zip(b).enumerate() {
                 assert_eq!(
                     va, vb,
-                    "{rows}x{cols} seed {seed} {method:?} input {k} node {node}: \
+                    "{rows}x{cols} seed {seed} input {k} node {node}: \
                      batch must be bit-identical"
                 );
             }
@@ -129,22 +112,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Batches replay the serial assembly exactly: bitwise equality, not
-    /// approximate, for every method and batch size (including one and
-    /// zero).
+    /// approximate, for every batch size (including one and zero).
     #[test]
     fn cold_batch_is_bit_identical_to_serial(
         rows in 1usize..7,
         cols in 1usize..7,
         seed in 0u64..1_000_000,
-        method_index in 0u8..3,
         batch_size in 0usize..5,
     ) {
-        check_crossbar_equivalence(rows, cols, seed, method_for(method_index), batch_size);
+        check_crossbar_equivalence(rows, cols, seed, batch_size);
     }
 }
 
-/// A crossbar past the dense cutoff (`2·rows·cols = 200` unknowns), so
-/// `Method::Auto` lands on the sparse-direct path.
+/// A 10×10 crossbar (`2·rows·cols = 200` unknowns).
 fn sparse_path_crossbar() -> CrossbarSpec {
     CrossbarSpec::uniform(
         10,
@@ -168,7 +148,7 @@ fn perturbed(spec: &CrossbarSpec) -> CrossbarSpec {
 #[test]
 fn stale_prepared_system_is_a_typed_error_on_every_engine() {
     let _session = obs::session();
-    let dense_spec = CrossbarSpec::uniform(
+    let small_spec = CrossbarSpec::uniform(
         4,
         4,
         Resistance::from_kilo_ohms(10.0),
@@ -176,14 +156,10 @@ fn stale_prepared_system_is_a_typed_error_on_every_engine() {
         Resistance::from_ohms(500.0),
         Voltage::from_volts(1.0),
     );
-    let cases = [
-        (dense_spec, EngineKind::Dense),
-        (sparse_path_crossbar(), EngineKind::SparseDirect),
-    ];
-    for (spec, expect_engine) in cases {
+    for spec in [small_spec, sparse_path_crossbar()] {
         let built = spec.build().unwrap();
         let mut prepared = PreparedSystem::build(built.circuit(), SolveOptions::default()).unwrap();
-        assert_eq!(prepared.engine_kind(), expect_engine);
+        assert_eq!(prepared.engine_kind(), EngineKind::SparseDirect);
 
         let changed = perturbed(&spec).build().unwrap();
         let rhs = changed
@@ -243,9 +219,9 @@ fn prepare_or_reuse_never_solves_stale() {
     assert_eq!(serial.voltages(), batched.voltages());
 }
 
-/// The Auto dispatch is a pure function of structure size: the same spec
-/// always lands on the same engine, and the dense→sparse cutoff sits at
-/// 96 unknowns (`2·rows·cols` for a dual-rail crossbar).
+/// Every grounded-source crossbar builds the one engine for its matrix
+/// class, whatever its size: 1×1 (2 unknowns), 6×6 (72), 6×8 (96) and
+/// 16×16 (512). The choice is identical run to run.
 #[test]
 fn auto_dispatch_is_deterministic_in_structure_size() {
     let _session = obs::session();
@@ -259,14 +235,7 @@ fn auto_dispatch_is_deterministic_in_structure_size() {
             Voltage::from_volts(1.0),
         )
     };
-    // (rows, cols, expected engine): 6x6 → 72 unknowns (< 96, dense);
-    // 6x8 → 96 unknowns (at the cutoff, sparse); 16x16 → 512 (sparse).
-    let cases = [
-        (6, 6, EngineKind::Dense),
-        (6, 8, EngineKind::SparseDirect),
-        (16, 16, EngineKind::SparseDirect),
-    ];
-    for (rows, cols, expected) in cases {
+    for (rows, cols) in [(1, 1), (6, 6), (6, 8), (16, 16)] {
         // Build twice: the choice must be identical run-to-run.
         for _ in 0..2 {
             let built = spec_for(rows, cols).build().unwrap();
@@ -274,7 +243,7 @@ fn auto_dispatch_is_deterministic_in_structure_size() {
                 PreparedSystem::build(built.circuit(), SolveOptions::default()).unwrap();
             assert_eq!(
                 prepared.engine_kind(),
-                expected,
+                EngineKind::SparseDirect,
                 "{rows}x{cols} crossbar dispatched to {:?}",
                 prepared.engine_kind()
             );
