@@ -12,16 +12,25 @@
 //! [`PreparedSystem`] lifts everything that depends only on the conductance
 //! structure out of the per-input path:
 //!
-//! * the source classification and node → unknown numbering,
+//! * the source binding and node → unknown numbering,
 //! * the assembled reduced (or full-MNA) matrix,
 //! * its factorization: the sparse LDLᵀ workspace for grounded sources,
 //!   the dense full-MNA LU for floating ones,
-//! * and a replayable right-hand-side plan so each new input vector only
-//!   costs an `O(nnz)` stamp replay and one backsolve.
+//! * and a replayable right-hand-side plan, so each new input vector only
+//!   costs an `O(nnz)` stamp replay and its share of a backsolve.
 //!
-//! Every read is a direct solve on that held factorization, so a prepared
-//! solve is bit-identical to a one-shot [`solve_dc`](crate::solve::solve_dc)
-//! of the re-driven circuit, whatever the prepared system solved before.
+//! The reads of a batch are solved in blocks of up to eight. A block's
+//! reads of a grounded-source system run the chord-Newton loop of
+//! [`solve_dc`](crate::solve::solve_dc) in lockstep (see the
+//! [`solve`](crate::solve) module docs): one backsolve per sweep carries
+//! every read still stepping, each as one column. A linear circuit takes
+//! one sweep, the direct solve. A non-linear one first refills the
+//! low-field matrix of the block, once, and refactors only if the held
+//! factor is not already that matrix: after a value overlay, or after a
+//! read that left the block refactored at its Jacobian. Every read is
+//! bit-identical to a one-shot [`solve_dc`](crate::solve::solve_dc) of the
+//! re-driven circuit, whatever the prepared system solved before.
+//! Floating sources solve one read at a time on full MNA.
 //!
 //! **Soundness.** Reuse is only valid while the conductances are unchanged.
 //! A prepared system fingerprints the circuit it was built from (element
@@ -31,24 +40,16 @@
 //! [`CircuitError::StalePreparedSystem`]. Fault overlays and variation
 //! resamples therefore cannot silently reuse a stale factorization; use
 //! [`prepare_or_reuse`] to rebuild on change.
-//!
-//! Non-linear circuits (sinh memristors) have no single matrix, so each
-//! read runs the chord-Newton loop of [`solve_dc`](crate::solve::solve_dc)
-//! on a re-driven clone. The prepared system keeps that loop's sparse
-//! workspace across reads and value-only overlays, so every matrix of the
-//! structure shares one analysis. A read factors the low-field matrix, or
-//! refactors back to it when the last read left a Jacobian; its chord
-//! steps backsolve on that factor, and only a step that fails to contract
-//! refactors at a Jacobian.
 
 use mnsim_obs as obs;
 use mnsim_tech::units::Voltage;
 
 use crate::error::CircuitError;
+use crate::ldl::BLOCK_COLUMNS;
 use crate::mna::{Circuit, DcSolution, Element};
 use crate::solve::{
-    finish, linearize, linearize_into, replay_rhs, solve_dc_in, FullMna, Linearized, SolveOptions,
-    SparseWorkspace, ASSEMBLE_SPAN,
+    finish, linearize, linearize_into, solve_full_mna, solve_reads, FullMna, Linearized,
+    SolveOptions, Sources, SparseWorkspace, ASSEMBLE_SPAN,
 };
 use crate::sparse::TripletMatrix;
 
@@ -57,6 +58,8 @@ static BATCH_CALLS: obs::Counter = obs::Counter::new("circuit.batch.calls");
 static BATCH_SOLVES: obs::Counter = obs::Counter::new("circuit.batch.solves");
 static BATCH_DENSE: obs::Counter = obs::Counter::new("circuit.batch.dense_backsolves");
 static BATCH_STALE: obs::Counter = obs::Counter::new("circuit.batch.stale_rejections");
+/// Reads of a non-linear circuit, each a chord-Newton solve rather than
+/// one direct backsolve.
 static BATCH_FALLBACKS: obs::Counter = obs::Counter::new("circuit.batch.nonlinear_fallbacks");
 static CACHE_HITS: obs::Counter = obs::Counter::new("circuit.batch.cache_hits");
 static CACHE_INVALIDATIONS: obs::Counter = obs::Counter::new("circuit.batch.invalidations");
@@ -68,7 +71,8 @@ static CACHE_COLD_BUILDS: obs::Counter = obs::Counter::new("circuit.batch.cache_
 /// [`prepare_or_reuse`] call so far — how often the cached
 /// [`PreparedSystem`] was actually reusable.
 static BATCH_REUSE_RATIO: obs::Gauge = obs::Gauge::new("circuit.batch.reuse_ratio");
-/// Sparse-direct back-substitutions through the batch path.
+/// Reads of a linear grounded-source system answered by a backsolve on
+/// its held factor.
 static BATCH_SPARSE: obs::Counter = obs::Counter::new("circuit.batch.sparse_backsolves");
 /// Value-only refreshes through [`prepare_or_reuse`]: the cached sparse
 /// factorization was refactored in place instead of rebuilding the whole
@@ -115,8 +119,8 @@ pub enum EngineKind {
     Empty,
     /// Full modified nodal analysis (floating sources), cached dense LU.
     FullMna,
-    /// Non-linear circuit: a chord-Newton solve per read, sharing one
-    /// cached sparse factorization.
+    /// Non-linear circuit: chord Newton per read, the reads of a block in
+    /// lockstep on one cached sparse factorization.
     Nonlinear,
 }
 
@@ -124,18 +128,16 @@ pub enum EngineKind {
 enum SystemKind {
     /// All sources grounded: the reduced SPD system on the sparse LDLᵀ
     /// workspace, whose assembly buffers hold the node → unknown numbering
-    /// and the right-hand-side plan. Value-only changes refactor it in
-    /// place; a system without unknowns holds no factor.
-    Reduced {
-        /// Per source (element order): driven node and sign of the value.
-        bindings: Vec<(usize, f64)>,
-        workspace: SparseWorkspace,
-    },
-    /// Floating sources: cached full-MNA LU.
+    /// and the right-hand-side plan. A linear circuit's factor is built
+    /// with the system and refactored in place by a value refresh; a
+    /// non-linear circuit's low-field factor is refilled per block of
+    /// reads. A system without unknowns holds no factor.
+    Reduced { workspace: SparseWorkspace },
+    /// Floating sources on a linear circuit: cached full-MNA LU.
     FullMna(FullMna),
-    /// Non-linear circuit: a chord-Newton solve per read. The workspace
-    /// keeps the analysis and the factor from one read to the next.
-    Nonlinear { workspace: SparseWorkspace },
+    /// Floating sources on a non-linear circuit: a Newton solve per read
+    /// on full MNA, which holds no factor from one step to the next.
+    FullMnaNewton,
 }
 
 /// A DC system prepared once per conductance structure, able to solve many
@@ -150,8 +152,10 @@ pub struct PreparedSystem {
     /// refreshed in place instead of rebuilt.
     structure_fingerprint: u64,
     node_count: usize,
-    n_sources: usize,
     options: SolveOptions,
+    nonlinear: bool,
+    sources: Sources,
+    /// The low-field linearization: for a linear circuit the only one.
     lin: Vec<Option<Linearized>>,
     kind: SystemKind,
 }
@@ -159,8 +163,8 @@ pub struct PreparedSystem {
 impl PreparedSystem {
     /// Builds a prepared system from a circuit.
     ///
-    /// All structure-dependent work happens here: source classification,
-    /// unknown numbering, matrix assembly and, for a linear circuit, the
+    /// All structure-dependent work happens here: source binding, unknown
+    /// numbering, matrix assembly and, for a linear circuit, the
     /// factorization — which also means a singular linear system is
     /// reported at build time rather than on the first solve.
     ///
@@ -170,61 +174,32 @@ impl PreparedSystem {
     pub fn build(circuit: &Circuit, options: SolveOptions) -> Result<Self, CircuitError> {
         let _span = BUILD_SPAN.enter();
         BATCH_BUILDS.inc();
-        let fingerprint = circuit_fingerprint(circuit);
-        let structure_fingerprint = circuit_structure_fingerprint(circuit);
-        let n_sources = circuit.source_count();
-        let node_count = circuit.node_count();
-
-        if circuit.is_nonlinear() {
-            return Ok(PreparedSystem {
-                fingerprint,
-                structure_fingerprint,
-                node_count,
-                n_sources,
-                options,
-                lin: Vec::new(),
-                kind: SystemKind::Nonlinear {
-                    workspace: SparseWorkspace::default(),
-                },
-            });
-        }
-
+        let sources = Sources::of(circuit);
+        let nonlinear = circuit.is_nonlinear();
         let lin = linearize(circuit, None);
-        let mut bindings = Vec::with_capacity(n_sources);
-        let mut all_grounded = true;
-        for element in circuit.elements() {
-            if let Element::VoltageSource { npos, nneg, .. } = element {
-                if *nneg == Circuit::GROUND {
-                    bindings.push((*npos, 1.0));
-                } else if *npos == Circuit::GROUND {
-                    bindings.push((*nneg, -1.0));
-                } else {
-                    bindings.push((usize::MAX, 0.0));
-                    all_grounded = false;
+        let kind = match (sources.all_grounded(), nonlinear) {
+            (true, _) => {
+                let mut workspace = SparseWorkspace::default();
+                if !nonlinear {
+                    workspace.refill(circuit, &lin, &sources.is_driven)?;
+                    // The stamps only feed the factor, and a value refresh
+                    // refills them: do not hold a large system's triplets
+                    // between reads.
+                    workspace.system.stamps = TripletMatrix::default();
                 }
+                SystemKind::Reduced { workspace }
             }
-        }
-
-        let kind = if all_grounded {
-            let mut workspace = SparseWorkspace::default();
-            workspace.refill(circuit, &lin, &driven_nodes(node_count, &bindings))?;
-            // The stamps only feed the factor, and a value refresh refills
-            // them: do not hold a large system's triplets between reads.
-            workspace.system.stamps = TripletMatrix::default();
-            SystemKind::Reduced {
-                bindings,
-                workspace,
-            }
-        } else {
-            SystemKind::FullMna(FullMna::build(circuit, &lin)?)
+            (false, false) => SystemKind::FullMna(FullMna::build(circuit, &lin)?),
+            (false, true) => SystemKind::FullMnaNewton,
         };
 
         Ok(PreparedSystem {
-            fingerprint,
-            structure_fingerprint,
-            node_count,
-            n_sources,
+            fingerprint: circuit_fingerprint(circuit),
+            structure_fingerprint: circuit_structure_fingerprint(circuit),
+            node_count: circuit.node_count(),
             options,
+            nonlinear,
+            sources,
             lin,
             kind,
         })
@@ -237,25 +212,22 @@ impl PreparedSystem {
 
     /// Number of voltage sources, i.e. the required [`Rhs`] arity.
     pub fn rhs_len(&self) -> usize {
-        self.n_sources
+        self.sources.len()
     }
 
     /// Rough resident size of this prepared system in bytes — dominated
     /// by the cached factorization (the sparse workspace, including a
-    /// non-linear system's Newton factor once it has solved: the factor
+    /// non-linear system's factor once it has solved: the factor
     /// non-zeros, the analyzed pattern, the stamp slot map and the
     /// assembly buffers; full MNA: `n²` doubles). An estimate, not an
     /// allocator truth.
     pub fn approx_bytes(&self) -> usize {
         let mut bytes = std::mem::size_of::<Self>();
-        bytes += self.lin.len() * 48;
+        bytes += self.lin.len() * 48 + self.node_count + self.sources.len() * 24;
         bytes += match &self.kind {
-            SystemKind::Reduced {
-                bindings,
-                workspace,
-            } => bindings.len() * 16 + workspace.approx_bytes(),
+            SystemKind::Reduced { workspace } => workspace.approx_bytes(),
             SystemKind::FullMna(system) => system.approx_bytes(),
-            SystemKind::Nonlinear { workspace } => workspace.approx_bytes(),
+            SystemKind::FullMnaNewton => 0,
         };
         bytes
     }
@@ -281,23 +253,24 @@ impl PreparedSystem {
     /// The concrete engine this system dispatches to.
     pub fn engine_kind(&self) -> EngineKind {
         match &self.kind {
-            SystemKind::Nonlinear { .. } => EngineKind::Nonlinear,
-            SystemKind::FullMna(_) => EngineKind::FullMna,
-            SystemKind::Reduced { workspace, .. } if workspace.system.unknowns == 0 => {
+            _ if self.nonlinear => EngineKind::Nonlinear,
+            SystemKind::Reduced { workspace } if workspace.system.unknowns == 0 => {
                 EngineKind::Empty
             }
             SystemKind::Reduced { .. } => EngineKind::SparseDirect,
+            SystemKind::FullMna(_) | SystemKind::FullMnaNewton => EngineKind::FullMna,
         }
     }
 
     /// Attempts to update this system in place for a circuit whose element
     /// *values* changed but whose structure did not (a fault overlay or
     /// variation resample). Reduced and non-linear systems support this.
-    /// A reduced system re-stamps the circuit into its workspace's assembly
-    /// buffers and scatters the new values through its cached slot map into
-    /// its cached analysis, then refactors, which is much cheaper than a
-    /// full rebuild. A non-linear system keeps its Newton workspace, whose
-    /// next solve refactors the held factorization for the new values.
+    /// A linear reduced system re-stamps the circuit into its workspace's
+    /// assembly buffers and scatters the new values through its cached
+    /// slot map into its cached analysis, then refactors, which is much
+    /// cheaper than a full rebuild. A non-linear system keeps its
+    /// workspace, whose next block of reads refills the low-field matrix
+    /// for the new values and refactors the held analysis.
     ///
     /// Returns `Ok(true)` when the refresh succeeded (the system now solves
     /// the new circuit), `Ok(false)` when this engine or structure cannot be
@@ -308,40 +281,28 @@ impl PreparedSystem {
     /// Propagates factorization failures (e.g. the new values made the
     /// matrix singular); the system must then be rebuilt.
     pub fn try_value_refresh(&mut self, circuit: &Circuit) -> Result<bool, CircuitError> {
-        if !self.matches_structure(circuit) {
-            return Ok(false);
-        }
-        if let SystemKind::Nonlinear { .. } = self.kind {
-            // The structure fingerprint covers the memristor I-V kinds, so
-            // the circuit is non-linear too; every solve assembles it afresh
-            // and nothing but the fingerprint is stale.
-            self.fingerprint = circuit_fingerprint(circuit);
-            VALUE_REFRESHES.inc();
-            return Ok(true);
-        }
-        let SystemKind::Reduced {
-            bindings,
-            workspace,
-        } = &mut self.kind
-        else {
-            return Ok(false);
-        };
-
-        // The numbering follows from the node count and this system's own
-        // bindings. A node count that differs means the fingerprint missed
-        // a structural change, so refuse the fast path rather than risk a
+        // A node count that differs means the fingerprint missed a
+        // structural change, so refuse the fast path rather than risk a
         // wrong refresh.
-        if circuit.node_count() != self.node_count {
+        if !self.matches_structure(circuit) || circuit.node_count() != self.node_count {
             return Ok(false);
         }
-        // Refill the held linearization and the workspace's assembly
-        // buffers in place: the same stamps in the same order as a fresh
-        // build.
-        linearize_into(&mut self.lin, circuit, None);
-        let is_driven = driven_nodes(self.node_count, bindings);
-        let assemble = ASSEMBLE_SPAN.enter();
-        workspace.refill(circuit, &self.lin, &is_driven)?;
-        drop(assemble);
+        match &mut self.kind {
+            // The structure fingerprint covers the memristor I-V kinds, so
+            // the circuit is non-linear too; every block assembles its
+            // values afresh and nothing but the fingerprint is stale.
+            _ if self.nonlinear => {}
+            SystemKind::Reduced { workspace } => {
+                // Refill the held linearization and the workspace's
+                // assembly buffers in place: the same stamps in the same
+                // order as a fresh build.
+                linearize_into(&mut self.lin, circuit, None);
+                let assemble = ASSEMBLE_SPAN.enter();
+                workspace.refill(circuit, &self.lin, &self.sources.is_driven)?;
+                drop(assemble);
+            }
+            SystemKind::FullMna(_) | SystemKind::FullMnaNewton => return Ok(false),
+        }
         self.fingerprint = circuit_fingerprint(circuit);
         VALUE_REFRESHES.inc();
         Ok(true)
@@ -363,7 +324,8 @@ impl PreparedSystem {
     }
 
     /// Solves every right-hand side of `batch` against `circuit`, reusing
-    /// the cached structure.
+    /// the cached structure, in blocks of up to eight reads (see the
+    /// [module docs](crate::batch)).
     ///
     /// `circuit` must be the circuit the system was prepared from (or a
     /// [`Circuit::with_source_voltages`] re-drive of it); it is used for
@@ -377,6 +339,9 @@ impl PreparedSystem {
     /// * [`CircuitError::InvalidElement`] when one node is driven to two
     ///   different voltages by the same RHS.
     /// * Solver failures propagated from LU / LDLᵀ / Newton.
+    ///
+    /// A failing read returns its error, that of the first in batch order;
+    /// the blocks after its own are not solved.
     pub fn solve_batch(
         &mut self,
         circuit: &Circuit,
@@ -393,87 +358,78 @@ impl PreparedSystem {
         }
         BATCH_CALLS.inc();
         for rhs in batch {
-            if rhs.volts.len() != self.n_sources {
+            if rhs.volts.len() != self.sources.len() {
                 return Err(CircuitError::DimensionMismatch {
-                    expected: self.n_sources,
+                    expected: self.sources.len(),
                     actual: rhs.volts.len(),
                     what: "rhs source-voltage count",
                 });
             }
         }
 
-        batch
-            .iter()
-            .map(|rhs| {
-                BATCH_SOLVES.inc();
-                self.solve_one(circuit, rhs)
-            })
-            .collect()
+        let mut solutions = Vec::with_capacity(batch.len());
+        for block in batch.chunks(BLOCK_COLUMNS) {
+            BATCH_SOLVES.add(block.len() as u64);
+            for outcome in self.solve_block(circuit, block) {
+                solutions.push(outcome?);
+            }
+        }
+        Ok(solutions)
     }
 
-    fn solve_one(&mut self, circuit: &Circuit, rhs: &Rhs) -> Result<DcSolution, CircuitError> {
+    /// Solves one block of reads; one outcome per read, in order.
+    fn solve_block(
+        &mut self,
+        circuit: &Circuit,
+        block: &[Rhs],
+    ) -> Vec<Result<DcSolution, CircuitError>> {
+        let drives = block.iter().map(|rhs| self.sources.drive(&rhs.volts));
+        if self.nonlinear {
+            BATCH_FALLBACKS.add(block.len() as u64);
+            // The one low-field linearization of the block.
+            linearize_into(&mut self.lin, circuit, None);
+        }
         match &mut self.kind {
-            SystemKind::Nonlinear { workspace } => {
-                BATCH_FALLBACKS.inc();
-                let voltages: Vec<Voltage> =
-                    rhs.volts.iter().map(|&v| Voltage::from_volts(v)).collect();
-                let patched = circuit.with_source_voltages(&voltages)?;
-                solve_dc_in(&patched, &self.options, workspace)
-            }
-            SystemKind::FullMna(system) => {
-                BATCH_DENSE.inc();
-                let voltages = system.solve(&rhs.volts)?;
-                finish(circuit, &self.lin, voltages)
-            }
-            SystemKind::Reduced {
-                bindings,
-                workspace,
-            } => {
-                // Per-RHS driven-node voltages, with conflict detection
-                // mirroring `solve_dc`'s source classification.
-                let mut driven = vec![f64::NAN; self.node_count];
-                for (k, &(node, sign)) in bindings.iter().enumerate() {
-                    let value = sign * rhs.volts[k];
-                    if !driven[node].is_nan() && driven[node] != value {
-                        return Err(CircuitError::InvalidElement {
-                            reason: format!(
-                                "node {node} driven to both {} V and {value} V",
-                                driven[node]
-                            ),
-                        });
+            SystemKind::Reduced { workspace } => {
+                let drives: Vec<_> = drives.collect();
+                if self.nonlinear {
+                    // Start the block on the low-field factor.
+                    let assemble = ASSEMBLE_SPAN.enter();
+                    let refilled = workspace.refill(circuit, &self.lin, &self.sources.is_driven);
+                    drop(assemble);
+                    if let Err(e) = refilled {
+                        return drives
+                            .into_iter()
+                            .map(|drive| drive.and(Err(e.clone())))
+                            .collect();
                     }
-                    driven[node] = value;
+                } else if workspace.system.unknowns > 0 {
+                    BATCH_SPARSE.add(block.len() as u64);
                 }
-                let driven_voltage = |node: usize| -> f64 {
-                    if node == Circuit::GROUND {
-                        0.0
-                    } else {
-                        driven[node]
-                    }
-                };
-
-                let system = &workspace.system;
-                let b = replay_rhs(&system.ops, system.unknowns, driven_voltage);
-
-                let x = if system.unknowns == 0 {
-                    Vec::new()
-                } else {
-                    BATCH_SPARSE.inc();
-                    // Only a failed refresh leaves no factor, and
-                    // `prepare_or_reuse` drops such a system.
-                    workspace
-                        .factored()
-                        .ok_or(CircuitError::SingularSystem { at: 0 })?
-                        .solve(&b)
-                };
-
-                let mut voltages = vec![0.0; self.node_count];
-                for node in 1..self.node_count {
-                    let v = driven_voltage(node);
-                    voltages[node] = if v.is_nan() { x[system.index[node]] } else { v };
-                }
-                finish(circuit, &self.lin, voltages)
+                solve_reads(
+                    circuit,
+                    &self.lin,
+                    &self.sources.is_driven,
+                    drives,
+                    &self.options,
+                    workspace,
+                )
             }
+            SystemKind::FullMna(system) => drives
+                .zip(block)
+                .map(|(drive, rhs)| {
+                    drive?;
+                    BATCH_DENSE.inc();
+                    finish(circuit, &self.lin, system.solve(&rhs.volts)?)
+                })
+                .collect(),
+            SystemKind::FullMnaNewton => drives
+                .zip(block)
+                .map(|(drive, rhs)| {
+                    drive?;
+                    solve_full_mna(circuit, self.lin.clone(), &rhs.volts, &self.options)
+                })
+                .collect(),
         }
     }
 }
@@ -622,15 +578,6 @@ fn fingerprint(circuit: &Circuit, values: bool) -> u64 {
         }
     }
     h.finish()
-}
-
-/// Marks the nodes `bindings` drive, for the reduced assembly.
-fn driven_nodes(node_count: usize, bindings: &[(usize, f64)]) -> Vec<bool> {
-    let mut is_driven = vec![false; node_count];
-    for &(node, _) in bindings {
-        is_driven[node] = true;
-    }
-    is_driven
 }
 
 #[cfg(test)]
@@ -896,6 +843,31 @@ mod tests {
                 .unwrap();
             let want = solve_dc(&patched, &SolveOptions::default()).unwrap();
             assert_eq!(bits(got.voltages()), bits(want.voltages()));
+        }
+    }
+
+    /// A NaN source value fails like the one-shot solve of the re-driven
+    /// circuit, with a typed error on linear and sinh cells alike, not a
+    /// panic on a driven node's missing unknown.
+    #[test]
+    fn nan_source_value_is_the_one_shot_error() {
+        for iv in [IvModel::Linear, IvModel::Sinh { alpha: 2.0 }] {
+            let mut s = spec(3, 3);
+            s.iv = iv;
+            let xbar = s.build().unwrap();
+            let mut prepared =
+                PreparedSystem::build(xbar.circuit(), SolveOptions::default()).unwrap();
+            let volts = [0.5, f64::NAN, 0.4];
+            let got = prepared
+                .solve(xbar.circuit(), &Rhs::from_volts(&volts))
+                .unwrap_err();
+            let inputs: Vec<Voltage> = volts.iter().map(|&v| Voltage::from_volts(v)).collect();
+            let patched = xbar.circuit().with_source_voltages(&inputs).unwrap();
+            let want = solve_dc(&patched, &SolveOptions::default()).unwrap_err();
+            assert_eq!(got, want, "{iv:?}");
+            if iv == IvModel::Linear {
+                assert_eq!(got, CircuitError::NonFiniteSolution);
+            }
         }
     }
 

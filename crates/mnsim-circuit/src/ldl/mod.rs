@@ -23,15 +23,22 @@
 //!    go supernodal.
 //!
 //! Steps 1–2 run once per sparsity pattern ([`SymbolicAnalysis`]). A value
-//! change — a fault overlay, a Newton step of a non-linear solve, a
-//! transient step — reruns only step 3 ([`SparseLdl::refactor`]). The
-//! chord steps of a non-linear solve rerun none of them: each is one
-//! backsolve ([`SparseLdl::solve`]) on the factor already held. Factor
-//! and refactor are the same routine on the same analysis, so a refactor
-//! is bit-identical to a fresh factorization by construction. A pivot that
-//! is zero, negative or non-finite is a typed
-//! [`CircuitError::SingularSystem`], and a refactor on a different pattern
-//! is a typed [`CircuitError::PatternMismatch`].
+//! change — a fault overlay, a Newton step of a non-linear solve — reruns
+//! only step 3 ([`SparseLdl::refactor`]). The chord steps of a non-linear
+//! solve and the steps of a linear transient rerun none of them: each is
+//! one backsolve on the factor already held. Factor and refactor are the
+//! same routine on the same analysis, so a refactor is bit-identical to a
+//! fresh factorization by construction. A pivot that is zero, negative or
+//! non-finite is a typed [`CircuitError::SingularSystem`], and a refactor
+//! on a different pattern is a typed [`CircuitError::PatternMismatch`].
+//!
+//! The backsolve has one substitution kernel, generic over the number of
+//! right-hand sides it carries (`solve_columns`). The reads of a batch
+//! solve together: their columns are interleaved by row, and each block of
+//! up to eight moves through `L` in one sweep, so the factor is read once
+//! per block rather than once per read. Each column gets exactly the
+//! operations of a one-column solve, which makes it bit-identical to
+//! [`SparseLdl::solve`], the one-column case.
 //!
 //! Everything here is deterministic: identical inputs give identical
 //! factors on every run.
@@ -60,6 +67,11 @@ static SOLVE_SPAN: obs::Span = obs::Span::new("circuit.ldl.solve", obs::Level::S
 
 /// Marks an elimination-tree root and an unvisited column.
 const NONE: usize = usize::MAX;
+
+/// Right-hand sides one substitution sweep carries: a block's columns
+/// travel together through each column of `L`, so the factor streams
+/// through the cache once per block instead of once per column.
+pub(crate) const BLOCK_COLUMNS: usize = 8;
 
 /// The structure-only half of the factorization: the fill-reducing
 /// permutation, the elimination tree and the column layout of `L`,
@@ -383,33 +395,76 @@ impl SparseLdl {
         Ok(())
     }
 
-    /// Solves `A x = b` in original (unpermuted) coordinates.
+    /// Solves `A x = b` in original (unpermuted) coordinates: the
+    /// one-column case of the multi-column backsolve the batched reads
+    /// take, bit for bit.
     ///
     /// # Panics
     ///
     /// Panics if `b.len()` is not the matrix dimension.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let s = &self.symbolic;
-        assert_eq!(b.len(), s.n(), "right-hand side length mismatch");
+        let mut x = b.to_vec();
+        self.solve_columns(&mut [&mut x]);
+        x
+    }
+
+    /// Solves `A·X = B` in place for every right-hand side in `columns`,
+    /// in original coordinates. The columns pass through the factor in
+    /// blocks of up to [`BLOCK_COLUMNS`], interleaved by row so that each
+    /// block takes one sweep over `L`. Every column gets exactly the
+    /// operations of a one-column solve, so each is bit-identical to
+    /// [`SparseLdl::solve`] on it alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column's length is not the matrix dimension.
+    pub(crate) fn solve_columns(&self, columns: &mut [&mut [f64]]) {
+        assert!(
+            columns.iter().all(|column| column.len() == self.n()),
+            "right-hand side length mismatch"
+        );
         let _span = SOLVE_SPAN.enter();
-        LDL_SOLVES.inc();
-        let mut y: Vec<f64> = s.perm.iter().map(|&old| b[old]).collect();
+        LDL_SOLVES.add(columns.len() as u64);
+        for block in columns.chunks_mut(BLOCK_COLUMNS) {
+            match block.len() {
+                1 => self.solve_block::<1>(block),
+                2 => self.solve_block::<2>(block),
+                3 => self.solve_block::<3>(block),
+                4 => self.solve_block::<4>(block),
+                5 => self.solve_block::<5>(block),
+                6 => self.solve_block::<6>(block),
+                7 => self.solve_block::<7>(block),
+                _ => self.solve_block::<BLOCK_COLUMNS>(block),
+            }
+        }
+    }
+
+    /// Solves the `K` columns of `block` in place, carried through the
+    /// factor together as one row-interleaved `[f64; K]` per unknown.
+    fn solve_block<const K: usize>(&self, block: &mut [&mut [f64]]) {
+        let s = &self.symbolic;
+        let mut y: Vec<[f64; K]> = s
+            .perm
+            .iter()
+            .map(|&old| std::array::from_fn(|c| block[c][old]))
+            .collect();
         match &s.supernodes {
             Some(sn) => self.substitute(&mut y, || sn.columns()),
             None => self.substitute(&mut y, || {
                 (0..s.n()).map(|k| (k, &self.li[s.lp[k]..s.lp[k + 1]]))
             }),
         }
-        let mut x = vec![0.0f64; y.len()];
-        for (&old, &yk) in s.perm.iter().zip(&y) {
-            x[old] = yk;
+        for (&old, yk) in s.perm.iter().zip(&y) {
+            for (column, &value) in block.iter_mut().zip(yk) {
+                column[old] = value;
+            }
         }
-        x
     }
 
-    /// Solves `L·D·Lᵀ·y' = y` in place, given every column of `L` with its
-    /// strictly-lower row indices in column order.
-    fn substitute<'a, I>(&self, y: &mut [f64], columns: impl Fn() -> I)
+    /// Solves `L·D·Lᵀ·y' = y` in place for the `K` columns of `y`, given
+    /// every column of `L` with its strictly-lower row indices in column
+    /// order.
+    fn substitute<'a, I, const K: usize>(&self, y: &mut [[f64; K]], columns: impl Fn() -> I)
     where
         I: DoubleEndedIterator<Item = (usize, &'a [usize])>,
     {
@@ -417,16 +472,22 @@ impl SparseLdl {
         for (k, rows) in columns() {
             let yk = y[k];
             for (&row, &l) in rows.iter().zip(&lx[lp[k]..lp[k + 1]]) {
-                y[row] -= l * yk;
+                for (yr, &ykc) in y[row].iter_mut().zip(&yk) {
+                    *yr -= l * ykc;
+                }
             }
         }
         for (yk, &dk) in y.iter_mut().zip(&self.d) {
-            *yk /= dk;
+            for ykc in yk {
+                *ykc /= dk;
+            }
         }
         for (k, rows) in columns().rev() {
             let mut yk = y[k];
             for (&row, &l) in rows.iter().zip(&lx[lp[k]..lp[k + 1]]) {
-                yk -= l * y[row];
+                for (ykc, &yr) in yk.iter_mut().zip(&y[row]) {
+                    *ykc -= l * yr;
+                }
             }
             y[k] = yk;
         }

@@ -607,5 +607,46 @@ mod tests {
                 "case {case} seed {seed}: max difference {worst:e} against {scale:e}"
             );
         }
+
+        /// A multi-column backsolve gives every column exactly the
+        /// operations of a one-column solve: `width` columns solved at
+        /// once equal `width` one-column solves bit for bit, on the
+        /// up-looking kernel (16×16 and 32×32 crossbars) and the
+        /// supernodal one (a 64×64 crossbar and a dense SDD matrix), at
+        /// widths that cross the eight-column block edge.
+        #[test]
+        fn multi_column_solves_equal_one_column_solves_bit_for_bit(
+            case in 0usize..4,
+            width in 1usize..12,
+            seed in 0u64..1_000_000,
+        ) {
+            let _session = mnsim_obs::session();
+            let (a, supernodal) = match case {
+                0 => (crossbar_system(16, true, seed).0, false),
+                1 => (crossbar_system(32, false, seed).0, false),
+                2 => (crossbar_system(64, true, seed).0, true),
+                _ => (dense_sdd(150, 0.3, seed), true),
+            };
+            let ldl = SparseLdl::factor(&a).expect("SDD factors");
+            prop_assert_eq!(ldl.symbolic().supernodes.is_some(), supernodal, "case {}", case);
+            let n = ldl.n();
+            let mut state = seed | 1;
+            let columns: Vec<Vec<f64>> = (0..width)
+                .map(|_| (0..n).map(|_| uniform(&mut state) * 2.0 - 1.0).collect())
+                .collect();
+            let mut solved = columns.clone();
+            let mut block: Vec<&mut [f64]> = solved.iter_mut().map(Vec::as_mut_slice).collect();
+            ldl.solve_columns(&mut block);
+            for (c, (column, got)) in columns.iter().zip(&solved).enumerate() {
+                let want = ldl.solve(column);
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    prop_assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "case {} width {} column {} row {}", case, width, c, i
+                    );
+                }
+            }
+        }
     }
 }

@@ -25,6 +25,21 @@
 //!    pattern once (`SparseWorkspace`). Full MNA holds no factor, so with
 //!    floating sources every step is a Newton step.
 //!
+//! **Reads in lockstep.** The chord loop (`solve_reads`) solves any number
+//! of reads of one structure — one circuit under different source values —
+//! together; [`solve_dc`] is its one-read case, and
+//! [`crate::batch::PreparedSystem`] hands it blocks of up to eight. A read's
+//! source values enter only as the voltages of its driven nodes
+//! (`Sources::drive`): the low-field matrix, the KCL imbalance, the
+//! linearization and `finish` never read them. So the reads share one
+//! low-field assembly and factorization, and each sweep moves every read
+//! still in the block with one multi-column backsolve. A read whose chord
+//! step fails to halve its residual leaves the block; once the block is
+//! done, it continues alone from its kept iterate with the one-read steps —
+//! a Newton refactor, then chord steps on that factor. Every read takes
+//! exactly the steps it would take alone, so its result is bit-identical
+//! to a one-read solve.
+//!
 //! Each system class has one assembly, shared with
 //! [`crate::batch::PreparedSystem`]: `assemble_reduced_into` and
 //! `FullMna::build`. One-shot and prepared solves therefore stamp, sum
@@ -97,10 +112,10 @@ impl Default for SolveOptions {
 /// bit-identical to a fresh factorization, the solutions never depend on
 /// what the workspace solved before.
 ///
-/// It also keeps the buffers of the last reduced system `solve_linear`
-/// assembled through it, and refills them in place: a Newton loop or a
-/// transient run allocates its stamps, right-hand-side plan and node
-/// numbering once, not once per linear solve.
+/// It also keeps the buffers of the last reduced system assembled through
+/// it, and refills them in place: a Newton loop or a transient run
+/// allocates its stamps, right-hand-side plan and node numbering once, not
+/// once per linear solve.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SparseWorkspace {
     /// Assembly buffers of the last reduced system assembled through this
@@ -168,7 +183,7 @@ impl SparseWorkspace {
     /// Assembles the reduced system of `circuit` under `lin` into the held
     /// buffers ([`assemble_reduced_into`]) and, when it has unknowns, makes
     /// the held factor factor it: the one assemble-and-factor of one-shot
-    /// solves, prepared builds and value refreshes.
+    /// solves, Newton steps, prepared builds and value refreshes.
     pub(crate) fn refill(
         &mut self,
         circuit: &Circuit,
@@ -186,9 +201,50 @@ impl SparseWorkspace {
         factored
     }
 
+    /// Rebuilds only the right-hand-side plan of the held system under
+    /// `lin`, which must carry the conductances the held matrix was
+    /// assembled from: the step of a linear transient, whose companion
+    /// currents change while its matrix does not.
+    pub(crate) fn replan(&mut self, circuit: &Circuit, lin: &[Option<Linearized>]) {
+        let _span = ASSEMBLE_SPAN.enter();
+        stamp_elements(&mut self.system, circuit, lin, false);
+    }
+
     /// The factor of the last successfully factored matrix.
     pub(crate) fn factored(&self) -> Option<&SparseLdl> {
         self.ldl.as_deref().filter(|_| !self.values.is_empty())
+    }
+
+    /// Solves the held system in place for every right-hand side in
+    /// `columns` (each a vector of unknowns), with one multi-column
+    /// backsolve.
+    fn backsolve(&self, columns: &mut [&mut [f64]]) -> Result<(), CircuitError> {
+        self.factored()
+            .ok_or(CircuitError::SingularSystem { at: 0 })?
+            .solve_columns(columns);
+        Ok(())
+    }
+
+    /// Solves the held system for the fixed node voltages in `voltages`
+    /// (ground and driven nodes; the rest is ignored) into `next`: a copy
+    /// of `voltages` with every unknown node at its solution.
+    pub(crate) fn solve_read(
+        &self,
+        voltages: &[f64],
+        next: &mut Vec<f64>,
+    ) -> Result<(), CircuitError> {
+        let system = &self.system;
+        let assemble = ASSEMBLE_SPAN.enter();
+        let mut x = replay_rhs(&system.ops, system.unknowns, |node| voltages[node]);
+        drop(assemble);
+        next.clear();
+        next.extend_from_slice(voltages);
+        if system.unknowns > 0 {
+            LINEAR_SPARSE.inc();
+            self.backsolve(&mut [&mut x])?;
+            system.scatter(next, &x);
+        }
+        Ok(())
     }
 
     /// Rough resident size in bytes: the assembly buffers, the slot map,
@@ -222,7 +278,7 @@ pub fn solve_dc(circuit: &Circuit, options: &SolveOptions) -> Result<DcSolution,
 }
 
 /// [`solve_dc`] on a caller-held [`SparseWorkspace`], so repeated solves of
-/// one structure share its analysis.
+/// one structure share its analysis: the one-read case of `solve_reads`.
 pub(crate) fn solve_dc_in(
     circuit: &Circuit,
     options: &SolveOptions,
@@ -230,82 +286,313 @@ pub(crate) fn solve_dc_in(
 ) -> Result<DcSolution, CircuitError> {
     let _span = DC_SPAN.enter();
     DC_SOLVES.inc();
-    if circuit.is_nonlinear() {
-        solve_newton(circuit, options, workspace)
-    } else {
-        let lin = linearize(circuit, None);
-        let voltages = solve_linear(circuit, &lin, workspace)?;
-        finish(circuit, &lin, voltages)
+    // Every memristor at its low-field resistance. The refill also
+    // refactors the held factor back to the low-field matrix if an earlier
+    // solve left a Jacobian there, so the result never depends on what the
+    // workspace solved before.
+    let lin = linearize(circuit, None);
+    let assemble = ASSEMBLE_SPAN.enter();
+    let sources = Sources::of(circuit);
+    let volts = source_volts(circuit);
+    let drive = sources.drive(&volts)?;
+    if !sources.all_grounded() {
+        drop(assemble);
+        return solve_full_mna(circuit, lin, &volts, options);
+    }
+    workspace.refill(circuit, &lin, &sources.is_driven)?;
+    drop(assemble);
+    let mut outcomes = solve_reads(
+        circuit,
+        &lin,
+        &sources.is_driven,
+        vec![Ok(drive)],
+        options,
+        workspace,
+    );
+    outcomes.pop().ok_or(CircuitError::DimensionMismatch {
+        expected: 1,
+        actual: 0,
+        what: "read outcome count",
+    })?
+}
+
+/// One read in the chord loop: its kept iterate and the state of its
+/// steps.
+#[derive(Debug)]
+struct Lane {
+    /// Node voltages of the kept iterate. Ground stays at 0 V and every
+    /// driven node at the read's source value, so a linear solve replays
+    /// its right-hand side from here.
+    voltages: Vec<f64>,
+    /// Per unknown: the KCL imbalance `r` at the kept iterate, which a
+    /// chord step's backsolve turns into the step in place; the imbalance
+    /// at the trial iterate after that. The low-field solve uses it for
+    /// its right-hand side and solution.
+    inflow: Vec<f64>,
+    /// Max-norm of `r` at the kept iterate; NaN while there is no factor
+    /// to take chord steps on.
+    residual: f64,
+    /// Largest node move of the last kept step, NaN before the first.
+    last_update: f64,
+    /// Steps taken, chord or Newton, against `newton_max_iterations`.
+    steps: usize,
+    /// The read's result once it has one; `None` while it steps.
+    outcome: Option<Result<DcSolution, CircuitError>>,
+}
+
+impl Lane {
+    /// A read at `drive`, or one that already failed with `drive`'s error.
+    fn new(drive: Result<Vec<f64>, CircuitError>) -> Lane {
+        let (voltages, outcome) = match drive {
+            Ok(voltages) => (voltages, None),
+            Err(e) => (Vec::new(), Some(Err(e))),
+        };
+        Lane {
+            voltages,
+            inflow: Vec::new(),
+            residual: f64::NAN,
+            last_update: f64::NAN,
+            steps: 0,
+            outcome,
+        }
+    }
+
+    /// Whether the read still steps.
+    fn open(&self) -> bool {
+        self.outcome.is_none()
+    }
+
+    /// The result of a converged read: the solution at its kept iterate.
+    fn converge(&mut self, circuit: &Circuit) -> Result<DcSolution, CircuitError> {
+        if !self.residual.is_nan() {
+            KCL_RESIDUAL.record(self.residual);
+        }
+        let voltages = std::mem::take(&mut self.voltages);
+        finish(circuit, &linearize(circuit, Some(&voltages)), voltages)
+    }
+
+    /// The error of a read whose step budget ran out.
+    fn exhausted(&self, options: &SolveOptions) -> CircuitError {
+        CircuitError::NewtonNoConvergence {
+            iterations: options.newton_max_iterations,
+            last_update: self.last_update,
+        }
     }
 }
 
-/// The chord-Newton loop for circuits with non-linear memristors (see the
-/// module docs). `newton_max_iterations` caps the steps of either kind.
-fn solve_newton(
+/// The chord-Newton loop over the reads of one grounded-source structure
+/// (see the module docs). `workspace` holds the factored low-field system
+/// of `circuit` under `lin` — for a linear circuit its only system — and
+/// `is_driven` marks the driven nodes. Each entry of `drives` is one
+/// read's fixed node voltages (`Sources::drive`) or the error that read
+/// already failed with. Returns one outcome per read, in order.
+pub(crate) fn solve_reads(
     circuit: &Circuit,
+    lin: &[Option<Linearized>],
+    is_driven: &[bool],
+    drives: Vec<Result<Vec<f64>, CircuitError>>,
     options: &SolveOptions,
     workspace: &mut SparseWorkspace,
-) -> Result<DcSolution, CircuitError> {
-    // Initial operating point: every memristor at its low-field resistance.
-    // This also refactors the held factor back to the low-field matrix if
-    // an earlier solve left a Jacobian there, so the result never depends
-    // on what the workspace solved before.
-    // After a reduced solve with unknowns the workspace holds this
-    // circuit's low-field factor, and its system numbers the unknowns for
-    // the residual. Full MNA and a system without unknowns hold no factor.
-    let (mut voltages, chord) = solve_linear_on(circuit, &linearize(circuit, None), workspace)?;
-    let mut kcl = Kcl::default();
-    let mut residual = if chord {
-        kcl.imbalance(circuit, &voltages, &workspace.system)
-    } else {
-        f64::NAN
-    };
-    let mut chord_next = chord;
-    let mut last_update = f64::NAN;
+) -> Vec<Result<DcSolution, CircuitError>> {
+    let mut lanes: Vec<Lane> = drives.into_iter().map(Lane::new).collect();
+    // After a reduced solve with unknowns the workspace holds the factor
+    // the chord steps take, and its system numbers the unknowns for the
+    // residual; a system without unknowns holds no factor.
+    let chord = workspace.system.unknowns > 0;
+    if chord {
+        low_field_solve(&mut lanes, workspace);
+    }
+    if !circuit.is_nonlinear() {
+        for lane in lanes.iter_mut().filter(|lane| lane.open()) {
+            let voltages = std::mem::take(&mut lane.voltages);
+            lane.outcome = Some(finish(circuit, lin, voltages));
+        }
+    } else if chord {
+        let mut kcl = Kcl::default();
+        for lane in lanes.iter_mut().filter(|lane| lane.open()) {
+            lane.residual =
+                kcl.imbalance(circuit, &lane.voltages, &workspace.system, &mut lane.inflow);
+        }
+        chord_sweeps(circuit, &mut lanes, options, workspace, &mut kcl);
+    }
+    lanes
+        .into_iter()
+        .map(|mut lane| match lane.outcome.take() {
+            Some(outcome) => outcome,
+            // The read left the block, or there was none to take.
+            None => continue_alone(circuit, is_driven, &mut lane, options, workspace, chord),
+        })
+        .collect()
+}
 
+/// The first solve of every open lane: one multi-column backsolve on the
+/// held factor, with each read's right-hand side replayed from its driven
+/// voltages.
+fn low_field_solve(lanes: &mut [Lane], workspace: &SparseWorkspace) {
+    let system = &workspace.system;
+    let assemble = ASSEMBLE_SPAN.enter();
+    for lane in lanes.iter_mut().filter(|lane| lane.open()) {
+        lane.inflow = replay_rhs(&system.ops, system.unknowns, |node| lane.voltages[node]);
+    }
+    drop(assemble);
+    let mut columns: Vec<&mut [f64]> = lanes
+        .iter_mut()
+        .filter(|lane| lane.open())
+        .map(|lane| lane.inflow.as_mut_slice())
+        .collect();
+    if columns.is_empty() {
+        return;
+    }
+    LINEAR_SPARSE.add(columns.len() as u64);
+    let solved = workspace.backsolve(&mut columns);
+    for lane in lanes.iter_mut().filter(|lane| lane.open()) {
+        match &solved {
+            Ok(()) => system.scatter(&mut lane.voltages, &lane.inflow),
+            Err(e) => lane.outcome = Some(Err(e.clone())),
+        }
+    }
+}
+
+/// Chord steps on the held factor for every open lane, in lockstep: each
+/// sweep moves them all with one multi-column backsolve. A lane leaves
+/// when it converges or runs out of steps (its outcome is set), or when
+/// its step fails to contract: that step is undone, and its outcome stays
+/// `None` for a Newton step to continue it.
+fn chord_sweeps(
+    circuit: &Circuit,
+    lanes: &mut [Lane],
+    options: &SolveOptions,
+    workspace: &SparseWorkspace,
+    kcl: &mut Kcl,
+) {
+    let system = &workspace.system;
+    let mut trial = Vec::new();
+    let mut block: Vec<&mut Lane> = lanes.iter_mut().filter(|lane| lane.open()).collect();
+    while !block.is_empty() {
+        block.retain_mut(|lane| {
+            if lane.steps < options.newton_max_iterations {
+                return true;
+            }
+            lane.outcome = Some(Err(lane.exhausted(options)));
+            false
+        });
+        // Each lane's imbalance becomes its step in place.
+        let mut columns: Vec<&mut [f64]> = block
+            .iter_mut()
+            .map(|lane| lane.inflow.as_mut_slice())
+            .collect();
+        if columns.is_empty() {
+            break;
+        }
+        if let Err(e) = workspace.backsolve(&mut columns) {
+            for lane in block {
+                lane.outcome = Some(Err(e.clone()));
+            }
+            return;
+        }
+        block.retain_mut(|lane| {
+            lane.steps += 1;
+            trial.clone_from(&lane.voltages);
+            system.step(&mut trial, &lane.inflow);
+            let residual = kcl.imbalance(circuit, &trial, system, &mut lane.inflow);
+            CHORD_STEPS.record(residual);
+            if !(residual.is_finite() && residual <= CHORD_CONTRACTION * lane.residual) {
+                // Undo: the lane leaves, and its next step refactors at
+                // the kept iterate.
+                if lane.last_update.is_nan() {
+                    lane.last_update = max_update(&lane.voltages, &trial);
+                }
+                return false;
+            }
+            lane.residual = residual;
+            lane.last_update = max_update(&lane.voltages, &trial);
+            std::mem::swap(&mut lane.voltages, &mut trial);
+            if lane.last_update < options.newton_tolerance {
+                lane.outcome = Some(lane.converge(circuit));
+                return false;
+            }
+            true
+        });
+    }
+}
+
+/// Continues one read alone from its kept iterate, with the steps it
+/// would take in a one-read solve: a Newton step, which refactors the
+/// workspace at the read's Jacobian, then chord steps on that factor until
+/// one fails to contract, and so on. Without a factor (`chord` unset)
+/// every step is a Newton step.
+fn continue_alone(
+    circuit: &Circuit,
+    is_driven: &[bool],
+    lane: &mut Lane,
+    options: &SolveOptions,
+    workspace: &mut SparseWorkspace,
+    chord: bool,
+) -> Result<DcSolution, CircuitError> {
+    let mut kcl = Kcl::default();
+    let mut next = Vec::new();
+    loop {
+        if lane.steps == options.newton_max_iterations {
+            return Err(lane.exhausted(options));
+        }
+        lane.steps += 1;
+        NEWTON_ITERATIONS.inc();
+        let jacobian = linearize(circuit, Some(&lane.voltages));
+        let assemble = ASSEMBLE_SPAN.enter();
+        workspace.refill(circuit, &jacobian, is_driven)?;
+        drop(assemble);
+        workspace.solve_read(&lane.voltages, &mut next)?;
+        if chord {
+            lane.residual = kcl.imbalance(circuit, &next, &workspace.system, &mut lane.inflow);
+        }
+        lane.last_update = max_update(&lane.voltages, &next);
+        std::mem::swap(&mut lane.voltages, &mut next);
+        if lane.last_update < options.newton_tolerance {
+            return lane.converge(circuit);
+        }
+        if chord {
+            chord_sweeps(
+                circuit,
+                std::slice::from_mut(lane),
+                options,
+                workspace,
+                &mut kcl,
+            );
+            if let Some(outcome) = lane.outcome.take() {
+                return outcome;
+            }
+        }
+    }
+}
+
+/// The Newton loop on full MNA, for circuits with floating sources at
+/// source values `volts`: full MNA holds no factor, so every step
+/// assembles and factors anew. `lin` is the low-field linearization.
+pub(crate) fn solve_full_mna(
+    circuit: &Circuit,
+    lin: Vec<Option<Linearized>>,
+    volts: &[f64],
+    options: &SolveOptions,
+) -> Result<DcSolution, CircuitError> {
+    let step = |lin: &[Option<Linearized>]| {
+        LINEAR_FULL_MNA.inc();
+        FullMna::build(circuit, lin)?.solve(volts)
+    };
+    let mut voltages = step(&lin)?;
+    if !circuit.is_nonlinear() {
+        return finish(circuit, &lin, voltages);
+    }
+    let mut last_update = f64::NAN;
     for _ in 0..options.newton_max_iterations {
-        let next = if chord_next {
-            let factor = workspace
-                .factored()
-                .ok_or(CircuitError::SingularSystem { at: 0 })?;
-            let dx = factor.solve(&kcl.inflow);
-            let mut next = voltages.clone();
-            for (v, &u) in next.iter_mut().zip(&workspace.system.index) {
-                if u != usize::MAX {
-                    *v += dx[u];
-                }
-            }
-            let trial = kcl.imbalance(circuit, &next, &workspace.system);
-            CHORD_STEPS.record(trial);
-            if !(trial.is_finite() && trial <= CHORD_CONTRACTION * residual) {
-                // Undo: the next step refactors at the kept iterate.
-                chord_next = false;
-                if last_update.is_nan() {
-                    last_update = max_update(&voltages, &next);
-                }
-                continue;
-            }
-            residual = trial;
-            next
-        } else {
-            NEWTON_ITERATIONS.inc();
-            let lin = linearize(circuit, Some(&voltages));
-            let next = solve_linear(circuit, &lin, workspace)?;
-            if chord {
-                residual = kcl.imbalance(circuit, &next, &workspace.system);
-            }
-            chord_next = chord;
-            next
-        };
+        NEWTON_ITERATIONS.inc();
+        let next = step(&linearize(circuit, Some(&voltages)))?;
         last_update = max_update(&voltages, &next);
         voltages = next;
         if last_update < options.newton_tolerance {
-            KCL_RESIDUAL.record(residual);
             let lin = linearize(circuit, Some(&voltages));
             return finish(circuit, &lin, voltages);
         }
     }
-
     Err(CircuitError::NewtonNoConvergence {
         iterations: options.newton_max_iterations,
         last_update,
@@ -320,22 +607,27 @@ fn max_update(from: &[f64], to: &[f64]) -> f64 {
         .fold(0.0f64, f64::max)
 }
 
-/// The buffers of the KCL imbalance a chord step reads.
+/// The scratch of the KCL imbalance a chord step reads.
 #[derive(Debug, Default)]
 struct Kcl {
     /// Current leaving each node through its elements.
     leaving: Vec<f64>,
-    /// Net current flowing into each unknown's node: `r(x)`.
-    inflow: Vec<f64>,
 }
 
 impl Kcl {
-    /// Fills `inflow` with the KCL imbalance of `circuit` at `voltages`,
-    /// from the element currents — resistors at `(1/R)·Δv`, cells on their
-    /// I-V curve, current sources at their value — and returns its
-    /// max-norm in amperes, or NaN when a current is not finite. `system`
-    /// numbers the unknowns.
-    fn imbalance(&mut self, circuit: &Circuit, voltages: &[f64], system: &ReducedSystem) -> f64 {
+    /// Fills `inflow` with the KCL imbalance of `circuit` at `voltages` —
+    /// the net current flowing into each unknown's node, `r(x)` — from the
+    /// element currents: resistors at `(1/R)·Δv`, cells on their I-V
+    /// curve, current sources at their value. Returns its max-norm in
+    /// amperes, or NaN when a current is not finite. `system` numbers the
+    /// unknowns.
+    fn imbalance(
+        &mut self,
+        circuit: &Circuit,
+        voltages: &[f64],
+        system: &ReducedSystem,
+        inflow: &mut Vec<f64>,
+    ) -> f64 {
         let _span = RESIDUAL_SPAN.enter();
         self.leaving.clear();
         self.leaving.resize(circuit.node_count(), 0.0);
@@ -350,13 +642,13 @@ impl Kcl {
             Element::CurrentSource { current, .. } => current.amperes(),
             Element::Capacitor { .. } | Element::VoltageSource { .. } => 0.0,
         });
-        self.inflow.clear();
-        self.inflow.resize(system.unknowns, 0.0);
+        inflow.clear();
+        inflow.resize(system.unknowns, 0.0);
         let mut norm = 0.0f64;
         let mut finite = true;
         for (&u, &out) in system.index.iter().zip(&self.leaving) {
             if u != usize::MAX {
-                self.inflow[u] = -out;
+                inflow[u] = -out;
                 norm = norm.max(out.abs());
                 finite &= out.is_finite();
             }
@@ -417,47 +709,98 @@ pub(crate) fn linearize_into(
     }));
 }
 
-/// Classification of the voltage sources in a circuit.
-struct SourceInfo {
-    /// Per node: its fixed voltage, for nodes driven by a grounded source.
-    driven: Vec<Option<f64>>,
-    /// `true` if every source has one terminal at ground.
-    all_grounded: bool,
+/// How the voltage sources of a circuit bind to its nodes. The binding
+/// depends only on the terminals of each source, never on its value, so
+/// one binding serves every read of a structure; a read's source values
+/// enter through [`Sources::drive`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Sources {
+    /// Per source, in element order: the node a grounded source fixes and
+    /// whether its value is negated there (its `npos` at ground), or
+    /// `None` for a floating source.
+    bindings: Vec<Option<(usize, bool)>>,
+    /// Per node: whether a grounded source fixes it.
+    pub(crate) is_driven: Vec<bool>,
 }
 
-fn classify_sources(circuit: &Circuit) -> Result<SourceInfo, CircuitError> {
-    let mut driven = vec![None; circuit.node_count()];
-    let mut all_grounded = true;
-    for element in circuit.elements() {
-        if let Element::VoltageSource {
-            npos,
-            nneg,
-            voltage,
-        } = element
-        {
-            let (node, value) = if *nneg == Circuit::GROUND {
-                (*npos, voltage.volts())
-            } else if *npos == Circuit::GROUND {
-                (*nneg, -voltage.volts())
-            } else {
-                all_grounded = false;
+impl Sources {
+    /// The source binding of `circuit`.
+    pub(crate) fn of(circuit: &Circuit) -> Sources {
+        let mut is_driven = vec![false; circuit.node_count()];
+        let mut bindings = Vec::new();
+        for element in circuit.elements() {
+            if let Element::VoltageSource { npos, nneg, .. } = *element {
+                let binding = if nneg == Circuit::GROUND {
+                    Some((npos, false))
+                } else if npos == Circuit::GROUND {
+                    Some((nneg, true))
+                } else {
+                    None
+                };
+                if let Some((node, _)) = binding {
+                    is_driven[node] = true;
+                }
+                bindings.push(binding);
+            }
+        }
+        Sources {
+            bindings,
+            is_driven,
+        }
+    }
+
+    /// Number of voltage sources.
+    pub(crate) fn len(&self) -> usize {
+        self.bindings.len()
+    }
+
+    /// `true` if every source has one terminal at ground.
+    pub(crate) fn all_grounded(&self) -> bool {
+        self.bindings.iter().all(Option::is_some)
+    }
+
+    /// The node voltages that the source values `volts` (one per source,
+    /// in element order) fix: every driven node at its source's value,
+    /// ground and every other node at 0 V.
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::InvalidElement`] when two sources drive one node to
+    /// different values.
+    pub(crate) fn drive(&self, volts: &[f64]) -> Result<Vec<f64>, CircuitError> {
+        let mut driven = vec![None; self.is_driven.len()];
+        for (&binding, &v) in self.bindings.iter().zip(volts) {
+            let Some((node, negated)) = binding else {
                 continue;
             };
+            let value = if negated { -v } else { v };
             if let Some(existing) = driven[node].replace(value) {
                 if existing != value {
                     return Err(CircuitError::InvalidElement {
-                        reason: format!(
-                            "node {node} driven to both {existing} V and {value} V"
-                        ),
+                        reason: format!("node {node} driven to both {existing} V and {value} V"),
                     });
                 }
             }
         }
+        // Scaled ops only name ground and driven nodes.
+        Ok(driven
+            .into_iter()
+            .enumerate()
+            .map(|(node, v)| v.filter(|_| node != Circuit::GROUND).unwrap_or(0.0))
+            .collect())
     }
-    Ok(SourceInfo {
-        driven,
-        all_grounded,
-    })
+}
+
+/// The value of every voltage source of `circuit`, in element order.
+pub(crate) fn source_volts(circuit: &Circuit) -> Vec<f64> {
+    circuit
+        .elements()
+        .iter()
+        .filter_map(|element| match element {
+            Element::VoltageSource { voltage, .. } => Some(voltage.volts()),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Solves the linearized circuit, returning the full node-voltage vector.
@@ -467,66 +810,20 @@ pub(crate) fn solve_linear(
     lin: &[Option<Linearized>],
     workspace: &mut SparseWorkspace,
 ) -> Result<Vec<f64>, CircuitError> {
-    solve_linear_on(circuit, lin, workspace).map(|(voltages, _)| voltages)
-}
-
-/// [`solve_linear`], also telling whether `workspace` now holds the factor
-/// of this solve's matrix: `true` after a reduced solve with unknowns,
-/// whose system `workspace.system` then holds; `false` for full MNA and
-/// for a system with no unknowns.
-fn solve_linear_on(
-    circuit: &Circuit,
-    lin: &[Option<Linearized>],
-    workspace: &mut SparseWorkspace,
-) -> Result<(Vec<f64>, bool), CircuitError> {
     let assemble = ASSEMBLE_SPAN.enter();
-    let sources = classify_sources(circuit)?;
-    if !sources.all_grounded {
+    let sources = Sources::of(circuit);
+    let volts = source_volts(circuit);
+    let drive = sources.drive(&volts)?;
+    if !sources.all_grounded() {
         drop(assemble);
         LINEAR_FULL_MNA.inc();
-        let volts: Vec<f64> = circuit
-            .elements()
-            .iter()
-            .filter_map(|element| match element {
-                Element::VoltageSource { voltage, .. } => Some(voltage.volts()),
-                _ => None,
-            })
-            .collect();
-        return Ok((FullMna::build(circuit, lin)?.solve(&volts)?, false));
+        return FullMna::build(circuit, lin)?.solve(&volts);
     }
-    let is_driven: Vec<bool> = sources.driven.iter().map(Option::is_some).collect();
-    workspace.refill(circuit, lin, &is_driven)?;
-    let system = &workspace.system;
-    // Scaled ops only name ground and driven nodes.
-    let voltage = |node: usize| {
-        sources.driven[node]
-            .filter(|_| node != Circuit::GROUND)
-            .unwrap_or(0.0)
-    };
-    let b = replay_rhs(&system.ops, system.unknowns, voltage);
+    workspace.refill(circuit, lin, &sources.is_driven)?;
     drop(assemble);
-
-    // A system with no unknowns needs no factor.
-    let factored = system.unknowns > 0;
-    let x = if factored {
-        LINEAR_SPARSE.inc();
-        workspace
-            .factored()
-            .ok_or(CircuitError::SingularSystem { at: 0 })?
-            .solve(&b)
-    } else {
-        Vec::new()
-    };
-
-    // Reassemble the full voltage vector.
-    let mut voltages = vec![0.0; circuit.node_count()];
-    for (node, v) in voltages.iter_mut().enumerate().skip(1) {
-        *v = match system.index[node] {
-            usize::MAX => voltage(node),
-            u => x[u],
-        };
-    }
-    Ok((voltages, factored))
+    let mut voltages = Vec::new();
+    workspace.solve_read(&drive, &mut voltages)?;
+    Ok(voltages)
 }
 
 /// One right-hand-side assembly step, recorded in stamp order and replayed
@@ -575,6 +872,24 @@ impl ReducedSystem {
             + self.stamps.capacity() * 24
             + self.ops.capacity() * std::mem::size_of::<BOp>()
     }
+
+    /// Sets every unknown node of `voltages` to its entry of `x`.
+    fn scatter(&self, voltages: &mut [f64], x: &[f64]) {
+        for (v, &u) in voltages.iter_mut().zip(&self.index) {
+            if u != usize::MAX {
+                *v = x[u];
+            }
+        }
+    }
+
+    /// Moves every unknown node of `voltages` by its entry of `dx`.
+    fn step(&self, voltages: &mut [f64], dx: &[f64]) {
+        for (v, &u) in voltages.iter_mut().zip(&self.index) {
+            if u != usize::MAX {
+                *v += dx[u];
+            }
+        }
+    }
 }
 
 /// Assembles the reduced system of `circuit` under the linearization `lin`
@@ -590,10 +905,7 @@ pub(crate) fn assemble_reduced_into(
     is_driven: &[bool],
 ) {
     let ReducedSystem {
-        index,
-        unknowns,
-        stamps,
-        ops,
+        index, unknowns, ..
     } = system;
     index.clear();
     index.resize(circuit.node_count(), usize::MAX);
@@ -604,9 +916,30 @@ pub(crate) fn assemble_reduced_into(
             *unknowns += 1;
         }
     }
-    let fixed = |node: usize| node == Circuit::GROUND || is_driven[node];
+    system.stamps.reset(system.unknowns, system.unknowns);
+    stamp_elements(system, circuit, lin, true);
+}
 
-    stamps.reset(*unknowns, *unknowns);
+/// The one element walk of the reduced assembly: rebuilds the
+/// right-hand-side plan of `system` under `lin` and, with `with_stamps`,
+/// adds the matrix stamps to `system.stamps`, both in stamp order. The
+/// node numbering must already be `system`'s.
+fn stamp_elements(
+    system: &mut ReducedSystem,
+    circuit: &Circuit,
+    lin: &[Option<Linearized>],
+    with_stamps: bool,
+) {
+    let ReducedSystem {
+        index, stamps, ops, ..
+    } = system;
+    let mut stamp = |r: usize, c: usize, g: f64| {
+        if with_stamps {
+            stamps.add(r, c, g);
+        }
+    };
+    // Ground and driven nodes are the ones without an unknown.
+    let fixed = |node: usize| index[node] == usize::MAX;
     ops.clear();
     for (idx, element) in circuit.elements().iter().enumerate() {
         match element {
@@ -620,7 +953,7 @@ pub(crate) fn assemble_reduced_into(
                 // KCL at n1: +g(v1 − v2) + ieq ; at n2: −g(v1 − v2) − ieq.
                 let (i1, i2) = (index[*n1], index[*n2]);
                 if i1 != usize::MAX {
-                    stamps.add(i1, i1, g);
+                    stamp(i1, i1, g);
                     if fixed(*n2) {
                         ops.push(BOp::Scaled {
                             u: i1,
@@ -628,12 +961,12 @@ pub(crate) fn assemble_reduced_into(
                             g,
                         });
                     } else {
-                        stamps.add(i1, i2, -g);
+                        stamp(i1, i2, -g);
                     }
                     ops.push(BOp::Const { u: i1, c: -ieq });
                 }
                 if i2 != usize::MAX {
-                    stamps.add(i2, i2, g);
+                    stamp(i2, i2, g);
                     if fixed(*n1) {
                         ops.push(BOp::Scaled {
                             u: i2,
@@ -641,7 +974,7 @@ pub(crate) fn assemble_reduced_into(
                             g,
                         });
                     } else {
-                        stamps.add(i2, i1, -g);
+                        stamp(i2, i1, -g);
                     }
                     ops.push(BOp::Const { u: i2, c: ieq });
                 }
@@ -887,6 +1220,7 @@ fn sum_leaving(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{PreparedSystem, Rhs};
     use crate::crossbar::{CrossbarCircuit, CrossbarSpec};
     use crate::mna::kcl_residual;
     use mnsim_tech::units::{Current, Resistance, Voltage};
@@ -1082,6 +1416,170 @@ mod tests {
         );
     }
 
+    /// `count` reads of a `rows`-input array, seeded: inputs drawn from
+    /// `[0, v_max)`.
+    fn seeded_reads(rows: usize, count: usize, v_max: f64, seed: u64) -> Vec<Vec<Voltage>> {
+        let mut state = seed.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
+        (0..count)
+            .map(|_| {
+                (0..rows)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        Voltage::from_volts(v_max * (state >> 11) as f64 / (1u64 << 53) as f64)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Each read solved alone by `solve_dc` on its re-driven circuit.
+    fn one_read_solves(
+        circuit: &Circuit,
+        reads: &[Vec<Voltage>],
+        options: &SolveOptions,
+    ) -> Result<Vec<DcSolution>, CircuitError> {
+        reads
+            .iter()
+            .map(|read| solve_dc(&circuit.with_source_voltages(read)?, options))
+            .collect()
+    }
+
+    /// `Ok` when both sides answered the same reads with bit-identical
+    /// voltages and currents, or failed with the same error.
+    fn same_outcomes(
+        circuit: &Circuit,
+        got: &Result<Vec<DcSolution>, CircuitError>,
+        want: &Result<Vec<DcSolution>, CircuitError>,
+    ) -> Result<(), String> {
+        match (got, want) {
+            (Ok(got), Ok(want)) => {
+                for (k, (g, w)) in got.iter().zip(want).enumerate() {
+                    if bits(g.voltages()) != bits(w.voltages()) {
+                        return Err(format!("read {k}: voltages differ"));
+                    }
+                    let currents = |s: &DcSolution| {
+                        (0..circuit.element_count())
+                            .map(|e| s.element_current(e).amperes().to_bits())
+                            .collect::<Vec<_>>()
+                    };
+                    if currents(g) != currents(w) {
+                        return Err(format!("read {k}: currents differ"));
+                    }
+                }
+                (got.len() == want.len())
+                    .then_some(())
+                    .ok_or_else(|| "read counts differ".into())
+            }
+            (Err(g), Err(w)) if g == w => Ok(()),
+            _ => Err(format!(
+                "batch {:?} against one-read {:?}",
+                got.as_ref().err(),
+                want.as_ref().err()
+            )),
+        }
+    }
+
+    /// The reads of a prepared batch step in lockstep, yet each is a
+    /// one-read solve: on sinh crossbars from 8×8 to 64×64 every read of
+    /// `solve_batch` is bit-identical to `solve_dc` of its re-driven
+    /// circuit, voltages and currents. The harsh arrays (α up to 8,
+    /// 1.5 V, 30 % stuck) send reads out of the block to Newton steps,
+    /// and ten reads cross the eight-read block edge.
+    #[test]
+    fn batch_reads_are_bit_identical_to_one_read_solves() {
+        let session = obs::session();
+        let options = SolveOptions::default();
+        let mut newton_steps = 0;
+        for (size, alpha, v_max, stuck, count) in [
+            (8, 2.5, 1.0, 0.0, 10),
+            (8, 8.0, 1.5, 0.3, 10),
+            (16, 6.0, 1.5, 0.3, 10),
+            (16, 8.0, 1.0, 0.3, 5),
+            (32, 4.0, 1.5, 0.3, 5),
+            (64, 2.5, 1.0, 0.0, 3),
+            (64, 8.0, 1.5, 0.3, 3),
+        ] {
+            let case = format!("{size}x{size}, α = {alpha}, {v_max} V, {stuck} stuck");
+            let xbar = harsh_crossbar(size, alpha, v_max, stuck);
+            let circuit = xbar.circuit();
+            let reads = seeded_reads(size, count, v_max, size as u64 + count as u64);
+            let batch: Vec<Rhs> = reads.iter().map(|r| xbar.input_rhs(r).unwrap()).collect();
+            obs::reset();
+            let got = PreparedSystem::build(circuit, options.clone())
+                .unwrap()
+                .solve_batch(circuit, &batch);
+            newton_steps += session
+                .snapshot()
+                .counter("circuit.solve.newton_iterations");
+            let want = one_read_solves(circuit, &reads, &options);
+            assert_eq!(same_outcomes(circuit, &got, &want), Ok(()), "{case}");
+        }
+        assert!(newton_steps > 0, "no read left its block");
+    }
+
+    /// A read's typed error is the one-read solve's: a conflicting
+    /// driver in one read of a non-linear batch, and a step budget of
+    /// one.
+    #[test]
+    fn batch_errors_are_the_one_read_errors() {
+        let _session = obs::session();
+        let mut c = Circuit::new();
+        let a = c.add_node();
+        let mid = c.add_node();
+        c.add_voltage_source(a, Circuit::GROUND, Voltage::from_volts(1.0))
+            .unwrap();
+        c.add_voltage_source(a, Circuit::GROUND, Voltage::from_volts(1.0))
+            .unwrap();
+        c.add_resistor(a, mid, Resistance::from_kilo_ohms(5.0))
+            .unwrap();
+        c.add_memristor(
+            mid,
+            Circuit::GROUND,
+            Resistance::from_kilo_ohms(10.0),
+            IvModel::Sinh { alpha: 3.0 },
+        )
+        .unwrap();
+        let options = SolveOptions::default();
+        let volts = [[0.8, 0.8], [0.5, 0.7], [0.3, 0.3]];
+        let batch: Vec<Rhs> = volts.iter().map(|v| Rhs::from_volts(v)).collect();
+        let got = PreparedSystem::build(&c, options.clone())
+            .unwrap()
+            .solve_batch(&c, &batch)
+            .unwrap_err();
+        let redriven = c
+            .with_source_voltages(&[Voltage::from_volts(0.5), Voltage::from_volts(0.7)])
+            .unwrap();
+        let want = solve_dc(&redriven, &options).unwrap_err();
+        assert!(
+            matches!(want, CircuitError::InvalidElement { .. }),
+            "{want:?}"
+        );
+        assert_eq!(got, want);
+
+        let options = SolveOptions {
+            newton_max_iterations: 1,
+            ..SolveOptions::default()
+        };
+        let xbar = sinh_crossbar(8);
+        let reads = seeded_reads(8, 4, 1.0, 5);
+        let batch: Vec<Rhs> = reads.iter().map(|r| xbar.input_rhs(r).unwrap()).collect();
+        let got = PreparedSystem::build(xbar.circuit(), options.clone())
+            .unwrap()
+            .solve_batch(xbar.circuit(), &batch);
+        let want = one_read_solves(xbar.circuit(), &reads, &options);
+        assert!(
+            matches!(
+                want,
+                Err(CircuitError::NewtonNoConvergence { iterations: 1, .. })
+            ),
+            "{:?}",
+            want.as_ref().err()
+        );
+        assert_eq!(same_outcomes(xbar.circuit(), &got, &want), Ok(()));
+    }
+
     #[test]
     fn budget_exhaustion_reports_the_last_kept_update() {
         // 8×8 (128 unknowns) and 4×4 (32 unknowns) both take chord steps
@@ -1169,9 +1667,7 @@ mod tests {
     }
 
     fn reduced(circuit: &Circuit, lin: &[Option<Linearized>]) -> ReducedSystem {
-        let sources = classify_sources(circuit).unwrap();
-        let is_driven: Vec<bool> = sources.driven.iter().map(Option::is_some).collect();
-        assemble_reduced(circuit, lin, &is_driven)
+        assemble_reduced(circuit, lin, &Sources::of(circuit).is_driven)
     }
 
     proptest::proptest! {

@@ -16,13 +16,16 @@
 //! choice for the stiff RC meshes of crossbars.
 //!
 //! Every step stamps the same sparsity pattern, so the whole run shares
-//! one sparse factorization: a linear mesh with a fixed step stamps
-//! bit-identical values every step and factors once, while non-linear
-//! circuits refactor it in place per Newton pass.
+//! one sparse analysis. A linear circuit with grounded sources has the
+//! same matrix at every fixed step: its sources are classified and its
+//! matrix assembled and factored once, and each later step rebuilds only
+//! the right-hand-side plan from the new companion currents, then
+//! backsolves on the held factor. Non-linear circuits refactor in place
+//! per Newton pass.
 
 use crate::error::CircuitError;
 use crate::mna::{non_positive, Circuit, Element, NodeId};
-use crate::solve::{self, Linearized, SparseWorkspace};
+use crate::solve::{self, Linearized, Sources, SparseWorkspace};
 use mnsim_tech::units::Time;
 
 /// Options for [`solve_transient`].
@@ -146,18 +149,36 @@ pub fn solve_transient(
     let nonlinear = circuit.is_nonlinear();
     let mut prev = vec![0.0; n];
     let mut workspace = SparseWorkspace::default();
+    let sources = Sources::of(circuit);
+    let fixed_matrix = !nonlinear && sources.all_grounded();
+    let drive = if fixed_matrix {
+        sources.drive(&solve::source_volts(circuit))?
+    } else {
+        Vec::new()
+    };
 
     for step in 1..=steps {
-        // Newton loop (a single pass suffices for linear circuits).
-        let mut iterate = prev.clone();
-        let passes = if nonlinear {
-            options.newton_steps_per_dt.max(1)
+        let mut iterate = Vec::new();
+        if fixed_matrix {
+            let lin = linearize_with_companions(circuit, &prev, &prev, dt, false);
+            if step == 1 {
+                workspace.refill(circuit, &lin, &sources.is_driven)?;
+            } else {
+                workspace.replan(circuit, &lin);
+            }
+            workspace.solve_read(&drive, &mut iterate)?;
         } else {
-            1
-        };
-        for _ in 0..passes {
-            let lin = linearize_with_companions(circuit, &iterate, &prev, dt, nonlinear);
-            iterate = solve::solve_linear(circuit, &lin, &mut workspace)?;
+            // Newton loop (a single pass suffices for linear circuits).
+            iterate.clone_from(&prev);
+            let passes = if nonlinear {
+                options.newton_steps_per_dt.max(1)
+            } else {
+                1
+            };
+            for _ in 0..passes {
+                let lin = linearize_with_companions(circuit, &iterate, &prev, dt, nonlinear);
+                iterate = solve::solve_linear(circuit, &lin, &mut workspace)?;
+            }
         }
         prev = iterate;
         times.push(step as f64 * dt);
@@ -175,31 +196,23 @@ pub(crate) fn linearize_with_companions(
     dt: f64,
     nonlinear: bool,
 ) -> Vec<Option<Linearized>> {
-    let base = if nonlinear {
-        solve::linearize(circuit, Some(operating_point))
-    } else {
-        solve::linearize(circuit, None)
-    };
-    circuit
-        .elements()
-        .iter()
-        .zip(base)
-        .map(|(element, lin)| match element {
-            Element::Capacitor {
-                n1,
-                n2,
-                capacitance,
-            } => {
-                let g = capacitance.farads() / dt;
-                let v_prev = previous_step[*n1] - previous_step[*n2];
-                Some(Linearized {
-                    g,
-                    ieq: -g * v_prev,
-                })
-            }
-            _ => lin,
-        })
-        .collect()
+    let mut lin = solve::linearize(circuit, nonlinear.then_some(operating_point));
+    for (element, lin) in circuit.elements().iter().zip(&mut lin) {
+        if let Element::Capacitor {
+            n1,
+            n2,
+            capacitance,
+        } = *element
+        {
+            let g = capacitance.farads() / dt;
+            let v_prev = previous_step[n1] - previous_step[n2];
+            *lin = Some(Linearized {
+                g,
+                ieq: -g * v_prev,
+            });
+        }
+    }
+    lin
 }
 
 #[cfg(test)]
@@ -267,6 +280,9 @@ mod tests {
 
     #[test]
     fn nonlinear_memristor_transient_converges_to_dc() {
+        // Its thousands of refactors must not land in another test's
+        // metrics session.
+        let _session = mnsim_obs::session();
         let mut c = Circuit::new();
         let drive = c.add_node();
         let out = c.add_node();

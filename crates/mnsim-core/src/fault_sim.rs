@@ -16,7 +16,7 @@
 //! replayed defect maps stay meaningful.
 
 use mnsim_circuit::batch::{prepare_or_reuse, PreparedSystem, Rhs};
-use mnsim_circuit::crossbar::{CrossbarCircuit, CrossbarSpec};
+use mnsim_circuit::crossbar::CrossbarSpec;
 use mnsim_circuit::mna::{kcl_residual, DcSolution};
 use mnsim_circuit::solve::{solve_dc, SolveOptions};
 use mnsim_obs as obs;
@@ -194,19 +194,6 @@ thread_local! {
     static TRIAL_SLOT: RefCell<Option<PreparedSystem>> = const { RefCell::new(None) };
 }
 
-/// Solves one read of `xbar` under `inputs` through the per-worker
-/// prepared system. A failed solve (a singular system, or a non-finite
-/// solution) is the trial's typed error.
-fn solve_read(
-    slot: &mut Option<PreparedSystem>,
-    xbar: &CrossbarCircuit,
-    inputs: &[Voltage],
-) -> Result<DcSolution, CoreError> {
-    let rhs = xbar.input_rhs(inputs)?;
-    let prepared = prepare_or_reuse(slot, xbar.circuit(), &SolveOptions::default())?;
-    Ok(prepared.solve(xbar.circuit(), &rhs)?)
-}
-
 /// Immutable per-campaign state shared by every Monte-Carlo trial.
 struct TrialContext<'a> {
     fault_config: &'a FaultConfig,
@@ -282,55 +269,37 @@ fn run_trial(context: &TrialContext<'_>, trial: usize) -> Result<TrialOutcome, C
 
     // Circuit path: the defect overlay changes only element values, so the
     // per-worker prepared system refreshes its cached sparse factorization
-    // instead of re-analyzing.
+    // instead of re-analyzing. The primary read and the extra reads
+    // re-drive the same faulty array, so they go in as one batch, solved
+    // together on that factorization. A failed solve (a singular system,
+    // or a non-finite solution) is the trial's typed error.
     let faulty_spec = context
         .clean_spec
         .clone()
         .with_faults(map.clone(), context.device.r_max, context.device.r_min);
     let faulty_xbar = faulty_spec.build()?;
-    let solution = TRIAL_SLOT.with(|slot| {
-        solve_read(
-            &mut slot.borrow_mut(),
-            &faulty_xbar,
-            &context.clean_spec.inputs,
-        )
+    let reads: Vec<Rhs> = std::iter::once(&context.clean_spec.inputs)
+        .chain(context.extra_reads)
+        .map(|inputs| faulty_xbar.input_rhs(inputs))
+        .collect::<Result<_, _>>()?;
+    let solutions = TRIAL_SLOT.with(|slot| -> Result<Vec<DcSolution>, CoreError> {
+        let mut slot = slot.borrow_mut();
+        let prepared =
+            prepare_or_reuse(&mut slot, faulty_xbar.circuit(), &SolveOptions::default())?;
+        Ok(prepared.solve_batch(faulty_xbar.circuit(), &reads)?)
     })?;
-    let trial_kcl_residual = kcl_residual(faulty_xbar.circuit(), &solution);
+    let trial_kcl_residual = kcl_residual(faulty_xbar.circuit(), &solutions[0]);
 
-    let faulty_outputs = faulty_xbar.output_voltages(&solution);
     let deviation_of = |clean: &Voltage, faulty: &Voltage| {
         let relative = (clean.volts() - faulty.volts()).abs() / context.v_read;
         relative * context.output_span
     };
-    let mut deviations: Vec<f64> = context
-        .clean_outputs
-        .iter()
-        .zip(&faulty_outputs)
-        .map(|(clean, faulty)| deviation_of(clean, faulty))
-        .collect();
-
-    // Extra reads re-drive the same faulty array through the same cached
-    // prepared system: the factorization is already current for this
-    // trial's values, so each read costs one RHS replay + backsolve.
-    if !context.extra_reads.is_empty() {
-        TRIAL_SLOT.with(|slot| -> Result<(), CoreError> {
-            let mut slot = slot.borrow_mut();
-            for (read, clean) in context
-                .extra_reads
-                .iter()
-                .zip(context.clean_extra_outputs)
-            {
-                let outputs =
-                    faulty_xbar.output_voltages(&solve_read(&mut slot, &faulty_xbar, read)?);
-                deviations.extend(
-                    clean
-                        .iter()
-                        .zip(&outputs)
-                        .map(|(c, f)| deviation_of(c, f)),
-                );
-            }
-            Ok(())
-        })?;
+    let clean_reads = std::iter::once(context.clean_outputs)
+        .chain(context.clean_extra_outputs.iter().map(Vec::as_slice));
+    let mut deviations = Vec::new();
+    for (clean, solution) in clean_reads.zip(&solutions) {
+        let outputs = faulty_xbar.output_voltages(solution);
+        deviations.extend(clean.iter().zip(&outputs).map(|(c, f)| deviation_of(c, f)));
     }
 
     // Behavior path: same map, weight-level mirror.

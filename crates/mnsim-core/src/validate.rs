@@ -243,8 +243,9 @@ pub(crate) fn validate_against_circuit(
 
 /// Solves one random weight matrix under each of its input vectors. The
 /// conductance map depends only on the weights, so it maps and builds
-/// once and re-drives the sources per input vector through one prepared
-/// system (one factorization, one backsolve per read).
+/// once and hands every input vector to one prepared system as one batch:
+/// the reads share one factorization and step together, one multi-column
+/// backsolve per step.
 fn matrix_study(
     config: &Config,
     rows: usize,
@@ -254,21 +255,27 @@ fn matrix_study(
     let mapped = map_weights(config, weights, &vec![0.0; rows])?;
     let built = mapped.positive.build()?;
     let mut prepared = PreparedSystem::build(built.circuit(), SolveOptions::default())?;
+    let drives: Vec<_> = input_vectors
+        .iter()
+        .map(|inputs| input_drive_voltages(config, inputs.data()))
+        .collect();
+    let batch: Vec<_> = drives
+        .iter()
+        .map(|drive| built.input_rhs(drive))
+        .collect::<Result<_, _>>()?;
+    let solutions = prepared.solve_batch(built.circuit(), &batch)?;
     let mut partial = MatrixPartial {
         power_sum: 0.0,
         deviation_sum: 0.0,
         samples: 0,
     };
-    for inputs in input_vectors {
-        let drive = input_drive_voltages(config, inputs.data());
-        let rhs = built.input_rhs(&drive)?;
-        let solution = prepared.solve(built.circuit(), &rhs)?;
+    for (drive, solution) in drives.iter().zip(&solutions) {
         partial.power_sum += solution.dissipated_power(built.circuit()).watts();
 
         // Output deviation against the ideal (wire-free, linear)
         // Eq.-2 result, averaged over columns.
-        let ideal = mapped.positive.ideal_output_voltages_for(&drive);
-        let actual = built.output_voltages(&solution);
+        let ideal = mapped.positive.ideal_output_voltages_for(drive);
+        let actual = built.output_voltages(solution);
         let mut dev = 0.0;
         let mut counted = 0usize;
         for (i, a) in ideal.iter().zip(&actual) {

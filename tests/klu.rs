@@ -516,6 +516,59 @@ fn newton_solve_factors_once_and_takes_chord_steps_on_it() {
     assert_eq!(snap.counter("solver.klu.solves"), chord_steps + 1);
 }
 
+/// Five reads of a 64×64 sinh array, handed to a prepared system as one
+/// batch, share one analysis and one factorization, refactor nothing,
+/// and take one backsolve pass per lockstep sweep: no more passes than
+/// the longest read's chord steps plus the low-field solve.
+/// `solver.klu.solves` counts right-hand sides, so it equals the
+/// backsolves of the five reads solved one at a time.
+#[test]
+fn a_batch_of_reads_shares_one_factor_and_one_pass_per_sweep() {
+    let mut spec = random_crossbar(64, 64, 41);
+    spec.iv = IvModel::Sinh { alpha: 2.5 };
+    let built = spec.build().unwrap();
+    let circuit = built.circuit();
+    let mut state = 64u64;
+    let reads: Vec<Vec<Voltage>> = (0..5)
+        .map(|_| {
+            (0..64)
+                .map(|_| Voltage::from_volts(0.2 + 0.8 * uniform(&mut state)))
+                .collect()
+        })
+        .collect();
+    let options = SolveOptions::default();
+    let session = obs::session();
+    let (mut longest, mut columns) = (0, 0);
+    for read in &reads {
+        obs::reset();
+        solve_dc(&circuit.with_source_voltages(read).unwrap(), &options).unwrap();
+        let snap = session.snapshot();
+        longest = longest.max(snap.counter("circuit.solve.chord_steps"));
+        columns += snap.counter("solver.klu.solves");
+    }
+
+    obs::reset();
+    let batch: Vec<Rhs> = reads.iter().map(|r| built.input_rhs(r).unwrap()).collect();
+    PreparedSystem::build(circuit, options)
+        .unwrap()
+        .solve_batch(circuit, &batch)
+        .unwrap();
+    let snap = session.snapshot();
+    assert_eq!(snap.counter("solver.klu.analyses"), 1);
+    assert_eq!(snap.counter("solver.klu.factors"), 1);
+    assert_eq!(snap.counter("solver.klu.refactor"), 0);
+    assert_eq!(snap.counter("circuit.solve.newton_iterations"), 0);
+    let passes = snap
+        .histograms
+        .get("circuit.ldl.solve")
+        .map_or(0, |h| h.count);
+    assert!(
+        passes <= longest + 1,
+        "{passes} backsolve passes, longest read {longest} chord steps"
+    );
+    assert_eq!(snap.counter("solver.klu.solves"), columns);
+}
+
 /// `solver.klu.supernodal` names the kernel: a 16×16 sinh array stays on
 /// the up-looking kernel, while a 64×64 one runs every numeric
 /// factorization, fresh or refactor, on the supernodal kernel. A value

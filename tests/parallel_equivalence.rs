@@ -12,6 +12,7 @@ use mnsim::core::fault_sim::FaultConfig;
 use mnsim::core::Simulator;
 use mnsim::tech::fault::FaultRates;
 use mnsim::tech::interconnect::InterconnectNode;
+use mnsim::tech::memristor::IvModel;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 7, 64];
 
@@ -129,6 +130,35 @@ fn fault_campaign_is_bit_identical_across_thread_counts() {
         let parallel = campaign.clone().threads(threads).run().unwrap();
         // Bit-identical, not approximately equal: trial seeds are derived
         // from the trial index and outcomes are reduced in trial order.
+        assert_eq!(
+            parallel.faults.expect("campaign attaches a summary"),
+            serial_faults,
+            "threads={threads}"
+        );
+    }
+}
+
+/// A multi-read campaign on sinh cells: each trial hands its four reads
+/// to its worker's prepared system as one batch, which steps them in
+/// lockstep on a factor the worker's previous trial left behind. The
+/// summary must not depend on which trials shared a worker.
+#[test]
+fn multi_read_sinh_campaign_is_bit_identical_across_thread_counts() {
+    let config = Config::fully_connected_mlp(&[64, 32]).unwrap();
+    assert!(matches!(config.device.iv, IvModel::Sinh { .. }));
+    let fault_config = FaultConfig {
+        rates: FaultRates::stuck_at(0.1),
+        trials: 12,
+        inputs_per_trial: 4,
+        ..FaultConfig::default()
+    };
+    let campaign = Simulator::new(config).faults(fault_config);
+    let serial = campaign.clone().threads(1).run().unwrap();
+    let serial_faults = serial.faults.expect("campaign attaches a summary");
+    assert!(serial_faults.solves > 0);
+
+    for threads in THREAD_COUNTS {
+        let parallel = campaign.clone().threads(threads).run().unwrap();
         assert_eq!(
             parallel.faults.expect("campaign attaches a summary"),
             serial_faults,
