@@ -619,6 +619,7 @@ mod tests {
 
     #[test]
     fn prepared_systems_are_thread_portable() {
+        let _session = obs::session();
         // The parallel execution engine shares built circuits across worker
         // threads by reference and hands each worker its own clone of the
         // prepared system; both therefore must stay `Send + Sync` (every
@@ -632,6 +633,7 @@ mod tests {
 
     #[test]
     fn batch_matches_serial_bitwise_on_a_small_system() {
+        let _session = obs::session();
         let xbar = spec(3, 3).build().unwrap(); // 18 unknowns
         let mut prepared = PreparedSystem::build(xbar.circuit(), SolveOptions::default()).unwrap();
         assert_eq!(prepared.engine_kind(), EngineKind::SparseDirect);
@@ -647,6 +649,7 @@ mod tests {
 
     #[test]
     fn batch_matches_serial_bitwise_on_a_larger_system() {
+        let _session = obs::session();
         let xbar = spec(8, 8).build().unwrap(); // 128 unknowns
         let options = SolveOptions::default();
         let mut prepared = PreparedSystem::build(xbar.circuit(), options).unwrap();
@@ -698,6 +701,7 @@ mod tests {
 
     #[test]
     fn empty_batch_returns_no_solutions() {
+        let _session = obs::session();
         let xbar = spec(2, 2).build().unwrap();
         let mut prepared =
             PreparedSystem::build(xbar.circuit(), SolveOptions::default()).unwrap();
@@ -707,6 +711,7 @@ mod tests {
 
     #[test]
     fn stale_circuit_is_rejected() {
+        let _session = obs::session();
         let clean = spec(2, 2);
         let mut mutated = spec(2, 2);
         mutated.states[0] = Resistance::from_kilo_ohms(1.0);
@@ -729,6 +734,7 @@ mod tests {
 
     #[test]
     fn prepare_or_reuse_rebuilds_on_change() {
+        let _session = obs::session();
         let clean_xbar = spec(2, 2).build().unwrap();
         let mut slot: Option<PreparedSystem> = None;
         let options = SolveOptions::default();
@@ -750,6 +756,7 @@ mod tests {
 
     #[test]
     fn rhs_arity_checked() {
+        let _session = obs::session();
         let xbar = spec(3, 3).build().unwrap();
         let mut prepared =
             PreparedSystem::build(xbar.circuit(), SolveOptions::default()).unwrap();
@@ -762,6 +769,7 @@ mod tests {
 
     #[test]
     fn nonlinear_falls_back_to_newton() {
+        let _session = obs::session();
         let mut s = spec(2, 2);
         s.iv = IvModel::Sinh { alpha: 2.0 };
         let xbar = s.build().unwrap();
@@ -813,6 +821,7 @@ mod tests {
     /// one-shot one, whose assembly it shares.
     #[test]
     fn full_mna_prepared_solve_is_bit_identical_to_one_shot() {
+        let _session = obs::session();
         let mut c = Circuit::new();
         let a = c.add_node();
         let b = c.add_node();
@@ -851,6 +860,7 @@ mod tests {
     /// panic on a driven node's missing unknown.
     #[test]
     fn nan_source_value_is_the_one_shot_error() {
+        let _session = obs::session();
         for iv in [IvModel::Linear, IvModel::Sinh { alpha: 2.0 }] {
             let mut s = spec(3, 3);
             s.iv = iv;
@@ -873,6 +883,7 @@ mod tests {
 
     #[test]
     fn conflicting_rhs_drivers_rejected() {
+        let _session = obs::session();
         // Two sources onto the same node: fine while values agree,
         // rejected when the RHS makes them disagree.
         let mut c = Circuit::new();

@@ -452,6 +452,7 @@ mod tests {
 
     #[test]
     fn solved_outputs_close_to_ideal_for_small_wire_resistance() {
+        let _session = mnsim_obs::session();
         let spec = CrossbarSpec::uniform(
             4,
             4,
@@ -476,6 +477,7 @@ mod tests {
 
     #[test]
     fn wire_resistance_reduces_outputs() {
+        let _session = mnsim_obs::session();
         let mut spec = CrossbarSpec::uniform(
             8,
             8,
@@ -526,6 +528,7 @@ mod tests {
 
     #[test]
     fn cell_and_sense_element_lookup() {
+        let _session = mnsim_obs::session();
         let xbar = tiny_spec().build().unwrap();
         let sol = solve_dc(xbar.circuit(), &SolveOptions::default()).unwrap();
         // Current through a sense resistor equals output voltage / Rs.
@@ -545,6 +548,7 @@ mod tests {
 
     #[test]
     fn fault_overlay_pins_stuck_cells() {
+        let _session = mnsim_obs::session();
         use mnsim_tech::fault::{CellFault, FaultMap};
         let mut map = FaultMap::empty(2, 2);
         map.cells.insert((0, 0), CellFault::StuckAtLrs);
@@ -571,6 +575,7 @@ mod tests {
 
     #[test]
     fn broken_wordline_starves_downstream_cells() {
+        let _session = mnsim_obs::session();
         use mnsim_tech::fault::FaultMap;
         let mut map = FaultMap::empty(2, 2);
         // Row 0 broken at segment 0: the whole row is disconnected.
@@ -597,6 +602,7 @@ mod tests {
 
     #[test]
     fn detached_sense_reads_near_zero() {
+        let _session = mnsim_obs::session();
         use mnsim_tech::fault::FaultMap;
         let mut map = FaultMap::empty(2, 2);
         map.broken_bitlines.insert(1, 2); // seg == rows: sense leg open
@@ -637,6 +643,7 @@ mod tests {
 
     #[test]
     fn nonuniform_states_change_outputs() {
+        let _session = mnsim_obs::session();
         let mut spec = tiny_spec();
         // Make column 0 much more conductive than column 1.
         spec.states[0] = Resistance::from_ohms(500.0);

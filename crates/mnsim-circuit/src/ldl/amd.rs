@@ -650,6 +650,7 @@ mod tests {
 
     #[test]
     fn crossbar_patterns_match_the_reference() {
+        let _session = mnsim_obs::session();
         use crate::crossbar::CrossbarSpec;
         use crate::mna::Element;
         use crate::solve::{assemble_reduced, linearize};

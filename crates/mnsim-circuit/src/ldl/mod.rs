@@ -562,6 +562,7 @@ mod tests {
 
     #[test]
     fn identity_solve_is_exact() {
+        let _session = obs::session();
         let a = csc(3, &[(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)]);
         let ldl = SparseLdl::factor(&a).expect("identity factors");
         assert_eq!(ldl.solve(&[3.0, -1.0, 2.5]), vec![3.0, -1.0, 2.5]);
@@ -569,6 +570,7 @@ mod tests {
 
     #[test]
     fn sdd_solve_matches_dense() {
+        let _session = obs::session();
         let a = sdd_system(12, 0.5);
         let b: Vec<f64> = (0..12).map(|i| (i as f64) * 0.3 - 1.0).collect();
         let x = SparseLdl::factor(&a).expect("factors").solve(&b);
@@ -579,6 +581,7 @@ mod tests {
 
     #[test]
     fn ldl_reconstructs_a() {
+        let _session = obs::session();
         let a = sdd_system(9, 0.25);
         let ldl = SparseLdl::factor(&a).expect("factors");
         let n = 9;
@@ -606,6 +609,7 @@ mod tests {
 
     #[test]
     fn refactor_new_values_matches_fresh_factor() {
+        let _session = obs::session();
         let a1 = sdd_system(10, 0.5);
         let mut t = TripletMatrix::new(10, 10);
         for j in 0..10 {
@@ -626,6 +630,7 @@ mod tests {
 
     #[test]
     fn refactor_rejects_different_pattern() {
+        let _session = obs::session();
         let a = sdd_system(6, 0.5);
         let other = csc(
             6,
@@ -648,6 +653,7 @@ mod tests {
 
     #[test]
     fn empty_column_is_a_singular_pivot() {
+        let _session = obs::session();
         // Unknown 1 has no entries at all: a floating node.
         let a = csc(3, &[(0, 0, 1.0), (2, 2, 1.0)]);
         assert_eq!(
@@ -658,6 +664,7 @@ mod tests {
 
     #[test]
     fn singular_and_indefinite_pivots_are_typed() {
+        let _session = obs::session();
         // Rank-deficient Laplacian of a floating pair: the second pivot
         // is exactly zero.
         let floating = csc(2, &[(0, 0, 1.0), (0, 1, -1.0), (1, 0, -1.0), (1, 1, 1.0)]);
@@ -680,6 +687,7 @@ mod tests {
 
     #[test]
     fn elimination_tree_of_a_path_is_a_path() {
+        let _session = obs::session();
         // A tridiagonal matrix has no fill under any ordering that AMD picks
         // from a path's ends, and its elimination tree is a chain.
         let a = sdd_system(7, 0.5);

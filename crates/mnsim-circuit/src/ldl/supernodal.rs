@@ -514,6 +514,7 @@ mod tests {
 
     #[test]
     fn a_dense_matrix_is_one_supernode() {
+        let _session = mnsim_obs::session();
         // Σ c² / nnz(L) of a dense order-n factor is (2n − 1) / 3.
         let n = 70;
         let a = dense_sdd(n, 1.0, 7);
@@ -531,6 +532,7 @@ mod tests {
 
     #[test]
     fn disconnected_blocks_factor_as_a_forest() {
+        let _session = mnsim_obs::session();
         // Two uncoupled dense blocks: two root supernodes, no update
         // matrix crosses between them.
         let n = 70;
@@ -564,6 +566,7 @@ mod tests {
 
     #[test]
     fn crossbars_switch_kernels_between_32_and_64() {
+        let _session = mnsim_obs::session();
         for (size, supernodal) in [(16, false), (32, false), (64, true)] {
             let s = analyze(&crossbar_system(size, false, 3).0);
             assert_eq!(s.supernodes.is_some(), supernodal, "{size}x{size}");
@@ -584,6 +587,7 @@ mod tests {
             density in 0.2f64..0.5,
             seed in 0u64..1_000_000,
         ) {
+            let _session = mnsim_obs::session();
             let mut state = seed | 1;
             let (a, b) = match case {
                 0 => {

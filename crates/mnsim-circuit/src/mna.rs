@@ -450,6 +450,7 @@ mod tests {
 
     #[test]
     fn kcl_residual_zero_on_exact_solution() {
+        let _session = mnsim_obs::session();
         let mut c = Circuit::new();
         let top = c.add_node();
         let mid = c.add_node();

@@ -198,6 +198,7 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_solution() {
+        let _session = mnsim_obs::session();
         let original = sample_circuit();
         let text = to_netlist(&original, "roundtrip");
         let restored = from_netlist(&text).unwrap();
@@ -217,6 +218,7 @@ mod tests {
 
     #[test]
     fn parse_hand_written_netlist() {
+        let _session = mnsim_obs::session();
         let text = "* divider\nV1 1 0 DC 10\nR1 1 2 1000\nR2 2 0 3000\n.end\n";
         let c = from_netlist(text).unwrap();
         let sol = solve_dc(&c, &SolveOptions::default()).unwrap();
@@ -225,6 +227,7 @@ mod tests {
 
     #[test]
     fn parse_value_without_dc_keyword() {
+        let _session = mnsim_obs::session();
         let text = "V1 1 0 5.0\nR1 1 0 100\n";
         let c = from_netlist(text).unwrap();
         let sol = solve_dc(&c, &SolveOptions::default()).unwrap();

@@ -1368,17 +1368,17 @@ mod tests {
                 for v_max in [0.3, 0.6, 1.0, 1.5] {
                     for stuck in [0.0, 0.3] {
                         let case = format!("{size}x{size}, α = {alpha}, {v_max} V, {stuck} stuck");
+                        let session = obs::session();
                         let xbar = harsh_crossbar(size, alpha, v_max, stuck);
                         let circuit = xbar.circuit();
                         let Ok((reference, iterations)) = full_newton(circuit, &options) else {
                             continue;
                         };
-                        let session = obs::session();
+                        obs::reset();
                         let chord = solve_dc(circuit, &options).unwrap_or_else(|e| {
                             panic!("{case}: full Newton answers, the chord: {e}")
                         });
                         let snap = session.snapshot();
-                        drop(session);
                         answered += 1;
 
                         let worst = max_update(chord.voltages(), &reference);
@@ -1582,6 +1582,7 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_reports_the_last_kept_update() {
+        let _session = obs::session();
         // 8×8 (128 unknowns) and 4×4 (32 unknowns) both take chord steps
         // on the LDLᵀ engine.
         for size in [8, 4] {
@@ -1687,6 +1688,8 @@ mod tests {
             use mnsim_tech::fault::{FaultMap, FaultRates};
             use mnsim_tech::units::Capacitance;
 
+            let _session = obs::session();
+
             let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
             let mut uniform = move || {
                 state ^= state << 13;
@@ -1737,6 +1740,7 @@ mod tests {
 
     #[test]
     fn workspace_recovers_from_a_failed_refactor() {
+        let _session = obs::session();
         let stamps = |off: f64| {
             let mut t = TripletMatrix::new(2, 2);
             for (r, c, v) in [(0, 0, 2.0), (0, 1, off), (1, 0, off), (1, 1, 2.0)] {
@@ -1763,6 +1767,7 @@ mod tests {
 
     #[test]
     fn voltage_divider() {
+        let _session = obs::session();
         let mut c = Circuit::new();
         let top = c.add_node();
         let mid = c.add_node();
@@ -1778,6 +1783,7 @@ mod tests {
 
     #[test]
     fn equal_divider_halves_the_source_exactly() {
+        let _session = obs::session();
         let mut c = Circuit::new();
         let top = c.add_node();
         let mid = c.add_node();
@@ -1793,6 +1799,7 @@ mod tests {
 
     #[test]
     fn broken_bitline_crossbar_still_solves() {
+        let _session = obs::session();
         use mnsim_tech::fault::FaultMap;
         let mut map = FaultMap::empty(8, 8);
         map.broken_bitlines.insert(3, 4);
@@ -1821,6 +1828,7 @@ mod tests {
 
     #[test]
     fn non_finite_solution_is_a_typed_error() {
+        let _session = obs::session();
         // 1e300 V across 1e-10 Ω: every voltage is finite, the resistor
         // current overflows to ∞.
         let mut c = Circuit::new();
@@ -1837,6 +1845,7 @@ mod tests {
 
     #[test]
     fn current_source_into_resistor() {
+        let _session = obs::session();
         let mut c = Circuit::new();
         let n = c.add_node();
         c.add_current_source(Circuit::GROUND, n, Current::from_amperes(2e-3))
@@ -1849,6 +1858,7 @@ mod tests {
 
     #[test]
     fn wheatstone_bridge_balance() {
+        let _session = obs::session();
         // Balanced bridge: zero volts across the detector resistor.
         let mut c = Circuit::new();
         let top = c.add_node();
@@ -1873,6 +1883,7 @@ mod tests {
 
     #[test]
     fn source_power_equals_dissipated_power() {
+        let _session = obs::session();
         let mut c = Circuit::new();
         let a = c.add_node();
         let b = c.add_node();
@@ -1895,6 +1906,7 @@ mod tests {
 
     #[test]
     fn floating_source_uses_full_mna() {
+        let _session = obs::session();
         // Source floating between two nodes, each tied to ground by R.
         let mut c = Circuit::new();
         let a = c.add_node();
@@ -1913,6 +1925,7 @@ mod tests {
 
     #[test]
     fn conflicting_drivers_rejected() {
+        let _session = obs::session();
         let mut c = Circuit::new();
         let a = c.add_node();
         c.add_voltage_source(a, Circuit::GROUND, Voltage::from_volts(1.0))
@@ -1929,6 +1942,7 @@ mod tests {
 
     #[test]
     fn nonlinear_memristor_draws_more_current() {
+        let _session = obs::session();
         // sinh model conducts more at bias than the linear state resistance.
         let build = |iv: IvModel| {
             let mut c = Circuit::new();
@@ -1953,6 +1967,7 @@ mod tests {
 
     #[test]
     fn newton_converges_on_divider_with_memristor() {
+        let _session = obs::session();
         // Series resistor + nonlinear memristor: solve and verify KCL.
         let mut c = Circuit::new();
         let top = c.add_node();
@@ -1981,6 +1996,7 @@ mod tests {
 
     #[test]
     fn newton_iteration_budget() {
+        let _session = obs::session();
         let mut c = Circuit::new();
         let a = c.add_node();
         c.add_voltage_source(a, Circuit::GROUND, Voltage::from_volts(1.0))
@@ -2006,6 +2022,7 @@ mod tests {
 
     #[test]
     fn superposition_on_linear_network() {
+        let _session = obs::session();
         // v(both sources) == v(source1) + v(source2) for a linear circuit.
         let build = |v1: f64, v2: f64| {
             let mut c = Circuit::new();

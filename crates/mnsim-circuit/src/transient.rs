@@ -237,6 +237,7 @@ mod tests {
 
     #[test]
     fn rc_step_response_matches_analytic() {
+        let _session = mnsim_obs::session();
         let (circuit, out) = rc_circuit();
         let options =
             TransientOptions::step_response(Time::from_microseconds(5.0), 2000);
@@ -254,6 +255,7 @@ mod tests {
 
     #[test]
     fn settle_time_near_four_tau() {
+        let _session = mnsim_obs::session();
         // Settling to 2 % happens at t = −τ·ln(0.02) ≈ 3.9 τ.
         let (circuit, out) = rc_circuit();
         let options =
@@ -268,6 +270,7 @@ mod tests {
 
     #[test]
     fn final_value_matches_dc_solution() {
+        let _session = mnsim_obs::session();
         let (circuit, out) = rc_circuit();
         let options = TransientOptions::step_response(Time::from_microseconds(20.0), 2000);
         let result = solve_transient(&circuit, &options).unwrap();
@@ -344,6 +347,7 @@ mod tests {
 
     #[test]
     fn settle_time_none_for_grounded_node() {
+        let _session = mnsim_obs::session();
         let (circuit, _) = rc_circuit();
         let options = TransientOptions::step_response(Time::from_microseconds(1.0), 100);
         let result = solve_transient(&circuit, &options).unwrap();

@@ -7,9 +7,7 @@
 //! read circuits is `(1 + δ)(1 + ε) − 1`. MNSIM evaluates the whole
 //! accelerator layer by layer with this rule.
 
-use crate::accuracy::quantization::{
-    avg_digital_deviation, avg_error_rate, max_digital_deviation, max_error_rate,
-};
+use crate::accuracy::quantization::{avg_digital_deviation, max_digital_deviation};
 
 /// Accuracy numbers of one layer after propagation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,13 +46,17 @@ pub fn propagate(epsilons: &[f64], k: u32) -> Vec<LayerAccuracy> {
         // Eq. 15: the worst corner of (1+δ)(1+ε).
         let eff_max = (1.0 + delta_max) * (1.0 + eps) - 1.0;
         let eff_avg = (1.0 + delta_avg) * (1.0 + eps) - 1.0;
+        // Each deviation is evaluated once; its rate is the quotient that
+        // `max_error_rate` / `avg_error_rate` would evaluate again.
+        let max_deviation = max_digital_deviation(k, eff_max);
+        let avg_deviation = avg_digital_deviation(k, eff_avg);
         let layer = LayerAccuracy {
             crossbar_epsilon: eps,
             effective_epsilon: eff_max,
-            max_deviation: max_digital_deviation(k, eff_max),
-            max_error_rate: max_error_rate(k, eff_max),
-            avg_deviation: avg_digital_deviation(k, eff_avg),
-            avg_error_rate: avg_error_rate(k, eff_avg),
+            max_deviation,
+            max_error_rate: f64::from(max_deviation) / f64::from(k - 1),
+            avg_deviation,
+            avg_error_rate: avg_deviation / f64::from(k - 1),
         };
         delta_max = layer.max_error_rate;
         delta_avg = layer.avg_error_rate;
@@ -78,6 +80,75 @@ pub fn output_error_rates(epsilons: &[f64], k: u32) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accuracy::quantization::tests::{
+        avg_digital_deviation_reference, max_digital_deviation_reference,
+    };
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `propagate` as first written: every rate from its own evaluation of
+    /// the reference Eqs. 12 and 14.
+    fn reference_chain(epsilons: &[f64], k: u32) -> Vec<LayerAccuracy> {
+        let levels = f64::from(k - 1);
+        let (mut delta_max, mut delta_avg) = (0.0f64, 0.0f64);
+        epsilons
+            .iter()
+            .map(|&eps| {
+                let eff_max = (1.0 + delta_max) * (1.0 + eps) - 1.0;
+                let eff_avg = (1.0 + delta_avg) * (1.0 + eps) - 1.0;
+                let layer = LayerAccuracy {
+                    crossbar_epsilon: eps,
+                    effective_epsilon: eff_max,
+                    max_deviation: max_digital_deviation_reference(k, eff_max),
+                    max_error_rate: f64::from(max_digital_deviation_reference(k, eff_max)) / levels,
+                    avg_deviation: avg_digital_deviation_reference(k, eff_avg),
+                    avg_error_rate: avg_digital_deviation_reference(k, eff_avg) / levels,
+                };
+                delta_max = layer.max_error_rate;
+                delta_avg = layer.avg_error_rate;
+                layer
+            })
+            .collect()
+    }
+
+    fn field_bits(layer: &LayerAccuracy) -> [u64; 6] {
+        [
+            layer.crossbar_epsilon.to_bits(),
+            layer.effective_epsilon.to_bits(),
+            u64::from(layer.max_deviation),
+            layer.max_error_rate.to_bits(),
+            layer.avg_deviation.to_bits(),
+            layer.avg_error_rate.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn chain_is_bit_identical_to_the_reference_chain() {
+        let mut rng = StdRng::seed_from_u64(20160318);
+        for (k, chains) in [(2u32, 200), (256, 200), (65536, 6)] {
+            for _ in 0..chains {
+                let depth = rng.gen_range(1..=20usize);
+                // Mostly the 0–60 % crossbar errors the sweeps produce,
+                // with exact zeros and saturating values mixed in.
+                let epsilons: Vec<f64> = (0..depth)
+                    .map(|_| match rng.gen_range(0..10u32) {
+                        0 => 0.0,
+                        1 => rng.gen_range(1.0..8.0),
+                        _ => rng.gen_range(0.0..0.6),
+                    })
+                    .collect();
+                let actual = propagate(&epsilons, k);
+                let expected = reference_chain(&epsilons, k);
+                for (layer, (a, e)) in actual.iter().zip(&expected).enumerate() {
+                    assert_eq!(
+                        field_bits(a),
+                        field_bits(e),
+                        "k = {k}, layer {layer} of {epsilons:?}:\n{a:?}\n{e:?}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn single_layer_matches_direct_model() {
