@@ -12,25 +12,23 @@
 //! [`PreparedSystem`] lifts everything that depends only on the conductance
 //! structure out of the per-input path:
 //!
-//! * the source binding and node → unknown numbering,
-//! * the assembled reduced (or full-MNA) matrix,
-//! * its factorization: the sparse LDLᵀ workspace for grounded sources,
-//!   the dense full-MNA LU for floating ones,
+//! * the source binding (floating sources merged into supernodes) and the
+//!   node → unknown numbering,
+//! * the assembled reduced matrix and its sparse LDLᵀ factorization,
 //! * and a replayable right-hand-side plan, so each new input vector only
 //!   costs an `O(nnz)` stamp replay and its share of a backsolve.
 //!
 //! The reads of a batch are solved in blocks of up to eight. A block's
-//! reads of a grounded-source system run the chord-Newton loop of
-//! [`solve_dc`](crate::solve::solve_dc) in lockstep (see the
-//! [`solve`](crate::solve) module docs): one backsolve per sweep carries
-//! every read still stepping, each as one column. A linear circuit takes
-//! one sweep, the direct solve. A non-linear one first refills the
-//! low-field matrix of the block, once, and refactors only if the held
-//! factor is not already that matrix: after a value overlay, or after a
-//! read that left the block refactored at its Jacobian. Every read is
-//! bit-identical to a one-shot [`solve_dc`](crate::solve::solve_dc) of the
-//! re-driven circuit, whatever the prepared system solved before.
-//! Floating sources solve one read at a time on full MNA.
+//! reads run the chord-Newton loop of [`solve_dc`](crate::solve::solve_dc)
+//! in lockstep (see the [`solve`](crate::solve) module docs): one
+//! backsolve per sweep carries every read still stepping, each as one
+//! column. A linear circuit takes one sweep, the direct solve. A
+//! non-linear one first refills the low-field matrix of the block, once,
+//! and refactors only if the held factor is not already that matrix:
+//! after a value overlay, or after a read that left the block refactored
+//! at its Jacobian. Every read is bit-identical to a one-shot
+//! [`solve_dc`](crate::solve::solve_dc) of the re-driven circuit, whatever
+//! the prepared system solved before.
 //!
 //! **Soundness.** Reuse is only valid while the conductances are unchanged.
 //! A prepared system fingerprints the circuit it was built from (element
@@ -48,15 +46,14 @@ use crate::error::CircuitError;
 use crate::ldl::BLOCK_COLUMNS;
 use crate::mna::{Circuit, DcSolution, Element};
 use crate::solve::{
-    finish, linearize, linearize_into, solve_full_mna, solve_reads, FullMna, Linearized,
-    SolveOptions, Sources, SparseWorkspace, ASSEMBLE_SPAN,
+    linearize, linearize_into, solve_reads, Linearized, SolveOptions, Sources, SparseWorkspace,
+    ASSEMBLE_SPAN,
 };
 use crate::sparse::TripletMatrix;
 
 static BATCH_BUILDS: obs::Counter = obs::Counter::new("circuit.batch.prepared_builds");
 static BATCH_CALLS: obs::Counter = obs::Counter::new("circuit.batch.calls");
 static BATCH_SOLVES: obs::Counter = obs::Counter::new("circuit.batch.solves");
-static BATCH_DENSE: obs::Counter = obs::Counter::new("circuit.batch.dense_backsolves");
 static BATCH_STALE: obs::Counter = obs::Counter::new("circuit.batch.stale_rejections");
 /// Reads of a non-linear circuit, each a chord-Newton solve rather than
 /// one direct backsolve.
@@ -71,8 +68,7 @@ static CACHE_COLD_BUILDS: obs::Counter = obs::Counter::new("circuit.batch.cache_
 /// [`prepare_or_reuse`] call so far — how often the cached
 /// [`PreparedSystem`] was actually reusable.
 static BATCH_REUSE_RATIO: obs::Gauge = obs::Gauge::new("circuit.batch.reuse_ratio");
-/// Reads of a linear grounded-source system answered by a backsolve on
-/// its held factor.
+/// Reads of a linear system answered by a backsolve on its held factor.
 static BATCH_SPARSE: obs::Counter = obs::Counter::new("circuit.batch.sparse_backsolves");
 /// Value-only refreshes through [`prepare_or_reuse`]: the cached sparse
 /// factorization was refactored in place instead of rebuilding the whole
@@ -117,27 +113,9 @@ pub enum EngineKind {
     SparseDirect,
     /// Reduced system with zero unknowns.
     Empty,
-    /// Full modified nodal analysis (floating sources), cached dense LU.
-    FullMna,
     /// Non-linear circuit: chord Newton per read, the reads of a block in
     /// lockstep on one cached sparse factorization.
     Nonlinear,
-}
-
-#[derive(Debug, Clone)]
-enum SystemKind {
-    /// All sources grounded: the reduced SPD system on the sparse LDLᵀ
-    /// workspace, whose assembly buffers hold the node → unknown numbering
-    /// and the right-hand-side plan. A linear circuit's factor is built
-    /// with the system and refactored in place by a value refresh; a
-    /// non-linear circuit's low-field factor is refilled per block of
-    /// reads. A system without unknowns holds no factor.
-    Reduced { workspace: SparseWorkspace },
-    /// Floating sources on a linear circuit: cached full-MNA LU.
-    FullMna(FullMna),
-    /// Floating sources on a non-linear circuit: a Newton solve per read
-    /// on full MNA, which holds no factor from one step to the next.
-    FullMnaNewton,
 }
 
 /// A DC system prepared once per conductance structure, able to solve many
@@ -157,7 +135,13 @@ pub struct PreparedSystem {
     sources: Sources,
     /// The low-field linearization: for a linear circuit the only one.
     lin: Vec<Option<Linearized>>,
-    kind: SystemKind,
+    /// The reduced system on the sparse LDLᵀ engine, whose assembly
+    /// buffers hold the node → unknown numbering and the right-hand-side
+    /// plan. A linear circuit's factor is built with the system and
+    /// refactored in place by a value refresh; a non-linear circuit's
+    /// low-field factor is refilled per block of reads. A system without
+    /// unknowns holds no factor.
+    workspace: SparseWorkspace,
 }
 
 impl PreparedSystem {
@@ -177,21 +161,13 @@ impl PreparedSystem {
         let sources = Sources::of(circuit);
         let nonlinear = circuit.is_nonlinear();
         let lin = linearize(circuit, None);
-        let kind = match (sources.all_grounded(), nonlinear) {
-            (true, _) => {
-                let mut workspace = SparseWorkspace::default();
-                if !nonlinear {
-                    workspace.refill(circuit, &lin, &sources.is_driven)?;
-                    // The stamps only feed the factor, and a value refresh
-                    // refills them: do not hold a large system's triplets
-                    // between reads.
-                    workspace.system.stamps = TripletMatrix::default();
-                }
-                SystemKind::Reduced { workspace }
-            }
-            (false, false) => SystemKind::FullMna(FullMna::build(circuit, &lin)?),
-            (false, true) => SystemKind::FullMnaNewton,
-        };
+        let mut workspace = SparseWorkspace::default();
+        if !nonlinear {
+            workspace.refill(circuit, &lin, &sources)?;
+            // The stamps only feed the factor, and a value refresh refills
+            // them: do not hold a large system's triplets between reads.
+            workspace.system.stamps = TripletMatrix::default();
+        }
 
         Ok(PreparedSystem {
             fingerprint: circuit_fingerprint(circuit),
@@ -201,7 +177,7 @@ impl PreparedSystem {
             nonlinear,
             sources,
             lin,
-            kind,
+            workspace,
         })
     }
 
@@ -219,17 +195,13 @@ impl PreparedSystem {
     /// by the cached factorization (the sparse workspace, including a
     /// non-linear system's factor once it has solved: the factor
     /// non-zeros, the analyzed pattern, the stamp slot map and the
-    /// assembly buffers; full MNA: `n²` doubles). An estimate, not an
-    /// allocator truth.
+    /// assembly buffers). An estimate, not an allocator truth.
     pub fn approx_bytes(&self) -> usize {
-        let mut bytes = std::mem::size_of::<Self>();
-        bytes += self.lin.len() * 48 + self.node_count + self.sources.len() * 24;
-        bytes += match &self.kind {
-            SystemKind::Reduced { workspace } => workspace.approx_bytes(),
-            SystemKind::FullMna(system) => system.approx_bytes(),
-            SystemKind::FullMnaNewton => 0,
-        };
-        bytes
+        std::mem::size_of::<Self>()
+            + self.lin.len() * 48
+            + self.node_count
+            + self.sources.len() * 24
+            + self.workspace.approx_bytes()
     }
 
     /// The options the system was built with.
@@ -252,29 +224,27 @@ impl PreparedSystem {
 
     /// The concrete engine this system dispatches to.
     pub fn engine_kind(&self) -> EngineKind {
-        match &self.kind {
-            _ if self.nonlinear => EngineKind::Nonlinear,
-            SystemKind::Reduced { workspace } if workspace.system.unknowns == 0 => {
-                EngineKind::Empty
-            }
-            SystemKind::Reduced { .. } => EngineKind::SparseDirect,
-            SystemKind::FullMna(_) | SystemKind::FullMnaNewton => EngineKind::FullMna,
+        if self.nonlinear {
+            EngineKind::Nonlinear
+        } else if self.workspace.system.unknowns == 0 {
+            EngineKind::Empty
+        } else {
+            EngineKind::SparseDirect
         }
     }
 
     /// Attempts to update this system in place for a circuit whose element
     /// *values* changed but whose structure did not (a fault overlay or
-    /// variation resample). Reduced and non-linear systems support this.
-    /// A linear reduced system re-stamps the circuit into its workspace's
-    /// assembly buffers and scatters the new values through its cached
-    /// slot map into its cached analysis, then refactors, which is much
-    /// cheaper than a full rebuild. A non-linear system keeps its
+    /// variation resample). A linear system re-stamps the circuit into its
+    /// workspace's assembly buffers and scatters the new values through
+    /// its cached slot map into its cached analysis, then refactors, which
+    /// is much cheaper than a full rebuild. A non-linear system keeps its
     /// workspace, whose next block of reads refills the low-field matrix
     /// for the new values and refactors the held analysis.
     ///
     /// Returns `Ok(true)` when the refresh succeeded (the system now solves
-    /// the new circuit), `Ok(false)` when this engine or structure cannot be
-    /// refreshed and the caller should rebuild.
+    /// the new circuit), `Ok(false)` when the structure changed and the
+    /// caller should rebuild.
     ///
     /// # Errors
     ///
@@ -287,21 +257,17 @@ impl PreparedSystem {
         if !self.matches_structure(circuit) || circuit.node_count() != self.node_count {
             return Ok(false);
         }
-        match &mut self.kind {
-            // The structure fingerprint covers the memristor I-V kinds, so
-            // the circuit is non-linear too; every block assembles its
-            // values afresh and nothing but the fingerprint is stale.
-            _ if self.nonlinear => {}
-            SystemKind::Reduced { workspace } => {
-                // Refill the held linearization and the workspace's
-                // assembly buffers in place: the same stamps in the same
-                // order as a fresh build.
-                linearize_into(&mut self.lin, circuit, None);
-                let assemble = ASSEMBLE_SPAN.enter();
-                workspace.refill(circuit, &self.lin, &self.sources.is_driven)?;
-                drop(assemble);
-            }
-            SystemKind::FullMna(_) | SystemKind::FullMnaNewton => return Ok(false),
+        // The structure fingerprint covers the memristor I-V kinds, so a
+        // non-linear system stays non-linear; every block assembles its
+        // values afresh and nothing but the fingerprint is stale.
+        if !self.nonlinear {
+            // Refill the held linearization and the workspace's assembly
+            // buffers in place: the same stamps in the same order as a
+            // fresh build.
+            linearize_into(&mut self.lin, circuit, None);
+            let assemble = ASSEMBLE_SPAN.enter();
+            self.workspace.refill(circuit, &self.lin, &self.sources)?;
+            drop(assemble);
         }
         self.fingerprint = circuit_fingerprint(circuit);
         VALUE_REFRESHES.inc();
@@ -337,8 +303,9 @@ impl PreparedSystem {
     ///   structure changed since [`PreparedSystem::build`].
     /// * [`CircuitError::DimensionMismatch`] for wrong RHS arity.
     /// * [`CircuitError::InvalidElement`] when one node is driven to two
-    ///   different voltages by the same RHS.
-    /// * Solver failures propagated from LU / LDLᵀ / Newton.
+    ///   different voltages by the same RHS, or a loop of sources does not
+    ///   sum to zero.
+    /// * Solver failures propagated from LDLᵀ / Newton.
     ///
     /// A failing read returns its error, that of the first in batch order;
     /// the blocks after its own are not solved.
@@ -383,54 +350,35 @@ impl PreparedSystem {
         circuit: &Circuit,
         block: &[Rhs],
     ) -> Vec<Result<DcSolution, CircuitError>> {
-        let drives = block.iter().map(|rhs| self.sources.drive(&rhs.volts));
+        let drives: Vec<_> = block
+            .iter()
+            .map(|rhs| self.sources.drive(&rhs.volts))
+            .collect();
         if self.nonlinear {
             BATCH_FALLBACKS.add(block.len() as u64);
-            // The one low-field linearization of the block.
+            // The one low-field linearization of the block, and the block
+            // starts on its factor.
             linearize_into(&mut self.lin, circuit, None);
-        }
-        match &mut self.kind {
-            SystemKind::Reduced { workspace } => {
-                let drives: Vec<_> = drives.collect();
-                if self.nonlinear {
-                    // Start the block on the low-field factor.
-                    let assemble = ASSEMBLE_SPAN.enter();
-                    let refilled = workspace.refill(circuit, &self.lin, &self.sources.is_driven);
-                    drop(assemble);
-                    if let Err(e) = refilled {
-                        return drives
-                            .into_iter()
-                            .map(|drive| drive.and(Err(e.clone())))
-                            .collect();
-                    }
-                } else if workspace.system.unknowns > 0 {
-                    BATCH_SPARSE.add(block.len() as u64);
-                }
-                solve_reads(
-                    circuit,
-                    &self.lin,
-                    &self.sources.is_driven,
-                    drives,
-                    &self.options,
-                    workspace,
-                )
+            let assemble = ASSEMBLE_SPAN.enter();
+            let refilled = self.workspace.refill(circuit, &self.lin, &self.sources);
+            drop(assemble);
+            if let Err(e) = refilled {
+                return drives
+                    .into_iter()
+                    .map(|drive| drive.and(Err(e.clone())))
+                    .collect();
             }
-            SystemKind::FullMna(system) => drives
-                .zip(block)
-                .map(|(drive, rhs)| {
-                    drive?;
-                    BATCH_DENSE.inc();
-                    finish(circuit, &self.lin, system.solve(&rhs.volts)?)
-                })
-                .collect(),
-            SystemKind::FullMnaNewton => drives
-                .zip(block)
-                .map(|(drive, rhs)| {
-                    drive?;
-                    solve_full_mna(circuit, self.lin.clone(), &rhs.volts, &self.options)
-                })
-                .collect(),
+        } else if self.workspace.system.unknowns > 0 {
+            BATCH_SPARSE.add(block.len() as u64);
         }
+        solve_reads(
+            circuit,
+            &self.lin,
+            &self.sources,
+            drives,
+            &self.options,
+            &mut self.workspace,
+        )
     }
 }
 
@@ -456,8 +404,7 @@ pub fn solve_dc_batch(
 ///
 /// This is the invalidation idiom for call sites whose conductances change
 /// between batches (fault overlays, variation resamples): a value-only
-/// change on the sparse-direct engine or a non-linear system keeps the
-/// cached analysis and refactors in place
+/// change keeps the cached analysis and refactors in place
 /// ([`PreparedSystem::try_value_refresh`] — the `solver.klu.refactor` fast
 /// path), and anything else drops the stale system and rebuilds.
 ///
@@ -795,12 +742,7 @@ mod tests {
         // The Jacobian has the linear system's pattern, so the linear
         // system's sparse factor is the size to expect.
         let linear_system = PreparedSystem::build(linear.circuit(), SolveOptions::default()).unwrap();
-        let factor_bytes = match &linear_system.kind {
-            SystemKind::Reduced { workspace, .. } => {
-                workspace.factored().unwrap().factor_nnz() * 16
-            }
-            other => panic!("expected the sparse engine, got {other:?}"),
-        };
+        let factor_bytes = linear_system.workspace.factored().unwrap().factor_nnz() * 16;
 
         let mut prepared =
             PreparedSystem::build(nonlinear.circuit(), SolveOptions::default()).unwrap();
@@ -817,10 +759,10 @@ mod tests {
 
     /// A floating source between two grounded resistors, plus a grounded
     /// source and a current source so that every right-hand-side op kind
-    /// is replayed: the prepared full-MNA solve is bit-identical to the
-    /// one-shot one, whose assembly it shares.
+    /// is replayed: the prepared solve of the merged system is
+    /// bit-identical to the one-shot one, whose assembly it shares.
     #[test]
-    fn full_mna_prepared_solve_is_bit_identical_to_one_shot() {
+    fn floating_source_prepared_solve_is_bit_identical_to_one_shot() {
         let _session = obs::session();
         let mut c = Circuit::new();
         let a = c.add_node();
@@ -842,7 +784,7 @@ mod tests {
         )
         .unwrap();
         let mut prepared = PreparedSystem::build(&c, SolveOptions::default()).unwrap();
-        assert_eq!(prepared.engine_kind(), EngineKind::FullMna);
+        assert_eq!(prepared.engine_kind(), EngineKind::SparseDirect);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (v1, v2) in [(1.0, 0.7), (2.0, -0.1), (-3.0, 1e-3)] {
             let rhs = Rhs::from_volts(&[v1, v2]);
@@ -853,6 +795,38 @@ mod tests {
             let want = solve_dc(&patched, &SolveOptions::default()).unwrap();
             assert_eq!(bits(got.voltages()), bits(want.voltages()));
         }
+    }
+
+    /// A floating-source structure refreshes its values in place, and its
+    /// reads then match a cold build bit for bit.
+    #[test]
+    fn floating_source_structure_refreshes_in_place() {
+        let _session = obs::session();
+        let build = |load: f64| {
+            let mut c = Circuit::new();
+            let a = c.add_node();
+            let b = c.add_node();
+            c.add_resistor(a, Circuit::GROUND, Resistance::from_ohms(100.0))
+                .unwrap();
+            c.add_voltage_source(a, b, Voltage::from_volts(2.0))
+                .unwrap();
+            c.add_resistor(b, Circuit::GROUND, Resistance::from_ohms(load))
+                .unwrap();
+            c
+        };
+        let (old, new) = (build(330.0), build(47.0));
+        let options = SolveOptions::default();
+        let mut prepared = PreparedSystem::build(&old, options.clone()).unwrap();
+        assert_eq!(prepared.try_value_refresh(&new), Ok(true));
+        assert!(prepared.matches(&new));
+        let rhs = Rhs::from_volts(&[0.7]);
+        let got = prepared.solve(&new, &rhs).unwrap();
+        let want = PreparedSystem::build(&new, options)
+            .unwrap()
+            .solve(&new, &rhs)
+            .unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got.voltages()), bits(want.voltages()));
     }
 
     /// A NaN source value fails like the one-shot solve of the re-driven

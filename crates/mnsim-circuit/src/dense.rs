@@ -1,9 +1,9 @@
 //! Dense LU factorization with partial pivoting.
 //!
-//! The full modified-nodal-analysis matrix (with voltage-source branch
-//! currents) of a circuit with floating sources is not symmetric
-//! positive-definite, so it is solved by LU. Every reduced (grounded-source)
-//! system, whatever its size, goes to the sparse LDLᵀ of [`crate::ldl`].
+//! No solve path uses it: every DC system goes to the sparse LDLᵀ of
+//! [`crate::ldl`]. It is the tests' independent reference: the `ldl` unit
+//! tests, the full modified-nodal-analysis oracle of the `solve` tests, and
+//! the dense nodal reference of the integration tests.
 
 use crate::error::CircuitError;
 
@@ -45,20 +45,23 @@ impl DenseMatrix {
         self.n
     }
 
-    /// Factors the matrix into LU form with partial pivoting, consuming it.
-    ///
-    /// The returned [`LuFactors`] can back-solve any number of right-hand
-    /// sides, which is what makes factorization caching across a batch of
-    /// solves worthwhile (`O(n³)` once, `O(n²)` per RHS).
+    /// Solves `A·x = b` by LU with partial pivoting, consuming the matrix.
     ///
     /// # Errors
     ///
     /// Returns [`CircuitError::SingularSystem`] when a pivot collapses below
-    /// `1e-13` of the largest element.
-    pub fn factor(mut self) -> Result<LuFactors, CircuitError> {
+    /// `1e-13` of the largest element, and
+    /// [`CircuitError::DimensionMismatch`] when `b` has the wrong length.
+    pub fn solve(mut self, b: &[f64]) -> Result<Vec<f64>, CircuitError> {
         let n = self.n;
+        if b.len() != n {
+            return Err(CircuitError::DimensionMismatch {
+                expected: n,
+                actual: b.len(),
+                what: "right-hand side length",
+            });
+        }
         let mut perm: Vec<usize> = (0..n).collect();
-
         let scale = self
             .data
             .iter()
@@ -96,94 +99,27 @@ impl DenseMatrix {
             }
         }
 
-        Ok(LuFactors {
-            n,
-            data: self.data,
-            perm,
-        })
-    }
-
-    /// Solves `A·x = b` by LU with partial pivoting, consuming the matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::SingularSystem`] when a pivot collapses below
-    /// `1e-13` of the largest element, and
-    /// [`CircuitError::DimensionMismatch`] when `b` has the wrong length.
-    pub fn solve(self, b: &[f64]) -> Result<Vec<f64>, CircuitError> {
-        if b.len() != self.n {
-            return Err(CircuitError::DimensionMismatch {
-                expected: self.n,
-                actual: b.len(),
-                what: "right-hand side length",
-            });
-        }
-        self.factor()?.solve(b)
-    }
-}
-
-/// An LU factorization (with row permutation) ready to back-solve many
-/// right-hand sides against the same matrix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LuFactors {
-    n: usize,
-    /// Combined L (strict lower, unit diagonal implied) and U, row-major,
-    /// addressed through `perm`.
-    data: Vec<f64>,
-    perm: Vec<usize>,
-}
-
-impl LuFactors {
-    /// Matrix dimension.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn at(&self, i: usize, j: usize) -> f64 {
-        self.data[i * self.n + j]
-    }
-
-    /// Back-solves `A·x = b` using the cached factorization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::DimensionMismatch`] when `b` has the wrong
-    /// length.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, CircuitError> {
-        if b.len() != self.n {
-            return Err(CircuitError::DimensionMismatch {
-                expected: self.n,
-                actual: b.len(),
-                what: "right-hand side length",
-            });
-        }
-        let n = self.n;
-        let mut x: Vec<f64> = b.to_vec();
-
         // Forward substitution (apply L, permuted).
         let mut y = vec![0.0; n];
         for i in 0..n {
-            let pi = self.perm[i];
-            let mut acc = x[pi];
+            let pi = perm[i];
+            let mut acc = b[pi];
             for (j, &yj) in y.iter().enumerate().take(i) {
-                acc -= self.at(pi, j) * yj;
+                acc -= self[(pi, j)] * yj;
             }
             y[i] = acc;
         }
 
-        // Back substitution (apply U).
+        // Back substitution (apply U); the unknowns keep their order.
+        let mut x = b.to_vec();
         for i in (0..n).rev() {
-            let pi = self.perm[i];
+            let pi = perm[i];
             let mut acc = y[i];
             for (j, &xj) in x.iter().enumerate().skip(i + 1) {
-                acc -= self.at(pi, j) * xj;
+                acc -= self[(pi, j)] * xj;
             }
-            x[i] = acc / self.at(pi, i);
+            x[i] = acc / self[(pi, i)];
         }
-
-        // x holds the solution in natural order already (we solved in
-        // pivoted row order but unknown order is untouched).
         Ok(x)
     }
 }
@@ -295,35 +231,5 @@ mod tests {
     #[should_panic(expected = "wrong length")]
     fn from_rows_checks_shape() {
         let _ = DenseMatrix::from_rows(&[vec![1.0], vec![1.0, 2.0]]);
-    }
-
-    #[test]
-    fn factored_solve_matches_direct_solve_bitwise() {
-        let rows = vec![
-            vec![4.0, 1.0, 0.5],
-            vec![1.0, 3.0, -1.0],
-            vec![0.5, -1.0, 5.0],
-        ];
-        let rhs_set = [
-            vec![1.0, 2.0, 3.0],
-            vec![-0.25, 0.75, 1.5],
-            vec![0.0, 1e-6, -4.0],
-        ];
-        let lu = DenseMatrix::from_rows(&rows).factor().unwrap();
-        for b in &rhs_set {
-            let direct = DenseMatrix::from_rows(&rows).solve(b).unwrap();
-            let reused = lu.solve(b).unwrap();
-            // Same elimination and substitution arithmetic → identical bits.
-            assert_eq!(direct, reused);
-        }
-    }
-
-    #[test]
-    fn factor_rejects_singular() {
-        let m = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]);
-        assert!(matches!(
-            m.factor(),
-            Err(CircuitError::SingularSystem { .. })
-        ));
     }
 }

@@ -652,8 +652,7 @@ mod tests {
     fn crossbar_patterns_match_the_reference() {
         let _session = mnsim_obs::session();
         use crate::crossbar::CrossbarSpec;
-        use crate::mna::Element;
-        use crate::solve::{assemble_reduced, linearize};
+        use crate::solve::{assemble_reduced, linearize, Sources};
         use mnsim_tech::units::{Resistance, Voltage};
 
         for size in [16usize, 32, 64, 128] {
@@ -668,13 +667,8 @@ mod tests {
             .build()
             .expect("valid crossbar");
             let circuit = built.circuit();
-            let mut is_driven = vec![false; circuit.node_count()];
-            for element in circuit.elements() {
-                if let Element::VoltageSource { npos, .. } = element {
-                    is_driven[*npos] = true;
-                }
-            }
-            let system = assemble_reduced(circuit, &linearize(circuit, None), &is_driven);
+            let lin = linearize(circuit, None);
+            let system = assemble_reduced(circuit, &lin, &Sources::of(circuit));
             let csc = system.stamps.to_csc();
             let n = csc.cols();
             let order = min_degree_order(n, csc.col_ptr(), csc.row_idx());

@@ -411,8 +411,7 @@ mod tests {
     use super::*;
     use crate::crossbar::CrossbarSpec;
     use crate::ldl::{analyze, SparseLdl};
-    use crate::mna::Element;
-    use crate::solve::{assemble_reduced, linearize, replay_rhs};
+    use crate::solve::{assemble_reduced, linearize, replay_rhs, source_volts, Sources};
     use crate::sparse::{CscMatrix, TripletMatrix};
     use mnsim_tech::memristor::IvModel;
     use mnsim_tech::units::{Resistance, Voltage};
@@ -480,17 +479,17 @@ mod tests {
             .map(|_| uniform(&mut state))
             .collect();
         let lin = linearize(circuit, sinh.then_some(point.as_slice()));
-        let mut driven = vec![None; circuit.node_count()];
-        for element in circuit.elements() {
-            if let Element::VoltageSource { npos, voltage, .. } = element {
-                driven[*npos] = Some(voltage.volts());
-            }
-        }
-        let is_driven: Vec<bool> = driven.iter().map(Option::is_some).collect();
-        let system = assemble_reduced(circuit, &lin, &is_driven);
-        let b = replay_rhs(&system.ops, system.unknowns, |node| {
-            driven[node].unwrap_or(0.0)
-        });
+        let sources = Sources::of(circuit);
+        let drive = sources
+            .drive(&source_volts(circuit))
+            .expect("one source per row");
+        let system = assemble_reduced(circuit, &lin, &sources);
+        let b = replay_rhs(
+            &system.ops,
+            system.unknowns,
+            &drive.voltages,
+            &drive.offsets,
+        );
         (system.stamps.to_csc(), b)
     }
 

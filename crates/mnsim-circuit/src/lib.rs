@@ -4,21 +4,22 @@
 //! role HSPICE plays in the original paper. It provides
 //!
 //! * [`sparse`] — triplet assembly and CSC sparse matrices,
-//! * [`dense`] — dense LU with partial pivoting, the engine of the full
-//!   modified-nodal-analysis system of circuits with floating sources,
+//! * [`dense`] — dense LU with partial pivoting, the tests' independent
+//!   reference (no solve path uses it),
 //! * [`mna`] — circuit representation (resistors, sources, memristors) and
 //!   the KCL residual of a solution ([`kcl_residual`]),
 //! * [`solve`] — DC operating-point analysis with chord Newton for
-//!   non-linear memristor cells; every solution is screened for NaN/∞,
+//!   non-linear memristor cells; voltage sources are eliminated by node
+//!   merging (floating ones into supernodes), so every circuit solves on
+//!   one engine, and every solution is screened for NaN/∞,
 //! * [`ldl`] — sparse LDLᵀ direct solver for the symmetric positive-definite
 //!   reduced systems (AMD ordering, elimination tree, then an up-looking or,
 //!   where the fill is dense, a supernodal multifrontal numeric
 //!   factorization) with a cached symbolic analysis and a numeric-only
 //!   `refactor()` for same-pattern value updates,
 //! * [`batch`] — multi-RHS solving over a [`batch::PreparedSystem`] that
-//!   caches the assembled and factored system (sparse LDLᵀ for grounded
-//!   sources, dense LU for full MNA) per conductance structure, so each
-//!   input costs one backsolve,
+//!   caches the assembled reduced system and its sparse LDLᵀ factor per
+//!   conductance structure, so each input costs one backsolve,
 //! * [`crossbar`] — memristor-crossbar netlist construction matching the
 //!   paper's resistor-network model (cells + `2MN` wire segments + sensing
 //!   resistors), with optional hard-defect overlays (stuck cells, broken

@@ -225,6 +225,27 @@ mod tests {
         assert!((sol.voltage(2).volts() - 7.5).abs() < 1e-9);
     }
 
+    /// Floating sources in hand-written SPICE text: two 1.5 V cells in
+    /// series between a 100 Ω and a 200 Ω load to ground, and a 3 V source
+    /// across both that closes the loop and so carries nothing.
+    #[test]
+    fn hand_written_netlist_with_floating_sources() {
+        let _session = mnsim_obs::session();
+        let text = "* two cells\nV1 1 2 DC 1.5\nV2 2 3 DC 1.5\nV3 1 3 DC 3\n\
+                    R1 1 0 100\nR2 3 0 200\n.end\n";
+        let c = from_netlist(text).unwrap();
+        let sol = solve_dc(&c, &SolveOptions::default()).unwrap();
+        for (node, want) in [(1, 1.0), (2, -0.5), (3, -2.0)] {
+            let got = sol.voltage(node).volts();
+            assert!((got - want).abs() < 1e-12, "node {node}: {got} V");
+        }
+        for (source, want) in [(0, -0.01), (1, -0.01), (2, 0.0)] {
+            let got = sol.element_current(source).amperes();
+            assert!((got - want).abs() < 1e-15, "V{}: {got} A", source + 1);
+        }
+        assert!((sol.source_power(&c).watts() - 0.03).abs() < 1e-15);
+    }
+
     #[test]
     fn parse_value_without_dc_keyword() {
         let _session = mnsim_obs::session();

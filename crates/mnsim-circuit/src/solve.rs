@@ -2,12 +2,14 @@
 //!
 //! [`solve_dc`] computes the DC solution of a [`Circuit`]:
 //!
-//! 1. **Linear circuits** are solved in one shot. If every voltage source is
-//!    referenced to ground (true for every crossbar netlist), the nodal
-//!    matrix reduced over the driven nodes is symmetric positive-definite,
-//!    and the sparse LDLᵀ engine of [`crate::ldl`] solves it at every size.
-//!    Circuits with floating sources use a dense LU over the full
-//!    modified-nodal-analysis system (`FullMna`).
+//! 1. **Linear circuits** are solved in one shot. The voltage sources are
+//!    eliminated by node merging (`Sources`): a node that a chain of
+//!    sources ties to ground is fixed, and the nodes that sources tie to
+//!    each other but not to ground form a supernode with one unknown. The
+//!    nodal matrix reduced over the fixed nodes and summed over each
+//!    supernode is symmetric, and positive-definite when every unknown
+//!    reaches ground through conductances, so the sparse LDLᵀ engine of
+//!    [`crate::ldl`] solves every DC circuit at every size.
 //! 2. **Non-linear circuits** (memristors with a sinh I-V model) are solved
 //!    by chord Newton. The first solve puts every memristor at its
 //!    low-field resistance. Each chord step then reads the KCL imbalance
@@ -22,29 +24,28 @@
 //!    refactored. Later chord steps use that factor. The loop stops when a
 //!    kept step moves no node by `newton_tolerance` or more. Every linear
 //!    solve stamps the same coordinates, so the sparse engine analyzes the
-//!    pattern once (`SparseWorkspace`). Full MNA holds no factor, so with
-//!    floating sources every step is a Newton step.
+//!    pattern once (`SparseWorkspace`).
 //!
 //! **Reads in lockstep.** The chord loop (`solve_reads`) solves any number
 //! of reads of one structure — one circuit under different source values —
 //! together; [`solve_dc`] is its one-read case, and
 //! [`crate::batch::PreparedSystem`] hands it blocks of up to eight. A read's
-//! source values enter only as the voltages of its driven nodes
-//! (`Sources::drive`): the low-field matrix, the KCL imbalance, the
-//! linearization and `finish` never read them. So the reads share one
-//! low-field assembly and factorization, and each sweep moves every read
-//! still in the block with one multi-column backsolve. A read whose chord
-//! step fails to halve its residual leaves the block; once the block is
-//! done, it continues alone from its kept iterate with the one-read steps —
-//! a Newton refactor, then chord steps on that factor. Every read takes
-//! exactly the steps it would take alone, so its result is bit-identical
-//! to a one-read solve.
+//! source values enter only as the voltages of its fixed nodes and the
+//! offsets of its merged ones (`Sources::drive`): the low-field matrix,
+//! the KCL imbalance, the linearization and `finish` never read them. So
+//! the reads share one low-field assembly and factorization, and each
+//! sweep moves every read still in the block with one multi-column
+//! backsolve. A read whose chord step fails to halve its residual leaves
+//! the block; once the block is done, it continues alone from its kept
+//! iterate with the one-read steps — a Newton refactor, then chord steps
+//! on that factor. Every read takes exactly the steps it would take alone,
+//! so its result is bit-identical to a one-read solve.
 //!
-//! Each system class has one assembly, shared with
-//! [`crate::batch::PreparedSystem`]: `assemble_reduced_into` and
-//! `FullMna::build`. One-shot and prepared solves therefore stamp, sum
-//! and factor identically. Every DC solution leaves through `finish`,
-//! which rejects NaN or infinite voltages and currents with
+//! Every circuit has one assembly, `assemble_reduced_into`, shared with
+//! [`crate::batch::PreparedSystem`] and the transient, so one-shot and
+//! prepared solves stamp, sum and factor identically. Every DC solution
+//! leaves through `finish`, which gives each voltage source its branch
+//! current and rejects NaN or infinite voltages and currents with
 //! [`CircuitError::NonFiniteSolution`].
 
 use mnsim_obs as obs;
@@ -53,7 +54,6 @@ use mnsim_tech::memristor::IvModel;
 static DC_SOLVES: obs::Counter = obs::Counter::new("circuit.solve.dc_solves");
 static DC_SPAN: obs::Span = obs::Span::new("circuit.solve_dc", obs::Level::Stage);
 static LINEAR_SPARSE: obs::Counter = obs::Counter::new("circuit.solve.sparse_lu");
-static LINEAR_FULL_MNA: obs::Counter = obs::Counter::new("circuit.solve.full_mna");
 /// Newton steps, i.e. the steps that linearize and refactor.
 static NEWTON_ITERATIONS: obs::Counter = obs::Counter::new("circuit.solve.newton_iterations");
 /// Chord steps, kept or undone; the value is the trial's KCL residual.
@@ -71,7 +71,6 @@ static FINISH_SPAN: obs::Span = obs::Span::new("circuit.solve.finish", obs::Leve
 /// most this fraction of the kept one.
 const CHORD_CONTRACTION: f64 = 0.5;
 
-use crate::dense::{DenseMatrix, LuFactors};
 use crate::error::CircuitError;
 use crate::ldl::SparseLdl;
 use crate::mna::{Circuit, DcSolution, Element};
@@ -183,17 +182,24 @@ impl SparseWorkspace {
     /// Assembles the reduced system of `circuit` under `lin` into the held
     /// buffers ([`assemble_reduced_into`]) and, when it has unknowns, makes
     /// the held factor factor it: the one assemble-and-factor of one-shot
-    /// solves, Newton steps, prepared builds and value refreshes.
+    /// solves, Newton steps, prepared builds and value refreshes. A
+    /// floating island is [`CircuitError::SingularSystem`] before any
+    /// factorization (`ReducedSystem::island`).
     pub(crate) fn refill(
         &mut self,
         circuit: &Circuit,
         lin: &[Option<Linearized>],
-        is_driven: &[bool],
+        sources: &Sources,
     ) -> Result<(), CircuitError> {
         let mut system = std::mem::take(&mut self.system);
-        assemble_reduced_into(&mut system, circuit, lin, is_driven);
+        assemble_reduced_into(&mut system, circuit, lin, sources);
         let factored = if system.unknowns == 0 {
             Ok(())
+        } else if let Some(at) = system.island(circuit, lin) {
+            // A failed refill leaves no usable factor, as a failed
+            // refactor does.
+            self.values.clear();
+            Err(CircuitError::SingularSystem { at })
         } else {
             self.factor(&system.stamps)
         };
@@ -226,23 +232,25 @@ impl SparseWorkspace {
     }
 
     /// Solves the held system for the fixed node voltages in `voltages`
-    /// (ground and driven nodes; the rest is ignored) into `next`: a copy
-    /// of `voltages` with every unknown node at its solution.
+    /// (ground's tree; the rest is ignored) and the merged nodes' `offsets`
+    /// ([`Drive`]) into `next`: a copy of `voltages` with every unknown and
+    /// merged node at its solution.
     pub(crate) fn solve_read(
         &self,
         voltages: &[f64],
+        offsets: &[f64],
         next: &mut Vec<f64>,
     ) -> Result<(), CircuitError> {
         let system = &self.system;
         let assemble = ASSEMBLE_SPAN.enter();
-        let mut x = replay_rhs(&system.ops, system.unknowns, |node| voltages[node]);
+        let mut x = replay_rhs(&system.ops, system.unknowns, voltages, offsets);
         drop(assemble);
         next.clear();
         next.extend_from_slice(voltages);
         if system.unknowns > 0 {
             LINEAR_SPARSE.inc();
             self.backsolve(&mut [&mut x])?;
-            system.scatter(next, &x);
+            system.scatter(next, &x, offsets);
         }
         Ok(())
     }
@@ -293,22 +301,10 @@ pub(crate) fn solve_dc_in(
     let lin = linearize(circuit, None);
     let assemble = ASSEMBLE_SPAN.enter();
     let sources = Sources::of(circuit);
-    let volts = source_volts(circuit);
-    let drive = sources.drive(&volts)?;
-    if !sources.all_grounded() {
-        drop(assemble);
-        return solve_full_mna(circuit, lin, &volts, options);
-    }
-    workspace.refill(circuit, &lin, &sources.is_driven)?;
+    let drive = sources.drive(&source_volts(circuit))?;
+    workspace.refill(circuit, &lin, &sources)?;
     drop(assemble);
-    let mut outcomes = solve_reads(
-        circuit,
-        &lin,
-        &sources.is_driven,
-        vec![Ok(drive)],
-        options,
-        workspace,
-    );
+    let mut outcomes = solve_reads(circuit, &lin, &sources, vec![Ok(drive)], options, workspace);
     outcomes.pop().ok_or(CircuitError::DimensionMismatch {
         expected: 1,
         actual: 0,
@@ -321,9 +317,12 @@ pub(crate) fn solve_dc_in(
 #[derive(Debug)]
 struct Lane {
     /// Node voltages of the kept iterate. Ground stays at 0 V and every
-    /// driven node at the read's source value, so a linear solve replays
-    /// its right-hand side from here.
+    /// node of ground's tree at the value the read's sources fix, so a
+    /// linear solve replays its right-hand side from here.
     voltages: Vec<f64>,
+    /// The merged nodes' offsets under the read's source values
+    /// ([`Drive`]).
+    offsets: Vec<f64>,
     /// Per unknown: the KCL imbalance `r` at the kept iterate, which a
     /// chord step's backsolve turns into the step in place; the imbalance
     /// at the trial iterate after that. The low-field solve uses it for
@@ -342,13 +341,14 @@ struct Lane {
 
 impl Lane {
     /// A read at `drive`, or one that already failed with `drive`'s error.
-    fn new(drive: Result<Vec<f64>, CircuitError>) -> Lane {
-        let (voltages, outcome) = match drive {
-            Ok(voltages) => (voltages, None),
-            Err(e) => (Vec::new(), Some(Err(e))),
+    fn new(drive: Result<Drive, CircuitError>) -> Lane {
+        let (Drive { voltages, offsets }, outcome) = match drive {
+            Ok(drive) => (drive, None),
+            Err(e) => (Drive::default(), Some(Err(e))),
         };
         Lane {
             voltages,
+            offsets,
             inflow: Vec::new(),
             residual: f64::NAN,
             last_update: f64::NAN,
@@ -363,12 +363,17 @@ impl Lane {
     }
 
     /// The result of a converged read: the solution at its kept iterate.
-    fn converge(&mut self, circuit: &Circuit) -> Result<DcSolution, CircuitError> {
+    fn converge(
+        &mut self,
+        circuit: &Circuit,
+        sources: &Sources,
+    ) -> Result<DcSolution, CircuitError> {
         if !self.residual.is_nan() {
             KCL_RESIDUAL.record(self.residual);
         }
         let voltages = std::mem::take(&mut self.voltages);
-        finish(circuit, &linearize(circuit, Some(&voltages)), voltages)
+        let lin = linearize(circuit, Some(&voltages));
+        finish(circuit, &lin, sources, voltages)
     }
 
     /// The error of a read whose step budget ran out.
@@ -380,17 +385,16 @@ impl Lane {
     }
 }
 
-/// The chord-Newton loop over the reads of one grounded-source structure
-/// (see the module docs). `workspace` holds the factored low-field system
-/// of `circuit` under `lin` — for a linear circuit its only system — and
-/// `is_driven` marks the driven nodes. Each entry of `drives` is one
-/// read's fixed node voltages (`Sources::drive`) or the error that read
-/// already failed with. Returns one outcome per read, in order.
+/// The chord-Newton loop over the reads of one structure (see the module
+/// docs). `workspace` holds the factored low-field system of `circuit`
+/// under `lin` — for a linear circuit its only system — assembled with
+/// `sources`. Each entry of `drives` is one read's [`Drive`] or the error
+/// that read already failed with. Returns one outcome per read, in order.
 pub(crate) fn solve_reads(
     circuit: &Circuit,
     lin: &[Option<Linearized>],
-    is_driven: &[bool],
-    drives: Vec<Result<Vec<f64>, CircuitError>>,
+    sources: &Sources,
+    drives: Vec<Result<Drive, CircuitError>>,
     options: &SolveOptions,
     workspace: &mut SparseWorkspace,
 ) -> Vec<Result<DcSolution, CircuitError>> {
@@ -405,7 +409,7 @@ pub(crate) fn solve_reads(
     if !circuit.is_nonlinear() {
         for lane in lanes.iter_mut().filter(|lane| lane.open()) {
             let voltages = std::mem::take(&mut lane.voltages);
-            lane.outcome = Some(finish(circuit, lin, voltages));
+            lane.outcome = Some(finish(circuit, lin, sources, voltages));
         }
     } else if chord {
         let mut kcl = Kcl::default();
@@ -413,26 +417,26 @@ pub(crate) fn solve_reads(
             lane.residual =
                 kcl.imbalance(circuit, &lane.voltages, &workspace.system, &mut lane.inflow);
         }
-        chord_sweeps(circuit, &mut lanes, options, workspace, &mut kcl);
+        chord_sweeps(circuit, sources, &mut lanes, options, workspace, &mut kcl);
     }
     lanes
         .into_iter()
         .map(|mut lane| match lane.outcome.take() {
             Some(outcome) => outcome,
             // The read left the block, or there was none to take.
-            None => continue_alone(circuit, is_driven, &mut lane, options, workspace, chord),
+            None => continue_alone(circuit, sources, &mut lane, options, workspace, chord),
         })
         .collect()
 }
 
 /// The first solve of every open lane: one multi-column backsolve on the
-/// held factor, with each read's right-hand side replayed from its driven
-/// voltages.
+/// held factor, with each read's right-hand side replayed from its fixed
+/// voltages and offsets.
 fn low_field_solve(lanes: &mut [Lane], workspace: &SparseWorkspace) {
     let system = &workspace.system;
     let assemble = ASSEMBLE_SPAN.enter();
     for lane in lanes.iter_mut().filter(|lane| lane.open()) {
-        lane.inflow = replay_rhs(&system.ops, system.unknowns, |node| lane.voltages[node]);
+        lane.inflow = replay_rhs(&system.ops, system.unknowns, &lane.voltages, &lane.offsets);
     }
     drop(assemble);
     let mut columns: Vec<&mut [f64]> = lanes
@@ -447,7 +451,7 @@ fn low_field_solve(lanes: &mut [Lane], workspace: &SparseWorkspace) {
     let solved = workspace.backsolve(&mut columns);
     for lane in lanes.iter_mut().filter(|lane| lane.open()) {
         match &solved {
-            Ok(()) => system.scatter(&mut lane.voltages, &lane.inflow),
+            Ok(()) => system.scatter(&mut lane.voltages, &lane.inflow, &lane.offsets),
             Err(e) => lane.outcome = Some(Err(e.clone())),
         }
     }
@@ -460,6 +464,7 @@ fn low_field_solve(lanes: &mut [Lane], workspace: &SparseWorkspace) {
 /// `None` for a Newton step to continue it.
 fn chord_sweeps(
     circuit: &Circuit,
+    sources: &Sources,
     lanes: &mut [Lane],
     options: &SolveOptions,
     workspace: &SparseWorkspace,
@@ -508,7 +513,7 @@ fn chord_sweeps(
             lane.last_update = max_update(&lane.voltages, &trial);
             std::mem::swap(&mut lane.voltages, &mut trial);
             if lane.last_update < options.newton_tolerance {
-                lane.outcome = Some(lane.converge(circuit));
+                lane.outcome = Some(lane.converge(circuit, sources));
                 return false;
             }
             true
@@ -523,7 +528,7 @@ fn chord_sweeps(
 /// every step is a Newton step.
 fn continue_alone(
     circuit: &Circuit,
-    is_driven: &[bool],
+    sources: &Sources,
     lane: &mut Lane,
     options: &SolveOptions,
     workspace: &mut SparseWorkspace,
@@ -539,20 +544,21 @@ fn continue_alone(
         NEWTON_ITERATIONS.inc();
         let jacobian = linearize(circuit, Some(&lane.voltages));
         let assemble = ASSEMBLE_SPAN.enter();
-        workspace.refill(circuit, &jacobian, is_driven)?;
+        workspace.refill(circuit, &jacobian, sources)?;
         drop(assemble);
-        workspace.solve_read(&lane.voltages, &mut next)?;
+        workspace.solve_read(&lane.voltages, &lane.offsets, &mut next)?;
         if chord {
             lane.residual = kcl.imbalance(circuit, &next, &workspace.system, &mut lane.inflow);
         }
         lane.last_update = max_update(&lane.voltages, &next);
         std::mem::swap(&mut lane.voltages, &mut next);
         if lane.last_update < options.newton_tolerance {
-            return lane.converge(circuit);
+            return lane.converge(circuit, sources);
         }
         if chord {
             chord_sweeps(
                 circuit,
+                sources,
                 std::slice::from_mut(lane),
                 options,
                 workspace,
@@ -563,40 +569,6 @@ fn continue_alone(
             }
         }
     }
-}
-
-/// The Newton loop on full MNA, for circuits with floating sources at
-/// source values `volts`: full MNA holds no factor, so every step
-/// assembles and factors anew. `lin` is the low-field linearization.
-pub(crate) fn solve_full_mna(
-    circuit: &Circuit,
-    lin: Vec<Option<Linearized>>,
-    volts: &[f64],
-    options: &SolveOptions,
-) -> Result<DcSolution, CircuitError> {
-    let step = |lin: &[Option<Linearized>]| {
-        LINEAR_FULL_MNA.inc();
-        FullMna::build(circuit, lin)?.solve(volts)
-    };
-    let mut voltages = step(&lin)?;
-    if !circuit.is_nonlinear() {
-        return finish(circuit, &lin, voltages);
-    }
-    let mut last_update = f64::NAN;
-    for _ in 0..options.newton_max_iterations {
-        NEWTON_ITERATIONS.inc();
-        let next = step(&linearize(circuit, Some(&voltages)))?;
-        last_update = max_update(&voltages, &next);
-        voltages = next;
-        if last_update < options.newton_tolerance {
-            let lin = linearize(circuit, Some(&voltages));
-            return finish(circuit, &lin, voltages);
-        }
-    }
-    Err(CircuitError::NewtonNoConvergence {
-        iterations: options.newton_max_iterations,
-        last_update,
-    })
 }
 
 /// The largest node-voltage move from `from` to `to`.
@@ -616,11 +588,11 @@ struct Kcl {
 
 impl Kcl {
     /// Fills `inflow` with the KCL imbalance of `circuit` at `voltages` —
-    /// the net current flowing into each unknown's node, `r(x)` — from the
+    /// the net current flowing into each unknown's nodes, `r(x)` — from the
     /// element currents: resistors at `(1/R)·Δv`, cells on their I-V
     /// curve, current sources at their value. Returns its max-norm in
     /// amperes, or NaN when a current is not finite. `system` numbers the
-    /// unknowns.
+    /// unknowns and lists the merged nodes.
     fn imbalance(
         &mut self,
         circuit: &Circuit,
@@ -642,6 +614,14 @@ impl Kcl {
             Element::CurrentSource { current, .. } => current.amperes(),
             Element::Capacitor { .. } | Element::VoltageSource { .. } => 0.0,
         });
+        // A supernode's row balances the current leaving all its nodes:
+        // each of them carries that sum into the pass below.
+        for &(node, rep) in &system.merged {
+            self.leaving[rep] += self.leaving[node];
+        }
+        for &(node, rep) in &system.merged {
+            self.leaving[node] = self.leaving[rep];
+        }
         inflow.clear();
         inflow.resize(system.unknowns, 0.0);
         let mut norm = 0.0f64;
@@ -713,81 +693,184 @@ pub(crate) fn linearize_into(
 /// depends only on the terminals of each source, never on its value, so
 /// one binding serves every read of a structure; a read's source values
 /// enter through [`Sources::drive`].
+///
+/// The sources are eliminated by node merging. Their edges are walked as a
+/// spanning forest, each parent before its children:
+/// * the tree that holds ground fixes every node in it (for grounded
+///   sources, the node each one drives);
+/// * every other tree is a floating supernode: its lowest node, the
+///   representative, keeps an unknown, and every other node in it is
+///   *merged*: it sits at the representative plus an offset that the
+///   read's source values fix, shares the representative's unknown, and
+///   sums its KCL row into the representative's;
+/// * a source off the forest closes a loop of sources: it must equal what
+///   the forest fixes, and it carries no current.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Sources {
-    /// Per source, in element order: the node a grounded source fixes and
-    /// whether its value is negated there (its `npos` at ground), or
-    /// `None` for a floating source.
-    bindings: Vec<Option<(usize, bool)>>,
-    /// Per node: whether a grounded source fixes it.
-    pub(crate) is_driven: Vec<bool>,
+    /// The forest's sources, each parent before its children.
+    walk: Vec<Edge>,
+    /// The sources off the forest, each of which closes a loop.
+    loops: Vec<Edge>,
+    /// Per node: whether a source binds it, so that it has no unknown of
+    /// its own: the nodes of ground's tree other than ground, and the
+    /// merged nodes.
+    bound: Vec<bool>,
+    /// Each merged node with its representative, in walk order.
+    merged: Vec<(usize, usize)>,
+}
+
+/// One voltage source as [`Sources`] binds it: it fixes `child` relative
+/// to `parent`.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    /// The source's position among the circuit's sources, i.e. its value's
+    /// index in a read's source values.
+    source: usize,
+    /// Its element index.
+    element: usize,
+    /// The terminal it fixes: in the forest, the one farther from the
+    /// root; off the forest, its `npos` unless that is the root.
+    child: usize,
+    /// The other terminal, or `None` when that is its tree's root: ground,
+    /// or a representative, whose offset is 0 V.
+    parent: Option<usize>,
+    /// `true` when `child` is the source's `nneg`, so that it sits at the
+    /// parent minus the source value.
+    negated: bool,
+}
+
+/// The node voltages that one read's source values fix.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Drive {
+    /// Every node of ground's tree at the value its sources fix, ground
+    /// and every other node at 0 V.
+    pub(crate) voltages: Vec<f64>,
+    /// Per merged node, in [`Sources`] order: its offset from its
+    /// representative. Empty without floating sources.
+    pub(crate) offsets: Vec<f64>,
 }
 
 impl Sources {
-    /// The source binding of `circuit`.
+    /// The source binding of `circuit`. The first pass offers every source
+    /// to ground's tree, which takes all of a grounded circuit's; later
+    /// passes grow that tree, and then one tree from the lowest node left,
+    /// until every source is in the forest or closes a loop.
     pub(crate) fn of(circuit: &Circuit) -> Sources {
-        let mut is_driven = vec![false; circuit.node_count()];
-        let mut bindings = Vec::new();
-        for element in circuit.elements() {
-            if let Element::VoltageSource { npos, nneg, .. } = *element {
-                let binding = if nneg == Circuit::GROUND {
-                    Some((npos, false))
-                } else if npos == Circuit::GROUND {
-                    Some((nneg, true))
-                } else {
-                    None
-                };
-                if let Some((node, _)) = binding {
-                    is_driven[node] = true;
-                }
-                bindings.push(binding);
+        let mut sources = Sources {
+            bound: vec![false; circuit.node_count()],
+            ..Sources::default()
+        };
+        let mut pending = Vec::new();
+        let terminals = circuit
+            .elements()
+            .iter()
+            .enumerate()
+            .filter_map(|(element, e)| match *e {
+                Element::VoltageSource { npos, nneg, .. } => Some((element, npos, nneg)),
+                _ => None,
+            });
+        for (source, (element, npos, nneg)) in terminals.enumerate() {
+            if !sources.join(source, element, npos, nneg, Circuit::GROUND) {
+                pending.push((source, element, npos, nneg));
             }
         }
-        Sources {
-            bindings,
-            is_driven,
+        let mut root = Circuit::GROUND;
+        while let Some(lowest) = pending
+            .iter()
+            .map(|&(_, _, npos, nneg)| npos.min(nneg))
+            .min()
+        {
+            let before = pending.len();
+            pending.retain(|&(source, element, npos, nneg)| {
+                !sources.join(source, element, npos, nneg, root)
+            });
+            if pending.len() == before {
+                // Nothing more joins this tree: root the next one.
+                root = lowest;
+            }
         }
+        sources
+    }
+
+    /// Adds a source to the tree rooted at `root` when a terminal of it is
+    /// in that tree, as a forest edge or, with both terminals there, as a
+    /// loop; returns whether it did.
+    fn join(
+        &mut self,
+        source: usize,
+        element: usize,
+        npos: usize,
+        nneg: usize,
+        root: usize,
+    ) -> bool {
+        let placed = |node: usize| node == root || self.bound[node];
+        let (pos, neg) = (placed(npos), placed(nneg));
+        if !pos && !neg {
+            return false;
+        }
+        let child = if !neg || npos == root { nneg } else { npos };
+        let other = if child == npos { nneg } else { npos };
+        let edge = Edge {
+            source,
+            element,
+            child,
+            parent: (other != root).then_some(other),
+            negated: child == nneg,
+        };
+        if pos && neg {
+            self.loops.push(edge);
+        } else {
+            self.walk.push(edge);
+            self.bound[child] = true;
+            if root != Circuit::GROUND {
+                self.merged.push((child, root));
+            }
+        }
+        true
     }
 
     /// Number of voltage sources.
     pub(crate) fn len(&self) -> usize {
-        self.bindings.len()
+        self.walk.len() + self.loops.len()
     }
 
-    /// `true` if every source has one terminal at ground.
-    pub(crate) fn all_grounded(&self) -> bool {
-        self.bindings.iter().all(Option::is_some)
-    }
-
-    /// The node voltages that the source values `volts` (one per source,
-    /// in element order) fix: every driven node at its source's value,
-    /// ground and every other node at 0 V.
+    /// The [`Drive`] of the source values `volts` (one per source, in
+    /// element order).
     ///
     /// # Errors
     ///
-    /// [`CircuitError::InvalidElement`] when two sources drive one node to
-    /// different values.
-    pub(crate) fn drive(&self, volts: &[f64]) -> Result<Vec<f64>, CircuitError> {
-        let mut driven = vec![None; self.is_driven.len()];
-        for (&binding, &v) in self.bindings.iter().zip(volts) {
-            let Some((node, negated)) = binding else {
-                continue;
-            };
-            let value = if negated { -v } else { v };
-            if let Some(existing) = driven[node].replace(value) {
-                if existing != value {
-                    return Err(CircuitError::InvalidElement {
-                        reason: format!("node {node} driven to both {existing} V and {value} V"),
-                    });
-                }
+    /// [`CircuitError::InvalidElement`] when a source that closes a loop
+    /// differs from what the forest fixes, compared exactly: two sources
+    /// that drive one node to different values, say.
+    pub(crate) fn drive(&self, volts: &[f64]) -> Result<Drive, CircuitError> {
+        let mut voltages = vec![0.0; self.bound.len()];
+        // The child's value: a root's children take the source value as
+        // it is, so a grounded source fixes its node to exactly its value.
+        let fixes = |voltages: &[f64], edge: &Edge| {
+            let v = volts[edge.source];
+            let v = if edge.negated { -v } else { v };
+            edge.parent.map_or(v, |parent| voltages[parent] + v)
+        };
+        for edge in &self.walk {
+            voltages[edge.child] = fixes(&voltages, edge);
+        }
+        for edge in &self.loops {
+            let (existing, value) = (voltages[edge.child], fixes(&voltages, edge));
+            if existing != value {
+                return Err(CircuitError::InvalidElement {
+                    reason: format!(
+                        "node {} driven to both {existing} V and {value} V",
+                        edge.child
+                    ),
+                });
             }
         }
-        // Scaled ops only name ground and driven nodes.
-        Ok(driven
-            .into_iter()
-            .enumerate()
-            .map(|(node, v)| v.filter(|_| node != Circuit::GROUND).unwrap_or(0.0))
-            .collect())
+        let offsets = self
+            .merged
+            .iter()
+            .map(|&(node, _)| std::mem::take(&mut voltages[node]))
+            .collect();
+        Ok(Drive { voltages, offsets })
     }
 }
 
@@ -803,50 +886,32 @@ pub(crate) fn source_volts(circuit: &Circuit) -> Vec<f64> {
         .collect()
 }
 
-/// Solves the linearized circuit, returning the full node-voltage vector.
-/// A reduced system factors through `workspace`.
-pub(crate) fn solve_linear(
-    circuit: &Circuit,
-    lin: &[Option<Linearized>],
-    workspace: &mut SparseWorkspace,
-) -> Result<Vec<f64>, CircuitError> {
-    let assemble = ASSEMBLE_SPAN.enter();
-    let sources = Sources::of(circuit);
-    let volts = source_volts(circuit);
-    let drive = sources.drive(&volts)?;
-    if !sources.all_grounded() {
-        drop(assemble);
-        LINEAR_FULL_MNA.inc();
-        return FullMna::build(circuit, lin)?.solve(&volts);
-    }
-    workspace.refill(circuit, lin, &sources.is_driven)?;
-    drop(assemble);
-    let mut voltages = Vec::new();
-    workspace.solve_read(&drive, &mut voltages)?;
-    Ok(voltages)
-}
-
 /// One right-hand-side assembly step, recorded in stamp order and replayed
 /// per solve (so a prepared system re-driven with new source voltages
 /// assembles exactly what a one-shot solve would).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum BOp {
-    /// `b[u] += g · v(node)` where `v` is the driven voltage of a fixed
-    /// node (0 V for ground).
+    /// `b[u] += g · v(node)` where `v` is the voltage of a fixed node
+    /// (0 V for ground).
     Scaled { u: usize, node: usize, g: f64 },
     /// `b[u] += c` (equivalent-current and current-source terms).
     Const { u: usize, c: f64 },
-    /// `b[u] = rhs[k]` (full-MNA source row).
-    Source { u: usize, k: usize },
+    /// `b[u] += g · offset[m]`, where `offset[m]` is the read's offset of
+    /// the `m`-th merged node ([`Drive`]).
+    Offset { u: usize, m: usize, g: f64 },
 }
 
-/// The reduced nodal system of one linearization: unknowns are all nodes
-/// that are neither ground nor driven, and the matrix is SPD.
+/// The reduced nodal system of one linearization: the unknowns are every
+/// node that no source binds. The matrix is symmetric, and positive
+/// definite when every unknown reaches ground through conductances.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ReducedSystem {
-    /// node → unknown index (`usize::MAX` for ground and driven nodes).
+    /// node → unknown index (`usize::MAX` for ground's tree); a merged
+    /// node shares its representative's.
     pub(crate) index: Vec<usize>,
     pub(crate) unknowns: usize,
+    /// Each merged node with its representative ([`Sources`]).
+    merged: Vec<(usize, usize)>,
     /// The matrix stamps, in stamp order.
     pub(crate) stamps: TripletMatrix,
     /// The right-hand-side plan, in stamp order.
@@ -858,10 +923,10 @@ pub(crate) struct ReducedSystem {
 pub(crate) fn assemble_reduced(
     circuit: &Circuit,
     lin: &[Option<Linearized>],
-    is_driven: &[bool],
+    sources: &Sources,
 ) -> ReducedSystem {
     let mut system = ReducedSystem::default();
-    assemble_reduced_into(&mut system, circuit, lin, is_driven);
+    assemble_reduced_into(&mut system, circuit, lin, sources);
     system
 }
 
@@ -869,20 +934,63 @@ impl ReducedSystem {
     /// Rough resident size of the buffers in bytes.
     fn approx_bytes(&self) -> usize {
         self.index.capacity() * 8
+            + self.merged.capacity() * 16
             + self.stamps.capacity() * 24
             + self.ops.capacity() * std::mem::size_of::<BOp>()
     }
 
-    /// Sets every unknown node of `voltages` to its entry of `x`.
-    fn scatter(&self, voltages: &mut [f64], x: &[f64]) {
+    /// Sets every unknown node of `voltages` to its entry of `x`, and every
+    /// merged node to its representative's plus its entry of `offsets`.
+    fn scatter(&self, voltages: &mut [f64], x: &[f64], offsets: &[f64]) {
         for (v, &u) in voltages.iter_mut().zip(&self.index) {
             if u != usize::MAX {
                 *v = x[u];
             }
         }
+        for (&(node, _), &offset) in self.merged.iter().zip(offsets) {
+            voltages[node] += offset;
+        }
     }
 
-    /// Moves every unknown node of `voltages` by its entry of `dx`.
+    /// An unknown with no conductive path under `lin` to ground's tree, if
+    /// any node is merged. Such an island's rows are singular, but the
+    /// LDLᵀ pivot test can take a rounding residue of its last pivot for a
+    /// pivot, so with floating sources the islands are found by union-find
+    /// over the conductive elements. A circuit without merged nodes skips
+    /// this, so the grounded assembly does no extra work.
+    fn island(&self, circuit: &Circuit, lin: &[Option<Linearized>]) -> Option<usize> {
+        if self.merged.is_empty() {
+            return None;
+        }
+        // One set per unknown, and the last for every fixed node.
+        let fixed = self.unknowns;
+        let mut set: Vec<usize> = (0..=fixed).collect();
+        let root = |set: &mut [usize], mut x: usize| {
+            while set[x] != x {
+                set[x] = set[set[x]];
+                x = set[x];
+            }
+            x
+        };
+        let at = |node: usize| self.index[node].min(fixed);
+        for (element, conduction) in circuit.elements().iter().zip(lin) {
+            if let (
+                Element::Resistor { n1, n2, .. }
+                | Element::Memristor { n1, n2, .. }
+                | Element::Capacitor { n1, n2, .. },
+                Some(_),
+            ) = (element, conduction)
+            {
+                let (a, b) = (root(&mut set, at(*n1)), root(&mut set, at(*n2)));
+                set[a] = b;
+            }
+        }
+        let grounded = root(&mut set, fixed);
+        (0..fixed).find(|&u| root(&mut set, u) != grounded)
+    }
+
+    /// Moves every unknown node of `voltages` by its entry of `dx`; a
+    /// supernode moves as one.
     fn step(&self, voltages: &mut [f64], dx: &[f64]) {
         for (v, &u) in voltages.iter_mut().zip(&self.index) {
             if u != usize::MAX {
@@ -893,28 +1001,34 @@ impl ReducedSystem {
 }
 
 /// Assembles the reduced system of `circuit` under the linearization `lin`
-/// into `system`, with `is_driven[node]` marking the nodes a grounded
-/// source fixes. This is the one reduced assembly behind [`solve_dc`] and
-/// [`crate::batch::PreparedSystem`]. The buffers keep their capacity, and
-/// the stamps and the plan come out in the same order as from a fresh
-/// assembly.
+/// into `system`, with `sources` binding the nodes. This is the one
+/// reduced assembly behind [`solve_dc`], [`crate::batch::PreparedSystem`]
+/// and the transient. The buffers keep their capacity, and the stamps and
+/// the plan come out in the same order as from a fresh assembly.
 pub(crate) fn assemble_reduced_into(
     system: &mut ReducedSystem,
     circuit: &Circuit,
     lin: &[Option<Linearized>],
-    is_driven: &[bool],
+    sources: &Sources,
 ) {
     let ReducedSystem {
-        index, unknowns, ..
+        index,
+        unknowns,
+        merged,
+        ..
     } = system;
     index.clear();
     index.resize(circuit.node_count(), usize::MAX);
     *unknowns = 0;
-    for (slot, &driven) in index.iter_mut().zip(is_driven).skip(1) {
-        if !driven {
+    for (slot, &bound) in index.iter_mut().zip(&sources.bound).skip(1) {
+        if !bound {
             *slot = *unknowns;
             *unknowns += 1;
         }
+    }
+    merged.clone_from(&sources.merged);
+    for &(node, rep) in merged.iter() {
+        index[node] = index[rep];
     }
     system.stamps.reset(system.unknowns, system.unknowns);
     stamp_elements(system, circuit, lin, true);
@@ -931,14 +1045,18 @@ fn stamp_elements(
     with_stamps: bool,
 ) {
     let ReducedSystem {
-        index, stamps, ops, ..
+        index,
+        merged,
+        stamps,
+        ops,
+        ..
     } = system;
     let mut stamp = |r: usize, c: usize, g: f64| {
         if with_stamps {
             stamps.add(r, c, g);
         }
     };
-    // Ground and driven nodes are the ones without an unknown.
+    // Ground's tree is the nodes without an unknown.
     let fixed = |node: usize| index[node] == usize::MAX;
     ops.clear();
     for (idx, element) in circuit.elements().iter().enumerate() {
@@ -952,6 +1070,11 @@ fn stamp_elements(
                 };
                 // KCL at n1: +g(v1 − v2) + ieq ; at n2: −g(v1 − v2) − ieq.
                 let (i1, i2) = (index[*n1], index[*n2]);
+                if i1 == i2 {
+                    // Both terminals fixed, or both in one supernode,
+                    // whose row the element's current leaves and enters.
+                    continue;
+                }
                 if i1 != usize::MAX {
                     stamp(i1, i1, g);
                     if fixed(*n2) {
@@ -994,162 +1117,92 @@ fn stamp_elements(
                     });
                 }
             }
-            Element::VoltageSource { .. } => {} // encoded via `is_driven`
+            Element::VoltageSource { .. } => {} // encoded via `Sources`
+        }
+    }
+    if !merged.is_empty() {
+        offset_ops(ops, index, merged, circuit, lin);
+    }
+}
+
+/// Appends the offset terms of the merged nodes to the right-hand-side
+/// plan `ops`: a merged terminal sits at its representative's unknown plus
+/// its offset, so a conductance `g` to it moves `g · offset` to the
+/// right-hand side of each row the element touches.
+fn offset_ops(
+    ops: &mut Vec<BOp>,
+    index: &[usize],
+    merged: &[(usize, usize)],
+    circuit: &Circuit,
+    lin: &[Option<Linearized>],
+) {
+    let mut slot = vec![usize::MAX; index.len()];
+    for (m, &(node, _)) in merged.iter().enumerate() {
+        slot[node] = m;
+    }
+    for (idx, element) in circuit.elements().iter().enumerate() {
+        let (Element::Resistor { n1, n2, .. }
+        | Element::Memristor { n1, n2, .. }
+        | Element::Capacitor { n1, n2, .. }) = *element
+        else {
+            continue;
+        };
+        let Some(Linearized { g, .. }) = lin[idx] else {
+            continue;
+        };
+        if index[n1] == index[n2] {
+            continue;
+        }
+        for (here, there) in [(n1, n2), (n2, n1)] {
+            let u = index[here];
+            if u == usize::MAX {
+                continue;
+            }
+            if slot[here] != usize::MAX {
+                ops.push(BOp::Offset {
+                    u,
+                    m: slot[here],
+                    g: -g,
+                });
+            }
+            if slot[there] != usize::MAX {
+                ops.push(BOp::Offset {
+                    u,
+                    m: slot[there],
+                    g,
+                });
+            }
         }
     }
 }
 
-/// Replays a reduced system's right-hand-side plan with `voltage(node)`
-/// giving the voltage of every fixed node.
-pub(crate) fn replay_rhs(ops: &[BOp], unknowns: usize, voltage: impl Fn(usize) -> f64) -> Vec<f64> {
+/// Replays a reduced system's right-hand-side plan with `voltages` giving
+/// the voltage of every fixed node and `offsets` the merged nodes'
+/// offsets.
+pub(crate) fn replay_rhs(
+    ops: &[BOp],
+    unknowns: usize,
+    voltages: &[f64],
+    offsets: &[f64],
+) -> Vec<f64> {
     let mut b = vec![0.0; unknowns];
     for op in ops {
         match *op {
-            BOp::Scaled { u, node, g } => b[u] += g * voltage(node),
+            BOp::Scaled { u, node, g } => b[u] += g * voltages[node],
             BOp::Const { u, c } => b[u] += c,
-            BOp::Source { .. } => {}
+            BOp::Offset { u, m, g } => b[u] += g * offsets[m],
         }
     }
     b
 }
 
-/// The factored full modified-nodal-analysis system of one linearization,
-/// for circuits with floating sources: every node but ground and every
-/// voltage-source branch current is an unknown. The matrix does not
-/// depend on the source values, only the `b[col] = V` rows of the
-/// right-hand-side plan do, so a [`crate::batch::PreparedSystem`] keeps
-/// this and each input costs one replay and one backsolve. A one-shot
-/// solve builds it and solves once.
-#[derive(Debug, Clone)]
-pub(crate) struct FullMna {
-    /// Unknown node voltages (every node but ground).
-    n_v: usize,
-    /// The right-hand-side plan, in stamp order.
-    ops: Vec<BOp>,
-    lu: LuFactors,
-}
-
-impl FullMna {
-    /// Assembles and factors the full-MNA system of `circuit` under `lin`.
-    ///
-    /// # Errors
-    ///
-    /// [`CircuitError::SingularSystem`] from the dense LU.
-    pub(crate) fn build(
-        circuit: &Circuit,
-        lin: &[Option<Linearized>],
-    ) -> Result<Self, CircuitError> {
-        let n_v = circuit.node_count() - 1;
-        let sources: Vec<usize> = circuit
-            .elements()
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| matches!(e, Element::VoltageSource { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        let mut a = DenseMatrix::zeros(n_v + sources.len());
-        let mut ops = Vec::new();
-
-        // node id → matrix row (ground has none).
-        let row = |node: usize| (node != Circuit::GROUND).then(|| node - 1);
-
-        for (idx, element) in circuit.elements().iter().enumerate() {
-            match element {
-                Element::Resistor { n1, n2, .. }
-                | Element::Memristor { n1, n2, .. }
-                | Element::Capacitor { n1, n2, .. } => {
-                    let Some(Linearized { g, ieq }) = lin[idx] else {
-                        continue;
-                    };
-                    if let Some(r1) = row(*n1) {
-                        a[(r1, r1)] += g;
-                        if let Some(r2) = row(*n2) {
-                            a[(r1, r2)] -= g;
-                        }
-                        ops.push(BOp::Const { u: r1, c: -ieq });
-                    }
-                    if let Some(r2) = row(*n2) {
-                        a[(r2, r2)] += g;
-                        if let Some(r1) = row(*n1) {
-                            a[(r2, r1)] -= g;
-                        }
-                        ops.push(BOp::Const { u: r2, c: ieq });
-                    }
-                }
-                Element::CurrentSource { from, to, current } => {
-                    if let Some(r) = row(*from) {
-                        ops.push(BOp::Const {
-                            u: r,
-                            c: -current.amperes(),
-                        });
-                    }
-                    if let Some(r) = row(*to) {
-                        ops.push(BOp::Const {
-                            u: r,
-                            c: current.amperes(),
-                        });
-                    }
-                }
-                Element::VoltageSource { .. } => {}
-            }
-        }
-
-        for (k, &src_idx) in sources.iter().enumerate() {
-            if let Element::VoltageSource { npos, nneg, .. } = &circuit.elements()[src_idx] {
-                let col = n_v + k;
-                if let Some(r) = row(*npos) {
-                    a[(r, col)] += 1.0;
-                    a[(col, r)] += 1.0;
-                }
-                if let Some(r) = row(*nneg) {
-                    a[(r, col)] -= 1.0;
-                    a[(col, r)] -= 1.0;
-                }
-                ops.push(BOp::Source { u: col, k });
-            }
-        }
-
-        Ok(FullMna {
-            n_v,
-            ops,
-            lu: a.factor()?,
-        })
-    }
-
-    /// The node voltages with the voltage sources at `volts` (one value
-    /// per source, in element order).
-    ///
-    /// # Errors
-    ///
-    /// [`CircuitError::DimensionMismatch`] from the backsolve.
-    pub(crate) fn solve(&self, volts: &[f64]) -> Result<Vec<f64>, CircuitError> {
-        let mut b = vec![0.0; self.lu.n()];
-        for op in &self.ops {
-            match *op {
-                BOp::Const { u, c } => b[u] += c,
-                BOp::Source { u, k } => b[u] = volts[k],
-                BOp::Scaled { .. } => {}
-            }
-        }
-        let x = self.lu.solve(&b)?;
-        let mut voltages = vec![0.0; self.n_v + 1];
-        voltages[1..].copy_from_slice(&x[..self.n_v]);
-        Ok(voltages)
-    }
-
-    /// Rough resident size in bytes: the dense factors and the plan.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        let n = self.lu.n();
-        n * n * 8 + n * 8 + self.ops.len() * std::mem::size_of::<BOp>()
-    }
-}
-
 /// Computes per-element branch currents and wraps the solution, or
 /// rejects it with [`CircuitError::NonFiniteSolution`] when a voltage or a
-/// current is NaN or infinite.
+/// current is NaN or infinite. `sources` binds the circuit's sources.
 pub(crate) fn finish(
     circuit: &Circuit,
     lin: &[Option<Linearized>],
+    sources: &Sources,
     voltages: Vec<f64>,
 ) -> Result<DcSolution, CircuitError> {
     let _span = FINISH_SPAN.enter();
@@ -1170,16 +1223,15 @@ pub(crate) fn finish(
         currents[idx]
     });
 
-    // Voltage-source branch currents by KCL at the non-ground terminal:
-    // i_branch (npos → nneg internal) = −(current delivered into the node).
-    for (idx, element) in circuit.elements().iter().enumerate() {
-        if let Element::VoltageSource { npos, nneg, .. } = element {
-            let (node, sign) = if *npos != Circuit::GROUND {
-                (*npos, 1.0)
-            } else {
-                (*nneg, -1.0)
-            };
-            currents[idx] = sign * -leaving[node];
+    // Each source of the forest delivers into its child the current that
+    // leaves the nodes below it, summed children before parents. Its
+    // branch current flows npos → nneg inside it, so it is minus that when
+    // the child is its `npos`. A source that closes a loop carries none.
+    for edge in sources.walk.iter().rev() {
+        let below = leaving[edge.child];
+        currents[edge.element] = if edge.negated { below } else { -below };
+        if let Some(parent) = edge.parent {
+            leaving[parent] += below;
         }
     }
 
@@ -1192,8 +1244,9 @@ pub(crate) fn finish(
 /// Adds the current leaving each node through every element but the
 /// voltage sources to `leaving`, summed in element order.
 /// `current(idx, element)` gives each element's current from its first
-/// terminal to its second (a current source's `from` to its `to`); an
-/// element with both terminals on one node counts as leaving it.
+/// terminal to its second (a current source's `from` to its `to`); a
+/// current source with both terminals on one node leaves it nothing, as in
+/// the assembly.
 fn sum_leaving(
     circuit: &Circuit,
     leaving: &mut [f64],
@@ -1205,28 +1258,41 @@ fn sum_leaving(
             | Element::Memristor { n1, n2, .. }
             | Element::Capacitor { n1, n2, .. } => (n1, n2),
             Element::CurrentSource { from, to, .. } => (from, to),
-            // Series ideal sources on a non-ground node would need the
-            // full-MNA current; grounded crossbar netlists never hit this.
+            // `finish` gives voltage sources their currents.
             Element::VoltageSource { .. } => continue,
         };
         let i = current(idx, element);
         leaving[from] += i;
-        if to != from {
-            leaving[to] -= i;
-        }
+        leaving[to] -= i;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{PreparedSystem, Rhs};
+    use crate::batch::{EngineKind, PreparedSystem, Rhs};
     use crate::crossbar::{CrossbarCircuit, CrossbarSpec};
+    use crate::dense::DenseMatrix;
     use crate::mna::kcl_residual;
     use mnsim_tech::units::{Current, Resistance, Voltage};
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "{a} != {b} (tol {tol})");
+    }
+
+    /// Solves `circuit` linearized as `lin` on `workspace`, returning every
+    /// node voltage.
+    fn solve_linear(
+        circuit: &Circuit,
+        lin: &[Option<Linearized>],
+        workspace: &mut SparseWorkspace,
+    ) -> Result<Vec<f64>, CircuitError> {
+        let sources = Sources::of(circuit);
+        let drive = sources.drive(&source_volts(circuit))?;
+        workspace.refill(circuit, lin, &sources)?;
+        let mut voltages = Vec::new();
+        workspace.solve_read(&drive.voltages, &drive.offsets, &mut voltages)?;
+        Ok(voltages)
     }
 
     /// A `size`×`size` sinh crossbar with distinct cells and inputs; 64×64
@@ -1386,9 +1452,9 @@ mod tests {
                             worst <= 2.0 * options.newton_tolerance,
                             "{case}: {worst:e} V from full Newton"
                         );
+                        let lin = linearize(circuit, Some(&reference));
                         let reference =
-                            finish(circuit, &linearize(circuit, Some(&reference)), reference)
-                                .unwrap();
+                            finish(circuit, &lin, &Sources::of(circuit), reference).unwrap();
                         let bound = f64::max(1e-9, 10.0 * kcl_residual(circuit, &reference));
                         let residual = kcl_residual(circuit, &chord);
                         assert!(
@@ -1668,7 +1734,7 @@ mod tests {
     }
 
     fn reduced(circuit: &Circuit, lin: &[Option<Linearized>]) -> ReducedSystem {
-        assemble_reduced(circuit, lin, &Sources::of(circuit).is_driven)
+        assemble_reduced(circuit, lin, &Sources::of(circuit))
     }
 
     proptest::proptest! {
@@ -1905,22 +1971,125 @@ mod tests {
     }
 
     #[test]
-    fn floating_source_uses_full_mna() {
+    fn floating_source_merges_into_a_supernode_on_the_sparse_engine() {
         let _session = obs::session();
-        // Source floating between two nodes, each tied to ground by R.
+        // Source floating between two nodes, each tied to ground by R,
+        // with a 1 nΩ shunt across it: the shunt's 2e9 A stays inside the
+        // supernode and must not round the 10 mS of its row away.
         let mut c = Circuit::new();
         let a = c.add_node();
         let b = c.add_node();
         c.add_resistor(a, Circuit::GROUND, Resistance::from_ohms(100.0))
             .unwrap();
+        let shunt = c.add_resistor(a, b, Resistance::from_ohms(1e-9)).unwrap();
         c.add_resistor(b, Circuit::GROUND, Resistance::from_ohms(100.0))
             .unwrap();
-        c.add_voltage_source(a, b, Voltage::from_volts(2.0)).unwrap();
+        let source = c
+            .add_voltage_source(a, b, Voltage::from_volts(2.0))
+            .unwrap();
         let sol = solve_dc(&c, &SolveOptions::default()).unwrap();
-        assert_close(sol.voltage(a).volts() - sol.voltage(b).volts(), 2.0, 1e-9);
+        assert_close(sol.voltage(a).volts() - sol.voltage(b).volts(), 2.0, 1e-12);
         // Symmetry: va = +1, vb = −1.
-        assert_close(sol.voltage(a).volts(), 1.0, 1e-9);
-        assert_close(sol.voltage(b).volts(), -1.0, 1e-9);
+        assert_close(sol.voltage(a).volts(), 1.0, 1e-12);
+        assert_close(sol.voltage(b).volts(), -1.0, 1e-12);
+        let through = sol.element_current(shunt).amperes();
+        assert_close(sol.element_current(source).amperes(), -through - 0.01, 1e-3);
+        let prepared = PreparedSystem::build(&c, SolveOptions::default()).unwrap();
+        assert_eq!(prepared.engine_kind(), EngineKind::SparseDirect);
+    }
+
+    /// The net current leaving each non-ground node through its elements
+    /// and its voltage sources, whose branch currents flow npos → nneg
+    /// inside them; returns the largest magnitude.
+    fn kcl_with_sources(circuit: &Circuit, solution: &DcSolution) -> f64 {
+        let mut leaving = vec![0.0f64; circuit.node_count()];
+        for (idx, element) in circuit.elements().iter().enumerate() {
+            let (from, to) = match *element {
+                Element::Resistor { n1, n2, .. }
+                | Element::Memristor { n1, n2, .. }
+                | Element::Capacitor { n1, n2, .. } => (n1, n2),
+                Element::CurrentSource { from, to, .. } => (from, to),
+                Element::VoltageSource { npos, nneg, .. } => (npos, nneg),
+            };
+            let i = solution.element_current(idx).amperes();
+            leaving[from] += i;
+            leaving[to] -= i;
+        }
+        leaving[1..].iter().fold(0.0, |worst, x| worst.max(x.abs()))
+    }
+
+    /// Source currents close KCL at every node and balance the power on
+    /// three circuits where KCL at one terminal got them wrong: two
+    /// floating sources in series, a floating source chained to a grounded
+    /// one, and two grounded sources in parallel, the second of which is
+    /// redundant and carries nothing.
+    #[test]
+    fn source_currents_close_kcl_and_balance_power() {
+        let _session = obs::session();
+        let (ohms, volts) = (Resistance::from_ohms, Voltage::from_volts);
+        // gnd–100 Ω–a, a =1 V= b, b =2 V= c, c–100 Ω–gnd: 15 mA, 45 mW.
+        let mut series = Circuit::new();
+        let [a, b, c] = [series.add_node(), series.add_node(), series.add_node()];
+        series
+            .add_resistor(Circuit::GROUND, a, ohms(100.0))
+            .unwrap();
+        let ab = series.add_voltage_source(a, b, volts(1.0)).unwrap();
+        let bc = series.add_voltage_source(b, c, volts(2.0)).unwrap();
+        series
+            .add_resistor(c, Circuit::GROUND, ohms(100.0))
+            .unwrap();
+        // a =1 V= gnd, b =2 V= a, b–100 Ω–gnd: 30 mA, 90 mW.
+        let mut chained = Circuit::new();
+        let [a, b] = [chained.add_node(), chained.add_node()];
+        let grounded = chained
+            .add_voltage_source(a, Circuit::GROUND, volts(1.0))
+            .unwrap();
+        let floating = chained.add_voltage_source(b, a, volts(2.0)).unwrap();
+        chained
+            .add_resistor(b, Circuit::GROUND, ohms(100.0))
+            .unwrap();
+        // Two grounded 1 V sources on one node, 10 Ω load: 0.1 A, 0.1 W.
+        let mut parallel = Circuit::new();
+        let a = parallel.add_node();
+        let first = parallel
+            .add_voltage_source(a, Circuit::GROUND, volts(1.0))
+            .unwrap();
+        let second = parallel
+            .add_voltage_source(a, Circuit::GROUND, volts(1.0))
+            .unwrap();
+        parallel
+            .add_resistor(a, Circuit::GROUND, ohms(10.0))
+            .unwrap();
+
+        for (name, circuit, power, currents) in [
+            ("series", series, 0.045, [(ab, -0.015), (bc, -0.015)]),
+            (
+                "chained",
+                chained,
+                0.09,
+                [(grounded, -0.03), (floating, -0.03)],
+            ),
+            ("parallel", parallel, 0.1, [(first, -0.1), (second, 0.0)]),
+        ] {
+            let sol = solve_dc(&circuit, &SolveOptions::default()).unwrap();
+            for (source, want) in currents {
+                let got = sol.element_current(source).amperes();
+                assert!(
+                    (got - want).abs() <= 1e-15,
+                    "{name}: source {source} carries {got} A, not {want} A"
+                );
+            }
+            let (delivered, dissipated) = (
+                sol.source_power(&circuit).watts(),
+                sol.dissipated_power(&circuit).watts(),
+            );
+            assert!(
+                (delivered - power).abs() <= 1e-15 && (dissipated - power).abs() <= 1e-15,
+                "{name}: sources deliver {delivered} W, elements dissipate {dissipated} W"
+            );
+            let kcl = kcl_with_sources(&circuit, &sol);
+            assert!(kcl <= 1e-16, "{name}: KCL off by {kcl} A");
+        }
     }
 
     #[test]
@@ -2044,5 +2213,461 @@ mod tests {
         let only1 = build(1.0, 0.0);
         let only2 = build(0.0, 2.0);
         assert_close(both, only1 + only2, 1e-9);
+    }
+
+    /// The reference the node merging replaced: the full modified nodal
+    /// analysis of `circuit` under `lin`, with every node but ground and
+    /// every voltage-source branch current an unknown, solved by the dense
+    /// LU. Returns the node voltages and the source branch currents, in
+    /// element order.
+    fn full_mna(
+        circuit: &Circuit,
+        lin: &[Option<Linearized>],
+    ) -> Result<(Vec<f64>, Vec<f64>), CircuitError> {
+        let n_v = circuit.node_count() - 1;
+        let sources: Vec<(usize, usize, f64)> = circuit
+            .elements()
+            .iter()
+            .filter_map(|element| match *element {
+                Element::VoltageSource {
+                    npos,
+                    nneg,
+                    voltage,
+                } => Some((npos, nneg, voltage.volts())),
+                _ => None,
+            })
+            .collect();
+        let mut a = DenseMatrix::zeros(n_v + sources.len());
+        let mut b = vec![0.0; n_v + sources.len()];
+        // node id → matrix row (ground has none).
+        let row = |node: usize| node.checked_sub(1);
+        for (idx, element) in circuit.elements().iter().enumerate() {
+            match *element {
+                Element::Resistor { n1, n2, .. }
+                | Element::Memristor { n1, n2, .. }
+                | Element::Capacitor { n1, n2, .. } => {
+                    let Some(Linearized { g, ieq }) = lin[idx] else {
+                        continue;
+                    };
+                    for (here, there, ieq) in [(n1, n2, ieq), (n2, n1, -ieq)] {
+                        if let Some(r) = row(here) {
+                            a[(r, r)] += g;
+                            if let Some(c) = row(there) {
+                                a[(r, c)] -= g;
+                            }
+                            b[r] -= ieq;
+                        }
+                    }
+                }
+                Element::CurrentSource { from, to, current } => {
+                    if let Some(r) = row(from) {
+                        b[r] -= current.amperes();
+                    }
+                    if let Some(r) = row(to) {
+                        b[r] += current.amperes();
+                    }
+                }
+                Element::VoltageSource { .. } => {}
+            }
+        }
+        for (k, &(npos, nneg, v)) in sources.iter().enumerate() {
+            let col = n_v + k;
+            for (node, sign) in [(npos, 1.0), (nneg, -1.0)] {
+                if let Some(r) = row(node) {
+                    a[(r, col)] += sign;
+                    a[(col, r)] += sign;
+                }
+            }
+            b[col] = v;
+        }
+        let x = a.solve(&b)?;
+        let mut voltages = vec![0.0; n_v + 1];
+        voltages[1..].copy_from_slice(&x[..n_v]);
+        Ok((voltages, x[n_v..].to_vec()))
+    }
+
+    /// The full-MNA engine's Newton loop: every step assembles and solves
+    /// anew.
+    fn full_mna_newton(
+        circuit: &Circuit,
+        options: &SolveOptions,
+    ) -> Result<(Vec<f64>, Vec<f64>), CircuitError> {
+        let mut solved = full_mna(circuit, &linearize(circuit, None))?;
+        if !circuit.is_nonlinear() {
+            return Ok(solved);
+        }
+        for _ in 0..options.newton_max_iterations {
+            let next = full_mna(circuit, &linearize(circuit, Some(&solved.0)))?;
+            let update = max_update(&solved.0, &next.0);
+            solved = next;
+            if update < options.newton_tolerance {
+                return Ok(solved);
+            }
+        }
+        Err(CircuitError::NewtonNoConvergence {
+            iterations: options.newton_max_iterations,
+            last_update: f64::NAN,
+        })
+    }
+
+    /// What solving a [`floating_case`] must give.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Expect {
+        /// A solution; `loops` when a source closes a loop of sources,
+        /// which leaves the full-MNA matrix singular.
+        Solves { loops: bool },
+        /// `InvalidElement`: a loop of sources that does not sum to zero.
+        Conflict,
+        /// `SingularSystem`: an island with no conductive path to ground.
+        Singular,
+    }
+
+    /// A seeded random circuit with voltage sources anywhere, and what
+    /// solving it must give. Nodes 1..=n (n from 2 to 11) each reach
+    /// ground through a resistor to a lower node; more resistors of
+    /// 10 Ω–100 kΩ (sinh cells when `sinh`) and current sources join
+    /// random pairs. One to four voltage sources, each the difference of
+    /// two random quarter-volt node potentials, form a chain, a star, a
+    /// loop (conflicting when one value is off by a quarter volt) or
+    /// random pairs. A quarter of the circuits gain an island: two to five
+    /// nodes, a floating source between the first two, random conductors
+    /// and maybe a current source among them, and no conductive path to
+    /// the rest.
+    fn floating_case(seed: u64, sinh: bool) -> (Circuit, Expect) {
+        let mut rng = Xorshift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let mut c = Circuit::new();
+        let n = 2 + rng.below(10);
+        c.add_nodes(n);
+        let conductor = |c: &mut Circuit, rng: &mut Xorshift, n1: usize, n2: usize| {
+            let r = Resistance::from_ohms(10.0 * 10f64.powf(4.0 * rng.uniform()));
+            let alpha = 1.0 + 2.0 * rng.uniform();
+            if sinh && alpha > 1.5 {
+                c.add_memristor(n1, n2, r, IvModel::Sinh { alpha }).unwrap();
+            } else {
+                c.add_resistor(n1, n2, r).unwrap();
+            }
+        };
+        for node in 1..=n {
+            let to = rng.below(node);
+            conductor(&mut c, &mut rng, node, to);
+        }
+        for _ in 0..rng.below(n + 1) {
+            let (n1, n2) = (rng.below(n + 1), rng.below(n + 1));
+            if n1 != n2 {
+                conductor(&mut c, &mut rng, n1, n2);
+            }
+        }
+        for _ in 0..rng.below(3) {
+            let (from, to) = (rng.below(n + 1), rng.below(n + 1));
+            let i = Current::from_amperes(2e-3 * (rng.uniform() - 0.5));
+            c.add_current_source(from, to, i).unwrap();
+        }
+
+        // Quarter-volt potentials: every source value and every sum of
+        // them along a path is exact.
+        let quarter = |rng: &mut Xorshift| rng.below(17) as f64 / 4.0 - 2.0;
+        let mut potential: Vec<f64> = (0..=n).map(|_| quarter(&mut rng)).collect();
+        potential[Circuit::GROUND] = 0.0;
+        let count = 1 + rng.below(4);
+        let mut order: Vec<usize> = (0..=n).collect();
+        for k in (1..order.len()).rev() {
+            order.swap(k, rng.below(k + 1));
+        }
+        let topology = rng.below(5);
+        let pairs: Vec<(usize, usize)> = match topology {
+            // A chain.
+            0 => order.windows(2).take(count).map(|w| (w[0], w[1])).collect(),
+            // A star.
+            1 => order[1..]
+                .iter()
+                .take(count)
+                .map(|&leaf| (order[0], leaf))
+                .collect(),
+            // A loop, consistent (2) or conflicting (3).
+            2 | 3 => {
+                let ring = &order[..(count + 1).min(order.len())];
+                (0..ring.len())
+                    .map(|k| (ring[k], ring[(k + 1) % ring.len()]))
+                    .collect()
+            }
+            // Random pairs.
+            _ => (0..count)
+                .map(|_| (rng.below(n + 1), rng.below(n + 1)))
+                .filter(|(p, q)| p != q)
+                .collect(),
+        };
+        let mut values = Vec::new();
+        for &(p, q) in &pairs {
+            let (npos, nneg) = if rng.below(2) == 0 { (p, q) } else { (q, p) };
+            values.push((npos, nneg, potential[npos] - potential[nneg]));
+        }
+        let off = (topology == 3).then(|| rng.below(values.len()));
+        if let Some(k) = off {
+            values[k].2 += 0.25;
+        }
+        for &(npos, nneg, v) in &values {
+            c.add_voltage_source(npos, nneg, Voltage::from_volts(v))
+                .unwrap();
+        }
+
+        // Which sources close a loop, found apart from the solver's walk.
+        let root = |component: &[usize], mut x: usize| {
+            while component[x] != x {
+                x = component[x];
+            }
+            x
+        };
+        let joined = |skip: Option<usize>| {
+            let mut component: Vec<usize> = (0..=n).collect();
+            let mut loops = false;
+            for (k, &(npos, nneg, _)) in values.iter().enumerate() {
+                let (p, q) = (root(&component, npos), root(&component, nneg));
+                if Some(k) != skip {
+                    loops |= p == q;
+                    component[p] = q;
+                }
+            }
+            (component, loops)
+        };
+        let loops = joined(None).1;
+        let conflict = off.is_some_and(|k| {
+            let component = joined(Some(k)).0;
+            root(&component, values[k].0) == root(&component, values[k].1)
+        });
+
+        let island = rng.below(4) == 0;
+        if island {
+            let nodes = c.add_nodes(2 + rng.below(4));
+            let v = Voltage::from_volts(quarter(&mut rng));
+            c.add_voltage_source(nodes[0], nodes[1], v).unwrap();
+            for k in 1..nodes.len() {
+                for j in 0..k {
+                    if rng.below(2) == 0 {
+                        conductor(&mut c, &mut rng, nodes[j], nodes[k]);
+                    }
+                }
+            }
+            if rng.below(2) == 0 {
+                let i = Current::from_amperes(1e-3 * rng.uniform());
+                c.add_current_source(nodes[0], nodes[nodes.len() - 1], i)
+                    .unwrap();
+            }
+        }
+        let expect = if conflict {
+            Expect::Conflict
+        } else if island {
+            Expect::Singular
+        } else {
+            Expect::Solves { loops }
+        };
+        (c, expect)
+    }
+
+    /// A seeded xorshift generator.
+    struct Xorshift(u64);
+
+    impl Xorshift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 >> 11
+        }
+
+        /// Uniform in `0..n`.
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// Uniform in `[0, 1)`.
+        fn uniform(&mut self) -> f64 {
+            self.next() as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// Largest conductance of the circuit's resistors and cells.
+    fn max_conductance(circuit: &Circuit) -> f64 {
+        circuit
+            .elements()
+            .iter()
+            .filter_map(|element| match element {
+                Element::Resistor { resistance, .. } => Some(1.0 / resistance.ohms()),
+                Element::Memristor { state, .. } => Some(1.0 / state.ohms()),
+                _ => None,
+            })
+            .fold(0.0, f64::max)
+    }
+
+    /// Largest voltage-source error `|v(npos) − v(nneg) − V|`.
+    fn source_error(circuit: &Circuit, solution: &DcSolution) -> f64 {
+        circuit
+            .elements()
+            .iter()
+            .filter_map(|element| match *element {
+                Element::VoltageSource {
+                    npos,
+                    nneg,
+                    voltage,
+                } => Some(
+                    (solution.voltage(npos).volts()
+                        - solution.voltage(nneg).volts()
+                        - voltage.volts())
+                    .abs(),
+                ),
+                _ => None,
+            })
+            .fold(0.0, f64::max)
+    }
+
+    /// Node merging against the full-MNA oracle on seeded random circuits
+    /// with floating sources: linear circuits within 1e-11 of max |v|
+    /// (source currents within 1e-11 of g_max·v_max), sinh cells within
+    /// 2 × `newton_tolerance` of the oracle's Newton. Consistent loops of
+    /// sources solve, conflicting ones are `InvalidElement`, islands are
+    /// `SingularSystem`. Every linear solution closes KCL, counting source
+    /// currents, within 1e-13 of g_max·v_max and balances the power within
+    /// 1e-13 of g_max·v_max²; every source holds its value; and a prepared
+    /// read is bit-identical to the one-shot solve.
+    ///
+    /// The chord loop counts an undone chord trial against
+    /// `newton_max_iterations`, so a harsh sinh circuit that full Newton
+    /// answers can run out of steps; such a read must be
+    /// `NewtonNoConvergence`, and answer the oracle with twice the budget.
+    #[test]
+    fn merged_sources_match_the_full_mna_oracle() {
+        let _session = obs::session();
+        let options = SolveOptions::default();
+        let mut tally = std::collections::BTreeMap::<&str, usize>::new();
+        let mut count = |what| *tally.entry(what).or_default() += 1;
+        // Worst ratio of each check to its scale.
+        let mut worst = [0.0f64; 4];
+        for seed in 0..4000u64 {
+            let sinh = seed % 4 == 3;
+            let (circuit, expect) = floating_case(seed, sinh);
+            let case = format!("seed {seed}: {expect:?}");
+            let oracle = || full_mna_newton(&circuit, &options);
+            let sol = match (expect, solve_dc(&circuit, &options)) {
+                (Expect::Conflict, Err(CircuitError::InvalidElement { .. })) => {
+                    count("conflicts");
+                    continue;
+                }
+                (Expect::Singular, Err(CircuitError::SingularSystem { .. })) => {
+                    count("singular");
+                    continue;
+                }
+                (Expect::Solves { .. }, Ok(sol)) => sol,
+                (Expect::Solves { loops }, Err(e)) if sinh => {
+                    let answered = if loops { None } else { oracle().ok() };
+                    let Some((reference, _)) = answered else {
+                        count("sinh, neither answers");
+                        continue;
+                    };
+                    assert!(
+                        matches!(e, CircuitError::NewtonNoConvergence { .. }),
+                        "{case}: the oracle's Newton answers, the merged solve: {e}"
+                    );
+                    let doubled = SolveOptions {
+                        newton_max_iterations: 2 * options.newton_max_iterations,
+                        ..options.clone()
+                    };
+                    let sol =
+                        solve_dc(&circuit, &doubled).unwrap_or_else(|e| panic!("{case}: {e}"));
+                    let moved = max_update(sol.voltages(), &reference);
+                    assert!(
+                        moved <= 2.0 * options.newton_tolerance,
+                        "{case}: {moved:e} V"
+                    );
+                    count("sinh, out of steps");
+                    continue;
+                }
+                (_, got) => panic!("{case}: got {got:?}"),
+            };
+            let v_max = sol.voltages().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            let scale = max_conductance(&circuit) * v_max;
+            let off = source_error(&circuit, &sol);
+            assert!(
+                off <= 8.0 * f64::EPSILON * v_max,
+                "{case}: a source is off by {off:e} V"
+            );
+
+            let volts = Rhs::from_volts(&source_volts(&circuit));
+            let prepared = PreparedSystem::build(&circuit, options.clone())
+                .and_then(|mut prepared| prepared.solve(&circuit, &volts))
+                .unwrap_or_else(|e| panic!("{case}: prepared read failed: {e}"));
+            assert_eq!(bits(prepared.voltages()), bits(sol.voltages()), "{case}");
+            let currents = |s: &DcSolution| {
+                (0..circuit.element_count())
+                    .map(|e| s.element_current(e).amperes().to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(currents(&prepared), currents(&sol), "{case}");
+
+            if !sinh {
+                let kcl = kcl_with_sources(&circuit, &sol);
+                assert!(kcl <= 1e-13 * scale, "{case}: KCL off by {kcl:e} A");
+                let power = (sol.source_power(&circuit).watts()
+                    - sol.dissipated_power(&circuit).watts())
+                .abs();
+                assert!(
+                    power <= 1e-13 * scale * v_max,
+                    "{case}: power off by {power:e} W"
+                );
+                if v_max > 0.0 {
+                    worst[0] = worst[0].max(kcl / scale);
+                    worst[1] = worst[1].max(power / (scale * v_max));
+                }
+            }
+            if expect == (Expect::Solves { loops: true }) {
+                count("loops");
+                continue;
+            }
+            let Ok((reference, branch)) = oracle() else {
+                assert!(sinh, "{case}: the oracle failed a linear circuit");
+                count("sinh, oracle unanswered");
+                continue;
+            };
+            let moved = max_update(sol.voltages(), &reference);
+            if sinh {
+                count("sinh");
+                assert!(
+                    moved <= 2.0 * options.newton_tolerance,
+                    "{case}: {moved:e} V from the oracle's Newton"
+                );
+                worst[3] = worst[3].max(moved);
+                continue;
+            }
+            count("linear");
+            assert!(
+                moved <= 1e-11 * v_max,
+                "{case}: {moved:e} V from the oracle"
+            );
+            if v_max > 0.0 {
+                worst[2] = worst[2].max(moved / v_max);
+            }
+            let sources = circuit
+                .elements()
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| matches!(e, Element::VoltageSource { .. }));
+            for ((idx, _), want) in sources.zip(branch) {
+                let got = sol.element_current(idx).amperes();
+                assert!(
+                    (got - want).abs() <= 1e-11 * scale,
+                    "{case}: source {idx} carries {got:e} A, the oracle {want:e} A"
+                );
+            }
+        }
+        let worst = worst.map(|w| format!("{w:.1e}"));
+        println!("{tally:?}; worst KCL, power, linear and sinh deviation: {worst:?}");
+        for (what, least) in [
+            ("linear", 1200),
+            ("sinh", 400),
+            ("loops", 400),
+            ("conflicts", 600),
+            ("singular", 600),
+        ] {
+            let seen = tally.get(what).copied().unwrap_or(0);
+            assert!(seen >= least, "only {seen} {what} cases: {tally:?}");
+        }
     }
 }

@@ -16,12 +16,12 @@
 //! choice for the stiff RC meshes of crossbars.
 //!
 //! Every step stamps the same sparsity pattern, so the whole run shares
-//! one sparse analysis. A linear circuit with grounded sources has the
-//! same matrix at every fixed step: its sources are classified and its
-//! matrix assembled and factored once, and each later step rebuilds only
-//! the right-hand-side plan from the new companion currents, then
-//! backsolves on the held factor. Non-linear circuits refactor in place
-//! per Newton pass.
+//! one sparse analysis, and binds the same sources to the same values, so
+//! the sources are bound once. A linear circuit has the same matrix at
+//! every fixed step: it is assembled and factored once, and each later
+//! step rebuilds only the right-hand-side plan from the new companion
+//! currents, then backsolves on the held factor. Non-linear circuits
+//! refactor in place per Newton pass.
 
 use crate::error::CircuitError;
 use crate::mna::{non_positive, Circuit, Element, NodeId};
@@ -150,35 +150,30 @@ pub fn solve_transient(
     let mut prev = vec![0.0; n];
     let mut workspace = SparseWorkspace::default();
     let sources = Sources::of(circuit);
-    let fixed_matrix = !nonlinear && sources.all_grounded();
-    let drive = if fixed_matrix {
-        sources.drive(&solve::source_volts(circuit))?
-    } else {
-        Vec::new()
-    };
+    let drive = sources.drive(&solve::source_volts(circuit))?;
 
     for step in 1..=steps {
         let mut iterate = Vec::new();
-        if fixed_matrix {
+        if nonlinear {
+            // Newton passes, each refactoring at the last iterate.
+            iterate.clone_from(&prev);
+            let mut next = Vec::new();
+            for _ in 0..options.newton_steps_per_dt.max(1) {
+                let lin = linearize_with_companions(circuit, &iterate, &prev, dt, true);
+                let assemble = solve::ASSEMBLE_SPAN.enter();
+                workspace.refill(circuit, &lin, &sources)?;
+                drop(assemble);
+                workspace.solve_read(&drive.voltages, &drive.offsets, &mut next)?;
+                std::mem::swap(&mut iterate, &mut next);
+            }
+        } else {
             let lin = linearize_with_companions(circuit, &prev, &prev, dt, false);
             if step == 1 {
-                workspace.refill(circuit, &lin, &sources.is_driven)?;
+                workspace.refill(circuit, &lin, &sources)?;
             } else {
                 workspace.replan(circuit, &lin);
             }
-            workspace.solve_read(&drive, &mut iterate)?;
-        } else {
-            // Newton loop (a single pass suffices for linear circuits).
-            iterate.clone_from(&prev);
-            let passes = if nonlinear {
-                options.newton_steps_per_dt.max(1)
-            } else {
-                1
-            };
-            for _ in 0..passes {
-                let lin = linearize_with_companions(circuit, &iterate, &prev, dt, nonlinear);
-                iterate = solve::solve_linear(circuit, &lin, &mut workspace)?;
-            }
+            workspace.solve_read(&drive.voltages, &drive.offsets, &mut iterate)?;
         }
         prev = iterate;
         times.push(step as f64 * dt);
@@ -316,6 +311,39 @@ mod tests {
         for pair in waveform.windows(2) {
             assert!(pair[1] >= pair[0] - 1e-9);
         }
+    }
+
+    /// An RC network driven through a floating source (gnd–R–a, b =V= a,
+    /// b–C–gnd) follows the backward-Euler recurrence of its supernode,
+    /// `(v_b − V)/R + (C/Δt)(v_b − v_b⁻) = 0`, on one analysis and one
+    /// factorization.
+    #[test]
+    fn floating_source_rc_follows_the_backward_euler_recurrence() {
+        let session = mnsim_obs::session();
+        let (r, cap, v, steps) = (1e3, 1e-9, 1.0, 200);
+        let mut c = Circuit::new();
+        let a = c.add_node();
+        let b = c.add_node();
+        c.add_resistor(Circuit::GROUND, a, Resistance::from_ohms(r))
+            .unwrap();
+        c.add_voltage_source(b, a, Voltage::from_volts(v)).unwrap();
+        c.add_capacitor(b, Circuit::GROUND, Capacitance::from_farads(cap))
+            .unwrap();
+        let options = TransientOptions::step_response(Time::from_microseconds(5.0), steps);
+        let result = solve_transient(&c, &options).unwrap();
+
+        let g = cap / options.dt.seconds();
+        let mut want = 0.0;
+        for sample in &result.voltages[1..] {
+            want = (v / r + g * want) / (1.0 / r + g);
+            let got = sample[b];
+            assert!((got - want).abs() < 1e-12, "{got} V, not {want} V");
+            assert!((sample[b] - sample[a] - v).abs() < 1e-12);
+        }
+        let snap = session.snapshot();
+        assert_eq!(snap.counter("solver.klu.analyses"), 1);
+        assert_eq!(snap.counter("solver.klu.factors"), 1);
+        assert_eq!(snap.counter("solver.klu.refactor"), 0);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 
 use std::collections::BTreeMap;
 
-use mnsim::circuit::solve::{solve_dc, SolveOptions};
-use mnsim::circuit::Circuit;
 use mnsim::core::checkpoint::CheckpointPolicy;
 use mnsim::core::config::Config;
 use mnsim::core::dse::{Constraints, DesignSpace};
@@ -20,7 +18,6 @@ use mnsim::obs;
 use mnsim::obs::trace::{self, EventKind};
 use mnsim::tech::fault::FaultRates;
 use mnsim::tech::interconnect::InterconnectNode;
-use mnsim::tech::units::{Resistance, Voltage};
 
 #[test]
 fn clean_fault_campaign_records_no_fallbacks() {
@@ -138,7 +135,7 @@ fn parallel_dse_error_still_evaluates_every_point() {
 
 #[test]
 fn snapshot_json_is_valid_and_complete() {
-    // The acceptance list: the solve counts of both engines, per-stage
+    // The acceptance list: the solve counts of the solver engine, per-stage
     // simulate timings, and DSE throughput — all in one machine-readable
     // snapshot.
     let session = obs::session();
@@ -157,22 +154,6 @@ fn snapshot_json_is_valid_and_complete() {
         interconnects: vec![InterconnectNode::N45],
     };
     sim.explore(&space, &Constraints::default()).unwrap();
-    // The fault campaign solves grounded-source systems on the LDLᵀ
-    // engine, so solve a floating source explicitly to get the full-MNA
-    // engine's counter into the same snapshot.
-    let mut floating = Circuit::new();
-    let a = floating.add_node();
-    let b = floating.add_node();
-    floating
-        .add_voltage_source(a, b, Voltage::from_volts(1.0))
-        .unwrap();
-    floating
-        .add_resistor(a, Circuit::GROUND, Resistance::from_kilo_ohms(1.0))
-        .unwrap();
-    floating
-        .add_resistor(b, Circuit::GROUND, Resistance::from_kilo_ohms(1.0))
-        .unwrap();
-    solve_dc(&floating, &SolveOptions::default()).unwrap();
 
     let snap = session.snapshot();
     let json = snap.to_json();
@@ -180,7 +161,6 @@ fn snapshot_json_is_valid_and_complete() {
 
     for required in [
         "circuit.solve.sparse_lu",
-        "circuit.solve.full_mna",
         "solver.klu.factors",
         "accelerator",
         "core.dse.points_per_sec",
