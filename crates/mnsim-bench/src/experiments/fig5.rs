@@ -68,6 +68,8 @@ mod tests {
 
     #[test]
     fn renders_and_meets_rmse_for_one_node() {
+        // Its solves must not land in another test's metrics session.
+        let _session = mnsim_obs::session();
         let text = run(&[InterconnectNode::N28], &[8, 16, 32]).unwrap();
         assert!(text.contains("Fig. 5"));
         assert!(text.contains("fitted wire coefficient"));

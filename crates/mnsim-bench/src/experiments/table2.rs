@@ -74,6 +74,8 @@ pub fn run(matrices: usize, inputs: usize) -> Result<String, Box<dyn std::error:
 mod tests {
     #[test]
     fn renders_with_small_sample() {
+        // Its solves must not land in another test's metrics session.
+        let _session = mnsim_obs::session();
         let text = super::run(1, 1).unwrap();
         assert!(text.contains("Table II"));
         assert!(text.contains("computation power"));

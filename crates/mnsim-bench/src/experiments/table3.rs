@@ -50,6 +50,8 @@ pub fn run(sizes: &[usize]) -> Result<String, Box<dyn std::error::Error>> {
 mod tests {
     #[test]
     fn renders_for_small_sizes() {
+        // Its solves must not land in another test's metrics session.
+        let _session = mnsim_obs::session();
         let text = super::run(&[16, 32]).unwrap();
         assert!(text.contains("Table III"));
         assert!(text.contains("speed-up"));

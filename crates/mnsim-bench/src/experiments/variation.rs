@@ -61,6 +61,8 @@ pub fn run(sizes: &[usize], sigma: f64, runs: usize) -> Result<String, Box<dyn s
 mod tests {
     #[test]
     fn renders_and_stays_in_envelope() {
+        // Its solves must not land in another test's metrics session.
+        let _session = mnsim_obs::session();
         let text = super::run(&[8, 16], 0.2, 6).unwrap();
         assert!(text.contains("Monte-Carlo"));
         assert!(!text.contains("OUT"), "{text}");

@@ -43,7 +43,7 @@ use mnsim_obs as obs;
 use mnsim_tech::units::Voltage;
 
 use crate::error::CircuitError;
-use crate::ldl::BLOCK_COLUMNS;
+use crate::ldl::{SharedAnalyses, BLOCK_COLUMNS};
 use crate::mna::{Circuit, DcSolution, Element};
 use crate::solve::{
     linearize, linearize_into, solve_reads, Linearized, SolveOptions, Sources, SparseWorkspace,
@@ -156,12 +156,37 @@ impl PreparedSystem {
     ///
     /// Propagates [`CircuitError::SingularSystem`] from the factorization.
     pub fn build(circuit: &Circuit, options: SolveOptions) -> Result<Self, CircuitError> {
+        PreparedSystem::build_in(circuit, options, SparseWorkspace::default())
+    }
+
+    /// [`PreparedSystem::build`] with the symbolic analysis of the
+    /// circuit's pattern taken from `analyses`, for this build and the
+    /// system's later factorizations: every read is bit-identical to a
+    /// [`PreparedSystem::build`] system's, and the pattern is analyzed only
+    /// if no earlier solve sharing the set analyzed it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`PreparedSystem::build`].
+    pub fn build_sharing(
+        circuit: &Circuit,
+        options: SolveOptions,
+        analyses: &SharedAnalyses,
+    ) -> Result<Self, CircuitError> {
+        PreparedSystem::build_in(circuit, options, SparseWorkspace::sharing(analyses))
+    }
+
+    /// The one build, on an empty `workspace`.
+    fn build_in(
+        circuit: &Circuit,
+        options: SolveOptions,
+        mut workspace: SparseWorkspace,
+    ) -> Result<Self, CircuitError> {
         let _span = BUILD_SPAN.enter();
         BATCH_BUILDS.inc();
         let sources = Sources::of(circuit);
         let nonlinear = circuit.is_nonlinear();
         let lin = linearize(circuit, None);
-        let mut workspace = SparseWorkspace::default();
         if !nonlinear {
             workspace.refill(circuit, &lin, &sources)?;
             // The stamps only feed the factor, and a value refresh refills

@@ -22,15 +22,21 @@
 //!    supernode. Crossbars up to 32×32 stay up-looking, 64×64 and larger
 //!    go supernodal.
 //!
-//! Steps 1–2 run once per sparsity pattern ([`SymbolicAnalysis`]). A value
-//! change — a fault overlay, a Newton step of a non-linear solve — reruns
-//! only step 3 ([`SparseLdl::refactor`]). The chord steps of a non-linear
-//! solve and the steps of a linear transient rerun none of them: each is
-//! one backsolve on the factor already held. Factor and refactor are the
-//! same routine on the same analysis, so a refactor is bit-identical to a
-//! fresh factorization by construction. A pivot that is zero, negative or
-//! non-finite is a typed [`CircuitError::SingularSystem`], and a refactor
-//! on a different pattern is a typed [`CircuitError::PatternMismatch`].
+//! Steps 1–2 run once per sparsity pattern ([`SymbolicAnalysis`]), and a
+//! factor holds its analysis behind an [`Arc`], so factors of one pattern
+//! can share one: the circuits of one workload that reduce to the same
+//! pattern take it from a [`SharedAnalyses`] set, which analyzes each
+//! distinct pattern once. A value change — a fault overlay, a Newton step
+//! of a non-linear solve — reruns only step 3 ([`SparseLdl::refactor`]).
+//! The chord steps of a non-linear solve and the steps of a linear
+//! transient rerun none of them: each is one backsolve on the factor
+//! already held. Factor and refactor are the same routine on the same
+//! analysis, so a refactor is bit-identical to a fresh factorization by
+//! construction, and so is a factor over a shared analysis: the analysis
+//! is a deterministic function of the pattern. A pivot that is zero,
+//! negative or non-finite is a typed [`CircuitError::SingularSystem`], and
+//! a refactor on a different pattern is a typed
+//! [`CircuitError::PatternMismatch`].
 //!
 //! The backsolve has one substitution kernel, generic over the number of
 //! right-hand sides it carries (`solve_columns`). The reads of a batch
@@ -45,6 +51,8 @@
 
 mod amd;
 mod supernodal;
+
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::error::CircuitError;
 use crate::sparse::CscMatrix;
@@ -77,8 +85,9 @@ pub(crate) const BLOCK_COLUMNS: usize = 8;
 /// permutation, the elimination tree and the column layout of `L`,
 /// together with the pattern they were computed from and, above the
 /// supernodal switch, the supernodes. Computed once per sparsity pattern
-/// by [`analyze`] and shared by every numeric factorization of that
-/// pattern, which runs the kernel the analysis picked.
+/// by [`analyze`] and shared, through an [`Arc`], by every numeric
+/// factorization of that pattern, which runs the kernel the analysis
+/// picked.
 #[derive(Debug, Clone)]
 pub struct SymbolicAnalysis {
     /// Fill-reducing permutation, `perm[new] = old`.
@@ -229,6 +238,77 @@ pub fn analyze(a: &CscMatrix) -> SymbolicAnalysis {
     analysis
 }
 
+/// A set of symbolic analyses shared by the solves of one workload, so that
+/// each distinct sparsity pattern is analyzed once however many of its
+/// circuits reduce to it. Clones are handles on one set, which lives as
+/// long as its last handle: a workload makes one, hands it to its solves,
+/// and drops it when it returns.
+///
+/// [`SharedAnalyses::analysis_of`] compares patterns exactly, as
+/// [`SymbolicAnalysis::compatible_with`] does; the dimension and the count
+/// of stored entries only pick the slot a matrix looks at. When two
+/// threads need one pattern at once, the first computes its analysis and
+/// the other waits for it, so the number of analyses does not depend on
+/// the thread count.
+#[derive(Debug, Clone, Default)]
+pub struct SharedAnalyses {
+    slots: Arc<Mutex<Vec<Arc<SharedSlot>>>>,
+}
+
+/// One pattern's place in a [`SharedAnalyses`], filled once by the first
+/// thread that needs it.
+#[derive(Debug)]
+struct SharedSlot {
+    /// Dimension of the pattern.
+    n: usize,
+    /// Stored entries of the pattern.
+    nnz: usize,
+    analysis: OnceLock<Arc<SymbolicAnalysis>>,
+}
+
+impl SharedAnalyses {
+    /// The analysis of `a`'s sparsity pattern: the set's, or [`analyze`]d
+    /// now and kept in the set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not square.
+    pub fn analysis_of(&self, a: &CscMatrix) -> Arc<SymbolicAnalysis> {
+        // Slots before `next` hold other patterns of this size.
+        let mut next = 0;
+        loop {
+            let slot = {
+                let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+                match slots[next..]
+                    .iter()
+                    .position(|slot| slot.n == a.rows() && slot.nnz == a.nnz())
+                {
+                    Some(k) => {
+                        next += k + 1;
+                        Arc::clone(&slots[next - 1])
+                    }
+                    None => {
+                        let slot = Arc::new(SharedSlot {
+                            n: a.rows(),
+                            nnz: a.nnz(),
+                            analysis: OnceLock::new(),
+                        });
+                        slots.push(Arc::clone(&slot));
+                        next = slots.len();
+                        slot
+                    }
+                }
+            };
+            // The set's lock is released: other patterns are analyzed
+            // meanwhile, and a thread that needs this one waits here.
+            let analysis = slot.analysis.get_or_init(|| Arc::new(analyze(a)));
+            if analysis.compatible_with(a) {
+                return Arc::clone(analysis);
+            }
+        }
+    }
+}
+
 /// A sparse `P·A·Pᵀ = L·D·Lᵀ` factorization over a cached symbolic
 /// analysis. `L` is unit lower triangular and stored by columns without
 /// its diagonal; `D` is the diagonal of pivots. `A` must be symmetric with
@@ -237,7 +317,7 @@ pub fn analyze(a: &CscMatrix) -> SymbolicAnalysis {
 /// below it.
 #[derive(Debug, Clone)]
 pub struct SparseLdl {
-    symbolic: SymbolicAnalysis,
+    symbolic: Arc<SymbolicAnalysis>,
     /// Row indices of `L`, column by column (permuted order), for the
     /// up-looking kernel; the supernodal layout keeps them per supernode.
     li: Vec<usize>,
@@ -256,10 +336,12 @@ impl SparseLdl {
     /// [`CircuitError::SingularSystem`] when a pivot is zero, negative or
     /// non-finite, carrying the unknown it belongs to.
     pub fn factor(a: &CscMatrix) -> Result<SparseLdl, CircuitError> {
-        SparseLdl::factor_with(a, analyze(a))
+        SparseLdl::factor_with(a, Arc::new(analyze(a)))
     }
 
-    /// Factorizes `a` over an existing symbolic analysis of its pattern.
+    /// Factorizes `a` over an existing symbolic analysis of its pattern,
+    /// which the factor shares with its other holders. The factor is
+    /// bit-identical to [`SparseLdl::factor`] on `a`.
     ///
     /// # Errors
     ///
@@ -267,7 +349,7 @@ impl SparseLdl {
     /// analyzed one; [`CircuitError::SingularSystem`] on a bad pivot.
     pub fn factor_with(
         a: &CscMatrix,
-        symbolic: SymbolicAnalysis,
+        symbolic: Arc<SymbolicAnalysis>,
     ) -> Result<SparseLdl, CircuitError> {
         if !symbolic.compatible_with(a) {
             return Err(CircuitError::PatternMismatch);
@@ -646,7 +728,7 @@ mod tests {
         let mut ldl = SparseLdl::factor(&a).expect("factors");
         assert_eq!(ldl.refactor(&other), Err(CircuitError::PatternMismatch));
         assert!(matches!(
-            SparseLdl::factor_with(&other, ldl.symbolic().clone()),
+            SparseLdl::factor_with(&other, Arc::new(ldl.symbolic().clone())),
             Err(CircuitError::PatternMismatch)
         ));
     }
@@ -683,6 +765,31 @@ mod tests {
             SparseLdl::factor(&non_finite),
             Err(CircuitError::SingularSystem { .. })
         ));
+    }
+
+    /// The set compares patterns exactly: two patterns of one dimension and
+    /// entry count get an analysis each, and a pattern seen before gets its
+    /// own back.
+    #[test]
+    fn shared_analyses_tell_apart_patterns_of_one_size() {
+        let session = obs::session();
+        let path = |a: usize, b: usize, c: usize| {
+            let mut entries = vec![(0, 0, 2.0), (1, 1, 2.0), (2, 2, 2.0)];
+            for (i, j) in [(a, b), (b, c)] {
+                entries.extend([(i, j, -1.0), (j, i, -1.0)]);
+            }
+            csc(3, &entries)
+        };
+        let (first, second) = (path(0, 1, 2), path(1, 0, 2));
+        assert_eq!((first.nnz(), second.nnz()), (7, 7));
+        let set = SharedAnalyses::default();
+        let a = set.analysis_of(&first);
+        let b = set.analysis_of(&second);
+        assert!(a.compatible_with(&first) && b.compatible_with(&second));
+        assert!(!b.compatible_with(&first));
+        assert!(Arc::ptr_eq(&set.analysis_of(&first), &a));
+        assert!(Arc::ptr_eq(&set.clone().analysis_of(&second), &b));
+        assert_eq!(session.snapshot().counter("solver.klu.analyses"), 2);
     }
 
     #[test]

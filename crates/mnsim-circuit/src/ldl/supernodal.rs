@@ -416,6 +416,7 @@ mod tests {
     use mnsim_tech::memristor::IvModel;
     use mnsim_tech::units::{Resistance, Voltage};
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     /// Deterministic xorshift uniform in `[0, 1)`.
     fn uniform(state: &mut u64) -> f64 {
@@ -525,7 +526,7 @@ mod tests {
         assert_eq!(sn.count(), 1);
         assert_eq!(sn.rows(0), (0..n).collect::<Vec<_>>().as_slice());
         assert_eq!((sn.front_len, sn.stack_len), (n * n, 0));
-        let ldl = SparseLdl::factor_with(&a, s.clone()).expect("SDD factors");
+        let ldl = SparseLdl::factor_with(&a, Arc::new(s.clone())).expect("SDD factors");
         assert_eq!(ldl.factor_nnz(), n * (n + 1) / 2);
     }
 
@@ -552,10 +553,10 @@ mod tests {
             .expect("dense blocks are above the switch");
         assert_eq!(sn.count(), 2);
         let b: Vec<f64> = (0..2 * n).map(|i| i as f64 - 50.0).collect();
-        let x = SparseLdl::factor_with(&a, s.clone())
+        let x = SparseLdl::factor_with(&a, Arc::new(s.clone()))
             .expect("SDD factors")
             .solve(&b);
-        let want = SparseLdl::factor_with(&a, up_looking(&s))
+        let want = SparseLdl::factor_with(&a, Arc::new(up_looking(&s)))
             .expect("SDD factors")
             .solve(&b);
         for (p, q) in x.iter().zip(&want) {
@@ -598,8 +599,8 @@ mod tests {
             };
             let analysis = analyze(&a);
             prop_assert!(analysis.supernodes.is_some(), "case {case} stayed below the switch");
-            let supernodal = SparseLdl::factor_with(&a, analysis.clone()).expect("SDD factors");
-            let reference = SparseLdl::factor_with(&a, up_looking(&analysis)).expect("SDD factors");
+            let supernodal = SparseLdl::factor_with(&a, Arc::new(analysis.clone())).expect("SDD factors");
+            let reference = SparseLdl::factor_with(&a, Arc::new(up_looking(&analysis))).expect("SDD factors");
             prop_assert_eq!(supernodal.factor_nnz(), reference.factor_nnz());
 
             let (x, want) = (supernodal.solve(&b), reference.solve(&b));

@@ -15,7 +15,8 @@
 //! * [`ldl`] — sparse LDLᵀ direct solver for the symmetric positive-definite
 //!   reduced systems (AMD ordering, elimination tree, then an up-looking or,
 //!   where the fill is dense, a supernodal multifrontal numeric
-//!   factorization) with a cached symbolic analysis and a numeric-only
+//!   factorization) with a cached symbolic analysis, which the circuits of
+//!   one workload can share ([`ldl::SharedAnalyses`]), and a numeric-only
 //!   `refactor()` for same-pattern value updates,
 //! * [`batch`] — multi-RHS solving over a [`batch::PreparedSystem`] that
 //!   caches the assembled reduced system and its sparse LDLᵀ factor per
@@ -74,7 +75,7 @@ pub mod transient;
 pub use batch::{prepare_or_reuse, solve_dc_batch, PreparedSystem, Rhs};
 pub use crossbar::{CrossbarCircuit, CrossbarSpec, FaultOverlay};
 pub use error::CircuitError;
-pub use ldl::{analyze, SparseLdl, SymbolicAnalysis};
+pub use ldl::{analyze, SharedAnalyses, SparseLdl, SymbolicAnalysis};
 pub use mna::{kcl_residual, Circuit, DcSolution, Element, NodeId};
 pub use solve::{solve_dc, SolveOptions};
 pub use transient::{solve_transient, TransientOptions, TransientResult};

@@ -16,14 +16,16 @@
 //! choice for the stiff RC meshes of crossbars.
 //!
 //! Every step stamps the same sparsity pattern, so the whole run shares
-//! one sparse analysis, and binds the same sources to the same values, so
-//! the sources are bound once. A linear circuit has the same matrix at
-//! every fixed step: it is assembled and factored once, and each later
-//! step rebuilds only the right-hand-side plan from the new companion
-//! currents, then backsolves on the held factor. Non-linear circuits
-//! refactor in place per Newton pass.
+//! one sparse analysis (or takes it from a [`SharedAnalyses`] set, with
+//! [`solve_transient_sharing`]), and binds the same sources to the same
+//! values, so the sources are bound once. A linear circuit has the same
+//! matrix at every fixed step: it is assembled and factored once, and each
+//! later step rebuilds only the right-hand-side plan from the new
+//! companion currents, then backsolves on the held factor. Non-linear
+//! circuits refactor in place per Newton pass.
 
 use crate::error::CircuitError;
+use crate::ldl::SharedAnalyses;
 use crate::mna::{non_positive, Circuit, Element, NodeId};
 use crate::solve::{self, Linearized, Sources, SparseWorkspace};
 use mnsim_tech::units::Time;
@@ -129,6 +131,31 @@ pub fn solve_transient(
     circuit: &Circuit,
     options: &TransientOptions,
 ) -> Result<TransientResult, CircuitError> {
+    transient_in(circuit, options, SparseWorkspace::default())
+}
+
+/// [`solve_transient`] with the symbolic analysis of the circuit's pattern
+/// taken from `analyses`: bit-identical to [`solve_transient`], and the
+/// pattern is analyzed only if no earlier solve sharing the set analyzed
+/// it.
+///
+/// # Errors
+///
+/// Same as [`solve_transient`].
+pub fn solve_transient_sharing(
+    circuit: &Circuit,
+    options: &TransientOptions,
+    analyses: &SharedAnalyses,
+) -> Result<TransientResult, CircuitError> {
+    transient_in(circuit, options, SparseWorkspace::sharing(analyses))
+}
+
+/// The one transient run, on an empty `workspace`.
+fn transient_in(
+    circuit: &Circuit,
+    options: &TransientOptions,
+    mut workspace: SparseWorkspace,
+) -> Result<TransientResult, CircuitError> {
     if non_positive(options.dt.seconds()) || options.t_stop.seconds() < options.dt.seconds() {
         return Err(CircuitError::InvalidElement {
             reason: format!(
@@ -148,7 +175,6 @@ pub fn solve_transient(
 
     let nonlinear = circuit.is_nonlinear();
     let mut prev = vec![0.0; n];
-    let mut workspace = SparseWorkspace::default();
     let sources = Sources::of(circuit);
     let drive = sources.drive(&solve::source_volts(circuit))?;
 

@@ -10,6 +10,7 @@
 
 use mnsim_circuit::batch::PreparedSystem;
 use mnsim_circuit::crossbar::CrossbarSpec;
+use mnsim_circuit::ldl::SharedAnalyses;
 use mnsim_circuit::solve::SolveOptions;
 use mnsim_tech::interconnect::InterconnectNode;
 use mnsim_tech::memristor::MemristorModel;
@@ -90,6 +91,26 @@ pub fn measure_circuit_error_rates(
     sense_resistance: Resistance,
     amplitudes: &[f64],
 ) -> Result<Vec<f64>, CoreError> {
+    error_rates(
+        size,
+        interconnect,
+        device,
+        sense_resistance,
+        amplitudes,
+        &SharedAnalyses::default(),
+    )
+}
+
+/// [`measure_circuit_error_rates`] with the crossbar's symbolic analysis
+/// taken from `analyses`.
+fn error_rates(
+    size: usize,
+    interconnect: InterconnectNode,
+    device: &MemristorModel,
+    sense_resistance: Resistance,
+    amplitudes: &[f64],
+    analyses: &SharedAnalyses,
+) -> Result<Vec<f64>, CoreError> {
     for &amplitude in amplitudes {
         if !(amplitude.is_finite() && amplitude > 0.0) {
             return Err(CoreError::InvalidConfig {
@@ -109,7 +130,8 @@ pub fn measure_circuit_error_rates(
     );
     spec.iv = device.iv;
     let xbar = spec.build()?;
-    let mut prepared = PreparedSystem::build(xbar.circuit(), SolveOptions::default())?;
+    let mut prepared =
+        PreparedSystem::build_sharing(xbar.circuit(), SolveOptions::default(), analyses)?;
     let rs_m = sense_resistance.ohms() * size as f64;
 
     let mut rates = Vec::with_capacity(amplitudes.len());
@@ -139,6 +161,24 @@ pub fn fit_wire_coefficient(
     sense_resistance: Resistance,
     sizes: &[usize],
 ) -> Result<FitResult, CoreError> {
+    fit_wire_coefficient_sharing(
+        device,
+        interconnect,
+        sense_resistance,
+        sizes,
+        &SharedAnalyses::default(),
+    )
+}
+
+/// [`fit_wire_coefficient`] with the crossbars' symbolic analyses taken
+/// from `analyses`, which the other circuits of a validation share.
+pub(crate) fn fit_wire_coefficient_sharing(
+    device: &MemristorModel,
+    interconnect: InterconnectNode,
+    sense_resistance: Resistance,
+    sizes: &[usize],
+    analyses: &SharedAnalyses,
+) -> Result<FitResult, CoreError> {
     if sizes.is_empty() {
         return Err(CoreError::InvalidConfig {
             parameter: "fit_sizes",
@@ -148,12 +188,16 @@ pub fn fit_wire_coefficient(
 
     let mut measured = Vec::with_capacity(sizes.len());
     for &size in sizes {
-        measured.push(measure_circuit_error_rate(
+        // `measure_circuit_error_rate`, on the shared analyses.
+        let rates = error_rates(
             size,
             interconnect,
             device,
             sense_resistance,
-        )?);
+            &[1.0],
+            analyses,
+        )?;
+        measured.push(rates[0]);
     }
 
     let objective = |wire: f64, nonlinearity: f64| -> f64 {

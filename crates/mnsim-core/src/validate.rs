@@ -20,12 +20,23 @@
 //! and the transient — is an independent item of one [`exec`] pool run,
 //! so no worker idles while another solves the fixed measurements, and
 //! the rows are reduced in item order whatever the thread count.
+//!
+//! The items share one set of symbolic analyses ([`SharedAnalyses`]),
+//! made for the run and dropped with it, so each distinct sparsity pattern
+//! is analyzed once, by the first worker that needs it, while a worker
+//! that needs it at the same time waits. On Table II's square layers the
+//! matrix studies, the uniform array and the largest fit size share one
+//! pattern, and the transient's mesh has the smallest fit size's: four
+//! analyses serve the eight circuits at every thread count, and every
+//! factor is bit-identical to one over its own analysis.
 
 use std::time::Instant;
 
 use mnsim_circuit::batch::PreparedSystem;
 use mnsim_circuit::crossbar::CrossbarSpec;
-use mnsim_circuit::solve::{solve_dc, SolveOptions};
+use mnsim_circuit::ldl::SharedAnalyses;
+use mnsim_circuit::solve::{solve_dc, solve_dc_sharing, SolveOptions};
+use mnsim_circuit::transient::{solve_transient_sharing, TransientOptions};
 use mnsim_nn::data::{random_input_vector, random_weight_matrix};
 use mnsim_nn::tensor::Tensor;
 use mnsim_tech::units::Time;
@@ -96,11 +107,11 @@ const FIXED_MEASUREMENTS: usize = 4;
 /// spread over `threads` workers on the [`exec`] pool as one run: first
 /// the random weight matrices (each with its own prepared system and read
 /// sequence), then the uniform array, the single-cell read, the wire fit
-/// and the transient. All random draws happen up front on the calling
-/// thread in the historical order — the RNG stream, and therefore every
-/// sampled circuit, is untouched by the thread count — and the outputs
-/// are reduced in item order, so the rows are bit-identical for every
-/// thread count.
+/// and the transient, all sharing one set of symbolic analyses. All
+/// random draws happen up front on the calling thread in the historical
+/// order — the RNG stream, and therefore every sampled circuit, is
+/// untouched by the thread count — and the outputs are reduced in item
+/// order, so the rows are bit-identical for every thread count.
 ///
 /// # Errors
 ///
@@ -144,22 +155,27 @@ pub(crate) fn validate_against_circuit(
     // size² in both the model and the mesh, so the comparison transfers.
     let latency_size = config.crossbar_size.min(32);
 
+    let analyses = SharedAnalyses::default();
     let indices: Vec<usize> = (0..matrices + FIXED_MEASUREMENTS).collect();
     let measurements = exec::run_indices(&indices, threads, &RunControl::new(), |item| {
         Ok::<_, CoreError>(match item.checked_sub(matrices) {
             None => {
                 let (weights, input_vectors) = &studies[item];
-                Measurement::Matrix(matrix_study(config, rows, weights, input_vectors)?)
+                let study = matrix_study(config, rows, weights, input_vectors, &analyses)?;
+                Measurement::Matrix(study)
             }
-            Some(0) => Measurement::UniformPower(uniform_array_power(config, rows, cols)?),
-            Some(1) => Measurement::ReadPower(single_cell_read_power(config)?),
-            Some(2) => Measurement::Fit(crate::accuracy::fit_wire_coefficient(
+            Some(0) => {
+                Measurement::UniformPower(uniform_array_power(config, rows, cols, &analyses)?)
+            }
+            Some(1) => Measurement::ReadPower(single_cell_read_power(config, &analyses)?),
+            Some(2) => Measurement::Fit(crate::accuracy::fit::fit_wire_coefficient_sharing(
                 &config.device,
                 config.interconnect,
                 config.sense_resistance,
                 &fit_sizes,
+                &analyses,
             )?),
-            Some(_) => Measurement::Settle(measure_transient_settle(config, latency_size)?),
+            Some(_) => Measurement::Settle(transient_settle(config, latency_size, &analyses)?),
         })
     })
     .into_result()
@@ -251,10 +267,12 @@ fn matrix_study(
     rows: usize,
     weights: &Tensor,
     input_vectors: &[Tensor],
+    analyses: &SharedAnalyses,
 ) -> Result<MatrixPartial, CoreError> {
     let mapped = map_weights(config, weights, &vec![0.0; rows])?;
     let built = mapped.positive.build()?;
-    let mut prepared = PreparedSystem::build(built.circuit(), SolveOptions::default())?;
+    let mut prepared =
+        PreparedSystem::build_sharing(built.circuit(), SolveOptions::default(), analyses)?;
     let drives: Vec<_> = input_vectors
         .iter()
         .map(|inputs| input_drive_voltages(config, inputs.data()))
@@ -298,7 +316,12 @@ fn matrix_study(
 /// weight-distribution assumption. The activity factor 0.5 of the model
 /// corresponds to inputs at v_read/√2 RMS; the uniform circuit is driven
 /// at that amplitude for a like-for-like energy comparison.
-fn uniform_array_power(config: &Config, rows: usize, cols: usize) -> Result<f64, CoreError> {
+fn uniform_array_power(
+    config: &Config,
+    rows: usize,
+    cols: usize,
+    analyses: &SharedAnalyses,
+) -> Result<f64, CoreError> {
     let rms_input = mnsim_tech::units::Voltage::from_volts(
         config.device.v_read.volts() / std::f64::consts::SQRT_2,
     );
@@ -311,12 +334,12 @@ fn uniform_array_power(config: &Config, rows: usize, cols: usize) -> Result<f64,
         rms_input,
     );
     let built = uniform.build()?;
-    let solution = solve_dc(built.circuit(), &SolveOptions::default())?;
+    let solution = solve_dc_sharing(built.circuit(), &SolveOptions::default(), analyses)?;
     Ok(solution.dissipated_power(built.circuit()).watts())
 }
 
 /// Circuit read power: a single driven cell with its sense resistor.
-fn single_cell_read_power(config: &Config) -> Result<f64, CoreError> {
+fn single_cell_read_power(config: &Config, analyses: &SharedAnalyses) -> Result<f64, CoreError> {
     let single = CrossbarSpec::uniform(
         1,
         1,
@@ -326,7 +349,7 @@ fn single_cell_read_power(config: &Config) -> Result<f64, CoreError> {
         config.device.v_read,
     );
     let built = single.build()?;
-    let solution = solve_dc(built.circuit(), &SolveOptions::default())?;
+    let solution = solve_dc_sharing(built.circuit(), &SolveOptions::default(), analyses)?;
     Ok(solution.dissipated_power(built.circuit()).watts())
 }
 
@@ -338,8 +361,16 @@ fn single_cell_read_power(config: &Config) -> Result<f64, CoreError> {
 /// Propagates circuit failures; reports a settle failure as
 /// [`CoreError::InvalidConfig`].
 pub fn measure_transient_settle(config: &Config, size: usize) -> Result<Time, CoreError> {
-    use mnsim_circuit::transient::{solve_transient, TransientOptions};
+    transient_settle(config, size, &SharedAnalyses::default())
+}
 
+/// [`measure_transient_settle`] with the mesh's symbolic analysis taken
+/// from `analyses`.
+fn transient_settle(
+    config: &Config,
+    size: usize,
+    analyses: &SharedAnalyses,
+) -> Result<Time, CoreError> {
     let spec = CrossbarSpec::uniform(
         size,
         size,
@@ -358,7 +389,7 @@ pub fn measure_transient_settle(config: &Config, size: usize) -> Result<Time, Co
     let model = CrossbarModel::new(size, &config.device, config.interconnect);
     let window = model.settle_latency() * 4.0;
     let options = TransientOptions::step_response(window, 400);
-    let result = solve_transient(xbar.circuit(), &options)?;
+    let result = solve_transient_sharing(xbar.circuit(), &options, analyses)?;
     let worst = xbar.output_node(size - 1);
     result
         .settle_time(worst, 0.02)

@@ -7,7 +7,8 @@
 //! repeated solve of one structure — Newton and chord steps, transient
 //! steps, prepared-system reads and fault trials — must analyze it once
 //! and refactor in place, or, for a chord step, backsolve on the held
-//! factor. The symbolic, refactor and typed-error checks run on
+//! factor. The circuits of one validation share one analysis per pattern,
+//! and a factor over a shared analysis is bit-identical to a fresh one. The symbolic, refactor and typed-error checks run on
 //! both numeric kernels: the up-looking one below the supernodal switch
 //! and the supernodal one above it (`solver.klu.supernodal` counts the
 //! latter). The counters keep their `solver.klu.*` names.
@@ -25,7 +26,7 @@ use mnsim::circuit::sparse::CscMatrix;
 use mnsim::circuit::sparse::TripletMatrix;
 use mnsim::circuit::transient::{solve_transient, TransientOptions};
 use mnsim::circuit::CircuitError;
-use mnsim::circuit::{analyze, Element, SparseLdl, SymbolicAnalysis};
+use mnsim::circuit::{analyze, Element, SharedAnalyses, SparseLdl, SymbolicAnalysis};
 use mnsim::core::config::Config;
 use mnsim::core::fault_sim::FaultConfig;
 use mnsim::core::Simulator;
@@ -34,6 +35,7 @@ use mnsim::tech::fault::FaultRates;
 use mnsim::tech::memristor::IvModel;
 use mnsim::tech::units::{Capacitance, Resistance, Time, Voltage};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Deterministic xorshift uniform in `[0, 1)`.
 fn uniform(state: &mut u64) -> f64 {
@@ -170,7 +172,7 @@ fn check_symbolic_invariants(a: &CscMatrix, seed: u64) -> SymbolicAnalysis {
         assert_eq!(counts[k], fill, "column count of column {k}");
     }
 
-    let ldl = SparseLdl::factor_with(a, analysis.clone()).expect("SDD matrix factorizes");
+    let ldl = SparseLdl::factor_with(a, Arc::new(analysis.clone())).expect("SDD matrix factorizes");
     assert_eq!(ldl.factor_nnz(), analysis.l_nnz() + n);
     let mut state = seed | 1;
     let x_true: Vec<f64> = (0..n).map(|_| uniform(&mut state) * 2.0 - 1.0).collect();
@@ -189,8 +191,9 @@ fn check_symbolic_invariants(a: &CscMatrix, seed: u64) -> SymbolicAnalysis {
 /// `refactor` of `a` with unchanged values — and with changed values on
 /// the same pattern — produces solves bit-identical to a from-scratch
 /// factorization, and a different pattern is refused with a typed error
-/// instead of being silently re-analyzed.
-fn check_refactor_bit_identity(a: &CscMatrix, seed: u64) {
+/// instead of being silently re-analyzed. So does a factor over an
+/// analysis shared by `sharers` threads ([`check_shared_analysis`]).
+fn check_refactor_bit_identity(a: &CscMatrix, seed: u64, sharers: usize) {
     let n = a.rows();
     // Same pattern, scaled values: what a fault overlay or reprogram does
     // to the reduced system.
@@ -226,10 +229,46 @@ fn check_refactor_bit_identity(a: &CscMatrix, seed: u64) {
     if a.nnz() > n {
         assert_eq!(ldl.refactor(&diagonal), Err(CircuitError::PatternMismatch));
     }
+    check_shared_analysis([a, &scaled], &b, sharers);
 }
 
+/// `sharers` threads at once factor the two same-pattern matrices of
+/// `pair` in turn, each over the analysis a [`SharedAnalyses`] set hands
+/// out: the set analyzes the pattern once, and every factor solves `b`
+/// bit-identically to a fresh [`SparseLdl::factor`] of its matrix.
+fn check_shared_analysis(pair: [&CscMatrix; 2], b: &[f64], sharers: usize) {
+    let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    let fresh = pair.map(|m| bits(SparseLdl::factor(m).expect("factors").solve(b)));
+    let set = SharedAnalyses::default();
+    let before = obs::snapshot().counter("solver.klu.analyses");
+    let shared: Vec<Vec<u64>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..sharers)
+            .map(|k| {
+                let (m, set) = (pair[k % 2], &set);
+                scope.spawn(move || {
+                    let ldl = SparseLdl::factor_with(m, set.analysis_of(m)).expect("factors");
+                    bits(ldl.solve(b))
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| worker.join().expect("sharer"))
+            .collect()
+    });
+    assert_eq!(obs::snapshot().counter("solver.klu.analyses") - before, 1);
+    for (k, solved) in shared.iter().enumerate() {
+        assert_eq!(
+            solved,
+            &fresh[k % 2],
+            "sharer {k} drifted from a fresh factor"
+        );
+    }
+}
+
+// The cheap properties: small systems on the up-looking kernel.
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The sparse-direct `solve_dc` and a dense-LU nodal reference
     /// ([`common::dense_nodal_voltages`]) agree within 1e-10 relative on
@@ -265,6 +304,24 @@ proptest! {
         check_symbolic_invariants(&random_sdd_csc(n, seed), seed);
     }
 
+    /// Refactor and shared-analysis bit-identity on the up-looking kernel
+    /// ([`check_refactor_bit_identity`]).
+    #[test]
+    fn refactor_is_bit_identical_to_fresh_factorization(
+        n in 2usize..40,
+        seed in 0u64..1_000_000,
+        sharers in 1usize..4,
+    ) {
+        let _session = obs::session();
+        check_refactor_bit_identity(&random_sdd_csc(n, seed), seed, sharers);
+    }
+}
+
+// The heavier properties: dense symbolic references and systems above
+// the supernodal switch.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
     /// The same invariants above the supernodal switch, where the analysis
     /// postorders the elimination tree into the permutation.
     #[test]
@@ -278,28 +335,18 @@ proptest! {
         prop_assert!(above_the_switch(&analysis), "n {n} density {density} stayed below the switch");
     }
 
-    /// Refactor bit-identity on the up-looking kernel
-    /// ([`check_refactor_bit_identity`]).
-    #[test]
-    fn refactor_is_bit_identical_to_fresh_factorization(
-        n in 2usize..40,
-        seed in 0u64..1_000_000,
-    ) {
-        let _session = obs::session();
-        check_refactor_bit_identity(&random_sdd_csc(n, seed), seed);
-    }
-
-    /// Refactor bit-identity on the supernodal kernel.
+    /// Refactor and shared-analysis bit-identity on the supernodal kernel.
     #[test]
     fn refactor_is_bit_identical_to_fresh_factorization_above_the_switch(
         n in 120usize..200,
         density in 0.2f64..0.5,
         seed in 0u64..1_000_000,
+        sharers in 1usize..4,
     ) {
         let session = obs::session();
         let a = sdd_csc(n, density, seed);
         prop_assert!(above_the_switch(&analyze(&a)), "n {n} density {density} stayed below the switch");
-        check_refactor_bit_identity(&a, seed);
+        check_refactor_bit_identity(&a, seed, sharers);
         let snap = session.snapshot();
         prop_assert_eq!(
             snap.counter("solver.klu.supernodal"),
@@ -355,7 +402,7 @@ fn bad_pivots_inside_a_supernode_are_typed() {
     let _session = obs::session();
     let n = 160;
     let a = sdd_csc(n, 0.25, 9);
-    let analysis = analyze(&a);
+    let analysis = Arc::new(analyze(&a));
     assert!(above_the_switch(&analysis));
     // Column k shares a supernode with column k − 1 when k − 1 is its only
     // child and column k has one entry fewer below the diagonal.
@@ -373,11 +420,11 @@ fn bad_pivots_inside_a_supernode_are_typed() {
     let negative = with_values(&a, |r, c, v| if r == u && c == u { -1.0 } else { v });
     let nan = with_values(&a, |r, c, v| if r == u && c == u { f64::NAN } else { v });
     let b = vec![1.0; n];
-    let mut ldl = SparseLdl::factor_with(&a, analysis.clone()).expect("factors");
+    let mut ldl = SparseLdl::factor_with(&a, Arc::clone(&analysis)).expect("factors");
     let want = ldl.solve(&b);
     for (what, bad) in [("zero", &zero), ("negative", &negative), ("NaN", &nan)] {
         assert_eq!(
-            SparseLdl::factor_with(bad, analysis.clone()).err(),
+            SparseLdl::factor_with(bad, Arc::clone(&analysis)).err(),
             Some(CircuitError::SingularSystem { at: u }),
             "{what} pivot from a fresh factorization"
         );
@@ -410,8 +457,8 @@ fn floating_node_is_a_typed_singular_error() {
     let mut circuit = built.circuit().clone();
     circuit.add_node(); // no element ever touches it: zero diagonal row
 
-    // The LDLᵀ engine reports the singularity as the zero pivot of the
-    // floating node's empty column.
+    // The structural island check reports the floating node before any
+    // factorization.
     match solve_dc(&circuit, &SolveOptions::default()) {
         Err(CircuitError::SingularSystem { .. }) => {}
         other => panic!("expected SingularSystem, got {other:?}"),
@@ -663,4 +710,33 @@ fn nonlinear_prepared_system_shares_one_analysis_across_reads_and_overlays() {
         let want = solve_dc(&patched, &SolveOptions::default()).unwrap();
         assert_eq!(got.voltages(), want.voltages());
     }
+}
+
+/// One validation analyzes each distinct reduced pattern once, at every
+/// thread count. On a 32×32 configuration its eight circuits — two matrix
+/// studies, the uniform array, the single cell, the three fit sizes and the
+/// transient mesh — reduce to four patterns: the 32×32 one (the matrix
+/// studies, the uniform array, the largest fit size and the mesh), the
+/// single cell's, and the 8×8 and 16×16 fit sizes'. So eight factors take
+/// four analyses, and the rows do not depend on the thread count.
+#[test]
+fn validation_analyzes_each_pattern_once_at_every_thread_count() {
+    let mut config = Config::fully_connected_mlp(&[32, 32]).unwrap();
+    config.crossbar_size = 32;
+    let mut rows = Vec::new();
+    for threads in [1, 2, 7] {
+        let session = obs::session();
+        let sim = Simulator::new(config.clone()).threads(threads);
+        rows.push(sim.validate(2, 2, 7).unwrap());
+        let snap = session.snapshot();
+        assert_eq!(snap.counter("solver.klu.analyses"), 4, "threads {threads}");
+        assert_eq!(snap.counter("solver.klu.factors"), 8, "threads {threads}");
+    }
+    let bits = |rows: &[mnsim::core::validate::ValidationRow]| {
+        rows.iter()
+            .map(|row| (row.mnsim.to_bits(), row.circuit.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(bits(&rows[1]), bits(&rows[0]));
+    assert_eq!(bits(&rows[2]), bits(&rows[0]));
 }

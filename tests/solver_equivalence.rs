@@ -109,7 +109,7 @@ fn check_crossbar_equivalence(rows: usize, cols: usize, seed: u64, batch_size: u
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Batches replay the serial assembly exactly: bitwise equality, not
     /// approximate, for every batch size (including one and zero).
