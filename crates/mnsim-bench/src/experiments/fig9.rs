@@ -19,14 +19,8 @@ pub struct Pentagon {
     pub axes: [f64; 5],
 }
 
-/// Axis labels of the pentagon.
-pub const AXES: [&str; 5] = [
-    "1/area",
-    "energy efficiency",
-    "1/power",
-    "speed",
-    "accuracy",
-];
+/// Axis labels of the pentagon, each short enough for one table column.
+pub const AXES: [&str; 5] = ["1/area", "energy eff.", "1/power", "speed", "accuracy"];
 
 /// Builds the normalized pentagons for the four table optima.
 pub fn pentagons(points: &[&DesignPoint]) -> Vec<Pentagon> {
@@ -55,6 +49,33 @@ pub fn pentagons(points: &[&DesignPoint]) -> Vec<Pentagon> {
             axes: std::array::from_fn(|i| axes[i] / best[i]),
         })
         .collect()
+}
+
+/// How far the compared designs sit apart: the max − min range of each
+/// axis across the designs, averaged over the five axes. 0 when every
+/// design scores alike, 1 when every axis runs from 0 to the best.
+pub fn mean_axis_spread(pens: &[Pentagon]) -> f64 {
+    let range = |i: usize| {
+        let values = pens.iter().map(|p| p.axes[i]);
+        values.clone().fold(f64::NEG_INFINITY, f64::max) - values.fold(f64::INFINITY, f64::min)
+    };
+    (0..AXES.len()).map(range).sum::<f64>() / AXES.len() as f64
+}
+
+/// The paper's Fig. 9 observation as a verdict on both sub-figures: the
+/// entire network shows smaller differences between the optimal designs
+/// than the single bank.
+fn spread_verdict(bank: &[Pentagon], cnn: &[Pentagon]) -> String {
+    let (bank, cnn) = (mean_axis_spread(bank), mean_axis_spread(cnn));
+    let holds = cnn < bank;
+    format!(
+        "Spread across rows (max − min per axis, mean of five axes): bank {bank:.3}, \
+         CNN {cnn:.3}.\n\
+         The {} spread is larger, {} the paper, whose entire network shows the smaller\n\
+         differences.\n",
+        if holds { "bank's" } else { "CNN's" },
+        if holds { "as in" } else { "unlike" },
+    )
 }
 
 fn render(title: &str, pens: &[Pentagon]) -> String {
@@ -103,18 +124,16 @@ pub fn run() -> Result<String, Box<dyn std::error::Error>> {
         &Constraints::crossbar_error(0.50),
     )?;
 
+    let (bank, cnn) = (
+        pentagons(&four_optima(&bank)),
+        pentagons(&four_optima(&cnn)),
+    );
     let mut out = String::new();
     out.push_str("Fig. 9 — normalized five-axis comparison of the four optimal designs\n\n");
-    out.push_str(&render(
-        "(a) large computation bank",
-        &pentagons(&four_optima(&bank)),
-    ));
-    out.push_str(&render("(b) VGG-16 CNN", &pentagons(&four_optima(&cnn))));
-    out.push_str(
-        "Shape check: each row holds a 1.000 on its own axis; the spread across rows\n\
-         is larger for the single bank than for the full CNN (the paper's observation\n\
-         that the entire network case shows smaller differences).\n",
-    );
+    out.push_str(&render("(a) large computation bank", &bank));
+    out.push_str(&render("(b) VGG-16 CNN", &cnn));
+    out.push_str("Shape check: each row holds a 1.000 on its own axis.\n");
+    out.push_str(&spread_verdict(&bank, &cnn));
     Ok(out)
 }
 
@@ -147,5 +166,41 @@ mod tests {
         }
         // The area-optimal design tops the 1/area axis.
         assert!((pens[0].axes[0] - 1.0).abs() < 1e-12);
+    }
+
+    fn pentagon(axes: [f64; 5]) -> Pentagon {
+        Pentagon {
+            optimized_for: Objective::Area,
+            axes,
+        }
+    }
+
+    #[test]
+    fn spread_is_the_mean_axis_range_and_the_verdict_names_the_larger() {
+        let alike = [pentagon([1.0; 5]), pentagon([1.0; 5])];
+        assert_eq!(mean_axis_spread(&alike), 0.0);
+        let apart = [
+            pentagon([1.0, 0.0, 1.0, 0.5, 1.0]),
+            pentagon([0.0, 1.0, 0.5, 1.0, 0.0]),
+        ];
+        assert!((mean_axis_spread(&apart) - 0.8).abs() < 1e-15);
+
+        let paper_shape = spread_verdict(&apart, &alike);
+        assert!(
+            paper_shape.contains("bank 0.800, CNN 0.000"),
+            "{paper_shape}"
+        );
+        assert!(paper_shape.contains("The bank's spread is larger, as in the paper"));
+        let reversed = spread_verdict(&alike, &apart);
+        assert!(reversed.contains("The CNN's spread is larger, unlike the paper"));
+    }
+
+    #[test]
+    fn axis_labels_fit_the_table_columns() {
+        // `row` right-aligns each value in 14 characters; a longer label
+        // runs into its neighbour.
+        for label in AXES {
+            assert!(label.chars().count() < 14, "{label}");
+        }
     }
 }

@@ -30,7 +30,7 @@ use mnsim_core::exec::{self, RunControl};
 use mnsim_core::fault_sim::FaultConfig;
 use mnsim_core::simulate::simulate;
 use mnsim_core::Simulator;
-use mnsim_obs::{parse_json, trace, JsonValue};
+use mnsim_obs::{parse_json, trace, write_json_number, write_json_string, JsonValue};
 use mnsim_tech::fault::FaultRates;
 use mnsim_tech::interconnect::InterconnectNode;
 use mnsim_tech::units::{Resistance, Voltage};
@@ -457,30 +457,38 @@ impl BenchReport {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"schema\": {},", self.schema);
         let _ = writeln!(out, "  \"created_unix\": {},", self.created_unix);
-        let _ = writeln!(
-            out,
-            "  \"machine\": {{\"os\": \"{}\", \"arch\": \"{}\", \"cpus\": {}}},",
-            self.machine.os, self.machine.arch, self.machine.cpus
-        );
+        out.push_str("  \"machine\": {\"os\": ");
+        write_json_string(&mut out, &self.machine.os);
+        out.push_str(", \"arch\": ");
+        write_json_string(&mut out, &self.machine.arch);
+        let _ = writeln!(out, ", \"cpus\": {}}},", self.machine.cpus);
         out.push_str("  \"entries\": [");
         for (i, entry) in self.entries.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str("\n    {");
-            let _ = write!(
-                out,
-                "\"name\": \"{}\", \"runs\": {}, \"min_s\": {:?}, \"median_s\": {:?}, \"p95_s\": {:?}, ",
-                entry.name, entry.runs, entry.min_s, entry.median_s, entry.p95_s
-            );
+            out.push_str("\n    {\"name\": ");
+            write_json_string(&mut out, &entry.name);
+            let _ = write!(out, ", \"runs\": {}", entry.runs);
+            for (key, seconds) in [
+                ("min_s", entry.min_s),
+                ("median_s", entry.median_s),
+                ("p95_s", entry.p95_s),
+            ] {
+                let _ = write!(out, ", \"{key}\": ");
+                write_json_number(&mut out, seconds);
+            }
+            out.push_str(", ");
             for (key, stages) in [("stages", &entry.stages), ("stages_cpu", &entry.stages_cpu)]
             {
                 let _ = write!(out, "\"{key}\": {{");
-                for (j, (stage, seconds)) in stages.iter().enumerate() {
+                for (j, (stage, &seconds)) in stages.iter().enumerate() {
                     if j > 0 {
                         out.push_str(", ");
                     }
-                    let _ = write!(out, "\"{stage}\": {seconds:?}");
+                    write_json_string(&mut out, stage);
+                    out.push_str(": ");
+                    write_json_number(&mut out, seconds);
                 }
                 out.push('}');
                 if key == "stages" {
@@ -705,6 +713,17 @@ mod tests {
         let report = report_with(&[("a", 0.5), ("b", 1.25)]);
         let parsed = parse_bench_json(&report.to_json()).unwrap();
         assert_eq!(parsed, report);
+    }
+
+    #[test]
+    fn non_finite_times_serialize_as_valid_json() {
+        let mut report = report_with(&[("a", 0.5)]);
+        report.entries[0].median_s = f64::NAN;
+        report.entries[0].stages.insert("run".into(), f64::INFINITY);
+        let json = report.to_json();
+        mnsim_obs::validate_json(&json).unwrap();
+        assert!(json.contains("\"median_s\": null"), "{json}");
+        assert!(parse_bench_json(&json).is_err());
     }
 
     #[test]

@@ -86,22 +86,10 @@ pub struct Rhs {
 
 impl Rhs {
     /// Builds an RHS from typed source voltages.
-    pub fn from_voltages(voltages: &[Voltage]) -> Self {
+    pub(crate) fn from_voltages(voltages: &[Voltage]) -> Self {
         Rhs {
             volts: voltages.iter().map(|v| v.volts()).collect(),
         }
-    }
-
-    /// Builds an RHS from raw volt values.
-    pub fn from_volts(volts: &[f64]) -> Self {
-        Rhs {
-            volts: volts.to_vec(),
-        }
-    }
-
-    /// The source voltages in volts, in element insertion order.
-    pub fn volts(&self) -> &[f64] {
-        &self.volts
     }
 }
 
@@ -211,26 +199,8 @@ impl PreparedSystem {
         self.fingerprint
     }
 
-    /// Number of voltage sources, i.e. the required [`Rhs`] arity.
-    pub fn rhs_len(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// Rough resident size of this prepared system in bytes — dominated
-    /// by the cached factorization (the sparse workspace, including a
-    /// non-linear system's factor once it has solved: the factor
-    /// non-zeros, the analyzed pattern, the stamp slot map and the
-    /// assembly buffers). An estimate, not an allocator truth.
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.lin.len() * 48
-            + self.node_count
-            + self.sources.len() * 24
-            + self.workspace.approx_bytes()
-    }
-
     /// The options the system was built with.
-    pub fn options(&self) -> &SolveOptions {
+    pub(crate) fn options(&self) -> &SolveOptions {
         &self.options
     }
 
@@ -243,7 +213,7 @@ impl PreparedSystem {
     /// `true` when `circuit` has the same element *structure* (kinds and
     /// nodes) even if conductance/current values differ — the precondition
     /// for an in-place value refresh of the sparse engine.
-    pub fn matches_structure(&self, circuit: &Circuit) -> bool {
+    pub(crate) fn matches_structure(&self, circuit: &Circuit) -> bool {
         circuit_structure_fingerprint(circuit) == self.structure_fingerprint
     }
 
@@ -487,7 +457,7 @@ pub fn prepare_or_reuse<'a>(
 /// other element field — including current-source values, which feed the
 /// cached static RHS terms — participates, so any change that would
 /// invalidate the cached assembly changes the fingerprint.
-pub fn circuit_fingerprint(circuit: &Circuit) -> u64 {
+pub(crate) fn circuit_fingerprint(circuit: &Circuit) -> u64 {
     fingerprint(circuit, true)
 }
 
@@ -496,7 +466,7 @@ pub fn circuit_fingerprint(circuit: &Circuit) -> u64 {
 /// fingerprints assemble reduced systems with identical sparsity patterns,
 /// which is the precondition for refreshing a cached sparse factorization
 /// in place instead of rebuilding it.
-pub fn circuit_structure_fingerprint(circuit: &Circuit) -> u64 {
+pub(crate) fn circuit_structure_fingerprint(circuit: &Circuit) -> u64 {
     fingerprint(circuit, false)
 }
 
@@ -559,6 +529,12 @@ mod tests {
     use crate::solve::solve_dc;
     use mnsim_tech::memristor::IvModel;
     use mnsim_tech::units::Resistance;
+
+    fn rhs(volts: &[f64]) -> Rhs {
+        Rhs {
+            volts: volts.to_vec(),
+        }
+    }
 
     fn spec(rows: usize, cols: usize) -> CrossbarSpec {
         CrossbarSpec::uniform(
@@ -732,7 +708,7 @@ mod tests {
         let xbar = spec(3, 3).build().unwrap();
         let mut prepared =
             PreparedSystem::build(xbar.circuit(), SolveOptions::default()).unwrap();
-        let rhs = Rhs::from_volts(&[1.0, 2.0]); // 3 sources expected
+        let rhs = rhs(&[1.0, 2.0]); // 3 sources expected
         assert!(matches!(
             prepared.solve(xbar.circuit(), &rhs),
             Err(CircuitError::DimensionMismatch { .. })
@@ -754,32 +730,6 @@ mod tests {
         let patched = xbar.circuit().with_source_voltages(&inputs).unwrap();
         let want = solve_dc(&patched, &SolveOptions::default()).unwrap();
         assert_eq!(got.voltages(), want.voltages());
-    }
-
-    #[test]
-    fn approx_bytes_counts_the_nonlinear_factorization() {
-        let _session = obs::session();
-        let linear = spec(8, 8).build().unwrap();
-        let mut sinh_spec = spec(8, 8);
-        sinh_spec.iv = IvModel::Sinh { alpha: 2.5 };
-        let nonlinear = sinh_spec.build().unwrap();
-
-        // The Jacobian has the linear system's pattern, so the linear
-        // system's sparse factor is the size to expect.
-        let linear_system = PreparedSystem::build(linear.circuit(), SolveOptions::default()).unwrap();
-        let factor_bytes = linear_system.workspace.factored().unwrap().factor_nnz() * 16;
-
-        let mut prepared =
-            PreparedSystem::build(nonlinear.circuit(), SolveOptions::default()).unwrap();
-        let before = prepared.approx_bytes();
-        prepared
-            .solve(nonlinear.circuit(), &Rhs::from_voltages(&ramp_inputs(8, 0)))
-            .unwrap();
-        let after = prepared.approx_bytes();
-        assert!(
-            after >= before + factor_bytes,
-            "{after} B after solving, {before} B before, factor alone {factor_bytes} B"
-        );
     }
 
     /// A floating source between two grounded resistors, plus a grounded
@@ -812,7 +762,7 @@ mod tests {
         assert_eq!(prepared.engine_kind(), EngineKind::SparseDirect);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (v1, v2) in [(1.0, 0.7), (2.0, -0.1), (-3.0, 1e-3)] {
-            let rhs = Rhs::from_volts(&[v1, v2]);
+            let rhs = rhs(&[v1, v2]);
             let got = prepared.solve(&c, &rhs).unwrap();
             let patched = c
                 .with_source_voltages(&[Voltage::from_volts(v1), Voltage::from_volts(v2)])
@@ -844,7 +794,7 @@ mod tests {
         let mut prepared = PreparedSystem::build(&old, options.clone()).unwrap();
         assert_eq!(prepared.try_value_refresh(&new), Ok(true));
         assert!(prepared.matches(&new));
-        let rhs = Rhs::from_volts(&[0.7]);
+        let rhs = rhs(&[0.7]);
         let got = prepared.solve(&new, &rhs).unwrap();
         let want = PreparedSystem::build(&new, options)
             .unwrap()
@@ -867,9 +817,7 @@ mod tests {
             let mut prepared =
                 PreparedSystem::build(xbar.circuit(), SolveOptions::default()).unwrap();
             let volts = [0.5, f64::NAN, 0.4];
-            let got = prepared
-                .solve(xbar.circuit(), &Rhs::from_volts(&volts))
-                .unwrap_err();
+            let got = prepared.solve(xbar.circuit(), &rhs(&volts)).unwrap_err();
             let inputs: Vec<Voltage> = volts.iter().map(|&v| Voltage::from_volts(v)).collect();
             let patched = xbar.circuit().with_source_voltages(&inputs).unwrap();
             let want = solve_dc(&patched, &SolveOptions::default()).unwrap_err();
@@ -894,9 +842,9 @@ mod tests {
         c.add_resistor(a, Circuit::GROUND, Resistance::from_ohms(10.0))
             .unwrap();
         let mut prepared = PreparedSystem::build(&c, SolveOptions::default()).unwrap();
-        assert!(prepared.solve(&c, &Rhs::from_volts(&[2.0, 2.0])).is_ok());
+        assert!(prepared.solve(&c, &rhs(&[2.0, 2.0])).is_ok());
         assert!(matches!(
-            prepared.solve(&c, &Rhs::from_volts(&[1.0, 2.0])),
+            prepared.solve(&c, &rhs(&[1.0, 2.0])),
             Err(CircuitError::InvalidElement { .. })
         ));
     }

@@ -35,7 +35,7 @@ use crate::mna::{non_positive, Circuit, DcSolution, NodeId};
 /// cells electrically negligible (12 orders above any cell state) while
 /// keeping the system solvable — at the cost of severe conditioning, which
 /// the LDLᵀ engine absorbs (DESIGN.md §7a).
-pub const OPEN_SEGMENT_RESISTANCE: Resistance = Resistance::from_ohms(1e12);
+pub(crate) const OPEN_SEGMENT_RESISTANCE: Resistance = Resistance::from_ohms(1e12);
 
 /// Hard-defect overlay applied to a crossbar netlist at build time.
 ///
@@ -109,7 +109,7 @@ impl CrossbarSpec {
     /// Returns [`CircuitError::DimensionMismatch`] for wrong vector lengths
     /// and [`CircuitError::InvalidElement`] for non-positive sizes or
     /// resistances.
-    pub fn validate(&self) -> Result<(), CircuitError> {
+    pub(crate) fn validate(&self) -> Result<(), CircuitError> {
         if self.rows == 0 || self.cols == 0 {
             return Err(CircuitError::InvalidElement {
                 reason: "crossbar must have at least one row and one column".into(),
@@ -172,7 +172,7 @@ impl CrossbarSpec {
     /// # Panics
     ///
     /// Panics if the coordinates are out of range.
-    pub fn effective_state(&self, row: usize, col: usize) -> Resistance {
+    pub(crate) fn effective_state(&self, row: usize, col: usize) -> Resistance {
         let programmed = self.state(row, col);
         let Some(overlay) = &self.faults else {
             return programmed;
@@ -191,7 +191,7 @@ impl CrossbarSpec {
     ///
     /// # Errors
     ///
-    /// Propagates [`Self::validate`] failures.
+    /// Propagates `validate` failures.
     pub fn build(&self) -> Result<CrossbarCircuit, CircuitError> {
         self.validate()?;
         let mut circuit = Circuit::new();
@@ -232,12 +232,9 @@ impl CrossbarSpec {
             }
         }
 
-        let mut cell_elements = Vec::with_capacity(m * n);
         for i in 0..m {
             for j in 0..n {
-                let idx =
-                    circuit.add_memristor(w(i, j), b(i, j), self.effective_state(i, j), self.iv)?;
-                cell_elements.push(idx);
+                circuit.add_memristor(w(i, j), b(i, j), self.effective_state(i, j), self.iv)?;
             }
         }
 
@@ -263,7 +260,6 @@ impl CrossbarSpec {
             circuit,
             source_nodes,
             output_nodes,
-            cell_elements,
             sense_elements,
         })
     }
@@ -319,7 +315,6 @@ pub struct CrossbarCircuit {
     circuit: Circuit,
     source_nodes: Vec<NodeId>,
     output_nodes: Vec<NodeId>,
-    cell_elements: Vec<usize>,
     sense_elements: Vec<usize>,
 }
 
@@ -329,24 +324,9 @@ impl CrossbarCircuit {
         &self.circuit
     }
 
-    /// The specification this netlist was built from.
-    pub fn spec(&self) -> &CrossbarSpec {
-        &self.spec
-    }
-
-    /// The node driven by input `row`.
-    pub fn source_node(&self, row: usize) -> NodeId {
-        self.source_nodes[row]
-    }
-
     /// The output node of `col` (read across the sensing resistor).
     pub fn output_node(&self, col: usize) -> NodeId {
         self.output_nodes[col]
-    }
-
-    /// The element index of cell `(row, col)` in the circuit.
-    pub fn cell_element(&self, row: usize, col: usize) -> usize {
-        self.cell_elements[row * self.spec.cols + col]
     }
 
     /// The element index of the sensing resistor of `col`.
@@ -538,12 +518,14 @@ mod tests {
             assert!((i - v / 500.0).abs() < 1e-12);
         }
         // Every cell carries positive current toward the bit line.
-        for row in 0..2 {
-            for col in 0..2 {
-                let i = sol.element_current(xbar.cell_element(row, col)).amperes();
-                assert!(i > 0.0);
+        let mut cells = 0;
+        for (k, element) in xbar.circuit().elements().iter().enumerate() {
+            if matches!(element, crate::mna::Element::Memristor { .. }) {
+                assert!(sol.element_current(k).amperes() > 0.0);
+                cells += 1;
             }
         }
+        assert_eq!(cells, 4);
     }
 
     #[test]
@@ -596,7 +578,7 @@ mod tests {
             assert!(f.volts() < 0.7 * c.volts(), "{} !< 0.7·{}", f.volts(), c.volts());
         }
         // Ideal model agrees qualitatively.
-        let ideal = xbar.spec().ideal_output_voltages();
+        let ideal = xbar.spec.ideal_output_voltages();
         assert!(ideal[0].volts() < clean[0].volts());
     }
 

@@ -40,11 +40,6 @@ impl DenseMatrix {
         m
     }
 
-    /// Matrix dimension.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Solves `A·x = b` by LU with partial pivoting, consuming the matrix.
     ///
     /// # Errors

@@ -576,12 +576,12 @@ impl SparseLdl {
     }
 
     /// The cached symbolic analysis.
-    pub fn symbolic(&self) -> &SymbolicAnalysis {
+    pub(crate) fn symbolic(&self) -> &SymbolicAnalysis {
         &self.symbolic
     }
 
     /// Matrix dimension.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.symbolic.n()
     }
 
@@ -589,19 +589,6 @@ impl SparseLdl {
     /// the `solver.klu.lu_nnz` gauge).
     pub fn factor_nnz(&self) -> usize {
         self.lx.len() + self.d.len()
-    }
-
-    /// Rough resident size in bytes: the factor with its row indices (per
-    /// entry, or per supernode with the supernodes' structure), the
-    /// permutations and tree, and the analyzed pattern. The supernodal
-    /// kernel's fronts and update stack live only while it runs.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        let n = self.n();
-        let supernodes = self.symbolic.supernodes.as_ref();
-        (self.li.len() + self.lx.len()) * 8
-            + n * 48
-            + self.symbolic.nnz() * 8
-            + supernodes.map_or(0, Supernodes::approx_bytes)
     }
 }
 

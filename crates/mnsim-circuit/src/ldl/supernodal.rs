@@ -210,11 +210,6 @@ impl Supernodes {
             (first..self.start[sup + 1]).map(move |k| (k, &rows[k - first + 1..]))
         })
     }
-
-    /// Resident size of the structure in bytes.
-    pub(super) fn approx_bytes(&self) -> usize {
-        (self.start.len() + self.row_ptr.len() + self.rows.len() + self.children.len()) * 8
-    }
 }
 
 /// Entries of a packed lower triangle of order `p`.

@@ -76,6 +76,6 @@ pub use batch::{prepare_or_reuse, solve_dc_batch, PreparedSystem, Rhs};
 pub use crossbar::{CrossbarCircuit, CrossbarSpec, FaultOverlay};
 pub use error::CircuitError;
 pub use ldl::{analyze, SharedAnalyses, SparseLdl, SymbolicAnalysis};
-pub use mna::{kcl_residual, Circuit, DcSolution, Element, NodeId};
+pub use mna::{kcl_residual, Circuit, DcSolution, Element};
 pub use solve::{solve_dc, SolveOptions};
 pub use transient::{solve_transient, TransientOptions, TransientResult};

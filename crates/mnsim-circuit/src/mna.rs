@@ -20,7 +20,7 @@ pub(crate) fn non_positive(x: f64) -> bool {
 }
 
 /// Identifier of a circuit node. Node `0` is ground.
-pub type NodeId = usize;
+pub(crate) type NodeId = usize;
 
 /// A two-terminal circuit element.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,7 +103,7 @@ impl Circuit {
     }
 
     /// Allocates `n` fresh nodes, returning their ids in order.
-    pub fn add_nodes(&mut self, n: usize) -> Vec<NodeId> {
+    pub(crate) fn add_nodes(&mut self, n: usize) -> Vec<NodeId> {
         (0..n).map(|_| self.add_node()).collect()
     }
 
@@ -118,12 +118,12 @@ impl Circuit {
     }
 
     /// Number of elements.
-    pub fn element_count(&self) -> usize {
+    pub(crate) fn element_count(&self) -> usize {
         self.elements.len()
     }
 
     /// `true` if any element has a non-linear I-V characteristic.
-    pub fn is_nonlinear(&self) -> bool {
+    pub(crate) fn is_nonlinear(&self) -> bool {
         self.elements.iter().any(|e| {
             matches!(
                 e,
@@ -279,16 +279,8 @@ impl Circuit {
         Ok(self.elements.len() - 1)
     }
 
-    /// `true` if the circuit contains at least one capacitor (i.e. has
-    /// transient dynamics).
-    pub fn has_dynamics(&self) -> bool {
-        self.elements
-            .iter()
-            .any(|e| matches!(e, Element::Capacitor { .. }))
-    }
-
     /// Number of ideal voltage sources in the circuit.
-    pub fn source_count(&self) -> usize {
+    pub(crate) fn source_count(&self) -> usize {
         self.elements
             .iter()
             .filter(|e| matches!(e, Element::VoltageSource { .. }))

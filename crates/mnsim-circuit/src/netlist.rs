@@ -67,10 +67,18 @@ pub fn to_netlist(circuit: &Circuit, title: &str) -> String {
 /// # Errors
 ///
 /// Returns [`CircuitError::NetlistParse`] with the offending line number on
-/// malformed input.
+/// malformed input, including a node id above twice the number of element
+/// cards: such a netlist leaves some node without an element, an island no
+/// solve accepts, so the node table is never grown to it.
 pub fn from_netlist(text: &str) -> Result<Circuit, CircuitError> {
     let mut circuit = Circuit::new();
     let mut pending_memristor: Option<IvModel> = None;
+    let max_node = 2 * text
+        .lines()
+        .map(str::trim)
+        .take_while(|line| !line.eq_ignore_ascii_case(".end"))
+        .filter(|line| !line.is_empty() && !line.starts_with('*'))
+        .count();
 
     let parse_err = |line: usize, reason: &str| CircuitError::NetlistParse {
         line,
@@ -120,6 +128,12 @@ pub fn from_netlist(text: &str) -> Result<Circuit, CircuitError> {
         let value: f64 = value_token
             .parse()
             .map_err(|_| parse_err(line_number, "bad element value"))?;
+        if n1.max(n2) > max_node {
+            return Err(parse_err(
+                line_number,
+                "node id exceeds twice the number of element cards",
+            ));
+        }
 
         while circuit.node_count() <= n1.max(n2) {
             circuit.add_node();

@@ -286,16 +286,6 @@ impl SparseWorkspace {
         }
         Ok(())
     }
-
-    /// Rough resident size in bytes: the assembly buffers, the slot map,
-    /// the values, and the held factor with its analyzed pattern.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        self.system.approx_bytes()
-            + self.coords.len() * 16
-            + self.slots.len() * 8
-            + (self.values.len() + self.next_values.len()) * 8
-            + self.ldl.as_deref().map_or(0, SparseLdl::approx_bytes)
-    }
 }
 
 /// One linearized conductive branch: `I(n1→n2) = g·(v1 − v2) + i_eq`.
@@ -979,14 +969,6 @@ pub(crate) fn assemble_reduced(
 }
 
 impl ReducedSystem {
-    /// Rough resident size of the buffers in bytes.
-    fn approx_bytes(&self) -> usize {
-        self.index.capacity() * 8
-            + self.merged.capacity() * 16
-            + self.stamps.capacity() * 24
-            + self.ops.capacity() * std::mem::size_of::<BOp>()
-    }
-
     /// Sets every unknown node of `voltages` to its entry of `x`, and every
     /// merged node to its representative's plus its entry of `offsets`.
     fn scatter(&self, voltages: &mut [f64], x: &[f64], offsets: &[f64]) {
@@ -1653,7 +1635,10 @@ mod tests {
         .unwrap();
         let options = SolveOptions::default();
         let volts = [[0.8, 0.8], [0.5, 0.7], [0.3, 0.3]];
-        let batch: Vec<Rhs> = volts.iter().map(|v| Rhs::from_volts(v)).collect();
+        let batch: Vec<Rhs> = volts
+            .iter()
+            .map(|v| Rhs::from_voltages(&v.map(Voltage::from_volts)))
+            .collect();
         let got = PreparedSystem::build(&c, options.clone())
             .unwrap()
             .solve_batch(&c, &batch)
@@ -1762,14 +1747,20 @@ mod tests {
     /// the identical `A(j, i)`.
     fn exactly_symmetric(system: &ReducedSystem) -> Result<(), String> {
         let a = system.stamps.to_csc();
+        let get = |row: usize, col: usize| {
+            let (start, end) = (a.col_ptr()[col], a.col_ptr()[col + 1]);
+            a.row_idx()[start..end]
+                .binary_search(&row)
+                .map_or(0.0, |pos| a.values()[start + pos])
+        };
         for j in 0..a.cols() {
             for k in a.col_ptr()[j]..a.col_ptr()[j + 1] {
                 let i = a.row_idx()[k];
-                if a.values()[k].to_bits() != a.get(j, i).to_bits() {
+                if a.values()[k].to_bits() != get(j, i).to_bits() {
                     return Err(format!(
                         "A({i}, {j}) = {} but A({j}, {i}) = {}",
                         a.values()[k],
-                        a.get(j, i)
+                        get(j, i)
                     ));
                 }
             }
@@ -2616,7 +2607,11 @@ mod tests {
                 "{case}: a source is off by {off:e} V"
             );
 
-            let volts = Rhs::from_volts(&source_volts(&circuit));
+            let volts: Vec<Voltage> = source_volts(&circuit)
+                .into_iter()
+                .map(Voltage::from_volts)
+                .collect();
+            let volts = Rhs::from_voltages(&volts);
             let prepared = PreparedSystem::build(&circuit, options.clone())
                 .and_then(|mut prepared| prepared.solve(&circuit, &volts))
                 .unwrap_or_else(|e| panic!("{case}: prepared read failed: {e}"));

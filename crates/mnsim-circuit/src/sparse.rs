@@ -46,32 +46,12 @@ impl TripletMatrix {
         }
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Number of raw (pre-deduplication) triplets collected so far.
-    pub fn triplet_count(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Empties the builder and resizes it to `rows × cols`, keeping its
     /// storage for the next assembly.
     pub(crate) fn reset(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         self.entries.clear();
-    }
-
-    /// Triplets the builder holds room for without reallocating.
-    pub(crate) fn capacity(&self) -> usize {
-        self.entries.capacity()
     }
 
     /// The collected `(row, col, value)` triplets in insertion order
@@ -188,16 +168,6 @@ impl CscMatrix {
         &self.values
     }
 
-    /// The stored value at `(row, col)`, or 0.0 if structurally zero.
-    pub fn get(&self, row: usize, col: usize) -> f64 {
-        let start = self.col_ptr[col];
-        let end = self.col_ptr[col + 1];
-        match self.row_idx[start..end].binary_search(&row) {
-            Ok(pos) => self.values[start + pos],
-            Err(_) => 0.0,
-        }
-    }
-
     /// Takes the stored values, column-major.
     pub(crate) fn into_values(self) -> Vec<f64> {
         self.values
@@ -267,9 +237,10 @@ mod tests {
         let m = small();
         assert_eq!(m.rows(), 3);
         assert_eq!(m.nnz(), 7);
-        assert_eq!(m.get(0, 0), 2.0);
-        assert_eq!(m.get(0, 2), 0.0);
-        assert_eq!(m.get(2, 1), -1.0);
+        let dense = m.to_dense();
+        assert_eq!(dense[0][0], 2.0);
+        assert_eq!(dense[0][2], 0.0);
+        assert_eq!(dense[2][1], -1.0);
     }
 
     #[test]
@@ -281,8 +252,7 @@ mod tests {
         t.add(0, 1, -1.0);
         t.add(0, 1, -1.0);
         let m = t.to_csc();
-        assert_eq!(m.get(0, 0), 3.5);
-        assert_eq!(m.get(0, 1), -2.0);
+        assert_eq!(m.to_dense()[0][..2], [3.5, -2.0]);
         assert_eq!(m.nnz(), 3);
     }
 
@@ -291,7 +261,7 @@ mod tests {
         let mut t = TripletMatrix::new(2, 2);
         t.add(0, 0, 0.0);
         t.add(1, 1, 5.0);
-        assert_eq!(t.triplet_count(), 1);
+        assert_eq!(t.entries.len(), 1);
         let m = t.to_csc();
         assert_eq!(m.nnz(), 1);
     }

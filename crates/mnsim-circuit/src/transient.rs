@@ -68,37 +68,6 @@ pub struct TransientResult {
 }
 
 impl TransientResult {
-    /// The sample instants in seconds (the initial `t = 0` state is
-    /// included as the first entry).
-    pub fn times(&self) -> &[f64] {
-        &self.times
-    }
-
-    /// Number of stored samples.
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// `true` if the run produced no samples (never true for valid runs).
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
-    }
-
-    /// The waveform of one node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node is out of range.
-    pub fn waveform(&self, node: NodeId) -> Vec<f64> {
-        self.voltages.iter().map(|v| v[node]).collect()
-    }
-
-    /// Node voltages at the final sample (empty if the run stored none;
-    /// valid runs always store at least the initial sample).
-    pub fn final_voltages(&self) -> &[f64] {
-        self.voltages.last().map_or(&[], Vec::as_slice)
-    }
-
     /// The 10-90-style settle time of `node`: the first instant after
     /// which the waveform stays within `tolerance` (relative) of its final
     /// value. Returns `None` if the waveform never settles or the final
@@ -264,7 +233,7 @@ mod tests {
             TransientOptions::step_response(Time::from_microseconds(5.0), 2000);
         let result = solve_transient(&circuit, &options).unwrap();
         // v(t) = 1 − e^{−t/τ}, τ = 1 µs.
-        for (i, &t) in result.times().iter().enumerate() {
+        for (i, &t) in result.times.iter().enumerate() {
             let analytic = 1.0 - (-t / 1e-6).exp();
             let simulated = result.voltages[i][out];
             assert!(
@@ -296,8 +265,9 @@ mod tests {
         let options = TransientOptions::step_response(Time::from_microseconds(20.0), 2000);
         let result = solve_transient(&circuit, &options).unwrap();
         let dc = crate::solve::solve_dc(&circuit, &crate::solve::SolveOptions::default()).unwrap();
+        let last = result.voltages.last().unwrap()[out];
         assert!(
-            (result.final_voltages()[out] - dc.voltage(out).volts()).abs() < 1e-6,
+            (last - dc.voltage(out).volts()).abs() < 1e-6,
             "transient must converge to the DC operating point"
         );
     }
@@ -326,16 +296,15 @@ mod tests {
         let options = TransientOptions::step_response(Time::from_microseconds(10.0), 2000);
         let result = solve_transient(&c, &options).unwrap();
         let dc = crate::solve::solve_dc(&c, &crate::solve::SolveOptions::default()).unwrap();
+        let last = result.voltages.last().unwrap()[out];
         assert!(
-            (result.final_voltages()[out] - dc.voltage(out).volts()).abs() < 1e-4,
-            "{} vs {}",
-            result.final_voltages()[out],
+            (last - dc.voltage(out).volts()).abs() < 1e-4,
+            "{last} vs {}",
             dc.voltage(out).volts()
         );
         // The waveform must be monotone rising (single pole, step drive).
-        let waveform = result.waveform(out);
-        for pair in waveform.windows(2) {
-            assert!(pair[1] >= pair[0] - 1e-9);
+        for pair in result.voltages.windows(2) {
+            assert!(pair[1][out] >= pair[0][out] - 1e-9);
         }
     }
 
@@ -385,7 +354,6 @@ mod tests {
         assert!(c
             .add_capacitor(a, Circuit::GROUND, Capacitance::from_picofarads(1.0))
             .is_ok());
-        assert!(c.has_dynamics());
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub fn measure_circuit_error_rate(
 ///
 /// Rejects non-positive or non-finite amplitudes; propagates circuit
 /// construction/solver failures.
-pub fn measure_circuit_error_rates(
+pub(crate) fn measure_circuit_error_rates(
     size: usize,
     interconnect: InterconnectNode,
     device: &MemristorModel,

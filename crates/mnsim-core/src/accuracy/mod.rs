@@ -18,7 +18,7 @@ pub mod variation;
 
 pub use crossbar_error::{AccuracyModel, Case};
 pub use fit::{fit_wire_coefficient, measure_circuit_error_rate, ErrorMeasurement, FitResult};
-pub use propagation::{output_error_rates, propagate, LayerAccuracy};
+pub use propagation::{propagate, LayerAccuracy};
 pub use quantization::{
     avg_digital_deviation, avg_error_rate, max_digital_deviation, max_error_rate,
 };

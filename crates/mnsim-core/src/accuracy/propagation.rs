@@ -65,18 +65,6 @@ pub fn propagate(epsilons: &[f64], k: u32) -> Vec<LayerAccuracy> {
     result
 }
 
-/// The final output error rates `(max, avg)` of a multi-layer accelerator.
-///
-/// # Panics
-///
-/// Same conditions as [`propagate`].
-pub fn output_error_rates(epsilons: &[f64], k: u32) -> (f64, f64) {
-    let layers = propagate(epsilons, k);
-    layers
-        .last()
-        .map_or((0.0, 0.0), |last| (last.max_error_rate, last.avg_error_rate))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,8 +148,8 @@ mod tests {
 
     #[test]
     fn errors_accumulate_across_layers() {
-        let one = output_error_rates(&[0.05], 64).0;
-        let three = output_error_rates(&[0.05, 0.05, 0.05], 64).0;
+        let one = propagate(&[0.05], 64)[0].max_error_rate;
+        let three = propagate(&[0.05, 0.05, 0.05], 64)[2].max_error_rate;
         assert!(three > one, "{three} !> {one}");
     }
 

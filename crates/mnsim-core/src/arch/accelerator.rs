@@ -61,7 +61,7 @@ fn next_kernel_of(descriptors: &[BankDescriptor], i: usize) -> Option<usize> {
 /// # Errors
 ///
 /// Returns configuration validation errors ([`CoreError::Config`]).
-pub fn evaluate_accelerator(config: &Config) -> Result<AcceleratorModelResult, CoreError> {
+pub(crate) fn evaluate_accelerator(config: &Config) -> Result<AcceleratorModelResult, CoreError> {
     config.validate()?;
     let cmos = config.cmos.params();
     let bits = config.precision.input_bits;

@@ -56,7 +56,7 @@ impl BankModelResult {
 /// size the output line buffer per the paper's Eq. (6); `None` falls back
 /// to a plain output register bank (fully-connected next layer or final
 /// output).
-pub fn evaluate_bank(
+pub(crate) fn evaluate_bank(
     config: &Config,
     bank: &BankDescriptor,
     next_kernel: Option<usize>,

@@ -9,6 +9,6 @@ pub mod accelerator;
 pub mod bank;
 pub mod unit;
 
-pub use accelerator::{evaluate_accelerator, AcceleratorModelResult};
-pub use bank::{evaluate_bank, BankModelResult};
-pub use unit::{evaluate_unit, UnitAreaBreakdown, UnitModelResult};
+pub use accelerator::AcceleratorModelResult;
+pub use bank::BankModelResult;
+pub use unit::{UnitAreaBreakdown, UnitModelResult};

@@ -67,7 +67,11 @@ pub struct UnitModelResult {
 /// sub-matrix under `config`.
 ///
 /// `rows_used`/`cols_used` are clamped to the crossbar geometry.
-pub fn evaluate_unit(config: &Config, rows_used: usize, cols_used: usize) -> UnitModelResult {
+pub(crate) fn evaluate_unit(
+    config: &Config,
+    rows_used: usize,
+    cols_used: usize,
+) -> UnitModelResult {
     let _span = UNIT_SPAN.enter();
     let cmos = config.cmos.params();
     let size = config.crossbar_size;

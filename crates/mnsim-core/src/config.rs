@@ -297,7 +297,7 @@ impl Config {
 
     /// Number of crossbars a weight needs for its bit slices:
     /// `ceil(weight_bits / bits_per_cell)` (paper §III.B-2).
-    pub fn weight_slices(&self) -> usize {
+    pub(crate) fn weight_slices(&self) -> usize {
         self.precision
             .weight_bits
             .div_ceil(self.device.bits_per_cell) as usize
@@ -306,7 +306,7 @@ impl Config {
     /// Crossbar copies per logical weight matrix block: bit slices ×
     /// polarity (dual-crossbar signed mapping doubles the crossbars;
     /// shared-crossbar mapping instead doubles the columns).
-    pub fn crossbars_per_block(&self) -> usize {
+    pub(crate) fn crossbars_per_block(&self) -> usize {
         let polarity = match (self.weight_polarity, self.signed_mapping) {
             (WeightPolarity::Unsigned, _) => 1,
             (WeightPolarity::Signed, SignedMapping::DualCrossbar) => 2,
@@ -317,7 +317,7 @@ impl Config {
 
     /// Effective columns one logical output occupies inside a crossbar
     /// (2 for shared-crossbar signed mapping, 1 otherwise).
-    pub fn columns_per_output(&self) -> usize {
+    pub(crate) fn columns_per_output(&self) -> usize {
         match (self.weight_polarity, self.signed_mapping) {
             (WeightPolarity::Signed, SignedMapping::SharedCrossbar) => 2,
             _ => 1,
@@ -326,7 +326,7 @@ impl Config {
 
     /// The number of read circuits per crossbar after resolving the
     /// `0 = fully parallel` convention against `columns` used columns.
-    pub fn effective_parallelism(&self, columns: usize) -> usize {
+    pub(crate) fn effective_parallelism(&self, columns: usize) -> usize {
         if self.parallelism == 0 {
             columns
         } else {

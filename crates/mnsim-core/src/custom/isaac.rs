@@ -18,12 +18,12 @@ use crate::error::CoreError;
 use crate::perf::ModulePerf;
 
 /// ISAAC's inner pipeline depth.
-pub const ISAAC_PIPELINE_DEPTH: usize = 22;
+pub(crate) const ISAAC_PIPELINE_DEPTH: usize = 22;
 
 /// The base configuration of one ISAAC tile: 32 nm CMOS, 128-size RRAM
 /// crossbars, 8-bit data (the device is RRAM because the original paper
 /// "hasn't provided the detailed device information").
-pub fn isaac_config() -> Config {
+pub(crate) fn isaac_config() -> Config {
     // A tile computes a 1152×1024-ish slice in the original; the published
     // peak-performance task uses all 96 crossbars of the tile. With dual
     // crossbars and 2 slices per weight (2-bit cells in ISAAC; we keep
@@ -50,7 +50,7 @@ pub fn isaac_config() -> Config {
 /// (Shafiee et al., Table 6: eDRAM 0.083 mm²/20.7 mW, ADC block
 /// 0.0096 mm²/16 mW ×8, S&H 0.00004 mm² ×8, output register etc. — the
 /// dominant three are imported, matching the paper's procedure).
-pub fn isaac_imported_modules() -> Vec<ImportedModule> {
+pub(crate) fn isaac_imported_modules() -> Vec<ImportedModule> {
     let cycle = Time::from_nanoseconds(100.0); // ISAAC's 100 ns cycle
     vec![
         ImportedModule {
@@ -88,7 +88,7 @@ pub fn isaac_imported_modules() -> Vec<ImportedModule> {
 
 /// The ISAAC tile as a customized design: imported modules + 22-stage
 /// pipeline.
-pub fn isaac_design() -> CustomDesign {
+pub(crate) fn isaac_design() -> CustomDesign {
     CustomDesign {
         base: isaac_config(),
         imported: isaac_imported_modules(),

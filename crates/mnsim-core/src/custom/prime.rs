@@ -16,7 +16,7 @@ use crate::custom::{CustomDesign, CustomReport};
 use crate::error::CoreError;
 
 /// The PRIME FF-subarray configuration.
-pub fn prime_config() -> Config {
+pub(crate) fn prime_config() -> Config {
     let mut config = Config::for_network(models::prime_task());
     config.network_type = NetworkType::Ann;
     config.cmos = CmosNode::N65;
@@ -37,7 +37,7 @@ pub fn prime_config() -> Config {
 /// The PRIME customized design: reference modules remapped into the
 /// units (no extra imported modules are needed — the paper notes "all the
 /// modules in the FF subarray have been modeled in MNSIM").
-pub fn prime_design() -> CustomDesign {
+pub(crate) fn prime_design() -> CustomDesign {
     CustomDesign {
         base: prime_config(),
         imported: vec![],

@@ -169,7 +169,7 @@ impl Constraints {
     }
 
     /// `true` if the report satisfies every bound.
-    pub fn admits(&self, report: &Report) -> bool {
+    pub(crate) fn admits(&self, report: &Report) -> bool {
         if let Some(bound) = self.max_crossbar_error {
             if report.worst_crossbar_epsilon > bound {
                 return false;

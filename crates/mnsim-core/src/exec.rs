@@ -122,16 +122,10 @@ impl ExecOptions {
             ..ExecOptions::default()
         }
     }
-
-    /// The concrete worker count: `threads`, with `0` resolved to the
-    /// machine's available parallelism.
-    pub fn resolved_threads(&self) -> usize {
-        resolve_threads(self.threads)
-    }
 }
 
 /// Resolves the `0 = auto` convention against the machine.
-pub fn resolve_threads(threads: usize) -> usize {
+pub(crate) fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism()
             .map(NonZeroUsize::get)
@@ -201,7 +195,7 @@ impl CancelToken {
 
     /// Whether cancellation has been requested (or the item budget of
     /// [`CancelToken::after_items`] is exhausted).
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.inner.cancelled.load(Ordering::Relaxed)
     }
 
@@ -300,14 +294,6 @@ impl RunControl {
         RunControl {
             cancel: Some(token),
             deadline: None,
-        }
-    }
-
-    /// A control plane bounded by `deadline`.
-    pub fn with_deadline(deadline: Deadline) -> Self {
-        RunControl {
-            cancel: None,
-            deadline: Some(deadline),
         }
     }
 
@@ -691,8 +677,8 @@ mod tests {
         assert!(!d.metrics && !d.trace);
         assert_eq!(ExecOptions::serial().threads, 1);
         assert_eq!(ExecOptions::with_threads(7).threads, 7);
-        assert!(ExecOptions::serial().resolved_threads() == 1);
-        assert!(ExecOptions::default().resolved_threads() >= 1);
+        assert_eq!(resolve_threads(1), 1);
+        assert!(resolve_threads(0) >= 1);
     }
 
     #[test]
@@ -830,7 +816,7 @@ mod tests {
     #[test]
     fn expired_deadline_stops_the_run_before_work() {
         for threads in [1, 4] {
-            let control = RunControl::with_deadline(Deadline::after_millis(0));
+            let control = RunControl::new().deadline(Deadline::after_millis(0));
             std::thread::sleep(Duration::from_millis(2));
             let evaluated = AtomicUsize::new(0);
             let report = run_indices::<usize, Infallible, _>(

@@ -8,9 +8,8 @@
 
 use mnsim_tech::units::{Energy, Time};
 
-use crate::config::Config;
 use crate::error::CoreError;
-use crate::simulate::{simulate, Report};
+use crate::simulate::Report;
 
 /// One instruction of the basic set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,35 +62,8 @@ impl Program {
     }
 
     /// The instructions in order.
-    pub fn instructions(&self) -> &[Instruction] {
+    pub(crate) fn instructions(&self) -> &[Instruction] {
         &self.instructions
-    }
-
-    /// A program that writes every weight of every bank once — the
-    /// one-time network-loading phase the paper's §II.B argues is
-    /// amortized away during inference.
-    pub fn load_network(config: &Config) -> Self {
-        let mut program = Program::new();
-        for (bank, descriptor) in config.network.banks.iter().enumerate() {
-            for _ in 0..descriptor.weight_count() {
-                program.push(Instruction::Write { bank });
-            }
-        }
-        program
-    }
-
-    /// A program that runs `samples` inputs through the whole network
-    /// (each sample issues every bank's per-sample COMPUTE cycles).
-    pub fn run_samples(config: &Config, samples: usize) -> Self {
-        let mut program = Program::new();
-        for _ in 0..samples {
-            for (bank, descriptor) in config.network.banks.iter().enumerate() {
-                for _ in 0..descriptor.ops_per_sample() {
-                    program.push(Instruction::Compute { bank });
-                }
-            }
-        }
-        program
     }
 
     /// Number of instructions.
@@ -153,37 +125,23 @@ pub fn execute(report: &Report, program: &Program) -> Result<ProgramCost, CoreEr
     Ok(ProgramCost { latency, energy })
 }
 
-/// Convenience: simulate `config` and price the program in one call.
-///
-/// # Errors
-///
-/// Propagates simulation and replay errors.
-pub fn simulate_program(config: &Config, program: &Program) -> Result<ProgramCost, CoreError> {
-    let report = simulate(config)?;
-    execute(&report, program)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Config;
+    use crate::simulate::simulate;
 
     fn config() -> Config {
         Config::fully_connected_mlp(&[64, 32]).unwrap()
     }
 
-    #[test]
-    fn load_network_counts_weights() {
-        let c = config();
-        let p = Program::load_network(&c);
-        assert_eq!(p.len(), 64 * 32);
-    }
-
-    #[test]
-    fn run_samples_counts_computes() {
-        let c = config();
-        let p = Program::run_samples(&c, 3);
-        assert_eq!(p.len(), 3); // one FC bank × 1 op × 3 samples
-        assert!(matches!(p.instructions()[0], Instruction::Compute { bank: 0 }));
+    /// `count` copies of `instruction`.
+    fn repeated(instruction: Instruction, count: usize) -> Program {
+        let mut program = Program::new();
+        for _ in 0..count {
+            program.push(instruction);
+        }
+        program
     }
 
     #[test]
@@ -205,8 +163,8 @@ mod tests {
         // inference — the paper's motivation for fixed weights.
         let c = config();
         let report = simulate(&c).unwrap();
-        let load = execute(&report, &Program::load_network(&c)).unwrap();
-        let infer = execute(&report, &Program::run_samples(&c, 1)).unwrap();
+        let load = execute(&report, &repeated(Instruction::Write { bank: 0 }, 64 * 32)).unwrap();
+        let infer = execute(&report, &repeated(Instruction::Compute { bank: 0 }, 1)).unwrap();
         assert!(load.latency.seconds() > 100.0 * infer.latency.seconds());
     }
 
@@ -223,8 +181,8 @@ mod tests {
     fn cost_is_additive() {
         let c = config();
         let report = simulate(&c).unwrap();
-        let one = execute(&report, &Program::run_samples(&c, 1)).unwrap();
-        let five = execute(&report, &Program::run_samples(&c, 5)).unwrap();
+        let one = execute(&report, &repeated(Instruction::Compute { bank: 0 }, 1)).unwrap();
+        let five = execute(&report, &repeated(Instruction::Compute { bank: 0 }, 5)).unwrap();
         assert!((five.latency.seconds() - 5.0 * one.latency.seconds()).abs() < 1e-15);
         assert!((five.energy.joules() - 5.0 * one.energy.joules()).abs() < 1e-15);
     }

@@ -34,7 +34,7 @@ impl Partition {
     }
 
     /// Logical outputs that fit in one crossbar.
-    pub fn outputs_per_crossbar(&self) -> usize {
+    pub(crate) fn outputs_per_crossbar(&self) -> usize {
         (self.crossbar_size / self.columns_per_output).max(1)
     }
 
@@ -85,12 +85,12 @@ impl Partition {
 
     /// Inputs used by the widest (first) row block — what the worst-case
     /// unit model uses.
-    pub fn max_rows_used(&self) -> usize {
+    pub(crate) fn max_rows_used(&self) -> usize {
         self.matrix_rows.min(self.crossbar_size)
     }
 
     /// Logical outputs of the widest (first) column block.
-    pub fn max_cols_used(&self) -> usize {
+    pub(crate) fn max_cols_used(&self) -> usize {
         self.matrix_cols.min(self.outputs_per_crossbar())
     }
 

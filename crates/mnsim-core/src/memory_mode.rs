@@ -36,13 +36,6 @@ pub struct MemoryModeReport {
     pub read_bandwidth_bits_per_s: f64,
 }
 
-impl MemoryModeReport {
-    /// Area efficiency in bits per square micrometre.
-    pub fn bits_per_um2(&self) -> f64 {
-        self.capacity_bits as f64 / self.area.square_micrometers()
-    }
-}
-
 /// Evaluates `config`'s crossbar fabric as a memory macro built from
 /// `arrays` crossbars of `config.crossbar_size`.
 ///
@@ -146,7 +139,7 @@ mod tests {
     #[test]
     fn density_is_positive_and_zero_arrays_rejected() {
         let report = evaluate_memory_mode(&config(), 2).unwrap();
-        assert!(report.bits_per_um2() > 0.0);
+        assert!(report.capacity_bits as f64 / report.area.square_micrometers() > 0.0);
         assert!(evaluate_memory_mode(&config(), 0).is_err());
     }
 }

@@ -8,35 +8,18 @@
 
 use mnsim_tech::cmos::CmosNode;
 use mnsim_tech::converters::{AdcSpec, DacSpec};
-use mnsim_tech::error::TechError;
-use mnsim_tech::units::Frequency;
 
 use crate::perf::ModulePerf;
 
 /// The reference read circuit: a multilevel SA of `bits` precision scaled
 /// to `node`. One operation is one conversion.
-pub fn reference_adc(node: CmosNode, bits: u32) -> ModulePerf {
+pub(crate) fn reference_adc(node: CmosNode, bits: u32) -> ModulePerf {
     let spec = AdcSpec::multilevel_sa(bits).scaled_to(node);
     adc_perf(&spec)
 }
 
-/// Selects the lowest-power ADC from the database meeting `bits` and
-/// `min_frequency`, scaled to `node`.
-///
-/// # Errors
-///
-/// Returns [`TechError::NoConverter`] if nothing in the database qualifies.
-pub fn select_adc(
-    node: CmosNode,
-    bits: u32,
-    min_frequency: Frequency,
-) -> Result<ModulePerf, TechError> {
-    let spec = AdcSpec::select(bits, min_frequency)?.scaled_to(node);
-    Ok(adc_perf(&spec))
-}
-
 /// Converts an [`AdcSpec`] into a per-conversion [`ModulePerf`].
-pub fn adc_perf(spec: &AdcSpec) -> ModulePerf {
+pub(crate) fn adc_perf(spec: &AdcSpec) -> ModulePerf {
     ModulePerf {
         area: spec.area,
         latency: spec.conversion_time(),
@@ -50,7 +33,7 @@ pub fn adc_perf(spec: &AdcSpec) -> ModulePerf {
 /// The reference input DAC of `bits` precision scaled to `node`. One
 /// operation is one input-vector drive (all DACs settle in parallel, so
 /// per-DAC latency is the line latency).
-pub fn reference_dac(node: CmosNode, bits: u32) -> ModulePerf {
+pub(crate) fn reference_dac(node: CmosNode, bits: u32) -> ModulePerf {
     let spec = DacSpec::reference(bits).scaled_to(node);
     ModulePerf {
         area: spec.area,
@@ -80,14 +63,6 @@ mod tests {
         let high = reference_adc(CmosNode::N45, 8);
         assert!(high.dynamic_energy.joules() > low.dynamic_energy.joules());
         assert!(high.area.square_meters() > low.area.square_meters());
-    }
-
-    #[test]
-    fn select_adc_honours_speed() {
-        let fast = select_adc(CmosNode::N32, 8, Frequency::from_megahertz(400.0)).unwrap();
-        let slow = select_adc(CmosNode::N32, 8, Frequency::from_megahertz(1.0)).unwrap();
-        assert!(fast.latency.seconds() < slow.latency.seconds());
-        assert!(select_adc(CmosNode::N32, 12, Frequency::from_megahertz(1.0)).is_err());
     }
 
     #[test]

@@ -89,14 +89,14 @@ impl<'a> CrossbarModel<'a> {
 
     /// Memory-READ power: a single selected cell at the harmonic-mean
     /// resistance.
-    pub fn read_power(&self) -> Power {
+    pub(crate) fn read_power(&self) -> Power {
         let r_harm = self.device.harmonic_mean_resistance().ohms();
         let v = self.device.v_read.volts();
         Power::from_watts(v * v / r_harm)
     }
 
     /// Energy of programming one cell (WRITE instruction).
-    pub fn write_energy_per_cell(&self) -> Energy {
+    pub(crate) fn write_energy_per_cell(&self) -> Energy {
         let v = self.device.v_write.volts();
         // Write current flows through roughly the harmonic-mean resistance
         // for the duration of the programming pulse.

@@ -13,7 +13,7 @@ use crate::perf::ModulePerf;
 
 /// The memory-oriented decoder of Fig. 4(a) for `lines` word/bit lines:
 /// one `log2(lines)`-input AND per line plus a transfer gate.
-pub fn memory_decoder(cmos: &CmosParams, lines: usize) -> ModulePerf {
+pub(crate) fn memory_decoder(cmos: &CmosParams, lines: usize) -> ModulePerf {
     let lines_u = lines.max(2) as u32;
     let addr_bits = (lines.max(2) as f64).log2().ceil() as u32;
     // Per line: an address AND tree (addr_bits − 1 two-input gates) plus

@@ -10,7 +10,7 @@ use mnsim_tech::cmos::CmosParams;
 use crate::perf::ModulePerf;
 
 /// A ripple-carry adder of the given bit width.
-pub fn adder(cmos: &CmosParams, bits: u32) -> ModulePerf {
+pub(crate) fn adder(cmos: &CmosParams, bits: u32) -> ModulePerf {
     let bits = bits.max(1);
     ModulePerf {
         area: cmos.full_adder_area * bits as f64,
@@ -21,7 +21,7 @@ pub fn adder(cmos: &CmosParams, bits: u32) -> ModulePerf {
 }
 
 /// A subtractor: an adder plus one inverter per bit (two's-complement).
-pub fn subtractor(cmos: &CmosParams, bits: u32) -> ModulePerf {
+pub(crate) fn subtractor(cmos: &CmosParams, bits: u32) -> ModulePerf {
     let bits = bits.max(1);
     let base = adder(cmos, bits);
     ModulePerf {
@@ -37,7 +37,7 @@ pub fn subtractor(cmos: &CmosParams, bits: u32) -> ModulePerf {
 ///
 /// Returns [`ModulePerf::ZERO`] for fewer than two inputs (nothing to
 /// merge).
-pub fn adder_tree(cmos: &CmosParams, inputs: usize, bits: u32) -> ModulePerf {
+pub(crate) fn adder_tree(cmos: &CmosParams, inputs: usize, bits: u32) -> ModulePerf {
     if inputs < 2 {
         return ModulePerf::ZERO;
     }
@@ -64,7 +64,7 @@ pub fn adder_tree(cmos: &CmosParams, inputs: usize, bits: u32) -> ModulePerf {
 /// Shift-and-add merge of `slices` weight bit-slices, each holding
 /// `slice_bits` of the weight, into a `total_bits` result (paper §III.B-2:
 /// "the shifters need to be added").
-pub fn shift_add_merge(
+pub(crate) fn shift_add_merge(
     cmos: &CmosParams,
     slices: usize,
     slice_bits: u32,
@@ -81,7 +81,7 @@ pub fn shift_add_merge(
 }
 
 /// An n-bit magnitude comparator (used by pooling and IF neurons).
-pub fn comparator(cmos: &CmosParams, bits: u32) -> ModulePerf {
+pub(crate) fn comparator(cmos: &CmosParams, bits: u32) -> ModulePerf {
     let bits = bits.max(1);
     ModulePerf {
         area: cmos.gate_area * (3.0 * bits as f64),
@@ -93,7 +93,7 @@ pub fn comparator(cmos: &CmosParams, bits: u32) -> ModulePerf {
 
 /// An `inputs`-to-1 multiplexer of `bits` width (pass-gate implementation;
 /// the read-circuit routing of paper §III.C-4).
-pub fn mux(cmos: &CmosParams, inputs: usize, bits: u32) -> ModulePerf {
+pub(crate) fn mux(cmos: &CmosParams, inputs: usize, bits: u32) -> ModulePerf {
     if inputs < 2 {
         return ModulePerf::ZERO;
     }
@@ -109,7 +109,7 @@ pub fn mux(cmos: &CmosParams, inputs: usize, bits: u32) -> ModulePerf {
 
 /// A bank of `words` registers of `bits` each; one operation clocks the
 /// whole bank once.
-pub fn register_bank(cmos: &CmosParams, words: usize, bits: u32) -> ModulePerf {
+pub(crate) fn register_bank(cmos: &CmosParams, words: usize, bits: u32) -> ModulePerf {
     let flops = words as u32 * bits;
     ModulePerf {
         area: cmos.dff_area * flops as f64,
@@ -121,7 +121,7 @@ pub fn register_bank(cmos: &CmosParams, words: usize, bits: u32) -> ModulePerf {
 
 /// The bank controller: a cycle counter plus instruction decode for the
 /// basic WRITE / READ / COMPUTE instruction set (paper §III.D).
-pub fn controller(cmos: &CmosParams, max_count: usize) -> ModulePerf {
+pub(crate) fn controller(cmos: &CmosParams, max_count: usize) -> ModulePerf {
     let width = (max_count.max(2) as f64).log2().ceil() as u32;
     let counter = register_bank(cmos, 1, width);
     let decode_gates = 8 * width;

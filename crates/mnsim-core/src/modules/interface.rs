@@ -12,7 +12,7 @@ use crate::perf::ModulePerf;
 
 /// An interface buffering `elements` values of `bits` each and moving them
 /// over `lines` bus wires. One operation is one full sample transfer.
-pub fn interface(cmos: &CmosParams, elements: usize, bits: u32, lines: usize) -> ModulePerf {
+pub(crate) fn interface(cmos: &CmosParams, elements: usize, bits: u32, lines: usize) -> ModulePerf {
     let lines = lines.max(1);
     let total_bits = elements as u64 * bits as u64;
     let cycles = total_bits.div_ceil(lines as u64).max(1);

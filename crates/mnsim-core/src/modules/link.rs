@@ -15,7 +15,7 @@ use crate::perf::ModulePerf;
 
 /// A repeatered global link of `bits` wires and `length_m` metres. One
 /// operation transfers one `bits`-wide word.
-pub fn interbank_link(
+pub(crate) fn interbank_link(
     cmos: &CmosParams,
     interconnect: InterconnectNode,
     bits: u32,
@@ -43,7 +43,7 @@ pub fn interbank_link(
 
 /// Estimates the hop length between two neighbouring banks from their
 /// footprints: half the sum of the two blocks' side lengths.
-pub fn hop_length(bank_a: Area, bank_b: Area) -> f64 {
+pub(crate) fn hop_length(bank_a: Area, bank_b: Area) -> f64 {
     (bank_a.square_meters().sqrt() + bank_b.square_meters().sqrt()) / 2.0
 }
 

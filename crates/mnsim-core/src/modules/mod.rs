@@ -7,25 +7,25 @@
 //! * [`crossbar`] — the memristor array (area Eqs. 7-8, average-case power,
 //!   RC settling),
 //! * [`decoder`] — memory- and computation-oriented decoders (Fig. 4),
-//! * [`converters`] — DAC / ADC / multilevel-SA wrappers,
-//! * [`digital`] — adders, adder trees, shifters, MUXes, registers,
+//! * `converters` — DAC / ADC / multilevel-SA wrappers,
+//! * `digital` — adders, adder trees, shifters, MUXes, registers,
 //!   controllers,
-//! * [`neuron`] — sigmoid / ReLU / integrate-and-fire neuron circuits,
-//! * [`pooling`] — pooling comparator tree and line buffers (Eq. 6),
-//! * [`interface`] — accelerator I/O interfaces.
+//! * `neuron` — sigmoid / ReLU / integrate-and-fire neuron circuits,
+//! * `pooling` — pooling comparator tree and line buffers (Eq. 6),
+//! * `interface` — accelerator I/O interfaces.
 //!
 //! Every model is a pure function of its arguments (no globals, no
 //! interior mutability), so the parallel bank evaluation in
 //! [`crate::exec`]-driven pipelines calls them concurrently from worker
 //! threads without synchronization; higher levels keep results
 //! bit-identical by reducing the returned records in canonical order
-//! (see [`crate::perf::ModulePerf::chain_all`]).
+//! (the left-to-right `Sum` of [`crate::perf::ModulePerf`]).
 
-pub mod converters;
+pub(crate) mod converters;
 pub mod crossbar;
 pub mod decoder;
-pub mod digital;
-pub mod interface;
-pub mod link;
-pub mod neuron;
-pub mod pooling;
+pub(crate) mod digital;
+pub(crate) mod interface;
+pub(crate) mod link;
+pub(crate) mod neuron;
+pub(crate) mod pooling;

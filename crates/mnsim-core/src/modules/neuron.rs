@@ -11,7 +11,7 @@ use crate::perf::ModulePerf;
 
 /// A LUT-based sigmoid neuron: `2^bits × bits` ROM plus its small address
 /// decoder.
-pub fn sigmoid(cmos: &CmosParams, bits: u32) -> ModulePerf {
+pub(crate) fn sigmoid(cmos: &CmosParams, bits: u32) -> ModulePerf {
     let entries = 1u32 << bits.min(12);
     let rom_bits = entries * bits;
     // ROM cell ≈ 1 transistor; address decode ≈ entries gates.
@@ -24,13 +24,13 @@ pub fn sigmoid(cmos: &CmosParams, bits: u32) -> ModulePerf {
 }
 
 /// A ReLU neuron: a sign comparator gating a word-wide mux.
-pub fn relu(cmos: &CmosParams, bits: u32) -> ModulePerf {
+pub(crate) fn relu(cmos: &CmosParams, bits: u32) -> ModulePerf {
     comparator(cmos, bits).chain(&mux(cmos, 2, bits))
 }
 
 /// An integrate-and-fire neuron: an accumulator register + adder +
 /// threshold comparator.
-pub fn integrate_fire(cmos: &CmosParams, bits: u32) -> ModulePerf {
+pub(crate) fn integrate_fire(cmos: &CmosParams, bits: u32) -> ModulePerf {
     adder(cmos, bits)
         .chain(&register_bank(cmos, 1, bits))
         .chain(&comparator(cmos, bits))
@@ -38,7 +38,11 @@ pub fn integrate_fire(cmos: &CmosParams, bits: u32) -> ModulePerf {
 
 /// The reference neuron for a network type (paper §III.B-4: sigmoid for
 /// DNN, integrate-and-fire for SNN, ReLU for CNN).
-pub fn reference_neuron(cmos: &CmosParams, network_type: NetworkType, bits: u32) -> ModulePerf {
+pub(crate) fn reference_neuron(
+    cmos: &CmosParams,
+    network_type: NetworkType,
+    bits: u32,
+) -> ModulePerf {
     match network_type {
         NetworkType::Ann => sigmoid(cmos, bits),
         NetworkType::Snn => integrate_fire(cmos, bits),

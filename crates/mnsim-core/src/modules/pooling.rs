@@ -11,7 +11,7 @@ use crate::modules::digital::{comparator, mux, register_bank};
 use crate::perf::ModulePerf;
 
 /// The `k × k` max-pooling comparator tree over `bits`-wide values.
-pub fn pooling_module(cmos: &CmosParams, window: usize, bits: u32) -> ModulePerf {
+pub(crate) fn pooling_module(cmos: &CmosParams, window: usize, bits: u32) -> ModulePerf {
     let inputs = window * window;
     if inputs < 2 {
         return ModulePerf::ZERO;
@@ -33,13 +33,13 @@ pub fn pooling_module(cmos: &CmosParams, window: usize, bits: u32) -> ModulePerf
 /// The pooling/output line buffer of Fig. 1(f): length per the paper's
 /// Eq. (6), `L = W·(h − 1) + w`, where `W` is the feature-map width and
 /// `h × w` is the window consuming the data.
-pub fn line_buffer_length(feature_width: usize, window_h: usize, window_w: usize) -> usize {
+pub(crate) fn line_buffer_length(feature_width: usize, window_h: usize, window_w: usize) -> usize {
     feature_width * (window_h.saturating_sub(1)) + window_w
 }
 
 /// A line buffer of `length` entries of `bits` each; one operation is one
 /// shift (every register clocks).
-pub fn line_buffer(cmos: &CmosParams, length: usize, bits: u32) -> ModulePerf {
+pub(crate) fn line_buffer(cmos: &CmosParams, length: usize, bits: u32) -> ModulePerf {
     register_bank(cmos, length, bits)
 }
 

@@ -28,7 +28,7 @@ pub struct MappedCrossbars {
 
 impl MappedCrossbars {
     /// Exports the mapped crossbars as SPICE netlist text.
-    pub fn to_netlists(&self, title: &str) -> Vec<String> {
+    pub(crate) fn to_netlists(&self, title: &str) -> Vec<String> {
         let mut out = Vec::new();
         out.push(to_netlist_for(&self.positive, &format!("{title} (positive)")));
         if let Some(neg) = &self.negative {

@@ -44,7 +44,7 @@ impl ModulePerf {
 
     /// `count` copies of this module operating **in parallel**: area,
     /// energy and leakage scale; latency is unchanged.
-    pub fn replicate_parallel(&self, count: usize) -> ModulePerf {
+    pub(crate) fn replicate_parallel(&self, count: usize) -> ModulePerf {
         ModulePerf {
             area: self.area * count as f64,
             latency: self.latency,
@@ -55,7 +55,7 @@ impl ModulePerf {
 
     /// The module operated `count` times **sequentially**: latency and
     /// energy scale; area and leakage are unchanged.
-    pub fn repeat_sequential(&self, count: usize) -> ModulePerf {
+    pub(crate) fn repeat_sequential(&self, count: usize) -> ModulePerf {
         ModulePerf {
             area: self.area,
             latency: self.latency * count as f64,
@@ -74,50 +74,6 @@ impl ModulePerf {
             leakage: self.leakage + other.leakage,
         }
     }
-
-    /// Aggregate of two modules operating side by side (areas, energies and
-    /// leakages add; latency is the worst of the two).
-    pub fn merge_parallel(&self, other: &ModulePerf) -> ModulePerf {
-        ModulePerf {
-            area: self.area + other.area,
-            latency: self.latency.max(other.latency),
-            dynamic_energy: self.dynamic_energy + other.dynamic_energy,
-            leakage: self.leakage + other.leakage,
-        }
-    }
-
-    /// Canonical-order [`Self::chain`] over a sequence: modules on one
-    /// critical path, folded left to right.
-    ///
-    /// Aggregations that may be computed on the
-    /// [`crate::exec`] worker pool must reduce in a canonical order for
-    /// the result to be bit-identical at every thread count; this helper
-    /// (and its [`Self::merge_parallel_all`] sibling) pins that order to
-    /// the iteration order of the input.
-    pub fn chain_all<'a, I: IntoIterator<Item = &'a ModulePerf>>(perfs: I) -> ModulePerf {
-        perfs
-            .into_iter()
-            .fold(ModulePerf::ZERO, |acc, p| acc.chain(p))
-    }
-
-    /// Canonical-order [`Self::merge_parallel`] over a sequence: modules
-    /// side by side, folded left to right (see [`Self::chain_all`] for why
-    /// the order is part of the contract).
-    pub fn merge_parallel_all<'a, I: IntoIterator<Item = &'a ModulePerf>>(perfs: I) -> ModulePerf {
-        perfs
-            .into_iter()
-            .fold(ModulePerf::ZERO, |acc, p| acc.merge_parallel(p))
-    }
-
-    /// Average power over one operation: `dynamic_energy / latency +
-    /// leakage`. Returns just the leakage if the latency is zero.
-    pub fn average_power(&self) -> Power {
-        if self.latency.seconds() > 0.0 {
-            self.dynamic_energy / self.latency + self.leakage
-        } else {
-            self.leakage
-        }
-    }
 }
 
 impl Add for ModulePerf {
@@ -128,6 +84,13 @@ impl Add for ModulePerf {
     }
 }
 
+/// Chains modules on one critical path, folded left to right from
+/// [`ModulePerf::ZERO`].
+///
+/// Aggregations that may be computed on the [`crate::exec`] worker pool
+/// must reduce in a canonical order for the result to be bit-identical at
+/// every thread count; this fold pins that order to the iteration order of
+/// the input.
 impl Sum for ModulePerf {
     fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
         iter.fold(ModulePerf::ZERO, |acc, p| acc.chain(&p))
@@ -167,16 +130,13 @@ mod tests {
     }
 
     #[test]
-    fn chain_adds_latency_merge_takes_max() {
+    fn chain_adds_latency() {
         let a = sample();
         let mut b = sample();
         b.latency = Time::from_nanoseconds(25.0);
         let chained = a.chain(&b);
         assert_eq!(chained.latency.nanoseconds(), 35.0);
         assert_eq!(chained.area.square_micrometers(), 200.0);
-        let merged = a.merge_parallel(&b);
-        assert_eq!(merged.latency.nanoseconds(), 25.0);
-        assert_eq!(merged.dynamic_energy.picojoules(), 10.0);
     }
 
     #[test]
@@ -188,35 +148,15 @@ mod tests {
     }
 
     #[test]
-    fn canonical_folds_match_pairwise_operators() {
+    fn sum_folds_left_to_right() {
         let a = sample();
         let mut b = sample();
         b.latency = Time::from_nanoseconds(25.0);
         let c = sample();
-        let seq = [a, b, c];
         assert_eq!(
-            ModulePerf::chain_all(&seq),
-            a.chain(&b).chain(&c),
-            "chain_all folds left to right"
+            [a, b, c].into_iter().sum::<ModulePerf>(),
+            a.chain(&b).chain(&c)
         );
-        assert_eq!(
-            ModulePerf::merge_parallel_all(&seq),
-            ModulePerf::ZERO.merge_parallel(&a).merge_parallel(&b).merge_parallel(&c),
-            "merge_parallel_all folds left to right"
-        );
-        assert_eq!(ModulePerf::chain_all([]), ModulePerf::ZERO);
-        assert_eq!(ModulePerf::merge_parallel_all([]), ModulePerf::ZERO);
-    }
-
-    #[test]
-    fn average_power() {
-        let p = sample();
-        // 5 pJ / 10 ns = 0.5 mW, + 1 µW leakage
-        assert!((p.average_power().milliwatts() - 0.501).abs() < 1e-9);
-        let idle = ModulePerf {
-            latency: Time::ZERO,
-            ..sample()
-        };
-        assert_eq!(idle.average_power().microwatts(), 1.0);
+        assert_eq!(std::iter::empty().sum::<ModulePerf>(), ModulePerf::ZERO);
     }
 }

@@ -153,11 +153,6 @@ impl AreaBreakdown {
             + self.bank_peripheral
             + self.interface
     }
-
-    /// The converters' share of the total (0..1).
-    pub fn converter_fraction(&self) -> f64 {
-        self.converters / self.total()
-    }
 }
 
 /// Computes the accelerator-wide area breakdown of a report.
@@ -356,7 +351,7 @@ mod tests {
         config.parallelism = 0; // one read circuit per column
         let report = simulate(&config).unwrap();
         let breakdown = area_breakdown(&report);
-        let fraction = breakdown.converter_fraction();
+        let fraction = breakdown.converters / breakdown.total();
         assert!(
             fraction > 0.3,
             "converters only {:.0} % of area",
@@ -365,7 +360,7 @@ mod tests {
         // Sharing the read circuits slashes that share.
         config.parallelism = 1;
         let shared = area_breakdown(&simulate(&config).unwrap());
-        assert!(shared.converter_fraction() < fraction);
+        assert!(shared.converters / shared.total() < fraction);
     }
 
     #[test]

@@ -168,11 +168,6 @@ impl Simulator {
         &self.config
     }
 
-    /// The session's execution options.
-    pub fn exec_options(&self) -> &ExecOptions {
-        &self.options
-    }
-
     /// Runs the simulation (with the fault campaign, if one is attached)
     /// and returns the [`Report`], with metrics and/or trace summaries
     /// attached when the corresponding flags are set.
@@ -492,12 +487,6 @@ impl RunHandle {
         self.token.cancel();
     }
 
-    /// The run's cancellation token (cloneable; e.g. for a signal
-    /// handler).
-    pub fn cancel_token(&self) -> CancelToken {
-        self.token.clone()
-    }
-
     /// Whether the run has finished (successfully or not); [`RunHandle::join`]
     /// will not block once this is `true`.
     pub fn is_finished(&self) -> bool {
@@ -694,7 +683,7 @@ mod tests {
             .unwrap()
             .options(ExecOptions::serial());
         assert_eq!(sim.config().crossbar_size, 64);
-        assert_eq!(sim.exec_options().threads, 1);
+        assert_eq!(sim.options.threads, 1);
         assert!(Simulator::from_text("Crosbar_Size = 64\n").is_err());
     }
 }

@@ -96,12 +96,12 @@ impl BankDescriptor {
     }
 
     /// Total weight count of the bank.
-    pub fn weight_count(&self) -> usize {
+    pub(crate) fn weight_count(&self) -> usize {
         self.matrix_rows() * self.matrix_cols()
     }
 
     /// Output element count per sample (after pooling, if any).
-    pub fn outputs_per_sample(&self) -> usize {
+    pub(crate) fn outputs_per_sample(&self) -> usize {
         match self {
             BankDescriptor::FullyConnected { outputs, .. } => *outputs,
             BankDescriptor::Conv { shape, pooling } => {
@@ -132,7 +132,10 @@ impl NetworkDescriptor {
     ///
     /// Returns [`NnError::InvalidNetwork`] for an empty bank list or for
     /// consecutive fully-connected banks whose sizes do not chain.
-    pub fn new(name: impl Into<String>, banks: Vec<BankDescriptor>) -> Result<Self, NnError> {
+    pub(crate) fn new(
+        name: impl Into<String>,
+        banks: Vec<BankDescriptor>,
+    ) -> Result<Self, NnError> {
         if banks.is_empty() {
             return Err(NnError::InvalidNetwork {
                 reason: "a network needs at least one computation bank".into(),
@@ -191,6 +194,31 @@ impl NetworkDescriptor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::Conv2d;
+
+    /// A convolution's kernels flatten to the weight matrix a crossbar
+    /// block stores (paper §II.B-3): one row per output channel, one column
+    /// per input of the receptive field. The crossbar holds the transpose,
+    /// so the bank's matrix rows are the inputs and its columns the outputs.
+    #[test]
+    fn conv_kernels_flatten_to_the_bank_matrix() {
+        let conv = Conv2d::zeros(3, 64, 3, 1, 1).unwrap();
+        let bank = BankDescriptor::Conv {
+            shape: ConvShape {
+                in_channels: 3,
+                out_channels: 64,
+                kernel: 3,
+                stride: 1,
+                padding: 1,
+                input_h: 32,
+                input_w: 32,
+            },
+            pooling: None,
+        };
+        let kernels = conv.weights.shape();
+        assert_eq!(kernels[0], bank.matrix_cols());
+        assert_eq!(kernels[1..].iter().product::<usize>(), bank.matrix_rows());
+    }
 
     #[test]
     fn fc_bank_geometry() {

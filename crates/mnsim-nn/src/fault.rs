@@ -36,7 +36,7 @@ use crate::tensor::Tensor;
 ///
 /// Returns [`NnError::ShapeMismatch`] if `weights` is not a 2-D tensor
 /// matching the map's geometry.
-pub fn apply_fault_map(
+pub(crate) fn apply_fault_map(
     weights: &Tensor,
     quantizer: &Quantizer,
     map: &FaultMap,
@@ -78,7 +78,7 @@ pub fn apply_fault_map(
 ///
 /// # Errors
 ///
-/// Propagates [`apply_fault_map`] failures.
+/// Propagates `apply_fault_map` failures.
 pub fn weight_damage_levels(
     weights: &Tensor,
     quantizer: &Quantizer,

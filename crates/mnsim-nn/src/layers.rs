@@ -1,10 +1,9 @@
-//! Network layers: fully-connected, convolution, pooling, activations.
+//! Network layers: fully-connected, convolution, activations.
 //!
 //! These are the algorithm-side counterparts of the hardware hierarchy:
 //! a [`FullyConnected`] or [`Conv2d`] layer maps to one MNSIM *computation
 //! bank* (its matrix-vector multiplication runs on memristor crossbars),
-//! [`MaxPool2d`] maps to the pooling module + line buffer, and
-//! [`Activation`] maps to the non-linear neuron module (paper §III.B).
+//! and [`Activation`] maps to the non-linear neuron module (paper §III.B).
 
 use crate::error::NnError;
 use crate::tensor::Tensor;
@@ -28,7 +27,7 @@ pub enum Activation {
 
 impl Activation {
     /// Applies the activation to a scalar.
-    pub fn apply(&self, x: f64) -> f64 {
+    pub(crate) fn apply(&self, x: f64) -> f64 {
         match *self {
             Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
             Activation::Relu => x.max(0.0),
@@ -40,7 +39,7 @@ impl Activation {
     ///
     /// For [`Activation::IntegrateFire`] the straight-through estimator is
     /// used (derivative 1 where the neuron is above rest, 0 otherwise).
-    pub fn derivative(&self, x: f64) -> f64 {
+    pub(crate) fn derivative(&self, x: f64) -> f64 {
         match *self {
             Activation::Sigmoid => {
                 let s = self.apply(x);
@@ -82,37 +81,13 @@ impl FullyConnected {
         }
     }
 
-    /// Creates a layer from a weight matrix and bias.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidLayer`] if the weight tensor is not 2-D or
-    /// the bias does not match the output count.
-    pub fn new(weights: Tensor, bias: Tensor) -> Result<Self, NnError> {
-        if weights.shape().len() != 2 {
-            return Err(NnError::InvalidLayer {
-                reason: format!("weights must be 2-D, got {:?}", weights.shape()),
-            });
-        }
-        if bias.shape() != [weights.shape()[0]] {
-            return Err(NnError::InvalidLayer {
-                reason: format!(
-                    "bias shape {:?} must be [{}]",
-                    bias.shape(),
-                    weights.shape()[0]
-                ),
-            });
-        }
-        Ok(FullyConnected { weights, bias })
-    }
-
     /// Number of input neurons.
-    pub fn inputs(&self) -> usize {
+    pub(crate) fn inputs(&self) -> usize {
         self.weights.shape()[1]
     }
 
     /// Number of output neurons.
-    pub fn outputs(&self) -> usize {
+    pub(crate) fn outputs(&self) -> usize {
         self.weights.shape()[0]
     }
 
@@ -166,22 +141,22 @@ impl Conv2d {
     }
 
     /// Output channel count.
-    pub fn out_channels(&self) -> usize {
+    pub(crate) fn out_channels(&self) -> usize {
         self.weights.shape()[0]
     }
 
     /// Input channel count.
-    pub fn in_channels(&self) -> usize {
+    pub(crate) fn in_channels(&self) -> usize {
         self.weights.shape()[1]
     }
 
     /// Kernel height/width.
-    pub fn kernel(&self) -> usize {
+    pub(crate) fn kernel(&self) -> usize {
         self.weights.shape()[2]
     }
 
     /// Spatial output size for a given input size.
-    pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
+    pub(crate) fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
         let oh = (h + 2 * self.padding - self.kernel()) / self.stride + 1;
         let ow = (w + 2 * self.padding - self.kernel()) / self.stride + 1;
         (oh, ow)
@@ -246,63 +221,6 @@ impl Conv2d {
     }
 }
 
-/// A spatial max-pooling layer (`k × k` window, stride `k`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MaxPool2d {
-    /// Pooling window size (and stride).
-    pub size: usize,
-}
-
-impl MaxPool2d {
-    /// Creates a pooling layer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidLayer`] if `size == 0`.
-    pub fn new(size: usize) -> Result<Self, NnError> {
-        if size == 0 {
-            return Err(NnError::InvalidLayer {
-                reason: "pooling size must be positive".into(),
-            });
-        }
-        Ok(MaxPool2d { size })
-    }
-
-    /// Pools a `(c, h, w)` input (truncating ragged borders).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if the input is not 3-D or smaller
-    /// than the window.
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        let shape = input.shape();
-        if shape.len() != 3 || shape[1] < self.size || shape[2] < self.size {
-            return Err(NnError::ShapeMismatch {
-                expected: vec![self.size, self.size],
-                actual: shape.to_vec(),
-                operation: "maxpool2d",
-            });
-        }
-        let (c, h, w) = (shape[0], shape[1], shape[2]);
-        let (oh, ow) = (h / self.size, w / self.size);
-        let mut out = Tensor::zeros(&[c, oh, ow]);
-        for ch in 0..c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f64::NEG_INFINITY;
-                    for dy in 0..self.size {
-                        for dx in 0..self.size {
-                            best = best.max(input.at3(ch, oy * self.size + dy, ox * self.size + dx));
-                        }
-                    }
-                    *out.at3_mut(ch, oy, ox) = best;
-                }
-            }
-        }
-        Ok(out)
-    }
-}
-
 /// Any layer in a network.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -311,8 +229,6 @@ pub enum Layer {
     FullyConnected(FullyConnected),
     /// Convolution synapse layer.
     Conv2d(Conv2d),
-    /// Max pooling.
-    MaxPool2d(MaxPool2d),
     /// Elementwise activation (neuron function).
     Activation(Activation),
     /// Reshape a feature map to a flat vector.
@@ -329,7 +245,6 @@ impl Layer {
         match self {
             Layer::FullyConnected(fc) => fc.forward(input),
             Layer::Conv2d(conv) => conv.forward(input),
-            Layer::MaxPool2d(pool) => pool.forward(input),
             Layer::Activation(act) => Ok(input.map(|v| act.apply(v))),
             Layer::Flatten => input.reshape(&[input.len()]),
         }
@@ -362,20 +277,14 @@ mod tests {
     fn fully_connected_forward() {
         let w = Tensor::from_vec(&[2, 2], vec![1.0, -1.0, 0.5, 0.5]).unwrap();
         let b = Tensor::vector(&[0.0, 1.0]);
-        let fc = FullyConnected::new(w, b).unwrap();
+        let fc = FullyConnected {
+            weights: w,
+            bias: b,
+        };
         assert_eq!(fc.inputs(), 2);
         assert_eq!(fc.outputs(), 2);
         let y = fc.forward(&Tensor::vector(&[2.0, 4.0])).unwrap();
         assert_eq!(y.data(), &[-2.0, 4.0]);
-    }
-
-    #[test]
-    fn fully_connected_validation() {
-        let w = Tensor::zeros(&[2, 3]);
-        let bad_bias = Tensor::zeros(&[3]);
-        assert!(FullyConnected::new(w.clone(), bad_bias).is_err());
-        let not_2d = Tensor::zeros(&[2]);
-        assert!(FullyConnected::new(not_2d, Tensor::zeros(&[2])).is_err());
     }
 
     #[test]
@@ -417,31 +326,6 @@ mod tests {
         let conv = Conv2d::zeros(2, 1, 1, 1, 0).unwrap();
         let input = Tensor::zeros(&[1, 2, 2]);
         assert!(conv.forward(&input).is_err());
-    }
-
-    #[test]
-    fn maxpool_known_answer() {
-        let pool = MaxPool2d::new(2).unwrap();
-        let input = Tensor::from_vec(
-            &[1, 4, 4],
-            vec![
-                1.0, 2.0, 5.0, 6.0, //
-                3.0, 4.0, 7.0, 8.0, //
-                1.0, 0.0, 0.0, 0.0, //
-                0.0, 9.0, 0.0, 2.0,
-            ],
-        )
-        .unwrap();
-        let out = pool.forward(&input).unwrap();
-        assert_eq!(out.shape(), &[1, 2, 2]);
-        assert_eq!(out.data(), &[4.0, 8.0, 9.0, 2.0]);
-    }
-
-    #[test]
-    fn maxpool_validation() {
-        assert!(MaxPool2d::new(0).is_err());
-        let pool = MaxPool2d::new(3).unwrap();
-        assert!(pool.forward(&Tensor::zeros(&[1, 2, 2])).is_err());
     }
 
     #[test]

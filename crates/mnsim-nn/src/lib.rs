@@ -6,7 +6,6 @@
 //! * [`quantize`] — fixed-point quantizers (the paper's ideal-computation
 //!   reference, §VI),
 //! * [`layers`] / [`network`] — DNN/CNN/SNN inference layers,
-//! * [`im2col`] — convolution lowered to the crossbar's matrix-vector view,
 //! * [`train`] — SGD/backprop trainer producing the "well-trained networks"
 //!   MNSIM maps onto hardware,
 //! * [`descriptor`] / [`models`] — shape-level network descriptors (VGG-16,
@@ -37,7 +36,6 @@ pub mod data;
 pub mod descriptor;
 pub mod error;
 pub mod fault;
-pub mod im2col;
 pub mod layers;
 pub mod models;
 pub mod network;
@@ -49,8 +47,8 @@ pub mod train;
 
 pub use descriptor::{BankDescriptor, ConvShape, NetworkDescriptor};
 pub use error::NnError;
-pub use fault::{apply_fault_map, weight_damage_levels};
-pub use layers::{Activation, Conv2d, FullyConnected, Layer, MaxPool2d};
+pub use fault::weight_damage_levels;
+pub use layers::{Activation, Conv2d, FullyConnected, Layer};
 pub use network::Network;
 pub use quantize::Quantizer;
 pub use snn::{SpikeTrace, SpikingNetwork};

@@ -27,12 +27,6 @@ pub fn mlp(dims: &[usize]) -> Result<NetworkDescriptor, NnError> {
     NetworkDescriptor::new(format!("mlp-{dims:?}"), banks)
 }
 
-/// The 64-16-64 autoencoder of the paper's JPEG-encoding accuracy
-/// validation (§VII.A, after Li et al.'s RRAM approximate computing).
-pub fn autoencoder_64_16_64() -> NetworkDescriptor {
-    mlp(&[64, 16, 64]).expect("static dims are valid")
-}
-
 /// The single 2048×1024 fully-connected layer of the large-computation-bank
 /// case study (paper §VII.C, Tables IV/V, Figs. 7/8).
 pub fn large_bank_layer() -> NetworkDescriptor {
@@ -184,15 +178,6 @@ mod tests {
         assert_eq!(net.depth(), 2);
         assert_eq!(net.total_weights(), 2 * 128 * 128);
         assert!(mlp(&[64]).is_err());
-    }
-
-    #[test]
-    fn autoencoder_is_64_16_64() {
-        let net = autoencoder_64_16_64();
-        assert_eq!(net.depth(), 2);
-        assert_eq!(net.input_size(), 64);
-        assert_eq!(net.output_size(), 64);
-        assert_eq!(net.total_weights(), 64 * 16 + 16 * 64);
     }
 
     #[test]

@@ -15,35 +15,14 @@ pub struct Network {
 }
 
 impl Network {
-    /// Creates an empty network.
-    pub fn new() -> Self {
-        Network { layers: Vec::new() }
-    }
-
     /// Creates a network from a layer list.
-    pub fn from_layers(layers: Vec<Layer>) -> Self {
+    pub(crate) fn from_layers(layers: Vec<Layer>) -> Self {
         Network { layers }
-    }
-
-    /// Appends a layer.
-    pub fn push(&mut self, layer: Layer) -> &mut Self {
-        self.layers.push(layer);
-        self
     }
 
     /// The layers in order.
     pub fn layers(&self) -> &[Layer] {
         &self.layers
-    }
-
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// `true` if the network has no layers.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
     }
 
     /// Runs the whole network forward.
@@ -64,28 +43,6 @@ impl Network {
             current = layer.forward(&current)?;
         }
         Ok(current)
-    }
-
-    /// Runs forward while recording every intermediate activation
-    /// (input excluded, output of each layer included).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::forward`].
-    pub fn forward_trace(&self, input: &Tensor) -> Result<Vec<Tensor>, NnError> {
-        if self.layers.is_empty() {
-            return Err(NnError::InvalidNetwork {
-                reason: "network has no layers".into(),
-            });
-        }
-        let mut activations = Vec::with_capacity(self.layers.len());
-        let mut current = input.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
-            let _span = LAYER_SPAN.enter_at(i as i64);
-            current = layer.forward(&current)?;
-            activations.push(current.clone());
-        }
-        Ok(activations)
     }
 }
 
@@ -112,28 +69,11 @@ mod tests {
 
     #[test]
     fn empty_network_rejected() {
-        let net = Network::new();
-        assert!(net.is_empty());
+        let net = Network::default();
         assert!(matches!(
             net.forward(&Tensor::vector(&[1.0])),
             Err(NnError::InvalidNetwork { .. })
         ));
-    }
-
-    #[test]
-    fn trace_records_every_layer() {
-        let net = tiny_network();
-        let trace = net.forward_trace(&Tensor::vector(&[-3.0, 5.0])).unwrap();
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace[0].data(), &[-3.0, 5.0]);
-        assert_eq!(trace[1].data(), &[0.0, 5.0]);
-    }
-
-    #[test]
-    fn push_builds_incrementally() {
-        let mut net = Network::new();
-        net.push(Layer::Activation(Activation::Sigmoid));
-        assert_eq!(net.len(), 1);
     }
 
     #[test]

@@ -49,20 +49,6 @@ impl Quantizer {
         Quantizer::new(bits, 0.0, 1.0)
     }
 
-    /// Signed weight quantizer over `[-1, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Quantizer::new`].
-    pub fn signed_unit(bits: u32) -> Result<Self, NnError> {
-        Quantizer::new(bits, -1.0, 1.0)
-    }
-
-    /// Precision in bits.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
     /// Number of representable levels, `k = 2^bits`.
     pub fn levels(&self) -> u32 {
         1 << self.bits
@@ -85,7 +71,7 @@ impl Quantizer {
     /// # Panics
     ///
     /// Panics if `level >= self.levels()`.
-    pub fn value_of(&self, level: u32) -> f64 {
+    pub(crate) fn value_of(&self, level: u32) -> f64 {
         assert!(level < self.levels(), "level {level} out of range");
         self.min + level as f64 * self.step()
     }
@@ -98,11 +84,6 @@ impl Quantizer {
     /// Quantizes every element of a tensor.
     pub fn quantize_tensor(&self, tensor: &Tensor) -> Tensor {
         tensor.map(|v| self.quantize(v))
-    }
-
-    /// The worst-case quantization error (half a step).
-    pub fn max_quantization_error(&self) -> f64 {
-        self.step() / 2.0
     }
 }
 
@@ -129,7 +110,7 @@ mod tests {
 
     #[test]
     fn roundtrip_is_idempotent() {
-        let q = Quantizer::signed_unit(4).unwrap();
+        let q = Quantizer::new(4, -1.0, 1.0).unwrap();
         for i in 0..q.levels() {
             let v = q.value_of(i);
             assert_eq!(q.level_of(v), i);
@@ -140,7 +121,7 @@ mod tests {
     #[test]
     fn quantization_error_bounded() {
         let q = Quantizer::unsigned_unit(6).unwrap();
-        let bound = q.max_quantization_error() + 1e-15;
+        let bound = q.step() / 2.0 + 1e-15;
         for k in 0..1000 {
             let v = k as f64 / 999.0;
             assert!((q.quantize(v) - v).abs() <= bound, "value {v}");
@@ -157,7 +138,7 @@ mod tests {
 
     #[test]
     fn signed_quantizer_covers_negatives() {
-        let q = Quantizer::signed_unit(4).unwrap();
+        let q = Quantizer::new(4, -1.0, 1.0).unwrap();
         assert_eq!(q.value_of(0), -1.0);
         assert!((q.quantize(0.0)).abs() < q.step());
         assert_eq!(q.quantize(1.0), 1.0);

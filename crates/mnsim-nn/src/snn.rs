@@ -112,17 +112,17 @@ impl SpikingNetwork {
     }
 
     /// Number of input neurons.
-    pub fn inputs(&self) -> usize {
+    pub(crate) fn inputs(&self) -> usize {
         self.layers[0].synapse.inputs()
     }
 
     /// Number of output neurons.
-    pub fn outputs(&self) -> usize {
+    pub(crate) fn outputs(&self) -> usize {
         self.layers.last().expect("non-empty").synapse.outputs()
     }
 
     /// Resets all membrane potentials.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         for layer in &mut self.layers {
             layer.membrane.iter_mut().for_each(|m| *m = 0.0);
         }

@@ -67,13 +67,8 @@ impl Tensor {
     }
 
     /// Total number of elements.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
-    }
-
-    /// `true` if the tensor has no elements (never true for valid tensors).
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Immutable view of the underlying data.
@@ -101,7 +96,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the tensor is not 2-D or the indices are out of range.
-    pub fn at2_mut(&mut self, i: usize, j: usize) -> &mut f64 {
+    pub(crate) fn at2_mut(&mut self, i: usize, j: usize) -> &mut f64 {
         assert_eq!(self.shape.len(), 2, "at2_mut requires a 2-D tensor");
         &mut self.data[i * self.shape[1] + j]
     }
@@ -111,7 +106,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the tensor is not 3-D or the indices are out of range.
-    pub fn at3(&self, c: usize, y: usize, x: usize) -> f64 {
+    pub(crate) fn at3(&self, c: usize, y: usize, x: usize) -> f64 {
         assert_eq!(self.shape.len(), 3, "at3 requires a 3-D tensor");
         let (h, w) = (self.shape[1], self.shape[2]);
         assert!(c < self.shape[0] && y < h && x < w, "index out of range");
@@ -123,7 +118,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the tensor is not 3-D or the indices are out of range.
-    pub fn at3_mut(&mut self, c: usize, y: usize, x: usize) -> &mut f64 {
+    pub(crate) fn at3_mut(&mut self, c: usize, y: usize, x: usize) -> &mut f64 {
         assert_eq!(self.shape.len(), 3, "at3_mut requires a 3-D tensor");
         let (h, w) = (self.shape[1], self.shape[2]);
         assert!(c < self.shape[0] && y < h && x < w, "index out of range");
@@ -135,7 +130,7 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] if the volumes differ.
-    pub fn reshape(&self, shape: &[usize]) -> Result<Tensor, NnError> {
+    pub(crate) fn reshape(&self, shape: &[usize]) -> Result<Tensor, NnError> {
         let volume: usize = shape.iter().product();
         if volume != self.data.len() {
             return Err(NnError::ShapeMismatch {
@@ -156,7 +151,7 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] on incompatible shapes.
-    pub fn matvec(&self, x: &Tensor) -> Result<Tensor, NnError> {
+    pub(crate) fn matvec(&self, x: &Tensor) -> Result<Tensor, NnError> {
         if self.shape.len() != 2 || x.shape.len() != 1 || self.shape[1] != x.shape[0] {
             return Err(NnError::ShapeMismatch {
                 expected: self.shape.clone(),
@@ -181,7 +176,7 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] if shapes differ.
-    pub fn add(&self, other: &Tensor) -> Result<Tensor, NnError> {
+    pub(crate) fn add(&self, other: &Tensor) -> Result<Tensor, NnError> {
         if self.shape != other.shape {
             return Err(NnError::ShapeMismatch {
                 expected: self.shape.clone(),
@@ -201,7 +196,7 @@ impl Tensor {
     }
 
     /// Applies a function to every element, returning a new tensor.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Tensor {
+    pub(crate) fn map(&self, f: impl Fn(f64) -> f64) -> Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&v| f(v)).collect(),
@@ -213,7 +208,7 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] if shapes differ.
-    pub fn mse(&self, other: &Tensor) -> Result<f64, NnError> {
+    pub(crate) fn mse(&self, other: &Tensor) -> Result<f64, NnError> {
         if self.shape != other.shape {
             return Err(NnError::ShapeMismatch {
                 expected: self.shape.clone(),
@@ -254,7 +249,6 @@ mod tests {
         let t = Tensor::zeros(&[2, 3]);
         assert_eq!(t.shape(), &[2, 3]);
         assert_eq!(t.len(), 6);
-        assert!(!t.is_empty());
         assert!(t.data().iter().all(|&v| v == 0.0));
     }
 

@@ -217,11 +217,6 @@ impl Mlp {
         }
         Network::from_layers(layers)
     }
-
-    /// The weight matrices (one per layer, shape `(out, in)`).
-    pub fn weight_matrices(&self) -> Vec<&Tensor> {
-        self.layers.iter().map(|fc| &fc.weights).collect()
-    }
 }
 
 #[cfg(test)]
@@ -314,16 +309,5 @@ mod tests {
         let mut mlp =
             Mlp::random(&[2, 2], Activation::Relu, Activation::Relu, &mut rng).unwrap();
         assert!(mlp.train(&[], 1, 0.1).is_err());
-    }
-
-    #[test]
-    fn weight_matrices_exposed() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mlp =
-            Mlp::random(&[6, 4, 2], Activation::Relu, Activation::Relu, &mut rng).unwrap();
-        let ws = mlp.weight_matrices();
-        assert_eq!(ws.len(), 2);
-        assert_eq!(ws[0].shape(), &[4, 6]);
-        assert_eq!(ws[1].shape(), &[2, 4]);
     }
 }

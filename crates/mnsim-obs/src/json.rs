@@ -92,16 +92,22 @@ impl JsonValue {
     }
 }
 
+/// The deepest nesting of arrays and objects [`parse_json`] accepts.
+/// The parser recurses once per level, so the cap bounds its stack on any
+/// input; every document the workspace writes nests about 5 deep.
+const MAX_DEPTH: usize = 128;
+
 /// Parses exactly one well-formed JSON value into a [`JsonValue`].
 ///
 /// # Errors
 ///
-/// Returns a message naming the byte offset of the first violation.
+/// Returns a message naming the byte offset of the first violation,
+/// including arrays and objects nested deeper than 128 levels.
 pub fn parse_json(input: &str) -> Result<JsonValue, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
     skip_ws(bytes, &mut pos);
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -155,10 +161,12 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses the value at `pos`, which sits inside `depth` arrays and
+/// objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(JsonValue::String),
         Some(b't') => parse_literal(bytes, pos, b"true").map(|()| JsonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, b"false").map(|()| JsonValue::Bool(false)),
@@ -169,7 +177,8 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
+    check_depth(depth, *pos)?;
     *pos += 1; // '{'
     skip_ws(bytes, pos);
     let mut members = Vec::new();
@@ -189,7 +198,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         }
         *pos += 1;
         skip_ws(bytes, pos);
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -203,7 +212,8 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
+    check_depth(depth, *pos)?;
     *pos += 1; // '['
     skip_ws(bytes, pos);
     let mut items = Vec::new();
@@ -213,7 +223,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
     loop {
         skip_ws(bytes, pos);
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -224,6 +234,15 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
         }
     }
+}
+
+/// Refuses an array or object opened at `pos` at nesting level `depth`
+/// (1 for the outermost) beyond [`MAX_DEPTH`].
+fn check_depth(depth: usize, pos: usize) -> Result<(), String> {
+    if depth > MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
+    Ok(())
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -480,5 +499,20 @@ mod tests {
         ] {
             assert!(validate_json(doc).is_err(), "accepted: {doc}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(validate_json(&arrays(MAX_DEPTH)).is_ok());
+        let err = validate_json(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        let depth = MAX_DEPTH + 1;
+        let objects = format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        let err = validate_json(&objects).unwrap_err();
+        assert!(err.starts_with("nesting deeper"), "{err}");
     }
 }

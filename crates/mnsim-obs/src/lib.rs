@@ -367,11 +367,6 @@ impl Gauge {
             self.cell().store(value.to_bits(), Ordering::Relaxed);
         }
     }
-
-    /// Current value (0.0 if never set).
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.cell().load(Ordering::Relaxed))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -780,7 +775,7 @@ mod tests {
         assert_eq!(span.id(), 0);
         drop(span);
         assert_eq!(TEST_COUNTER.get(), 0);
-        assert_eq!(TEST_GAUGE.get(), 0.0);
+        assert_eq!(TEST_GAUGE.cell().load(Ordering::Relaxed), 0f64.to_bits());
         assert_eq!(TEST_MARK.counter.get(), 0);
     }
 

@@ -87,7 +87,7 @@ const TARGET_WAVES: usize = 8;
 
 /// `true` if a live telemetry session is active.
 #[inline]
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     crate::sinks() & LIVE != 0
 }
 
@@ -174,7 +174,7 @@ impl LiveConfig {
 
     /// Enables the human stderr progress line.
     #[must_use]
-    pub fn with_progress(mut self, progress: bool) -> Self {
+    pub(crate) fn with_progress(mut self, progress: bool) -> Self {
         self.progress = progress;
         self
     }

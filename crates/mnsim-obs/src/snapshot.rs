@@ -35,7 +35,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Mean observation (0.0 for an empty histogram).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -53,7 +53,7 @@ impl HistogramSnapshot {
     /// The first data bucket's lower edge and the overflow bucket's upper
     /// edge are taken from `min`/`max`, so single-bucket histograms answer
     /// exactly within the observed range.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -85,17 +85,17 @@ impl HistogramSnapshot {
     }
 
     /// Median estimate (see [`Self::quantile`]).
-    pub fn p50(&self) -> f64 {
+    pub(crate) fn p50(&self) -> f64 {
         self.quantile(0.50)
     }
 
     /// 95th-percentile estimate (see [`Self::quantile`]).
-    pub fn p95(&self) -> f64 {
+    pub(crate) fn p95(&self) -> f64 {
         self.quantile(0.95)
     }
 
     /// 99th-percentile estimate (see [`Self::quantile`]).
-    pub fn p99(&self) -> f64 {
+    pub(crate) fn p99(&self) -> f64 {
         self.quantile(0.99)
     }
 }
@@ -113,11 +113,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// `true` if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
     /// Convenience counter lookup (0 if absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -262,7 +257,6 @@ mod tests {
     #[test]
     fn empty_snapshot_is_valid_json() {
         let snap = MetricsSnapshot::default();
-        assert!(snap.is_empty());
         validate_json(&snap.to_json()).unwrap();
     }
 

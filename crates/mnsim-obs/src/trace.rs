@@ -25,7 +25,7 @@
 //!   thread-local `Vec` and only takes the global sink mutex once per
 //!   `FLUSH_THRESHOLD` events (and at thread exit), so tracing a
 //!   fault-sim worker pool never serializes the workers on a shared lock.
-//! * **Bounded.** The sink is capped ([`DEFAULT_CAPACITY`] events);
+//! * **Bounded.** The sink is capped (`DEFAULT_CAPACITY` events);
 //!   overflow drops the newest events and counts them, so a runaway sweep
 //!   degrades to an incomplete trace instead of unbounded memory.
 //! * **Self-contained events.** `End` events repeat the span's name,
@@ -68,14 +68,14 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
-use crate::json::{parse_json, JsonValue};
+use crate::json::{parse_json, write_json_number, write_json_string, JsonValue};
 use crate::{SpanGuard, Window, TRACE};
 
 /// Events a thread buffers locally before taking the sink lock.
 const FLUSH_THRESHOLD: usize = 256;
 
 /// Default sink capacity (events) before overflow drops the newest.
-pub const DEFAULT_CAPACITY: usize = 1 << 22;
+pub(crate) const DEFAULT_CAPACITY: usize = 1 << 22;
 
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_LANE: AtomicU64 = AtomicU64::new(0);
@@ -477,7 +477,7 @@ pub fn session() -> Session {
 }
 
 /// [`session`] with a custom event capacity.
-pub fn session_with_capacity(capacity: usize) -> Session {
+pub(crate) fn session_with_capacity(capacity: usize) -> Session {
     let Ok(window) = Window::open(TRACE, || {
         lock_sink().clear();
         DROPPED.store(0, Ordering::Relaxed);
@@ -616,53 +616,39 @@ impl Trace {
             });
         }
         for event in &self.events {
-            let label = event.label();
-            match event.kind {
-                EventKind::Begin | EventKind::End => {
-                    let ph = if event.kind == EventKind::Begin { "B" } else { "E" };
-                    push_record(&mut out, &mut first, |out| {
-                        let _ = write!(
-                            out,
-                            "{{\"name\":\"{label}\",\"cat\":\"{cat}\",\"ph\":\"{ph}\",\
-                             \"ts\":{ts:.3},\"pid\":1,\"tid\":{tid},\
-                             \"args\":{{\"id\":{id},\"parent\":{parent}}}}}",
-                            cat = event.level.as_str(),
-                            ts = ts(event.t_ns),
-                            tid = event.lane,
-                            id = event.id,
-                            parent = event.parent,
-                        );
-                    });
+            push_record(&mut out, &mut first, |out| {
+                out.push_str("{\"name\":");
+                write_json_string(out, &event.label());
+                let (cat, ph) = match event.kind {
+                    EventKind::Begin => (event.level.as_str(), "\"B\""),
+                    EventKind::End => (event.level.as_str(), "\"E\""),
+                    EventKind::Instant => (event.level.as_str(), "\"i\",\"s\":\"t\""),
+                    EventKind::ModulePerf => ("module", "\"C\""),
+                };
+                let _ = write!(
+                    out,
+                    ",\"cat\":\"{cat}\",\"ph\":{ph},\"ts\":{ts:.3},\"pid\":1,\"tid\":{tid},\
+                     \"args\":{{",
+                    ts = ts(event.t_ns),
+                    tid = event.lane,
+                );
+                match event.kind {
+                    EventKind::Begin | EventKind::End => {
+                        let _ = write!(out, "\"id\":{},\"parent\":{}", event.id, event.parent);
+                    }
+                    EventKind::Instant => {
+                        out.push_str("\"value\":");
+                        write_json_number(out, event.value);
+                    }
+                    EventKind::ModulePerf => {
+                        out.push_str("\"time_s\":");
+                        write_json_number(out, event.value);
+                        out.push_str(",\"energy_j\":");
+                        write_json_number(out, event.value2);
+                    }
                 }
-                EventKind::Instant => {
-                    push_record(&mut out, &mut first, |out| {
-                        let _ = write!(
-                            out,
-                            "{{\"name\":\"{label}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"t\",\
-                             \"ts\":{ts:.3},\"pid\":1,\"tid\":{tid},\
-                             \"args\":{{\"value\":{value}}}}}",
-                            cat = event.level.as_str(),
-                            ts = ts(event.t_ns),
-                            tid = event.lane,
-                            value = JsonNum(event.value),
-                        );
-                    });
-                }
-                EventKind::ModulePerf => {
-                    push_record(&mut out, &mut first, |out| {
-                        let _ = write!(
-                            out,
-                            "{{\"name\":\"{label}\",\"cat\":\"module\",\"ph\":\"C\",\
-                             \"ts\":{ts:.3},\"pid\":1,\"tid\":{tid},\
-                             \"args\":{{\"time_s\":{time},\"energy_j\":{energy}}}}}",
-                            ts = ts(event.t_ns),
-                            tid = event.lane,
-                            time = JsonNum(event.value),
-                            energy = JsonNum(event.value2),
-                        );
-                    });
-                }
-            }
+                out.push_str("}}");
+            });
         }
         let _ = writeln!(
             out,
@@ -803,20 +789,6 @@ fn push_record(out: &mut String, first: &mut bool, write: impl FnOnce(&mut Strin
     write(out);
 }
 
-/// `Display` wrapper printing an f64 as a JSON number (`null` if
-/// non-finite, full round-trip precision otherwise).
-struct JsonNum(f64);
-
-impl std::fmt::Display for JsonNum {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.0.is_finite() {
-            write!(f, "{:?}", self.0)
-        } else {
-            write!(f, "null")
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // TraceSummary
 // ---------------------------------------------------------------------------
@@ -881,7 +853,7 @@ pub struct TraceSummary {
 impl TraceSummary {
     /// Renders the summary as a human-readable table (the `repro --emit trace=`
     /// walkthrough in the README reads this).
-    pub fn to_table(&self) -> String {
+    pub(crate) fn to_table(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,

@@ -122,7 +122,7 @@ impl ConfigSpec {
     /// # Errors
     ///
     /// Propagates `Config` parse/validation errors.
-    pub fn build(&self) -> Result<Config, CoreError> {
+    pub(crate) fn build(&self) -> Result<Config, CoreError> {
         match self {
             ConfigSpec::Text(text) => Config::from_text(text),
             ConfigSpec::Mlp(dims) => Config::fully_connected_mlp(dims),
@@ -150,7 +150,7 @@ pub struct FaultSpec {
 
 impl FaultSpec {
     /// Converts to the core [`FaultConfig`].
-    pub fn to_fault_config(&self) -> FaultConfig {
+    pub(crate) fn to_fault_config(&self) -> FaultConfig {
         FaultConfig {
             rates: FaultRates::stuck_at(self.rate),
             trials: self.trials,
@@ -203,7 +203,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// The wire identifier.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ErrorCode::SchemaMismatch => "schema_mismatch",
             ErrorCode::Malformed => "malformed",
@@ -231,7 +231,7 @@ pub struct WireError {
 
 impl WireError {
     /// A payload with no per-field detail.
-    pub fn new(code: ErrorCode, message: impl Into<String>) -> Self {
+    pub(crate) fn new(code: ErrorCode, message: impl Into<String>) -> Self {
         WireError {
             code,
             message: message.into(),
@@ -241,7 +241,7 @@ impl WireError {
 
     /// Maps a [`CoreError`] onto the wire, preserving the typed
     /// [`ConfigError`] list where one exists.
-    pub fn from_core(err: &CoreError) -> Self {
+    pub(crate) fn from_core(err: &CoreError) -> Self {
         match err {
             CoreError::Config { errors } => WireError {
                 code: ErrorCode::Config,
@@ -270,18 +270,18 @@ impl WireError {
 }
 
 /// The server's handshake acknowledgement.
-pub fn hello_ok_line() -> String {
+pub(crate) fn hello_ok_line() -> String {
     format!("{{\"type\":\"hello_ok\",\"schema_version\":{SCHEMA_VERSION}}}")
 }
 
 /// The client's handshake opener.
-pub fn hello_line() -> String {
+pub(crate) fn hello_line() -> String {
     format!("{{\"type\":\"hello\",\"schema_version\":{SCHEMA_VERSION}}}")
 }
 
 /// A failure response. `id` is `None` when the failing line carried no
 /// usable request id (malformed JSON, handshake rejection).
-pub fn error_line(id: Option<u64>, err: &WireError) -> String {
+pub(crate) fn error_line(id: Option<u64>, err: &WireError) -> String {
     let mut out = String::from("{\"type\":\"response\",");
     match id {
         Some(id) => {
@@ -316,7 +316,12 @@ pub fn error_line(id: Option<u64>, err: &WireError) -> String {
 /// A success response. `result_json` must already be a well-formed JSON
 /// value; it is embedded verbatim. `fingerprint` is omitted for
 /// non-cacheable operations (`None`).
-pub fn response_line(id: u64, cache: &str, fingerprint: Option<u64>, result_json: &str) -> String {
+pub(crate) fn response_line(
+    id: u64,
+    cache: &str,
+    fingerprint: Option<u64>,
+    result_json: &str,
+) -> String {
     let mut out = String::from("{\"type\":\"response\",");
     let _ = write!(out, "\"id\":{id},\"ok\":true,\"cache\":");
     write_json_string(&mut out, cache);
@@ -332,7 +337,7 @@ pub fn response_line(id: u64, cache: &str, fingerprint: Option<u64>, result_json
 
 /// A streamed progress event for request `id`. `data_json` is one
 /// live-telemetry NDJSON line, embedded verbatim.
-pub fn event_line(id: u64, data_json: &str) -> String {
+pub(crate) fn event_line(id: u64, data_json: &str) -> String {
     let mut out = String::from("{\"type\":\"event\",");
     let _ = write!(out, "\"id\":{id},\"data\":");
     out.push_str(data_json);
@@ -500,7 +505,7 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
 /// # Errors
 ///
 /// Returns a `config`-class error for an unknown node.
-pub fn interconnects_from_nm(nm: &[u32]) -> Result<Vec<InterconnectNode>, WireError> {
+pub(crate) fn interconnects_from_nm(nm: &[u32]) -> Result<Vec<InterconnectNode>, WireError> {
     nm.iter()
         .map(|&n| {
             InterconnectNode::from_nanometers(n).map_err(|e| WireError {

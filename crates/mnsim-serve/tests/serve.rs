@@ -179,6 +179,40 @@ fn ping_stats_and_typed_request_errors() {
 }
 
 #[test]
+fn deeply_nested_lines_get_typed_errors_and_the_server_lives_on() {
+    let _guard = lock();
+    with_server(options("deep"), |path| {
+        let deep = "[".repeat(100_000);
+        let error_code = |line: &str| {
+            parse_json(line.trim())
+                .expect("error reply parses")
+                .get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(JsonValue::as_str)
+                .map(str::to_string)
+        };
+
+        // As the handshake line: a typed rejection.
+        let mut stream = connect_stream(path).expect("raw stream connects");
+        writeln!(stream, "{deep}").unwrap();
+        stream.flush().unwrap();
+        let mut reply = String::new();
+        BufReader::new(&stream).read_line(&mut reply).unwrap();
+        assert_eq!(error_code(&reply).as_deref(), Some("malformed"), "{reply}");
+
+        // As a request line: the same error, on a connection that stays
+        // open.
+        let mut client = Client::connect(path).expect("connects");
+        let bad = client.call(&deep).unwrap();
+        assert_eq!(error_code(&bad.response).as_deref(), Some("malformed"));
+        let pong = client
+            .call(r#"{"type":"request","id":1,"op":"ping"}"#)
+            .unwrap();
+        assert_ok(&pong.response);
+    });
+}
+
+#[test]
 fn second_identical_request_hits_the_cache_and_is_faster() {
     let _guard = lock();
     with_server(options("speedup"), |path| {

@@ -34,16 +34,6 @@ pub enum CmosNode {
 }
 
 impl CmosNode {
-    /// All nodes in the database, largest feature size first.
-    pub const ALL: [CmosNode; 6] = [
-        CmosNode::N130,
-        CmosNode::N90,
-        CmosNode::N65,
-        CmosNode::N45,
-        CmosNode::N32,
-        CmosNode::N22,
-    ];
-
     /// Looks a node up by feature size in nanometres.
     ///
     /// # Errors
@@ -78,12 +68,12 @@ impl CmosNode {
 
     /// The feature size `F` in metres (convenience for area formulas that
     /// use multiples of `F²`).
-    pub fn feature_size_m(self) -> f64 {
+    pub(crate) fn feature_size_m(self) -> f64 {
         self.nanometers() as f64 * 1e-9
     }
 
     /// The area of one `F²` at this node.
-    pub fn f2(self) -> Area {
+    pub(crate) fn f2(self) -> Area {
         let f = self.feature_size_m();
         Area::from_square_meters(f * f)
     }
@@ -208,6 +198,16 @@ impl CmosParams {
 mod tests {
     use super::*;
 
+    /// All nodes in the database, largest feature size first.
+    const ALL: [CmosNode; 6] = [
+        CmosNode::N130,
+        CmosNode::N90,
+        CmosNode::N65,
+        CmosNode::N45,
+        CmosNode::N32,
+        CmosNode::N22,
+    ];
+
     #[test]
     fn lookup_by_nanometers() {
         assert_eq!(CmosNode::from_nanometers(90).unwrap(), CmosNode::N90);
@@ -220,7 +220,7 @@ mod tests {
 
     #[test]
     fn all_nodes_have_params() {
-        for node in CmosNode::ALL {
+        for node in ALL {
             let p = node.params();
             assert!(p.vdd.volts() > 0.0, "{node}");
             assert!(p.fo4_delay.seconds() > 0.0, "{node}");
@@ -232,7 +232,7 @@ mod tests {
     #[test]
     fn vdd_decreases_with_scaling() {
         let mut prev = f64::INFINITY;
-        for node in CmosNode::ALL {
+        for node in ALL {
             let vdd = node.params().vdd.volts();
             assert!(vdd < prev, "Vdd must shrink monotonically with the node");
             prev = vdd;
@@ -242,7 +242,7 @@ mod tests {
     #[test]
     fn speed_increases_with_scaling() {
         let mut prev = f64::INFINITY;
-        for node in CmosNode::ALL {
+        for node in ALL {
             let fo4 = node.params().fo4_delay.seconds();
             assert!(fo4 < prev, "FO4 must shrink monotonically with the node");
             prev = fo4;
@@ -252,7 +252,7 @@ mod tests {
     #[test]
     fn gate_energy_decreases_with_scaling() {
         let mut prev = f64::INFINITY;
-        for node in CmosNode::ALL {
+        for node in ALL {
             let e = node.params().gate_energy.joules();
             assert!(e < prev, "gate energy must shrink with the node");
             prev = e;
@@ -263,7 +263,7 @@ mod tests {
     fn leakage_increases_with_scaling() {
         // Sub-threshold leakage famously grows as planar CMOS scales down.
         let mut prev = 0.0;
-        for node in CmosNode::ALL {
+        for node in ALL {
             let l = node.params().leakage_per_transistor.watts();
             assert!(l > prev, "leakage must grow with scaling");
             prev = l;
@@ -279,7 +279,7 @@ mod tests {
 
     #[test]
     fn adder_is_larger_and_hungrier_than_gate() {
-        for node in CmosNode::ALL {
+        for node in ALL {
             let p = node.params();
             assert!(p.full_adder_area.square_meters() > p.gate_area.square_meters());
             assert!(p.full_adder_energy.joules() > p.gate_energy.joules());

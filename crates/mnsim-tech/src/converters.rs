@@ -4,8 +4,9 @@
 //! amplifiers (paper §III.C-4); the input peripheral circuit contains DACs
 //! (§III.C-3). The paper chooses converters from a survey-style database
 //! (Murmann's ADC survey plus the variable-level SA of the reference design)
-//! and scales them with the CMOS node. This module reproduces that database
-//! with a small set of representative designs.
+//! and scales them with the CMOS node. This module keeps the reference
+//! design's two converters: the variable-level SA read circuit and the
+//! input DAC.
 //!
 //! Energy figures follow the Walden figure-of-merit convention:
 //! `E_conv = FoM · 2^bits` per conversion, with the FoM and base areas quoted
@@ -13,7 +14,6 @@
 //! first-order rules (`area ∝ F²`, `power ∝ Vdd²`, `delay ∝ FO4`).
 
 use crate::cmos::CmosNode;
-use crate::error::TechError;
 use crate::units::{Area, Energy, Frequency, Power, Time};
 
 /// The circuit family of an analog-to-digital read circuit.
@@ -76,54 +76,6 @@ impl AdcSpec {
             area: Area::from_square_micrometers(60.0 * levels),
             native_node: CmosNode::N90,
         }
-    }
-
-    /// An 8-bit SAR ADC modelled after Kull et al. (JSSC 2013, 32 nm):
-    /// 1.2 GS/s at 3.1 mW, here derated to a conservative 500 MS/s
-    /// operating point.
-    pub fn sar_8bit() -> Self {
-        AdcSpec {
-            kind: AdcKind::Sar,
-            bits: 8,
-            frequency: Frequency::from_megahertz(500.0),
-            power: Power::from_milliwatts(1.5),
-            area: Area::from_square_micrometers(2500.0),
-            native_node: CmosNode::N32,
-        }
-    }
-
-    /// A 6-bit flash ADC design point (fast, power hungry).
-    pub fn flash_6bit() -> Self {
-        AdcSpec {
-            kind: AdcKind::Flash,
-            bits: 6,
-            frequency: Frequency::from_gigahertz(1.0),
-            power: Power::from_milliwatts(12.0),
-            area: Area::from_square_micrometers(8000.0),
-            native_node: CmosNode::N45,
-        }
-    }
-
-    /// The built-in database the reference design selects from.
-    pub fn database() -> Vec<AdcSpec> {
-        let mut specs: Vec<AdcSpec> = (1..=8).map(AdcSpec::multilevel_sa).collect();
-        specs.push(AdcSpec::sar_8bit());
-        specs.push(AdcSpec::flash_6bit());
-        specs
-    }
-
-    /// Selects the lowest-power database entry with at least `bits`
-    /// precision and at least `min_frequency` conversion rate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TechError::NoConverter`] if no entry qualifies.
-    pub fn select(bits: u32, min_frequency: Frequency) -> Result<AdcSpec, TechError> {
-        AdcSpec::database()
-            .into_iter()
-            .filter(|s| s.bits >= bits && s.frequency.hertz() >= min_frequency.hertz())
-            .min_by(|a, b| a.power.watts().total_cmp(&b.power.watts()))
-            .ok_or(TechError::NoConverter { bits })
     }
 
     /// Time for one complete conversion.
@@ -209,67 +161,9 @@ impl DacSpec {
     }
 }
 
-/// A single-threshold sensing amplifier (1-bit read, used by the READ
-/// instruction path rather than computation).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SenseAmpSpec {
-    /// Sensing latency.
-    pub latency: Time,
-    /// Power while sensing.
-    pub power: Power,
-    /// Layout area.
-    pub area: Area,
-}
-
-impl SenseAmpSpec {
-    /// Reference latch-type sense amplifier at the given node.
-    pub fn reference(node: CmosNode) -> Self {
-        let p = node.params();
-        SenseAmpSpec {
-            latency: p.fo4_delay * 10.0,
-            power: Power::from_microwatts(5.0 * (p.vdd.volts() / 1.2).powi(2)),
-            area: p.transistor_area(12),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn database_is_nonempty_and_valid() {
-        for spec in AdcSpec::database() {
-            assert!(spec.bits >= 1 && spec.bits <= 8);
-            assert!(spec.power.watts() > 0.0);
-            assert!(spec.area.square_meters() > 0.0);
-            assert!(spec.frequency.hertz() > 0.0);
-        }
-    }
-
-    #[test]
-    fn select_prefers_low_power() {
-        // At modest speed requirements, the multilevel SA must win over the
-        // SAR/flash entries (that is why the paper uses it as reference).
-        let s = AdcSpec::select(6, Frequency::from_megahertz(10.0)).unwrap();
-        assert_eq!(s.kind, AdcKind::MultilevelSa);
-        assert!(s.bits >= 6);
-    }
-
-    #[test]
-    fn select_falls_back_to_fast_designs() {
-        let s = AdcSpec::select(8, Frequency::from_megahertz(400.0)).unwrap();
-        assert_eq!(s.kind, AdcKind::Sar);
-    }
-
-    #[test]
-    fn select_rejects_impossible_requests() {
-        assert!(matches!(
-            AdcSpec::select(9, Frequency::from_megahertz(1.0)),
-            Err(TechError::NoConverter { bits: 9 })
-        ));
-        assert!(AdcSpec::select(8, Frequency::from_gigahertz(10.0)).is_err());
-    }
 
     #[test]
     fn sa_power_grows_with_precision() {
@@ -282,7 +176,7 @@ mod tests {
     #[test]
     fn sa_matches_paper_reference_frequency() {
         let sa = AdcSpec::multilevel_sa(6);
-        assert!((sa.frequency.megahertz() - 50.0).abs() < 1e-9);
+        assert!((sa.frequency.hertz() - 50e6).abs() < 1e-3);
         assert!((sa.conversion_time().nanoseconds() - 20.0).abs() < 1e-9);
     }
 
@@ -297,8 +191,8 @@ mod tests {
 
     #[test]
     fn scaling_to_native_node_is_identity() {
-        let base = AdcSpec::sar_8bit();
-        let same = base.scaled_to(CmosNode::N32);
+        let base = AdcSpec::multilevel_sa(6);
+        let same = base.scaled_to(CmosNode::N90);
         assert!((same.power.watts() - base.power.watts()).abs() < 1e-15);
         assert!((same.area.square_meters() - base.area.square_meters()).abs() < 1e-20);
     }
@@ -309,14 +203,6 @@ mod tests {
         assert!(d.conversion_energy().joules() > 0.0);
         let scaled = d.scaled_to(CmosNode::N45);
         assert!(scaled.settle_time.seconds() < d.settle_time.seconds());
-    }
-
-    #[test]
-    fn sense_amp_reference_is_positive() {
-        let sa = SenseAmpSpec::reference(CmosNode::N90);
-        assert!(sa.latency.seconds() > 0.0);
-        assert!(sa.power.watts() > 0.0);
-        assert!(sa.area.square_meters() > 0.0);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //!
 //! This module provides the *technology-level* description of such defects:
 //!
-//! * [`FaultKind`] — the defect taxonomy,
 //! * [`FaultRates`] — per-kind defect probabilities,
 //! * [`FaultMap`] — a concrete, replayable assignment of defects to one
 //!   `rows × cols` crossbar, generated deterministically from a seed,
@@ -27,34 +26,6 @@ use std::fmt::Write as _;
 
 use crate::error::TechError;
 
-/// The kinds of hard defect a crossbar cell or line can carry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum FaultKind {
-    /// Cell permanently at the high-resistance state (never formed).
-    StuckAtHrs,
-    /// Cell permanently at the low-resistance state (unbreakable filament).
-    StuckAtLrs,
-    /// Word line (input row) open at some segment.
-    BrokenWordline,
-    /// Bit line (output column) open at some segment.
-    BrokenBitline,
-    /// Cell resistance drifted off the programmed value by a fixed factor.
-    DriftedResistance,
-}
-
-impl std::fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FaultKind::StuckAtHrs => write!(f, "stuck-at-HRS"),
-            FaultKind::StuckAtLrs => write!(f, "stuck-at-LRS"),
-            FaultKind::BrokenWordline => write!(f, "broken-wordline"),
-            FaultKind::BrokenBitline => write!(f, "broken-bitline"),
-            FaultKind::DriftedResistance => write!(f, "drifted-resistance"),
-        }
-    }
-}
-
 /// The defect carried by one cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CellFault {
@@ -67,17 +38,6 @@ pub enum CellFault {
         /// Multiplicative resistance drift (log-uniform around 1).
         factor: f64,
     },
-}
-
-impl CellFault {
-    /// The taxonomy kind of this cell fault.
-    pub fn kind(&self) -> FaultKind {
-        match self {
-            CellFault::StuckAtHrs => FaultKind::StuckAtHrs,
-            CellFault::StuckAtLrs => FaultKind::StuckAtLrs,
-            CellFault::Drifted { .. } => FaultKind::DriftedResistance,
-        }
-    }
 }
 
 /// Per-kind defect probabilities.
@@ -292,13 +252,6 @@ impl FaultMap {
             .is_some_and(|&seg| seg >= self.rows)
     }
 
-    /// `true` if the map carries no defects at all.
-    pub fn is_clean(&self) -> bool {
-        self.cells.is_empty()
-            && self.broken_wordlines.is_empty()
-            && self.broken_bitlines.is_empty()
-    }
-
     /// Number of defective cells (stuck or drifted).
     pub fn cell_fault_count(&self) -> usize {
         self.cells.len()
@@ -503,7 +456,7 @@ mod tests {
     #[test]
     fn zero_rates_make_clean_maps() {
         let map = FaultMap::generate(16, 16, &FaultRates::default(), 99).unwrap();
-        assert!(map.is_clean());
+        assert_eq!(map, FaultMap::empty(16, 16));
         assert_eq!(map.defective_cell_fraction(), 0.0);
     }
 
@@ -539,7 +492,11 @@ mod tests {
     #[test]
     fn text_roundtrip_is_identity() {
         let map = FaultMap::generate(16, 24, &heavy_rates(), 42).unwrap();
-        assert!(!map.is_clean(), "seed must generate some defects");
+        assert_ne!(
+            map,
+            FaultMap::empty(16, 24),
+            "seed must generate some defects"
+        );
         let text = map.to_text();
         let parsed = FaultMap::from_text(&text).unwrap();
         assert_eq!(map, parsed);
@@ -581,7 +538,7 @@ mod tests {
         map.clear_row(1);
         assert_eq!(map.defective_rows(), vec![3]);
         map.clear_row(3);
-        assert!(map.is_clean());
+        assert_eq!(map, FaultMap::empty(4, 4));
     }
 
     #[test]
@@ -593,12 +550,5 @@ mod tests {
         map.broken_bitlines.insert(1, 3);
         let expected = (2 + 3) as f64 / 16.0;
         assert!((map.defective_cell_fraction() - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn display_names() {
-        assert_eq!(FaultKind::StuckAtHrs.to_string(), "stuck-at-HRS");
-        assert_eq!(FaultKind::BrokenBitline.to_string(), "broken-bitline");
-        assert_eq!(CellFault::Drifted { factor: 2.0 }.kind(), FaultKind::DriftedResistance);
     }
 }

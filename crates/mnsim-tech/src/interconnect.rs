@@ -98,7 +98,7 @@ impl InterconnectNode {
     /// Narrow lines suffer from electron surface scattering and the
     /// non-scalable diffusion-barrier liner; the multiplier values follow the
     /// ITRS effective-resistivity trend (≈1× at 90 nm up to ≈3× at 18 nm).
-    pub fn effective_resistivity(self) -> f64 {
+    pub(crate) fn effective_resistivity(self) -> f64 {
         let mult = match self {
             InterconnectNode::N18 => 3.0,
             InterconnectNode::N22 => 2.6,

@@ -52,9 +52,9 @@ pub mod memristor;
 pub mod units;
 
 pub use cmos::{CmosNode, CmosParams};
-pub use converters::{AdcKind, AdcSpec, DacSpec, SenseAmpSpec};
+pub use converters::{AdcKind, AdcSpec, DacSpec};
 pub use error::TechError;
-pub use fault::{CellFault, FaultKind, FaultMap, FaultRates};
+pub use fault::{CellFault, FaultMap, FaultRates};
 pub use interconnect::InterconnectNode;
 pub use memristor::{CellType, DeviceKind, IvModel, MemristorModel};
 pub use units::{

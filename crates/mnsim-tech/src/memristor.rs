@@ -174,25 +174,6 @@ impl MemristorModel {
         }
     }
 
-    /// A representative PCM device: higher resistances, slower writes,
-    /// stronger non-linearity.
-    pub fn pcm_default() -> Self {
-        MemristorModel {
-            kind: DeviceKind::Pcm,
-            cell_type: CellType::ZeroT1R,
-            r_min: Resistance::from_kilo_ohms(5.0),
-            r_max: Resistance::from_mega_ohms(1.0),
-            bits_per_cell: 4,
-            iv: IvModel::Sinh { alpha: 2.0 },
-            sigma: 0.0,
-            v_read: Voltage::from_volts(0.4),
-            v_write: Voltage::from_volts(3.0),
-            write_latency: Time::from_nanoseconds(150.0),
-            access_wl_ratio: 4.0,
-            feature_nm: 45,
-        }
-    }
-
     /// Validates the physical consistency of the model.
     ///
     /// # Errors
@@ -312,27 +293,9 @@ impl MemristorModel {
         Resistance::from_ohms(2.0 * rmin * rmax / (rmin + rmax))
     }
 
-    /// Chord resistance of a cell programmed to `state` at the model's read
-    /// voltage — the `R_act` of the paper's accuracy model.
-    pub fn actual_resistance(&self, state: Resistance) -> Resistance {
-        self.iv.chord_resistance(state, self.v_read)
-    }
-
-    /// Worst-case resistance under device variation: `(1 ± σ)·R_act`
-    /// (paper Eq. 16). `positive` selects the sign of the deviation.
-    pub fn varied_resistance(&self, state: Resistance, positive: bool) -> Resistance {
-        let r_act = self.actual_resistance(state);
-        let factor = if positive {
-            1.0 + self.sigma
-        } else {
-            1.0 - self.sigma
-        };
-        Resistance::from_ohms(r_act.ohms() * factor)
-    }
-
     /// Area of a single cell in units of `F²` of the memristor technology
     /// (paper Eqs. 7–8).
-    pub fn cell_area_f2(&self) -> f64 {
+    pub(crate) fn cell_area_f2(&self) -> f64 {
         match self.cell_type {
             CellType::OneT1R => 3.0 * (self.access_wl_ratio + 1.0),
             CellType::ZeroT1R => 4.0,
@@ -353,7 +316,6 @@ mod tests {
     #[test]
     fn defaults_validate() {
         MemristorModel::rram_default().validate().unwrap();
-        MemristorModel::pcm_default().validate().unwrap();
     }
 
     #[test]
@@ -445,7 +407,7 @@ mod tests {
     #[test]
     fn sinh_low_field_matches_linear() {
         let state = Resistance::from_kilo_ohms(1.0);
-        let v = Voltage::from_millivolts(1.0);
+        let v = Voltage::from_volts(1e-3);
         let linear = IvModel::Linear.current(state, v).amperes();
         let sinh = IvModel::Sinh { alpha: 2.0 }.current(state, v).amperes();
         assert!((sinh - linear).abs() / linear < 1e-5);
@@ -458,16 +420,6 @@ mod tests {
         let r_low = iv.differential_resistance(state, Voltage::from_volts(0.1));
         let r_high = iv.differential_resistance(state, Voltage::from_volts(1.0));
         assert!(r_high.ohms() < r_low.ohms());
-    }
-
-    #[test]
-    fn variation_brackets_actual_resistance() {
-        let mut m = MemristorModel::rram_default();
-        m.sigma = 0.2;
-        let state = Resistance::from_kilo_ohms(100.0);
-        let nominal = m.actual_resistance(state).ohms();
-        assert!(m.varied_resistance(state, true).ohms() > nominal);
-        assert!(m.varied_resistance(state, false).ohms() < nominal);
     }
 
     #[test]

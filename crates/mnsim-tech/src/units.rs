@@ -12,7 +12,6 @@
 //! * `Power × Time = Energy`, `Energy / Time = Power`;
 //! * `Voltage × Current = Power`, `Voltage / Current = Resistance`,
 //!   `Voltage / Resistance = Current`;
-//! * `Resistance ↔ Conductance` reciprocals;
 //! * every quantity scales by a dimensionless `f64`.
 //!
 //! # Examples
@@ -231,39 +230,6 @@ impl Resistance {
     pub const fn from_mega_ohms(mohms: f64) -> Self {
         Self(mohms * 1e6)
     }
-    /// The value in kilo-ohms.
-    #[inline]
-    pub fn kilo_ohms(self) -> f64 {
-        self.0 / 1e3
-    }
-    /// Reciprocal conductance.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the resistance is zero.
-    #[inline]
-    pub fn to_conductance(self) -> Conductance {
-        debug_assert!(self.0 != 0.0, "zero resistance has no finite conductance");
-        Conductance(1.0 / self.0)
-    }
-}
-
-impl Conductance {
-    /// Creates a conductance from siemens.
-    #[inline]
-    pub const fn from_siemens(s: f64) -> Self {
-        Self(s)
-    }
-    /// Reciprocal resistance.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the conductance is zero.
-    #[inline]
-    pub fn to_resistance(self) -> Resistance {
-        debug_assert!(self.0 != 0.0, "zero conductance has no finite resistance");
-        Resistance(1.0 / self.0)
-    }
 }
 
 impl Capacitance {
@@ -282,11 +248,6 @@ impl Capacitance {
     pub const fn from_femtofarads(ff: f64) -> Self {
         Self(ff * 1e-15)
     }
-    /// The value in femtofarads.
-    #[inline]
-    pub fn femtofarads(self) -> f64 {
-        self.0 / 1e-15
-    }
 }
 
 impl Voltage {
@@ -294,16 +255,6 @@ impl Voltage {
     #[inline]
     pub const fn from_volts(v: f64) -> Self {
         Self(v)
-    }
-    /// Creates a voltage from millivolts.
-    #[inline]
-    pub const fn from_millivolts(mv: f64) -> Self {
-        Self(mv * 1e-3)
-    }
-    /// The value in millivolts.
-    #[inline]
-    pub fn millivolts(self) -> f64 {
-        self.0 / 1e-3
     }
 }
 
@@ -317,11 +268,6 @@ impl Current {
     #[inline]
     pub const fn from_microamperes(ua: f64) -> Self {
         Self(ua * 1e-6)
-    }
-    /// The value in microamperes.
-    #[inline]
-    pub fn microamperes(self) -> f64 {
-        self.0 / 1e-6
     }
 }
 
@@ -346,11 +292,6 @@ impl Power {
     pub const fn from_nanowatts(nw: f64) -> Self {
         Self(nw * 1e-9)
     }
-    /// The value in milliwatts.
-    #[inline]
-    pub fn milliwatts(self) -> f64 {
-        self.0 / 1e-3
-    }
     /// The value in microwatts.
     #[inline]
     pub fn microwatts(self) -> f64 {
@@ -364,20 +305,10 @@ impl Energy {
     pub const fn from_joules(j: f64) -> Self {
         Self(j)
     }
-    /// Creates an energy from microjoules.
-    #[inline]
-    pub const fn from_microjoules(uj: f64) -> Self {
-        Self(uj * 1e-6)
-    }
     /// Creates an energy from picojoules.
     #[inline]
     pub const fn from_picojoules(pj: f64) -> Self {
         Self(pj * 1e-12)
-    }
-    /// Creates an energy from femtojoules.
-    #[inline]
-    pub const fn from_femtojoules(fj: f64) -> Self {
-        Self(fj * 1e-15)
     }
     /// The value in microjoules.
     #[inline]
@@ -414,7 +345,7 @@ impl Time {
     }
     /// Creates a time from picoseconds.
     #[inline]
-    pub const fn from_picoseconds(ps: f64) -> Self {
+    pub(crate) const fn from_picoseconds(ps: f64) -> Self {
         Self(ps * 1e-12)
     }
     /// The value in nanoseconds.
@@ -432,7 +363,7 @@ impl Time {
 impl Area {
     /// Creates an area from square metres.
     #[inline]
-    pub const fn from_square_meters(m2: f64) -> Self {
+    pub(crate) const fn from_square_meters(m2: f64) -> Self {
         Self(m2)
     }
     /// Creates an area from square millimetres.
@@ -458,25 +389,10 @@ impl Area {
 }
 
 impl Frequency {
-    /// Creates a frequency from hertz.
-    #[inline]
-    pub const fn from_hertz(hz: f64) -> Self {
-        Self(hz)
-    }
     /// Creates a frequency from megahertz.
     #[inline]
-    pub const fn from_megahertz(mhz: f64) -> Self {
+    pub(crate) const fn from_megahertz(mhz: f64) -> Self {
         Self(mhz * 1e6)
-    }
-    /// Creates a frequency from gigahertz.
-    #[inline]
-    pub const fn from_gigahertz(ghz: f64) -> Self {
-        Self(ghz * 1e9)
-    }
-    /// The value in megahertz.
-    #[inline]
-    pub fn megahertz(self) -> f64 {
-        self.0 / 1e6
     }
     /// The period corresponding to this frequency.
     ///
@@ -484,7 +400,7 @@ impl Frequency {
     ///
     /// Panics in debug builds if the frequency is zero.
     #[inline]
-    pub fn period(self) -> Time {
+    pub(crate) fn period(self) -> Time {
         debug_assert!(self.0 != 0.0, "zero frequency has no finite period");
         Time(1.0 / self.0)
     }
@@ -591,7 +507,7 @@ mod tests {
         let e = p * t;
         assert!((e.picojoules() - 1000.0).abs() < 1e-9);
         let p2 = e / t;
-        assert!((p2.milliwatts() - 10.0).abs() < 1e-12);
+        assert!((p2.watts() - 10e-3).abs() < 1e-15);
         let t2 = e / p;
         assert!((t2.nanoseconds() - 100.0).abs() < 1e-12);
     }
@@ -601,19 +517,11 @@ mod tests {
         let v = Voltage::from_volts(1.0);
         let r = Resistance::from_kilo_ohms(2.0);
         let i = v / r;
-        assert!((i.microamperes() - 500.0).abs() < 1e-9);
+        assert!((i.amperes() - 500e-6).abs() < 1e-15);
         let p = v * i;
         assert!((p.microwatts() - 500.0).abs() < 1e-9);
         let v2 = i * r;
         assert!((v2.volts() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reciprocal_resistance_conductance() {
-        let r = Resistance::from_ohms(500.0);
-        let g = r.to_conductance();
-        assert!((g.siemens() - 0.002).abs() < 1e-15);
-        assert!((g.to_resistance().ohms() - 500.0).abs() < 1e-9);
     }
 
     #[test]
@@ -633,7 +541,7 @@ mod tests {
     #[test]
     fn sum_iterator() {
         let total: Power = (1..=4).map(|i| Power::from_milliwatts(i as f64)).sum();
-        assert!((total.milliwatts() - 10.0).abs() < 1e-12);
+        assert!((total.watts() - 10e-3).abs() < 1e-15);
     }
 
     #[test]

@@ -28,7 +28,7 @@ fn small_config() -> Config {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Cancel mid-campaign at a random trial budget, checkpoint every 2
     /// trials, resume — the final summary is bit-identical to the

@@ -163,7 +163,11 @@ fn stuck_cells_and_broken_bitline_simulate_end_to_end() {
         Resistance::from_ohms(10.0),
         Voltage::from_volts(0.3),
     )
-    .with_faults(map, Resistance::from_mega_ohms(1.0), Resistance::from_ohms(500.0));
+    .with_faults(
+        map,
+        Resistance::from_mega_ohms(1.0),
+        Resistance::from_ohms(500.0),
+    );
     let built = spec.build().unwrap();
     let solution = solve_dc(built.circuit(), &SolveOptions::default()).unwrap();
     assert!(solution.voltages().iter().all(|v| v.is_finite()));
@@ -232,6 +236,38 @@ fn ldl_answers_every_heavily_faulted_small_array() {
         }
     }
     assert_eq!(solves, 1_400);
+}
+
+#[test]
+fn deeply_nested_json_is_a_typed_error() {
+    // 100 000 levels overflow a thread's default stack on an unbounded
+    // recursive descent; the parser must refuse them instead.
+    let arrays = "[".repeat(100_000);
+    let objects = "{\"a\":".repeat(100_000);
+    let results = std::thread::spawn(move || {
+        [arrays, objects].map(|doc| mnsim::obs::parse_json(&doc).map(|_| ()))
+    })
+    .join()
+    .expect("the parser returns instead of overflowing its stack");
+    for result in results {
+        let message = result.expect_err("deep nesting must be refused");
+        assert!(message.contains("nesting deeper than"), "{message}");
+    }
+}
+
+#[test]
+fn netlist_node_ids_beyond_the_element_cards_are_typed_errors() {
+    use mnsim::circuit::netlist::from_netlist;
+    for id in ["100000000", "1000000000000", "18446744073709551615"] {
+        let text = format!("V1 1 0 DC 1\nR1 1 {id} 1000\n.end\n");
+        let result = from_netlist(&text);
+        assert!(
+            matches!(result, Err(CircuitError::NetlistParse { line: 2, .. })),
+            "node id {id}: {result:?}"
+        );
+    }
+    let grounded = from_netlist("V1 1 0 DC 1\nR1 1 2 1000\nR2 2 0 1000\n.end\n").unwrap();
+    assert_eq!(grounded.node_count(), 3);
 }
 
 #[test]
