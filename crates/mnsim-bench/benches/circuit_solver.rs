@@ -1,13 +1,13 @@
 //! Circuit-solver benches: the sparse LDLᵀ engine on the reduced crossbar
 //! system from 32 to 288 unknowns, for a one-shot `solve_dc` and for a
-//! backsolve on a `PreparedSystem` (DESIGN.md ablation 1, whose dense-LU
+//! repeated read on a held `Solver`, which re-assembles and backsolves on
+//! its factor without refactoring (DESIGN.md ablation 1, whose dense-LU
 //! counterpart EXPERIMENTS.md records), plus the Newton overhead of
 //! non-linear cells.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mnsim_circuit::batch::PreparedSystem;
 use mnsim_circuit::crossbar::CrossbarSpec;
-use mnsim_circuit::solve::{solve_dc, SolveOptions};
+use mnsim_circuit::solve::{solve_dc, Solver};
 use mnsim_tech::memristor::IvModel;
 use mnsim_tech::units::{Resistance, Voltage};
 
@@ -29,20 +29,16 @@ fn bench_ldl(c: &mut Criterion) {
     for &size in &[4usize, 6, 7, 8, 12] {
         let unknowns = 2 * size * size;
         let xbar = linear_spec(size).build().unwrap();
-        let rhs = xbar
+        let rhs = [xbar
             .input_rhs(&vec![Voltage::from_volts(0.5); size])
-            .unwrap();
-        let options = SolveOptions::default();
-        group.bench_with_input(
-            BenchmarkId::new("ldl_solve", unknowns),
-            &options,
-            |b, options| {
-                b.iter(|| solve_dc(xbar.circuit(), options).unwrap());
-            },
-        );
-        let mut prepared = PreparedSystem::build(xbar.circuit(), options).unwrap();
+            .unwrap()];
+        group.bench_function(BenchmarkId::new("ldl_solve", unknowns), |b| {
+            b.iter(|| solve_dc(xbar.circuit()).unwrap());
+        });
+        let mut solver = Solver::default();
+        solver.solve_batch(xbar.circuit(), &rhs).unwrap();
         group.bench_function(BenchmarkId::new("ldl_backsolve", unknowns), |b| {
-            b.iter(|| prepared.solve(xbar.circuit(), &rhs).unwrap());
+            b.iter(|| solver.solve_batch(xbar.circuit(), &rhs).unwrap());
         });
     }
     group.finish();
@@ -57,10 +53,10 @@ fn bench_newton_overhead(c: &mut Criterion) {
     nonlinear_spec.iv = IvModel::Sinh { alpha: 2.5 };
     let nonlinear = nonlinear_spec.build().unwrap();
     group.bench_function("linear", |b| {
-        b.iter(|| solve_dc(linear.circuit(), &SolveOptions::default()).unwrap());
+        b.iter(|| solve_dc(linear.circuit()).unwrap());
     });
     group.bench_function("nonlinear_newton", |b| {
-        b.iter(|| solve_dc(nonlinear.circuit(), &SolveOptions::default()).unwrap());
+        b.iter(|| solve_dc(nonlinear.circuit()).unwrap());
     });
     group.finish();
 }

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mnsim_circuit::crossbar::CrossbarSpec;
-use mnsim_circuit::solve::{solve_dc, SolveOptions};
+use mnsim_circuit::solve::solve_dc;
 use mnsim_core::accuracy::{AccuracyModel, Case};
 use mnsim_core::config::Config;
 use mnsim_core::modules::crossbar::CrossbarModel;
@@ -25,7 +25,7 @@ fn bench_circuit_solver(c: &mut Criterion) {
         spec.iv = config.device.iv;
         let xbar = spec.build().unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(size), &xbar, |b, xbar| {
-            b.iter(|| solve_dc(xbar.circuit(), &SolveOptions::default()).unwrap());
+            b.iter(|| solve_dc(xbar.circuit()).unwrap());
         });
     }
     group.finish();

@@ -33,7 +33,7 @@ pub fn run(sizes: &[usize]) -> Result<String, Box<dyn std::error::Error>> {
         "MNSIM (s)",
         &rows
             .iter()
-            .map(|r| format!("{:.7}", r.mnsim_seconds))
+            .map(|r| format!("{:.2e}", r.mnsim_seconds))
             .collect::<Vec<_>>(),
     ));
     out.push_str(&row(

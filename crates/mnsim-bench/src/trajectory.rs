@@ -21,9 +21,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use mnsim_circuit::batch::{solve_dc_batch, PreparedSystem, Rhs};
 use mnsim_circuit::crossbar::{CrossbarCircuit, CrossbarSpec};
-use mnsim_circuit::solve::{solve_dc, SolveOptions};
+use mnsim_circuit::solve::{solve_dc, Rhs, Solver};
 use mnsim_core::config::Config;
 use mnsim_core::dse::{Constraints, DesignSpace};
 use mnsim_core::exec::{self, RunControl};
@@ -185,8 +184,7 @@ fn dc_solve_workload(size: usize) -> impl FnMut() {
     );
     let xbar = spec.build().expect("uniform crossbar builds");
     move || {
-        let solution =
-            solve_dc(xbar.circuit(), &SolveOptions::default()).expect("healthy array solves");
+        let solution = solve_dc(xbar.circuit()).expect("healthy array solves");
         assert!(solution.voltages().iter().all(|v| v.is_finite()));
     }
 }
@@ -241,26 +239,25 @@ fn multi_rhs_crossbar() -> CrossbarCircuit {
 fn dc_solve_multi_serial_workload() -> impl FnMut() {
     let xbar = multi_rhs_crossbar();
     let drives = multi_rhs_drives();
-    let options = SolveOptions::default();
     move || {
         for drive in &drives {
             let circuit = xbar
                 .circuit()
                 .with_source_voltages(drive)
                 .expect("arity matches");
-            let solution = solve_dc(&circuit, &options).expect("healthy array solves");
+            let solution = solve_dc(&circuit).expect("healthy array solves");
             assert!(solution.voltages().iter().all(|v| v.is_finite()));
         }
     }
 }
 
-/// Batched path: one [`PreparedSystem`] per repetition, every input a
-/// cached backsolve. The setup asserts 1e-12 equivalence against the
-/// serial reference once, outside the timed region.
+/// Batched path: one fresh [`Solver`] per repetition, which analyzes and
+/// factors once, every input a backsolve on that factor. The setup asserts
+/// 1e-12 equivalence against the serial reference once, outside the timed
+/// region.
 fn dc_solve_batch_workload() -> impl FnMut() {
     let xbar = multi_rhs_crossbar();
     let drives = multi_rhs_drives();
-    let options = SolveOptions::default();
     let batch: Vec<Rhs> = drives
         .iter()
         .map(|drive| xbar.input_rhs(drive).expect("arity matches"))
@@ -268,16 +265,15 @@ fn dc_solve_batch_workload() -> impl FnMut() {
 
     // Equivalence gate (untimed): the batched solutions must match the
     // serial ones to 1e-12 relative, or the speedup below is meaningless.
-    let mut prepared = PreparedSystem::build(xbar.circuit(), options.clone())
-        .expect("linear crossbar prepares");
-    let batched =
-        solve_dc_batch(&mut prepared, xbar.circuit(), &batch).expect("batch solves");
+    let batched = Solver::default()
+        .solve_batch(xbar.circuit(), &batch)
+        .expect("batch solves");
     for (drive, solution) in drives.iter().zip(&batched) {
         let circuit = xbar
             .circuit()
             .with_source_voltages(drive)
             .expect("arity matches");
-        let serial = solve_dc(&circuit, &options).expect("healthy array solves");
+        let serial = solve_dc(&circuit).expect("healthy array solves");
         for (&a, &b) in serial.voltages().iter().zip(solution.voltages()) {
             let scale = a.abs().max(b.abs()).max(1.0);
             assert!(
@@ -288,10 +284,9 @@ fn dc_solve_batch_workload() -> impl FnMut() {
     }
 
     move || {
-        let mut prepared = PreparedSystem::build(xbar.circuit(), options.clone())
-            .expect("linear crossbar prepares");
-        let solutions =
-            solve_dc_batch(&mut prepared, xbar.circuit(), &batch).expect("batch solves");
+        let solutions = Solver::default()
+            .solve_batch(xbar.circuit(), &batch)
+            .expect("batch solves");
         assert_eq!(solutions.len(), MULTI_RHS_INPUTS);
     }
 }
@@ -322,37 +317,34 @@ fn sparse_bench_crossbar(state_kohms: f64) -> CrossbarCircuit {
 /// (AMD + elimination tree) and re-factors the reduced system from scratch.
 fn dc_solve_sparse_cold_workload() -> impl FnMut() {
     let xbar = sparse_bench_crossbar(10.0);
-    let options = SolveOptions::default();
     move || {
-        let solution = solve_dc(xbar.circuit(), &options).expect("healthy array solves");
+        let solution = solve_dc(xbar.circuit()).expect("healthy array solves");
         assert!(solution.voltages().iter().all(|v| v.is_finite()));
     }
 }
 
-/// Refactor fast path: one [`PreparedSystem`] holds the symbolic analysis
-/// and the stamp slot map; every repetition swaps in new cell conductances
-/// (same pattern), scatters them into the cached analysis, refactors, and
+/// Refactor fast path: one [`Solver`] holds the symbolic analysis and the
+/// stamp slot map; every repetition hands it new cell conductances (same
+/// pattern), which it scatters into the cached analysis, refactors, and
 /// backsolves — the per-trial regime of a fault campaign or a reprogrammed
 /// layer.
 fn dc_solve_sparse_refactor_workload() -> impl FnMut() {
     let states = [sparse_bench_crossbar(10.0), sparse_bench_crossbar(12.5)];
     let drive = vec![Voltage::from_volts(1.0); SPARSE_BENCH_SIZE];
-    let rhs = states[0].input_rhs(&drive).expect("arity matches");
-    let options = SolveOptions::default();
-    let mut prepared =
-        PreparedSystem::build(states[0].circuit(), options).expect("linear crossbar prepares");
+    let rhs = [states[0].input_rhs(&drive).expect("arity matches")];
+    let mut solver = Solver::default();
+    solver
+        .solve_batch(states[0].circuit(), &rhs)
+        .expect("healthy array solves");
     let mut flip = 0usize;
     move || {
         // Alternate between the two programmed states so every repetition
-        // performs a genuine value change, never an exact cache hit.
+        // performs a genuine value change, never an exact repeat.
         flip ^= 1;
-        let circuit = states[flip].circuit();
-        let refreshed = prepared
-            .try_value_refresh(circuit)
-            .expect("same-pattern refresh succeeds");
-        assert!(refreshed, "sparse engine must refresh in place");
-        let solution = prepared.solve(circuit, &rhs).expect("healthy array solves");
-        assert!(solution.voltages().iter().all(|v| v.is_finite()));
+        let solutions = solver
+            .solve_batch(states[flip].circuit(), &rhs)
+            .expect("healthy array solves");
+        assert!(solutions[0].voltages().iter().all(|v| v.is_finite()));
     }
 }
 

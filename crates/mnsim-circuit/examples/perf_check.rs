@@ -6,7 +6,7 @@
 //! ```
 
 use mnsim_circuit::crossbar::CrossbarSpec;
-use mnsim_circuit::solve::{solve_dc, SolveOptions};
+use mnsim_circuit::solve::solve_dc;
 use mnsim_tech::units::{Resistance, Voltage};
 use std::time::Instant;
 
@@ -23,7 +23,7 @@ fn main() {
         );
         let xbar = spec.build().expect("valid spec");
         let start = Instant::now();
-        let solution = solve_dc(xbar.circuit(), &SolveOptions::default()).expect("solvable");
+        let solution = solve_dc(xbar.circuit()).expect("solvable");
         let elapsed = start.elapsed();
         let out = xbar.output_voltages(&solution);
         println!(

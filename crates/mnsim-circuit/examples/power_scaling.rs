@@ -8,7 +8,7 @@
 //! ```
 
 use mnsim_circuit::crossbar::CrossbarSpec;
-use mnsim_circuit::solve::{solve_dc, SolveOptions};
+use mnsim_circuit::solve::solve_dc;
 use mnsim_tech::units::{Resistance, Voltage};
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
             );
             let xbar = spec.build().expect("valid spec");
             let solution =
-                solve_dc(xbar.circuit(), &SolveOptions::default()).expect("solvable");
+                solve_dc(xbar.circuit()).expect("solvable");
             let measured = solution.dissipated_power(xbar.circuit()).watts();
             let naive = (size * size) as f64 * v * v / r_cell;
             println!(

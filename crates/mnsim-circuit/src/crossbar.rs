@@ -278,7 +278,7 @@ impl CrossbarSpec {
     /// [`Self::ideal_output_voltages`] evaluated for an arbitrary input
     /// vector instead of `self.inputs` — the closed-form companion of
     /// solving one spec under many drive patterns (see
-    /// [`crate::batch::PreparedSystem`]).
+    /// [`crate::Solver::solve_batch`]).
     ///
     /// # Panics
     ///
@@ -343,7 +343,7 @@ impl CrossbarCircuit {
     ///
     /// Returns [`CircuitError::DimensionMismatch`] when `inputs` does not
     /// have one entry per row.
-    pub fn input_rhs(&self, inputs: &[Voltage]) -> Result<crate::batch::Rhs, CircuitError> {
+    pub fn input_rhs(&self, inputs: &[Voltage]) -> Result<crate::solve::Rhs, CircuitError> {
         if inputs.len() != self.spec.rows {
             return Err(CircuitError::DimensionMismatch {
                 expected: self.spec.rows,
@@ -351,7 +351,7 @@ impl CrossbarCircuit {
                 what: "crossbar input vector length",
             });
         }
-        Ok(crate::batch::Rhs::from_voltages(inputs))
+        Ok(crate::solve::Rhs::from_voltages(inputs))
     }
 
     /// Extracts the column output voltages from a solution.
@@ -388,7 +388,7 @@ impl CrossbarCircuit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solve::{solve_dc, SolveOptions};
+    use crate::solve::solve_dc;
 
     fn tiny_spec() -> CrossbarSpec {
         CrossbarSpec::uniform(
@@ -442,7 +442,7 @@ mod tests {
             Voltage::from_volts(1.0),
         );
         let xbar = spec.build().unwrap();
-        let sol = solve_dc(xbar.circuit(), &SolveOptions::default()).unwrap();
+        let sol = solve_dc(xbar.circuit()).unwrap();
         let got = xbar.output_voltages(&sol);
         let ideal = spec.ideal_output_voltages();
         for (g, i) in got.iter().zip(&ideal) {
@@ -469,7 +469,7 @@ mod tests {
         let ideal = spec.ideal_output_voltages();
         spec.iv = IvModel::Linear;
         let xbar = spec.build().unwrap();
-        let sol = solve_dc(xbar.circuit(), &SolveOptions::default()).unwrap();
+        let sol = solve_dc(xbar.circuit()).unwrap();
         let got = xbar.output_voltages(&sol);
         for (j, (g, i)) in got.iter().zip(&ideal).enumerate() {
             assert!(
@@ -510,7 +510,7 @@ mod tests {
     fn cell_and_sense_element_lookup() {
         let _session = mnsim_obs::session();
         let xbar = tiny_spec().build().unwrap();
-        let sol = solve_dc(xbar.circuit(), &SolveOptions::default()).unwrap();
+        let sol = solve_dc(xbar.circuit()).unwrap();
         // Current through a sense resistor equals output voltage / Rs.
         for col in 0..2 {
             let i = sol.element_current(xbar.sense_element(col)).amperes();
@@ -547,10 +547,10 @@ mod tests {
         assert_eq!(spec.effective_state(1, 0).ohms(), 10.0e3);
         // An LRS-stuck cell in column 0 pulls that output up.
         let xbar = spec.build().unwrap();
-        let sol = solve_dc(xbar.circuit(), &SolveOptions::default()).unwrap();
+        let sol = solve_dc(xbar.circuit()).unwrap();
         let faulty = xbar.output_voltages(&sol);
         let clean_xbar = tiny_spec().build().unwrap();
-        let clean_sol = solve_dc(clean_xbar.circuit(), &SolveOptions::default()).unwrap();
+        let clean_sol = solve_dc(clean_xbar.circuit()).unwrap();
         let clean = clean_xbar.output_voltages(&clean_sol);
         assert!(faulty[0].volts() > clean[0].volts());
     }
@@ -568,10 +568,10 @@ mod tests {
             Resistance::from_ohms(500.0),
         );
         let xbar = spec.build().unwrap();
-        let sol = solve_dc(xbar.circuit(), &SolveOptions::default()).unwrap();
+        let sol = solve_dc(xbar.circuit()).unwrap();
         let faulty = xbar.output_voltages(&sol);
         let clean_xbar = tiny_spec().build().unwrap();
-        let clean_sol = solve_dc(clean_xbar.circuit(), &SolveOptions::default()).unwrap();
+        let clean_sol = solve_dc(clean_xbar.circuit()).unwrap();
         let clean = clean_xbar.output_voltages(&clean_sol);
         // Half the drive current is gone; both columns sag well below clean.
         for (f, c) in faulty.iter().zip(&clean) {
@@ -595,7 +595,7 @@ mod tests {
         );
         assert_eq!(spec.ideal_output_voltages()[1].volts(), 0.0);
         let xbar = spec.build().unwrap();
-        let sol = solve_dc(xbar.circuit(), &SolveOptions::default()).unwrap();
+        let sol = solve_dc(xbar.circuit()).unwrap();
         // With the sense resistor near-open the column floats to the input
         // level instead of dividing — either way the *sensed current* is
         // negligible.
@@ -631,7 +631,7 @@ mod tests {
         spec.states[0] = Resistance::from_ohms(500.0);
         spec.states[2] = Resistance::from_ohms(500.0);
         let xbar = spec.build().unwrap();
-        let sol = solve_dc(xbar.circuit(), &SolveOptions::default()).unwrap();
+        let sol = solve_dc(xbar.circuit()).unwrap();
         let out = xbar.output_voltages(&sol);
         assert!(out[0].volts() > out[1].volts());
     }

@@ -50,17 +50,6 @@ pub enum CircuitError {
     /// A DC solve produced NaN or infinite node voltages or branch
     /// currents — numerically meaningless output that must not be used.
     NonFiniteSolution,
-    /// A [`crate::batch::PreparedSystem`] was asked to solve a circuit whose
-    /// conductance structure no longer matches the one it was built from
-    /// (e.g. a fault overlay or variation resample changed cell states).
-    /// The cached factorization would silently produce wrong answers, so the
-    /// solve is refused; rebuild the prepared system instead.
-    StalePreparedSystem {
-        /// Fingerprint of the circuit the system was prepared from.
-        expected: u64,
-        /// Fingerprint of the circuit presented at solve time.
-        actual: u64,
-    },
     /// A refactorization was handed a matrix whose sparsity pattern is not
     /// the one its symbolic analysis was computed for.
     PatternMismatch,
@@ -92,11 +81,6 @@ impl fmt::Display for CircuitError {
             CircuitError::NonFiniteSolution => {
                 write!(f, "the DC solve produced non-finite voltages or currents")
             }
-            CircuitError::StalePreparedSystem { expected, actual } => write!(
-                f,
-                "prepared system is stale: built for circuit fingerprint {expected:#018x}, \
-                 asked to solve {actual:#018x}; rebuild it after conductance changes"
-            ),
             CircuitError::PatternMismatch => write!(
                 f,
                 "sparsity pattern differs from the analyzed one; analyze the new pattern first"

@@ -8,19 +8,19 @@
 //!   reference (no solve path uses it),
 //! * [`mna`] — circuit representation (resistors, sources, memristors) and
 //!   the KCL residual of a solution ([`kcl_residual`]),
-//! * [`solve`] — DC operating-point analysis with chord Newton for
-//!   non-linear memristor cells; voltage sources are eliminated by node
-//!   merging (floating ones into supernodes), so every circuit solves on
-//!   one engine, and every solution is screened for NaN/∞,
+//! * [`solve`] — the one solver handle, [`Solver`]: DC operating points
+//!   with chord Newton for non-linear memristor cells, batches of reads
+//!   solved in lockstep on one factor ([`Rhs`]) and transients, on one
+//!   sparse workspace that refactors only when the values change and
+//!   re-maps only when the structure does. Voltage sources are eliminated
+//!   by node merging (floating ones into supernodes), so every circuit
+//!   solves on one engine, and every solution is screened for NaN/∞,
 //! * [`ldl`] — sparse LDLᵀ direct solver for the symmetric positive-definite
 //!   reduced systems (AMD ordering, elimination tree, then an up-looking or,
 //!   where the fill is dense, a supernodal multifrontal numeric
 //!   factorization) with a cached symbolic analysis, which the circuits of
 //!   one workload can share ([`ldl::SharedAnalyses`]), and a numeric-only
 //!   `refactor()` for same-pattern value updates,
-//! * [`batch`] — multi-RHS solving over a [`batch::PreparedSystem`] that
-//!   caches the assembled reduced system and its sparse LDLᵀ factor per
-//!   conductance structure, so each input costs one backsolve,
 //! * [`crossbar`] — memristor-crossbar netlist construction matching the
 //!   paper's resistor-network model (cells + `2MN` wire segments + sensing
 //!   resistors), with optional hard-defect overlays (stuck cells, broken
@@ -37,7 +37,7 @@
 //!
 //! ```
 //! use mnsim_circuit::crossbar::CrossbarSpec;
-//! use mnsim_circuit::solve::{solve_dc, SolveOptions};
+//! use mnsim_circuit::solve::solve_dc;
 //! use mnsim_tech::units::{Resistance, Voltage};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -49,7 +49,7 @@
 //!     Voltage::from_volts(1.0),         // inputs
 //! );
 //! let xbar = spec.build()?;
-//! let solution = solve_dc(xbar.circuit(), &SolveOptions::default())?;
+//! let solution = solve_dc(xbar.circuit())?;
 //! let outputs = xbar.output_voltages(&solution);
 //! assert_eq!(outputs.len(), 8);
 //! # Ok(())
@@ -61,7 +61,6 @@
 // Library code must surface failures as typed errors; tests may unwrap.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod batch;
 pub mod crossbar;
 pub mod dense;
 pub mod error;
@@ -72,10 +71,9 @@ pub mod solve;
 pub mod sparse;
 pub mod transient;
 
-pub use batch::{prepare_or_reuse, solve_dc_batch, PreparedSystem, Rhs};
 pub use crossbar::{CrossbarCircuit, CrossbarSpec, FaultOverlay};
 pub use error::CircuitError;
 pub use ldl::{analyze, SharedAnalyses, SparseLdl, SymbolicAnalysis};
 pub use mna::{kcl_residual, Circuit, DcSolution, Element};
-pub use solve::{solve_dc, SolveOptions};
+pub use solve::{solve_dc, Rhs, Solver};
 pub use transient::{solve_transient, TransientOptions, TransientResult};

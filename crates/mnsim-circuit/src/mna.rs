@@ -290,10 +290,10 @@ impl Circuit {
     /// Returns a copy of the circuit with every voltage source re-driven to
     /// the given values, in element insertion order.
     ///
-    /// The conductance structure is untouched, which is exactly the
-    /// invariant [`crate::batch::PreparedSystem`] relies on: a prepared
-    /// system built from `self` stays valid for any circuit produced by this
-    /// method.
+    /// The conductance structure is untouched, so a [`crate::Solver`] that
+    /// solved `self` refactors nothing for the re-driven circuit, and
+    /// [`crate::Solver::solve`] of it is what
+    /// [`crate::Solver::solve_batch`] answers for a read of these values.
     ///
     /// # Errors
     ///
@@ -452,7 +452,7 @@ mod tests {
             .unwrap();
         c.add_resistor(mid, Circuit::GROUND, Resistance::from_kilo_ohms(3.0))
             .unwrap();
-        let solution = crate::solve::solve_dc(&c, &crate::solve::SolveOptions::default()).unwrap();
+        let solution = crate::solve::solve_dc(&c).unwrap();
         assert!(kcl_residual(&c, &solution) < 1e-12);
     }
 

@@ -177,7 +177,7 @@ pub fn from_netlist(text: &str) -> Result<Circuit, CircuitError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solve::{solve_dc, SolveOptions};
+    use crate::solve::solve_dc;
 
     fn sample_circuit() -> Circuit {
         let mut c = Circuit::new();
@@ -219,9 +219,8 @@ mod tests {
         assert_eq!(restored.element_count(), original.element_count());
         assert!(restored.is_nonlinear());
 
-        let options = SolveOptions::default();
-        let sol_a = solve_dc(&original, &options).unwrap();
-        let sol_b = solve_dc(&restored, &options).unwrap();
+        let sol_a = solve_dc(&original).unwrap();
+        let sol_b = solve_dc(&restored).unwrap();
         for node in 0..original.node_count() {
             assert!(
                 (sol_a.voltage(node).volts() - sol_b.voltage(node).volts()).abs() < 1e-9,
@@ -235,7 +234,7 @@ mod tests {
         let _session = mnsim_obs::session();
         let text = "* divider\nV1 1 0 DC 10\nR1 1 2 1000\nR2 2 0 3000\n.end\n";
         let c = from_netlist(text).unwrap();
-        let sol = solve_dc(&c, &SolveOptions::default()).unwrap();
+        let sol = solve_dc(&c).unwrap();
         assert!((sol.voltage(2).volts() - 7.5).abs() < 1e-9);
     }
 
@@ -248,7 +247,7 @@ mod tests {
         let text = "* two cells\nV1 1 2 DC 1.5\nV2 2 3 DC 1.5\nV3 1 3 DC 3\n\
                     R1 1 0 100\nR2 3 0 200\n.end\n";
         let c = from_netlist(text).unwrap();
-        let sol = solve_dc(&c, &SolveOptions::default()).unwrap();
+        let sol = solve_dc(&c).unwrap();
         for (node, want) in [(1, 1.0), (2, -0.5), (3, -2.0)] {
             let got = sol.voltage(node).volts();
             assert!((got - want).abs() < 1e-12, "node {node}: {got} V");
@@ -265,7 +264,7 @@ mod tests {
         let _session = mnsim_obs::session();
         let text = "V1 1 0 5.0\nR1 1 0 100\n";
         let c = from_netlist(text).unwrap();
-        let sol = solve_dc(&c, &SolveOptions::default()).unwrap();
+        let sol = solve_dc(&c).unwrap();
         assert!((sol.voltage(1).volts() - 5.0).abs() < 1e-12);
     }
 

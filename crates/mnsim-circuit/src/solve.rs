@@ -1,6 +1,10 @@
-//! DC operating-point analysis.
+//! DC operating-point analysis, and the one solver handle.
 //!
-//! [`solve_dc`] computes the DC solution of a [`Circuit`]:
+//! [`Solver`] solves whatever circuit it is handed: at the circuit's own
+//! source values ([`Solver::solve`]), as a batch of reads
+//! ([`Solver::solve_batch`]) or as a transient ([`Solver::solve_transient`]).
+//! [`solve_dc`] and [`crate::transient::solve_transient`] are the same calls
+//! on a fresh handle.
 //!
 //! 1. **Linear circuits** are solved in one shot. The voltage sources are
 //!    eliminated by node merging (`Sources`): a node that a chain of
@@ -22,38 +26,48 @@
 //!    its companion model (differential conductance + equivalent current
 //!    source) at the kept iterate, and the Jacobian is assembled and
 //!    refactored. Later chord steps use that factor. The loop stops when a
-//!    kept step moves no node by `newton_tolerance` or more. Only kept
-//!    steps, chord or Newton, count against `newton_max_iterations`: an
-//!    undone chord trial is always followed by a Newton step, which counts.
-//!    Every linear solve stamps the same coordinates, so the sparse engine
-//!    analyzes the pattern once (`SparseWorkspace`).
+//!    kept step moves no node by `NEWTON_TOLERANCE` (1e-9 V) or more. Only
+//!    kept steps, chord or Newton, count against the budget of
+//!    `NEWTON_MAX_ITERATIONS` (60): an undone chord trial is always
+//!    followed by a Newton step, which counts. Every linear solve stamps
+//!    the same coordinates, so the sparse engine analyzes the pattern once
+//!    (`SparseWorkspace`).
 //!
 //! **Reads in lockstep.** The chord loop (`solve_reads`) solves any number
 //! of reads of one structure — one circuit under different source values —
-//! together; [`solve_dc`] is its one-read case, and
-//! [`crate::batch::PreparedSystem`] hands it blocks of up to eight. A read's
-//! source values enter only as the voltages of its fixed nodes and the
-//! offsets of its merged ones (`Sources::drive`): the low-field matrix,
-//! the KCL imbalance, the linearization and `finish` never read them. So
-//! the reads share one low-field assembly and factorization, and each
-//! sweep moves every read still in the block with one multi-column
-//! backsolve. A read whose chord step fails to halve its residual leaves
-//! the block; once the block is done, it continues alone from its kept
-//! iterate with the one-read steps — a Newton refactor, then chord steps
-//! on that factor. Every read takes exactly the steps it would take alone,
-//! so its result is bit-identical to a one-read solve.
+//! together; [`Solver::solve`] is its one-read case, and
+//! [`Solver::solve_batch`] hands it blocks of up to eight. A read's source
+//! values enter only as the voltages of its fixed nodes and the offsets of
+//! its merged ones (`Sources::drive`): the low-field matrix, the KCL
+//! imbalance, the linearization and `finish` never read them. So the reads
+//! share one low-field assembly and factorization, and each sweep moves
+//! every read still in the block with one multi-column backsolve. A read
+//! whose chord step fails to halve its residual leaves the block; once the
+//! block is done, it continues alone from its kept iterate with the
+//! one-read steps — a Newton refactor, then chord steps on that factor.
+//! Every read takes exactly the steps it would take alone, so its result
+//! is bit-identical to a one-read solve.
 //!
-//! Every circuit has one assembly, `assemble_reduced_into`, shared with
-//! [`crate::batch::PreparedSystem`] and the transient, so one-shot and
-//! prepared solves stamp, sum and factor identically. Every DC solution
-//! leaves through `finish`, which gives each voltage source its branch
-//! current and rejects NaN or infinite voltages and currents with
-//! [`CircuitError::NonFiniteSolution`].
+//! **No stale answer.** Every call binds the sources, linearizes and
+//! assembles the circuit it is handed, and the workspace compares what it
+//! holds with that assembly exactly: it refactors only if the summed values
+//! changed, and re-maps and re-checks for islands only if the structure —
+//! the matrix dimension and the stamp coordinates — changed, re-analyzing
+//! only a new pattern. A handle carries no key beside its workspace, so a
+//! value overlay, a resample or a new circuit can never meet a factor of
+//! another one.
+//!
+//! Every circuit has one assembly, `assemble_reduced_into`, shared with the
+//! transient, so one-shot and batched solves stamp, sum and factor
+//! identically. Every DC solution leaves through `finish`, which gives each
+//! voltage source its branch current and rejects NaN or infinite voltages
+//! and currents with [`CircuitError::NonFiniteSolution`].
 
 use std::sync::Arc;
 
 use mnsim_obs as obs;
 use mnsim_tech::memristor::IvModel;
+use mnsim_tech::units::Voltage;
 
 static DC_SOLVES: obs::Counter = obs::Counter::new("circuit.solve.dc_solves");
 static DC_SPAN: obs::Span = obs::Span::new("circuit.solve_dc", obs::Level::Stage);
@@ -70,53 +84,252 @@ pub(crate) static ASSEMBLE_SPAN: obs::Span =
     obs::Span::new("circuit.solve.assemble", obs::Level::Stage);
 static RESIDUAL_SPAN: obs::Span = obs::Span::new("circuit.solve.residual", obs::Level::Stage);
 static FINISH_SPAN: obs::Span = obs::Span::new("circuit.solve.finish", obs::Level::Stage);
+/// Batch calls that mapped a structure new to their handle.
+static BATCH_BUILDS: obs::Counter = obs::Counter::new("circuit.batch.prepared_builds");
+static BATCH_CALLS: obs::Counter = obs::Counter::new("circuit.batch.calls");
+/// Reads solved by batch calls.
+static BATCH_SOLVES: obs::Counter = obs::Counter::new("circuit.batch.solves");
+/// Batch reads of a non-linear circuit, each a chord-Newton solve rather
+/// than one direct backsolve.
+static BATCH_FALLBACKS: obs::Counter = obs::Counter::new("circuit.batch.nonlinear_fallbacks");
+static BATCH_SPAN: obs::Span = obs::Span::new("circuit.batch.solve", obs::Level::Stage);
 
 /// A chord step is kept only if it cuts the max-norm KCL residual to at
 /// most this fraction of the kept one.
 const CHORD_CONTRACTION: f64 = 0.5;
+/// A non-linear solve has converged when a kept step moves no node by this
+/// much or more, in volts.
+const NEWTON_TOLERANCE: f64 = 1e-9;
+/// Cap on the kept steps of a non-linear solve, chord or Newton.
+const NEWTON_MAX_ITERATIONS: usize = 60;
 
 use crate::error::CircuitError;
-use crate::ldl::{analyze, SharedAnalyses, SparseLdl};
+use crate::ldl::{analyze, SharedAnalyses, SparseLdl, BLOCK_COLUMNS};
 use crate::mna::{Circuit, DcSolution, Element};
 use crate::sparse::TripletMatrix;
+use crate::transient::{TransientOptions, TransientResult};
 
-/// Options for [`solve_dc`].
+/// One read of a circuit: the voltage of every ideal source, in element
+/// insertion order ([`crate::CrossbarCircuit::input_rhs`] builds one from a
+/// crossbar's word-line inputs).
 #[derive(Debug, Clone, PartialEq)]
-pub struct SolveOptions {
-    /// Newton convergence threshold on the largest node-voltage update of
-    /// a kept step, in volts.
-    pub newton_tolerance: f64,
-    /// Cap on the steps of a non-linear solve, chord or Newton.
-    pub newton_max_iterations: usize,
+pub struct Rhs {
+    volts: Vec<f64>,
 }
 
-impl Default for SolveOptions {
-    fn default() -> Self {
-        SolveOptions {
-            newton_tolerance: 1e-9,
-            newton_max_iterations: 60,
+impl Rhs {
+    /// Builds an RHS from typed source voltages.
+    pub(crate) fn from_voltages(voltages: &[Voltage]) -> Self {
+        Rhs {
+            volts: voltages.iter().map(|v| v.volts()).collect(),
         }
     }
 }
 
-/// The sparse factorization one circuit structure carries from one linear
-/// solve to the next: across the steps of a DC solve (whose chord steps
-/// backsolve on it), the steps of a transient run, and the reads and value
-/// overlays of a [`crate::batch::PreparedSystem`].
+/// The solver handle: one sparse workspace that solves whatever circuit it
+/// is handed, and carries its factor from one call to the next (see the
+/// [module docs](crate::solve)).
 ///
-/// It holds the stamp coordinates of the last solve, the map from each
-/// stamp to its CSC value slot, and the factor (whose analysis holds the
-/// CSC pattern). A solve whose stamps have the held coordinates scatters
-/// its values through the map in stamp order — no sort, no hash — and
-/// refactors only when the summed values changed. Other coordinates
-/// rebuild the map, and re-analyze only when the summed pattern changed.
-/// The first solve of a pattern goes through the same map, so duplicate
-/// stamps are summed in one order on every path, and since a refactor is
-/// bit-identical to a fresh factorization, the solutions never depend on
-/// what the workspace solved before. A workspace made with
-/// [`SparseWorkspace::sharing`] takes a new pattern's analysis from a
-/// [`SharedAnalyses`] set, which analyzes each pattern once for all the
-/// workspaces of one workload; the factor is the same bits.
+/// Every call binds the sources, linearizes and assembles the circuit it
+/// is given. The workspace then refactors only if the summed values
+/// changed since its last factor, and re-maps the stamps and re-checks the
+/// structure for islands only if the matrix dimension or the stamp
+/// coordinates changed, re-analyzing only a pattern it does not hold. So a
+/// handle that solves one crossbar under many reads, fault overlays or
+/// resamples analyzes it once and refactors per value change, and every
+/// answer is bit-identical to a one-shot solve of the same circuit,
+/// whatever the handle solved before. A handle made with
+/// [`Solver::sharing`] takes a new pattern's analysis from a
+/// [`SharedAnalyses`] set.
+#[derive(Debug, Clone)]
+pub struct Solver {
+    workspace: SparseWorkspace,
+    /// The low-field linearization of the last circuit, refilled in place.
+    lin: Vec<Option<Linearized>>,
+    /// Cap on the kept steps of each read: `NEWTON_MAX_ITERATIONS`, lower
+    /// only in the unit tests that exhaust it.
+    max_steps: usize,
+}
+
+impl Default for Solver {
+    fn default() -> Self {
+        Solver {
+            workspace: SparseWorkspace::default(),
+            lin: Vec::new(),
+            max_steps: NEWTON_MAX_ITERATIONS,
+        }
+    }
+}
+
+impl Solver {
+    /// A handle whose new patterns take their symbolic analysis from
+    /// `analyses`: every answer is bit-identical to a [`Solver::default`]
+    /// handle's, and a pattern is analyzed only if no earlier solve sharing
+    /// the set analyzed it.
+    pub fn sharing(analyses: &SharedAnalyses) -> Solver {
+        Solver {
+            workspace: SparseWorkspace {
+                analyses: Some(analyses.clone()),
+                ..SparseWorkspace::default()
+            },
+            ..Solver::default()
+        }
+    }
+
+    /// Solves the DC operating point of `circuit` at its own source values.
+    ///
+    /// # Errors
+    ///
+    /// Propagates solver failures ([`CircuitError::SingularSystem`],
+    /// [`CircuitError::NewtonNoConvergence`]), rejects a solution with a
+    /// NaN or infinite voltage or current
+    /// ([`CircuitError::NonFiniteSolution`]), and reports topology errors
+    /// (a node driven by two conflicting sources).
+    pub fn solve(&mut self, circuit: &Circuit) -> Result<DcSolution, CircuitError> {
+        let _span = DC_SPAN.enter();
+        DC_SOLVES.inc();
+        let sources = Sources::of(circuit);
+        let drive = sources.drive(&source_volts(circuit))?;
+        self.refill(circuit, &sources)?;
+        let mut outcomes = solve_reads(
+            circuit,
+            &self.lin,
+            &sources,
+            vec![Ok(drive)],
+            self.max_steps,
+            &mut self.workspace,
+        );
+        outcomes.pop().ok_or(CircuitError::DimensionMismatch {
+            expected: 1,
+            actual: 0,
+            what: "read outcome count",
+        })?
+    }
+
+    /// Solves `circuit` under every read of `reads`, in blocks of up to
+    /// eight whose reads step in lockstep on one factor (see the
+    /// [module docs](crate::solve)). Each solution is bit-identical to
+    /// [`Solver::solve`] of the circuit re-driven by its read
+    /// ([`Circuit::with_source_voltages`]).
+    ///
+    /// # Errors
+    ///
+    /// * [`CircuitError::DimensionMismatch`] for a read without one value
+    ///   per voltage source.
+    /// * Otherwise the error of the first failing read, in read order,
+    ///   which is that read's [`Solver::solve`] error; the blocks after its
+    ///   own are not solved.
+    pub fn solve_batch(
+        &mut self,
+        circuit: &Circuit,
+        reads: &[Rhs],
+    ) -> Result<Vec<DcSolution>, CircuitError> {
+        let _span = BATCH_SPAN.enter();
+        BATCH_CALLS.inc();
+        let sources = Sources::of(circuit);
+        if let Some(rhs) = reads.iter().find(|rhs| rhs.volts.len() != sources.len()) {
+            return Err(CircuitError::DimensionMismatch {
+                expected: sources.len(),
+                actual: rhs.volts.len(),
+                what: "rhs source-voltage count",
+            });
+        }
+        let nonlinear = circuit.is_nonlinear();
+        let mut solutions = Vec::with_capacity(reads.len());
+        for (k, block) in reads.chunks(BLOCK_COLUMNS).enumerate() {
+            BATCH_SOLVES.add(block.len() as u64);
+            if nonlinear {
+                BATCH_FALLBACKS.add(block.len() as u64);
+            }
+            let drives: Vec<_> = block.iter().map(|rhs| sources.drive(&rhs.volts)).collect();
+            // Every block starts on the low-field factor. A linear block
+            // leaves it as it is; a non-linear one may leave a Jacobian
+            // factored, so the next block refills.
+            if k == 0 || nonlinear {
+                match self.refill(circuit, &sources) {
+                    Ok(new) => {
+                        if new && k == 0 {
+                            BATCH_BUILDS.inc();
+                        }
+                    }
+                    // The block's first read fails, with its own source
+                    // values' error if they have one, as it would alone.
+                    Err(e) => {
+                        return Err(match drives.into_iter().next() {
+                            Some(Err(drive)) => drive,
+                            _ => e,
+                        })
+                    }
+                }
+            }
+            let outcomes = solve_reads(
+                circuit,
+                &self.lin,
+                &sources,
+                drives,
+                self.max_steps,
+                &mut self.workspace,
+            );
+            for outcome in outcomes {
+                solutions.push(outcome?);
+            }
+        }
+        Ok(solutions)
+    }
+
+    /// Runs a backward-Euler transient of `circuit` on this handle's
+    /// workspace (see [`crate::transient`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates per-step solver failures and rejects a non-positive step
+    /// or a window shorter than one step.
+    pub fn solve_transient(
+        &mut self,
+        circuit: &Circuit,
+        options: &TransientOptions,
+    ) -> Result<TransientResult, CircuitError> {
+        crate::transient::run(circuit, options, &mut self.workspace)
+    }
+
+    /// Assembles the low-field system of `circuit`, bound by `sources`,
+    /// and makes the held factor factor it; returns whether the structure
+    /// was new to the handle.
+    fn refill(&mut self, circuit: &Circuit, sources: &Sources) -> Result<bool, CircuitError> {
+        linearize_into(&mut self.lin, circuit, None);
+        let _assemble = ASSEMBLE_SPAN.enter();
+        self.workspace.refill(circuit, &self.lin, sources)
+    }
+}
+
+/// Solves the DC operating point of `circuit` on a fresh [`Solver`].
+///
+/// # Errors
+///
+/// Same as [`Solver::solve`].
+pub fn solve_dc(circuit: &Circuit) -> Result<DcSolution, CircuitError> {
+    Solver::default().solve(circuit)
+}
+
+/// The sparse factorization a [`Solver`] carries from one linear solve to
+/// the next: across the steps of a DC solve (whose chord steps backsolve on
+/// it), the steps of a transient run, and the reads, value overlays and
+/// circuits of later calls.
+///
+/// It holds the structure of its last factor — the matrix dimension and
+/// the stamp coordinates, in stamp order — the map from each stamp to its
+/// CSC value slot, and the factor (whose analysis holds the CSC pattern).
+/// A solve whose stamps have the held structure scatters its values
+/// through the map in stamp order — no sort, no hash — and refactors only
+/// when the summed values changed. A new structure is checked for islands
+/// (`ReducedSystem::island`) and re-mapped, and re-analyzed only when its
+/// summed pattern is new. The first solve of a pattern goes through the
+/// same map, so duplicate stamps are summed in one order on every path,
+/// and since a refactor is bit-identical to a fresh factorization, the
+/// solutions never depend on what the workspace solved before. A
+/// workspace made by [`Solver::sharing`] takes a new pattern's analysis
+/// from a [`SharedAnalyses`] set, which analyzes each pattern once for all
+/// the workspaces of one workload; the factor is the same bits.
 ///
 /// It also keeps the buffers of the last reduced system assembled through
 /// it, and refills them in place: a Newton loop or a transient run
@@ -126,8 +339,10 @@ impl Default for SolveOptions {
 pub(crate) struct SparseWorkspace {
     /// Assembly buffers of the last reduced system assembled through this
     /// workspace: the node numbering, the stamps and the right-hand-side
-    /// plan a prepared system replays.
+    /// plan.
     pub(crate) system: ReducedSystem,
+    /// Dimension of the structure the map was built for.
+    unknowns: usize,
     /// Stamp coordinates the map was built for, in stamp order.
     coords: Vec<(usize, usize)>,
     /// CSC value slot of each stamp.
@@ -141,34 +356,58 @@ pub(crate) struct SparseWorkspace {
     /// The set a new pattern's analysis comes from; `None` analyzes it
     /// here.
     analyses: Option<SharedAnalyses>,
-    /// Whether the structure was checked for islands
-    /// (`ReducedSystem::island`). A workspace carries one circuit
-    /// structure, so its first assembly checks, and the later ones — Newton
-    /// steps, value refreshes, transient steps — do not.
-    checked: bool,
 }
 
 impl SparseWorkspace {
-    /// An empty workspace whose analyses come from `analyses`.
-    pub(crate) fn sharing(analyses: &SharedAnalyses) -> SparseWorkspace {
-        SparseWorkspace {
-            analyses: Some(analyses.clone()),
-            ..SparseWorkspace::default()
-        }
+    /// Assembles the reduced system of `circuit` under `lin` into the held
+    /// buffers ([`assemble_reduced_into`]) and, when it has unknowns, makes
+    /// the held factor factor it: the one assemble-and-factor of DC solves,
+    /// Newton steps, batch blocks and transient steps. Returns whether the
+    /// structure was new; a new structure with an island, an unknown with
+    /// no conductive path to ground, is [`CircuitError::SingularSystem`]
+    /// before any factorization (`ReducedSystem::island`).
+    pub(crate) fn refill(
+        &mut self,
+        circuit: &Circuit,
+        lin: &[Option<Linearized>],
+        sources: &Sources,
+    ) -> Result<bool, CircuitError> {
+        let mut system = std::mem::take(&mut self.system);
+        assemble_reduced_into(&mut system, circuit, lin, sources);
+        let factored = if system.unknowns == 0 {
+            Ok(false)
+        } else {
+            self.factor(&system, circuit, lin)
+        };
+        self.system = system;
+        factored
     }
 
-    /// Makes the held factor factor the stamped matrix, as cheaply as the
-    /// held state allows.
-    pub(crate) fn factor(&mut self, stamps: &TripletMatrix) -> Result<(), CircuitError> {
-        let entries = stamps.entries();
-        let mapped = self.ldl.is_some()
+    /// Makes the held factor factor `system`'s matrix, as cheaply as the
+    /// held state allows; returns whether its structure was new.
+    fn factor(
+        &mut self,
+        system: &ReducedSystem,
+        circuit: &Circuit,
+        lin: &[Option<Linearized>],
+    ) -> Result<bool, CircuitError> {
+        let entries = system.stamps.entries();
+        let held = self.ldl.is_some()
+            && system.unknowns == self.unknowns
             && entries.len() == self.coords.len()
             && entries
                 .iter()
                 .zip(&self.coords)
                 .all(|(&(r, c, _), &rc)| (r, c) == rc);
-        if !mapped {
-            let (csc, slots) = stamps.to_csc_with_slots();
+        if !held {
+            if let Some(at) = system.island(circuit, lin) {
+                // A failed refill leaves no usable factor, as a failed
+                // refactor does.
+                self.values.clear();
+                return Err(CircuitError::SingularSystem { at });
+            }
+            let (csc, slots) = system.stamps.to_csc_with_slots();
+            self.unknowns = system.unknowns;
             self.coords = entries.iter().map(|&(r, c, _)| (r, c)).collect();
             self.slots = slots;
             if !self
@@ -185,7 +424,7 @@ impl SparseWorkspace {
                 };
                 self.ldl = Some(Box::new(SparseLdl::factor_with(&csc, symbolic)?));
                 self.values = csc.into_values();
-                return Ok(());
+                return Ok(true);
             }
         }
         let nnz = self.ldl.as_ref().map_or(0, |ldl| ldl.symbolic().nnz());
@@ -203,40 +442,7 @@ impl SparseWorkspace {
             }
             std::mem::swap(&mut self.values, &mut self.next_values);
         }
-        Ok(())
-    }
-
-    /// Assembles the reduced system of `circuit` under `lin` into the held
-    /// buffers ([`assemble_reduced_into`]) and, when it has unknowns, makes
-    /// the held factor factor it: the one assemble-and-factor of one-shot
-    /// solves, Newton steps, prepared builds and value refreshes. On the
-    /// workspace's first assembly, an island with no conductive path to
-    /// ground is [`CircuitError::SingularSystem`] before any factorization
-    /// (`ReducedSystem::island`).
-    pub(crate) fn refill(
-        &mut self,
-        circuit: &Circuit,
-        lin: &[Option<Linearized>],
-        sources: &Sources,
-    ) -> Result<(), CircuitError> {
-        let mut system = std::mem::take(&mut self.system);
-        assemble_reduced_into(&mut system, circuit, lin, sources);
-        let factored = if system.unknowns == 0 {
-            Ok(())
-        } else if let Some(at) = (!self.checked)
-            .then(|| system.island(circuit, lin))
-            .flatten()
-        {
-            // A failed refill leaves no usable factor, as a failed
-            // refactor does.
-            self.values.clear();
-            Err(CircuitError::SingularSystem { at })
-        } else {
-            self.checked = true;
-            self.factor(&system.stamps)
-        };
-        self.system = system;
-        factored
+        Ok(!held)
     }
 
     /// Rebuilds only the right-hand-side plan of the held system under
@@ -295,60 +501,6 @@ pub(crate) struct Linearized {
     pub(crate) ieq: f64,
 }
 
-/// Solves the DC operating point of `circuit`.
-///
-/// # Errors
-///
-/// Propagates solver failures ([`CircuitError::SingularSystem`],
-/// [`CircuitError::NewtonNoConvergence`]), rejects a solution with a NaN or
-/// infinite voltage or current ([`CircuitError::NonFiniteSolution`]), and
-/// reports topology errors (a node driven by two conflicting sources).
-pub fn solve_dc(circuit: &Circuit, options: &SolveOptions) -> Result<DcSolution, CircuitError> {
-    solve_dc_in(circuit, options, &mut SparseWorkspace::default())
-}
-
-/// [`solve_dc`] with the symbolic analysis of the circuit's pattern taken
-/// from `analyses`: bit-identical to [`solve_dc`], and the pattern is
-/// analyzed only if no earlier solve sharing the set analyzed it.
-///
-/// # Errors
-///
-/// Same as [`solve_dc`].
-pub fn solve_dc_sharing(
-    circuit: &Circuit,
-    options: &SolveOptions,
-    analyses: &SharedAnalyses,
-) -> Result<DcSolution, CircuitError> {
-    solve_dc_in(circuit, options, &mut SparseWorkspace::sharing(analyses))
-}
-
-/// [`solve_dc`] on a caller-held [`SparseWorkspace`], so repeated solves of
-/// one structure share its analysis: the one-read case of `solve_reads`.
-pub(crate) fn solve_dc_in(
-    circuit: &Circuit,
-    options: &SolveOptions,
-    workspace: &mut SparseWorkspace,
-) -> Result<DcSolution, CircuitError> {
-    let _span = DC_SPAN.enter();
-    DC_SOLVES.inc();
-    // Every memristor at its low-field resistance. The refill also
-    // refactors the held factor back to the low-field matrix if an earlier
-    // solve left a Jacobian there, so the result never depends on what the
-    // workspace solved before.
-    let lin = linearize(circuit, None);
-    let assemble = ASSEMBLE_SPAN.enter();
-    let sources = Sources::of(circuit);
-    let drive = sources.drive(&source_volts(circuit))?;
-    workspace.refill(circuit, &lin, &sources)?;
-    drop(assemble);
-    let mut outcomes = solve_reads(circuit, &lin, &sources, vec![Ok(drive)], options, workspace);
-    outcomes.pop().ok_or(CircuitError::DimensionMismatch {
-        expected: 1,
-        actual: 0,
-        what: "read outcome count",
-    })?
-}
-
 /// One read in the chord loop: its kept iterate and the state of its
 /// steps.
 #[derive(Debug)]
@@ -370,7 +522,7 @@ struct Lane {
     residual: f64,
     /// Largest node move of the last kept step, NaN before the first.
     last_update: f64,
-    /// Kept steps, chord or Newton, against `newton_max_iterations`.
+    /// Kept steps, chord or Newton, against the step budget.
     steps: usize,
     /// The read's result once it has one; `None` while it steps.
     outcome: Option<Result<DcSolution, CircuitError>>,
@@ -413,10 +565,10 @@ impl Lane {
         finish(circuit, &lin, sources, voltages)
     }
 
-    /// The error of a read whose step budget ran out.
-    fn exhausted(&self, options: &SolveOptions) -> CircuitError {
+    /// The error of a read whose budget of `max_steps` ran out.
+    fn exhausted(&self, max_steps: usize) -> CircuitError {
         CircuitError::NewtonNoConvergence {
-            iterations: options.newton_max_iterations,
+            iterations: max_steps,
             last_update: self.last_update,
         }
     }
@@ -426,13 +578,14 @@ impl Lane {
 /// docs). `workspace` holds the factored low-field system of `circuit`
 /// under `lin` — for a linear circuit its only system — assembled with
 /// `sources`. Each entry of `drives` is one read's [`Drive`] or the error
-/// that read already failed with. Returns one outcome per read, in order.
-pub(crate) fn solve_reads(
+/// that read already failed with; each read takes at most `max_steps` kept
+/// steps. Returns one outcome per read, in order.
+fn solve_reads(
     circuit: &Circuit,
     lin: &[Option<Linearized>],
     sources: &Sources,
     drives: Vec<Result<Drive, CircuitError>>,
-    options: &SolveOptions,
+    max_steps: usize,
     workspace: &mut SparseWorkspace,
 ) -> Vec<Result<DcSolution, CircuitError>> {
     let mut lanes: Vec<Lane> = drives.into_iter().map(Lane::new).collect();
@@ -454,14 +607,14 @@ pub(crate) fn solve_reads(
             lane.residual =
                 kcl.imbalance(circuit, &lane.voltages, &workspace.system, &mut lane.inflow);
         }
-        chord_sweeps(circuit, sources, &mut lanes, options, workspace, &mut kcl);
+        chord_sweeps(circuit, sources, &mut lanes, max_steps, workspace, &mut kcl);
     }
     lanes
         .into_iter()
         .map(|mut lane| match lane.outcome.take() {
             Some(outcome) => outcome,
             // The read left the block, or there was none to take.
-            None => continue_alone(circuit, sources, &mut lane, options, workspace, chord),
+            None => continue_alone(circuit, sources, &mut lane, max_steps, workspace, chord),
         })
         .collect()
 }
@@ -504,7 +657,7 @@ fn chord_sweeps(
     circuit: &Circuit,
     sources: &Sources,
     lanes: &mut [Lane],
-    options: &SolveOptions,
+    max_steps: usize,
     workspace: &SparseWorkspace,
     kcl: &mut Kcl,
 ) {
@@ -513,10 +666,10 @@ fn chord_sweeps(
     let mut block: Vec<&mut Lane> = lanes.iter_mut().filter(|lane| lane.open()).collect();
     while !block.is_empty() {
         block.retain_mut(|lane| {
-            if lane.steps < options.newton_max_iterations {
+            if lane.steps < max_steps {
                 return true;
             }
-            lane.outcome = Some(Err(lane.exhausted(options)));
+            lane.outcome = Some(Err(lane.exhausted(max_steps)));
             false
         });
         // Each lane's imbalance becomes its step in place.
@@ -550,7 +703,7 @@ fn chord_sweeps(
             lane.residual = residual;
             lane.last_update = max_update(&lane.voltages, &trial);
             std::mem::swap(&mut lane.voltages, &mut trial);
-            if lane.last_update < options.newton_tolerance {
+            if lane.last_update < NEWTON_TOLERANCE {
                 lane.outcome = Some(lane.converge(circuit, sources));
                 return false;
             }
@@ -568,15 +721,15 @@ fn continue_alone(
     circuit: &Circuit,
     sources: &Sources,
     lane: &mut Lane,
-    options: &SolveOptions,
+    max_steps: usize,
     workspace: &mut SparseWorkspace,
     chord: bool,
 ) -> Result<DcSolution, CircuitError> {
     let mut kcl = Kcl::default();
     let mut next = Vec::new();
     loop {
-        if lane.steps == options.newton_max_iterations {
-            return Err(lane.exhausted(options));
+        if lane.steps == max_steps {
+            return Err(lane.exhausted(max_steps));
         }
         lane.steps += 1;
         NEWTON_ITERATIONS.inc();
@@ -590,7 +743,7 @@ fn continue_alone(
         }
         lane.last_update = max_update(&lane.voltages, &next);
         std::mem::swap(&mut lane.voltages, &mut next);
-        if lane.last_update < options.newton_tolerance {
+        if lane.last_update < NEWTON_TOLERANCE {
             return lane.converge(circuit, sources);
         }
         if chord {
@@ -598,7 +751,7 @@ fn continue_alone(
                 circuit,
                 sources,
                 std::slice::from_mut(lane),
-                options,
+                max_steps,
                 workspace,
                 &mut kcl,
             );
@@ -1028,8 +1181,8 @@ impl ReducedSystem {
 
 /// Assembles the reduced system of `circuit` under the linearization `lin`
 /// into `system`, with `sources` binding the nodes. This is the one
-/// reduced assembly behind [`solve_dc`], [`crate::batch::PreparedSystem`]
-/// and the transient. The buffers keep their capacity, and the stamps and
+/// reduced assembly behind every [`Solver`] call, the transient's
+/// included. The buffers keep their capacity, and the stamps and
 /// the plan come out in the same order as from a fresh assembly.
 pub(crate) fn assemble_reduced_into(
     system: &mut ReducedSystem,
@@ -1296,7 +1449,6 @@ fn sum_leaving(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{EngineKind, PreparedSystem, Rhs};
     use crate::crossbar::{CrossbarCircuit, CrossbarSpec};
     use crate::dense::DenseMatrix;
     use crate::mna::kcl_residual;
@@ -1345,26 +1497,32 @@ mod tests {
     /// The reference: full Newton, each linearization analyzed, factored
     /// and solved on a fresh workspace. Returns the voltages and the
     /// iterations, each of which is a refactor on a shared workspace.
-    fn full_newton(
-        circuit: &Circuit,
-        options: &SolveOptions,
-    ) -> Result<(Vec<f64>, u64), CircuitError> {
+    fn full_newton(circuit: &Circuit) -> Result<(Vec<f64>, u64), CircuitError> {
         let fresh = |lin: &[Option<Linearized>]| {
             solve_linear(circuit, lin, &mut SparseWorkspace::default())
         };
         let mut voltages = fresh(&linearize(circuit, None))?;
-        for iteration in 1..=options.newton_max_iterations {
+        for iteration in 1..=NEWTON_MAX_ITERATIONS {
             let next = fresh(&linearize(circuit, Some(&voltages)))?;
             let update = max_update(&voltages, &next);
             voltages = next;
-            if update < options.newton_tolerance {
+            if update < NEWTON_TOLERANCE {
                 return Ok((voltages, iteration as u64));
             }
         }
         Err(CircuitError::NewtonNoConvergence {
-            iterations: options.newton_max_iterations,
+            iterations: NEWTON_MAX_ITERATIONS,
             last_update: f64::NAN,
         })
+    }
+
+    /// A handle whose reads take at most `max_steps` kept steps: the
+    /// crate-private way to a small step budget.
+    fn budget(max_steps: usize) -> Solver {
+        Solver {
+            max_steps,
+            ..Solver::default()
+        }
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -1373,7 +1531,7 @@ mod tests {
 
     /// The chord loop on a warm workspace, left holding a Jacobian, is
     /// bit-identical to the loop on a fresh one, and both are within
-    /// 2 × `newton_tolerance` of full Newton. The chord contracts
+    /// 2 × `NEWTON_TOLERANCE` of full Newton. The chord contracts
     /// linearly, so the error left when a step moves no node by the
     /// tolerance is about that last step: 6e-11 V on the 8×8 array.
     #[test]
@@ -1382,16 +1540,15 @@ mod tests {
             let _session = obs::session();
             let xbar = sinh_crossbar(size);
             let circuit = xbar.circuit();
-            let options = SolveOptions::default();
-            let (reference, iterations) = full_newton(circuit, &options).unwrap();
+            let (reference, iterations) = full_newton(circuit).unwrap();
             assert!(iterations >= 3, "only {iterations} Newton iterations");
 
-            let fresh = solve_dc_in(circuit, &options, &mut SparseWorkspace::default()).unwrap();
-            let mut warm = SparseWorkspace::default();
+            let fresh = solve_dc(circuit).unwrap();
+            let mut warm = Solver::default();
             let jacobian = linearize(circuit, Some(&reference));
-            solve_linear(circuit, &jacobian, &mut warm).unwrap();
+            solve_linear(circuit, &jacobian, &mut warm.workspace).unwrap();
             for _ in 0..2 {
-                let again = solve_dc_in(circuit, &options, &mut warm).unwrap();
+                let again = warm.solve(circuit).unwrap();
                 assert_eq!(
                     bits(again.voltages()),
                     bits(fresh.voltages()),
@@ -1401,7 +1558,7 @@ mod tests {
 
             let worst = max_update(fresh.voltages(), &reference);
             assert!(
-                worst <= 2.0 * options.newton_tolerance,
+                worst <= 2.0 * NEWTON_TOLERANCE,
                 "{size}x{size}: {worst:e} V from full Newton"
             );
         }
@@ -1447,13 +1604,12 @@ mod tests {
 
     /// Chord Newton against full Newton on a harsh sweep. Every case full
     /// Newton answers, the chord answers too: node voltages within
-    /// 2 × `newton_tolerance`, a KCL residual within max(1e-9 A, 10 × full
+    /// 2 × `NEWTON_TOLERANCE`, a KCL residual within max(1e-9 A, 10 × full
     /// Newton's), and no more refactors than full Newton's iterations.
     /// Cells at α = 8 and 1.5 V carry amperes, so the residual bound
     /// follows the reference. One named case must take the rollback.
     #[test]
     fn chord_answers_every_harsh_case_full_newton_answers() {
-        let options = SolveOptions::default();
         let mut answered = 0;
         for size in [8, 16, 32] {
             for alpha in [1.0, 2.5, 4.0, 6.0, 8.0] {
@@ -1463,11 +1619,11 @@ mod tests {
                         let session = obs::session();
                         let xbar = harsh_crossbar(size, alpha, v_max, stuck);
                         let circuit = xbar.circuit();
-                        let Ok((reference, iterations)) = full_newton(circuit, &options) else {
+                        let Ok((reference, iterations)) = full_newton(circuit) else {
                             continue;
                         };
                         obs::reset();
-                        let chord = solve_dc(circuit, &options).unwrap_or_else(|e| {
+                        let chord = solve_dc(circuit).unwrap_or_else(|e| {
                             panic!("{case}: full Newton answers, the chord: {e}")
                         });
                         let snap = session.snapshot();
@@ -1475,7 +1631,7 @@ mod tests {
 
                         let worst = max_update(chord.voltages(), &reference);
                         assert!(
-                            worst <= 2.0 * options.newton_tolerance,
+                            worst <= 2.0 * NEWTON_TOLERANCE,
                             "{case}: {worst:e} V from full Newton"
                         );
                         let lin = linearize(circuit, Some(&reference));
@@ -1526,15 +1682,16 @@ mod tests {
             .collect()
     }
 
-    /// Each read solved alone by `solve_dc` on its re-driven circuit.
+    /// Each read solved alone, by a fresh handle with a budget of
+    /// `max_steps`, on its re-driven circuit.
     fn one_read_solves(
         circuit: &Circuit,
         reads: &[Vec<Voltage>],
-        options: &SolveOptions,
+        max_steps: usize,
     ) -> Result<Vec<DcSolution>, CircuitError> {
         reads
             .iter()
-            .map(|read| solve_dc(&circuit.with_source_voltages(read)?, options))
+            .map(|read| budget(max_steps).solve(&circuit.with_source_voltages(read)?))
             .collect()
     }
 
@@ -1573,7 +1730,7 @@ mod tests {
         }
     }
 
-    /// The reads of a prepared batch step in lockstep, yet each is a
+    /// The reads of a batch step in lockstep, yet each is a
     /// one-read solve: on sinh crossbars from 8×8 to 64×64 every read of
     /// `solve_batch` is bit-identical to `solve_dc` of its re-driven
     /// circuit, voltages and currents. The harsh arrays (α up to 8,
@@ -1582,7 +1739,6 @@ mod tests {
     #[test]
     fn batch_reads_are_bit_identical_to_one_read_solves() {
         let session = obs::session();
-        let options = SolveOptions::default();
         let mut newton_steps = 0;
         for (size, alpha, v_max, stuck, count) in [
             (8, 2.5, 1.0, 0.0, 10),
@@ -1599,13 +1755,11 @@ mod tests {
             let reads = seeded_reads(size, count, v_max, size as u64 + count as u64);
             let batch: Vec<Rhs> = reads.iter().map(|r| xbar.input_rhs(r).unwrap()).collect();
             obs::reset();
-            let got = PreparedSystem::build(circuit, options.clone())
-                .unwrap()
-                .solve_batch(circuit, &batch);
+            let got = Solver::default().solve_batch(circuit, &batch);
             newton_steps += session
                 .snapshot()
                 .counter("circuit.solve.newton_iterations");
-            let want = one_read_solves(circuit, &reads, &options);
+            let want = one_read_solves(circuit, &reads, NEWTON_MAX_ITERATIONS);
             assert_eq!(same_outcomes(circuit, &got, &want), Ok(()), "{case}");
         }
         assert!(newton_steps > 0, "no read left its block");
@@ -1633,37 +1787,27 @@ mod tests {
             IvModel::Sinh { alpha: 3.0 },
         )
         .unwrap();
-        let options = SolveOptions::default();
         let volts = [[0.8, 0.8], [0.5, 0.7], [0.3, 0.3]];
         let batch: Vec<Rhs> = volts
             .iter()
             .map(|v| Rhs::from_voltages(&v.map(Voltage::from_volts)))
             .collect();
-        let got = PreparedSystem::build(&c, options.clone())
-            .unwrap()
-            .solve_batch(&c, &batch)
-            .unwrap_err();
+        let got = Solver::default().solve_batch(&c, &batch).unwrap_err();
         let redriven = c
             .with_source_voltages(&[Voltage::from_volts(0.5), Voltage::from_volts(0.7)])
             .unwrap();
-        let want = solve_dc(&redriven, &options).unwrap_err();
+        let want = solve_dc(&redriven).unwrap_err();
         assert!(
             matches!(want, CircuitError::InvalidElement { .. }),
             "{want:?}"
         );
         assert_eq!(got, want);
 
-        let options = SolveOptions {
-            newton_max_iterations: 1,
-            ..SolveOptions::default()
-        };
         let xbar = sinh_crossbar(8);
         let reads = seeded_reads(8, 4, 1.0, 5);
         let batch: Vec<Rhs> = reads.iter().map(|r| xbar.input_rhs(r).unwrap()).collect();
-        let got = PreparedSystem::build(xbar.circuit(), options.clone())
-            .unwrap()
-            .solve_batch(xbar.circuit(), &batch);
-        let want = one_read_solves(xbar.circuit(), &reads, &options);
+        let got = budget(1).solve_batch(xbar.circuit(), &batch);
+        let want = one_read_solves(xbar.circuit(), &reads, 1);
         assert!(
             matches!(
                 want,
@@ -1675,6 +1819,201 @@ mod tests {
         assert_eq!(same_outcomes(xbar.circuit(), &got, &want), Ok(()));
     }
 
+    fn rhs(volts: &[f64]) -> Rhs {
+        Rhs {
+            volts: volts.to_vec(),
+        }
+    }
+
+    fn uniform_spec(rows: usize, cols: usize) -> CrossbarSpec {
+        CrossbarSpec::uniform(
+            rows,
+            cols,
+            Resistance::from_kilo_ohms(10.0),
+            Resistance::from_ohms(2.0),
+            Resistance::from_ohms(500.0),
+            Voltage::from_volts(1.0),
+        )
+    }
+
+    fn ramp_inputs(rows: usize, k: usize) -> Vec<Voltage> {
+        (0..rows)
+            .map(|i| Voltage::from_volts(0.2 + 0.05 * (i + k) as f64 / rows as f64))
+            .collect()
+    }
+
+    #[test]
+    fn solver_is_thread_portable() {
+        // The parallel execution engine shares built circuits across
+        // worker threads by reference and gives each worker its own
+        // handle: every field is owned data, so both stay `Send + Sync`.
+        fn assert_thread_portable<T: Send + Sync>() {}
+        assert_thread_portable::<Solver>();
+        assert_thread_portable::<crate::crossbar::CrossbarCircuit>();
+        assert_thread_portable::<Circuit>();
+        assert_thread_portable::<Rhs>();
+    }
+
+    /// Linear batch reads at 18 and 128 unknowns are bit-identical to
+    /// one-shot solves of the re-driven circuits.
+    #[test]
+    fn linear_batch_reads_match_one_shot_solves_bitwise() {
+        let _session = obs::session();
+        for size in [3, 8] {
+            let xbar = uniform_spec(size, size).build().unwrap();
+            let reads: Vec<Vec<Voltage>> = (0..4).map(|k| ramp_inputs(size, k)).collect();
+            let batch: Vec<Rhs> = reads.iter().map(|r| Rhs::from_voltages(r)).collect();
+            let got = Solver::default().solve_batch(xbar.circuit(), &batch);
+            let want = one_read_solves(xbar.circuit(), &reads, NEWTON_MAX_ITERATIONS);
+            assert_eq!(same_outcomes(xbar.circuit(), &got, &want), Ok(()));
+        }
+    }
+
+    /// A value overlay on a handle's structure, on a linear crossbar and
+    /// on a floating-source circuit, refactors the held analysis in place:
+    /// no new analysis, one refactor, and the answer of a fresh handle bit
+    /// for bit.
+    #[test]
+    fn value_overlay_refactors_in_place() {
+        let session = obs::session();
+        let floating = |load: f64| {
+            let mut c = Circuit::new();
+            let a = c.add_node();
+            let b = c.add_node();
+            c.add_resistor(a, Circuit::GROUND, Resistance::from_ohms(100.0))
+                .unwrap();
+            c.add_voltage_source(a, b, Voltage::from_volts(2.0))
+                .unwrap();
+            c.add_resistor(b, Circuit::GROUND, Resistance::from_ohms(load))
+                .unwrap();
+            c
+        };
+        let clean = uniform_spec(8, 8).build().unwrap();
+        let mut faulty_spec = uniform_spec(8, 8);
+        faulty_spec.states[13] = Resistance::from_kilo_ohms(100.0);
+        let faulty = faulty_spec.build().unwrap();
+        for (old, new, read) in [
+            (
+                clean.circuit().clone(),
+                faulty.circuit().clone(),
+                ramp_inputs(8, 2),
+            ),
+            (
+                floating(330.0),
+                floating(47.0),
+                vec![Voltage::from_volts(0.7)],
+            ),
+        ] {
+            let batch = [Rhs::from_voltages(&read)];
+            let mut handle = Solver::default();
+            handle.solve_batch(&old, &batch).unwrap();
+            obs::reset();
+            let got = handle.solve_batch(&new, &batch);
+            let snap = session.snapshot();
+            assert_eq!(snap.counter("solver.klu.analyses"), 0);
+            assert_eq!(snap.counter("solver.klu.refactor"), 1);
+            assert_eq!(snap.counter("circuit.batch.prepared_builds"), 0);
+            let want = one_read_solves(&new, &[read], NEWTON_MAX_ITERATIONS);
+            assert_eq!(same_outcomes(&new, &got, &want), Ok(()));
+        }
+    }
+
+    #[test]
+    fn empty_batch_returns_no_solutions() {
+        let _session = obs::session();
+        let xbar = uniform_spec(2, 2).build().unwrap();
+        let solutions = Solver::default().solve_batch(xbar.circuit(), &[]).unwrap();
+        assert!(solutions.is_empty());
+    }
+
+    #[test]
+    fn rhs_arity_checked() {
+        let _session = obs::session();
+        let xbar = uniform_spec(3, 3).build().unwrap();
+        // 3 sources expected.
+        assert!(matches!(
+            Solver::default().solve_batch(xbar.circuit(), &[rhs(&[1.0, 2.0])]),
+            Err(CircuitError::DimensionMismatch { .. })
+        ));
+    }
+
+    /// A floating source between two grounded resistors, plus a grounded
+    /// source and a current source so that every right-hand-side op kind
+    /// is replayed: the batch reads of the merged system are bit-identical
+    /// to the one-shot solves, whose assembly they share.
+    #[test]
+    fn floating_source_batch_reads_are_bit_identical_to_one_shot() {
+        let _session = obs::session();
+        let mut c = Circuit::new();
+        let a = c.add_node();
+        let b = c.add_node();
+        let top = c.add_node();
+        c.add_resistor(a, Circuit::GROUND, Resistance::from_ohms(100.0))
+            .unwrap();
+        c.add_resistor(b, Circuit::GROUND, Resistance::from_ohms(330.0))
+            .unwrap();
+        c.add_voltage_source(a, b, Voltage::from_volts(2.0))
+            .unwrap();
+        c.add_voltage_source(top, Circuit::GROUND, Voltage::from_volts(0.7))
+            .unwrap();
+        c.add_resistor(top, b, Resistance::from_ohms(47.0)).unwrap();
+        c.add_current_source(Circuit::GROUND, a, Current::from_amperes(1.3e-3))
+            .unwrap();
+        let reads: Vec<Vec<Voltage>> = [(1.0, 0.7), (2.0, -0.1), (-3.0, 1e-3)]
+            .iter()
+            .map(|&(v1, v2)| vec![Voltage::from_volts(v1), Voltage::from_volts(v2)])
+            .collect();
+        let batch: Vec<Rhs> = reads.iter().map(|r| Rhs::from_voltages(r)).collect();
+        let got = Solver::default().solve_batch(&c, &batch);
+        let want = one_read_solves(&c, &reads, NEWTON_MAX_ITERATIONS);
+        assert_eq!(same_outcomes(&c, &got, &want), Ok(()));
+    }
+
+    /// A NaN source value fails like the one-shot solve of the re-driven
+    /// circuit, with a typed error on linear and sinh cells alike, not a
+    /// panic on a driven node's missing unknown.
+    #[test]
+    fn nan_source_value_is_the_one_shot_error() {
+        let _session = obs::session();
+        for iv in [IvModel::Linear, IvModel::Sinh { alpha: 2.0 }] {
+            let mut s = uniform_spec(3, 3);
+            s.iv = iv;
+            let xbar = s.build().unwrap();
+            let volts = [0.5, f64::NAN, 0.4];
+            let got = Solver::default()
+                .solve_batch(xbar.circuit(), &[rhs(&volts)])
+                .unwrap_err();
+            let inputs: Vec<Voltage> = volts.iter().map(|&v| Voltage::from_volts(v)).collect();
+            let patched = xbar.circuit().with_source_voltages(&inputs).unwrap();
+            let want = solve_dc(&patched).unwrap_err();
+            assert_eq!(got, want, "{iv:?}");
+            if iv == IvModel::Linear {
+                assert_eq!(got, CircuitError::NonFiniteSolution);
+            }
+        }
+    }
+
+    #[test]
+    fn conflicting_rhs_drivers_rejected() {
+        let _session = obs::session();
+        // Two sources onto the same node: fine while values agree,
+        // rejected when the read makes them disagree.
+        let mut c = Circuit::new();
+        let a = c.add_node();
+        c.add_voltage_source(a, Circuit::GROUND, Voltage::from_volts(1.0))
+            .unwrap();
+        c.add_voltage_source(a, Circuit::GROUND, Voltage::from_volts(1.0))
+            .unwrap();
+        c.add_resistor(a, Circuit::GROUND, Resistance::from_ohms(10.0))
+            .unwrap();
+        let mut handle = Solver::default();
+        assert!(handle.solve_batch(&c, &[rhs(&[2.0, 2.0])]).is_ok());
+        assert!(matches!(
+            handle.solve_batch(&c, &[rhs(&[1.0, 2.0])]),
+            Err(CircuitError::InvalidElement { .. })
+        ));
+    }
+
     #[test]
     fn budget_exhaustion_reports_the_last_kept_update() {
         let _session = obs::session();
@@ -1682,16 +2021,12 @@ mod tests {
         // on the LDLᵀ engine.
         for size in [8, 4] {
             let xbar = sinh_crossbar(size);
-            let options = SolveOptions {
-                newton_max_iterations: 1,
-                ..SolveOptions::default()
-            };
-            match solve_dc(xbar.circuit(), &options) {
+            match budget(1).solve(xbar.circuit()) {
                 Err(CircuitError::NewtonNoConvergence {
                     iterations: 1,
                     last_update,
                 }) => assert!(
-                    last_update.is_finite() && last_update >= options.newton_tolerance,
+                    last_update.is_finite() && last_update >= NEWTON_TOLERANCE,
                     "{size}x{size}: last update {last_update}"
                 ),
                 other => panic!("{size}x{size}: {other:?}"),
@@ -1842,28 +2177,36 @@ mod tests {
     #[test]
     fn workspace_recovers_from_a_failed_refactor() {
         let _session = obs::session();
-        let stamps = |off: f64| {
-            let mut t = TripletMatrix::new(2, 2);
-            for (r, c, v) in [(0, 0, 2.0), (0, 1, off), (1, 0, off), (1, 1, 2.0)] {
-                t.add(r, c, v);
-            }
-            t
+        // Two unknowns, each grounded through a resistor and joined by a
+        // third, fed by a current source: the matrix is
+        // [[g₀ + g₁, −g₁], [−g₁, g₁ + g₂]].
+        let mut c = Circuit::new();
+        let a = c.add_node();
+        let b = c.add_node();
+        for (n1, n2) in [(a, Circuit::GROUND), (a, b), (b, Circuit::GROUND)] {
+            c.add_resistor(n1, n2, Resistance::from_ohms(1.0)).unwrap();
+        }
+        c.add_current_source(Circuit::GROUND, a, Current::from_amperes(1.0))
+            .unwrap();
+        let lin = |g: [f64; 3]| -> Vec<Option<Linearized>> {
+            g.iter()
+                .map(|&g| Some(Linearized { g, ieq: 0.0 }))
+                .chain([None])
+                .collect()
         };
         let mut workspace = SparseWorkspace::default();
-        let mut solve = |off: f64| {
-            workspace.factor(&stamps(off))?;
-            Ok::<_, CircuitError>(workspace.factored().unwrap().solve(&[1.0, 0.0]))
-        };
-        let x = solve(-1.0).unwrap();
+        let x = solve_linear(&c, &lin([1.0, 1.0, 1.0]), &mut workspace).unwrap();
         // Same coordinates, indefinite values: the refactor fails and
         // leaves no usable factor behind.
         assert!(matches!(
-            solve(-3.0),
+            solve_linear(&c, &lin([-1.0, 3.0, -1.0]), &mut workspace),
             Err(CircuitError::SingularSystem { .. })
         ));
         assert!(workspace.factored().is_none());
-        workspace.factor(&stamps(-1.0)).unwrap();
-        assert_eq!(workspace.factored().unwrap().solve(&[1.0, 0.0]), x);
+        assert_eq!(
+            solve_linear(&c, &lin([1.0, 1.0, 1.0]), &mut workspace).unwrap(),
+            x
+        );
     }
 
     #[test]
@@ -1878,7 +2221,7 @@ mod tests {
             .unwrap();
         c.add_resistor(mid, Circuit::GROUND, Resistance::from_kilo_ohms(3.0))
             .unwrap();
-        let sol = solve_dc(&c, &SolveOptions::default()).unwrap();
+        let sol = solve_dc(&c).unwrap();
         assert_close(sol.voltage(mid).volts(), 7.5, 1e-9);
     }
 
@@ -1894,7 +2237,7 @@ mod tests {
             .unwrap();
         c.add_resistor(mid, Circuit::GROUND, Resistance::from_ohms(100.0))
             .unwrap();
-        let sol = solve_dc(&c, &SolveOptions::default()).unwrap();
+        let sol = solve_dc(&c).unwrap();
         assert_eq!(sol.voltage(mid).volts(), 0.5);
     }
 
@@ -1919,7 +2262,7 @@ mod tests {
         )
         .build()
         .unwrap();
-        let solution = solve_dc(xbar.circuit(), &SolveOptions::default()).unwrap();
+        let solution = solve_dc(xbar.circuit()).unwrap();
         let residual = kcl_residual(xbar.circuit(), &solution);
         assert!(residual < 1e-6, "residual {residual}");
         let outputs = xbar.output_voltages(&solution);
@@ -1938,10 +2281,7 @@ mod tests {
             .unwrap();
         c.add_resistor(n, Circuit::GROUND, Resistance::from_ohms(1e-10))
             .unwrap();
-        assert_eq!(
-            solve_dc(&c, &SolveOptions::default()).unwrap_err(),
-            CircuitError::NonFiniteSolution
-        );
+        assert_eq!(solve_dc(&c).unwrap_err(), CircuitError::NonFiniteSolution);
     }
 
     #[test]
@@ -1953,7 +2293,7 @@ mod tests {
             .unwrap();
         c.add_resistor(n, Circuit::GROUND, Resistance::from_kilo_ohms(1.0))
             .unwrap();
-        let sol = solve_dc(&c, &SolveOptions::default()).unwrap();
+        let sol = solve_dc(&c).unwrap();
         assert_close(sol.voltage(n).volts(), 2.0, 1e-9);
     }
 
@@ -1974,7 +2314,7 @@ mod tests {
         c.add_resistor(right, Circuit::GROUND, r).unwrap();
         c.add_resistor(left, right, Resistance::from_ohms(123.0))
             .unwrap();
-        let sol = solve_dc(&c, &SolveOptions::default()).unwrap();
+        let sol = solve_dc(&c).unwrap();
         assert_close(
             sol.voltage(left).volts() - sol.voltage(right).volts(),
             0.0,
@@ -1995,7 +2335,7 @@ mod tests {
             .unwrap();
         c.add_resistor(a, Circuit::GROUND, Resistance::from_ohms(300.0))
             .unwrap();
-        let sol = solve_dc(&c, &SolveOptions::default()).unwrap();
+        let sol = solve_dc(&c).unwrap();
         assert_close(
             sol.source_power(&c).watts(),
             sol.dissipated_power(&c).watts(),
@@ -2022,15 +2362,13 @@ mod tests {
         let source = c
             .add_voltage_source(a, b, Voltage::from_volts(2.0))
             .unwrap();
-        let sol = solve_dc(&c, &SolveOptions::default()).unwrap();
+        let sol = solve_dc(&c).unwrap();
         assert_close(sol.voltage(a).volts() - sol.voltage(b).volts(), 2.0, 1e-12);
         // Symmetry: va = +1, vb = −1.
         assert_close(sol.voltage(a).volts(), 1.0, 1e-12);
         assert_close(sol.voltage(b).volts(), -1.0, 1e-12);
         let through = sol.element_current(shunt).amperes();
         assert_close(sol.element_current(source).amperes(), -through - 0.01, 1e-3);
-        let prepared = PreparedSystem::build(&c, SolveOptions::default()).unwrap();
-        assert_eq!(prepared.engine_kind(), EngineKind::SparseDirect);
     }
 
     /// The net current leaving each non-ground node through its elements
@@ -2106,7 +2444,7 @@ mod tests {
             ),
             ("parallel", parallel, 0.1, [(first, -0.1), (second, 0.0)]),
         ] {
-            let sol = solve_dc(&circuit, &SolveOptions::default()).unwrap();
+            let sol = solve_dc(&circuit).unwrap();
             for (source, want) in currents {
                 let got = sol.element_current(source).amperes();
                 assert!(
@@ -2139,7 +2477,7 @@ mod tests {
         c.add_resistor(a, Circuit::GROUND, Resistance::from_ohms(1.0))
             .unwrap();
         assert!(matches!(
-            solve_dc(&c, &SolveOptions::default()),
+            solve_dc(&c),
             Err(CircuitError::InvalidElement { .. })
         ));
     }
@@ -2160,8 +2498,8 @@ mod tests {
         };
         let (lin_c, lin_m) = build(IvModel::Linear);
         let (non_c, non_m) = build(IvModel::Sinh { alpha: 2.0 });
-        let lin_sol = solve_dc(&lin_c, &SolveOptions::default()).unwrap();
-        let non_sol = solve_dc(&non_c, &SolveOptions::default()).unwrap();
+        let lin_sol = solve_dc(&lin_c).unwrap();
+        let non_sol = solve_dc(&non_c).unwrap();
         let i_lin = lin_sol.element_current(lin_m).amperes();
         let i_non = non_sol.element_current(non_m).amperes();
         assert!(i_non > i_lin, "{i_non} vs {i_lin}");
@@ -2189,7 +2527,7 @@ mod tests {
                 IvModel::Sinh { alpha: 3.0 },
             )
             .unwrap();
-        let sol = solve_dc(&c, &SolveOptions::default()).unwrap();
+        let sol = solve_dc(&c).unwrap();
         let i_r = sol.element_current(r).amperes();
         let i_m = sol.element_current(m).amperes();
         assert_close(i_r, i_m, 1e-12);
@@ -2212,13 +2550,9 @@ mod tests {
             IvModel::Sinh { alpha: 2.0 },
         )
         .unwrap();
-        let options = SolveOptions {
-            newton_max_iterations: 0,
-            ..SolveOptions::default()
-        };
         // No step ran, so there is no update to report.
         assert!(matches!(
-            solve_dc(&c, &options),
+            budget(0).solve(&c),
             Err(CircuitError::NewtonNoConvergence { iterations: 0, last_update })
                 if last_update.is_nan()
         ));
@@ -2241,7 +2575,7 @@ mod tests {
             c.add_resistor(b, mid, Resistance::from_ohms(220.0)).unwrap();
             c.add_resistor(mid, Circuit::GROUND, Resistance::from_ohms(330.0))
                 .unwrap();
-            let sol = solve_dc(&c, &SolveOptions::default()).unwrap();
+            let sol = solve_dc(&c).unwrap();
             sol.voltage(mid).volts()
         };
         let both = build(1.0, 2.0);
@@ -2323,24 +2657,21 @@ mod tests {
 
     /// The full-MNA engine's Newton loop: every step assembles and solves
     /// anew.
-    fn full_mna_newton(
-        circuit: &Circuit,
-        options: &SolveOptions,
-    ) -> Result<(Vec<f64>, Vec<f64>), CircuitError> {
+    fn full_mna_newton(circuit: &Circuit) -> Result<(Vec<f64>, Vec<f64>), CircuitError> {
         let mut solved = full_mna(circuit, &linearize(circuit, None))?;
         if !circuit.is_nonlinear() {
             return Ok(solved);
         }
-        for _ in 0..options.newton_max_iterations {
+        for _ in 0..NEWTON_MAX_ITERATIONS {
             let next = full_mna(circuit, &linearize(circuit, Some(&solved.0)))?;
             let update = max_update(&solved.0, &next.0);
             solved = next;
-            if update < options.newton_tolerance {
+            if update < NEWTON_TOLERANCE {
                 return Ok(solved);
             }
         }
         Err(CircuitError::NewtonNoConvergence {
-            iterations: options.newton_max_iterations,
+            iterations: NEWTON_MAX_ITERATIONS,
             last_update: f64::NAN,
         })
     }
@@ -2557,18 +2888,17 @@ mod tests {
     /// Node merging against the full-MNA oracle on seeded random circuits
     /// with floating sources: linear circuits within 1e-11 of max |v|
     /// (source currents within 1e-11 of g_max·v_max), sinh cells within
-    /// 2 × `newton_tolerance` of the oracle's Newton. Consistent loops of
+    /// 2 × `NEWTON_TOLERANCE` of the oracle's Newton. Consistent loops of
     /// sources solve, conflicting ones are `InvalidElement`, islands are
     /// `SingularSystem`. Every linear solution closes KCL, counting source
     /// currents, within 1e-13 of g_max·v_max and balances the power within
-    /// 1e-13 of g_max·v_max²; every source holds its value; and a prepared
+    /// 1e-13 of g_max·v_max²; every source holds its value; and a batch
     /// read is bit-identical to the one-shot solve. Every sinh case that the
     /// oracle's Newton answers, the merged solve answers within the same
     /// step budget: only kept steps count against it.
     #[test]
     fn merged_sources_match_the_full_mna_oracle() {
         let _session = obs::session();
-        let options = SolveOptions::default();
         let mut tally = std::collections::BTreeMap::<&str, usize>::new();
         let mut count = |what| *tally.entry(what).or_default() += 1;
         // Worst ratio of each check to its scale.
@@ -2577,8 +2907,8 @@ mod tests {
             let sinh = seed % 4 == 3;
             let (circuit, expect) = floating_case(seed, sinh);
             let case = format!("seed {seed}: {expect:?}");
-            let oracle = || full_mna_newton(&circuit, &options);
-            let sol = match (expect, solve_dc(&circuit, &options)) {
+            let oracle = || full_mna_newton(&circuit);
+            let sol = match (expect, solve_dc(&circuit)) {
                 (Expect::Conflict, Err(CircuitError::InvalidElement { .. })) => {
                     count("conflicts");
                     continue;
@@ -2611,17 +2941,16 @@ mod tests {
                 .into_iter()
                 .map(Voltage::from_volts)
                 .collect();
-            let volts = Rhs::from_voltages(&volts);
-            let prepared = PreparedSystem::build(&circuit, options.clone())
-                .and_then(|mut prepared| prepared.solve(&circuit, &volts))
-                .unwrap_or_else(|e| panic!("{case}: prepared read failed: {e}"));
-            assert_eq!(bits(prepared.voltages()), bits(sol.voltages()), "{case}");
+            let read = Solver::default()
+                .solve_batch(&circuit, &[Rhs::from_voltages(&volts)])
+                .unwrap_or_else(|e| panic!("{case}: batch read failed: {e}"));
+            assert_eq!(bits(read[0].voltages()), bits(sol.voltages()), "{case}");
             let currents = |s: &DcSolution| {
                 (0..circuit.element_count())
                     .map(|e| s.element_current(e).amperes().to_bits())
                     .collect::<Vec<_>>()
             };
-            assert_eq!(currents(&prepared), currents(&sol), "{case}");
+            assert_eq!(currents(&read[0]), currents(&sol), "{case}");
 
             if !sinh {
                 let kcl = kcl_with_sources(&circuit, &sol);
@@ -2651,7 +2980,7 @@ mod tests {
             if sinh {
                 count("sinh");
                 assert!(
-                    moved <= 2.0 * options.newton_tolerance,
+                    moved <= 2.0 * NEWTON_TOLERANCE,
                     "{case}: {moved:e} V from the oracle's Newton"
                 );
                 worst[3] = worst[3].max(moved);
@@ -2693,25 +3022,31 @@ mod tests {
     }
 
     /// A grounded circuit with a resistor island beside it is
-    /// `SingularSystem`, one-shot and prepared: a 1 V divider tied to
-    /// ground, and three to six nodes joined by resistors of 10 Ω–100 kΩ
-    /// with no conductive path to the rest. The LDLᵀ pivot test alone took
-    /// the rounding residue of the island's last pivot for a pivot in 168
-    /// of these 500 cases, so the structure is checked by union-find.
+    /// `SingularSystem`, one-shot and as a batch read on a handle that
+    /// first solved the divider alone: a 1 V divider tied to ground, and
+    /// three to six nodes joined by resistors of 10 Ω–100 kΩ with no
+    /// conductive path to the rest. The LDLᵀ pivot test alone took the
+    /// rounding residue of the island's last pivot for a pivot in 168 of
+    /// these 500 cases, so every new structure is checked by union-find.
     #[test]
     fn grounded_circuits_with_a_resistor_island_are_singular() {
         let _session = obs::session();
+        let mut divider = Circuit::new();
+        let top = divider.add_node();
+        let mid = divider.add_node();
+        divider
+            .add_voltage_source(top, Circuit::GROUND, Voltage::from_volts(1.0))
+            .unwrap();
+        divider
+            .add_resistor(top, mid, Resistance::from_kilo_ohms(1.0))
+            .unwrap();
+        divider
+            .add_resistor(mid, Circuit::GROUND, Resistance::from_kilo_ohms(1.0))
+            .unwrap();
+        let read = [Rhs::from_voltages(&[Voltage::from_volts(1.0)])];
         for seed in 0..500u64 {
             let mut rng = Xorshift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
-            let mut c = Circuit::new();
-            let top = c.add_node();
-            let mid = c.add_node();
-            c.add_voltage_source(top, Circuit::GROUND, Voltage::from_volts(1.0))
-                .unwrap();
-            c.add_resistor(top, mid, Resistance::from_kilo_ohms(1.0))
-                .unwrap();
-            c.add_resistor(mid, Circuit::GROUND, Resistance::from_kilo_ohms(1.0))
-                .unwrap();
+            let mut c = divider.clone();
             let island = c.add_nodes(3 + rng.below(4));
             let resistor = |c: &mut Circuit, rng: &mut Xorshift, n1: usize, n2: usize| {
                 let r = Resistance::from_ohms(10.0 * 10f64.powf(4.0 * rng.uniform()));
@@ -2729,18 +3064,17 @@ mod tests {
                 }
             }
             assert!(
-                matches!(
-                    solve_dc(&c, &SolveOptions::default()),
-                    Err(CircuitError::SingularSystem { .. })
-                ),
+                matches!(solve_dc(&c), Err(CircuitError::SingularSystem { .. })),
                 "seed {seed}: one-shot solve"
             );
+            let mut handle = Solver::default();
+            assert_eq!(handle.solve(&divider).unwrap().voltage(mid).volts(), 0.5);
             assert!(
                 matches!(
-                    PreparedSystem::build(&c, SolveOptions::default()),
+                    handle.solve_batch(&c, &read),
                     Err(CircuitError::SingularSystem { .. })
                 ),
-                "seed {seed}: prepared build"
+                "seed {seed}: batch read"
             );
         }
     }

@@ -16,19 +16,22 @@
 //! choice for the stiff RC meshes of crossbars.
 //!
 //! Every step stamps the same sparsity pattern, so the whole run shares
-//! one sparse analysis (or takes it from a [`SharedAnalyses`] set, with
-//! [`solve_transient_sharing`]), and binds the same sources to the same
-//! values, so the sources are bound once. A linear circuit has the same
-//! matrix at every fixed step: it is assembled and factored once, and each
-//! later step rebuilds only the right-hand-side plan from the new
-//! companion currents, then backsolves on the held factor. Non-linear
-//! circuits refactor in place per Newton pass.
+//! one sparse analysis (the handle's, with
+//! [`Solver::solve_transient`](crate::solve::Solver::solve_transient)),
+//! and binds the same sources to the same values, so the sources are bound
+//! once. A linear circuit has the same matrix at every fixed step: it is
+//! assembled and factored once, and each later step rebuilds only the
+//! right-hand-side plan from the new companion currents, then backsolves on
+//! the held factor. Non-linear circuits take `NEWTON_STEPS_PER_DT` (4)
+//! Newton passes per step, each refactoring in place.
 
 use crate::error::CircuitError;
-use crate::ldl::SharedAnalyses;
 use crate::mna::{non_positive, Circuit, Element, NodeId};
-use crate::solve::{self, Linearized, Sources, SparseWorkspace};
+use crate::solve::{self, Linearized, Solver, Sources, SparseWorkspace};
 use mnsim_tech::units::Time;
+
+/// Newton passes per time step of a non-linear circuit.
+const NEWTON_STEPS_PER_DT: usize = 4;
 
 /// Options for [`solve_transient`].
 #[derive(Debug, Clone, PartialEq)]
@@ -37,8 +40,6 @@ pub struct TransientOptions {
     pub t_stop: Time,
     /// Fixed time step.
     pub dt: Time,
-    /// Newton iterations per time step for non-linear circuits.
-    pub newton_steps_per_dt: usize,
 }
 
 impl TransientOptions {
@@ -54,7 +55,6 @@ impl TransientOptions {
         TransientOptions {
             t_stop,
             dt: t_stop / steps as f64,
-            newton_steps_per_dt: 4,
         }
     }
 }
@@ -91,39 +91,25 @@ impl TransientResult {
 }
 
 /// Runs a backward-Euler transient from a fully discharged initial state
-/// (all node voltages zero; sources step to their value at `t = 0⁺`).
+/// (all node voltages zero; sources step to their value at `t = 0⁺`), on a
+/// fresh [`Solver`].
 ///
 /// # Errors
 ///
-/// Propagates per-step solver failures and rejects non-positive steps.
+/// Propagates per-step solver failures and rejects a non-positive step or
+/// a window shorter than one step.
 pub fn solve_transient(
     circuit: &Circuit,
     options: &TransientOptions,
 ) -> Result<TransientResult, CircuitError> {
-    transient_in(circuit, options, SparseWorkspace::default())
+    Solver::default().solve_transient(circuit, options)
 }
 
-/// [`solve_transient`] with the symbolic analysis of the circuit's pattern
-/// taken from `analyses`: bit-identical to [`solve_transient`], and the
-/// pattern is analyzed only if no earlier solve sharing the set analyzed
-/// it.
-///
-/// # Errors
-///
-/// Same as [`solve_transient`].
-pub fn solve_transient_sharing(
+/// The one transient run, on a handle's `workspace`.
+pub(crate) fn run(
     circuit: &Circuit,
     options: &TransientOptions,
-    analyses: &SharedAnalyses,
-) -> Result<TransientResult, CircuitError> {
-    transient_in(circuit, options, SparseWorkspace::sharing(analyses))
-}
-
-/// The one transient run, on an empty `workspace`.
-fn transient_in(
-    circuit: &Circuit,
-    options: &TransientOptions,
-    mut workspace: SparseWorkspace,
+    workspace: &mut SparseWorkspace,
 ) -> Result<TransientResult, CircuitError> {
     if non_positive(options.dt.seconds()) || options.t_stop.seconds() < options.dt.seconds() {
         return Err(CircuitError::InvalidElement {
@@ -153,7 +139,7 @@ fn transient_in(
             // Newton passes, each refactoring at the last iterate.
             iterate.clone_from(&prev);
             let mut next = Vec::new();
-            for _ in 0..options.newton_steps_per_dt.max(1) {
+            for _ in 0..NEWTON_STEPS_PER_DT {
                 let lin = linearize_with_companions(circuit, &iterate, &prev, dt, true);
                 let assemble = solve::ASSEMBLE_SPAN.enter();
                 workspace.refill(circuit, &lin, &sources)?;
@@ -264,7 +250,7 @@ mod tests {
         let (circuit, out) = rc_circuit();
         let options = TransientOptions::step_response(Time::from_microseconds(20.0), 2000);
         let result = solve_transient(&circuit, &options).unwrap();
-        let dc = crate::solve::solve_dc(&circuit, &crate::solve::SolveOptions::default()).unwrap();
+        let dc = crate::solve::solve_dc(&circuit).unwrap();
         let last = result.voltages.last().unwrap()[out];
         assert!(
             (last - dc.voltage(out).volts()).abs() < 1e-6,
@@ -295,7 +281,7 @@ mod tests {
             .unwrap();
         let options = TransientOptions::step_response(Time::from_microseconds(10.0), 2000);
         let result = solve_transient(&c, &options).unwrap();
-        let dc = crate::solve::solve_dc(&c, &crate::solve::SolveOptions::default()).unwrap();
+        let dc = crate::solve::solve_dc(&c).unwrap();
         let last = result.voltages.last().unwrap()[out];
         assert!(
             (last - dc.voltage(out).volts()).abs() < 1e-4,
@@ -362,7 +348,6 @@ mod tests {
         let options = TransientOptions {
             t_stop: Time::from_microseconds(1.0),
             dt: Time::from_microseconds(2.0),
-            newton_steps_per_dt: 2,
         };
         assert!(solve_transient(&circuit, &options).is_err());
     }

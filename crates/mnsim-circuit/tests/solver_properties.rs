@@ -4,7 +4,7 @@
 
 use mnsim_circuit::mna::Circuit;
 use mnsim_circuit::netlist::{from_netlist, to_netlist};
-use mnsim_circuit::solve::{solve_dc, SolveOptions};
+use mnsim_circuit::solve::solve_dc;
 use mnsim_tech::units::{Current, Resistance, Voltage};
 use proptest::prelude::*;
 
@@ -31,7 +31,7 @@ proptest! {
         }
         c.add_resistor(prev, Circuit::GROUND, Resistance::from_ohms(shunt)).unwrap();
 
-        let solution = solve_dc(&c, &SolveOptions::default()).unwrap();
+        let solution = solve_dc(&c).unwrap();
         // Single branch: the current is V / (ΣR + shunt) and the final
         // node sits at I·shunt.
         let total: f64 = series.iter().sum::<f64>() + shunt;
@@ -58,7 +58,7 @@ proptest! {
                 c.add_resistor(n, Circuit::GROUND, Resistance::from_ohms(r * 2.0)).unwrap();
                 prev = n;
             }
-            solve_dc(&c, &SolveOptions::default()).unwrap()
+            solve_dc(&c).unwrap()
         };
         let base = build(volts);
         let scaled = build(volts * scale);
@@ -89,8 +89,8 @@ proptest! {
             .unwrap();
 
         let restored = from_netlist(&to_netlist(&c, "prop")).unwrap();
-        let a = solve_dc(&c, &SolveOptions::default()).unwrap();
-        let b = solve_dc(&restored, &SolveOptions::default()).unwrap();
+        let a = solve_dc(&c).unwrap();
+        let b = solve_dc(&restored).unwrap();
         for node in 0..c.node_count() {
             prop_assert!(
                 (a.voltage(node).volts() - b.voltage(node).volts()).abs() < 1e-9,

@@ -8,13 +8,12 @@
 //! squared model-vs-circuit residual and reports the RMSE the paper quotes
 //! (< 0.01).
 
-use mnsim_circuit::batch::PreparedSystem;
 use mnsim_circuit::crossbar::CrossbarSpec;
 use mnsim_circuit::ldl::SharedAnalyses;
-use mnsim_circuit::solve::SolveOptions;
+use mnsim_circuit::solve::Solver;
 use mnsim_tech::interconnect::InterconnectNode;
 use mnsim_tech::memristor::MemristorModel;
-use mnsim_tech::units::{Resistance, Voltage};
+use mnsim_tech::units::Resistance;
 
 use crate::accuracy::crossbar_error::{AccuracyModel, Case};
 use crate::error::CoreError;
@@ -68,58 +67,23 @@ pub fn measure_circuit_error_rate(
     device: &MemristorModel,
     sense_resistance: Resistance,
 ) -> Result<f64, CoreError> {
-    Ok(measure_circuit_error_rates(size, interconnect, device, sense_resistance, &[1.0])?[0])
-}
-
-/// Sweeps the worst-case crossbar over several read amplitudes (fractions
-/// of `v_read` in `(0, 1]`), returning one signed error rate per amplitude.
-///
-/// The circuit is assembled and factored once as a
-/// [`PreparedSystem`]; every amplitude is a re-driven right-hand side, so
-/// the sweep costs one assembly and factorization plus one backsolve per
-/// point. `amplitudes = [1.0]` reproduces
-/// [`measure_circuit_error_rate`] exactly.
-///
-/// # Errors
-///
-/// Rejects non-positive or non-finite amplitudes; propagates circuit
-/// construction/solver failures.
-pub(crate) fn measure_circuit_error_rates(
-    size: usize,
-    interconnect: InterconnectNode,
-    device: &MemristorModel,
-    sense_resistance: Resistance,
-    amplitudes: &[f64],
-) -> Result<Vec<f64>, CoreError> {
-    error_rates(
+    error_rate(
         size,
         interconnect,
         device,
         sense_resistance,
-        amplitudes,
-        &SharedAnalyses::default(),
+        &mut Solver::default(),
     )
 }
 
-/// [`measure_circuit_error_rates`] with the crossbar's symbolic analysis
-/// taken from `analyses`.
-fn error_rates(
+/// [`measure_circuit_error_rate`] on `solver`.
+fn error_rate(
     size: usize,
     interconnect: InterconnectNode,
     device: &MemristorModel,
     sense_resistance: Resistance,
-    amplitudes: &[f64],
-    analyses: &SharedAnalyses,
-) -> Result<Vec<f64>, CoreError> {
-    for &amplitude in amplitudes {
-        if !(amplitude.is_finite() && amplitude > 0.0) {
-            return Err(CoreError::InvalidConfig {
-                parameter: "read_amplitude",
-                reason: format!("amplitudes must be finite and positive, got {amplitude}"),
-            });
-        }
-    }
-
+    solver: &mut Solver,
+) -> Result<f64, CoreError> {
     let mut spec = CrossbarSpec::uniform(
         size,
         size,
@@ -130,23 +94,13 @@ fn error_rates(
     );
     spec.iv = device.iv;
     let xbar = spec.build()?;
-    let mut prepared =
-        PreparedSystem::build_sharing(xbar.circuit(), SolveOptions::default(), analyses)?;
+    let solution = solver.solve(xbar.circuit())?;
+    let v_act = xbar.output_voltages(&solution)[size - 1].volts(); // farthest column
+
+    // Ideal: linear cells, no wires (paper Eq. 9 with R_parallel = R/M).
     let rs_m = sense_resistance.ohms() * size as f64;
-
-    let mut rates = Vec::with_capacity(amplitudes.len());
-    for &amplitude in amplitudes {
-        let volts = device.v_read.volts() * amplitude;
-        let drive = vec![Voltage::from_volts(volts); size];
-        let rhs = xbar.input_rhs(&drive)?;
-        let solution = prepared.solve(xbar.circuit(), &rhs)?;
-        let v_act = xbar.output_voltages(&solution)[size - 1].volts(); // farthest column
-
-        // Ideal: linear cells, no wires (paper Eq. 9 with R_parallel = R/M).
-        let v_idl = volts * rs_m / (device.r_min.ohms() + rs_m);
-        rates.push((v_idl - v_act) / v_idl);
-    }
-    Ok(rates)
+    let v_idl = device.v_read.volts() * rs_m / (device.r_min.ohms() + rs_m);
+    Ok((v_idl - v_act) / v_idl)
 }
 
 /// Fits the model's wire coefficient over the given sizes by golden-section
@@ -161,7 +115,7 @@ pub fn fit_wire_coefficient(
     sense_resistance: Resistance,
     sizes: &[usize],
 ) -> Result<FitResult, CoreError> {
-    fit_wire_coefficient_sharing(
+    fit_wire_coefficient_in(
         device,
         interconnect,
         sense_resistance,
@@ -172,7 +126,7 @@ pub fn fit_wire_coefficient(
 
 /// [`fit_wire_coefficient`] with the crossbars' symbolic analyses taken
 /// from `analyses`, which the other circuits of a validation share.
-pub(crate) fn fit_wire_coefficient_sharing(
+pub(crate) fn fit_wire_coefficient_in(
     device: &MemristorModel,
     interconnect: InterconnectNode,
     sense_resistance: Resistance,
@@ -186,19 +140,11 @@ pub(crate) fn fit_wire_coefficient_sharing(
         });
     }
 
-    let mut measured = Vec::with_capacity(sizes.len());
-    for &size in sizes {
-        // `measure_circuit_error_rate`, on the shared analyses.
-        let rates = error_rates(
-            size,
-            interconnect,
-            device,
-            sense_resistance,
-            &[1.0],
-            analyses,
-        )?;
-        measured.push(rates[0]);
-    }
+    let mut solver = Solver::sharing(analyses);
+    let measured = sizes
+        .iter()
+        .map(|&size| error_rate(size, interconnect, device, sense_resistance, &mut solver))
+        .collect::<Result<Vec<_>, _>>()?;
 
     let objective = |wire: f64, nonlinearity: f64| -> f64 {
         let model = AccuracyModel {
@@ -313,29 +259,6 @@ mod tests {
         );
         assert!(fit.coefficient > 0.0 && fit.coefficient < 4.0);
         assert_eq!(fit.points.len(), 5);
-    }
-
-    #[test]
-    fn amplitude_sweep_matches_single_point_and_validates() {
-        let d = device();
-        let rs = Resistance::from_ohms(20.0);
-        let rates =
-            measure_circuit_error_rates(16, InterconnectNode::N28, &d, rs, &[1.0, 0.75, 0.5])
-                .unwrap();
-        assert_eq!(rates.len(), 3);
-        for &rate in &rates {
-            assert!(rate.is_finite() && rate > 0.0 && rate < 1.0, "{rate}");
-        }
-        // The full-amplitude point of the sweep is the single-point
-        // measurement, bit for bit: same prepared system, same arithmetic.
-        let single = measure_circuit_error_rate(16, InterconnectNode::N28, &d, rs).unwrap();
-        assert_eq!(rates[0], single);
-        assert!(
-            measure_circuit_error_rates(8, InterconnectNode::N28, &d, rs, &[0.0]).is_err()
-        );
-        assert!(
-            measure_circuit_error_rates(8, InterconnectNode::N28, &d, rs, &[f64::NAN]).is_err()
-        );
     }
 
     #[test]

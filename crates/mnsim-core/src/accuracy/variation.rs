@@ -8,9 +8,8 @@
 //! model's `±σ` envelope (the paper: "the verification result of the
 //! variation-considered model is similar to that shown in Fig. 5").
 
-use mnsim_circuit::batch::{prepare_or_reuse, PreparedSystem};
 use mnsim_circuit::crossbar::CrossbarSpec;
-use mnsim_circuit::solve::SolveOptions;
+use mnsim_circuit::solve::Solver;
 use mnsim_tech::interconnect::InterconnectNode;
 use mnsim_tech::memristor::MemristorModel;
 use mnsim_tech::units::Resistance;
@@ -97,11 +96,9 @@ pub fn measure_variation(
     let mut min = f64::INFINITY;
     let mut max = f64::NEG_INFINITY;
     // Every run resamples the cell resistances, a value-only change of one
-    // structure: `prepare_or_reuse` notices the changed conductance
-    // fingerprint and refactors the cached factorization for the new values
-    // (or rebuilds when it cannot), never solving a stale system.
-    let mut prepared_slot: Option<PreparedSystem> = None;
-    let solve_options = SolveOptions::default();
+    // structure: the handle keeps its analysis and refactors for the new
+    // values.
+    let mut solver = Solver::default();
     for _ in 0..runs {
         let states: Vec<Resistance> = (0..size * size)
             .map(|_| {
@@ -120,9 +117,7 @@ pub fn measure_variation(
             faults: None,
         };
         let built = spec.build()?;
-        let prepared = prepare_or_reuse(&mut prepared_slot, built.circuit(), &solve_options)?;
-        let rhs = built.input_rhs(&vec![device.v_read; size])?;
-        let solution = prepared.solve(built.circuit(), &rhs)?;
+        let solution = solver.solve(built.circuit())?;
         let v_act = built.output_voltages(&solution)[size - 1].volts();
         let error = (v_idl - v_act) / v_idl;
         mean += error;

@@ -254,9 +254,13 @@ mod tests {
         };
         assert!(e.to_string().contains("Crossbar_Size"));
 
-        let e: CoreError = TechError::NoConverter { bits: 12 }.into();
+        let e: CoreError = TechError::UnknownNode {
+            nanometers: 12,
+            database: "cmos",
+        }
+        .into();
         assert!(Error::source(&e).is_some());
-        assert!(e.to_string().contains("12-bit"));
+        assert!(e.to_string().contains("12 nm"));
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //! produces a bit-identical [`FaultSummary`], so regression baselines and
 //! replayed defect maps stay meaningful.
 
-use mnsim_circuit::batch::{prepare_or_reuse, PreparedSystem, Rhs};
 use mnsim_circuit::crossbar::CrossbarSpec;
 use mnsim_circuit::mna::{kcl_residual, DcSolution};
-use mnsim_circuit::solve::{solve_dc, SolveOptions};
+use mnsim_circuit::solve::{solve_dc, Rhs, Solver};
 use mnsim_obs as obs;
 use mnsim_obs::Level;
 use mnsim_nn::fault::weight_damage_levels;
@@ -69,9 +68,9 @@ pub struct FaultConfig {
     pub retire_threshold: f64,
     /// Input vectors read per surviving trial (≥ 1). The first read uses
     /// the campaign's primary activations; extra reads re-drive the same
-    /// [`PreparedSystem`] per faulty array, reusing its factorization, so
-    /// each extra read costs one backsolve. The default of `1` reproduces
-    /// the single-read campaign bit for bit.
+    /// faulty array in one [`Solver::solve_batch`] call, reusing its
+    /// factorization, so each extra read costs one backsolve. The default
+    /// of `1` reproduces the single-read campaign bit for bit.
     pub inputs_per_trial: usize,
 }
 
@@ -181,17 +180,16 @@ fn trial_seed(master: u64, trial: usize) -> u64 {
 }
 
 thread_local! {
-    /// Per-worker prepared-system cache for the representative crossbar.
+    /// Per-worker solver handle for the representative crossbar.
     /// Successive trials on a worker differ only in element *values*
-    /// (defect overlays swap resistances, never topology), so the cached
-    /// sparse factorization — the sparse-direct engine's, or on sinh cells
-    /// the Newton workspace's — is refactored in place (the
-    /// `solver.klu.refactor` fast path) instead of re-analyzing the
-    /// structure every trial. Thread-count invariance holds because a
-    /// refactored LDLᵀ is bit-identical to a cold one (factor and refactor
-    /// are the same routine) — it does not matter which trials happened to
-    /// share a worker.
-    static TRIAL_SLOT: RefCell<Option<PreparedSystem>> = const { RefCell::new(None) };
+    /// (defect overlays swap resistances, never topology), so the handle
+    /// keeps its analysis and refactors in place (the `solver.klu.refactor`
+    /// fast path) instead of re-analyzing the structure every trial.
+    /// Thread-count invariance holds because a refactored LDLᵀ is
+    /// bit-identical to a cold one (factor and refactor are the same
+    /// routine) — it does not matter which trials happened to share a
+    /// worker.
+    static TRIAL_SOLVER: RefCell<Solver> = RefCell::new(Solver::default());
 }
 
 /// Immutable per-campaign state shared by every Monte-Carlo trial.
@@ -268,11 +266,11 @@ fn run_trial(context: &TrialContext<'_>, trial: usize) -> Result<TrialOutcome, C
     }
 
     // Circuit path: the defect overlay changes only element values, so the
-    // per-worker prepared system refreshes its cached sparse factorization
-    // instead of re-analyzing. The primary read and the extra reads
-    // re-drive the same faulty array, so they go in as one batch, solved
-    // together on that factorization. A failed solve (a singular system,
-    // or a non-finite solution) is the trial's typed error.
+    // per-worker handle refactors its held analysis instead of re-analyzing.
+    // The primary read and the extra reads re-drive the same faulty array,
+    // so they go in as one batch, solved together on that factorization. A
+    // failed solve (a singular system, or a non-finite solution) is the
+    // trial's typed error.
     let faulty_spec = context
         .clean_spec
         .clone()
@@ -282,11 +280,10 @@ fn run_trial(context: &TrialContext<'_>, trial: usize) -> Result<TrialOutcome, C
         .chain(context.extra_reads)
         .map(|inputs| faulty_xbar.input_rhs(inputs))
         .collect::<Result<_, _>>()?;
-    let solutions = TRIAL_SLOT.with(|slot| -> Result<Vec<DcSolution>, CoreError> {
-        let mut slot = slot.borrow_mut();
-        let prepared =
-            prepare_or_reuse(&mut slot, faulty_xbar.circuit(), &SolveOptions::default())?;
-        Ok(prepared.solve_batch(faulty_xbar.circuit(), &reads)?)
+    let solutions: Vec<DcSolution> = TRIAL_SOLVER.with(|solver| {
+        solver
+            .borrow_mut()
+            .solve_batch(faulty_xbar.circuit(), &reads)
     })?;
     let trial_kcl_residual = kcl_residual(faulty_xbar.circuit(), &solutions[0]);
 
@@ -377,7 +374,7 @@ pub(crate) fn simulate_with_faults(
         faults: None,
     };
     let clean_xbar = clean_spec.build()?;
-    let clean_solution = solve_dc(clean_xbar.circuit(), &SolveOptions::default())?;
+    let clean_solution = solve_dc(clean_xbar.circuit())?;
     let clean_outputs = clean_xbar.output_voltages(&clean_solution);
 
     // Extra per-trial read vectors are drawn *after* the primary campaign
@@ -394,12 +391,11 @@ pub(crate) fn simulate_with_faults(
     let clean_extra_outputs: Vec<Vec<Voltage>> = if extra_reads.is_empty() {
         Vec::new()
     } else {
-        let mut prepared = PreparedSystem::build(clean_xbar.circuit(), SolveOptions::default())?;
         let batch: Vec<Rhs> = extra_reads
             .iter()
             .map(|read| clean_xbar.input_rhs(read))
             .collect::<Result<_, _>>()?;
-        prepared
+        Solver::default()
             .solve_batch(clean_xbar.circuit(), &batch)?
             .iter()
             .map(|sol| clean_xbar.output_voltages(sol))

@@ -138,7 +138,7 @@ pub fn map_weights(
 /// (`v_read · x`, clamped) — the exact mapping [`map_weights`] applies.
 ///
 /// Useful on its own when one mapped crossbar is re-driven by many input
-/// vectors through [`mnsim_circuit::batch::PreparedSystem`]: the states
+/// vectors through [`mnsim_circuit::Solver::solve_batch`]: the states
 /// come from a single `map_weights` call and each input only needs its
 /// voltage vector.
 pub fn input_drive_voltages(config: &Config, inputs: &[f64]) -> Vec<Voltage> {
@@ -167,7 +167,7 @@ pub fn generate_netlist(
 mod tests {
     use super::*;
     use mnsim_circuit::netlist::from_netlist;
-    use mnsim_circuit::solve::{solve_dc, SolveOptions};
+    use mnsim_circuit::solve::solve_dc;
 
     fn config() -> Config {
         let mut c = Config::fully_connected_mlp(&[4, 2]).unwrap();
@@ -222,7 +222,7 @@ mod tests {
         // The first netlist (up to its .end) parses and solves.
         let first = text.split(".end").next().unwrap().to_string() + ".end\n";
         let circuit = from_netlist(&first).unwrap();
-        let sol = solve_dc(&circuit, &SolveOptions::default()).unwrap();
+        let sol = solve_dc(&circuit).unwrap();
         assert!(sol.dissipated_power(&circuit).watts() > 0.0);
     }
 

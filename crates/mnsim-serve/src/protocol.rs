@@ -427,29 +427,48 @@ fn parse_fault_spec(value: &JsonValue) -> Result<FaultSpec, WireError> {
     })
 }
 
-/// Parses one request line into its typed form.
+/// Parses one request line into its typed form: the line as JSON, then
+/// the request that value carries.
 ///
 /// # Errors
 ///
 /// Returns a typed [`WireError`] (code `malformed` or `unsupported_op`)
-/// describing the first problem found; the caller echoes it back with
-/// the request id when one was readable.
+/// describing the first problem found.
 pub fn parse_request(line: &str) -> Result<Request, WireError> {
-    let value = parse_json(line.trim()).map_err(|e| malformed(format!("invalid JSON: {e}")))?;
+    request_of(&parse_line(line)?)
+}
+
+/// Parses one protocol line as JSON.
+///
+/// # Errors
+///
+/// A `malformed` [`WireError`] for a line that is not JSON.
+pub(crate) fn parse_line(line: &str) -> Result<JsonValue, WireError> {
+    parse_json(line.trim()).map_err(|e| malformed(format!("invalid JSON: {e}")))
+}
+
+/// The typed request a parsed line carries.
+///
+/// # Errors
+///
+/// Returns a typed [`WireError`] (code `malformed` or `unsupported_op`)
+/// describing the first problem found; the caller echoes it back with the
+/// line's request id when it has one.
+pub(crate) fn request_of(value: &JsonValue) -> Result<Request, WireError> {
     let kind = value
         .get("type")
         .and_then(JsonValue::as_str)
         .ok_or_else(|| malformed("missing `type`"))?;
     match kind {
         "hello" => {
-            let schema_version = get_u64(&value, "schema_version")?
+            let schema_version = get_u64(value, "schema_version")?
                 .ok_or_else(|| malformed("hello needs `schema_version`"))?;
             Ok(Request::Hello { schema_version })
         }
         "shutdown" => Ok(Request::Shutdown),
         "request" => {
             let id =
-                get_u64(&value, "id")?.ok_or_else(|| malformed("request needs a numeric `id`"))?;
+                get_u64(value, "id")?.ok_or_else(|| malformed("request needs a numeric `id`"))?;
             let op_name = value
                 .get("op")
                 .and_then(JsonValue::as_str)
@@ -458,29 +477,29 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
                 "ping" => Op::Ping,
                 "stats" => Op::Stats,
                 "simulate" => Op::Simulate {
-                    config: parse_config_spec(&value)?,
+                    config: parse_config_spec(value)?,
                     faults: None,
                 },
                 "fault_mc" => Op::Simulate {
-                    config: parse_config_spec(&value)?,
-                    faults: Some(parse_fault_spec(&value)?),
+                    config: parse_config_spec(value)?,
+                    faults: Some(parse_fault_spec(value)?),
                 },
                 "validate" => Op::Validate {
-                    config: parse_config_spec(&value)?,
-                    matrices: get_usize(&value, "matrices")?.unwrap_or(2),
-                    inputs_per_matrix: get_usize(&value, "inputs")?.unwrap_or(2),
-                    seed: get_u64(&value, "seed")?.unwrap_or(0),
+                    config: parse_config_spec(value)?,
+                    matrices: get_usize(value, "matrices")?.unwrap_or(2),
+                    inputs_per_matrix: get_usize(value, "inputs")?.unwrap_or(2),
+                    seed: get_u64(value, "seed")?.unwrap_or(0),
                 },
                 "dse" => Op::Dse {
-                    config: parse_config_spec(&value)?,
-                    crossbar_sizes: get_usize_array(&value, "crossbar_sizes")?
+                    config: parse_config_spec(value)?,
+                    crossbar_sizes: get_usize_array(value, "crossbar_sizes")?
                         .unwrap_or_else(|| vec![64, 128, 256]),
-                    parallelism: get_usize_array(&value, "parallelism")?
+                    parallelism: get_usize_array(value, "parallelism")?
                         .unwrap_or_else(|| vec![1, 2, 4]),
-                    interconnects_nm: get_usize_array(&value, "interconnects_nm")?
+                    interconnects_nm: get_usize_array(value, "interconnects_nm")?
                         .map(|v| v.into_iter().map(|n| n as u32).collect())
                         .unwrap_or_else(|| vec![22]),
-                    max_crossbar_error: get_f64(&value, "max_crossbar_error")?,
+                    max_crossbar_error: get_f64(value, "max_crossbar_error")?,
                 },
                 other => {
                     return Err(WireError::new(

@@ -61,11 +61,11 @@ use mnsim_core::validate::ValidationRow;
 use mnsim_core::{ExecOptions, Simulator};
 use mnsim_obs as obs;
 use mnsim_obs::live::{LiveConfig, LiveTap};
-use mnsim_obs::{write_json_number, write_json_string};
+use mnsim_obs::{write_json_number, write_json_string, JsonValue};
 
 use crate::protocol::{
-    error_line, event_line, hello_ok_line, interconnects_from_nm, parse_request, response_line,
-    ConfigSpec, ErrorCode, Op, Request, WireError, SCHEMA_VERSION,
+    error_line, event_line, hello_ok_line, interconnects_from_nm, parse_line, parse_request,
+    request_of, response_line, ConfigSpec, ErrorCode, Op, Request, WireError, SCHEMA_VERSION,
 };
 
 static SERVE_REQUESTS: obs::Counter = obs::Counter::new("serve.requests");
@@ -579,7 +579,14 @@ fn serve_client(
             continue;
         }
         SERVE_REQUESTS.inc();
-        match parse_request(&line) {
+        let value = match parse_line(&line) {
+            Ok(value) => value,
+            Err(err) => {
+                shared.respond(&writer, &error_line(None, &err));
+                continue;
+            }
+        };
+        match request_of(&value) {
             Ok(Request::Submit { id, op }) => {
                 handle_submit(shared, &writer, client, max_pending, id, op);
             }
@@ -590,9 +597,7 @@ fn serve_client(
             }
             Err(err) => {
                 // Best effort: echo the id when the line carried one.
-                let id = obs::parse_json(line.trim())
-                    .ok()
-                    .and_then(|v| v.get("id").and_then(|i| i.as_u64()));
+                let id = value.get("id").and_then(JsonValue::as_u64);
                 shared.respond(&writer, &error_line(id, &err));
             }
         }

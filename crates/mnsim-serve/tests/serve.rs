@@ -148,11 +148,26 @@ fn ping_stats_and_typed_request_errors() {
         assert_ok(&stats.response);
         assert!(stats.response.contains("\"cache\""), "{}", stats.response);
 
-        // Unsupported op: typed error, connection stays usable.
+        // Unsupported op: typed error that echoes the request id,
+        // connection stays usable.
         let bad = client
             .call(r#"{"type":"request","id":3,"op":"warp"}"#)
             .unwrap();
         assert!(bad.response.contains("unsupported_op"), "{}", bad.response);
+        assert!(bad.response.contains("\"id\":3,"), "{}", bad.response);
+
+        // A line that is not JSON carries no readable id.
+        let malformed = client.call("{\"type\":\"request\",\"id\":9").unwrap();
+        assert!(
+            malformed.response.contains("malformed"),
+            "{}",
+            malformed.response
+        );
+        assert!(
+            malformed.response.contains("\"id\":null,"),
+            "{}",
+            malformed.response
+        );
 
         // Config error: the full typed ConfigError list rides the wire.
         let invalid = client

@@ -16,34 +16,11 @@
 use crate::cmos::CmosNode;
 use crate::units::{Area, Energy, Frequency, Power, Time};
 
-/// The circuit family of an analog-to-digital read circuit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum AdcKind {
-    /// Variable/multilevel sensing amplifier (the paper's reference read
-    /// circuit, after Li et al., IMW 2011): low power, moderate speed.
-    MultilevelSa,
-    /// Successive-approximation ADC (e.g. Kull et al., JSSC 2013).
-    Sar,
-    /// Flash ADC: fastest, largest, most power per level.
-    Flash,
-}
-
-impl std::fmt::Display for AdcKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AdcKind::MultilevelSa => write!(f, "multilevel SA"),
-            AdcKind::Sar => write!(f, "SAR ADC"),
-            AdcKind::Flash => write!(f, "flash ADC"),
-        }
-    }
-}
-
-/// A concrete ADC design point.
+/// A concrete read-circuit design point: the variable/multilevel sensing
+/// amplifier of the paper's reference design (after Li et al., IMW 2011),
+/// low power at moderate speed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdcSpec {
-    /// Circuit family.
-    pub kind: AdcKind,
     /// Output precision in bits.
     pub bits: u32,
     /// Conversion rate.
@@ -67,7 +44,6 @@ impl AdcSpec {
     pub fn multilevel_sa(bits: u32) -> Self {
         let levels = (1u64 << bits) as f64;
         AdcSpec {
-            kind: AdcKind::MultilevelSa,
             bits,
             frequency: Frequency::from_megahertz(50.0),
             // ~2 µW per distinguishable level at 90 nm.
@@ -97,7 +73,6 @@ impl AdcSpec {
         let power_scale = (to.vdd.volts() / from.vdd.volts()).powi(2);
         let speed_scale = from.fo4_delay.seconds() / to.fo4_delay.seconds();
         AdcSpec {
-            kind: self.kind,
             bits: self.bits,
             frequency: self.frequency * speed_scale,
             power: self.power * power_scale * speed_scale,
@@ -203,10 +178,5 @@ mod tests {
         assert!(d.conversion_energy().joules() > 0.0);
         let scaled = d.scaled_to(CmosNode::N45);
         assert!(scaled.settle_time.seconds() < d.settle_time.seconds());
-    }
-
-    #[test]
-    fn adc_kind_display() {
-        assert_eq!(AdcKind::Sar.to_string(), "SAR ADC");
     }
 }

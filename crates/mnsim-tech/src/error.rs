@@ -21,11 +21,6 @@ pub enum TechError {
         /// Human-readable description of the constraint that was violated.
         reason: String,
     },
-    /// No converter in the database satisfies the requested precision.
-    NoConverter {
-        /// Requested precision in bits.
-        bits: u32,
-    },
     /// A serialized fault map could not be parsed.
     FaultMapParse {
         /// 1-based line number of the offending line.
@@ -47,9 +42,6 @@ impl fmt::Display for TechError {
             ),
             TechError::InvalidDeviceParameter { parameter, reason } => {
                 write!(f, "invalid device parameter `{parameter}`: {reason}")
-            }
-            TechError::NoConverter { bits } => {
-                write!(f, "no data converter supports {bits}-bit precision")
             }
             TechError::FaultMapParse { line, reason } => {
                 write!(f, "fault map parse error at line {line}: {reason}")
@@ -76,8 +68,6 @@ mod tests {
             reason: "must be positive".into(),
         };
         assert!(e.to_string().contains("r_min"));
-        let e = TechError::NoConverter { bits: 99 };
-        assert!(e.to_string().contains("99-bit"));
         let e = TechError::FaultMapParse {
             line: 4,
             reason: "bad directive".into(),

@@ -13,8 +13,9 @@
 //!   accuracy model.
 //! * [`memristor`] — memristor device models (RRAM / PCM): resistance range,
 //!   multi-level cells, non-linear I-V characteristics and device variation.
-//! * [`converters`] — a small performance database of ADC / DAC / sensing
-//!   amplifier designs (SAR ADC, multilevel SA, …).
+//! * [`converters`] — the reference design's data converters: the
+//!   multilevel sensing-amplifier read circuit and the input DAC, scaled by
+//!   CMOS node.
 //! * [`fault`] — hard-defect models: stuck-at cells, broken word/bit lines,
 //!   drifted resistances, and seeded, replayable fault maps.
 //!
@@ -52,7 +53,7 @@ pub mod memristor;
 pub mod units;
 
 pub use cmos::{CmosNode, CmosParams};
-pub use converters::{AdcKind, AdcSpec, DacSpec};
+pub use converters::{AdcSpec, DacSpec};
 pub use error::TechError;
 pub use fault::{CellFault, FaultMap, FaultRates};
 pub use interconnect::InterconnectNode;

@@ -1,5 +1,5 @@
-//! Circuit-fidelity fault sweep on one large crossbar: a prepared sparse
-//! system refreshed in place for every seeded fault map.
+//! Circuit-fidelity fault sweep on one large crossbar: one solver handle
+//! refactored in place for every seeded fault map.
 //!
 //! ```text
 //! cargo run --release --example sparse_fault_sweep \
@@ -7,23 +7,23 @@
 //! ```
 //!
 //! A 256×256 crossbar reduces to 131 072 nodal unknowns. The example
-//! prepares the clean array once — the sparse LDLᵀ engine
+//! reads the clean array once on a `Solver` — the sparse LDLᵀ engine
 //! (`mnsim::circuit::ldl`, `DESIGN.md` §16) analyzes its pattern and
 //! factors it — and then, for every trial, draws a seeded stuck-at
-//! `FaultMap`, overlays it on the array and calls
-//! `PreparedSystem::try_value_refresh`. A stuck-at defect changes cell
-//! conductances, not the structure, so the new values are scattered into
-//! the cached analysis and the factor is refactored in place
-//! (`solver.klu.refactor`); at this size every factorization runs the
+//! `FaultMap`, overlays it on the array and reads it on the same handle.
+//! A stuck-at defect changes cell conductances, not the structure, so the
+//! new values are scattered into the cached analysis and the factor is
+//! refactored in place (`solver.klu.refactor`; `solver.klu.analyses`
+//! stays 1, which the example checks); at this size every factorization
+//! runs the
 //! supernodal kernel (`solver.klu.supernodal`). This is the regime the
 //! `dc_solve_sparse_refactor` bench entry measures. Each trial reads the
 //! array once and reports how far its column outputs moved from the clean
 //! array's, and the Kirchhoff residual of the solve.
 
-use mnsim::circuit::batch::PreparedSystem;
 use mnsim::circuit::crossbar::CrossbarSpec;
 use mnsim::circuit::kcl_residual;
-use mnsim::circuit::solve::SolveOptions;
+use mnsim::circuit::solve::Solver;
 use mnsim::obs;
 use mnsim::tech::fault::{FaultMap, FaultRates};
 use mnsim::tech::units::{Resistance, Voltage};
@@ -89,9 +89,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|row| Voltage::from_volts(0.2 + 0.8 * ((row * 37) % 101) as f64 / 100.0))
         .collect();
     let clean = spec.build()?;
-    let rhs = clean.input_rhs(&inputs)?;
-    let mut prepared = PreparedSystem::build(clean.circuit(), SolveOptions::default())?;
-    let reference = clean.output_voltages(&prepared.solve(clean.circuit(), &rhs)?);
+    let read = [clean.input_rhs(&inputs)?];
+    let mut solver = Solver::default();
+    let reference = clean.output_voltages(&solver.solve_batch(clean.circuit(), &read)?[0]);
     let full_scale = reference.iter().fold(0.0f64, |m, v| m.max(v.volts().abs()));
     // The unknowns are the word- and bit-line nodes; the sources fix the rest.
     println!(
@@ -115,17 +115,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 Resistance::from_kilo_ohms(1.0),
             )
             .build()?;
-        if !prepared.try_value_refresh(faulty.circuit())? {
-            return Err("a stuck-at overlay must keep the prepared structure".into());
-        }
-        let solution = prepared.solve(faulty.circuit(), &rhs)?;
+        let solution = &solver.solve_batch(faulty.circuit(), &read)?[0];
         let deviation = faulty
-            .output_voltages(&solution)
+            .output_voltages(solution)
             .iter()
             .zip(&reference)
             .fold(0.0f64, |m, (v, r)| m.max((v.volts() - r.volts()).abs()))
             / full_scale;
-        let residual = kcl_residual(faulty.circuit(), &solution);
+        let residual = kcl_residual(faulty.circuit(), solution);
         worst_deviation = worst_deviation.max(deviation);
         worst_residual = worst_residual.max(residual);
         println!(
@@ -146,9 +143,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "solver.klu.refactor",
         "solver.klu.supernodal",
         "solver.klu.solves",
-        "circuit.batch.value_refreshes",
     ] {
         println!("  {name:36} {}", snap.counter(name));
+    }
+    if snap.counter("solver.klu.analyses") != 1 {
+        return Err("a stuck-at overlay must keep the analyzed structure".into());
     }
     Ok(())
 }

@@ -211,3 +211,70 @@ proptest! {
         prop_assert_eq!(report.trace.is_some(), trace);
     }
 }
+
+/// The prelude's run-control API from outside `mnsim-core`, through
+/// `mnsim::prelude::*` alone: a cancellation token, a deadline and the
+/// artifact cache.
+mod prelude_run_control {
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    use mnsim::prelude::*;
+
+    #[test]
+    fn tokens_deadlines_and_the_artifact_cache_work_through_the_prelude() {
+        let config = Config::fully_connected_mlp(&[64, 32]).unwrap();
+        let campaign = FaultConfig {
+            trials: 16,
+            ..FaultConfig::default()
+        };
+        // A token cancelled before the run stops it before any trial.
+        for threads in super::THREAD_COUNTS {
+            let token = CancelToken::new();
+            token.cancel();
+            let outcome = Simulator::new(config.clone())
+                .threads(threads)
+                .faults(campaign.clone())
+                .run_controlled(&RunControl::new().cancel(token));
+            assert!(
+                matches!(
+                    outcome,
+                    Err(CoreError::Cancelled {
+                        completed: 0,
+                        total: 16,
+                        ..
+                    })
+                ),
+                "threads={threads}: {outcome:?}"
+            );
+        }
+
+        // A zero deadline has expired with nothing left, and stops a sweep
+        // before its first design.
+        let deadline = Deadline::after(Duration::ZERO);
+        assert!(deadline.expired());
+        assert_eq!(deadline.remaining(), Duration::ZERO);
+        let outcome = Simulator::new(config.clone()).explore_controlled(
+            &DesignSpace::paper_large_bank(),
+            &Constraints::default(),
+            &RunControl::new().deadline(deadline),
+        );
+        assert!(
+            matches!(
+                outcome,
+                Err(CoreError::DeadlineExceeded { completed: 0, .. })
+            ),
+            "{outcome:?}"
+        );
+
+        // An inserted artifact comes back; an unknown key does not.
+        let cache = ArtifactCache::new();
+        let report = Simulator::new(config).run().unwrap();
+        cache.insert(7, Artifact::Report(Arc::new(report.clone())));
+        match cache.get(7) {
+            Some(Artifact::Report(hit)) => assert_eq!(*hit, report),
+            other => panic!("expected the inserted report, got {other:?}"),
+        }
+        assert!(cache.get(8).is_none());
+    }
+}

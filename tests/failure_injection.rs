@@ -3,14 +3,13 @@
 
 mod common;
 
-use mnsim::circuit::solve::{solve_dc, SolveOptions};
+use mnsim::circuit::solve::solve_dc;
 use mnsim::circuit::{Circuit, CircuitError};
 use mnsim::core::config::Config;
 use mnsim::core::dse::{Constraints, DesignSpace};
 use mnsim::core::error::CoreError;
 use mnsim::core::simulate::simulate;
 use mnsim::core::Simulator;
-use mnsim::tech::memristor::IvModel;
 use mnsim::tech::units::{Resistance, Voltage};
 
 #[test]
@@ -30,34 +29,11 @@ fn floating_node_reports_singular_system() {
     )
     .unwrap();
     // The floating node has a zero row → singular.
-    let result = solve_dc(&c, &SolveOptions::default());
+    let result = solve_dc(&c);
     assert!(
         matches!(result, Err(CircuitError::SingularSystem { .. })),
         "{result:?}"
     );
-}
-
-#[test]
-fn newton_budget_exhaustion_is_typed() {
-    let mut c = Circuit::new();
-    let a = c.add_node();
-    c.add_voltage_source(a, Circuit::GROUND, Voltage::from_volts(1.0))
-        .unwrap();
-    c.add_memristor(
-        a,
-        Circuit::GROUND,
-        Resistance::from_kilo_ohms(1.0),
-        IvModel::Sinh { alpha: 3.0 },
-    )
-    .unwrap();
-    let options = SolveOptions {
-        newton_max_iterations: 0,
-        ..SolveOptions::default()
-    };
-    assert!(matches!(
-        solve_dc(&c, &options),
-        Err(CircuitError::NewtonNoConvergence { .. })
-    ));
 }
 
 #[test]
@@ -136,7 +112,6 @@ fn transient_mis_windows_are_typed() {
     let options = TransientOptions {
         t_stop: Time::from_nanoseconds(1.0),
         dt: Time::from_nanoseconds(0.0),
-        newton_steps_per_dt: 1,
     };
     assert!(solve_transient(&c, &options).is_err());
 }
@@ -169,7 +144,7 @@ fn stuck_cells_and_broken_bitline_simulate_end_to_end() {
         Resistance::from_ohms(500.0),
     );
     let built = spec.build().unwrap();
-    let solution = solve_dc(built.circuit(), &SolveOptions::default()).unwrap();
+    let solution = solve_dc(built.circuit()).unwrap();
     assert!(solution.voltages().iter().all(|v| v.is_finite()));
     let residual = kcl_residual(built.circuit(), &solution);
     assert!(residual <= 1e-9, "KCL residual {residual} A");
@@ -181,7 +156,7 @@ fn stuck_cells_and_broken_bitline_simulate_end_to_end() {
 #[test]
 fn tiny_pivot_divider_solves_exactly_through_facade() {
     let (c, b) = common::tiny_pivot_divider();
-    let solution = solve_dc(&c, &SolveOptions::default()).unwrap();
+    let solution = solve_dc(&c).unwrap();
     // Two equal 1e15 Ω halves: b sits at exactly half the source.
     assert_eq!(solution.voltages()[b], 0.5);
 }
@@ -225,7 +200,7 @@ fn ldl_answers_every_heavily_faulted_small_array() {
                 )
                 .build()
                 .unwrap();
-            let solution = solve_dc(xbar.circuit(), &SolveOptions::default())
+            let solution = solve_dc(xbar.circuit())
                 .unwrap_or_else(|e| panic!("{size}x{size} seed {seed}: {e}"));
             let residual = kcl_residual(xbar.circuit(), &solution);
             assert!(

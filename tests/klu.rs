@@ -5,7 +5,7 @@
 //! refactorization must be bit-identical to a fresh factorization, singular
 //! systems must surface as typed errors (never NaN or a hang), and every
 //! repeated solve of one structure — Newton and chord steps, transient
-//! steps, prepared-system reads and fault trials — must analyze it once
+//! steps, batch reads on one handle and fault trials — must analyze it once
 //! and refactor in place, or, for a chord step, backsolve on the held
 //! factor. The circuits of one validation share one analysis per pattern,
 //! and a factor over a shared analysis is bit-identical to a fresh one. The symbolic, refactor and typed-error checks run on
@@ -18,10 +18,9 @@
 
 mod common;
 
-use mnsim::circuit::batch::{prepare_or_reuse, EngineKind, PreparedSystem, Rhs};
 use mnsim::circuit::crossbar::CrossbarSpec;
 use mnsim::circuit::kcl_residual;
-use mnsim::circuit::solve::{solve_dc, SolveOptions};
+use mnsim::circuit::solve::{solve_dc, Rhs, Solver};
 use mnsim::circuit::sparse::CscMatrix;
 use mnsim::circuit::sparse::TripletMatrix;
 use mnsim::circuit::transient::{solve_transient, TransientOptions};
@@ -281,7 +280,7 @@ proptest! {
     ) {
         let _session = obs::session();
         let built = random_crossbar(rows, cols, seed).build().expect("valid crossbar");
-        let sparse = solve_dc(built.circuit(), &SolveOptions::default()).expect("SDD system solves");
+        let sparse = solve_dc(built.circuit()).expect("SDD system solves");
         let dense = common::dense_nodal_voltages(built.circuit());
         for (node, (&vs, &vd)) in sparse.voltages().iter().zip(&dense).enumerate() {
             let scale = vs.abs().max(vd.abs()).max(1.0);
@@ -372,7 +371,7 @@ proptest! {
         }
         let built = spec.build().expect("valid crossbar");
         let circuit = built.circuit();
-        let solution = solve_dc(circuit, &SolveOptions::default()).expect("crossbar solves");
+        let solution = solve_dc(circuit).expect("crossbar solves");
         let delivered: f64 = circuit
             .elements()
             .iter()
@@ -459,7 +458,7 @@ fn floating_node_is_a_typed_singular_error() {
 
     // The structural island check reports the floating node before any
     // factorization.
-    match solve_dc(&circuit, &SolveOptions::default()) {
+    match solve_dc(&circuit) {
         Err(CircuitError::SingularSystem { .. }) => {}
         other => panic!("expected SingularSystem, got {other:?}"),
     }
@@ -477,8 +476,8 @@ fn fault_campaign_counters(iv: IvModel) -> obs::MetricsSnapshot {
         trials: 6,
         inputs_per_trial: 2,
         // No spare-row repair: defects must survive into the operated
-        // circuit, otherwise every trial is fingerprint-identical to the
-        // clean array and reuses the cache exactly instead of refreshing.
+        // circuit, otherwise every trial is identical to the clean array
+        // and refactors nothing.
         spare_rows: 0,
         ..FaultConfig::default()
     };
@@ -492,7 +491,7 @@ fn fault_campaign_counters(iv: IvModel) -> obs::MetricsSnapshot {
 
 /// Acceptance: per-trial value-only updates in a fault campaign hit the
 /// `refactor()` fast path — visible as `solver.klu.refactor` increments —
-/// instead of rebuilding the prepared system from scratch every trial.
+/// instead of re-analyzing the structure every trial.
 #[test]
 fn fault_campaign_hits_the_refactor_fast_path() {
     // Ohmic cells keep the trial circuits linear so the sparse engine —
@@ -500,36 +499,32 @@ fn fault_campaign_hits_the_refactor_fast_path() {
     let snap = fault_campaign_counters(IvModel::Linear);
     assert_eq!(snap.counter("core.fault.trials"), 6);
     // The first trial factors cold; each later trial's fault map is a
-    // value-only change on the same structure, so all five must refresh
-    // the cached factorization in place (the second read of each trial is
-    // an exact cache hit and solves without touching the numeric factor).
+    // value-only change on the same structure, so all five must refactor
+    // the held factorization in place (the second read of each trial is a
+    // backsolve on that factor, which the numeric factor never sees).
     assert_eq!(
         snap.counter("solver.klu.refactor"),
         5,
         "trials after the first must hit the refactor fast path",
     );
-    assert_eq!(
-        snap.counter("circuit.batch.value_refreshes"),
-        5,
-        "prepare_or_reuse must refresh in place once per changed trial",
-    );
+    // One analysis per structure owner: the clean reference solve, the
+    // clean extra-read handle, and the trial handle.
+    assert_eq!(snap.counter("solver.klu.analyses"), 3);
     // And refreshing is strictly cheaper than re-analyzing: symbolic
     // analyses stay well below one per trial solve.
     assert!(snap.counter("solver.klu.analyses") < snap.counter("solver.klu.solves"));
 }
 
 /// The same campaign on sinh cells: every read is a Newton solve, and the
-/// per-worker prepared system keeps its Newton workspace across trials,
-/// so each fault map is a value-only overlay that refactors one cached
-/// analysis instead of rebuilding.
+/// per-worker handle keeps its workspace across trials, so each fault map
+/// is a value-only overlay that refactors one cached analysis instead of
+/// re-analyzing.
 #[test]
 fn sinh_fault_campaign_refactors_one_analysis_across_trials() {
     let snap = fault_campaign_counters(IvModel::Sinh { alpha: 2.5 });
     assert_eq!(snap.counter("core.fault.trials"), 6);
-    assert_eq!(snap.counter("circuit.batch.value_refreshes"), 5);
-    assert_eq!(snap.counter("circuit.batch.invalidations"), 0);
     // One analysis per structure owner: the clean reference solve, the
-    // clean extra-read system, and the trial slot.
+    // clean extra-read handle, and the trial handle.
     assert_eq!(snap.counter("solver.klu.analyses"), 3);
     assert_eq!(snap.counter("solver.klu.factors"), 3);
     assert!(
@@ -551,7 +546,7 @@ fn sinh_crossbar(seed: u64) -> CrossbarSpec {
 fn newton_solve_factors_once_and_takes_chord_steps_on_it() {
     let session = obs::session();
     let built = sinh_crossbar(11).build().unwrap();
-    solve_dc(built.circuit(), &SolveOptions::default()).expect("Newton converges");
+    solve_dc(built.circuit()).expect("Newton converges");
 
     let snap = session.snapshot();
     let chord_steps = snap.counter("circuit.solve.chord_steps");
@@ -563,8 +558,8 @@ fn newton_solve_factors_once_and_takes_chord_steps_on_it() {
     assert_eq!(snap.counter("solver.klu.solves"), chord_steps + 1);
 }
 
-/// Five reads of a 64×64 sinh array, handed to a prepared system as one
-/// batch, share one analysis and one factorization, refactor nothing,
+/// Five reads of a 64×64 sinh array, handed to a handle as one batch,
+/// share one analysis and one factorization, refactor nothing,
 /// and take one backsolve pass per lockstep sweep: no more passes than
 /// the longest read's chord steps plus the low-field solve.
 /// `solver.klu.solves` counts right-hand sides, so it equals the
@@ -583,12 +578,11 @@ fn a_batch_of_reads_shares_one_factor_and_one_pass_per_sweep() {
                 .collect()
         })
         .collect();
-    let options = SolveOptions::default();
     let session = obs::session();
     let (mut longest, mut columns) = (0, 0);
     for read in &reads {
         obs::reset();
-        solve_dc(&circuit.with_source_voltages(read).unwrap(), &options).unwrap();
+        solve_dc(&circuit.with_source_voltages(read).unwrap()).unwrap();
         let snap = session.snapshot();
         longest = longest.max(snap.counter("circuit.solve.chord_steps"));
         columns += snap.counter("solver.klu.solves");
@@ -596,10 +590,7 @@ fn a_batch_of_reads_shares_one_factor_and_one_pass_per_sweep() {
 
     obs::reset();
     let batch: Vec<Rhs> = reads.iter().map(|r| built.input_rhs(r).unwrap()).collect();
-    PreparedSystem::build(circuit, options)
-        .unwrap()
-        .solve_batch(circuit, &batch)
-        .unwrap();
+    Solver::default().solve_batch(circuit, &batch).unwrap();
     let snap = session.snapshot();
     assert_eq!(snap.counter("solver.klu.analyses"), 1);
     assert_eq!(snap.counter("solver.klu.factors"), 1);
@@ -629,16 +620,15 @@ fn supernodal_counter_names_the_kernel() {
         let clean = spec.build().unwrap();
         spec.states[5] = Resistance::from_kilo_ohms(100.0);
         let overlaid = spec.build().unwrap();
-        let options = SolveOptions::default();
-        let mut slot: Option<PreparedSystem> = None;
+        let mut solver = Solver::default();
         for built in [&clean, &overlaid] {
-            prepare_or_reuse(&mut slot, built.circuit(), &options)
-                .unwrap()
-                .solve(built.circuit(), &built.input_rhs(&spec.inputs).unwrap())
+            let read = [built.input_rhs(&spec.inputs).unwrap()];
+            solver
+                .solve_batch(built.circuit(), &read)
                 .expect("Newton converges");
         }
         let snap = session.snapshot();
-        assert_eq!(snap.counter("circuit.batch.value_refreshes"), 1);
+        assert_eq!(snap.counter("solver.klu.analyses"), 1);
         let factorizations =
             snap.counter("solver.klu.factors") + snap.counter("solver.klu.refactor");
         assert!(
@@ -669,9 +659,9 @@ fn linear_rc_transient_factors_once() {
     assert_eq!(snap.counter("solver.klu.solves"), steps as u64);
 }
 
-/// A non-linear prepared system shares one analysis across its reads and
-/// across a value-only overlay, and still answers exactly like per-read
-/// `solve_dc` calls.
+/// A non-linear system on one handle shares one analysis across its reads
+/// and across a value-only overlay, and still answers exactly like
+/// per-read `solve_dc` calls.
 #[test]
 fn nonlinear_prepared_system_shares_one_analysis_across_reads_and_overlays() {
     let session = obs::session();
@@ -689,25 +679,19 @@ fn nonlinear_prepared_system_shares_one_analysis_across_reads_and_overlays() {
         .collect();
     let rhs: Vec<Rhs> = reads.iter().map(|r| clean.input_rhs(r).unwrap()).collect();
 
-    let options = SolveOptions::default();
-    let mut slot: Option<PreparedSystem> = None;
-    let prepared = prepare_or_reuse(&mut slot, clean.circuit(), &options).unwrap();
-    assert_eq!(prepared.engine_kind(), EngineKind::Nonlinear);
-    prepared.solve_batch(clean.circuit(), &rhs).unwrap();
-    let overlaid = prepare_or_reuse(&mut slot, faulty.circuit(), &options)
-        .unwrap()
-        .solve_batch(faulty.circuit(), &rhs)
-        .unwrap();
+    let mut solver = Solver::default();
+    solver.solve_batch(clean.circuit(), &rhs).unwrap();
+    let overlaid = solver.solve_batch(faulty.circuit(), &rhs).unwrap();
 
     let snap = session.snapshot();
     assert_eq!(snap.counter("solver.klu.analyses"), 1);
     assert_eq!(snap.counter("circuit.batch.prepared_builds"), 1);
-    assert_eq!(snap.counter("circuit.batch.invalidations"), 0);
-    assert_eq!(snap.counter("circuit.batch.value_refreshes"), 1);
+    // One fresh factorization; the overlay refactors it.
+    assert_eq!(snap.counter("solver.klu.factors"), 1);
 
     for (read, got) in reads.iter().zip(&overlaid) {
         let patched = faulty.circuit().with_source_voltages(read).unwrap();
-        let want = solve_dc(&patched, &SolveOptions::default()).unwrap();
+        let want = solve_dc(&patched).unwrap();
         assert_eq!(got.voltages(), want.voltages());
     }
 }

@@ -3,7 +3,7 @@
 //! generated SPICE text, and the crossbar worst-column claim.
 
 use mnsim::circuit::netlist::from_netlist;
-use mnsim::circuit::solve::{solve_dc, SolveOptions};
+use mnsim::circuit::solve::solve_dc;
 use mnsim::core::accuracy::{fit_wire_coefficient, measure_circuit_error_rate, Case};
 use mnsim::core::config::Config;
 use mnsim::core::netlist_gen::{generate_netlist, map_weights};
@@ -58,7 +58,7 @@ fn generated_netlists_solve_to_physical_outputs() {
     for part in parts {
         let netlist = format!("{part}.end\n");
         let circuit = from_netlist(&netlist).unwrap();
-        let solution = solve_dc(&circuit, &SolveOptions::default()).unwrap();
+        let solution = solve_dc(&circuit).unwrap();
         // All node voltages bounded by the read voltage.
         let v_read = config.device.v_read.volts();
         for &v in solution.voltages() {
@@ -80,7 +80,7 @@ fn mapped_outputs_track_weight_magnitudes() {
     let weights = mnsim::nn::tensor::Tensor::from_vec(&[2, 8], data).unwrap();
     let mapped = map_weights(&config, &weights, &[1.0; 8]).unwrap();
     let built = mapped.positive.build().unwrap();
-    let solution = solve_dc(built.circuit(), &SolveOptions::default()).unwrap();
+    let solution = solve_dc(built.circuit()).unwrap();
     let outputs = built.output_voltages(&solution);
     assert!(
         outputs[0].volts() > 3.0 * outputs[1].volts(),
@@ -103,7 +103,7 @@ fn worst_column_is_farthest_from_drivers() {
         config.device.v_read,
     );
     let built = spec.build().unwrap();
-    let solution = solve_dc(built.circuit(), &SolveOptions::default()).unwrap();
+    let solution = solve_dc(built.circuit()).unwrap();
     let outputs = built.output_voltages(&solution);
     let last = outputs.last().unwrap().volts();
     for (i, v) in outputs.iter().enumerate() {

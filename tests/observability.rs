@@ -45,9 +45,12 @@ fn clean_fault_campaign_records_no_fallbacks() {
     assert!(snap.counter("solver.klu.solves") >= 3);
     assert!(snap.counter("circuit.solve.sparse_lu") >= 3);
     // One primary read per trial, and the identical clean trials after the
-    // first are exact cache hits of the per-thread prepared slot.
+    // first refactor nothing on the per-thread handle: two factorizations
+    // (the clean reference solve and the handle's first trial), no
+    // refactor.
     assert_eq!(snap.counter("circuit.batch.solves"), 3);
-    assert_eq!(snap.counter("circuit.batch.cache_hits"), 2);
+    assert_eq!(snap.counter("solver.klu.factors"), 2);
+    assert_eq!(snap.counter("solver.klu.refactor"), 0);
 }
 
 #[test]
@@ -201,8 +204,8 @@ fn session_opened_before_thread_pool_sees_all_worker_counts() {
     assert_eq!(snap.counter("core.fault.campaigns"), 1);
     assert_eq!(snap.counter("core.fault.trials"), 14);
     // Retired trials skip the solve; every operated trial reads its
-    // primary output through its worker's cached prepared system, so the
-    // workers' batch solves count every operated trial exactly.
+    // primary output through its worker's solver handle, so the workers'
+    // batch solves count every operated trial exactly.
     let operated = 14 - snap.counter("core.fault.retired_trials");
     assert_eq!(
         snap.counter("circuit.batch.solves"),

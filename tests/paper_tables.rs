@@ -9,7 +9,7 @@
 //!
 //! Every pipeline these goldens exercise is deterministic: seeded RNG,
 //! fixed-iteration-order solvers, serial reductions. The Table II rows now
-//! run through the batched `PreparedSystem` path in `validate` (one
+//! run through the batched `Solver::solve_batch` path in `validate` (one
 //! assembly per weight matrix, re-driven per input); the golden values
 //! below predate that change and were deliberately *not* regenerated — the
 //! suite passing is the proof that batching left the deviation numbers

@@ -139,7 +139,7 @@ fn fault_campaign_is_bit_identical_across_thread_counts() {
 }
 
 /// A multi-read campaign on sinh cells: each trial hands its four reads
-/// to its worker's prepared system as one batch, which steps them in
+/// to its worker's solver handle as one batch, which steps them in
 /// lockstep on a factor the worker's previous trial left behind. The
 /// summary must not depend on which trials shared a worker.
 #[test]

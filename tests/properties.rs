@@ -169,7 +169,7 @@ proptest! {
     #[test]
     fn power_conservation(size in 2usize..10, state_kohm in 1.0f64..100.0) {
         use mnsim::circuit::crossbar::CrossbarSpec;
-        use mnsim::circuit::solve::{solve_dc, SolveOptions};
+        use mnsim::circuit::solve::solve_dc;
         let spec = CrossbarSpec::uniform(
             size,
             size,
@@ -179,7 +179,7 @@ proptest! {
             Voltage::from_volts(0.5),
         );
         let built = spec.build().unwrap();
-        let solution = solve_dc(built.circuit(), &SolveOptions::default()).unwrap();
+        let solution = solve_dc(built.circuit()).unwrap();
         let source = solution.source_power(built.circuit()).watts();
         let dissipated = solution.dissipated_power(built.circuit()).watts();
         prop_assert!((source - dissipated).abs() < 1e-9 * source.abs().max(1e-12),

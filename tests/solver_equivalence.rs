@@ -1,33 +1,36 @@
-//! Solver-equivalence lockdown for the batched multi-RHS layer.
+//! Solver-equivalence lockdown for the one solver handle
+//! ([`mnsim::circuit::Solver`]).
 //!
 //! Three contracts, each enforced here:
 //!
-//! 1. **Equivalence** — [`solve_dc_batch`] over a
-//!    [`PreparedSystem`] produces bit-identical node voltages to per-input
-//!    [`solve_dc`] on a re-driven circuit: the batch replays the exact
-//!    serial assembly and arithmetic, and every read is a backsolve on the
-//!    held factorization. Randomized over crossbar shapes, signed weights,
-//!    and batch sizes including one and zero.
-//! 2. **Invalidation** — a prepared system built for one conductance state
-//!    refuses to solve a circuit whose conductances changed: the typed
-//!    [`CircuitError::StalePreparedSystem`] fires at 32 and 200 unknowns
-//!    alike, and [`prepare_or_reuse`] refreshes or rebuilds instead of ever
-//!    reusing a stale factorization.
-//! 3. **One engine** — every grounded-source crossbar, whatever its size,
-//!    builds the sparse-direct engine, checked through
-//!    [`PreparedSystem::engine_kind`].
+//! 1. **Equivalence** — [`Solver::solve_batch`] produces bit-identical node
+//!    voltages to per-input [`solve_dc`] on a re-driven circuit: the batch
+//!    replays the exact serial assembly and arithmetic, and every read is a
+//!    backsolve on the held factorization. Randomized over crossbar shapes,
+//!    signed weights, and batch sizes including one and zero.
+//! 2. **No stale answer** — one handle handed any sequence of circuits
+//!    (value overlays, resamples, re-driven reads, a change of size, linear
+//!    and sinh cells, at 32 and 200 unknowns) answers each exactly as a
+//!    fresh one-shot solve of that circuit does, voltages and currents bit
+//!    for bit. The handle keeps no key beside its workspace, which
+//!    refactors on a value change and re-maps on a structure change.
+//! 3. **The structure rule** — a structure is the matrix dimension plus
+//!    the stamp coordinates, and a new one is checked for islands: a
+//!    resistor island, or an isolated node that adds an unknown and no
+//!    stamp, is `SingularSystem` on a handle that solved the healthy
+//!    circuit first, as it is on a fresh one.
 //!
 //! Every test holds the [`mnsim::obs::session`] lock while it runs solver
 //! code, so no test's counters can leak into another's measured window.
 
-use mnsim::circuit::batch::{prepare_or_reuse, solve_dc_batch, EngineKind, PreparedSystem, Rhs};
-use mnsim::circuit::crossbar::CrossbarSpec;
-use mnsim::circuit::solve::{solve_dc, SolveOptions};
-use mnsim::circuit::CircuitError;
+use mnsim::circuit::crossbar::{CrossbarCircuit, CrossbarSpec};
+use mnsim::circuit::solve::{solve_dc, Rhs, Solver};
+use mnsim::circuit::{Circuit, CircuitError, DcSolution};
 use mnsim::core::config::Config;
 use mnsim::core::netlist_gen::{input_drive_voltages, map_weights};
 use mnsim::nn::tensor::Tensor;
 use mnsim::obs;
+use mnsim::tech::fault::{FaultMap, FaultRates};
 use mnsim::tech::memristor::IvModel;
 use mnsim::tech::units::{Resistance, Voltage};
 use proptest::prelude::*;
@@ -48,8 +51,8 @@ fn check_crossbar_equivalence(rows: usize, cols: usize, seed: u64, batch_size: u
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut config = Config::fully_connected_mlp(&[8, 8]).expect("static dims");
     config.crossbar_size = 8;
-    // Ohmic cells keep the circuits linear, so the prepared system's cached
-    // engines — not the per-read Newton solve — are what this test exercises.
+    // Ohmic cells keep the circuits linear, so the held factor — not the
+    // per-read Newton solve — is what this test exercises.
     config.device.iv = IvModel::Linear;
 
     // Signed weights exercise both polarity crossbars of the dual mapping.
@@ -66,8 +69,6 @@ fn check_crossbar_equivalence(rows: usize, cols: usize, seed: u64, batch_size: u
         .map(|_| (0..rows).map(|_| uniform(&mut state)).collect())
         .collect();
 
-    let solve_options = SolveOptions::default();
-
     let specs: Vec<&CrossbarSpec> = std::iter::once(&mapped.positive)
         .chain(mapped.negative.as_ref())
         .collect();
@@ -81,10 +82,9 @@ fn check_crossbar_equivalence(rows: usize, cols: usize, seed: u64, batch_size: u
             })
             .collect();
 
-        let mut prepared = PreparedSystem::build(built.circuit(), solve_options.clone())
-            .expect("linear crossbar prepares");
-        let batched =
-            solve_dc_batch(&mut prepared, built.circuit(), &batch).expect("batch solves");
+        let batched = Solver::default()
+            .solve_batch(built.circuit(), &batch)
+            .expect("batch solves");
         assert_eq!(batched.len(), batch_size);
 
         for (k, x) in inputs.iter().enumerate() {
@@ -93,7 +93,7 @@ fn check_crossbar_equivalence(rows: usize, cols: usize, seed: u64, batch_size: u
                 .circuit()
                 .with_source_voltages(&drive)
                 .expect("arity matches");
-            let serial = solve_dc(&serial_circuit, &solve_options).expect("serial solves");
+            let serial = solve_dc(&serial_circuit).expect("serial solves");
             let a = serial.voltages();
             let b = batched[k].voltages();
             assert_eq!(a.len(), b.len());
@@ -124,129 +124,293 @@ proptest! {
     }
 }
 
-/// A 10×10 crossbar (`2·rows·cols = 200` unknowns).
-fn sparse_path_crossbar() -> CrossbarSpec {
-    CrossbarSpec::uniform(
-        10,
-        10,
-        Resistance::from_kilo_ohms(10.0),
-        Resistance::from_ohms(2.0),
-        Resistance::from_ohms(500.0),
-        Voltage::from_volts(1.0),
-    )
+/// Voltages and currents of a solution, as bits.
+fn solution_bits(circuit: &Circuit, solution: &DcSolution) -> (Vec<u64>, Vec<u64>) {
+    let voltages = solution.voltages().iter().map(|v| v.to_bits()).collect();
+    let currents = (0..circuit.elements().len())
+        .map(|e| solution.element_current(e).amperes().to_bits())
+        .collect();
+    (voltages, currents)
 }
 
-/// Rebuilds the spec with one cell conductance changed — same topology,
-/// different values, which is exactly the stale case fingerprinting must
-/// catch.
-fn perturbed(spec: &CrossbarSpec) -> CrossbarSpec {
-    let mut changed = spec.clone();
-    changed.states[0] = Resistance::from_ohms(changed.states[0].ohms() * 2.0);
-    changed
+/// `Ok` when both sides are the same error, or solutions with the same
+/// bits.
+fn same(
+    circuit: &Circuit,
+    got: Result<&DcSolution, &CircuitError>,
+    want: Result<&DcSolution, &CircuitError>,
+) -> Result<(), String> {
+    match (got, want) {
+        (Ok(g), Ok(w)) if solution_bits(circuit, g) == solution_bits(circuit, w) => Ok(()),
+        (Err(g), Err(w)) if g == w => Ok(()),
+        (got, want) => Err(format!(
+            "handle {:?} against one-shot {:?}",
+            got.err(),
+            want.err()
+        )),
+    }
 }
 
+/// The crossbar a step of [`one_handle_never_solves_stale`] works on: its
+/// edge (4 for 32 unknowns, 10 for 200), its cells and its overlay.
+#[derive(Debug, Clone)]
+struct Array {
+    spec: CrossbarSpec,
+    map: Option<FaultMap>,
+}
+
+impl Array {
+    /// A `size`×`size` array of `iv` cells with states drawn from
+    /// `[5 kΩ, 20 kΩ)` and inputs from `[0.2, 1.0)` V.
+    fn new(size: usize, iv: IvModel, state: &mut u64) -> Array {
+        let mut spec = CrossbarSpec::uniform(
+            size,
+            size,
+            Resistance::from_kilo_ohms(10.0),
+            Resistance::from_ohms(2.0),
+            Resistance::from_ohms(500.0),
+            Voltage::from_volts(1.0),
+        );
+        spec.iv = iv;
+        let mut array = Array { spec, map: None };
+        array.resample(state);
+        for input in &mut array.spec.inputs {
+            *input = Voltage::from_volts(0.2 + 0.8 * uniform(state));
+        }
+        array
+    }
+
+    /// New cell states, same structure.
+    fn resample(&mut self, state: &mut u64) {
+        for cell in &mut self.spec.states {
+            *cell = Resistance::from_ohms(5_000.0 + 15_000.0 * uniform(state));
+        }
+    }
+
+    fn build(&self) -> CrossbarCircuit {
+        let spec = self.spec.clone();
+        match &self.map {
+            Some(map) => spec.with_faults(
+                map.clone(),
+                Resistance::from_mega_ohms(1.0),
+                Resistance::from_ohms(500.0),
+            ),
+            None => spec,
+        }
+        .build()
+        .expect("valid crossbar")
+    }
+
+    /// `count` seeded reads of the array.
+    fn reads(&self, count: usize, state: &mut u64) -> Vec<Vec<Voltage>> {
+        (0..count)
+            .map(|_| {
+                (0..self.spec.rows)
+                    .map(|_| Voltage::from_volts(1.2 * uniform(state)))
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+/// Runs one seeded sequence of `steps` circuits through one handle and
+/// checks every answer against a fresh one-shot solve; `Err` names the
+/// first step that differs.
+fn run_sequence(seed: u64, steps: usize) -> Result<(), String> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let kind = |state: &mut u64| {
+        let size = if uniform(state) < 0.5 { 4 } else { 10 };
+        let iv = if uniform(state) < 0.5 {
+            IvModel::Linear
+        } else {
+            IvModel::Sinh {
+                alpha: 1.0 + 3.0 * uniform(state),
+            }
+        };
+        (size, iv)
+    };
+    let (size, iv) = kind(&mut state);
+    let mut array = Array::new(size, iv, &mut state);
+    let mut handle = Solver::default();
+    for step in 0..steps {
+        let what = (uniform(&mut state) * 5.0) as usize;
+        match what {
+            // A new array: a change of size or of cell kind, or both.
+            0 => {
+                let (size, iv) = kind(&mut state);
+                array = Array::new(size, iv, &mut state);
+            }
+            // A stuck-cell overlay.
+            1 => {
+                let size = array.spec.rows;
+                let map = FaultMap::generate(
+                    size,
+                    size,
+                    &FaultRates::stuck_at(0.3 * uniform(&mut state)),
+                    seed ^ step as u64,
+                )
+                .expect("valid rates");
+                array.map = Some(map);
+            }
+            // Resampled cell states.
+            2 => array.resample(&mut state),
+            _ => {}
+        }
+        let built = array.build();
+        let circuit = built.circuit();
+        let context = |e: String| {
+            format!(
+                "step {step} ({what}), {}x{}: {e}",
+                array.spec.rows, array.spec.rows
+            )
+        };
+        if what == 3 {
+            // Re-driven reads, one to ten: ten cross the eight-read block.
+            let count = 1 + (uniform(&mut state) * 10.0) as usize;
+            let reads = array.reads(count, &mut state);
+            let batch: Vec<Rhs> = reads
+                .iter()
+                .map(|r| built.input_rhs(r).expect("arity matches"))
+                .collect();
+            let got = handle.solve_batch(circuit, &batch);
+            let want: Result<Vec<DcSolution>, CircuitError> = reads
+                .iter()
+                .map(|r| solve_dc(&circuit.with_source_voltages(r).expect("arity matches")))
+                .collect();
+            match (&got, &want) {
+                (Ok(got), Ok(want)) => {
+                    for (k, (g, w)) in got.iter().zip(want).enumerate() {
+                        same(circuit, Ok(g), Ok(w))
+                            .map_err(|e| context(format!("read {k}: {e}")))?;
+                    }
+                }
+                (got, want) => same(
+                    circuit,
+                    got.as_ref().map(|g| &g[0]),
+                    want.as_ref().map(|w| &w[0]),
+                )
+                .map_err(context)?,
+            }
+        } else {
+            let got = handle.solve(circuit);
+            let want = solve_dc(circuit);
+            same(circuit, got.as_ref(), want.as_ref()).map_err(context)?;
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// One handle answers a seeded sequence of circuits — value overlays,
+    /// resamples, re-driven reads, new arrays of 32 or 200 unknowns with
+    /// linear or sinh cells — exactly as fresh one-shot solves do.
+    #[test]
+    fn one_handle_never_solves_stale(seed in 0u64..1_000_000, steps in 4usize..12) {
+        let _session = obs::session();
+        prop_assert_eq!(run_sequence(seed, steps), Ok(()));
+    }
+}
+
+/// Each of the 500 seeded resistor-island circuits of the crate's
+/// `grounded_circuits_with_a_resistor_island_are_singular` — a grounded
+/// 1 V divider beside three to six nodes joined by resistors of
+/// 10 Ω–100 kΩ — is `SingularSystem` on a handle that first solved the
+/// divider alone. Its structure is new, so the island check runs again.
 #[test]
-fn stale_prepared_system_is_a_typed_error_on_every_engine() {
+fn island_circuits_are_singular_on_a_warm_handle() {
     let _session = obs::session();
-    let small_spec = CrossbarSpec::uniform(
-        4,
-        4,
+    let mut divider = Circuit::new();
+    let top = divider.add_node();
+    let mid = divider.add_node();
+    divider
+        .add_voltage_source(top, Circuit::GROUND, Voltage::from_volts(1.0))
+        .unwrap();
+    divider
+        .add_resistor(top, mid, Resistance::from_kilo_ohms(1.0))
+        .unwrap();
+    divider
+        .add_resistor(mid, Circuit::GROUND, Resistance::from_kilo_ohms(1.0))
+        .unwrap();
+    for seed in 0..500u64 {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut c = divider.clone();
+        let island: Vec<usize> = (0..3 + below(&mut state, 4))
+            .map(|_| c.add_node())
+            .collect();
+        let resistor = |c: &mut Circuit, state: &mut u64, n1: usize, n2: usize| {
+            let r = Resistance::from_ohms(10.0 * 10f64.powf(4.0 * uniform(state)));
+            c.add_resistor(n1, n2, r).unwrap();
+        };
+        // A random tree over the island, then extra resistors.
+        for k in 1..island.len() {
+            let to = island[below(&mut state, k)];
+            resistor(&mut c, &mut state, island[k], to);
+        }
+        for _ in 0..below(&mut state, island.len()) {
+            let n1 = below(&mut state, island.len());
+            let n2 = below(&mut state, island.len());
+            if n1 != n2 {
+                resistor(&mut c, &mut state, island[n1], island[n2]);
+            }
+        }
+        let mut handle = Solver::default();
+        assert_eq!(handle.solve(&divider).unwrap().voltage(mid).volts(), 0.5);
+        assert!(
+            matches!(handle.solve(&c), Err(CircuitError::SingularSystem { .. })),
+            "seed {seed}"
+        );
+    }
+}
+
+/// Uniform in `0..n` from the same xorshift step as [`uniform`], as the
+/// crate's tests draw it.
+fn below(state: &mut u64, n: usize) -> usize {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    ((*state >> 11) % n as u64) as usize
+}
+
+/// The circuit of `tests/klu.rs`'s `floating_node_is_a_typed_singular_error`
+/// — a 3×3 crossbar plus one node no element touches — is `SingularSystem`
+/// on a handle that first solved the same crossbar without it. The extra
+/// unknown adds no stamp, so only the dimension tells the structures
+/// apart; without it the handle would backsolve a right-hand side one
+/// entry longer than its factor.
+#[test]
+fn isolated_node_is_singular_on_a_warm_handle() {
+    let _session = obs::session();
+    let mut state = 42u64.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut spec = CrossbarSpec::uniform(
+        3,
+        3,
         Resistance::from_kilo_ohms(10.0),
         Resistance::from_ohms(2.0),
         Resistance::from_ohms(500.0),
         Voltage::from_volts(1.0),
     );
-    for spec in [small_spec, sparse_path_crossbar()] {
-        let built = spec.build().unwrap();
-        let mut prepared = PreparedSystem::build(built.circuit(), SolveOptions::default()).unwrap();
-        assert_eq!(prepared.engine_kind(), EngineKind::SparseDirect);
-
-        let changed = perturbed(&spec).build().unwrap();
-        let rhs = changed
-            .input_rhs(&vec![Voltage::from_volts(1.0); spec.rows])
-            .unwrap();
-        let result = solve_dc_batch(&mut prepared, changed.circuit(), std::slice::from_ref(&rhs));
-        match result {
-            Err(CircuitError::StalePreparedSystem { expected, actual }) => {
-                assert_ne!(expected, actual);
-                assert_eq!(expected, prepared.fingerprint());
-            }
-            other => panic!("expected StalePreparedSystem, got {other:?}"),
-        }
-
-        // Re-driving the *same* conductances is not staleness: only value
-        // changes to the resistive network invalidate.
-        let redriven = built
-            .circuit()
-            .with_source_voltages(&vec![Voltage::from_volts(0.25); spec.rows])
-            .unwrap();
-        assert!(prepared.matches(&redriven));
-        assert!(solve_dc_batch(&mut prepared, &redriven, &[rhs]).is_ok());
+    for cell in &mut spec.states {
+        *cell = Resistance::from_ohms(5_000.0 + 15_000.0 * uniform(&mut state));
     }
-}
-
-#[test]
-fn prepare_or_reuse_never_solves_stale() {
-    let _session = obs::session();
-    let spec = sparse_path_crossbar();
-    let options = SolveOptions::default();
-    let mut slot: Option<PreparedSystem> = None;
-
+    for input in &mut spec.inputs {
+        *input = Voltage::from_volts(0.2 + 0.8 * uniform(&mut state));
+    }
     let built = spec.build().unwrap();
-    let first_fingerprint = {
-        let prepared = prepare_or_reuse(&mut slot, built.circuit(), &options).unwrap();
-        prepared.fingerprint()
-    };
-
-    // Same circuit: the cached system is reused as-is.
-    {
-        let prepared = prepare_or_reuse(&mut slot, built.circuit(), &options).unwrap();
-        assert_eq!(prepared.fingerprint(), first_fingerprint);
-    }
-
-    // Changed conductances with unchanged topology: the sparse engine is
-    // refreshed in place (refactor), the fingerprint moves to the new
-    // circuit, and — because a refactor runs the same LDLᵀ routine on the
-    // same analysis — the solve is still bit-identical to a fresh serial
-    // factorization.
-    let changed = perturbed(&spec).build().unwrap();
-    let prepared = prepare_or_reuse(&mut slot, changed.circuit(), &options).unwrap();
-    assert_ne!(prepared.fingerprint(), first_fingerprint);
-    let drive = vec![Voltage::from_volts(1.0); spec.rows];
-    let rhs = changed.input_rhs(&drive).unwrap();
-    let batched = prepared.solve(changed.circuit(), &rhs).unwrap();
-    let serial = solve_dc(changed.circuit(), &SolveOptions::default()).unwrap();
-    assert_eq!(serial.voltages(), batched.voltages());
-}
-
-/// Every grounded-source crossbar builds the one engine for its matrix
-/// class, whatever its size: 1×1 (2 unknowns), 6×6 (72), 6×8 (96) and
-/// 16×16 (512). The choice is identical run to run.
-#[test]
-fn auto_dispatch_is_deterministic_in_structure_size() {
-    let _session = obs::session();
-    let spec_for = |rows: usize, cols: usize| {
-        CrossbarSpec::uniform(
-            rows,
-            cols,
-            Resistance::from_kilo_ohms(10.0),
-            Resistance::from_ohms(2.0),
-            Resistance::from_ohms(500.0),
-            Voltage::from_volts(1.0),
-        )
-    };
-    for (rows, cols) in [(1, 1), (6, 6), (6, 8), (16, 16)] {
-        // Build twice: the choice must be identical run-to-run.
-        for _ in 0..2 {
-            let built = spec_for(rows, cols).build().unwrap();
-            let prepared =
-                PreparedSystem::build(built.circuit(), SolveOptions::default()).unwrap();
-            assert_eq!(
-                prepared.engine_kind(),
-                EngineKind::SparseDirect,
-                "{rows}x{cols} crossbar dispatched to {:?}",
-                prepared.engine_kind()
-            );
-        }
-    }
+    let mut isolated = built.circuit().clone();
+    isolated.add_node();
+    let mut handle = Solver::default();
+    handle.solve(built.circuit()).unwrap();
+    assert!(matches!(
+        handle.solve(&isolated),
+        Err(CircuitError::SingularSystem { .. })
+    ));
+    // And the handle still answers the crossbar afterwards.
+    let again = handle.solve(built.circuit()).unwrap();
+    let fresh = solve_dc(built.circuit()).unwrap();
+    assert_eq!(
+        solution_bits(built.circuit(), &again),
+        solution_bits(built.circuit(), &fresh)
+    );
 }
