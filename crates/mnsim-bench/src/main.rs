@@ -69,6 +69,7 @@
 use mnsim_bench::experiments;
 use mnsim_core::checkpoint::CheckpointPolicy;
 use mnsim_core::error::CoreError;
+use mnsim_core::exec::Deadline;
 use mnsim_core::fault_sim::FaultConfig;
 use mnsim_core::report::format_report;
 use mnsim_core::simulator::Simulator;
@@ -88,7 +89,7 @@ struct FaultMcArgs {
     rate: f64,
     threads: usize,
     checkpoint: Option<String>,
-    deadline_ms: Option<u64>,
+    deadline_millis: Option<u64>,
 }
 
 impl Default for FaultMcArgs {
@@ -99,7 +100,7 @@ impl Default for FaultMcArgs {
             rate: 0.02,
             threads: 0,
             checkpoint: None,
-            deadline_ms: None,
+            deadline_millis: None,
         }
     }
 }
@@ -162,7 +163,7 @@ fn main() {
             }
             "--checkpoint" => faultmc.checkpoint = Some(flag_value(&mut args, "--checkpoint")),
             "--deadline-ms" => {
-                faultmc.deadline_ms = Some(parse_or_usage(
+                faultmc.deadline_millis = Some(parse_or_usage(
                     &flag_value(&mut args, "--deadline-ms"),
                     "--deadline-ms",
                 ));
@@ -343,8 +344,8 @@ fn run_faultmc(args: &FaultMcArgs) -> Result<String, Box<dyn std::error::Error>>
     if let Some(path) = &args.checkpoint {
         session = session.checkpoint(CheckpointPolicy::new(path));
     }
-    if let Some(millis) = args.deadline_ms {
-        session = session.deadline_ms(millis);
+    if let Some(millis) = args.deadline_millis {
+        session = session.deadline(Deadline::after_millis(millis));
     }
     let report = session.run()?;
     Ok(format_report(&report))

@@ -18,9 +18,13 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
+use mnsim_nn::BankDescriptor;
 use mnsim_obs as obs;
 
-use crate::dse::DseResult;
+use crate::accuracy::propagation::LayerAccuracy;
+use crate::arch::BankModelResult;
+use crate::dse::{DesignPoint, DseResult};
+use crate::perf::ModulePerf;
 use crate::simulate::Report;
 use crate::validate::ValidationRow;
 
@@ -36,8 +40,7 @@ static CACHE_ENTRIES: obs::Gauge = obs::Gauge::new("cache.artifact.entries");
 /// whoever already holds it.
 #[derive(Debug, Clone)]
 pub enum Artifact {
-    /// A complete simulation report (metrics/trace stripped — those are
-    /// per-run observations, not properties of the configuration).
+    /// A complete simulation report.
     Report(Arc<Report>),
     /// A model-vs-circuit validation table.
     Validation(Arc<Vec<ValidationRow>>),
@@ -46,43 +49,38 @@ pub enum Artifact {
 }
 
 impl Artifact {
-    /// Rough resident size of the artifact in bytes, used for budget
-    /// accounting. Estimates err on the generous side; exactness is not
-    /// required — the budget is a pressure valve, not an allocator.
+    /// Resident size of the artifact in bytes, used for budget
+    /// accounting. Reports and DSE fronts count their inline bytes and
+    /// the capacity of every vector and string they own; allocator and
+    /// `Arc` overhead are not counted — the budget is a pressure valve,
+    /// not an allocator.
     pub fn approx_bytes(&self) -> usize {
         match self {
-            Artifact::Report(report) => report_approx_bytes(report),
-            Artifact::Validation(rows) => {
-                64 + rows.len() * (std::mem::size_of::<ValidationRow>() + 32)
-            }
+            Artifact::Report(report) => size_of::<Report>() + report_heap_bytes(report),
+            Artifact::Validation(rows) => 64 + rows.len() * (size_of::<ValidationRow>() + 32),
             Artifact::DseFront(result) => {
-                64 + result
-                    .feasible
-                    .iter()
-                    .map(|p| 64 + report_approx_bytes(&p.report))
-                    .sum::<usize>()
+                size_of::<DseResult>()
+                    + result.feasible.capacity() * size_of::<DesignPoint>()
+                    + result
+                        .feasible
+                        .iter()
+                        .map(|p| report_heap_bytes(&p.report))
+                        .sum::<usize>()
             }
         }
     }
 }
 
-/// Rough resident size of one [`Report`].
-fn report_approx_bytes(report: &Report) -> usize {
-    let mut bytes = std::mem::size_of::<Report>();
-    bytes += report.layer_accuracy.len() * 64;
-    bytes += report.config.network.banks.len() * 128;
-    if report.faults.is_some() {
-        bytes += 512;
-    }
-    // Attached metrics/trace are stripped before caching, but account
-    // for them if a caller inserts a report that still carries them.
-    if let Some(metrics) = &report.metrics {
-        bytes += metrics.to_json().len();
-    }
-    if report.trace.is_some() {
-        bytes += 4096;
-    }
-    bytes
+/// The heap one [`Report`] owns: its network's name and bank list, its
+/// per-bank results and links, and its per-layer accuracy.
+fn report_heap_bytes(report: &Report) -> usize {
+    let network = &report.config.network;
+    let accelerator = &report.accelerator;
+    network.name.capacity()
+        + network.banks.capacity() * size_of::<BankDescriptor>()
+        + accelerator.banks.capacity() * size_of::<BankModelResult>()
+        + accelerator.links.capacity() * size_of::<ModulePerf>()
+        + report.layer_accuracy.capacity() * size_of::<LayerAccuracy>()
 }
 
 /// A point-in-time view of cache effectiveness.
@@ -373,5 +371,33 @@ mod tests {
         cache.insert(1, rows(1));
         assert!(cache.get(1).is_none());
         assert_eq!(cache.stats().entries, 0);
+    }
+
+    #[test]
+    fn report_and_front_sizes_count_the_heap_they_own() {
+        let config = crate::config::Config::fully_connected_mlp(&[64, 32, 16]).unwrap();
+        // A clone's vectors hold exactly their length, like the clones
+        // in the front below.
+        let report = crate::simulate::simulate(&config).unwrap().clone();
+        let heap = report_heap_bytes(&report);
+        assert!(heap >= 2 * (size_of::<BankModelResult>() + size_of::<LayerAccuracy>()));
+        assert_eq!(
+            Artifact::Report(Arc::new(report.clone())).approx_bytes(),
+            size_of::<Report>() + heap
+        );
+        let point = DesignPoint {
+            crossbar_size: config.crossbar_size,
+            parallelism: config.parallelism,
+            interconnect: config.interconnect,
+            report,
+        };
+        let front = DseResult {
+            evaluated: 3,
+            feasible: vec![point.clone(), point.clone(), point],
+        };
+        assert_eq!(
+            Artifact::DseFront(Arc::new(front)).approx_bytes(),
+            size_of::<DseResult>() + 3 * (size_of::<DesignPoint>() + heap)
+        );
     }
 }

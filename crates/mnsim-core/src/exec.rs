@@ -17,7 +17,10 @@
 //!   it first. Parallel runs still evaluate every item (coverage is
 //!   never silently dropped by a failure elsewhere).
 //! * **Control plane.** A cooperative [`CancelToken`] and a per-run
-//!   [`Deadline`] are checked at chunk boundaries, and a panic in one
+//!   [`Deadline`] (the facade's
+//!   [`cancel`](crate::simulator::Simulator::cancel) and
+//!   [`deadline`](crate::simulator::Simulator::deadline) values, held in
+//!   a [`RunControl`]) are checked at chunk boundaries, and a panic in one
 //!   item surfaces as a typed [`ExecError::WorkerPanic`] while every
 //!   sibling result is kept. The returned [`MapReport`] says exactly
 //!   which items completed — the substrate the checkpointed campaign
@@ -73,56 +76,6 @@ static EXEC_CHUNK_IMBALANCE: obs::Gauge = obs::Gauge::new("exec.chunk_imbalance"
 /// Chunks handed out per worker on average; >1 lets the queue rebalance
 /// around slow items, while keeping per-chunk overhead negligible.
 const CHUNKS_PER_WORKER: usize = 4;
-
-/// Execution options of the [`crate::simulator::Simulator`] facade, the
-/// one knob every workload shares.
-///
-/// `threads` sizes the worker pool that fans out fault trials, DSE
-/// points and validation matrices; a plain simulation has nothing to fan
-/// out and always runs on the calling thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ExecOptions {
-    /// Worker threads: `0` uses the machine's available parallelism, `1`
-    /// forces the serial path. Results are bit-identical either way.
-    pub threads: usize,
-    /// Collect an observability snapshot and attach it to the report
-    /// (honored by [`crate::simulator::Simulator`], which owns the
-    /// exclusive metrics session).
-    pub metrics: bool,
-    /// Record a hierarchical trace and attach its summary to the report
-    /// (honored by [`crate::simulator::Simulator`], which owns the
-    /// exclusive trace session).
-    pub trace: bool,
-}
-
-impl Default for ExecOptions {
-    /// Auto thread count, no metrics, no trace.
-    fn default() -> Self {
-        ExecOptions {
-            threads: 0,
-            metrics: false,
-            trace: false,
-        }
-    }
-}
-
-impl ExecOptions {
-    /// Single-threaded execution, no metrics, no trace.
-    pub fn serial() -> Self {
-        ExecOptions {
-            threads: 1,
-            ..ExecOptions::default()
-        }
-    }
-
-    /// A fixed worker-thread count (`0` = auto).
-    pub fn with_threads(threads: usize) -> Self {
-        ExecOptions {
-            threads,
-            ..ExecOptions::default()
-        }
-    }
-}
 
 /// Resolves the `0 = auto` convention against the machine.
 pub(crate) fn resolve_threads(threads: usize) -> usize {
@@ -271,7 +224,11 @@ pub enum Interrupt {
 }
 
 /// The per-run control plane: an optional cancellation token and an
-/// optional deadline, observed by [`run_indices`].
+/// optional deadline, observed by [`run_indices`]. The
+/// [`crate::simulator::Simulator`] builder fills one from its
+/// [`cancel`](crate::simulator::Simulator::cancel) and
+/// [`deadline`](crate::simulator::Simulator::deadline) values; direct
+/// callers of [`run_indices`] set the two fields.
 ///
 /// The default control (no token, no deadline) never interrupts.
 #[derive(Debug, Clone, Default)]
@@ -287,26 +244,6 @@ impl RunControl {
     /// A control plane that never interrupts.
     pub fn new() -> Self {
         RunControl::default()
-    }
-
-    /// A control plane observing `token`.
-    pub fn with_cancel(token: CancelToken) -> Self {
-        RunControl {
-            cancel: Some(token),
-            deadline: None,
-        }
-    }
-
-    /// Adds (or replaces) the cancellation token.
-    pub fn cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Adds (or replaces) the deadline.
-    pub fn deadline(mut self, deadline: Deadline) -> Self {
-        self.deadline = Some(deadline);
-        self
     }
 
     /// Checks both signals: cancellation wins over the deadline when both
@@ -671,14 +608,18 @@ mod tests {
     }
 
     #[test]
-    fn defaults_and_builders() {
-        let d = ExecOptions::default();
-        assert_eq!(d.threads, 0);
-        assert!(!d.metrics && !d.trace);
-        assert_eq!(ExecOptions::serial().threads, 1);
-        assert_eq!(ExecOptions::with_threads(7).threads, 7);
+    fn zero_threads_resolves_to_the_machine() {
         assert_eq!(resolve_threads(1), 1);
+        assert_eq!(resolve_threads(7), 7);
         assert!(resolve_threads(0) >= 1);
+    }
+
+    /// A control plane observing `token` alone.
+    fn cancelled_by(token: &CancelToken) -> RunControl {
+        RunControl {
+            cancel: Some(token.clone()),
+            deadline: None,
+        }
     }
 
     #[test]
@@ -782,7 +723,7 @@ mod tests {
     fn budget_token_cancels_mid_run_and_reports_completed() {
         for threads in [1, 2, 7] {
             let token = CancelToken::after_items(5);
-            let control = RunControl::with_cancel(token.clone());
+            let control = cancelled_by(&token);
             let report =
                 run_indices::<usize, Infallible, _>(&(0..64).collect::<Vec<_>>(), threads, &control, Ok);
             assert!(token.is_cancelled(), "threads={threads}");
@@ -804,7 +745,7 @@ mod tests {
     #[test]
     fn cancellation_after_last_item_is_not_an_interrupt() {
         let token = CancelToken::after_items(8);
-        let control = RunControl::with_cancel(token.clone());
+        let control = cancelled_by(&token);
         let report =
             run_indices::<usize, Infallible, _>(&(0..8).collect::<Vec<_>>(), 1, &control, Ok);
         assert!(token.is_cancelled());
@@ -816,7 +757,10 @@ mod tests {
     #[test]
     fn expired_deadline_stops_the_run_before_work() {
         for threads in [1, 4] {
-            let control = RunControl::new().deadline(Deadline::after_millis(0));
+            let control = RunControl {
+                cancel: None,
+                deadline: Some(Deadline::after_millis(0)),
+            };
             std::thread::sleep(Duration::from_millis(2));
             let evaluated = AtomicUsize::new(0);
             let report = run_indices::<usize, Infallible, _>(

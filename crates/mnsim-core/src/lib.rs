@@ -12,16 +12,17 @@
 //! * [`mapping`] — weight-matrix partitioning onto crossbars,
 //! * [`accuracy`] — the behavior-level computing-accuracy model (§VI),
 //! * [`mod@simulate`] — the end-to-end simulation flow (§IV, Fig. 3),
-//! * [`exec`] — the one worker pool ([`ExecOptions`], deterministic
-//!   parallel map, cooperative cancellation/deadlines and per-item panic
-//!   isolation),
+//! * [`exec`] — the one worker pool (deterministic parallel map,
+//!   cooperative cancellation/deadlines and per-item panic isolation),
 //! * [`checkpoint`] — the checkpointed campaign driver behind fault
 //!   campaigns and DSE, with deterministic resume ([`CheckpointPolicy`]),
 //! * [`cache`] — the fingerprint-keyed cross-request artifact cache
 //!   ([`ArtifactCache`]) behind [`Session`] and `mnsim-serve`,
 //! * [`simulator`] — the [`Simulator`] session facade, the one public way
-//!   to run fault campaigns, DSE and validation (plus [`simulate()`], the
-//!   serial one-configuration shortcut),
+//!   to run fault campaigns, DSE and validation, configured by five
+//!   builder values: threads, faults, checkpoint, deadline and
+//!   cancellation token (plus [`simulate()`], the serial
+//!   one-configuration shortcut),
 //! * [`dse`] — design-space exploration by exhaustive traversal (§VII),
 //! * [`netlist_gen`] — SPICE netlist generation for circuit-level
 //!   verification,
@@ -77,8 +78,8 @@ pub use cache::{Artifact, ArtifactCache, CacheStats};
 pub use checkpoint::CheckpointPolicy;
 pub use config::{Config, NetworkType, Precision, SignedMapping, WeightPolarity};
 pub use error::{ConfigError, CoreError};
-pub use exec::{CancelToken, Deadline, ExecError, ExecOptions, RunControl};
+pub use exec::{CancelToken, Deadline, ExecError, RunControl};
 pub use fault_sim::{FaultConfig, FaultSummary};
 pub use perf::ModulePerf;
 pub use simulate::{simulate, Report};
-pub use simulator::{RunHandle, Session, Simulator};
+pub use simulator::{Session, Simulator};

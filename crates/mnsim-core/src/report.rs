@@ -226,11 +226,9 @@ pub fn report_csv_row(report: &Report) -> String {
 /// Exact decimal formatting via Rust's shortest-roundtrip `{}` float
 /// rendering: two reports produce byte-identical JSON **iff** their
 /// summary numbers are bit-identical, which is what the API-facade
-/// equivalence suite asserts across thread counts. The optional
-/// `metrics` / `trace` attachments carry wall-clock data and are
-/// deliberately excluded; `faults` is included because campaign
-/// statistics are deterministic. Its `fallback_solves` field stays in the
-/// format and reads 0 (see
+/// equivalence suite asserts across thread counts. `faults` is included
+/// because campaign statistics are deterministic. Its `fallback_solves`
+/// field stays in the format and reads 0 (see
 /// [`crate::fault_sim::FaultSummary::fallback_solves`]).
 pub fn report_json(report: &Report) -> String {
     let c = &report.config;

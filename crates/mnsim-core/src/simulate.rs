@@ -3,7 +3,7 @@
 //! the computing-accuracy estimation.
 
 use mnsim_obs as obs;
-use mnsim_obs::{Level, MetricsSnapshot, TraceSummary};
+use mnsim_obs::Level;
 use mnsim_tech::units::{Area, Energy, Power, Time};
 
 use crate::accuracy::{propagate, AccuracyModel, Case, LayerAccuracy};
@@ -48,39 +48,16 @@ pub struct Report {
     /// (populated when [`crate::simulator::Simulator::faults`] attaches a
     /// campaign).
     pub faults: Option<FaultSummary>,
-    /// Observability snapshot; `None` unless attached via
-    /// [`Report::with_metrics`] (e.g. by an `--emit metrics=` run).
-    pub metrics: Option<MetricsSnapshot>,
-    /// Hierarchical trace aggregation; `None` unless attached via
-    /// [`Report::with_trace`] (e.g. by an `--emit trace=` run).
-    pub trace: Option<TraceSummary>,
-}
-
-impl Report {
-    /// Attaches an observability snapshot (typically
-    /// [`mnsim_obs::snapshot`] taken after the run that produced this
-    /// report).
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: MetricsSnapshot) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Attaches the aggregated trace of the run that produced this report
-    /// (typically `trace_session.finish().summary()`).
-    #[must_use]
-    pub fn with_trace(mut self, trace: TraceSummary) -> Self {
-        self.trace = Some(trace);
-        self
-    }
 }
 
 /// Runs the full MNSIM simulation for `config` on the calling thread.
 ///
 /// Banks are evaluated one after another: each costs microseconds, below
 /// the grain where a worker pool pays for itself. For fault campaigns,
-/// design-space sweeps, validation, or a [`Report`] with metrics/trace
-/// attached, use the [`crate::simulator::Simulator`] facade.
+/// design-space sweeps and validation, use the
+/// [`crate::simulator::Simulator`] facade. Metrics and trace are sessions
+/// opened around the call ([`mnsim_obs::session`],
+/// [`mnsim_obs::trace::session`]); the report never carries them.
 ///
 /// # Errors
 ///
@@ -140,8 +117,6 @@ pub fn simulate(config: &Config) -> Result<Report, CoreError> {
         output_max_error_rate,
         output_avg_error_rate,
         faults: None,
-        metrics: None,
-        trace: None,
     })
 }
 

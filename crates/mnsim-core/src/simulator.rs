@@ -2,76 +2,82 @@
 //!
 //! Configure once, then [`Simulator::run`] a clean or faulty simulation,
 //! [`Simulator::explore`] a design space, or [`Simulator::validate`]
-//! against the circuit baseline — all on the same [`ExecOptions`] worker
-//! pool, with metrics and trace sessions owned by the facade. A session
-//! deadline and [`CheckpointPolicy`] apply to fault campaigns and sweeps
-//! alike; the `_controlled` variants add a caller's [`RunControl`]. (The
-//! plain [`crate::simulate::simulate`] stays public as the serial
-//! one-configuration shortcut.) [`Session`] adds the cross-request layer
-//! on top: the same calls, answered from a fingerprint-keyed
-//! [`ArtifactCache`] when the configuration was already evaluated.
+//! against the circuit baseline. Each call reads the builder's five
+//! settable values and nothing else: the worker-thread count, the fault
+//! campaign, the [`CheckpointPolicy`], the [`Deadline`] and the
+//! [`CancelToken`]. (The plain [`crate::simulate::simulate`] stays public
+//! as the serial one-configuration shortcut.) [`Session`] adds the
+//! cross-request layer on top: the same calls, answered from a
+//! fingerprint-keyed [`ArtifactCache`] when the configuration was already
+//! evaluated.
 //!
-//! Live telemetry composes from the *outside*: when a front end holds an
-//! open [`mnsim_obs::live`] session, the campaign driver behind fault
-//! campaigns and sweeps streams typed progress events (`campaign_started`,
-//! `wave_completed` with ETA and items/s, `checkpoint_written`,
-//! `campaign_finished`, …) into it — no `Simulator` knob needed, and no
-//! cost at all when no session is open. See the `repro` CLI's
-//! `--emit live=<path>`/`--progress` flags for the canonical wiring.
+//! Instrumentation composes from the *outside*: metrics
+//! ([`mnsim_obs::session`]), the trace ([`mnsim_obs::trace::session`]) and
+//! live telemetry ([`mnsim_obs::live`]) are sessions the caller opens
+//! around a call, and every record site inside it fans out to whichever
+//! are open. With a live session open, the campaign driver behind fault
+//! campaigns and sweeps streams typed progress events
+//! (`campaign_started`, `wave_completed` with ETA and items/s,
+//! `checkpoint_written`, `campaign_finished`, …) into it. No session
+//! changes a bit of a result, and none costs anything when closed. See
+//! the `repro` CLI's `--emit <kind>=<path>`/`--progress` flags for the
+//! canonical wiring.
 //!
 //! ```
 //! use mnsim_core::{Config, Simulator};
+//! use mnsim_obs as obs;
 //!
 //! # fn main() -> Result<(), mnsim_core::CoreError> {
+//! let metrics = obs::session();
 //! let report = Simulator::new(Config::fully_connected_mlp(&[256, 128])?)
 //!     .threads(2)
-//!     .metrics(true)
 //!     .run()?;
-//! assert!(report.metrics.is_some());
+//! assert!(report.total_area.square_millimeters() > 0.0);
+//! assert_eq!(metrics.snapshot().counter("core.simulate.runs"), 1);
 //! # Ok(())
 //! # }
 //! ```
 
 use std::sync::Arc;
 
-use mnsim_obs as obs;
-use mnsim_obs::trace;
-
 use crate::cache::{Artifact, ArtifactCache};
 use crate::checkpoint::{self, CheckpointPolicy};
 use crate::config::Config;
 use crate::dse::{self, sweep_fingerprint, Constraints, DesignSpace, DseResult};
 use crate::error::CoreError;
-use crate::exec::{CancelToken, Deadline, ExecOptions, RunControl};
+use crate::exec::{CancelToken, Deadline, RunControl};
 use crate::fault_sim::{campaign_fingerprint, simulate_with_faults, FaultConfig};
 use crate::simulate::{simulate, Report};
 use crate::validate::{validate_against_circuit, ValidationRow};
 
-/// A configured simulation session: one [`Config`], one [`ExecOptions`],
-/// and (optionally) a fault campaign, shared by every capability.
+/// A configured simulation session: one [`Config`] and the five values
+/// every capability reads — worker threads, an optional fault campaign,
+/// checkpoint policy, deadline and cancellation token.
 ///
 /// The builder methods take and return `self`, so a session reads as one
 /// chain; the struct is `Clone`, so a tuned session can be reused across
-/// runs and sweeps.
+/// runs and sweeps, or moved to another thread for a background run.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     config: Config,
-    options: ExecOptions,
+    threads: usize,
     faults: Option<FaultConfig>,
-    deadline: Option<Deadline>,
     checkpoint: Option<CheckpointPolicy>,
+    /// The deadline and cancellation token, in the shape the campaign
+    /// driver observes them.
+    control: RunControl,
 }
 
 impl Simulator {
-    /// A session over `config` with default execution options (auto
-    /// thread count, no metrics, no trace, no faults).
+    /// A session over `config`: auto thread count, no fault campaign, no
+    /// checkpoint, no deadline, no cancellation token.
     pub fn new(config: Config) -> Self {
         Simulator {
             config,
-            options: ExecOptions::default(),
+            threads: 0,
             faults: None,
-            deadline: None,
             checkpoint: None,
+            control: RunControl::new(),
         }
     }
 
@@ -92,34 +98,7 @@ impl Simulator {
     /// bit-identical for every choice.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.options.threads = threads;
-        self
-    }
-
-    /// Collect an observability snapshot during [`Simulator::run`] and
-    /// attach it as [`Report::metrics`]. The facade owns the exclusive
-    /// [`obs::session`], so only one metrics-enabled run may execute at a
-    /// time per process.
-    #[must_use]
-    pub fn metrics(mut self, metrics: bool) -> Self {
-        self.options.metrics = metrics;
-        self
-    }
-
-    /// Record a hierarchical trace during [`Simulator::run`] and attach
-    /// its summary as [`Report::trace`]. The facade owns the exclusive
-    /// [`trace::session`], so only one trace-enabled run may execute at a
-    /// time per process.
-    #[must_use]
-    pub fn trace(mut self, trace: bool) -> Self {
-        self.options.trace = trace;
-        self
-    }
-
-    /// Replaces the whole [`ExecOptions`] in one call.
-    #[must_use]
-    pub fn options(mut self, options: ExecOptions) -> Self {
-        self.options = options;
+        self.threads = threads;
         self
     }
 
@@ -131,22 +110,44 @@ impl Simulator {
         self
     }
 
-    /// Bounds every subsequent fault campaign ([`Simulator::run`],
-    /// [`Simulator::run_cancellable`]) and sweep ([`Simulator::explore`])
-    /// by `deadline`. Deadlines are absolute instants: the clock runs from
-    /// when the deadline value was created, not from when the run starts.
+    /// Bounds every fault campaign ([`Simulator::run`]) and sweep
+    /// ([`Simulator::explore`]) by `deadline`; the run stops at the next
+    /// chunk boundary once it passes. Deadlines are absolute instants: the
+    /// clock runs from when the deadline value was created
+    /// ([`Deadline::after_millis`] is the `--deadline-ms` CLI convention),
+    /// not from when a run starts, so one deadline can bound a whole
+    /// sequence of runs.
     #[must_use]
     pub fn deadline(mut self, deadline: Deadline) -> Self {
-        self.deadline = Some(deadline);
+        self.control.deadline = Some(deadline);
         self
     }
 
-    /// Bounds the run by a deadline `millis` milliseconds **from now**
-    /// (the moment this builder is called) — the `--deadline-ms` CLI
-    /// convention.
+    /// Has every fault campaign and sweep observe `token`: once it is
+    /// cancelled (from any thread, or by the item budget of
+    /// [`CancelToken::after_items`]), the run stops at the next chunk
+    /// boundary with [`CoreError::Cancelled`], its completed items
+    /// checkpointed when a policy is set. Clones of a token share one
+    /// flag, so keep a clone to stop a run started on another thread:
+    ///
+    /// ```
+    /// use mnsim_core::{CancelToken, Config, CoreError, FaultConfig, Simulator};
+    ///
+    /// # fn main() -> Result<(), CoreError> {
+    /// let token = CancelToken::new();
+    /// let sim = Simulator::new(Config::fully_connected_mlp(&[64, 32])?)
+    ///     .faults(FaultConfig::default())
+    ///     .cancel(token.clone());
+    /// token.cancel();
+    /// let background = std::thread::spawn(move || sim.run());
+    /// let outcome = background.join().expect("the run thread does not panic");
+    /// assert!(matches!(outcome, Err(CoreError::Cancelled { completed: 0, .. })));
+    /// # Ok(())
+    /// # }
+    /// ```
     #[must_use]
-    pub fn deadline_ms(mut self, millis: u64) -> Self {
-        self.deadline = Some(Deadline::after_millis(millis));
+    pub fn cancel(mut self, token: CancelToken) -> Self {
+        self.control.cancel = Some(token);
         self
     }
 
@@ -155,8 +156,9 @@ impl Simulator {
     /// (or evaluated combinations) are persisted to the policy's path as
     /// the run goes, and a run resumes from that file when it already
     /// exists. The file must have been written by the same campaign; a
-    /// resumed run is bit-identical to an uninterrupted one. Has no effect
-    /// on clean (fault-less) runs or on validation.
+    /// resumed run is bit-identical to an uninterrupted one. Like the
+    /// deadline and the token, it has no effect on clean (fault-less) runs
+    /// or on validation.
     #[must_use]
     pub fn checkpoint(mut self, policy: CheckpointPolicy) -> Self {
         self.checkpoint = Some(policy);
@@ -169,132 +171,67 @@ impl Simulator {
     }
 
     /// Runs the simulation (with the fault campaign, if one is attached)
-    /// and returns the [`Report`], with metrics and/or trace summaries
-    /// attached when the corresponding flags are set.
+    /// and returns the [`Report`]. A fault campaign observes the session's
+    /// deadline and token at chunk boundaries and honors its
+    /// [`CheckpointPolicy`]; with a [`mnsim_obs::live`] session open it
+    /// streams progress events per wave, and an interrupted run still
+    /// emits its final `campaign_finished` event before the error returns.
     ///
-    /// Numerical report fields are bit-identical for every thread count;
-    /// only the optional `metrics` / `trace` attachments (timing and
-    /// counter data) vary run to run.
+    /// The report is bit-identical for every thread count, and with or
+    /// without instrumentation sessions open.
     ///
     /// # Errors
     ///
-    /// Returns configuration validation errors, and fault-campaign errors
-    /// when a campaign is attached.
+    /// Returns configuration validation errors; with a campaign attached,
+    /// also its circuit errors, [`CoreError::Cancelled`] /
+    /// [`CoreError::DeadlineExceeded`] when the token or the deadline cut
+    /// it short, [`CoreError::WorkerPanic`] for a panicking trial and
+    /// [`CoreError::Checkpoint`] for an unusable or mismatched checkpoint
+    /// file.
     pub fn run(&self) -> Result<Report, CoreError> {
-        self.run_controlled(&RunControl::default())
-    }
-
-    /// [`Simulator::run`] under an explicit campaign control plane: the
-    /// fault-campaign trial loop observes `control`'s cancellation token
-    /// and deadline at chunk boundaries (a session deadline from
-    /// [`Simulator::deadline`] fills in when `control` carries none), and
-    /// the session's [`CheckpointPolicy`] is honored. With an open
-    /// [`mnsim_obs::live`] session the campaign additionally streams
-    /// progress events per wave; an interrupted run still emits its final
-    /// `campaign_finished` event before the error returns.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Simulator::run`] returns, plus
-    /// [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`] when the
-    /// control plane cut the campaign short and [`CoreError::WorkerPanic`]
-    /// for a panicking trial.
-    pub fn run_controlled(&self, control: &RunControl) -> Result<Report, CoreError> {
-        let control = self.with_session_deadline(control);
-        // Sessions open before the run so they observe all of it; metrics
-        // snapshot while live, trace consumed by `finish`.
-        let metrics_session = self.options.metrics.then(obs::session);
-        let trace_session = self.options.trace.then(trace::session);
-        let mut report = match &self.faults {
+        match &self.faults {
             Some(fault_config) => simulate_with_faults(
                 &self.config,
                 fault_config,
-                self.options.threads,
-                &control,
+                self.threads,
+                &self.control,
                 self.checkpoint.as_ref(),
-            )?,
-            None => simulate(&self.config)?,
-        };
-        if let Some(session) = metrics_session {
-            report = report.with_metrics(session.snapshot());
+            ),
+            None => simulate(&self.config),
         }
-        if let Some(session) = trace_session {
-            report = report.with_trace(session.finish().summary());
-        }
-        Ok(report)
-    }
-
-    /// Starts the run on a background thread and returns a [`RunHandle`]
-    /// with a fresh [`CancelToken`] wired into the campaign: call
-    /// [`RunHandle::cancel`] to stop it cooperatively (completed trials
-    /// are checkpointed when a policy is set), then [`RunHandle::join`]
-    /// for the outcome.
-    pub fn run_cancellable(&self) -> RunHandle {
-        let token = CancelToken::new();
-        let control = RunControl::with_cancel(token.clone());
-        let session = self.clone();
-        let thread = std::thread::spawn(move || session.run_controlled(&control));
-        RunHandle { token, thread }
     }
 
     /// Exhaustively explores `space` around this session's configuration
-    /// on the session's worker pool (paper §VII), honoring the session
-    /// deadline and checkpoint policy. The swept crossbar size,
-    /// parallelism degree and interconnect node override the
-    /// configuration's; feasible designs come back in traversal order and
-    /// are bit-identical for every thread count. Metrics/trace flags apply
-    /// to [`Simulator::run`] only — a sweep produces thousands of reports,
-    /// none of which owns the session-wide instrumentation.
+    /// on the session's worker pool (paper §VII), honoring the session's
+    /// deadline, token and checkpoint policy and streaming live progress
+    /// events per wave. The swept crossbar size, parallelism degree and
+    /// interconnect node override the configuration's; feasible designs
+    /// come back in traversal order and are bit-identical for every thread
+    /// count.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Config`] for an invalid [`DesignSpace`],
     /// [`CoreError::EmptyDesignSpace`] if no combination passes the
     /// constraints, the earliest combination's evaluation error,
-    /// [`CoreError::DeadlineExceeded`] when the session deadline cut the
-    /// sweep short, and [`CoreError::Checkpoint`] for an unusable or
-    /// mismatched checkpoint file.
+    /// [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`] when the
+    /// token or the deadline cut the sweep short,
+    /// [`CoreError::WorkerPanic`] for a panicking evaluation, and
+    /// [`CoreError::Checkpoint`] for an unusable or mismatched checkpoint
+    /// file.
     pub fn explore(
         &self,
         space: &DesignSpace,
         constraints: &Constraints,
     ) -> Result<DseResult, CoreError> {
-        self.explore_controlled(space, constraints, &RunControl::default())
-    }
-
-    /// [`Simulator::explore`] under an explicit campaign control plane,
-    /// mirroring [`Simulator::run_controlled`]: the sweep observes
-    /// `control`'s cancellation token and deadline at chunk boundaries (a
-    /// session deadline fills in when `control` carries none) and streams
-    /// live progress events per wave.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Simulator::explore`] returns, plus
-    /// [`CoreError::Cancelled`] when the token cut the sweep short and
-    /// [`CoreError::WorkerPanic`] for a panicking evaluation.
-    pub fn explore_controlled(
-        &self,
-        space: &DesignSpace,
-        constraints: &Constraints,
-        control: &RunControl,
-    ) -> Result<DseResult, CoreError> {
         dse::explore(
             &self.config,
             space,
             constraints,
-            self.options.threads,
-            &self.with_session_deadline(control),
+            self.threads,
+            &self.control,
             self.checkpoint.as_ref(),
         )
-    }
-
-    /// `control`, with the session deadline filling in when it has none.
-    fn with_session_deadline(&self, control: &RunControl) -> RunControl {
-        RunControl {
-            deadline: control.deadline.or(self.deadline),
-            ..control.clone()
-        }
     }
 
     /// Validates the behavior models against the circuit baseline on the
@@ -319,7 +256,7 @@ impl Simulator {
             matrices,
             inputs_per_matrix,
             seed,
-            self.options.threads,
+            self.threads,
         )
     }
 
@@ -345,17 +282,15 @@ impl Simulator {
 /// session sharing the cache).
 ///
 /// Results come back as [`Arc`]s because they may be shared with the
-/// cache and with concurrent readers. Cached artifacts are **stripped**
-/// of per-run `metrics`/`trace` attachments — those describe one
-/// execution, not the configuration, and would otherwise make a cache
-/// hit observably different from the run that populated it. Everything
-/// else is bit-identical: results are deterministic at any thread count,
-/// so a hit is indistinguishable from a re-run.
+/// cache and with concurrent readers. A result carries no per-run
+/// observation (those live in the caller's instrumentation sessions) and
+/// is deterministic at any thread count, so a hit is bit-identical to a
+/// re-run.
 ///
 /// Fingerprints cover exactly what determines the result (config, fault
 /// campaign parameters, design space, constraints, validation sampling)
-/// and exclude what does not (thread count, metrics/trace flags,
-/// deadlines, checkpoint policies).
+/// and exclude what does not (thread count, deadline, cancellation token,
+/// checkpoint policy).
 #[derive(Debug, Clone)]
 pub struct Session {
     sim: Simulator,
@@ -409,8 +344,8 @@ impl Session {
     }
 
     /// [`Simulator::run`] through the cache: a hit returns the stored
-    /// report without executing anything; a miss runs, stores the
-    /// stripped report, and returns it.
+    /// report without executing anything; a miss runs, stores the report,
+    /// and returns it.
     ///
     /// # Errors
     ///
@@ -421,10 +356,7 @@ impl Session {
         if let Some(Artifact::Report(report)) = self.cache.get(key) {
             return Ok(report);
         }
-        let mut report = self.sim.run()?;
-        report.metrics = None;
-        report.trace = None;
-        let report = Arc::new(report);
+        let report = Arc::new(self.sim.run()?);
         self.cache.insert(key, Artifact::Report(Arc::clone(&report)));
         Ok(report)
     }
@@ -471,38 +403,6 @@ impl Session {
     }
 }
 
-/// A cancellable, joinable in-flight run started by
-/// [`Simulator::run_cancellable`].
-#[derive(Debug)]
-pub struct RunHandle {
-    token: CancelToken,
-    thread: std::thread::JoinHandle<Result<Report, CoreError>>,
-}
-
-impl RunHandle {
-    /// Requests cooperative cancellation; the campaign stops at the next
-    /// chunk boundary (completed trials are checkpointed when a policy is
-    /// set) and [`RunHandle::join`] returns [`CoreError::Cancelled`].
-    pub fn cancel(&self) {
-        self.token.cancel();
-    }
-
-    /// Whether the run has finished (successfully or not); [`RunHandle::join`]
-    /// will not block once this is `true`.
-    pub fn is_finished(&self) -> bool {
-        self.thread.is_finished()
-    }
-
-    /// Waits for the run and returns its outcome. A panic on the run
-    /// thread outside the panic-isolated trial loop is propagated.
-    pub fn join(self) -> Result<Report, CoreError> {
-        match self.thread.join() {
-            Ok(outcome) => outcome,
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,45 +436,32 @@ mod tests {
     }
 
     #[test]
-    fn metrics_and_trace_attach() {
-        let config = Config::fully_connected_mlp(&[128, 64]).unwrap();
-        let report = Simulator::new(config)
-            .threads(2)
-            .metrics(true)
-            .trace(true)
-            .run()
-            .unwrap();
-        let metrics = report.metrics.expect("metrics attached");
-        assert!(metrics.counter("core.simulate.runs") >= 1);
-        let trace = report.trace.expect("trace attached");
-        assert!(trace.events > 0);
-        assert!(trace.spans.contains_key("simulate"));
-    }
-
-    #[test]
-    fn run_cancellable_completes_and_matches_run() {
+    fn background_run_completes_and_matches_run() {
         let config = Config::fully_connected_mlp(&[64, 32]).unwrap();
         let sim = Simulator::new(config).threads(2).faults(FaultConfig {
             trials: 3,
             ..FaultConfig::default()
         });
         let direct = sim.run().unwrap();
-        let handle = sim.run_cancellable();
-        let background = handle.join().unwrap();
-        assert_eq!(direct, background);
+        let background = std::thread::spawn({
+            let sim = sim.clone().cancel(CancelToken::new());
+            move || sim.run()
+        });
+        assert_eq!(direct, background.join().unwrap().unwrap());
     }
 
     #[test]
     fn cancelled_run_reports_typed_error() {
         let config = Config::fully_connected_mlp(&[64, 32]).unwrap();
-        let sim = Simulator::new(config).threads(1).faults(FaultConfig {
-            trials: 64,
-            ..FaultConfig::default()
-        });
         // Budget token: deterministic mid-campaign cancellation.
-        let token = CancelToken::after_items(2);
-        let control = RunControl::with_cancel(token);
-        match sim.run_controlled(&control) {
+        let sim = Simulator::new(config)
+            .threads(1)
+            .faults(FaultConfig {
+                trials: 64,
+                ..FaultConfig::default()
+            })
+            .cancel(CancelToken::after_items(2));
+        match sim.run() {
             Err(CoreError::Cancelled {
                 completed,
                 total: 64,
@@ -625,21 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn session_strips_per_run_attachments_before_caching() {
-        let config = Config::fully_connected_mlp(&[64, 32]).unwrap();
-        let session = Simulator::new(config.clone())
-            .threads(1)
-            .metrics(true)
-            .into_session();
-        let cached = session.run().unwrap();
-        assert!(cached.metrics.is_none());
-        assert!(cached.trace.is_none());
-        // The cached body equals a plain run.
-        let plain = Simulator::new(config).threads(1).run().unwrap();
-        assert_eq!(*cached, plain);
-    }
-
-    #[test]
     fn session_fingerprints_separate_capabilities_and_campaigns() {
         let config = Config::fully_connected_mlp(&[64, 32]).unwrap();
         let clean = Simulator::new(config.clone()).into_session();
@@ -681,9 +553,9 @@ mod tests {
     fn builder_accessors_and_from_text() {
         let sim = Simulator::from_text("Crossbar_Size = 64\n")
             .unwrap()
-            .options(ExecOptions::serial());
+            .threads(1);
         assert_eq!(sim.config().crossbar_size, 64);
-        assert_eq!(sim.options.threads, 1);
+        assert_eq!(sim.threads, 1);
         assert!(Simulator::from_text("Crosbar_Size = 64\n").is_err());
     }
 }

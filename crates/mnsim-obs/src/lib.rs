@@ -66,7 +66,7 @@ mod snapshot;
 pub mod trace;
 
 pub use emit::{EmitSpec, Emitter};
-pub use hash::{fnv64, Fnv64};
+pub use hash::fnv64;
 pub use json::{parse_json, validate_json, write_json_number, write_json_string, JsonValue};
 pub use snapshot::{BucketCount, HistogramSnapshot, MetricsSnapshot};
 pub use trace::{validate_chrome_trace, Level, Trace, TraceSummary};

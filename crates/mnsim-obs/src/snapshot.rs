@@ -100,8 +100,8 @@ impl HistogramSnapshot {
     }
 }
 
-/// Everything the registry knew at snapshot time. Attachable to
-/// `mnsim_core::simulate::Report` and exportable as JSON or CSV.
+/// Everything the registry knew at snapshot time, exportable as JSON or
+/// CSV.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// Monotonic counters by name.

@@ -833,7 +833,6 @@ pub struct ModuleStats {
 
 /// Aggregated view of a [`Trace`]: per-level and per-span self/total
 /// wall-clock time plus per-module modeled latency/energy attribution.
-/// Attachable to `mnsim_core::simulate::Report`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceSummary {
     /// Summed duration of root spans (the run's wall-clock).

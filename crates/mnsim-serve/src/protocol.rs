@@ -27,7 +27,10 @@
 //! Error payloads are typed: `code` is one of [`ErrorCode`], and
 //! configuration failures carry the full [`ConfigError`] list
 //! (`field_path` / `reason` / `allowed`) so a client can render every
-//! violation at once.
+//! violation at once. A line the server cannot read as a request — not
+//! JSON, nested too deep, longer than 1 MiB, or not UTF-8 — gets a
+//! `malformed` error with `"id":null`, and after the handshake the
+//! connection stays open.
 
 use std::fmt::Write as _;
 

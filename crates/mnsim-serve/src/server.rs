@@ -44,7 +44,7 @@
 //! stdio therefore behaves as a one-shot batch evaluator.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -58,7 +58,7 @@ use mnsim_core::fault_sim::FaultConfig;
 use mnsim_core::report::report_json;
 use mnsim_core::simulate::Report;
 use mnsim_core::validate::ValidationRow;
-use mnsim_core::{ExecOptions, Simulator};
+use mnsim_core::Simulator;
 use mnsim_obs as obs;
 use mnsim_obs::live::{LiveConfig, LiveTap};
 use mnsim_obs::{write_json_number, write_json_string, JsonValue};
@@ -529,57 +529,89 @@ fn handle_submit(
     shared.ready.notify_one();
 }
 
+/// The longest protocol line the server buffers, newline excluded. A
+/// request line or a whole MLP-shorthand submission is a few hundred
+/// bytes; a longer line is answered `malformed` without being held.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Reads the next line (without its `\n` or `\r\n`) through `reader`'s
+/// buffer, holding at most [`MAX_LINE_BYTES`] of it. A line over the cap
+/// is skipped up to its newline, and it and a line that is not UTF-8
+/// come back as the `malformed` error to reply with. `None` at EOF or on
+/// a read error.
+fn next_line(reader: &mut impl BufRead) -> Option<Result<String, WireError>> {
+    let mut line = Vec::new();
+    let mut capped = reader.by_ref().take(MAX_LINE_BYTES as u64 + 1);
+    if capped.read_until(b'\n', &mut line).ok()? == 0 {
+        return None;
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    } else if line.len() > MAX_LINE_BYTES {
+        reader.skip_until(b'\n').ok()?;
+        return Some(Err(WireError::new(
+            ErrorCode::Malformed,
+            format!("line longer than {MAX_LINE_BYTES} bytes"),
+        )));
+    }
+    if line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    Some(
+        String::from_utf8(line)
+            .map_err(|_| WireError::new(ErrorCode::Malformed, "line is not UTF-8")),
+    )
+}
+
 /// Serves one client connection: handshake, then a request loop until
-/// EOF or a `shutdown` message. `global_shutdown` is `true` when a
-/// `shutdown` message from this client should stop the whole server
-/// (always the case today — the protocol has no per-client detach).
+/// EOF or a `shutdown` message, which stops the whole server (the
+/// protocol has no per-client detach). A rejected handshake closes the
+/// connection; a rejected request line gets its typed error and the loop
+/// reads on.
 fn serve_client(
     shared: &Arc<Shared>,
-    reader: impl std::io::Read,
+    reader: impl Read,
     writer: Arc<ClientWriter>,
     client: u64,
     max_pending: usize,
 ) {
-    let mut lines = BufReader::new(reader).lines();
+    let mut reader = BufReader::new(reader);
     // Handshake: the first line must be a matching `hello`.
-    match lines.next() {
-        Some(Ok(line)) => match parse_request(&line) {
-            Ok(Request::Hello { schema_version }) if schema_version == SCHEMA_VERSION => {
-                writer.send(&hello_ok_line());
-            }
-            Ok(Request::Hello { schema_version }) => {
-                let err = WireError::new(
-                    ErrorCode::SchemaMismatch,
-                    format!(
-                        "server speaks schema_version {SCHEMA_VERSION}, client sent \
-                         {schema_version}"
-                    ),
-                );
-                writer.send(&error_line(None, &err));
-                return;
-            }
-            Ok(_) => {
-                let err = WireError::new(
-                    ErrorCode::SchemaMismatch,
-                    "connection must open with a `hello` handshake",
-                );
-                writer.send(&error_line(None, &err));
-                return;
-            }
-            Err(err) => {
-                writer.send(&error_line(None, &err));
-                return;
-            }
-        },
-        _ => return,
+    match next_line(&mut reader).map(|line| line.and_then(|line| parse_request(&line))) {
+        Some(Ok(Request::Hello { schema_version })) if schema_version == SCHEMA_VERSION => {
+            writer.send(&hello_ok_line());
+        }
+        Some(Ok(Request::Hello { schema_version })) => {
+            let err = WireError::new(
+                ErrorCode::SchemaMismatch,
+                format!(
+                    "server speaks schema_version {SCHEMA_VERSION}, client sent \
+                     {schema_version}"
+                ),
+            );
+            writer.send(&error_line(None, &err));
+            return;
+        }
+        Some(Ok(_)) => {
+            let err = WireError::new(
+                ErrorCode::SchemaMismatch,
+                "connection must open with a `hello` handshake",
+            );
+            writer.send(&error_line(None, &err));
+            return;
+        }
+        Some(Err(err)) => {
+            writer.send(&error_line(None, &err));
+            return;
+        }
+        None => return,
     }
-    for line in lines {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
+    while let Some(line) = next_line(&mut reader) {
+        if line.as_ref().is_ok_and(|line| line.trim().is_empty()) {
             continue;
         }
         SERVE_REQUESTS.inc();
-        let value = match parse_line(&line) {
+        let value = match line.and_then(|line| parse_line(&line)) {
             Ok(value) => value,
             Err(err) => {
                 shared.respond(&writer, &error_line(None, &err));
@@ -617,10 +649,10 @@ thread_local! {
 
 /// Executes one job's evaluation (on the worker thread).
 fn execute(shared: &Shared, op: &JobOp) -> Result<String, CoreError> {
-    let options = ExecOptions::with_threads(shared.threads_per_job);
+    let threads = shared.threads_per_job;
     match op {
         JobOp::Run { config, faults } => {
-            let mut sim = Simulator::new(config.clone()).options(options);
+            let mut sim = Simulator::new(config.clone()).threads(threads);
             if let Some(fault_config) = faults.clone() {
                 sim = sim.faults(fault_config);
             }
@@ -634,7 +666,7 @@ fn execute(shared: &Shared, op: &JobOp) -> Result<String, CoreError> {
             seed,
         } => {
             let rows = Simulator::new(config.clone())
-                .options(options)
+                .threads(threads)
                 .into_session_with(Arc::clone(&shared.cache))
                 .validate(*matrices, *inputs_per_matrix, *seed)?;
             Ok(validate_result_json(&rows))
@@ -645,7 +677,7 @@ fn execute(shared: &Shared, op: &JobOp) -> Result<String, CoreError> {
             constraints,
         } => {
             let result = Simulator::new(config.clone())
-                .options(options)
+                .threads(threads)
                 .into_session_with(Arc::clone(&shared.cache))
                 .explore(space, constraints)?;
             Ok(dse_result_json(&result))
@@ -715,11 +747,9 @@ fn worker_loop(shared: Arc<Shared>) {
 /// Runs the session server until shutdown (signal, `shutdown` message,
 /// or stdio EOF). Blocks the calling thread for the server's lifetime.
 ///
-/// The server owns the process-wide metrics and live-telemetry sessions
-/// for its whole life: per-job `metrics`/`trace` attachments are
-/// disabled (they are per-run artifacts, excluded from cached results
-/// anyway), and campaign progress events stream to waiting clients via
-/// the live tap.
+/// The server holds the process-wide metrics and live-telemetry sessions
+/// for its whole life; reports carry no per-run observations, and
+/// campaign progress events stream to waiting clients via the live tap.
 ///
 /// # Errors
 ///

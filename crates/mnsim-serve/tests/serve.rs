@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use mnsim_core::fault_sim::FaultConfig;
 use mnsim_core::report::report_json;
-use mnsim_core::{Config, ExecOptions, Simulator};
+use mnsim_core::{Config, Simulator};
 use mnsim_obs::{parse_json, JsonValue};
 use mnsim_serve::client::Client;
 use mnsim_serve::server::{connect_stream, serve, ServeOptions};
@@ -228,6 +228,66 @@ fn deeply_nested_lines_get_typed_errors_and_the_server_lives_on() {
 }
 
 #[test]
+fn over_long_and_non_utf8_lines_get_malformed_and_the_connection_lives_on() {
+    let _guard = lock();
+    with_server(options("lines"), |path| {
+        let mut stream = connect_stream(path).expect("raw stream connects");
+        let mut replies = BufReader::new(stream.try_clone().expect("stream clones"));
+        let mut exchange = |line: &[u8]| {
+            stream.write_all(line).unwrap();
+            stream.write_all(b"\n").unwrap();
+            stream.flush().unwrap();
+            let mut reply = String::new();
+            replies.read_line(&mut reply).unwrap();
+            parse_json(reply.trim()).expect("every reply parses")
+        };
+        let code = |reply: &JsonValue| {
+            reply
+                .get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(JsonValue::as_str)
+                .map(str::to_string)
+        };
+        let hello = exchange(br#"{"type":"hello","schema_version":1}"#);
+        assert_eq!(
+            hello.get("type").and_then(JsonValue::as_str),
+            Some("hello_ok")
+        );
+
+        // A valid ping whose `pad` string runs past the server's 1 MiB
+        // line cap: unless the server skips the rest of the line, its
+        // tail is read as a line of its own and answered too, and every
+        // reply below comes one line late.
+        const CAP: usize = 1 << 20;
+        let mut long = br#"{"type":"request","id":1,"op":"ping","pad":""#.to_vec();
+        long.resize(CAP + 64, b'a');
+        long.extend_from_slice(br#""}"#);
+        let over = exchange(&long);
+        assert_eq!(code(&over).as_deref(), Some("malformed"), "{over:?}");
+        let message = over
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(JsonValue::as_str)
+            .unwrap_or_default();
+        assert!(message.contains(&CAP.to_string()), "{message}");
+
+        let not_utf8 = exchange(b"\xff\xfe");
+        assert_eq!(
+            code(&not_utf8).as_deref(),
+            Some("malformed"),
+            "{not_utf8:?}"
+        );
+
+        let pong = exchange(br#"{"type":"request","id":2,"op":"ping"}"#);
+        assert_eq!(
+            pong.get("ok").and_then(JsonValue::as_bool),
+            Some(true),
+            "{pong:?}"
+        );
+    });
+}
+
+#[test]
 fn second_identical_request_hits_the_cache_and_is_faster() {
     let _guard = lock();
     with_server(options("speedup"), |path| {
@@ -273,7 +333,6 @@ fn second_identical_request_hits_the_cache_and_is_faster() {
                 seed: 7,
                 ..FaultConfig::default()
             })
-            .options(ExecOptions::default())
             .run()
             .unwrap();
         assert!(

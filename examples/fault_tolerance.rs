@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = Config::fully_connected_mlp(&[128, 128])?;
     // One session, re-tuned per sweep point; trials fan out on all cores.
     let mut simulator = Simulator::new(config).threads(0);
-    if let Some(millis) = args.deadline_ms {
+    if let Some(millis) = args.deadline_millis {
         // The deadline clock starts here and is shared by every sweep
         // point — it bounds the whole example, not each campaign.
         simulator = simulator.deadline(Deadline::after_millis(millis));
@@ -97,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 struct SweepArgs {
     emit: EmitSpec,
     checkpoint_dir: Option<String>,
-    deadline_ms: Option<u64>,
+    deadline_millis: Option<u64>,
 }
 
 /// Parses the `--emit <kind>=<path>` artifact spec and `--progress`, plus
@@ -106,7 +106,7 @@ fn sweep_args() -> Result<SweepArgs, Box<dyn std::error::Error>> {
     let mut parsed = SweepArgs {
         emit: EmitSpec::default(),
         checkpoint_dir: None,
-        deadline_ms: None,
+        deadline_millis: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -120,7 +120,8 @@ fn sweep_args() -> Result<SweepArgs, Box<dyn std::error::Error>> {
             }
             "--deadline-ms" => {
                 let value = args.next().ok_or("--deadline-ms requires milliseconds")?;
-                parsed.deadline_ms = Some(value.parse().map_err(|_| "--deadline-ms: bad value")?);
+                parsed.deadline_millis =
+                    Some(value.parse().map_err(|_| "--deadline-ms: bad value")?);
             }
             other => return Err(format!("unknown argument {other:?}").into()),
         }

@@ -13,8 +13,10 @@
 //!   ([`mnsim_serve`]),
 //!
 //! and gathers the session-level API in [`prelude`]: build a
-//! [`Simulator`], set its [`ExecOptions`] once, and run, explore, or
-//! validate on the shared worker pool.
+//! [`Simulator`], set its thread count, fault campaign, checkpoint,
+//! deadline and cancellation token once, and run, explore, or validate on
+//! the shared worker pool. Metrics, the trace and live telemetry are
+//! [`obs`] sessions opened around a call.
 //!
 //! See the repository `README.md` for a tour and `examples/quickstart.rs`
 //! for a complete simulation run.
@@ -40,7 +42,7 @@ pub use mnsim_nn as nn;
 pub use mnsim_serve as serve;
 pub use mnsim_tech as tech;
 
-pub use mnsim_core::{ExecOptions, Simulator};
+pub use mnsim_core::Simulator;
 
 /// The session-level API in one import: `use mnsim::prelude::*;`.
 ///
@@ -54,10 +56,10 @@ pub mod prelude {
     pub use mnsim_core::config::Config;
     pub use mnsim_core::dse::{Constraints, DesignSpace, DseResult, Objective};
     pub use mnsim_core::error::{ConfigError, CoreError};
-    pub use mnsim_core::exec::{CancelToken, Deadline, ExecError, ExecOptions, RunControl};
+    pub use mnsim_core::exec::{CancelToken, Deadline, ExecError};
     pub use mnsim_core::fault_sim::{FaultConfig, FaultSummary};
     pub use mnsim_core::simulate::Report;
-    pub use mnsim_core::simulator::{RunHandle, Session, Simulator};
+    pub use mnsim_core::simulator::{Session, Simulator};
     pub use mnsim_core::validate::ValidationRow;
     pub use mnsim_tech::fault::FaultRates;
 }

@@ -3,20 +3,21 @@
 //! The contract under test: every capability reached through
 //! [`Simulator`] — and through a caching [`Session`] wrapped around it —
 //! produces results identical to the serial reference (`simulate(&c)` or
-//! `.threads(1)`), identical across every [`ExecOptions`] permutation, and
-//! identical whether a result was freshly evaluated or answered from the
-//! artifact cache.
+//! `.threads(1)`), identical at every thread count with or without
+//! metrics and trace sessions open around the call, and identical
+//! whether a result was freshly evaluated or answered from the artifact
+//! cache.
 //! "Identical" is checked at the strongest level available:
 //! full-`Report` equality plus byte-for-byte equality of the canonical
 //! [`report_json`](mnsim::core::report::report_json) rendering (which
 //! round-trips every float through shortest-representation formatting,
-//! so two JSONs are byte-equal iff the reports are bit-identical;
-//! metrics/trace timing attachments are deliberately outside it).
+//! so two JSONs are byte-equal iff the reports are bit-identical).
 
 use std::time::Instant;
 
 use mnsim::core::report::report_json;
 use mnsim::core::simulate::simulate;
+use mnsim::obs;
 use mnsim::prelude::*;
 use proptest::prelude::*;
 
@@ -180,35 +181,34 @@ fn simulator_explore_honours_the_session_deadline() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Property: no [`ExecOptions`] permutation — thread count, metrics
-    /// on/off, trace on/off, set via individual builders or wholesale —
-    /// changes a single numerical bit of the report.
+    /// Property: neither the thread count nor a metrics or trace session
+    /// open around the run changes a single numerical bit of the report,
+    /// and an open session observes the run.
     #[test]
-    fn exec_options_permutations_never_change_results(
+    fn instrumentation_sessions_never_change_results(
         threads in 0usize..9,
         metrics_bit in 0u8..2,
         trace_bit in 0u8..2,
-        wholesale_bit in 0u8..2,
     ) {
-        let (metrics, trace, wholesale) =
-            (metrics_bit == 1, trace_bit == 1, wholesale_bit == 1);
         let config = Config::fully_connected_mlp(&[128, 64]).unwrap();
         let baseline_json = report_json(&simulate(&config).unwrap());
 
-        let simulator = if wholesale {
-            Simulator::new(config).options(ExecOptions { threads, metrics, trace })
-        } else {
-            Simulator::new(config).threads(threads).metrics(metrics).trace(trace)
-        };
-        let report = simulator.run().unwrap();
+        let metrics = (metrics_bit == 1).then(obs::session);
+        let trace = (trace_bit == 1).then(obs::trace::session);
+        let report = Simulator::new(config).threads(threads).run().unwrap();
 
-        // Numerical payload identical; instrumentation attaches exactly
-        // when requested.
         prop_assert_eq!(report_json(&report), baseline_json);
-        prop_assert_eq!(report.metrics.is_some(), metrics);
-        prop_assert_eq!(report.trace.is_some(), trace);
+        // At least: this binary's other tests simulate without a session,
+        // and their records land in an open one too.
+        if let Some(metrics) = metrics {
+            prop_assert!(metrics.snapshot().counter("core.simulate.runs") >= 1);
+        }
+        if let Some(trace) = trace {
+            let summary = trace.finish().summary();
+            prop_assert!(summary.spans.get("simulate").is_some_and(|span| span.count >= 1));
+        }
     }
 }
 
@@ -235,7 +235,8 @@ mod prelude_run_control {
             let outcome = Simulator::new(config.clone())
                 .threads(threads)
                 .faults(campaign.clone())
-                .run_controlled(&RunControl::new().cancel(token));
+                .cancel(token)
+                .run();
             assert!(
                 matches!(
                     outcome,
@@ -254,11 +255,9 @@ mod prelude_run_control {
         let deadline = Deadline::after(Duration::ZERO);
         assert!(deadline.expired());
         assert_eq!(deadline.remaining(), Duration::ZERO);
-        let outcome = Simulator::new(config.clone()).explore_controlled(
-            &DesignSpace::paper_large_bank(),
-            &Constraints::default(),
-            &RunControl::new().deadline(deadline),
-        );
+        let outcome = Simulator::new(config.clone())
+            .deadline(deadline)
+            .explore(&DesignSpace::paper_large_bank(), &Constraints::default());
         assert!(
             matches!(
                 outcome,

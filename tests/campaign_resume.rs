@@ -1,6 +1,6 @@
 //! Campaign-hardening integration tests: cancellation, deterministic
-//! checkpoint/resume, and panic isolation through the public API
-//! (`Simulator::checkpoint` with `run_controlled` / `explore_controlled`).
+//! checkpoint/resume, corrupted checkpoints, and panic isolation through
+//! the public API (`Simulator::checkpoint` and `Simulator::cancel`).
 //!
 //! The central property: a fault campaign (or DSE sweep) that is cancelled
 //! mid-run with a checkpoint policy, then resumed, produces a result
@@ -62,8 +62,10 @@ proptest! {
             // Interrupted leg: the budget token trips at chunk granularity,
             // so a generous budget may let the run complete — both outcomes
             // are legal, and both must lead to the baseline summary.
-            let control = RunControl::with_cancel(CancelToken::after_items(budget));
-            let first = campaign.run_controlled(&control);
+            let first = campaign
+                .clone()
+                .cancel(CancelToken::after_items(budget))
+                .run();
             match &first {
                 Ok(report) => prop_assert_eq!(report, &baseline),
                 Err(CoreError::Cancelled { completed, total, .. }) => {
@@ -75,9 +77,7 @@ proptest! {
 
             // Resumed leg: no cancellation; completed trials load from the
             // checkpoint, the rest re-run from their per-trial seeds.
-            let resumed = campaign
-                .run_controlled(&RunControl::default())
-                .expect("resumed campaign completes");
+            let resumed = campaign.run().expect("resumed campaign completes");
             prop_assert_eq!(&resumed, &baseline, "threads {}", threads);
 
             let _ = std::fs::remove_file(&path);
@@ -110,8 +110,10 @@ fn cancelled_dse_sweep_resumes_bit_identically() {
             .threads(threads)
             .checkpoint(CheckpointPolicy::new(path.display().to_string()).every(2));
 
-        let control = RunControl::with_cancel(CancelToken::after_items(3));
-        let first = sweep.explore_controlled(&space, &constraints, &control);
+        let first = sweep
+            .clone()
+            .cancel(CancelToken::after_items(3))
+            .explore(&space, &constraints);
         match first {
             Ok(ref result) => assert_eq!(result, &baseline),
             Err(CoreError::Cancelled { completed, total, .. }) => {
@@ -122,7 +124,7 @@ fn cancelled_dse_sweep_resumes_bit_identically() {
         }
 
         let resumed = sweep
-            .explore_controlled(&space, &constraints, &RunControl::default())
+            .explore(&space, &constraints)
             .expect("resumed sweep completes");
         assert_eq!(resumed, baseline, "threads {threads}");
 
@@ -158,8 +160,9 @@ fn worker_panic_is_typed_and_isolated() {
     }
 }
 
-/// A cancelled `Simulator::run_cancellable` surfaces the typed error and
-/// the checkpoint path it wrote; a fresh session then resumes from it.
+/// A background run cancelled through its `Simulator::cancel` token
+/// surfaces the typed error and the checkpoint path it wrote; the same
+/// session without the token then resumes from it.
 #[test]
 fn facade_cancel_checkpoint_resume_round_trip() {
     let path = temp_checkpoint("facade");
@@ -178,9 +181,13 @@ fn facade_cancel_checkpoint_resume_round_trip() {
     let _ = std::fs::remove_file(&path);
 
     // Cancel immediately: the background run stops at the next boundary.
-    let handle = session.run_cancellable();
-    handle.cancel();
-    match handle.join() {
+    let token = CancelToken::new();
+    let background = std::thread::spawn({
+        let session = session.clone().cancel(token.clone());
+        move || session.run()
+    });
+    token.cancel();
+    match background.join().expect("the run thread does not panic") {
         Ok(report) => assert_eq!(report, baseline), // raced to completion
         Err(CoreError::Cancelled { checkpoint, .. }) => {
             // The typed error carries the policy path whenever the
@@ -194,5 +201,93 @@ fn facade_cancel_checkpoint_resume_round_trip() {
 
     let resumed = session.run().expect("resumed run completes");
     assert_eq!(resumed, baseline);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A checkpoint file is external input. Every strict prefix of a written
+/// one is refused with `CoreError::Checkpoint`, never a panic, except the
+/// prefix that drops only the final newline: that is still the complete
+/// JSON and resumes bit-identically. One changed digit in `schema`,
+/// `fingerprint` or the item count is refused too. Checked for a fault
+/// campaign and a design-space sweep.
+#[test]
+fn corrupted_checkpoints_are_refused_with_a_typed_error() {
+    let campaign = Simulator::new(small_config())
+        .threads(1)
+        .faults(FaultConfig {
+            rates: FaultRates::stuck_at(0.05),
+            trials: 2,
+            seed: 0xC0FFEE,
+            ..FaultConfig::default()
+        });
+    assert_corruptions_are_refused("fault_mc", "trials", &campaign, Simulator::run);
+
+    let space = DesignSpace {
+        crossbar_sizes: vec![32, 64],
+        parallelism_degrees: vec![1, 4],
+        interconnects: vec![mnsim::tech::interconnect::InterconnectNode::N45],
+    };
+    let sweep = Simulator::new(small_config()).threads(1);
+    assert_corruptions_are_refused("dse", "combos", &sweep, |sim| {
+        sim.explore(&space, &Constraints::default())
+    });
+}
+
+/// Lets `run` write `sim`'s checkpoint, then resumes `run` from each
+/// corruption of that file that
+/// `corrupted_checkpoints_are_refused_with_a_typed_error` names.
+fn assert_corruptions_are_refused<T: PartialEq + std::fmt::Debug>(
+    tag: &str,
+    count_key: &str,
+    sim: &Simulator,
+    run: impl Fn(&Simulator) -> Result<T, CoreError>,
+) {
+    let path = temp_checkpoint(&format!("corrupt_{tag}"));
+    let sim = sim
+        .clone()
+        .checkpoint(CheckpointPolicy::new(path.display().to_string()));
+    let baseline = run(&sim).expect("the uninterrupted run completes");
+    let written = std::fs::read(&path).expect("the run wrote its checkpoint");
+    assert!(written.ends_with(b"}\n"), "{tag}: {written:?}");
+    let resume_from = |contents: &[u8]| {
+        std::fs::write(&path, contents).expect("the corrupted file writes");
+        run(&sim)
+    };
+
+    for len in 0..written.len() {
+        match (len + 1 == written.len(), resume_from(&written[..len])) {
+            (true, Ok(resumed)) => assert_eq!(resumed, baseline, "{tag}: complete JSON"),
+            (false, Err(CoreError::Checkpoint { .. })) => {}
+            (_, other) => panic!("{tag}: the {len}-byte prefix gave {other:?}"),
+        }
+    }
+
+    let text = String::from_utf8(written).expect("checkpoints are UTF-8");
+    for field in ["schema", "fingerprint", count_key] {
+        // The first digit of the field's value ("0x" skipped), changed.
+        let key = format!("\"{field}\": ");
+        let mut at = text.find(&key).expect("the field is written") + key.len();
+        at += text[at..]
+            .find(|c: char| c.is_ascii_digit())
+            .expect("a digit");
+        if text[at..].starts_with("0x") {
+            at += 2;
+        }
+        let digit = if text.as_bytes()[at] == b'1' {
+            "2"
+        } else {
+            "1"
+        };
+        let corrupted = format!("{}{digit}{}", &text[..at], &text[at + 1..]);
+        match resume_from(corrupted.as_bytes()) {
+            Err(CoreError::Checkpoint { reason, .. }) => {
+                assert!(
+                    reason.contains(field),
+                    "{tag}: `{field}` refused for {reason:?}"
+                );
+            }
+            other => panic!("{tag}: a changed `{field}` digit gave {other:?}"),
+        }
+    }
     let _ = std::fs::remove_file(&path);
 }

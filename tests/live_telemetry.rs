@@ -12,6 +12,7 @@
 use mnsim::core::checkpoint::CheckpointPolicy;
 use mnsim::core::config::Config;
 use mnsim::core::error::CoreError;
+use mnsim::core::exec::Deadline;
 use mnsim::core::fault_sim::FaultConfig;
 use mnsim::core::simulator::Simulator;
 use std::sync::{Arc, Mutex};
@@ -167,7 +168,7 @@ fn deadline_zero_run_flushes_final_event_to_sink() {
     let err = Simulator::new(config)
         .threads(2)
         .faults(fault_config(8))
-        .deadline_ms(0)
+        .deadline(Deadline::after_millis(0))
         .run()
         .expect_err("an expired deadline interrupts the campaign");
     assert!(matches!(err, CoreError::DeadlineExceeded { .. }), "{err}");
